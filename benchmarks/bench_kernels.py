@@ -1,25 +1,20 @@
-"""Timing harness for the state-dependent simulation kernels.
+"""Timing harness for the market kinds' integration.
 
-Runs each drift kernel through the public integration entry point and
-reports path-steps per second.  The backend is fixed per process by the
-``SPT_LAB_NUMBA`` environment variable, so ``--both`` re-executes this
-script once per backend and prints the two columns side by side.
+Integrates each of the five market kinds through the public entry point
+``markets.simulate_block``, in this process, and reports path-steps per
+second.
 
 Usage:
     python3 benchmarks/bench_kernels.py [--paths N] [--steps K] [--repeat R]
-    python3 benchmarks/bench_kernels.py --both
 """
 
 import argparse
-import json
-import os
-import subprocess
 import sys
 import time
 
 import numpy as np
 
-from spt_lab import _kernels, markets, paths
+from spt_lab import markets, paths
 
 
 def _models():
@@ -43,7 +38,7 @@ def run_suite(n_paths, k_steps, repeat):
         grid = (paths.geometric_grid(1.0, k_steps, 1e-8)
                 if name == "dominance" else paths.make_grid(5.0, k_steps))
         factors = paths.generate_factors(grid, model.m, n_paths, master_seed=17)
-        markets.simulate_block(model, factors, 0, min(8, n_paths))  # warm up / jit
+        markets.simulate_block(model, factors, 0, min(8, n_paths))  # warm up
         best = np.inf
         for _ in range(repeat):
             t0 = time.perf_counter()
@@ -62,45 +57,13 @@ def main(argv=None):
     ap.add_argument("--paths", type=int, default=256)
     ap.add_argument("--steps", type=int, default=5_000)
     ap.add_argument("--repeat", type=int, default=3)
-    ap.add_argument("--both", action="store_true",
-                    help="compare the numba and numpy backends in subprocesses")
-    ap.add_argument("--json", action="store_true", help="machine-readable output")
     args = ap.parse_args(argv)
 
-    if args.both:
-        results = {}
-        for flag, label in (("1", "numba"), ("0", "numpy")):
-            env = dict(os.environ, SPT_LAB_NUMBA=flag)
-            cmd = [sys.executable, os.path.abspath(__file__), "--json",
-                   "--paths", str(args.paths), "--steps", str(args.steps),
-                   "--repeat", str(args.repeat)]
-            out = subprocess.run(cmd, env=env, capture_output=True, text=True,
-                                 check=True)
-            results[label] = json.loads(out.stdout)
-        for label, payload in results.items():
-            if payload["backend"] != label:
-                raise RuntimeError(f"child reported backend {payload['backend']}, "
-                                   f"expected {label}")
-        print(f"paths {args.paths}, steps {args.steps}, best of {args.repeat}")
-        print(f"{'kernel':<10} {'numba s':>10} {'numpy s':>10} {'speedup':>8}")
-        numpy_rows = {r["kernel"]: r for r in results["numpy"]["rows"]}
-        for row in results["numba"]["rows"]:
-            other = numpy_rows[row["kernel"]]
-            print(f"{row['kernel']:<10} {row['seconds']:>10.4f} "
-                  f"{other['seconds']:>10.4f} "
-                  f"{other['seconds'] / row['seconds']:>7.1f}x")
-        return 0
-
     rows = run_suite(args.paths, args.steps, args.repeat)
-    payload = {"backend": _kernels.backend_name(), "rows": rows}
-    if args.json:
-        print(json.dumps(payload))
-    else:
-        print(f"backend {payload['backend']}, paths {args.paths}, "
-              f"steps {args.steps}, best of {args.repeat}")
-        for row in rows:
-            print(f"{row['kernel']:<10} {row['seconds']:>10.4f} s "
-                  f"{row['rate']:>12.3g} path-steps/s")
+    print(f"paths {args.paths}, steps {args.steps}, best of {args.repeat}")
+    for row in rows:
+        print(f"{row['kernel']:<10} {row['seconds']:>10.4f} s "
+              f"{row['rate']:>12.3g} path-steps/s")
     return 0
 
 

@@ -1,350 +1,223 @@
-"""Hot integration loops with two interchangeable backends.
+"""Drift rules and the stepping loop of the state-dependent market kinds.
 
-Every market kind that needs per-step state gets two implementations of the
-same stepping arithmetic:
+Each state-dependent kind has its drift written once, batch-vectorised.
+The rules of the repelled-leader market (shared by its patched variant)
+and of the spread market take log prices of any leading shape ``(..., n)``:
+the kernels evaluate them on a whole batch at one grid time, and
+``markets.growth_rates_along`` on a stored path at every grid time, so the
+integrator and the reconstruction cannot disagree about the rule.  The
+upstart market's drift lives in its kernel, because its power phase adds
+an exact integral over each step rather than a rate times the step.
+One stepping loop applies the step cap, counts capped entries and adds the
+noise for every kind.
 
-* a scalar-loop form, compiled with numba when available, and
-* a vectorized numpy form that steps through time on a whole batch at once.
-
-The active backend is chosen once at import: set ``SPT_LAB_NUMBA=0`` (or
-``false``/``no``/``off``) to force the numpy fallback.  Both backends are
-deterministic run to run; bit patterns may differ between backends in the
-last ulp, so reproducibility guarantees hold per backend.
-
-Kernel contract: ``logx0 (n,)``, ``dv (B, K, n)`` volatility increments
-already multiplied by the dispersion matrix, ``dt (K,)`` step sizes,
-``times (K+1,)`` grid.  Kernels return the full log-price batch
-``(B, K+1, n)`` plus kind-specific per-path records.  No cross-path
-reduction happens inside a kernel, so results never depend on how paths
-were split into batches.
+Kernel contract: ``kernel(logx0, dv, dt, times, model)`` with ``logx0 (n,)``,
+``dv (B, K, n)`` volatility increments already multiplied by the dispersion
+matrix, ``dt (K,)`` step sizes and ``times (K+1,)`` grid.  A kernel runs the
+whole time loop and returns the log-price batch ``(B, K+1, n)`` and a dict
+of per-path records.  No cross-path reduction happens inside a kernel, so
+results never depend on how paths were split into batches.
 """
 
 from __future__ import annotations
 
-import os
+import functools
 
 import numpy as np
 
-_flag = os.environ.get("SPT_LAB_NUMBA", "1").strip().lower()
-NUMBA_REQUESTED = _flag not in ("0", "false", "no", "off")
 
-try:
-    if not NUMBA_REQUESTED:
-        raise ImportError
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:
-    HAVE_NUMBA = False
-
-    def njit(*args, **kwargs):  # pragma: no cover - trivial passthrough
-        def wrap(fn):
-            return fn
-
-        if args and callable(args[0]):
-            return args[0]
-        return wrap
+@functools.lru_cache(maxsize=8)
+def _index_grid(shape):
+    # cached: a kernel asks for the same shape at every step
+    return np.indices(shape, sparse=True)
 
 
-def backend_name() -> str:
-    return "numba" if HAVE_NUMBA else "numpy"
+def _leader(lx):
+    """Index of each state's leader (lowest index on ties) and 1 / mu_max.
+
+    ``lx`` holds log prices (..., n); the index is a tuple that picks the
+    leader's entry, and 1 / mu_max = sum_i exp(lx_i - lx_lead).
+    """
+    lead = lx.argmax(axis=-1)
+    at_lead = (*_index_grid(lead.shape), lead)
+    return at_lead, np.exp(lx - lx[at_lead][..., None]).sum(axis=-1)
 
 
 # ---------------------------------------------------------------------------
-# repelled-leader market (singular log-drift on the current top stock)
+# drift rules
 # ---------------------------------------------------------------------------
 
-def _repelled_leader_loops(logx0, dv, dt, g, delta, big_m, q_floor, step_cap):
-    B, K, n = dv.shape
-    out = np.empty((B, K + 1, n))
-    caps = np.zeros(B, np.int64)
-    log_barrier = np.log(1.0 - delta)
-    for b in range(B):
-        for i in range(n):
-            out[b, 0, i] = logx0[i]
-        for k in range(K):
-            lead = 0
-            mx = out[b, k, 0]
-            for i in range(1, n):
-                if out[b, k, i] > mx:
-                    mx = out[b, k, i]
-                    lead = i
-            s = 0.0
-            for i in range(n):
-                s += np.exp(out[b, k, i] - mx)
-            # s = 1/mu_lead, so this is log((1-delta)/mu_lead)
-            q = log_barrier + np.log(s)
-            if q < q_floor:
-                q = q_floor
-            for i in range(n):
-                if i == lead:
-                    gam = -(big_m / delta) / q
-                else:
-                    gam = g[i]
-                disp = gam * dt[k]
-                if disp > step_cap:
-                    disp = step_cap
-                    caps[b] += 1
-                elif disp < -step_cap:
-                    disp = -step_cap
-                    caps[b] += 1
-                out[b, k + 1, i] = out[b, k, i] + disp + dv[b, k, i]
-    return out, caps
+def leader_repulsion(model):
+    """Growth rule ``lx -> gamma`` of the repelled-leader market.
+
+    Non-leading stocks grow at ``g``; the leader (lowest index on ties)
+    grows at ``-(big_m/delta) / q`` with ``q = log((1-delta)/mu_max)``
+    floored at ``q_floor``.
+    """
+    p = model.params
+    log_barrier = np.log(1.0 - p["delta"])
+    pull = -(p["big_m"] / p["delta"])
+    g, q_floor = p["g"], p["q_floor"]
+
+    def growth(lx):
+        at_lead, s = _leader(lx)
+        q = np.maximum(log_barrier + np.log(s), q_floor)
+        gam = np.empty(lx.shape)
+        gam[...] = g
+        gam[at_lead] = pull / q
+        return gam
+
+    return growth
 
 
-def _repelled_leader_vec(logx0, dv, dt, g, delta, big_m, q_floor, step_cap):
+def patched_repulsion(model):
+    """Growth rule ``(t, lx, trigger_time) -> gamma`` of the patched market.
+
+    The repelled-leader rule holds from the trigger time on when the trigger
+    fired in the first half of the horizon; otherwise every stock has zero
+    rate of return.
+    """
+    repel = leader_repulsion(model)
+    half_t = 0.5 * model.params["horizon"]
+    quiet = -0.5 * np.diag(model.vol.a)
+
+    def growth(t, lx, trigger_time):
+        gam = repel(lx)
+        gam[~((trigger_time <= half_t) & (t >= trigger_time))] = quiet
+        return gam
+
+    return growth
+
+
+def spread_reversion(model):
+    """Growth rule ``(t, lx) -> gamma`` of the two-stock spread market.
+
+    Stock 2's rate of return is ``-alpha * (lx_2 - lx_1)`` from the switch
+    time on and zero before; stock 1's is zero throughout.
+    """
+    p = model.params
+    alpha, switch_time = p["alpha"], p["switch_time"]
+    a_half = 0.5 * float(model.vol.a[0, 0])
+
+    def growth(t, lx):
+        b2 = np.where(t >= switch_time, -alpha * (lx[..., 1] - lx[..., 0]), 0.0)
+        gam = np.empty(lx.shape)
+        gam[..., 0] = -a_half
+        gam[..., 1] = b2 - a_half
+        return gam
+
+    return growth
+
+
+# ---------------------------------------------------------------------------
+# the stepping loop and the kernels
+# ---------------------------------------------------------------------------
+
+def _euler(logx0, dv, step, applied):
+    """log x_{k+1} = log x_k + capped displacement + dv_k, for a whole batch.
+
+    ``step(k, cur)`` returns the drift displacement over step k from the
+    left-endpoint log prices ``cur (B, n)`` and the cap on its size: a
+    scalar, an array broadcasting against ``cur``, or None for no cap.
+    Entries past the cap are clipped to it and counted per path.
+    ``applied(k, disp)``, unless None, sees each displacement as applied.
+    Returns the log prices (B, K+1, n) and the capped-entry counts (B,).
+    """
     B, K, n = dv.shape
     out = np.empty((B, K + 1, n))
     out[:, 0, :] = logx0
     caps = np.zeros(B, np.int64)
-    log_barrier = np.log(1.0 - delta)
-    rows = np.arange(B)
     cur = out[:, 0, :].copy()
     for k in range(K):
-        lead = np.argmax(cur, axis=1)
-        mx = cur[rows, lead]
-        s = np.exp(cur - mx[:, None]).sum(axis=1)
-        q = np.maximum(log_barrier + np.log(s), q_floor)
-        gam = np.repeat(g[None, :], B, axis=0)
-        gam[rows, lead] = -(big_m / delta) / q
-        disp = gam * dt[k]
-        over = np.abs(disp) > step_cap
-        caps += over.sum(axis=1)
-        np.clip(disp, -step_cap, step_cap, out=disp)
+        disp, cap = step(k, cur)
+        if cap is not None:
+            over = np.abs(disp) > cap
+            caps += over.sum(axis=1)
+            np.clip(disp, -cap, cap, out=disp)
+        if applied is not None:
+            applied(k, disp)
         cur = cur + disp + dv[:, k, :]
         out[:, k + 1, :] = cur
     return out, caps
 
 
-# ---------------------------------------------------------------------------
-# two-stock mean-reverting spread market
-# ---------------------------------------------------------------------------
-
-def _spread_reversion_loops(logx0, dv, dt, times, alpha, switch_time, a_half):
-    B, K, _ = dv.shape
-    out = np.empty((B, K + 1, 2))
-    for b in range(B):
-        out[b, 0, 0] = logx0[0]
-        out[b, 0, 1] = logx0[1]
-        for k in range(K):
-            z = out[b, k, 1] - out[b, k, 0]
-            b2 = -alpha * z if times[k] >= switch_time else 0.0
-            out[b, k + 1, 0] = out[b, k, 0] - a_half * dt[k] + dv[b, k, 0]
-            out[b, k + 1, 1] = out[b, k, 1] + (b2 - a_half) * dt[k] + dv[b, k, 1]
-    return out
+def _diverse(logx0, dv, dt, times, model):
+    growth = leader_repulsion(model)
+    step_cap = model.params["step_cap"]
+    logx, caps = _euler(logx0, dv, lambda k, cur: (growth(cur) * dt[k], step_cap), None)
+    return logx, {"capped_steps": caps}
 
 
-def _spread_reversion_vec(logx0, dv, dt, times, alpha, switch_time, a_half):
-    B, K, _ = dv.shape
-    out = np.empty((B, K + 1, 2))
-    out[:, 0, :] = logx0
-    cur0 = out[:, 0, 0].copy()
-    cur1 = out[:, 0, 1].copy()
-    for k in range(K):
-        if times[k] >= switch_time:
-            b2 = -alpha * (cur1 - cur0)
-        else:
-            b2 = 0.0
-        cur0 = cur0 - a_half * dt[k] + dv[:, k, 0]
-        cur1 = cur1 + (b2 - a_half) * dt[k] + dv[:, k, 1]
-        out[:, k + 1, 0] = cur0
-        out[:, k + 1, 1] = cur1
-    return out
+def _ou_pair(logx0, dv, dt, times, model):
+    growth = spread_reversion(model)
+    logx, _ = _euler(logx0, dv, lambda k, cur: (growth(times[k], cur) * dt[k], None), None)
+    return logx, {}
 
 
-# ---------------------------------------------------------------------------
-# repelled-leader drift patched in only after the top weight first hits a
-# trigger level (and only if that happens in the first half of the horizon)
-# ---------------------------------------------------------------------------
+def _patched(logx0, dv, dt, times, model):
+    growth = patched_repulsion(model)
+    p = model.params
+    trigger = 1.0 / (1.0 - p["eta"])  # mu_max >= 1-eta  <=>  1/mu_max <= this
+    trigger_time = np.full(dv.shape[0], np.inf)
 
-def _patched_trigger_loops(
-    logx0, dv, dt, times, g, delta, big_m, q_floor, step_cap, a_diag, eta, half_t
-):
-    B, K, n = dv.shape
-    out = np.empty((B, K + 1, n))
-    caps = np.zeros(B, np.int64)
-    s_time = np.full(B, np.inf)
-    log_barrier = np.log(1.0 - delta)
-    trigger = 1.0 / (1.0 - eta)  # mu_max >= 1-eta  <=>  sum exp(logx-mx) <= this
-    for b in range(B):
-        for i in range(n):
-            out[b, 0, i] = logx0[i]
-        for k in range(K):
-            lead = 0
-            mx = out[b, k, 0]
-            for i in range(1, n):
-                if out[b, k, i] > mx:
-                    mx = out[b, k, i]
-                    lead = i
-            s = 0.0
-            for i in range(n):
-                s += np.exp(out[b, k, i] - mx)
-            if s_time[b] == np.inf and s <= trigger:
-                s_time[b] = times[k]
-            active = s_time[b] <= half_t and times[k] >= s_time[b]
-            q = log_barrier + np.log(s)
-            if q < q_floor:
-                q = q_floor
-            for i in range(n):
-                if active:
-                    if i == lead:
-                        gam = -(big_m / delta) / q
-                    else:
-                        gam = g[i]
-                else:
-                    gam = -0.5 * a_diag[i]
-                disp = gam * dt[k]
-                if disp > step_cap:
-                    disp = step_cap
-                    caps[b] += 1
-                elif disp < -step_cap:
-                    disp = -step_cap
-                    caps[b] += 1
-                out[b, k + 1, i] = out[b, k, i] + disp + dv[b, k, i]
-    return out, caps, s_time
+    def step(k, cur):
+        hit = (trigger_time == np.inf) & (_leader(cur)[1] <= trigger)
+        trigger_time[hit] = times[k]
+        return growth(times[k], cur, trigger_time) * dt[k], p["step_cap"]
+
+    logx, caps = _euler(logx0, dv, step, None)
+    return logx, {"capped_steps": caps, "trigger_time": trigger_time}
 
 
-def _patched_trigger_vec(
-    logx0, dv, dt, times, g, delta, big_m, q_floor, step_cap, a_diag, eta, half_t
-):
-    B, K, n = dv.shape
-    out = np.empty((B, K + 1, n))
-    out[:, 0, :] = logx0
-    caps = np.zeros(B, np.int64)
-    s_time = np.full(B, np.inf)
-    log_barrier = np.log(1.0 - delta)
-    trigger = 1.0 / (1.0 - eta)
-    rows = np.arange(B)
-    cur = out[:, 0, :].copy()
-    base = -0.5 * a_diag
-    for k in range(K):
-        lead = np.argmax(cur, axis=1)
-        mx = cur[rows, lead]
-        s = np.exp(cur - mx[:, None]).sum(axis=1)
-        hit = (s_time == np.inf) & (s <= trigger)
-        s_time[hit] = times[k]
-        active = (s_time <= half_t) & (times[k] >= s_time)
-        q = np.maximum(log_barrier + np.log(s), q_floor)
-        gam = np.repeat(base[None, :], B, axis=0)
-        gam[active] = g
-        gam[rows[active], lead[active]] = -(big_m / delta) / q[active]
-        disp = gam * dt[k]
-        over = np.abs(disp) > step_cap
-        caps += over.sum(axis=1)
-        np.clip(disp, -step_cap, step_cap, out=disp)
-        cur = cur + disp + dv[:, k, :]
-        out[:, k + 1, :] = cur
-    return out, caps, s_time
+def _dominance(logx0, dv, dt, times, model):
+    """Two-stock upstart market.
 
-
-# ---------------------------------------------------------------------------
-# two-stock upstart market: stock 2 carries an integrable power drift until
-# the log gap first leaves (-eta', eta'), then a confining two-pole drift
-# ---------------------------------------------------------------------------
-
-def _upstart_loops(logx0, dv, dt, times, alpha, eta, eta_prime, cdrift, step_cap):
-    B, K, _ = dv.shape
-    out = np.empty((B, K + 1, 2))
-    big_gamma = np.empty((B, K + 1))
-    t1_idx = np.full(B, -1, np.int64)
-    caps = np.zeros(B, np.int64)
+    Stock 2 carries the power drift t**alpha, integrated exactly over each
+    step and never capped, until the log gap first leaves (-eta', eta');
+    from then on a capped two-pole drift confines the gap to (-eta, eta).
+    """
+    p = model.params
+    alpha, eta, eta_prime, cdrift = p["alpha"], p["eta"], p["eta_prime"], p["cdrift"]
     margin = 1e-9 * eta
-    for b in range(B):
-        out[b, 0, 0] = logx0[0]
-        out[b, 0, 1] = logx0[1]
-        big_gamma[b, 0] = 0.0
-        confined = False
-        for k in range(K):
-            y = out[b, k, 1] - out[b, k, 0]
-            if not confined and (y >= eta_prime or y <= -eta_prime):
-                confined = True
-                t1_idx[b] = k
-            if confined:
-                yc = y
-                if yc > eta - margin:
-                    yc = eta - margin
-                elif yc < -eta + margin:
-                    yc = -eta + margin
-                dgam = cdrift * (1.0 / (eta + yc) - 1.0 / (eta - yc)) * dt[k]
-                if dgam > step_cap:
-                    dgam = step_cap
-                    caps[b] += 1
-                elif dgam < -step_cap:
-                    dgam = -step_cap
-                    caps[b] += 1
-            else:
-                # exact integral of the power drift over the step
-                dgam = times[k + 1] ** alpha - times[k] ** alpha
-            out[b, k + 1, 0] = out[b, k, 0] + dv[b, k, 0]
-            out[b, k + 1, 1] = out[b, k, 1] + dgam + dv[b, k, 1]
-            big_gamma[b, k + 1] = big_gamma[b, k] + dgam
-    return out, big_gamma, t1_idx, caps
-
-
-def _upstart_vec(logx0, dv, dt, times, alpha, eta, eta_prime, cdrift, step_cap):
     B, K, _ = dv.shape
-    out = np.empty((B, K + 1, 2))
-    big_gamma = np.empty((B, K + 1))
-    out[:, 0, :] = logx0
-    big_gamma[:, 0] = 0.0
-    t1_idx = np.full(B, -1, np.int64)
-    caps = np.zeros(B, np.int64)
+    exit_index = np.full(B, -1, np.int64)
     confined = np.zeros(B, bool)
-    margin = 1e-9 * eta
-    cur0 = out[:, 0, 0].copy()
-    cur1 = out[:, 0, 1].copy()
-    gcum = big_gamma[:, 0].copy()
-    for k in range(K):
-        y = cur1 - cur0
+    row_cap = np.full((B, 1), np.inf)  # the power phase is never capped
+    big_gamma = np.zeros((B, K + 1))
+
+    def step(k, cur):
+        y = cur[:, 1] - cur[:, 0]
         newly = ~confined & (np.abs(y) >= eta_prime)
-        t1_idx[newly] = k
-        confined |= newly
-        dgam = np.full(B, times[k + 1] ** alpha - times[k] ** alpha)
-        if confined.any():
-            yc = np.clip(y[confined], -eta + margin, eta - margin)
-            push = cdrift * (1.0 / (eta + yc) - 1.0 / (eta - yc)) * dt[k]
-            over = np.abs(push) > step_cap
-            caps[confined] += over
-            dgam[confined] = np.clip(push, -step_cap, step_cap)
-        cur0 = cur0 + dv[:, k, 0]
-        cur1 = cur1 + dgam + dv[:, k, 1]
-        gcum = gcum + dgam
-        out[:, k + 1, 0] = cur0
-        out[:, k + 1, 1] = cur1
-        big_gamma[:, k + 1] = gcum
-    return out, big_gamma, t1_idx, caps
+        exit_index[newly] = k
+        confined[newly] = True
+        row_cap[newly] = p["step_cap"]
+        disp = np.zeros((B, 2))
+        disp[:, 1] = times[k + 1] ** alpha - times[k] ** alpha
+        if not confined.any():
+            return disp, None
+        yc = np.clip(y[confined], -eta + margin, eta - margin)
+        disp[confined, 1] = cdrift * (1.0 / (eta + yc) - 1.0 / (eta - yc)) * dt[k]
+        return disp, row_cap
+
+    def applied(k, disp):
+        big_gamma[:, k + 1] = big_gamma[:, k] + disp[:, 1]
+
+    logx, caps = _euler(logx0, dv, step, applied)
+    return logx, {"cumulative_drift": big_gamma, "exit_index": exit_index, "capped_steps": caps}
 
 
-_LOOP_IMPLS = {
-    "diverse": _repelled_leader_loops,
-    "ou_pair": _spread_reversion_loops,
-    "patched": _patched_trigger_loops,
-    "dominance": _upstart_loops,
+_KERNELS = {
+    "diverse": _diverse,
+    "ou_pair": _ou_pair,
+    "patched": _patched,
+    "dominance": _dominance,
 }
-
-_VEC_IMPLS = {
-    "diverse": _repelled_leader_vec,
-    "ou_pair": _spread_reversion_vec,
-    "patched": _patched_trigger_vec,
-    "dominance": _upstart_vec,
-}
-
-_compiled: dict = {}
-
-
-def numba_kernels():
-    """Compile (once) and return the numba versions of the loop kernels."""
-    if not HAVE_NUMBA:
-        raise RuntimeError("numba backend unavailable or disabled")
-    if not _compiled:
-        for name, fn in _LOOP_IMPLS.items():
-            _compiled[name] = njit(cache=True, nogil=True)(fn)
-    return _compiled
-
-
-def numpy_kernels():
-    return dict(_VEC_IMPLS)
 
 
 def active_kernels():
-    return numba_kernels() if HAVE_NUMBA else numpy_kernels()
+    """The kernel of each state-dependent kind.
+
+    ``markets.simulate_block`` looks its kernel up here on every call, so
+    replacing this function (to wrap the kernels, say) takes effect at once.
+    """
+    return _KERNELS

@@ -72,16 +72,6 @@ def mirror_exponent(eps: float, delta: float, horizon: float, top0: float) -> fl
     return 1.0 + 2.0 * np.log(1.0 / top0) / (eps * delta**2 * horizon)
 
 
-def _gross_log_values(w: np.ndarray, lx: np.ndarray) -> np.ndarray:
-    """log wealth path of an all-long weight path under the gross-return
-    compounding scheme, starting from log wealth 0."""
-    dlx = np.diff(lx, axis=-2)
-    gross = np.sum(w[..., :-1, :] * np.exp(dlx), axis=-1)
-    out = np.zeros(gross.shape[:-1] + (gross.shape[-1] + 1,))
-    np.cumsum(np.log(gross), axis=-1, out=out[..., 1:])
-    return out
-
-
 # ---------------------------------------------------------------------------
 # master formula
 # ---------------------------------------------------------------------------
@@ -118,7 +108,7 @@ def master_formula_check(
     def consume(lo, hi, lx, aux):
         mu = _portfolios.market_weights(lx)
         pi = _portfolios.diversity_weighted(mu, p)
-        lr = _gross_log_values(pi, lx) - _gross_log_values(mu, lx)
+        lr = _portfolios.gross_log_value(pi, lx) - _portfolios.gross_log_value(mu, lx)
         lhs[lo:hi] = lr[:, -1]
         dterm = (1.0 / p) * (
             np.log(np.sum(mu[:, -1, :] ** p, axis=-1))
@@ -218,7 +208,7 @@ def outperformance_study(
     def consume(lo, hi, lx, aux):
         mu = _portfolios.market_weights(lx)
         pi = _portfolios.diversity_weighted(mu, p)
-        lr = _gross_log_values(pi, lx) - _gross_log_values(mu, lx)
+        lr = _portfolios.gross_log_value(pi, lx) - _portfolios.gross_log_value(mu, lx)
         term[lo:hi] = lr[:, -1]
         top = mu.max(axis=2)
         top_avg = np.sum(top[:, :-1] * dt, axis=1) / horizon

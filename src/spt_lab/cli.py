@@ -38,7 +38,6 @@ from . import markets as _markets
 from . import paths as _paths
 from . import portfolios as _portfolios
 from . import ranks as _ranks
-from ._kernels import backend_name
 from .errors import (
     ConfigError,
     IntegrationFailureError,
@@ -988,7 +987,6 @@ def run(cfg: ExperimentConfig) -> ExperimentReport:
     metrics, info, assertions, tables = _RUNNERS[cfg.name](cfg)
     provenance = {
         "artifact": f"spt-lab {__version__}",
-        "backend": backend_name(),
         "master_seed": cfg.master_seed,
         "workers": cfg.workers,
         "created_utc": datetime.datetime.now(datetime.timezone.utc)
@@ -1133,7 +1131,6 @@ def main(argv=None) -> int:
 
     written = persist(report, cfg)
     print(f"experiment: {report.name}")
-    print(f"backend: {report.provenance['backend']}")
     for k, v in report.metrics.items():
         if v is not None:
             print(f"{k} = {_fmt_num(v)}")

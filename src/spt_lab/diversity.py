@@ -11,11 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate as _integrate
 
 from .errors import InvalidArgumentError
 from . import markets as _markets
-from . import ranks as _ranks
 
 __all__ = [
     "diversity_measure",
@@ -23,7 +21,6 @@ __all__ = [
     "DiversityReport",
     "check_diversity",
     "check_barrier_drift_condition",
-    "scale_function",
 ]
 
 
@@ -163,23 +160,3 @@ def check_barrier_drift_condition(model, price_path, delta: float) -> dict:
         "violations": int(np.count_nonzero(slack < 0)),
         "worst_slack": float(slack.min()),
     }
-
-
-def scale_function(x: float, twice_drift_over_var, x0: float = 1.0) -> float:
-    """Scale function of a one-dimensional diffusion, anchored at ``x0``.
-
-    ``twice_drift_over_var`` maps a point y to 2 * drift(y) / variance(y);
-    the scale function is the integral from x0 to x of
-    exp(-int_x0^y of that).  Zero drift gives x - x0.
-    """
-    f = twice_drift_over_var
-
-    def inner(y):
-        val, _ = _integrate.quad(f, x0, y, limit=200)
-        return val
-
-    def outer(y):
-        return float(np.exp(-inner(y)))
-
-    val, _ = _integrate.quad(outer, x0, x, limit=200)
-    return float(val)

@@ -109,8 +109,12 @@ def _compensated_mean_se(values: np.ndarray):
     mean = math.fsum(values) / n
     if n < 2:
         return mean, float("inf")
-    var = math.fsum((values - mean) ** 2) / (n - 1)
-    return mean, math.sqrt(var / n)
+    # Deviations are scaled by an exact power of two so that their squares
+    # do not underflow for tiny values; the scaling leaves every rounding,
+    # and hence the result on normal-range inputs, unchanged.
+    _, e = math.frexp(float(np.max(np.abs(values))))
+    var = math.fsum(np.ldexp(values - mean, -e) ** 2) / (n - 1)
+    return mean, math.ldexp(math.sqrt(var / n), e)
 
 
 def _normal_cdf(z: float) -> float:

@@ -342,11 +342,8 @@ def simulate_block(model: MarketModel, factors: FactorPaths, lo: int, hi: int):
     dt = grid.step_sizes
     times = grid.times
     logx0 = np.log(model.x0)
-    p = model.params
-    aux: dict = {}
-
     if model.kind == "constant":
-        growth = p["b"] - 0.5 * np.diag(model.vol.a)
+        growth = model.params["b"] - 0.5 * np.diag(model.vol.a)
         drift = growth[None, None, :] * dt[None, :, None]
         logx = np.concatenate(
             [
@@ -355,50 +352,12 @@ def simulate_block(model: MarketModel, factors: FactorPaths, lo: int, hi: int):
             ],
             axis=1,
         )
+        aux = {}
     else:
-        kern = _kernels.active_kernels()[model.kind]
-        if model.kind == "diverse":
-            logx, caps = kern(
-                logx0, dv, dt, p["g"], p["delta"], p["big_m"], p["q_floor"], p["step_cap"]
-            )
-            aux["capped_steps"] = caps
-        elif model.kind == "ou_pair":
-            a_half = 0.5 * float(model.vol.a[0, 0])
-            logx = kern(logx0, dv, dt, times, p["alpha"], p["switch_time"], a_half)
-        elif model.kind == "patched":
-            logx, caps, s_time = kern(
-                logx0,
-                dv,
-                dt,
-                times,
-                p["g"],
-                p["delta"],
-                p["big_m"],
-                p["q_floor"],
-                p["step_cap"],
-                np.diag(model.vol.a).copy(),
-                p["eta"],
-                0.5 * p["horizon"],
-            )
-            aux["capped_steps"] = caps
-            aux["trigger_time"] = s_time
-        elif model.kind == "dominance":
-            logx, big_gamma, t1_idx, caps = kern(
-                logx0,
-                dv,
-                dt,
-                times,
-                p["alpha"],
-                p["eta"],
-                p["eta_prime"],
-                p["cdrift"],
-                p["step_cap"],
-            )
-            aux["cumulative_drift"] = big_gamma
-            aux["exit_index"] = t1_idx
-            aux["capped_steps"] = caps
-        else:
+        kernel = _kernels.active_kernels().get(model.kind)
+        if kernel is None:
             raise InvalidModelError(f"unknown model kind {model.kind!r}")
+        logx, aux = kernel(logx0, dv, dt, times, model)
 
     if not np.isfinite(logx).all():
         bad = np.argwhere(~np.isfinite(logx))
@@ -472,50 +431,25 @@ def growth_rates_along(model: MarketModel, log_prices: np.ndarray, times: np.nda
     single = lx.ndim == 2
     if single:
         lx = lx[None]
-    B, K1, n = lx.shape
-    p = model.params
+    t = np.asarray(times, dtype=float)[None, :]
     if model.kind == "constant":
-        g = np.broadcast_to(p["b"] - 0.5 * np.diag(model.vol.a), (B, K1, n)).copy()
+        g = np.broadcast_to(model.params["b"] - 0.5 * np.diag(model.vol.a), lx.shape).copy()
     elif model.kind == "diverse":
-        g = _diverse_growth(lx, p)
+        g = _kernels.leader_repulsion(model)(lx)
     elif model.kind == "ou_pair":
-        a_half = 0.5 * float(model.vol.a[0, 0])
-        z = lx[:, :, 1] - lx[:, :, 0]
-        b2 = np.where(times[None, :] >= p["switch_time"], -p["alpha"] * z, 0.0)
-        g = np.empty((B, K1, 2))
-        g[:, :, 0] = -a_half
-        g[:, :, 1] = b2 - a_half
+        g = _kernels.spread_reversion(model)(t, lx)
     elif model.kind == "patched":
         if aux is None or "trigger_time" not in aux:
             raise InvalidArgumentError(
                 "patched models need the integration aux records to rebuild drifts"
             )
         s_time = np.atleast_1d(np.asarray(aux["trigger_time"], dtype=float))
-        active = (s_time[:, None] <= 0.5 * p["horizon"]) & (
-            times[None, :] >= s_time[:, None]
-        )
-        g = np.where(
-            active[:, :, None],
-            _diverse_growth(lx, p),
-            np.broadcast_to(-0.5 * np.diag(model.vol.a), (B, K1, n)),
-        )
+        g = _kernels.patched_repulsion(model)(t, lx, s_time[:, None])
     else:
         raise InvalidArgumentError(
             f"growth rates along a path are not defined for kind {model.kind!r}"
         )
     return g[0] if single else g
-
-
-def _diverse_growth(lx: np.ndarray, p: dict) -> np.ndarray:
-    B, K1, n = lx.shape
-    mx = lx.max(axis=2)
-    lead = lx.argmax(axis=2)
-    s = np.exp(lx - mx[:, :, None]).sum(axis=2)
-    q = np.maximum(np.log(1.0 - p["delta"]) + np.log(s), p["q_floor"])
-    g = np.broadcast_to(p["g"], (B, K1, n)).copy()
-    bb, kk = np.meshgrid(np.arange(B), np.arange(K1), indexing="ij")
-    g[bb, kk, lead] = -(p["big_m"] / p["delta"]) / q
-    return g
 
 
 def rates_of_return_along(model: MarketModel, log_prices: np.ndarray, times: np.ndarray, aux: dict | None = None) -> np.ndarray:

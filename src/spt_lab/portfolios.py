@@ -37,6 +37,7 @@ __all__ = [
     "ConstantWeightsRule",
     "MirrorRule",
     "value_from_weights",
+    "gross_log_value",
     "relative_log_value",
     "market_value",
     "strategy_value",
@@ -246,22 +247,26 @@ def value_from_weights(
     if scheme == "gross":
         if w.min() < -1e-12:
             raise InvalidArgumentError("gross-return scheme needs all-long weights")
-        dlx = np.diff(lx, axis=-2)
-        gross = np.sum(w[..., :-1, :] * np.exp(dlx), axis=-1)
-        logz = np.concatenate(
-            [
-                np.zeros(gross.shape[:-1] + (1,)),
-                np.cumsum(np.log(gross), axis=-1),
-            ],
-            axis=-1,
-        )
-        return z0 * np.exp(logz)
+        return z0 * np.exp(gross_log_value(w, lx))
     if scheme == "relative":
         if a is None:
             raise InvalidArgumentError("relative scheme needs the covariance matrix a")
         lr = relative_log_value(w, lx, times, a)
         return market_value(lx, z0) * np.exp(lr)
     raise InvalidArgumentError(f"unknown scheme {scheme!r}")
+
+
+def gross_log_value(weights: np.ndarray, log_prices: np.ndarray) -> np.ndarray:
+    """Cumulative log wealth of an all-long rule under the gross-return scheme.
+
+    Per step: log of the portfolio-weighted gross returns of the stocks,
+    with weights read at the left endpoint; starts from log wealth 0.
+    """
+    dlx = np.diff(log_prices, axis=-2)
+    gross = np.sum(weights[..., :-1, :] * np.exp(dlx), axis=-1)
+    out = np.zeros(gross.shape[:-1] + (gross.shape[-1] + 1,))
+    np.cumsum(np.log(gross), axis=-1, out=out[..., 1:])
+    return out
 
 
 def relative_log_value(

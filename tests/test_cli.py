@@ -1,11 +1,16 @@
 """Config parsing, experiment runs, output files, and exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import spt_lab
 from spt_lab import cli
 from spt_lab.errors import ConfigError
 
@@ -318,3 +323,15 @@ def test_call_decay_steps_override_goes_to_steps_per_unit(tmp_path):
         """, name="decay.ini")
     parsed = cli.parse_config(cfg, steps=5)
     assert parsed.extras["steps_per_unit"] == 5
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    """Importing the CLI does not import scipy, which no experiment uses."""
+    root = str(Path(spt_lab.__file__).resolve().parents[1])
+    pythonpath = os.pathsep.join(p for p in [root, os.environ.get("PYTHONPATH")] if p)
+    r = subprocess.run(
+        [sys.executable, "-c", "import sys, spt_lab.cli; print('scipy' in sys.modules)"],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=pythonpath),
+    )
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.strip() == "False"

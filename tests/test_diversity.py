@@ -1,4 +1,4 @@
-"""Concentration measures, barrier certificates, and scale functions."""
+"""Concentration measures, barrier certificates, and frozen stationary constants."""
 
 import numpy as np
 import pytest
@@ -127,25 +127,6 @@ def test_barrier_drift_skips_unconcentrated_states():
     # past the barrier itself is out of zone as well
     past = markets.PricePath(grid, np.tile(np.log([0.8, 0.1, 0.1]), (2, 1)), {})
     assert diversity.check_barrier_drift_condition(model, past, delta=0.25)["checked"] == 0
-
-
-def test_scale_function_zero_drift_is_identity_shift():
-    assert diversity.scale_function(3.0, lambda y: 0.0) == pytest.approx(2.0, rel=1e-10)
-    assert diversity.scale_function(1.0, lambda y: 0.0) == 0.0
-
-
-def test_scale_function_logarithmic_case():
-    f = lambda y: 1.0 / y
-    assert diversity.scale_function(np.e, f) == pytest.approx(1.0, rel=1e-9)
-    assert diversity.scale_function(2.0, f) == pytest.approx(np.log(2.0), rel=1e-9)
-    assert diversity.scale_function(0.5, f) == pytest.approx(np.log(0.5), rel=1e-9)
-
-
-def test_scale_function_diverges_towards_the_origin():
-    """The log-type boundary behaviour shows up numerically near zero."""
-    f = lambda y: 1.0 / y
-    for x in (1e-2, 1e-4, 1e-6):
-        assert diversity.scale_function(x, f) == pytest.approx(np.log(x), abs=1e-6)
 
 
 def test_stationary_top_weight_constant_matches_quadrature():

@@ -1,5 +1,7 @@
 """Deflators, Monte Carlo claim pricing, and long-horizon decay bounds."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -128,6 +130,27 @@ def test_hedge_price_zero_and_negative_payoffs():
     bad = hedging.Claim("debt", lambda lx, times, aux: -np.ones(lx.shape[0]))
     with pytest.raises(InvalidArgumentError):
         hedging.hedge_price(model, f, bad)
+
+
+def test_standard_error_survives_tiny_values():
+    """Deviations around 1e-286 square to below the smallest double."""
+    rng = np.random.default_rng(4)
+    vals = 1e-286 * rng.lognormal(size=500)
+    mean, se = hedging._compensated_mean_se(vals)
+    assert mean == pytest.approx(np.mean(vals), rel=1e-12)
+    assert se > 0
+    assert se == pytest.approx(1e-286 * np.std(vals / 1e-286, ddof=1) / np.sqrt(500),
+                               rel=1e-12)
+
+
+def test_standard_error_unchanged_on_ordinary_values():
+    """Power-of-two scaling is exact: the plain formula's bits come back."""
+    rng = np.random.default_rng(5)
+    for vals in (rng.normal(size=1000), 1e3 * rng.lognormal(size=77),
+                 rng.exponential(size=2), np.zeros(8)):
+        mean, se = hedging._compensated_mean_se(vals)
+        plain = math.sqrt(math.fsum((vals - mean) ** 2) / (len(vals) - 1) / len(vals))
+        assert se == plain
 
 
 # ---------------------------------------------------------------------------

@@ -1,15 +1,9 @@
 """Model factories, ellipticity certificates, and the log-space integrator."""
 
-import importlib.util
-import os
-import subprocess
-import sys
-from pathlib import Path
-
 import numpy as np
 import pytest
 
-import spt_lab
+import loop_kernels
 from spt_lab import _kernels, markets, paths
 from spt_lab.errors import InvalidArgumentError, InvalidModelError
 from helpers import ZeroFactors
@@ -306,18 +300,8 @@ def test_dominance_validation():
 
 
 # ---------------------------------------------------------------------------
-# backends
+# kernels against the scalar-loop reference and the growth replay
 # ---------------------------------------------------------------------------
-
-_BACKEND_CHILD = """
-import sys
-import numpy as np
-from spt_lab import _kernels
-from test_markets import _kernel_cases, _simulate_all
-np.savez(sys.argv[1], **_simulate_all(_kernel_cases()))
-print(_kernels.backend_name())
-"""
-
 
 def _kernel_cases():
     """One small batch per drift kernel, chosen so every branch is taken.
@@ -352,40 +336,80 @@ def _simulate_all(cases):
     return records
 
 
-def test_numpy_fallback_close_to_active_backend(tmp_path, monkeypatch):
-    """The numpy kernels reproduce the scalar-loop arithmetic to near machine.
+def _loop_kernel_table():
+    """The scalar loops of ``loop_kernels`` behind the ``_kernels`` interface."""
 
-    Each backend runs in a child process because it is fixed at import by
-    ``SPT_LAB_NUMBA``.  The numpy child is compared with the scalar loops run
-    here as plain Python and, where numba is installed, with the compiled
-    loops as well.  Log prices and every per-path record must agree.
+    def diverse(logx0, dv, dt, times, model):
+        p = model.params
+        logx, caps = loop_kernels.repelled_leader_loops(
+            logx0, dv, dt, p["g"], p["delta"], p["big_m"], p["q_floor"], p["step_cap"])
+        return logx, {"capped_steps": caps}
+
+    def ou_pair(logx0, dv, dt, times, model):
+        p = model.params
+        return loop_kernels.spread_reversion_loops(
+            logx0, dv, dt, times, p["alpha"], p["switch_time"],
+            0.5 * float(model.vol.a[0, 0])), {}
+
+    def patched(logx0, dv, dt, times, model):
+        p = model.params
+        logx, caps, s_time = loop_kernels.patched_trigger_loops(
+            logx0, dv, dt, times, p["g"], p["delta"], p["big_m"], p["q_floor"],
+            p["step_cap"], np.diag(model.vol.a).copy(), p["eta"], 0.5 * p["horizon"])
+        return logx, {"capped_steps": caps, "trigger_time": s_time}
+
+    def dominance(logx0, dv, dt, times, model):
+        p = model.params
+        logx, big_gamma, t1_idx, caps = loop_kernels.upstart_loops(
+            logx0, dv, dt, times, p["alpha"], p["eta"], p["eta_prime"], p["cdrift"],
+            p["step_cap"])
+        return logx, {"cumulative_drift": big_gamma, "exit_index": t1_idx,
+                      "capped_steps": caps}
+
+    return {"diverse": diverse, "ou_pair": ou_pair, "patched": patched,
+            "dominance": dominance}
+
+
+def test_kernels_match_scalar_loops(monkeypatch):
+    """The vectorised kernels reproduce the scalar-loop reference.
+
+    Log prices and every per-path record must agree for all four kinds.
     """
-    # The child starts in tmp_path, where a relative PYTHONPATH points nowhere.
-    roots = [Path(spt_lab.__file__).resolve().parents[1], Path(__file__).resolve().parent]
-    pythonpath = os.pathsep.join(str(p) for p in [*roots, os.environ.get("PYTHONPATH")] if p)
-    records, backend = {}, {}
-    for flag in ("1", "0"):
-        target = tmp_path / f"records_{flag}.npz"
-        r = subprocess.run(
-            [sys.executable, "-c", _BACKEND_CHILD, str(target)],
-            capture_output=True, text=True,
-            env=dict(os.environ, PYTHONPATH=pythonpath, SPT_LAB_NUMBA=flag),
-            cwd=str(tmp_path),
-        )
-        assert r.returncode == 0, r.stderr
-        with np.load(target) as saved:
-            records[flag] = dict(saved)
-        backend[flag] = r.stdout.strip()
-
-    have_numba = importlib.util.find_spec("numba") is not None
-    assert backend["0"] == "numpy"
-    assert backend["1"] == ("numba" if have_numba else "numpy")
-
-    monkeypatch.setattr(_kernels, "active_kernels", lambda: _kernels._LOOP_IMPLS)
+    vec = _simulate_all(_kernel_cases())
+    monkeypatch.setattr(_kernels, "active_kernels", _loop_kernel_table)
     loops = _simulate_all(_kernel_cases())
-    vec = records["0"]
-    for ref in [loops, records["1"]] if have_numba else [loops]:
-        assert vec.keys() == ref.keys()
-        for key in ref:
-            np.testing.assert_allclose(vec[key], ref[key], rtol=1e-12, atol=1e-12,
-                                       err_msg=key)
+    assert vec.keys() == loops.keys()
+    for key in loops:
+        np.testing.assert_allclose(vec[key], loops[key], rtol=1e-12, atol=1e-12,
+                                   err_msg=key)
+
+
+@pytest.mark.parametrize("kind", ["diverse", "patched"])
+def test_growth_replay_matches_applied_displacement(kind):
+    """Every step moves by the replayed growth rate times dt, capped.
+
+    ``growth_rates_along`` returns the uncapped rule; clipping it at the
+    step cap must give the displacement the integrator applied, and the
+    entries past the cap must number ``capped_steps`` on every path.
+    """
+    model, factors = _kernel_cases()[kind]
+    n_paths = factors.n_paths
+    logx, aux = markets.simulate_block(model, factors, 0, n_paths)
+    dv = markets._vol_increments(model, factors.block(0, n_paths))
+    gamma = markets.growth_rates_along(model, logx, factors.grid.times, aux)
+    step_cap = model.params["step_cap"]
+    disp = gamma[:, :-1, :] * factors.grid.step_sizes[None, :, None]
+    applied = logx[:, 1:, :] - logx[:, :-1, :] - dv
+    np.testing.assert_allclose(applied, np.clip(disp, -step_cap, step_cap),
+                               rtol=0, atol=1e-12)
+    over = np.abs(disp) > step_cap
+    np.testing.assert_array_equal(over.sum(axis=(1, 2)), aux["capped_steps"])
+    assert over.any()
+
+
+def test_simulate_block_rejects_unknown_kind():
+    model = markets.MarketModel(kind="bogus", vol=markets.Dispersion(np.eye(2)),
+                                x0=[1.0, 1.0])
+    factors = paths.generate_factors(paths.make_grid(1.0, 4), 2, 2, master_seed=0)
+    with pytest.raises(InvalidModelError):
+        markets.simulate_block(model, factors, 0, 2)
