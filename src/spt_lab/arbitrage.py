@@ -8,9 +8,9 @@ continuous time are asserted elsewhere with a discretization budget of a
 few multiples of the measured one-step-scheme residual at the same step
 size; the studies here only measure and report.
 
-Per-path reductions happen inside fixed-size batches; cross-path
-reductions run once over full preallocated arrays, so results do not
-depend on worker count.
+Per-path reductions happen inside fixed-size batches, whose columns
+``markets.run_batches`` joins in path order; cross-path reductions run
+once over the joined columns, so results do not depend on worker count.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ __all__ = [
     "master_formula_check",
     "master_formula_order_study",
     "outperformance_study",
-    "slack_monotonicity_probe",
     "mirror_study",
     "mirror_identity_order_study",
     "dominance_study",
@@ -97,19 +96,12 @@ def master_formula_check(
     n = model.n
     a = model.vol.a
     dt = factors.grid.step_sizes
-    npaths = factors.n_paths
-    lhs = np.empty(npaths)
-    rhs = np.empty(npaths)
-    rhs_model_cov = np.empty(npaths)
-    floor_margin = np.empty(npaths)
-
     floor = -(1.0 - p) / p * np.log(n)
 
-    def consume(lo, hi, lx, aux):
+    def per_batch(lo, hi, lx, aux):
         mu = _portfolios.market_weights(lx)
         pi = _portfolios.diversity_weighted(mu, p)
         lr = _portfolios.gross_log_value(pi, lx) - _portfolios.gross_log_value(mu, lx)
-        lhs[lo:hi] = lr[:, -1]
         dterm = (1.0 / p) * (
             np.log(np.sum(mu[:, -1, :] ** p, axis=-1))
             - np.log(np.sum(mu[:, 0, :] ** p, axis=-1))
@@ -118,14 +110,18 @@ def master_formula_check(
         pim = pi[:, :-1, :]
         m1 = np.sum(pim * dlm, axis=2)
         realized = 0.5 * (np.sum(pim * dlm * dlm, axis=2) - m1 * m1)
-        rhs[lo:hi] = dterm + (1.0 - p) * np.sum(realized, axis=1)
         growth = np.sum(_portfolios.excess_growth(pim, a) * dt, axis=-1)
-        rhs_model_cov[lo:hi] = dterm + (1.0 - p) * growth
-        floor_margin[lo:hi] = dterm - floor
+        return {
+            "lhs": lr[:, -1],
+            "rhs": dterm + (1.0 - p) * np.sum(realized, axis=1),
+            "rhs_model_cov": dterm + (1.0 - p) * growth,
+            "floor_margin": dterm - floor,
+        }
 
-    _markets.run_batches(model, factors, consume, batch_size=batch_size, workers=workers)
+    cols = _markets.run_batches(model, factors, per_batch, batch_size, workers)
+    lhs, rhs = cols["lhs"], cols["rhs"]
     res = lhs - rhs
-    res_model = lhs - rhs_model_cov
+    res_model = lhs - cols["rhs_model_cov"]
     return {
         "lhs": lhs,
         "rhs": rhs,
@@ -134,37 +130,32 @@ def master_formula_check(
         "mean_abs_residual": float(np.abs(res).mean()),
         "residual_model_cov": res_model,
         "max_abs_residual_model_cov": float(np.abs(res_model).max()),
-        "floor_margin_min": float(floor_margin.min()),
+        "floor_margin_min": float(cols["floor_margin"].min()),
     }
 
 
 def master_formula_order_study(
     model,
+    fine: _paths.FactorPaths,
     p: float,
-    horizon: float,
-    steps_fine: int,
-    n_paths: int,
-    master_seed: int,
-    refine: int = 2,
+    refine: int,
+    batch_size: int,
+    workers: int,
 ) -> dict:
     """Self-convergence of the master-formula residual on shared noise.
 
-    The fine grid's factor increments are summed pairwise to drive the
-    coarse run, so both step sizes see the same underlying path and the
-    residual ratio estimates the weak order directly.
+    The fine grid's factor increments are summed ``refine`` at a time to
+    drive the coarse run, so both step sizes see the same underlying path
+    and the residual ratio estimates the weak order directly.  Returns both
+    ``master_formula_check`` results under ``fine`` and ``coarse``.
     """
-    grid = _paths.make_grid(horizon, steps_fine)
-    fine = _paths.generate_factors(grid, model.m, n_paths, master_seed)
     coarse = fine.coarsened(refine)
-    r_fine = master_formula_check(model, fine, p)
-    r_coarse = master_formula_check(model, coarse, p)
+    r_fine = master_formula_check(model, fine, p, batch_size, workers)
+    r_coarse = master_formula_check(model, coarse, p, batch_size, workers)
     ratio = r_coarse["mean_abs_residual"] / max(r_fine["mean_abs_residual"], 1e-300)
     return {
-        "dt_fine": grid.dt,
-        "dt_coarse": coarse.grid.dt,
-        "residual_fine": r_fine["mean_abs_residual"],
-        "residual_coarse": r_coarse["mean_abs_residual"],
-        "max_residual_fine": r_fine["max_abs_residual"],
+        "fine": r_fine,
+        "coarse": r_coarse,
         "ratio": float(ratio),
         "order": float(np.log(ratio) / np.log(refine)),
     }
@@ -197,31 +188,27 @@ def outperformance_study(
     eps = model.vol.eps
     dt = factors.grid.step_sizes
     horizon = factors.grid.horizon
-    npaths = factors.n_paths
 
-    term = np.empty(npaths)
-    slack = np.empty(npaths)
-    delta_avg = np.empty(npaths)
-    delta_max = np.empty(npaths)
-    order_viol = np.zeros(npaths, dtype=np.int64)
-
-    def consume(lo, hi, lx, aux):
+    def per_batch(lo, hi, lx, aux):
         mu = _portfolios.market_weights(lx)
         pi = _portfolios.diversity_weighted(mu, p)
         lr = _portfolios.gross_log_value(pi, lx) - _portfolios.gross_log_value(mu, lx)
-        term[lo:hi] = lr[:, -1]
         top = mu.max(axis=2)
         top_avg = np.sum(top[:, :-1] * dt, axis=1) / horizon
         d = 1.0 - top_avg
-        delta_avg[lo:hi] = d
-        delta_max[lo:hi] = 1.0 - top.max(axis=1)
         bound = (1.0 - p) * (eps * d * horizon / 2.0 - np.log(n) / p)
-        slack[lo:hi] = lr[:, -1] - bound
         hi_ok = pi.max(axis=2) <= mu.max(axis=2) + 1e-12
         lo_ok = pi.min(axis=2) >= mu.min(axis=2) - 1e-12
-        order_viol[lo:hi] = np.sum(~(hi_ok & lo_ok), axis=1)
+        return {
+            "term": lr[:, -1],
+            "slack": lr[:, -1] - bound,
+            "delta_avg": d,
+            "delta_max": 1.0 - top.max(axis=1),
+            "order_viol": np.sum(~(hi_ok & lo_ok), axis=1),
+        }
 
-    _markets.run_batches(model, factors, consume, batch_size=batch_size, workers=workers)
+    cols = _markets.run_batches(model, factors, per_batch, batch_size, workers)
+    term, slack = cols["term"], cols["slack"]
     if delta is not None:
         # fixed-margin variant of the bound, for certified models
         bound = (1.0 - p) * (eps * delta * horizon / 2.0 - np.log(n) / p)
@@ -230,7 +217,7 @@ def outperformance_study(
         fixed_slack = None
     worst = int(np.argmin(slack))
     study = ArbitrageStudy(
-        n_paths=npaths,
+        n_paths=factors.n_paths,
         terminal_log_ratio=term,
         fraction=float(np.mean(term > 0.0)),
         slack=slack,
@@ -238,25 +225,12 @@ def outperformance_study(
     )
     return {
         "study": study,
-        "delta_avg": delta_avg,
-        "delta_max": delta_max,
+        "delta_avg": cols["delta_avg"],
+        "delta_max": cols["delta_max"],
         "fixed_slack": fixed_slack,
         "min_slack": float(slack.min()),
-        "weight_order_violations": int(order_viol.sum()),
+        "weight_order_violations": int(cols["order_viol"].sum()),
     }
-
-
-def slack_monotonicity_probe(
-    model, p: float, horizons, n_steps_per_unit: int, n_paths: int, master_seed: int
-) -> list:
-    """Minimum pathwise bound slack for a ladder of horizons, shared seeds."""
-    out = []
-    for t in horizons:
-        grid = _paths.make_grid(float(t), int(round(n_steps_per_unit * t)))
-        factors = _paths.generate_factors(grid, model.m, n_paths, master_seed)
-        res = outperformance_study(model, factors, p)
-        out.append(res["min_slack"])
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -303,40 +277,35 @@ def mirror_study(
         raise InvalidArgumentError("mirror exponent must exceed 1")
     a = model.vol.a
     n = model.n
-    npaths = factors.n_paths
     e1 = np.zeros(n)
     e1[0] = 1.0
     cap82 = (p - 1.0) / beta**p
     z82 = 1.0 + cap82
     zeta83 = p / beta**p - 1.0
 
-    term = np.empty(npaths)
-    ceil_gap_max = np.empty(npaths)
-    tau_int = np.empty(npaths)
-    wrap82_margin = np.empty(npaths)
-    wrap83_margin = np.empty(npaths)
-    base_term_ratio = np.empty(npaths)
-
-    def consume(lo, hi, lx, aux):
+    def per_batch(lo, hi, lx, aux):
         mu = _portfolios.market_weights(lx)
         what = _portfolios.mirror_weights(e1, mu, p)
         lr = _portfolios.relative_log_value(what, lx, times, a)
-        term[lo:hi] = lr[:, -1]
         mu1 = mu[..., 0]
         lead = np.log(mu1) - np.log(mu1[:, :1])
-        ceil_gap_max[lo:hi] = np.max(lr - p * lead, axis=1)
         diff = e1 - mu[:, :-1, :]
         tau = np.einsum("bki,ij,bkj->bk", diff, a, diff)
-        tau_int[lo:hi] = np.sum(tau * dt, axis=1)
-        base_term_ratio[lo:hi] = mu1[:, -1] / mu1[:, 0]
         ratio = np.exp(lr)
-        # wrap weights stay nonnegative iff these margins do
-        wrap82_margin[lo:hi] = np.min(cap82 - (p - 1.0) * ratio, axis=1)
-        wrap83_margin[lo:hi] = np.min(
-            (p / beta**p) * mu1 - (p - (p - 1.0) * mu1) * ratio, axis=1
-        )
+        return {
+            "term": lr[:, -1],
+            "ceil_gap_max": np.max(lr - p * lead, axis=1),
+            "tau_int": np.sum(tau * dt, axis=1),
+            "base_term_ratio": mu1[:, -1] / mu1[:, 0],
+            # wrap weights stay nonnegative iff these margins do
+            "wrap82_margin": np.min(cap82 - (p - 1.0) * ratio, axis=1),
+            "wrap83_margin": np.min(
+                (p / beta**p) * mu1 - (p - (p - 1.0) * mu1) * ratio, axis=1
+            ),
+        }
 
-    _markets.run_batches(model, factors, consume, batch_size=batch_size, workers=workers)
+    cols = _markets.run_batches(model, factors, per_batch, batch_size, workers)
+    term, tau_int, ceil_gap_max = cols["term"], cols["tau_int"], cols["ceil_gap_max"]
 
     eta_needed = 2.0 * np.log(1.0 / beta) / (p - 1.0)
     ratio_t = np.exp(term)
@@ -344,7 +313,7 @@ def mirror_study(
     wrap83_term_gap = (1.0 - ratio_t) / zeta83    # positive iff value > zeta * market
     worst = int(np.argmax(term))
     study = ArbitrageStudy(
-        n_paths=npaths,
+        n_paths=factors.n_paths,
         terminal_log_ratio=term,
         fraction=float(np.mean(term < 0.0)),
         slack=-term,
@@ -360,12 +329,12 @@ def mirror_study(
         "tau_integral": tau_int,
         "tau_integral_min": float(tau_int.min()),
         "hypothesis_fraction": float(
-            np.mean((tau_int >= eta_needed) & (base_term_ratio <= 1.0 / beta + 1e-12))
+            np.mean((tau_int >= eta_needed) & (cols["base_term_ratio"] <= 1.0 / beta + 1e-12))
         ),
         "ceiling_gap_max": ceil_gap_max,
         "worst_ceiling_gap": float(ceil_gap_max.max()),
-        "wrap82_weight_margin_min": float(wrap82_margin.min()),
-        "wrap83_weight_margin_min": float(wrap83_margin.min()),
+        "wrap82_weight_margin_min": float(cols["wrap82_margin"].min()),
+        "wrap83_weight_margin_min": float(cols["wrap83_margin"].min()),
         "wrap82_capital": float(z82),
         "wrap83_capital": float(zeta83),
         "wrap82_term_gap": wrap82_term_gap,
@@ -401,10 +370,8 @@ def mirror_identity_order_study(
 
     def residuals(factors):
         times = factors.grid.times
-        npaths = factors.n_paths
-        out = np.empty(npaths)
 
-        def consume(lo, hi, lx, aux):
+        def per_batch(lo, hi, lx, aux):
             mu = _portfolios.market_weights(lx)
             what = _portfolios.mirror_weights(e1, mu, p)
             lhs = _portfolios.relative_log_value(what, lx, times, a)[:, -1]
@@ -414,10 +381,9 @@ def mirror_identity_order_study(
             diff = e1 - mu
             tau = np.einsum("bki,ij,bkj->bk", diff, a, diff)
             integral = np.trapezoid(tau, times, axis=1)
-            out[lo:hi] = np.abs(lhs - (p * base + 0.5 * p * (1.0 - p) * integral))
+            return {"residual": np.abs(lhs - (p * base + 0.5 * p * (1.0 - p) * integral))}
 
-        _markets.run_batches(model, factors, consume, batch_size=256)
-        return out
+        return _markets.run_batches(model, factors, per_batch, batch_size=256)["residual"]
 
     r_fine = residuals(fine)
     r_coarse = residuals(fine.coarsened(refine))
@@ -455,20 +421,12 @@ def dominance_study(
     """
     if model.kind != "dominance":
         raise InvalidArgumentError("dominance study needs the dominance model")
-    npaths = factors.n_paths
     k_steps = factors.grid.n_steps
     eta = model.params["eta"]
     alpha = model.params["alpha"]
     barrier = 0.5 * np.power(factors.grid.times[1:], alpha)
 
-    min_lead = np.empty(npaths)
-    switch_idx = np.zeros(npaths, dtype=np.int64)
-    exit_idx = np.zeros(npaths, dtype=np.int64)
-    switch_found = np.zeros(npaths, dtype=bool)
-    confinement_breaches = np.zeros(npaths, dtype=np.int64)
-    capped = np.zeros(npaths, dtype=np.int64)
-
-    def consume(lo, hi, lx, aux):
+    def per_batch(lo, hi, lx, aux):
         y = lx[..., 1] - lx[..., 0]
         hit = y[:, 1:] <= barrier[None, :]
         found = hit.any(axis=1)
@@ -476,31 +434,30 @@ def dominance_study(
         t1 = aux["exit_index"]
         exit_state = np.where(t1 >= 0, np.maximum(t1, 1), k_steps)
         handback = np.minimum(t2, exit_state)
-        switch_found[lo:hi] = handback < k_steps
-        switch_idx[lo:hi] = handback
         runmin = np.minimum.accumulate(y[:, 1:], axis=1)
-        min_lead[lo:hi] = runmin[np.arange(y.shape[0]), handback - 1]
-        exit_idx[lo:hi] = t1
         after_exit = (
             np.arange(1, k_steps + 1)[None, :] > np.where(t1 >= 0, t1, k_steps)[:, None]
         )
-        confinement_breaches[lo:hi] = np.sum(
-            after_exit & (np.abs(y[:, 1:]) >= eta), axis=1
-        )
-        capped[lo:hi] = aux["capped_steps"]
+        return {
+            "min_lead": runmin[np.arange(y.shape[0]), handback - 1],
+            "switch_index": handback,
+            "exit_index": t1,
+            "breaches": np.sum(after_exit & (np.abs(y[:, 1:]) >= eta), axis=1),
+            "capped": aux["capped_steps"],
+        }
 
-    _markets.run_batches(model, factors, consume, batch_size=batch_size, workers=workers)
-    ok = min_lead > 0.0
+    cols = _markets.run_batches(model, factors, per_batch, batch_size, workers)
+    min_lead = cols["min_lead"]
     return {
-        "n_paths": npaths,
-        "fraction": float(np.mean(ok)),
+        "n_paths": factors.n_paths,
+        "fraction": float(np.mean(min_lead > 0.0)),
         "min_lead": min_lead,
         "worst_lead": float(min_lead.min()),
-        "switch_index": switch_idx,
-        "switch_found_fraction": float(np.mean(switch_found)),
-        "exit_index": exit_idx,
-        "confinement_breaches": int(confinement_breaches.sum()),
-        "capped_steps": int(capped.sum()),
+        "switch_index": cols["switch_index"],
+        "switch_found_fraction": float(np.mean(cols["switch_index"] < k_steps)),
+        "exit_index": cols["exit_index"],
+        "confinement_breaches": int(cols["breaches"].sum()),
+        "capped_steps": int(cols["capped"].sum()),
     }
 
 
@@ -513,7 +470,8 @@ def dominance_refinement_study(
     t_min: float = 1e-8,
     refine: int = 2,
 ) -> dict:
-    """Dominance fractions on a fine early grid and its pairwise coarsening."""
+    """Dominance fractions and confinement breaches on a fine early grid and
+    its pairwise coarsening."""
     grid = _paths.geometric_grid(horizon, steps_fine, t_min)
     fine = _paths.generate_factors(grid, model.m, n_paths, master_seed)
     res_fine = dominance_study(model, fine)
@@ -523,4 +481,6 @@ def dominance_refinement_study(
         "fraction_coarse": res_coarse["fraction"],
         "worst_lead_fine": res_fine["worst_lead"],
         "worst_lead_coarse": res_coarse["worst_lead"],
+        "breaches_fine": res_fine["confinement_breaches"],
+        "breaches_coarse": res_coarse["confinement_breaches"],
     }

@@ -47,21 +47,6 @@ from .errors import (
     SptLabError,
 )
 
-EXPERIMENTS = (
-    "simulate",
-    "diversity-report",
-    "arbitrage-45",
-    "mirror-81",
-    "examples-82-83",
-    "master-formula",
-    "ranked-decomposition",
-    "local-time-oracle",
-    "hedge-price",
-    "call-decay",
-    "parity-gap",
-    "instantaneous-dominance",
-)
-
 _MODEL_KINDS = ("constant", "diverse", "ou-pair", "patched", "dominance")
 _TRUE = {"1", "true", "yes", "on"}
 _FALSE = {"0", "false", "no", "off"}
@@ -287,24 +272,8 @@ def _build_model(p: _Parse, name: str, horizon):
         return None
 
 
-_EXTRA_DEFAULTS = {
-    "simulate": {},
-    "diversity-report": {"delta": None, "tail_fraction": 0.25},
-    "arbitrage-45": {"p": 0.5},
-    "mirror-81": {"p": None, "margin": 1.1},
-    "examples-82-83": {"p": None, "margin": 1.1},
-    "master-formula": {"p": 0.5, "refine": 2},
-    "ranked-decomposition": {},
-    "local-time-oracle": {"index": 0},
-    "hedge-price": {"strike": None, "index": 0},
-    "call-decay": {"strike": None, "horizons": None, "p_bound": 0.5, "index": 0},
-    "parity-gap": {"p": None, "margin": 1.1, "control_i": 0, "control_j": 1},
-    "instantaneous-dominance": {"min_fraction": 0.99},
-}
-
-
 def _parse_extras(p: _Parse, name: str, model) -> dict:
-    ex = dict(_EXTRA_DEFAULTS[name])
+    ex = {}
     if name == "diversity-report":
         fallback = model.params.get("delta") if model is not None else None
         ex["delta"] = p.num("experiment", "delta", default=fallback,
@@ -477,7 +446,7 @@ class ExperimentReport:
     metrics: dict
     info: dict
     assertions: list
-    tables: dict
+    tables: dict        # file stem -> {column name: 1-D array}
     provenance: dict
 
     @property
@@ -489,106 +458,103 @@ def _factors(cfg: ExperimentConfig) -> _paths.FactorPaths:
     return _paths.generate_factors(cfg.grid, cfg.model.m, cfg.n_paths, cfg.master_seed)
 
 
+def _numbered(prefix: str, matrix) -> dict:
+    """One column per stock (or gap): ``prefix1``, ``prefix2``, ..."""
+    return {f"{prefix}{i + 1}": matrix[:, i] for i in range(matrix.shape[1])}
+
+
 def _run_simulate(cfg):
     model = cfg.model
-    factors = _factors(cfg)
-    n, kp1 = model.n, cfg.grid.n_steps + 1
-    bs = cfg.batch_size or 256
-    nb = (cfg.n_paths + bs - 1) // bs
-    wsum = np.zeros((nb, kp1, n))
-    topsum = np.zeros((nb, kp1))
-    term_lx = np.empty((cfg.n_paths, n))
-    term_mu = np.empty((cfg.n_paths, n))
-    max_top = np.empty(cfg.n_paths)
-    capped = np.zeros(cfg.n_paths, dtype=np.int64)
-    trigger = np.full(cfg.n_paths, np.nan)
 
-    def consume(lo, hi, lx, aux):
+    def per_batch(lo, hi, lx, aux):
         mu = _portfolios.market_weights(lx)
-        bi = lo // bs
-        wsum[bi] = mu.sum(axis=0)
         top = mu.max(axis=2)
-        topsum[bi] = top.sum(axis=0)
-        term_lx[lo:hi] = lx[:, -1]
-        term_mu[lo:hi] = mu[:, -1]
-        max_top[lo:hi] = top.max(axis=1)
-        if "capped_steps" in aux:
-            capped[lo:hi] = aux["capped_steps"]
-        if "trigger_time" in aux:
-            trigger[lo:hi] = aux["trigger_time"]
+        return {
+            "wsum": mu.sum(axis=0)[None],
+            "topsum": top.sum(axis=0)[None],
+            "term_lx": lx[:, -1],
+            "term_mu": mu[:, -1],
+            "max_top": top.max(axis=1),
+            "capped": aux.get("capped_steps", np.zeros(hi - lo, dtype=np.int64)),
+            "trigger": aux.get("trigger_time", np.full(hi - lo, np.nan)),
+        }
 
-    _markets.run_batches(model, factors, consume, batch_size=bs, workers=cfg.workers)
-
+    cols = _markets.run_batches(model, _factors(cfg), per_batch,
+                                cfg.batch_size or 256, cfg.workers)
+    trigger = cols["trigger"]
     metrics = {
         "n_paths": cfg.n_paths,
         "n_steps": cfg.grid.n_steps,
         "horizon": cfg.grid.horizon,
-        "mean_terminal_top": float(term_mu.max(axis=1).sum() / cfg.n_paths),
-        "max_top_observed": float(max_top.max()),
-        "capped_step_total": int(capped.sum()),
+        "mean_terminal_top": float(cols["term_mu"].max(axis=1).sum() / cfg.n_paths),
+        "max_top_observed": float(cols["max_top"].max()),
+        "capped_step_total": int(cols["capped"].sum()),
     }
     if np.isfinite(trigger).any():
         hit = trigger[np.isfinite(trigger)]
         metrics["trigger_fraction"] = float(hit.size / cfg.n_paths)
         metrics["trigger_time_mean"] = float(hit.mean())
 
-    header = (["path_id"]
-              + [f"log_x{i + 1}" for i in range(n)]
-              + [f"mu{i + 1}" for i in range(n)]
-              + ["max_top", "capped_steps"])
-    rows = [
-        [i, *term_lx[i], *term_mu[i], max_top[i], capped[i]]
-        for i in range(cfg.n_paths)
-    ]
-    tables = {"per_path": (header, rows)}
+    tables = {"per_path": {
+        "path_id": np.arange(cfg.n_paths),
+        **_numbered("log_x", cols["term_lx"]),
+        **_numbered("mu", cols["term_mu"]),
+        "max_top": cols["max_top"],
+        "capped_steps": cols["capped"],
+    }}
     if cfg.series:
-        mean_w = wsum.sum(axis=0) / cfg.n_paths
-        mean_top = topsum.sum(axis=0) / cfg.n_paths
-        shead = ["t"] + [f"mean_mu{i + 1}" for i in range(n)] + ["mean_top"]
-        srows = [
-            [cfg.grid.times[k], *mean_w[k], mean_top[k]]
-            for k in range(kp1)
-        ]
-        tables["series"] = (shead, srows)
+        tables["series"] = {
+            "t": cfg.grid.times,
+            **_numbered("mean_mu", cols["wsum"].sum(axis=0) / cfg.n_paths),
+            "mean_top": cols["topsum"].sum(axis=0) / cfg.n_paths,
+        }
     return metrics, {}, [], tables
+
+
+_DIVERSITY_COLUMNS = ("max_top", "avg_top", "tail_top", "delta_max", "delta_avg",
+                      "is_diverse", "is_weakly_diverse")
 
 
 def _run_diversity_report(cfg):
     model = cfg.model
-    factors = _factors(cfg)
     delta = cfg.extras["delta"]
     tail_fraction = cfg.extras["tail_fraction"]
     times = cfg.grid.times
-    cols = np.empty((cfg.n_paths, 5))
-    flags = np.empty((cfg.n_paths, 2), dtype=bool)
+    barrier = model.kind == "diverse"
 
-    def consume(lo, hi, lx, aux):
-        mu = _portfolios.market_weights(lx)
-        for b in range(hi - lo):
-            rep = _diversity.check_diversity(mu[b], times, delta, tail_fraction)
-            cols[lo + b] = (rep.max_top, rep.avg_top, rep.tail_top,
-                            rep.delta_max, rep.delta_avg)
-            flags[lo + b] = (rep.is_diverse, rep.is_weakly_diverse)
+    def per_batch(lo, hi, lx, aux):
+        reps = [_diversity.check_diversity(w, times, delta, tail_fraction)
+                for w in _portfolios.market_weights(lx)]
+        out = {key: [getattr(rep, key) for rep in reps] for key in _DIVERSITY_COLUMNS}
+        if barrier:
+            drift = _diversity.check_barrier_drift_condition(
+                model, lx, times, model.params["delta"], aux)
+            out.update({key: [value] for key, value in drift.items()})
+        return out
 
-    bs = cfg.batch_size or 256
-    _markets.run_batches(model, factors, consume, batch_size=bs, workers=cfg.workers)
-
+    cols = _markets.run_batches(model, _factors(cfg), per_batch,
+                                cfg.batch_size or 256, cfg.workers)
     metrics = {
         "delta": delta,
         "tail_fraction": tail_fraction,
-        "diverse_fraction": float(flags[:, 0].mean()),
-        "weakly_diverse_fraction": float(flags[:, 1].mean()),
-        "min_delta_max": float(cols[:, 3].min()),
-        "min_delta_avg": float(cols[:, 4].min()),
-        "worst_tail_top": float(cols[:, 2].max()),
+        "diverse_fraction": float(cols["is_diverse"].mean()),
+        "weakly_diverse_fraction": float(cols["is_weakly_diverse"].mean()),
+        "min_delta_max": float(cols["delta_max"].min()),
+        "min_delta_avg": float(cols["delta_avg"].min()),
+        "worst_tail_top": float(cols["tail_top"].max()),
     }
-    header = ["path_id", "max_top", "avg_top", "tail_top", "delta_max",
-              "delta_avg", "is_diverse", "is_weakly_diverse"]
-    rows = [
-        [i, *cols[i], int(flags[i, 0]), int(flags[i, 1])]
-        for i in range(cfg.n_paths)
-    ]
-    return metrics, {}, [], {"per_path": (header, rows)}
+    assertions = []
+    if barrier:
+        violations = int(cols["violations"].sum())
+        assertions.append((
+            "drift repels the leader wherever the top weight nears the barrier",
+            violations == 0,
+            f"checked={int(cols['checked'].sum())} violations={violations} "
+            f"worst_slack={float(cols['worst_slack'].min()):.6g}",
+        ))
+    per_path = {"path_id": np.arange(cfg.n_paths),
+                **{key: cols[key] for key in _DIVERSITY_COLUMNS}}
+    return metrics, {}, assertions, {"per_path": per_path}
 
 
 def _run_arbitrage_45(cfg):
@@ -625,13 +591,14 @@ def _run_arbitrage_45(cfg):
          res["weight_order_violations"] == 0,
          f"violations={res['weight_order_violations']}"),
     ]
-    header = ["path_id", "terminal_log_ratio", "a5_slack", "delta_avg", "delta_max"]
-    rows = [
-        [i, study.terminal_log_ratio[i], study.slack[i],
-         res["delta_avg"][i], res["delta_max"][i]]
-        for i in range(cfg.n_paths)
-    ]
-    return metrics, {}, assertions, {"per_path": (header, rows)}
+    per_path = {
+        "path_id": np.arange(cfg.n_paths),
+        "terminal_log_ratio": study.terminal_log_ratio,
+        "a5_slack": study.slack,
+        "delta_avg": res["delta_avg"],
+        "delta_max": res["delta_max"],
+    }
+    return metrics, {}, assertions, {"per_path": per_path}
 
 
 def _mirror_common(cfg):
@@ -666,13 +633,13 @@ def _run_mirror_81(cfg):
          res["tau_integral_min"] >= res["eta_needed"],
          f"min={res['tau_integral_min']:.6g} needed={res['eta_needed']:.6g}"),
     ]
-    header = ["path_id", "terminal_log_ratio", "ceiling_gap_max", "tau_integral"]
-    rows = [
-        [i, study.terminal_log_ratio[i], res["ceiling_gap_max"][i],
-         res["tau_integral"][i]]
-        for i in range(cfg.n_paths)
-    ]
-    return metrics, {}, assertions, {"per_path": (header, rows)}
+    per_path = {
+        "path_id": np.arange(cfg.n_paths),
+        "terminal_log_ratio": study.terminal_log_ratio,
+        "ceiling_gap_max": res["ceiling_gap_max"],
+        "tau_integral": res["tau_integral"],
+    }
+    return metrics, {}, assertions, {"per_path": per_path}
 
 
 def _run_examples_82_83(cfg):
@@ -700,29 +667,21 @@ def _run_examples_82_83(cfg):
         ("shorted mirror outperforms scaled market on every path",
          res["wrap83_fraction"] == 1.0, f"fraction={res['wrap83_fraction']:g}"),
     ]
-    header = ["path_id", "terminal_log_ratio", "under_gap", "out_gap"]
-    rows = [
-        [i, study.terminal_log_ratio[i], res["wrap82_term_gap"][i],
-         res["wrap83_term_gap"][i]]
-        for i in range(cfg.n_paths)
-    ]
-    return metrics, {}, assertions, {"per_path": (header, rows)}
+    per_path = {
+        "path_id": np.arange(cfg.n_paths),
+        "terminal_log_ratio": study.terminal_log_ratio,
+        "under_gap": res["wrap82_term_gap"],
+        "out_gap": res["wrap83_term_gap"],
+    }
+    return metrics, {}, assertions, {"per_path": per_path}
 
 
 def _run_master_formula(cfg):
-    model = cfg.model
     p = cfg.extras["p"]
     refine = cfg.extras["refine"]
-    if cfg.grid.n_steps % refine != 0:
-        raise InvalidArgumentError(
-            f"grid.n_steps must be divisible by refine={refine}")
-    fine = _factors(cfg)
-    bs = cfg.batch_size or 256
-    rf = _arbitrage.master_formula_check(model, fine, p, batch_size=bs,
-                                         workers=cfg.workers)
-    rc = _arbitrage.master_formula_check(model, fine.coarsened(refine), p,
-                                         batch_size=bs, workers=cfg.workers)
-    ratio = rc["mean_abs_residual"] / max(rf["mean_abs_residual"], 1e-300)
+    res = _arbitrage.master_formula_order_study(
+        cfg.model, _factors(cfg), p, refine, cfg.batch_size or 256, cfg.workers)
+    rf, rc = res["fine"], res["coarse"]
     metrics = {
         "p": p,
         "dt_fine": cfg.grid.dt,
@@ -731,18 +690,16 @@ def _run_master_formula(cfg):
         "mean_abs_residual_coarse": rc["mean_abs_residual"],
         "max_abs_residual_fine": rf["max_abs_residual"],
         "max_abs_residual_coarse": rc["max_abs_residual"],
-        "ratio": float(ratio),
-        "order": float(np.log(ratio) / np.log(refine)),
+        "ratio": res["ratio"],
+        "order": res["order"],
         "max_abs_residual_model_cov_fine": rf["max_abs_residual_model_cov"],
         "floor_margin_min": rf["floor_margin_min"],
     }
-    header = ["path_id", "lhs", "rhs", "residual", "residual_model_cov"]
-    rows = [
-        [i, rf["lhs"][i], rf["rhs"][i], rf["residual"][i],
-         rf["residual_model_cov"][i]]
-        for i in range(cfg.n_paths)
-    ]
-    return metrics, {}, [], {"per_path": (header, rows)}
+    per_path = {
+        "path_id": np.arange(cfg.n_paths),
+        **{key: rf[key] for key in ("lhs", "rhs", "residual", "residual_model_cov")},
+    }
+    return metrics, {}, [], {"per_path": per_path}
 
 
 def _run_ranked_decomposition(cfg):
@@ -761,27 +718,23 @@ def _run_ranked_decomposition(cfg):
         lam_term[i] = res["local_times"][-1]
         if i == 0 and cfg.series:
             ranked, _ = _ranks.ranked_weight_path(pp.weights)
-            shead = (["t"]
-                     + [f"ranked_w{k + 1}" for k in range(n)]
-                     + [f"gap_local_time{k + 1}" for k in range(n - 1)])
-            srows = [
-                [cfg.grid.times[k], *ranked[k], *res["local_times"][k]]
-                for k in range(cfg.grid.n_steps + 1)
-            ]
-            series = (shead, srows)
+            series = {
+                "t": cfg.grid.times,
+                **_numbered("ranked_w", ranked),
+                **_numbered("gap_local_time", res["local_times"]),
+            }
     metrics = {
         "max_relative_named": float(rel_named.max()),
         "max_relative_model": float(rel_model.max()),
         "mean_relative_model": float(rel_model.mean()),
         "mean_terminal_local_time_top_gap": float(lam_term[:, 0].mean()),
     }
-    header = (["path_id", "relative_named", "relative_model"]
-              + [f"gap_local_time{k + 1}" for k in range(n - 1)])
-    rows = [
-        [i, rel_named[i], rel_model[i], *lam_term[i]]
-        for i in range(cfg.n_paths)
-    ]
-    tables = {"per_path": (header, rows)}
+    tables = {"per_path": {
+        "path_id": np.arange(cfg.n_paths),
+        "relative_named": rel_named,
+        "relative_model": rel_model,
+        **_numbered("gap_local_time", lam_term),
+    }}
     if series is not None:
         tables["series"] = series
     return metrics, {}, [], tables
@@ -790,15 +743,13 @@ def _run_ranked_decomposition(cfg):
 def _run_local_time_oracle(cfg):
     model = cfg.model
     idx = cfg.extras["index"]
-    factors = _factors(cfg)
-    lam = np.empty(cfg.n_paths)
 
-    def consume(lo, hi, lx, aux):
+    def per_batch(lo, hi, lx, aux):
         y = lx[:, :, idx] - lx[:, :1, idx]
-        lam[lo:hi] = _ranks.estimate_local_time(y)[:, -1]
+        return {"lam": _ranks.estimate_local_time(y)[:, -1]}
 
-    bs = cfg.batch_size or 1024
-    _markets.run_batches(model, factors, consume, batch_size=bs, workers=cfg.workers)
+    lam = _markets.run_batches(model, _factors(cfg), per_batch,
+                               cfg.batch_size or 1024, cfg.workers)["lam"]
     mean, se = _hedging._compensated_mean_se(lam)
     metrics = {
         "mean_terminal_local_time": mean,
@@ -821,9 +772,8 @@ def _run_local_time_oracle(cfg):
                 abs(mean - oracle) <= tol,
                 f"mean={mean:.6g} oracle={oracle:.6g} tol={tol:.3g}",
             ))
-    header = ["path_id", "terminal_local_time"]
-    rows = [[i, lam[i]] for i in range(cfg.n_paths)]
-    return metrics, {}, assertions, {"per_path": (header, rows)}
+    per_path = {"path_id": np.arange(cfg.n_paths), "terminal_local_time": lam}
+    return metrics, {}, assertions, {"per_path": per_path}
 
 
 def _run_hedge_price(cfg):
@@ -891,15 +841,18 @@ def _run_call_decay(cfg):
         ("deflated stock price stays under the decay envelope", env_ok, ""),
         ("hedge price decays along the horizon ladder", mono_ok, ""),
     ]
-    table = (
-        ["T", "h_hat", "stderr", "envelope"],
-        [[r["horizon"], r["price"], r["se"], r["envelope"]] for r in rows],
-    )
-    stock = (
-        ["T", "deflated_stock", "stderr", "envelope"],
-        [[r["horizon"], r["stock_price"], r["stock_se"], r["envelope"]] for r in rows],
-    )
-    return metrics, {}, assertions, {"table": table, "stock": stock}
+
+    def column(key):
+        return np.array([r[key] for r in rows])
+
+    ladder = {"T": column("horizon")}
+    envelope = {"envelope": column("envelope")}
+    tables = {
+        "table": {**ladder, "h_hat": column("price"), "stderr": column("se"), **envelope},
+        "stock": {**ladder, "deflated_stock": column("stock_price"),
+                  "stderr": column("stock_se"), **envelope},
+    }
+    return metrics, {}, assertions, tables
 
 
 def _run_parity_gap(cfg):
@@ -934,6 +887,10 @@ def _run_parity_gap(cfg):
          f"gap={wit['gap']:.6g} se={wit['gap_se']:.3g}"),
         ("plain stock pair prices at its initial difference",
          abs(ctl["t_stat"]) <= 3.0, f"t={ctl['t_stat']:.3g}"),
+        ("deflated market and mirror wealth stay within 3 standard errors of their start",
+         wit["h1"] <= 1.0 + 3.0 * wit["h1_se"] and wit["h2"] <= 1.0 + 3.0 * wit["h2_se"],
+         f"h1={wit['h1']:.6g} se={wit['h1_se']:.3g} "
+         f"h2={wit['h2']:.6g} se={wit['h2_se']:.3g}"),
     ]
     return metrics, {}, assertions, {}
 
@@ -957,13 +914,12 @@ def _run_instantaneous_dominance(cfg):
          res["fraction"] >= cfg.extras["min_fraction"],
          f"fraction={res['fraction']:g} floor={cfg.extras['min_fraction']:g}"),
     ]
-    header = ["path_id", "min_lead", "switch_index", "exit_index", "dominated"]
-    rows = [
-        [i, res["min_lead"][i], res["switch_index"][i], res["exit_index"][i],
-         int(res["min_lead"][i] > 0.0)]
-        for i in range(cfg.n_paths)
-    ]
-    return metrics, {}, assertions, {"per_path": (header, rows)}
+    per_path = {
+        "path_id": np.arange(cfg.n_paths),
+        **{key: res[key] for key in ("min_lead", "switch_index", "exit_index")},
+        "dominated": res["min_lead"] > 0.0,
+    }
+    return metrics, {}, assertions, {"per_path": per_path}
 
 
 _RUNNERS = {
@@ -980,6 +936,7 @@ _RUNNERS = {
     "parity-gap": _run_parity_gap,
     "instantaneous-dominance": _run_instantaneous_dominance,
 }
+EXPERIMENTS = tuple(_RUNNERS)
 
 
 def run(cfg: ExperimentConfig) -> ExperimentReport:
@@ -1018,11 +975,12 @@ def _fmt_num(x) -> str:
     return format(float(x), ".17g")
 
 
-def _write_csv(path: str, header, rows):
+def _write_csv(path: str, table: dict):
+    """Write named columns of equal length; the names form the header."""
     with open(path, "w", newline="") as f:
         w = csv.writer(f)
-        w.writerow(header)
-        for row in rows:
+        w.writerow(table)
+        for row in zip(*table.values()):
             w.writerow([v if isinstance(v, str) else _fmt_num(v) for v in row])
 
 
@@ -1032,17 +990,17 @@ def persist(report: ExperimentReport, cfg: ExperimentConfig) -> list:
     written = []
 
     path = os.path.join(cfg.out_dir, "metrics.csv")
-    _write_csv(path, ["metric", "value"],
-               [[k, v] for k, v in report.metrics.items() if v is not None])
+    metrics = {k: v for k, v in report.metrics.items() if v is not None}
+    _write_csv(path, {"metric": list(metrics), "value": list(metrics.values())})
     written.append(path)
 
-    for stem, (header, rows) in report.tables.items():
+    for stem, table in report.tables.items():
         if stem == "per_path" and not cfg.per_path:
             continue
         if stem == "series" and not cfg.series:
             continue
         path = os.path.join(cfg.out_dir, f"{stem}.csv")
-        _write_csv(path, header, rows)
+        _write_csv(path, table)
         written.append(path)
 
     lines = []
@@ -1051,8 +1009,7 @@ def persist(report: ExperimentReport, cfg: ExperimentConfig) -> list:
         lines.extend(f"{k} = {v}" for k, v in kv.items())
         lines.append("")
     lines.append("[results]")
-    lines.extend(
-        f"{k} = {_fmt_num(v)}" for k, v in report.metrics.items() if v is not None)
+    lines.extend(f"{k} = {_fmt_num(v)}" for k, v in metrics.items())
     lines.extend(f"{k} = {v}" for k, v in report.info.items())
     lines.append("")
     if report.assertions:
@@ -1073,7 +1030,7 @@ def persist(report: ExperimentReport, cfg: ExperimentConfig) -> list:
         payload = {
             "experiment": report.name,
             "config": report.config,
-            "results": {k: v for k, v in report.metrics.items() if v is not None},
+            "results": metrics,
             "info": report.info,
             "assertions": [
                 {"label": a, "passed": bool(ok), "detail": d}

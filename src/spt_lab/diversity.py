@@ -14,6 +14,7 @@ import numpy as np
 
 from .errors import InvalidArgumentError
 from . import markets as _markets
+from . import portfolios as _portfolios
 
 __all__ = [
     "diversity_measure",
@@ -118,36 +119,33 @@ def check_diversity(
     )
 
 
-def check_barrier_drift_condition(model, price_path, delta: float) -> dict:
+def check_barrier_drift_condition(model, log_prices, times, delta: float, aux=None) -> dict:
     """Verify the drift inequalities that force the top weight off a barrier.
 
     At each grid point where the top weight lies in [1/2, 1 - delta) the
     defining (uncapped) growth rates must satisfy: every non-leader rate is
     nonnegative, the leader's is nonpositive, and the smallest non-leader
     rate exceeds the leader's by at least the barrier repulsion strength
-    minus half the ellipticity floor.  Returns counts and the worst slack.
+    minus half the ellipticity floor.  ``log_prices`` is one path (K+1, n)
+    or a batch (B, K+1, n); ``aux`` holds the integration records the
+    patched model needs.  Returns counts and the worst slack.
     """
-    lx = price_path.log_prices
-    t = price_path.grid.times
-    w = price_path.weights
-    gamma = _markets.growth_rates_along(model, lx, t, aux=price_path.aux)
-    eps = model.vol.eps
-    big_m = model.vol.big_m
-    top = w.max(axis=1)
-    leader = np.argmax(w, axis=1)
+    gamma = _markets.growth_rates_along(model, log_prices, times, aux=aux)
+    w = _portfolios.market_weights(log_prices)
+    top = w.max(axis=-1)
     zone = (top >= 0.5) & (top < 1.0 - delta)
-    idx = np.nonzero(zone)[0]
-    checked = int(idx.size)
+    checked = int(np.count_nonzero(zone))
     if checked == 0:
         return {"checked": 0, "violations": 0, "worst_slack": np.inf}
-    g = gamma[idx]
-    lead = leader[idx]
-    g_lead = g[np.arange(checked), lead]
+    g = gamma[zone]
+    rows = np.arange(checked)
+    lead = np.argmax(w[zone], axis=-1)
+    g_lead = g[rows, lead]
     g_masked = g.copy()
-    g_masked[np.arange(checked), lead] = np.inf
+    g_masked[rows, lead] = np.inf
     g_min_other = g_masked.min(axis=1)
-    q = np.log((1.0 - delta) / top[idx])
-    need = big_m / (delta * np.maximum(q, 1e-300)) - 0.5 * eps
+    q = np.log((1.0 - delta) / top[zone])
+    need = model.vol.big_m / (delta * np.maximum(q, 1e-300)) - 0.5 * model.vol.eps
     slack = np.minimum.reduce(
         [
             g_min_other,                      # non-leaders push up

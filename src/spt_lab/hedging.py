@@ -12,7 +12,7 @@ sample mean instead hugs the continuous-time expectation, which is below
 one.  The studies report that deficit as statistical evidence (mean,
 standard error, persistence under step halving), never as a proof.
 
-Monte Carlo reductions store one value per path slot and reduce once with
+Monte Carlo reductions collect one value per path and reduce once with
 compensated (exact) summation, so results are independent of batch
 scheduling and worker count.
 """
@@ -41,7 +41,6 @@ __all__ = [
     "decay_envelope",
     "parity_witness_study",
     "parity_control_study",
-    "deflated_wealth_check",
 ]
 
 
@@ -75,7 +74,8 @@ def market_price_of_risk(model, log_prices: np.ndarray, times, aux=None) -> np.n
     sigma = model.vol.sigma
     proj = sigma.T @ np.linalg.inv(model.vol.a)
     b = _markets.rates_of_return_along(model, log_prices, times, aux=aux)
-    theta = (b - model.r) @ proj.T
+    b -= model.r
+    theta = b @ proj.T
     if not np.isfinite(theta).all():
         raise NumericFailureError("market price of risk is not finite")
     return theta
@@ -94,14 +94,12 @@ def deflator_log_terminals(
 ) -> np.ndarray:
     """Terminal log L per path, streamed in fixed batches."""
     times = factors.grid.times
-    out = np.empty(factors.n_paths)
 
-    def consume(lo, hi, lx, aux):
+    def per_batch(lo, hi, lx, aux):
         dw = factors.block(lo, hi)
-        out[lo:hi] = _deflator_log_terminal_block(model, lx, dw, times, aux)
+        return {"logl": _deflator_log_terminal_block(model, lx, dw, times, aux)}
 
-    _markets.run_batches(model, factors, consume, batch_size=batch_size, workers=workers)
-    return out
+    return _markets.run_batches(model, factors, per_batch, batch_size, workers)["logl"]
 
 
 def _compensated_mean_se(values: np.ndarray):
@@ -150,17 +148,16 @@ def hedge_price(
     times = factors.grid.times
     horizon = factors.grid.horizon
     bank = math.exp(model.r * horizon)
-    vals = np.empty(factors.n_paths)
 
-    def consume(lo, hi, lx, aux):
+    def per_batch(lo, hi, lx, aux):
         dw = factors.block(lo, hi)
         logl = _deflator_log_terminal_block(model, lx, dw, times, aux)
         y = np.asarray(claim.payoff(lx, times, aux), dtype=float)
         if y.min() < 0:
             raise InvalidArgumentError("claim payoff must be nonnegative")
-        vals[lo:hi] = y * np.exp(logl) / bank
+        return {"vals": y * np.exp(logl) / bank}
 
-    _markets.run_batches(model, factors, consume, batch_size=batch_size, workers=workers)
+    vals = _markets.run_batches(model, factors, per_batch, batch_size, workers)["vals"]
     mean, se = _compensated_mean_se(vals)
     return {
         "price": mean,
@@ -258,21 +255,19 @@ def call_decay_study(
         factors = _paths.generate_factors(grid, model.m, n_paths, master_seed)
         times = grid.times
         bank = math.exp(model.r * float(t))
-        call_vals = np.empty(n_paths)
-        stock_vals = np.empty(n_paths)
 
-        def consume(lo, hi, lx, aux):
+        def per_batch(lo, hi, lx, aux):
             dw = factors.block(lo, hi)
             logl = _deflator_log_terminal_block(model, lx, dw, times, aux)
             defl = np.exp(logl) / bank
-            call_vals[lo:hi] = claim.payoff(lx, times, aux) * defl
-            stock_vals[lo:hi] = np.exp(lx[:, -1, index]) * defl
+            return {
+                "call": claim.payoff(lx, times, aux) * defl,
+                "stock": np.exp(lx[:, -1, index]) * defl,
+            }
 
-        _markets.run_batches(
-            model, factors, consume, batch_size=batch_size, workers=workers
-        )
-        h, h_se = _compensated_mean_se(call_vals)
-        s, s_se = _compensated_mean_se(stock_vals)
+        vals = _markets.run_batches(model, factors, per_batch, batch_size, workers)
+        h, h_se = _compensated_mean_se(vals["call"])
+        s, s_se = _compensated_mean_se(vals["stock"])
         rows.append(
             {
                 "horizon": float(t),
@@ -314,10 +309,8 @@ def parity_witness_study(
     n = model.n
     e1 = np.zeros(n)
     e1[0] = 1.0
-    h1_vals = np.empty(factors.n_paths)
-    h2_vals = np.empty(factors.n_paths)
 
-    def consume(lo, hi, lx, aux):
+    def per_batch(lo, hi, lx, aux):
         dw = factors.block(lo, hi)
         logl = _deflator_log_terminal_block(model, lx, dw, times, aux)
         zmu = _portfolios.market_value(lx, 1.0)[:, -1]
@@ -325,10 +318,10 @@ def parity_witness_study(
         what = _portfolios.mirror_weights(e1, mu, p)
         rel = _portfolios.relative_log_value(what, lx, times, a)[:, -1]
         l = np.exp(logl)
-        h1_vals[lo:hi] = l * zmu
-        h2_vals[lo:hi] = l * zmu * np.exp(rel)
+        return {"h1": l * zmu, "h2": l * zmu * np.exp(rel)}
 
-    _markets.run_batches(model, factors, consume, batch_size=batch_size, workers=workers)
+    vals = _markets.run_batches(model, factors, per_batch, batch_size, workers)
+    h1_vals, h2_vals = vals["h1"], vals["h2"]
     h1, h1_se = _compensated_mean_se(h1_vals)
     h2, h2_se = _compensated_mean_se(h2_vals)
     gap, gap_se = _compensated_mean_se(h1_vals - h2_vals)
@@ -358,15 +351,14 @@ def parity_control_study(
     times = factors.grid.times
     horizon = factors.grid.horizon
     bank = math.exp(model.r * horizon)
-    vals = np.empty(factors.n_paths)
 
-    def consume(lo, hi, lx, aux):
+    def per_batch(lo, hi, lx, aux):
         dw = factors.block(lo, hi)
         logl = _deflator_log_terminal_block(model, lx, dw, times, aux)
         diff = np.exp(lx[:, -1, i]) - np.exp(lx[:, -1, j])
-        vals[lo:hi] = diff * np.exp(logl) / bank
+        return {"vals": diff * np.exp(logl) / bank}
 
-    _markets.run_batches(model, factors, consume, batch_size=batch_size, workers=workers)
+    vals = _markets.run_batches(model, factors, per_batch, batch_size, workers)["vals"]
     gap, gap_se = _compensated_mean_se(vals)
     expected = float(model.x0[i] - model.x0[j])
     return {
@@ -376,36 +368,3 @@ def parity_control_study(
         "t_stat": (gap - expected) / gap_se if gap_se > 0 else float("inf"),
     }
 
-
-def deflated_wealth_check(
-    model,
-    factors: _paths.FactorPaths,
-    rule: _portfolios.WeightRule,
-    z0: float = 1.0,
-    batch_size: int = 512,
-    workers: int = 1,
-) -> dict:
-    """Sample mean of L(T) Z(T) / B(T) against Z(0): the deflated wealth of
-    any portfolio is a supermartingale, so the mean must not exceed the
-    start by more than noise."""
-    times = factors.grid.times
-    horizon = factors.grid.horizon
-    bank = math.exp(model.r * horizon)
-    a = model.vol.a
-    vals = np.empty(factors.n_paths)
-
-    def consume(lo, hi, lx, aux):
-        dw = factors.block(lo, hi)
-        logl = _deflator_log_terminal_block(model, lx, dw, times, aux)
-        w = rule.weight_path(lx, times)
-        z = _portfolios.value_from_weights(w, lx, times, z0, a=a)[:, -1]
-        vals[lo:hi] = z * np.exp(logl) / bank
-
-    _markets.run_batches(model, factors, consume, batch_size=batch_size, workers=workers)
-    mean, se = _compensated_mean_se(vals)
-    return {
-        "mean": mean,
-        "se": se,
-        "initial": z0,
-        "excess_t": (mean - z0) / se if se > 0 else float("inf"),
-    }

@@ -388,32 +388,35 @@ DEFAULT_BATCH = 1024
 def run_batches(
     model: MarketModel,
     factors: FactorPaths,
-    consume,
+    per_batch,
     batch_size: int = DEFAULT_BATCH,
     workers: int = 1,
-):
-    """Integrate all paths in fixed batches and feed each to ``consume``.
+) -> dict:
+    """Integrate all paths in fixed batches and join what each batch returns.
 
-    ``consume(lo, hi, log_prices, aux)`` must only write to per-path slots
-    of preallocated arrays; under ``workers > 1`` batches run concurrently
-    but batch boundaries (and hence all float results) are unchanged.
+    ``per_batch(lo, hi, log_prices, aux)`` returns a dict of arrays whose
+    leading axis runs over the batch's paths, or has length 1 for a
+    per-batch partial.  Each value is copied as soon as the callback
+    returns, so no result pins a batch's log prices, and the copies are
+    joined along axis 0 in batch order: per-path values come back as
+    ``(n_paths, ...)``, per-batch partials as ``(n_batches, ...)``.  Under
+    ``workers > 1`` batches run concurrently but batch boundaries (and hence
+    all float results) are unchanged.
     """
     n = factors.n_paths
     spans = [(lo, min(lo + batch_size, n)) for lo in range(0, n, batch_size)]
-    if workers <= 1:
-        for lo, hi in spans:
-            logx, aux = simulate_block(model, factors, lo, hi)
-            consume(lo, hi, logx, aux)
-        return
 
     def job(span):
         lo, hi = span
         logx, aux = simulate_block(model, factors, lo, hi)
-        consume(lo, hi, logx, aux)
+        return {k: np.array(v) for k, v in per_batch(lo, hi, logx, aux).items()}
 
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        for fut in [pool.submit(job, s) for s in spans]:
-            fut.result()
+    if workers <= 1:
+        parts = [job(s) for s in spans]
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            parts = list(pool.map(job, spans))
+    return {k: np.concatenate([part[k] for part in parts]) for k in parts[0]}
 
 
 # ---------------------------------------------------------------------------
@@ -425,7 +428,7 @@ def growth_rates_along(model: MarketModel, log_prices: np.ndarray, times: np.nda
 
     Drift caps are not reflected here: this is the model's defining rule,
     which checkers compare against theory.  Shape (K+1, n) for a single path
-    or (B, K+1, n) for a batch.
+    or (B, K+1, n) for a batch; the array is always freshly allocated.
     """
     lx = np.asarray(log_prices, dtype=float)
     single = lx.ndim == 2
@@ -455,4 +458,5 @@ def growth_rates_along(model: MarketModel, log_prices: np.ndarray, times: np.nda
 def rates_of_return_along(model: MarketModel, log_prices: np.ndarray, times: np.ndarray, aux: dict | None = None) -> np.ndarray:
     """Arithmetic rates of return b_i(t_k) = gamma_i(t_k) + a_ii / 2."""
     g = growth_rates_along(model, log_prices, times, aux)
-    return g + 0.5 * np.diag(model.vol.a)
+    g += 0.5 * np.diag(model.vol.a)
+    return g

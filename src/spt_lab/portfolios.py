@@ -1,7 +1,7 @@
-"""Portfolio weight rules, growth algebra, and wealth integration.
+"""Portfolio weight maps, growth algebra, and wealth integration.
 
-Weights are rows summing to 1.  A rule maps a simulated log-price path to a
-weight path; wealth is then integrated with one of two schemes:
+Weights are rows summing to 1.  A weight map turns a simulated log-price
+path into a weight path; wealth is then integrated with one of two schemes:
 
 * all-long rules compound the portfolio-weighted gross returns of the
   stocks, in log space.  This makes the market portfolio's wealth track
@@ -16,8 +16,6 @@ weight path; wealth is then integrated with one of two schemes:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import InvalidArgumentError
@@ -30,17 +28,10 @@ __all__ = [
     "relative_covariance",
     "relative_variance",
     "numeraire_invariance_residual",
-    "WeightRule",
-    "MarketRule",
-    "DiversityWeightedRule",
-    "SingleStockRule",
-    "ConstantWeightsRule",
-    "MirrorRule",
     "value_from_weights",
     "gross_log_value",
     "relative_log_value",
     "market_value",
-    "strategy_value",
 ]
 
 _SUM_TOL = 1e-9
@@ -122,81 +113,6 @@ def numeraire_invariance_residual(w: np.ndarray, rho: np.ndarray, a: np.ndarray)
     tau = relative_covariance(a, rho)
     via_rho = 0.5 * (w @ np.diag(tau) - np.einsum("...i,ij,...j->...", w, tau, w))
     return np.abs(excess_growth(w, a) - via_rho)
-
-
-# ---------------------------------------------------------------------------
-# weight rules
-# ---------------------------------------------------------------------------
-
-class WeightRule:
-    """Maps a log-price path (single or batch) to a weight path."""
-
-    all_long: bool = True
-    name: str = "rule"
-
-    def weight_path(self, log_prices: np.ndarray, times: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-
-class MarketRule(WeightRule):
-    name = "market"
-
-    def weight_path(self, log_prices, times):
-        return market_weights(log_prices)
-
-
-class DiversityWeightedRule(WeightRule):
-    def __init__(self, p: float):
-        if not 0 < p <= 1:
-            raise InvalidArgumentError("p must lie in (0, 1]")
-        self.p = float(p)
-        self.name = f"diversity_p{p:g}"
-
-    def weight_path(self, log_prices, times):
-        return diversity_weighted(market_weights(log_prices), self.p)
-
-
-class SingleStockRule(WeightRule):
-    def __init__(self, index: int):
-        self.index = int(index)
-        self.name = f"stock_{index}"
-
-    def weight_path(self, log_prices, times):
-        lx = np.asarray(log_prices)
-        w = np.zeros(lx.shape)
-        w[..., self.index] = 1.0
-        return w
-
-
-class ConstantWeightsRule(WeightRule):
-    def __init__(self, w):
-        self.w = _check_weights(np.asarray(w, dtype=float))
-        self.all_long = bool(self.w.min() >= 0)
-        self.name = "constant_weights"
-
-    def weight_path(self, log_prices, times):
-        lx = np.asarray(log_prices)
-        return np.broadcast_to(self.w, lx.shape).copy()
-
-
-class MirrorRule(WeightRule):
-    """p times a base rule plus (1 - p) times an anchor rule."""
-
-    def __init__(self, base: WeightRule, p: float, anchor: WeightRule | None = None):
-        self.base = base
-        self.anchor = anchor if anchor is not None else MarketRule()
-        self.p = float(p)
-        self.all_long = bool(
-            0 <= p <= 1 and self.base.all_long and self.anchor.all_long
-        )
-        self.name = f"mirror_p{p:g}_{base.name}"
-
-    def weight_path(self, log_prices, times):
-        return mirror_weights(
-            self.base.weight_path(log_prices, times),
-            self.anchor.weight_path(log_prices, times),
-            self.p,
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -293,42 +209,3 @@ def relative_log_value(
         axis=-1,
     )
 
-
-def strategy_value(
-    phi,
-    log_prices: np.ndarray,
-    times: np.ndarray,
-    r: float = 0.0,
-    z0: float = 1.0,
-):
-    """Wealth of a dollar-holdings trading strategy.
-
-    ``phi`` is either an array of dollar positions per stock, shape
-    (K+1, n) (the row at the horizon is unused), or a callable
-    ``phi(k, t, z, prices_row) -> row`` evaluated at left endpoints.  The
-    residual z - sum(phi) earns the money-market rate.  Wealth may go
-    negative; the caller decides whether that disqualifies the strategy.
-    """
-    lx = np.asarray(log_prices, dtype=float)
-    if lx.ndim != 2:
-        raise InvalidArgumentError("strategy_value works on a single path")
-    t = np.asarray(times, dtype=float)
-    k_steps = lx.shape[0] - 1
-    prices = np.exp(lx)
-    gross = np.exp(np.diff(lx, axis=0))
-    bank = np.exp(r * np.diff(t))
-    z = np.empty(k_steps + 1)
-    z[0] = z0
-    if callable(phi):
-        for k in range(k_steps):
-            row = np.asarray(phi(k, t[k], z[k], prices[k]), dtype=float)
-            z[k + 1] = z[k] * bank[k] + row @ (gross[k] - bank[k])
-        return z
-    phi = np.asarray(phi, dtype=float)
-    if phi.shape != lx.shape:
-        raise InvalidArgumentError("phi must match the price path shape")
-    gains = np.sum(phi[:-1] * (gross - bank[:, None]), axis=1)
-    # z_k = B_k (z0 + sum_{j<k} gains_j / B_{j+1}) with B_k the bank account
-    disc = np.exp(r * t)
-    acc = np.concatenate([[0.0], np.cumsum(gains / disc[1:])])
-    return disc * (z0 + acc)

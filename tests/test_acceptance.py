@@ -111,8 +111,9 @@ def test_criterion_02_master_decomposition():
     np.fill_diagonal(sigma, (0.2, 0.25, 0.3, 0.35, 0.4))
     model = markets.constant_market(b=(0.05, 0.02, 0.08, 0.0, 0.04), sigma=sigma,
                                     x0=(2.0, 1.0, 1.5, 0.8, 1.2))
+    shared = paths.generate_factors(paths.make_grid(1.0, 2_000), 5, 1_024, master_seed=202)
     order = arbitrage.master_formula_order_study(
-        model, p=0.5, horizon=1.0, steps_fine=2_000, n_paths=1_024, master_seed=202)
+        model, shared, p=0.5, refine=2, batch_size=256, workers=1)
     grid = paths.make_grid(1.0, 10_000)
     f = paths.generate_factors(grid, 5, 1_024, master_seed=202)
     res = arbitrage.master_formula_check(model, f, p=0.5, batch_size=128)
@@ -134,19 +135,14 @@ def test_criterion_03_diversity_holds():
     fine = paths.generate_factors(grid, 3, 500, master_seed=211)
 
     def census(factors):
-        states = 0
-        breaches = 0
-        diverse_paths = 0
-
-        def consume(lo, hi, lx, aux):
-            nonlocal states, breaches, diverse_paths
+        def per_batch(lo, hi, lx, aux):
             top = np.max(portfolios.market_weights(lx), axis=-1)
-            states += top.size
-            breaches += int(np.sum(top >= ceiling))
-            diverse_paths += int(np.sum(np.max(top, axis=1) < ceiling))
+            return {"breaches": np.sum(top >= ceiling, axis=1),
+                    "diverse": np.max(top, axis=1) < ceiling}
 
-        markets.run_batches(model, factors, consume, batch_size=100)
-        return breaches / states, diverse_paths / factors.n_paths
+        cols = markets.run_batches(model, factors, per_batch, batch_size=100)
+        states = factors.n_paths * (factors.grid.n_steps + 1)
+        return cols["breaches"].sum() / states, cols["diverse"].mean()
 
     breach_fine, _ = census(fine)
     breach_coarse, frac = census(fine.coarsened(2))
@@ -219,15 +215,12 @@ def test_criterion_06_stationary_top_weight():
 
     tail_grid = paths.make_grid(2.0, 200)
     tf = paths.generate_factors(tail_grid, 2, 10_000, master_seed=607)
-    hits = 0
 
-    def consume(lo, hi, lx, aux):
-        nonlocal hits
+    def per_batch(lo, hi, lx, aux):
         w = portfolios.market_weights(lx[:, -1, :])
-        hits += int(np.sum(np.max(w, axis=-1) >= 0.8))
+        return {"hit": np.max(w, axis=-1) >= 0.8}
 
-    markets.run_batches(model, tf, consume, batch_size=2_000)
-    frac = hits / tf.n_paths
+    frac = float(markets.run_batches(model, tf, per_batch, batch_size=2_000)["hit"].mean())
     se = math.sqrt(frac * (1.0 - frac) / tf.n_paths)
     ok = abs(avg - TOP_WEIGHT_MEAN) <= 0.02 and abs(frac - TOP_WEIGHT_TAIL) <= 3.0 * se
     assert _record(
@@ -337,13 +330,18 @@ def test_criterion_10_parity_failure_with_control():
     control = markets.constant_market(b=0.5 * np.diag(sigma @ sigma.T), sigma=sigma,
                                       x0=(1.0, 1.0, 1.0), r=0.0)
     ctl = hedging.parity_control_study(control, f, 0, 1)
+    # deflated wealth is a supermartingale: neither asset ends above its start
+    supermart = (wit["h1"] <= 1.0 + 3.0 * wit["h1_se"]
+                 and wit["h2"] <= 1.0 + 3.0 * wit["h2_se"])
     ok = (wit["initial_difference"] == 0.0
           and wit["gap"] > 3.0 * wit["gap_se"]
-          and abs(ctl["t_stat"]) <= 3.0)
+          and abs(ctl["t_stat"]) <= 3.0
+          and supermart)
     assert _record(
         10, "parity breaks at the witness, holds in the control", ok,
         f"witness gap {wit['gap']:.4f} (t {wit['t_stat']:.1f}, need > 3), "
-        f"control t {ctl['t_stat']:+.2f} (need within 3)")
+        f"control t {ctl['t_stat']:+.2f} (need within 3), deflated values "
+        f"{wit['h1']:.3f}/{wit['h2']:.1e} (need <= 1 + 3 se)")
 
 
 # ---------------------------------------------------------------------------
@@ -354,11 +352,15 @@ def test_criterion_11_instantaneous_dominance():
     model = markets.instantaneous_dominance_market(alpha=0.25)
     res = arbitrage.dominance_refinement_study(model, horizon=1.0, steps_fine=8_192,
                                                n_paths=1_000, master_seed=67)
-    ok = res["fraction_fine"] >= 0.99 and res["fraction_fine"] >= res["fraction_coarse"]
+    ok = (res["fraction_fine"] >= 0.99
+          and res["fraction_fine"] >= res["fraction_coarse"]
+          and res["breaches_fine"] <= res["breaches_coarse"])
     assert _record(
         11, "strategy leads at every positive grid time", ok,
         f"fraction {res['fraction_fine']:.3f} (need >= 0.99), "
-        f"coarse {res['fraction_coarse']:.3f}, worst lead {res['worst_lead_fine']:.2e}")
+        f"coarse {res['fraction_coarse']:.3f}, worst lead {res['worst_lead_fine']:.2e}, "
+        f"confinement breaches {res['breaches_fine']} (coarse {res['breaches_coarse']}, "
+        f"need no more)")
 
 
 # ---------------------------------------------------------------------------

@@ -88,11 +88,14 @@ def test_master_decomposition_tracks_simulated_paths():
 def test_master_decomposition_first_order_in_the_step():
     model = markets.constant_market(b=[0.04, 0.0], sigma=0.3 * np.eye(2) + 0.05,
                                     x0=[1.0, 1.2])
-    out = arbitrage.master_formula_order_study(model, 0.5, horizon=1.0,
-                                               steps_fine=400, n_paths=256,
-                                               master_seed=71)
-    assert out["dt_coarse"] == pytest.approx(2.0 * out["dt_fine"], rel=1e-12)
-    assert out["residual_fine"] < out["residual_coarse"]
+    fine = paths.generate_factors(paths.make_grid(1.0, 400), 2, 256, master_seed=71)
+    out = arbitrage.master_formula_order_study(model, fine, 0.5, refine=2,
+                                               batch_size=256, workers=1)
+    residual_fine = out["fine"]["mean_abs_residual"]
+    residual_coarse = out["coarse"]["mean_abs_residual"]
+    assert out["fine"]["lhs"].shape == out["coarse"]["lhs"].shape == (256,)
+    assert residual_fine < residual_coarse
+    assert out["ratio"] == residual_coarse / residual_fine
     assert out["order"] >= 0.7
 
 
@@ -118,9 +121,11 @@ def test_outperformance_beyond_threshold():
 
 def test_outperformance_slack_grows_with_horizon():
     model = _diverse_pair(delta=0.3)
-    slacks = arbitrage.slack_monotonicity_probe(model, 0.5, (10.0, 12.0, 14.0),
-                                                n_steps_per_unit=100, n_paths=32,
-                                                master_seed=5)
+    slacks = []
+    for t in (10.0, 12.0, 14.0):
+        grid = paths.make_grid(t, int(round(100 * t)))
+        factors = paths.generate_factors(grid, model.m, 32, master_seed=5)
+        slacks.append(arbitrage.outperformance_study(model, factors, 0.5)["min_slack"])
     assert len(slacks) == 3
     assert slacks == sorted(slacks)
     assert slacks[0] > 0.0
@@ -200,6 +205,7 @@ def test_dominance_survives_refinement():
     assert out["fraction_fine"] >= out["fraction_coarse"]
     assert out["fraction_fine"] == 1.0
     assert out["worst_lead_fine"] > 0.0
+    assert 0 <= out["breaches_fine"] <= out["breaches_coarse"]
 
 
 def test_dominance_study_rejects_other_models():

@@ -92,8 +92,7 @@ def test_barrier_drift_holds_for_repelled_market():
                                    x0=[1.0, 1.0, 1.0])
     grid = paths.make_grid(1.0, 4)
     lx = np.tile(np.log([0.6, 0.25, 0.15]), (5, 1))
-    path = markets.PricePath(grid, lx, {})
-    out = diversity.check_barrier_drift_condition(model, path, delta=0.25)
+    out = diversity.check_barrier_drift_condition(model, lx, grid.times, delta=0.25)
     assert out["checked"] == 5
     assert out["violations"] == 0
     assert out["worst_slack"] >= -1e-12
@@ -106,8 +105,7 @@ def test_barrier_drift_fails_for_driftless_market():
                                     x0=[1.0, 1.0])
     grid = paths.make_grid(1.0, 1)
     lx = np.tile(np.log([0.5, 0.5]), (2, 1))
-    path = markets.PricePath(grid, lx, {})
-    out = diversity.check_barrier_drift_condition(model, path, delta=0.25)
+    out = diversity.check_barrier_drift_condition(model, lx, grid.times, delta=0.25)
     assert out["checked"] == 2
     assert out["violations"] == 2
     # required repulsion at an even split: 1 / (0.25 log 1.5), less the half
@@ -121,12 +119,12 @@ def test_barrier_drift_skips_unconcentrated_states():
     grid = paths.make_grid(1.0, 1)
     # top weight below one half: outside the zone the certificate covers
     lx = np.tile(np.log([0.4, 0.35, 0.25]), (2, 1))
-    path = markets.PricePath(grid, lx, {})
-    out = diversity.check_barrier_drift_condition(model, path, delta=0.25)
+    out = diversity.check_barrier_drift_condition(model, lx, grid.times, delta=0.25)
     assert out["checked"] == 0
     # past the barrier itself is out of zone as well
-    past = markets.PricePath(grid, np.tile(np.log([0.8, 0.1, 0.1]), (2, 1)), {})
-    assert diversity.check_barrier_drift_condition(model, past, delta=0.25)["checked"] == 0
+    past = np.tile(np.log([0.8, 0.1, 0.1]), (2, 1))
+    assert diversity.check_barrier_drift_condition(
+        model, past, grid.times, delta=0.25)["checked"] == 0
 
 
 def test_stationary_top_weight_constant_matches_quadrature():

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from spt_lab import hedging, markets, paths, portfolios
+from spt_lab import hedging, markets, paths
 from spt_lab.errors import InvalidArgumentError
 from helpers import ZeroFactors
 
@@ -64,18 +64,6 @@ def test_deflated_stock_gap_is_exact_for_constant_coefficients():
     assert out["expected"] == pytest.approx(0.2)
     assert abs(out["gap"] - 0.2) < 3.0 * out["gap_se"]
     assert abs(out["t_stat"]) < 3.0
-
-
-def test_deflated_wealth_of_shipped_rules_never_drifts_up():
-    model = markets.constant_market(b=[0.12, 0.02], sigma=np.diag([0.3, 0.25]),
-                                    x0=[1.0, 2.0], r=0.01)
-    grid = paths.make_grid(1.0, 32)
-    f = paths.generate_factors(grid, 2, 10_000, master_seed=4)
-    for rule in (portfolios.MarketRule(), portfolios.SingleStockRule(0),
-                 portfolios.DiversityWeightedRule(0.5)):
-        out = hedging.deflated_wealth_check(model, f, rule)
-        assert out["initial"] == 1.0
-        assert out["excess_t"] <= 3.0
 
 
 # ---------------------------------------------------------------------------

@@ -93,14 +93,18 @@ def test_terminal_mean_matches_rate_of_return():
     model = markets.constant_market(b=[0.07], sigma=[[0.2]], x0=[1.0])
     grid = paths.make_grid(1.0, 4)
     f = paths.generate_factors(grid, 1, 100_000, master_seed=17)
-    xt = np.empty(100_000)
 
-    def consume(lo, hi, lx, aux):
-        xt[lo:hi] = np.exp(lx[:, -1, 0])
+    def per_batch(lo, hi, lx, aux):
+        return {"xt": np.exp(lx[:, -1, 0])}
 
-    markets.run_batches(model, f, consume, batch_size=20_000)
+    xt = markets.run_batches(model, f, per_batch, batch_size=20_000)["xt"]
     se = xt.std(ddof=1) / np.sqrt(xt.size)
     assert abs(xt.mean() - np.exp(0.07)) < 3.0 * se
+
+
+def _keep_batch(lo, hi, lx, aux):
+    return {"path": np.arange(lo, hi), "log_prices": lx, "terminal": lx[:, -1],
+            **aux}
 
 
 def test_run_batches_matches_per_path_integration():
@@ -108,32 +112,59 @@ def test_run_batches_matches_per_path_integration():
                                     x0=[1.0, 2.0])
     grid = paths.make_grid(1.0, 8)
     f = paths.generate_factors(grid, 2, 7, master_seed=11)
-    got = np.empty((7, 9, 2))
-
-    def consume(lo, hi, lx, aux):
-        got[lo:hi] = lx
-
-    markets.run_batches(model, f, consume, batch_size=3)
+    got = markets.run_batches(model, f, _keep_batch, batch_size=3)
+    np.testing.assert_array_equal(got["path"], np.arange(7))
     single = np.stack([markets.integrate_log_euler(model, f, i).log_prices
                        for i in range(7)])
-    np.testing.assert_array_equal(got, single)
+    np.testing.assert_array_equal(got["log_prices"], single)
+    np.testing.assert_array_equal(got["terminal"], single[:, -1])
 
 
 def test_worker_count_does_not_change_results():
     model = markets.diverse_market(np.eye(3) * 0.5, g=0.0, delta=0.3,
                                    x0=[1.0, 1.0, 1.0])
     grid = paths.make_grid(1.0, 32)
-    f = paths.generate_factors(grid, 3, 16, master_seed=4)
-    runs = []
-    for workers in (1, 4):
-        out = np.empty((16, 33, 3))
+    f = paths.generate_factors(grid, 3, 18, master_seed=4)
+    runs = [markets.run_batches(model, f, _keep_batch, batch_size=4, workers=w)
+            for w in (1, 4)]
+    assert runs[0].keys() == runs[1].keys()
+    for key in runs[0]:
+        np.testing.assert_array_equal(runs[0][key], runs[1][key], err_msg=key)
 
-        def consume(lo, hi, lx, aux):
-            out[lo:hi] = lx
 
-        markets.run_batches(model, f, consume, batch_size=4, workers=workers)
-        runs.append(out.copy())
-    np.testing.assert_array_equal(runs[0], runs[1])
+def test_run_batches_stacks_per_batch_partials():
+    model = markets.constant_market(b=[0.02, 0.05], sigma=np.eye(2) * 0.3,
+                                    x0=[1.0, 2.0])
+    f = paths.generate_factors(paths.make_grid(1.0, 8), 2, 7, master_seed=11)
+
+    def per_batch(lo, hi, lx, aux):
+        return {"sum": lx.sum(axis=0)[None], "count": [hi - lo]}
+
+    got = markets.run_batches(model, f, per_batch, batch_size=3)
+    np.testing.assert_array_equal(got["count"], [3, 3, 1])
+    assert got["sum"].shape == (3, 9, 2)
+    lx, _ = markets.simulate_block(model, f, 0, 7)
+    np.testing.assert_allclose(got["sum"].sum(axis=0), lx.sum(axis=0),
+                               rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_run_batches_copies_every_returned_view(workers):
+    """A returned view must not keep its batch's log prices alive."""
+    model = markets.diverse_market(np.eye(3) * 0.5, g=0.0, delta=0.3,
+                                   x0=[1.0, 1.0, 1.0])
+    f = paths.generate_factors(paths.make_grid(1.0, 16), 3, 10, master_seed=6)
+    seen = []
+
+    def per_batch(lo, hi, lx, aux):
+        seen.append(lx)
+        return _keep_batch(lo, hi, lx, aux)
+
+    got = markets.run_batches(model, f, per_batch, batch_size=4, workers=workers)
+    assert len(seen) == 3
+    for key, col in got.items():
+        for lx in seen:
+            assert not np.shares_memory(col, lx), key
 
 
 def test_factor_count_mismatch_rejected():
@@ -173,14 +204,13 @@ def test_diverse_paths_respect_barrier():
                                    x0=[1.0, 1.0, 1.0])
     grid = paths.make_grid(1.0, 1_000)
     f = paths.generate_factors(grid, 3, 24, master_seed=2)
-    top = np.empty(24)
 
-    def consume(lo, hi, lx, aux):
+    def per_batch(lo, hi, lx, aux):
         mx = lx.max(axis=2, keepdims=True)
         e = np.exp(lx - mx)
-        top[lo:hi] = (e.max(axis=2) / e.sum(axis=2)).max(axis=1)
+        return {"top": (e.max(axis=2) / e.sum(axis=2)).max(axis=1)}
 
-    markets.run_batches(model, f, consume, batch_size=8)
+    top = markets.run_batches(model, f, per_batch, batch_size=8)["top"]
     assert top.max() < 0.70 + 0.02   # barrier plus one-step slack
 
 
@@ -204,15 +234,13 @@ def test_spread_stationary_moments_after_switch():
     model = markets.ou_two_stock(alpha=0.5, switch_time=1.0)
     grid = paths.make_grid(3.0, 192)
     f = paths.generate_factors(grid, 2, 4_000, master_seed=15)
-    z2 = np.empty(4_000)
-    z3 = np.empty(4_000)
 
-    def consume(lo, hi, lx, aux):
+    def per_batch(lo, hi, lx, aux):
         z = lx[..., 1] - lx[..., 0]
-        z2[lo:hi] = z[:, 128]
-        z3[lo:hi] = z[:, 192]
+        return {"z2": z[:, 128], "z3": z[:, 192]}
 
-    markets.run_batches(model, f, consume, batch_size=1_000)
+    cols = markets.run_batches(model, f, per_batch, batch_size=1_000)
+    z2, z3 = cols["z2"], cols["z3"]
     assert abs(z3.mean()) < 0.06
     assert abs(z3.var() - 1.0) < 0.10
     # lag-one autocovariance of the stationary spread: exp(-alpha)

@@ -206,7 +206,8 @@ def test_market_rule_wealth_tracks_total_cap():
 def test_single_stock_wealth_is_exact():
     _, grid, path = _gbm_path(seed=3)
     lx = path.log_prices
-    w = portfolios.SingleStockRule(1).weight_path(lx, grid.times)
+    w = np.zeros(lx.shape)
+    w[:, 1] = 1.0
     z = portfolios.value_from_weights(w, lx, grid.times, z0=3.0)
     np.testing.assert_allclose(z, 3.0 * np.exp(lx[:, 1] - lx[0, 1]), rtol=1e-12)
 
@@ -245,59 +246,3 @@ def test_gross_and_relative_schemes_agree_for_long_rules():
                                        a=model.vol.a)
     assert abs(np.log(zg[-1]) - np.log(zr[-1])) < 0.02
 
-
-def test_strategy_all_in_bank():
-    _, grid, path = _gbm_path(seed=7)
-    z = portfolios.strategy_value(np.zeros(path.log_prices.shape),
-                                  path.log_prices, grid.times, r=0.05, z0=2.0)
-    np.testing.assert_allclose(z, 2.0 * np.exp(0.05 * grid.times), rtol=1e-12)
-
-
-def test_strategy_buy_and_hold_one_share():
-    _, grid, path = _gbm_path(seed=8)
-    x1 = np.exp(path.log_prices[:, 0])
-    phi = np.zeros(path.log_prices.shape)
-    phi[:, 0] = x1
-    z = portfolios.strategy_value(phi, path.log_prices, grid.times, z0=5.0)
-    np.testing.assert_allclose(z, 5.0 + x1 - x1[0], rtol=0, atol=1e-10)
-
-
-def test_callable_strategy_reproduces_weight_rule():
-    _, grid, path = _gbm_path(seed=9)
-    lx = path.log_prices
-    w = portfolios.diversity_weighted(portfolios.market_weights(lx), 0.5)
-
-    def phi(k, t, z, prices_row):
-        return w[k] * z
-
-    z = portfolios.strategy_value(phi, lx, grid.times)
-    zg = portfolios.value_from_weights(w, lx, grid.times, scheme="gross")
-    np.testing.assert_allclose(z, zg, rtol=1e-11)
-
-
-def test_strategy_validation():
-    _, grid, path = _gbm_path(seed=10)
-    with pytest.raises(InvalidArgumentError):
-        portfolios.strategy_value(np.zeros((3, 2)), path.log_prices, grid.times)
-    batch = np.stack([path.log_prices] * 2)
-    with pytest.raises(InvalidArgumentError):
-        portfolios.strategy_value(np.zeros(batch.shape), batch, grid.times)
-
-
-def test_rule_objects():
-    _, grid, path = _gbm_path(seed=11)
-    lx = path.log_prices
-    np.testing.assert_array_equal(portfolios.MarketRule().weight_path(lx, grid.times),
-                                  portfolios.market_weights(lx))
-    rule = portfolios.MirrorRule(portfolios.SingleStockRule(0), 2.0)
-    assert not rule.all_long
-    np.testing.assert_array_equal(
-        rule.weight_path(lx, grid.times),
-        portfolios.mirror_weights(
-            portfolios.SingleStockRule(0).weight_path(lx, grid.times),
-            portfolios.market_weights(lx), 2.0))
-    assert portfolios.MirrorRule(portfolios.MarketRule(), 0.5).all_long
-    with pytest.raises(InvalidArgumentError):
-        portfolios.ConstantWeightsRule([0.6, 0.6])
-    with pytest.raises(InvalidArgumentError):
-        portfolios.DiversityWeightedRule(1.5)
