@@ -34,7 +34,6 @@ __all__ = [
     "mirror_study",
     "mirror_identity_order_study",
     "dominance_study",
-    "dominance_refinement_study",
 ]
 
 
@@ -458,29 +457,4 @@ def dominance_study(
         "exit_index": cols["exit_index"],
         "confinement_breaches": int(cols["breaches"].sum()),
         "capped_steps": int(cols["capped"].sum()),
-    }
-
-
-def dominance_refinement_study(
-    model,
-    horizon: float,
-    steps_fine: int,
-    n_paths: int,
-    master_seed: int,
-    t_min: float = 1e-8,
-    refine: int = 2,
-) -> dict:
-    """Dominance fractions and confinement breaches on a fine early grid and
-    its pairwise coarsening."""
-    grid = _paths.geometric_grid(horizon, steps_fine, t_min)
-    fine = _paths.generate_factors(grid, model.m, n_paths, master_seed)
-    res_fine = dominance_study(model, fine)
-    res_coarse = dominance_study(model, fine.coarsened(refine))
-    return {
-        "fraction_fine": res_fine["fraction"],
-        "fraction_coarse": res_coarse["fraction"],
-        "worst_lead_fine": res_fine["worst_lead"],
-        "worst_lead_coarse": res_coarse["worst_lead"],
-        "breaches_fine": res_fine["confinement_breaches"],
-        "breaches_coarse": res_coarse["confinement_breaches"],
     }

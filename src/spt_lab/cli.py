@@ -523,9 +523,8 @@ def _run_diversity_report(cfg):
     barrier = model.kind == "diverse"
 
     def per_batch(lo, hi, lx, aux):
-        reps = [_diversity.check_diversity(w, times, delta, tail_fraction)
-                for w in _portfolios.market_weights(lx)]
-        out = {key: [getattr(rep, key) for rep in reps] for key in _DIVERSITY_COLUMNS}
+        out = _diversity.check_diversity(
+            _portfolios.market_weights(lx), times, delta, tail_fraction)
         if barrier:
             drift = _diversity.check_barrier_drift_condition(
                 model, lx, times, model.params["delta"], aux)
@@ -705,24 +704,21 @@ def _run_master_formula(cfg):
 def _run_ranked_decomposition(cfg):
     model = cfg.model
     factors = _factors(cfg)
-    n = model.n
-    rel_named = np.empty(cfg.n_paths)
-    rel_model = np.empty(cfg.n_paths)
-    lam_term = np.empty((cfg.n_paths, n - 1))
-    series = None
-    for i in range(cfg.n_paths):
-        pp = _markets.integrate_log_euler(model, factors, i)
-        res = _ranks.ranked_decomposition(model, pp, factors.block(i, i + 1)[0])
-        rel_named[i] = res["relative_named"]
-        rel_model[i] = res["relative_model"]
-        lam_term[i] = res["local_times"][-1]
-        if i == 0 and cfg.series:
-            ranked, _ = _ranks.ranked_weight_path(pp.weights)
-            series = {
-                "t": cfg.grid.times,
-                **_numbered("ranked_w", ranked),
-                **_numbered("gap_local_time", res["local_times"]),
-            }
+    times = cfg.grid.times
+
+    def per_batch(lo, hi, lx, aux):
+        dv = _markets._vol_increments(model, factors.block(lo, hi))
+        res = _ranks.ranked_decomposition(model, lx, dv, times, aux)
+        return {
+            "relative_named": res["relative_named"],
+            "relative_model": res["relative_model"],
+            "lam_term": res["local_times"][:, -1],
+        }
+
+    cols = _markets.run_batches(model, factors, per_batch,
+                                cfg.batch_size or 256, cfg.workers)
+    rel_named, rel_model, lam_term = (
+        cols[key] for key in ("relative_named", "relative_model", "lam_term"))
     metrics = {
         "max_relative_named": float(rel_named.max()),
         "max_relative_model": float(rel_model.max()),
@@ -735,8 +731,13 @@ def _run_ranked_decomposition(cfg):
         "relative_model": rel_model,
         **_numbered("gap_local_time", lam_term),
     }}
-    if series is not None:
-        tables["series"] = series
+    if cfg.series:
+        w = _portfolios.market_weights(_markets.simulate_block(model, factors, 0, 1)[0])
+        tables["series"] = {
+            "t": times,
+            **_numbered("ranked_w", _ranks.ranked_weight_path(w)[0][0]),
+            **_numbered("gap_local_time", _ranks.adjacent_gap_local_times(w)[0]),
+        }
     return metrics, {}, [], tables
 
 
@@ -898,8 +899,10 @@ def _run_parity_gap(cfg):
 def _run_instantaneous_dominance(cfg):
     model = cfg.model
     factors = _factors(cfg)
-    res = _arbitrage.dominance_study(
-        model, factors, batch_size=cfg.batch_size or 512, workers=cfg.workers)
+    res, coarse = (
+        _arbitrage.dominance_study(model, f, batch_size=cfg.batch_size or 512,
+                                   workers=cfg.workers)
+        for f in (factors, factors.coarsened(2)))
     metrics = {
         "fraction": res["fraction"],
         "worst_lead": res["worst_lead"],
@@ -913,6 +916,9 @@ def _run_instantaneous_dominance(cfg):
         ("second stock leads at every grid time until the handback",
          res["fraction"] >= cfg.extras["min_fraction"],
          f"fraction={res['fraction']:g} floor={cfg.extras['min_fraction']:g}"),
+        ("confinement breaches do not grow under refinement",
+         res["confinement_breaches"] <= coarse["confinement_breaches"],
+         f"fine={res['confinement_breaches']} coarse={coarse['confinement_breaches']}"),
     ]
     per_path = {
         "path_id": np.arange(cfg.n_paths),

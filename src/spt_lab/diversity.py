@@ -8,8 +8,6 @@ path; the checks here measure the largest margin a given path certifies.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import InvalidArgumentError
@@ -18,8 +16,6 @@ from . import portfolios as _portfolios
 
 __all__ = [
     "diversity_measure",
-    "diversity_measure_bounds",
-    "DiversityReport",
     "check_diversity",
     "check_barrier_drift_condition",
 ]
@@ -39,84 +35,55 @@ def diversity_measure(x: np.ndarray, p: float) -> np.ndarray:
     return np.sum(x**p, axis=-1) ** (1.0 / p)
 
 
-def diversity_measure_bounds(n: int, p: float):
-    """Range of the measure on the weight simplex: [1, n ** ((1-p)/p)]."""
-    if n < 1:
-        raise InvalidArgumentError("need at least one stock")
-    if not 0 < p < 1:
-        raise InvalidArgumentError("p must lie in (0, 1)")
-    return 1.0, float(n) ** ((1.0 - p) / p)
-
-
-@dataclass(frozen=True)
-class DiversityReport:
-    """Margins certified by one weight path."""
-
-    max_top: float            # sup of the largest weight
-    avg_top: float            # time average of the largest weight
-    delta_max: float          # 1 - max_top; diverse margin (uniform)
-    delta_avg: float          # 1 - avg_top; weakly diverse margin
-    tail_top: float           # worst trailing-window average of the top weight
-    tail_window: float        # window length used for the trailing average
-    is_diverse: bool
-    is_weakly_diverse: bool
-
-    def line(self) -> str:
-        return (
-            f"max_top={self.max_top:.6f} avg_top={self.avg_top:.6f} "
-            f"delta_max={self.delta_max:.6f} delta_avg={self.delta_avg:.6f} "
-            f"tail_top={self.tail_top:.6f}"
-        )
-
-
 def check_diversity(
-    weight_path: np.ndarray,
+    weights: np.ndarray,
     times: np.ndarray,
     delta: float,
-    tail_fraction: float = 0.25,
-) -> DiversityReport:
-    """Measure the diversity margins of one weight path.
+    tail_fraction: float,
+) -> dict:
+    """Measure the diversity margins of a batch of weight paths (B, K+1, n).
 
-    The trailing-window statistic takes the worst average of the top weight
-    over windows of length ``tail_fraction`` times the horizon anchored at
-    the right end of every grid point from the end of the first window on;
-    it proxies the long-run behaviour on a finite horizon.
+    Returns per-path columns (B,): the sup and the time average of the top
+    weight (``max_top``, ``avg_top``), the margins ``delta_max = 1 - max_top``
+    and ``delta_avg = 1 - avg_top``, the worst trailing-window average
+    ``tail_top``, and the verdicts ``is_diverse`` (max_top < 1 - delta) and
+    ``is_weakly_diverse`` (avg_top < 1 - delta).  The trailing windows have
+    length ``tail_fraction`` times the horizon and end at every grid point
+    from the end of the first window on; their worst average proxies the
+    long-run behaviour on a finite horizon.
     """
-    w = np.asarray(weight_path, dtype=float)
+    w = np.asarray(weights, dtype=float)
     t = np.asarray(times, dtype=float)
-    if w.ndim != 2 or w.shape[0] != t.shape[0]:
-        raise InvalidArgumentError("weight path and times disagree")
+    if w.ndim != 3 or w.shape[1] != t.shape[0]:
+        raise InvalidArgumentError("expected weight paths (B, K+1, n) on the grid of times")
     if not 0 < delta < 1:
         raise InvalidArgumentError("delta must lie in (0, 1)")
-    top = w.max(axis=1)
+    top = w.max(axis=-1)
     horizon = t[-1] - t[0]
     if horizon <= 0:
         raise InvalidArgumentError("need a positive horizon")
-    avg = float(np.trapezoid(top, t) / horizon)
-    mx = float(top.max())
+    avg = np.trapezoid(top, t, axis=-1) / horizon
+    mx = top.max(axis=-1)
 
     window = tail_fraction * horizon
     # cumulative trapezoid of the top weight, then window averages
-    cum = np.concatenate([[0.0], np.cumsum(0.5 * (top[1:] + top[:-1]) * np.diff(t))])
+    cum = np.zeros(top.shape)
+    np.cumsum(0.5 * (top[:, 1:] + top[:, :-1]) * np.diff(t), axis=-1, out=cum[:, 1:])
     tail = avg
     start = np.searchsorted(t, t[0] + window)
     if start < len(t):
         ends = np.arange(start, len(t))
-        begins = np.searchsorted(t, t[ends] - window)
-        begins = np.minimum(begins, ends - 1)
-        spans = t[ends] - t[begins]
-        tail = float(np.max((cum[ends] - cum[begins]) / spans))
-
-    return DiversityReport(
-        max_top=mx,
-        avg_top=avg,
-        delta_max=1.0 - mx,
-        delta_avg=1.0 - avg,
-        tail_top=tail,
-        tail_window=window,
-        is_diverse=bool(mx < 1.0 - delta),
-        is_weakly_diverse=bool(avg < 1.0 - delta),
-    )
+        begins = np.minimum(np.searchsorted(t, t[ends] - window), ends - 1)
+        tail = np.max((cum[:, ends] - cum[:, begins]) / (t[ends] - t[begins]), axis=-1)
+    return {
+        "max_top": mx,
+        "avg_top": avg,
+        "tail_top": tail,
+        "delta_max": 1.0 - mx,
+        "delta_avg": 1.0 - avg,
+        "is_diverse": mx < 1.0 - delta,
+        "is_weakly_diverse": avg < 1.0 - delta,
+    }
 
 
 def check_barrier_drift_condition(model, log_prices, times, delta: float, aux=None) -> dict:
@@ -126,9 +93,9 @@ def check_barrier_drift_condition(model, log_prices, times, delta: float, aux=No
     defining (uncapped) growth rates must satisfy: every non-leader rate is
     nonnegative, the leader's is nonpositive, and the smallest non-leader
     rate exceeds the leader's by at least the barrier repulsion strength
-    minus half the ellipticity floor.  ``log_prices`` is one path (K+1, n)
-    or a batch (B, K+1, n); ``aux`` holds the integration records the
-    patched model needs.  Returns counts and the worst slack.
+    minus half the ellipticity floor.  ``log_prices`` is a batch
+    (B, K+1, n); ``aux`` holds the integration records the patched model
+    needs.  Returns counts and the worst slack.
     """
     gamma = _markets.growth_rates_along(model, log_prices, times, aux=aux)
     w = _portfolios.market_weights(log_prices)

@@ -19,18 +19,16 @@ import numpy as np
 
 from . import _kernels
 from .errors import IntegrationFailureError, InvalidArgumentError, InvalidModelError
-from .paths import FactorPaths, PathGrid
+from .paths import FactorPaths
 
 __all__ = [
     "Dispersion",
     "MarketModel",
-    "PricePath",
     "constant_market",
     "diverse_market",
     "ou_two_stock",
     "patched_weakly_diverse",
     "instantaneous_dominance_market",
-    "integrate_log_euler",
     "simulate_block",
     "run_batches",
     "growth_rates_along",
@@ -112,26 +110,6 @@ class MarketModel:
     @property
     def m(self) -> int:
         return self.vol.m
-
-
-@dataclass
-class PricePath:
-    """One simulated path: log prices on the grid plus integration records."""
-
-    grid: PathGrid
-    log_prices: np.ndarray  # (K+1, n)
-    aux: dict
-
-    @property
-    def prices(self) -> np.ndarray:
-        return np.exp(self.log_prices)
-
-    @property
-    def weights(self) -> np.ndarray:
-        lx = self.log_prices
-        mx = lx.max(axis=1, keepdims=True)
-        e = np.exp(lx - mx)
-        return e / e.sum(axis=1, keepdims=True)
 
 
 def _as_vector(v, n, name):
@@ -368,16 +346,6 @@ def simulate_block(model: MarketModel, factors: FactorPaths, lo: int, hi: int):
             step=int(k),
         )
     return logx, aux
-
-
-def integrate_log_euler(model: MarketModel, factors: FactorPaths, path_index: int) -> PricePath:
-    """Single-path convenience wrapper around ``simulate_block``."""
-    logx, aux = simulate_block(model, factors, path_index, path_index + 1)
-    return PricePath(
-        grid=factors.grid,
-        log_prices=logx[0],
-        aux={k: v[0] for k, v in aux.items()},
-    )
 
 
 # batch size is fixed (not derived from worker count) so that the arithmetic

@@ -28,26 +28,10 @@ __all__ = [
     "relative_covariance",
     "relative_variance",
     "numeraire_invariance_residual",
-    "value_from_weights",
     "gross_log_value",
     "relative_log_value",
     "market_value",
 ]
-
-_SUM_TOL = 1e-9
-
-
-def _check_weights(w, allow_short=True):
-    w = np.asarray(w, dtype=float)
-    if not np.isfinite(w).all():
-        raise InvalidArgumentError("weights must be finite")
-    s = w.sum(axis=-1)
-    if np.max(np.abs(s - 1.0)) > _SUM_TOL:
-        raise InvalidArgumentError("weights must sum to 1")
-    if not allow_short and w.min() < -1e-12:
-        raise InvalidArgumentError("weights must be nonnegative")
-    return w
-
 
 def market_weights(log_prices: np.ndarray) -> np.ndarray:
     """Capitalization weights from log prices; stable under large spreads."""
@@ -131,45 +115,6 @@ def market_value(log_prices: np.ndarray, z0: float = None) -> np.ndarray:
     if z0 is None:
         return s.copy()
     return z0 * s / s[..., :1]
-
-
-def value_from_weights(
-    weights: np.ndarray,
-    log_prices: np.ndarray,
-    times: np.ndarray,
-    z0: float = 1.0,
-    a: np.ndarray | None = None,
-    scheme: str = "auto",
-) -> np.ndarray:
-    """Wealth path of a weight rule, single path or batch.
-
-    Parameters
-    ----------
-    weights, log_prices : (..., K+1, n)
-    times : (K+1,)
-    z0 : initial wealth.
-    a : covariance matrix; required by the relative scheme.
-    scheme : "auto" | "gross" | "relative"
-        "gross" compounds portfolio-weighted gross returns (all-long only),
-        "relative" integrates the log wealth ratio to the market.  "auto"
-        picks "gross" for nonnegative weight paths.
-    """
-    w = _check_weights(weights)
-    lx = np.asarray(log_prices, dtype=float)
-    if w.shape != lx.shape:
-        raise InvalidArgumentError("weights and log prices must share a shape")
-    if scheme == "auto":
-        scheme = "gross" if w.min() >= -1e-12 else "relative"
-    if scheme == "gross":
-        if w.min() < -1e-12:
-            raise InvalidArgumentError("gross-return scheme needs all-long weights")
-        return z0 * np.exp(gross_log_value(w, lx))
-    if scheme == "relative":
-        if a is None:
-            raise InvalidArgumentError("relative scheme needs the covariance matrix a")
-        lr = relative_log_value(w, lx, times, a)
-        return market_value(lx, z0) * np.exp(lr)
-    raise InvalidArgumentError(f"unknown scheme {scheme!r}")
 
 
 def gross_log_value(weights: np.ndarray, log_prices: np.ndarray) -> np.ndarray:

@@ -62,32 +62,28 @@ def estimate_local_time(path: np.ndarray) -> np.ndarray:
 def adjacent_gap_local_times(weight_path: np.ndarray) -> np.ndarray:
     """Local times of the log gaps between adjacent ranked weights.
 
-    Input (K+1, n); output (K+1, n-1), column k holding the accumulated
-    collision time between ranks k and k+1.  Each step follows the pair of
-    stock names that occupy the two ranks at the left endpoint.  Ranking
-    makes the left-endpoint gap nonnegative (ties included), so the Tanaka
-    increment from the positive side reduces to twice the overshoot below
-    zero: it is positive exactly when the pair swaps order by the right
-    endpoint.
+    Input (..., K+1, n); output (..., K+1, n-1), column k holding the
+    accumulated collision time between ranks k and k+1.  Each step follows
+    the pair of stock names that occupy the two ranks at the left endpoint.
+    Ranking makes the left-endpoint gap nonnegative (ties included), so the
+    Tanaka increment from the positive side reduces to twice the overshoot
+    below zero: it is positive exactly when the pair swaps order by the
+    right endpoint.
     """
     w = np.asarray(weight_path, dtype=float)
-    if w.ndim != 2:
-        raise InvalidArgumentError("expected one weight path, shape (K+1, n)")
-    lw = np.log(w)
-    order = rank_order(w)
-    hi = order[:-1, :-1]
-    lo = order[:-1, 1:]
-    s_next = np.take_along_axis(lw[1:], hi, axis=1) - np.take_along_axis(
-        lw[1:], lo, axis=1
+    lw_next = np.log(w[..., 1:, :])
+    order = rank_order(w)[..., :-1, :]
+    s_next = np.take_along_axis(lw_next, order[..., :-1], axis=-1) - np.take_along_axis(
+        lw_next, order[..., 1:], axis=-1
     )
     inc = 2.0 * np.maximum(0.0, -s_next)
-    out = np.zeros((w.shape[0], w.shape[1] - 1))
-    np.cumsum(inc, axis=0, out=out[1:])
+    out = np.zeros(w.shape[:-1] + (w.shape[-1] - 1,))
+    np.cumsum(inc, axis=-2, out=out[..., 1:, :])
     return out
 
 
-def ranked_decomposition(model, price_path, factor_increments=None):
-    """Check the evolution of each ranked log weight on one simulated path.
+def ranked_decomposition(model, log_prices, dv, times, aux):
+    """Check the evolution of each ranked log weight on a batch of paths.
 
     The log weight of rank k should move by the named increment of whichever
     stock holds rank k at the left endpoint, plus half the net local time
@@ -98,68 +94,61 @@ def ranked_decomposition(model, price_path, factor_increments=None):
       log-weight increments; it probes only the ranking and local-time
       bookkeeping, not the integrator.
     * ``residual_model`` replaces the measured named increments by the
-      model's defining drift and volatility acting on the factor
-      increments; it converges at the usual Euler rate.
+      model's defining drift and volatility acting on the volatility
+      increments ``dv`` (B, K, n); it converges at the usual Euler rate.
 
-    Returns a dict with the residual arrays (K+1, n), the gap local times
-    (K+1, n-1), and scalar relative sups normalized by the largest observed
-    terminal ranked log weight magnitude (floored at log 2, the two-stock
-    minimum spread scale).
+    ``log_prices`` is (B, K+1, n) and ``aux`` holds the integration records.
+    Returns the residuals (B, K+1, n), the gap local times (B, K+1, n-1),
+    the rank ``order``, and per path the relative sups ``relative_named``
+    and ``relative_model`` (B,), normalized by the largest terminal ranked
+    log weight magnitude (floored at log 2, the two-stock minimum spread
+    scale).
     """
-    grid = price_path.grid
-    lx = price_path.log_prices
-    if lx.ndim != 2:
-        raise InvalidArgumentError("expected one price path")
-    k_steps, n = lx.shape[0] - 1, lx.shape[1]
-    w = price_path.weights
-    lw = np.log(w)
+    lx = np.asarray(log_prices, dtype=float)
+    if lx.ndim != 3:
+        raise InvalidArgumentError("expected a batch of price paths, shape (B, K+1, n)")
+    w = _portfolios.market_weights(lx)
     ranked, order = ranked_weight_path(w)
     lam = adjacent_gap_local_times(w)
-    dlam = np.diff(lam, axis=0)
+    dlam = np.diff(lam, axis=-2)
 
     # half net local time per rank: gained at the lower boundary, ceded at
     # the upper one; the top rank has no boundary above, the bottom none below
-    pad = np.zeros((k_steps, 1))
-    below = np.concatenate([dlam, pad], axis=1)
-    above = np.concatenate([pad, dlam], axis=1)
+    pad = np.zeros(dlam.shape[:-1] + (1,))
+    below = np.concatenate([dlam, pad], axis=-1)
+    above = np.concatenate([pad, dlam], axis=-1)
     boundary = 0.5 * (below - above)
 
     ranked_log = np.log(ranked)
-    d_ranked = np.diff(ranked_log, axis=0)
+    d_ranked = np.diff(ranked_log, axis=-2)
+    hold = order[:, :-1]
+    scale = np.maximum(np.log(2.0), np.abs(ranked_log[:, -1]).max(-1))
 
-    hold = order[:-1]
-    named_inc = np.take_along_axis(np.diff(lw, axis=0), hold, axis=1)
-    res_named = np.zeros((k_steps + 1, n))
-    np.cumsum(d_ranked - named_inc - boundary, axis=0, out=res_named[1:])
+    def residual(named_inc):
+        res = np.zeros(lx.shape)
+        np.cumsum(d_ranked - named_inc - boundary, axis=-2, out=res[:, 1:])
+        return res, np.abs(res).max(axis=(-2, -1)) / scale
 
-    out = {
+    res_named, rel_named = residual(
+        np.take_along_axis(np.diff(np.log(w), axis=-2), hold, axis=-1))
+
+    gamma = _markets.growth_rates_along(model, lx, times, aux=aux)
+    mu_gamma = _portfolios.excess_growth(w, model.vol.a) + np.sum(w * gamma, axis=-1)
+    # named log-weight move from the model: (gamma_i - gamma_mu) dt
+    #   + (sigma dW)_i - mu' sigma dW, all at the left endpoint
+    dt = np.diff(np.asarray(times, dtype=float))[:, None]
+    g_named = np.take_along_axis(gamma[:, :-1], hold, axis=-1)
+    mkt_noise = np.sum(w[:, :-1] * dv, axis=-1, keepdims=True)
+    res_model, rel_model = residual(
+        (g_named - mu_gamma[:, :-1, None]) * dt
+        + np.take_along_axis(dv, hold, axis=-1)
+        - mkt_noise
+    )
+    return {
         "local_times": lam,
-        "residual_named": res_named,
         "order": order,
+        "residual_named": res_named,
+        "residual_model": res_model,
+        "relative_named": rel_named,
+        "relative_model": rel_model,
     }
-    scale = max(np.log(2.0), np.abs(ranked_log[-1]).max())
-    out["relative_named"] = float(np.abs(res_named).max() / scale)
-
-    if factor_increments is not None:
-        dv = _markets._vol_increments(model, factor_increments[None])[0]
-        a = model.vol.a
-        times = grid.times
-        gamma = _markets.growth_rates_along(
-            model, lx, times, aux=price_path.aux
-        )
-        mu_gamma = _portfolios.excess_growth(w, a) + np.sum(w * gamma, axis=-1)
-        # named log-weight move from the model: (gamma_i - gamma_mu) dt
-        #   + (sigma dW)_i - mu' sigma dW, all at the left endpoint
-        dt = grid.step_sizes[:, None]
-        g_named = np.take_along_axis(gamma[:-1], hold, axis=1)
-        mkt_noise = np.sum(w[:-1] * dv, axis=1, keepdims=True)
-        model_inc = (
-            (g_named - mu_gamma[:-1, None]) * dt
-            + np.take_along_axis(dv, hold, axis=1)
-            - mkt_noise
-        )
-        res_model = np.zeros((k_steps + 1, n))
-        np.cumsum(d_ranked - model_inc - boundary, axis=0, out=res_model[1:])
-        out["residual_model"] = res_model
-        out["relative_model"] = float(np.abs(res_model).max() / scale)
-    return out

@@ -209,7 +209,7 @@ def test_criterion_06_stationary_top_weight():
     model = markets.ou_two_stock(alpha=0.5)
     grid = paths.make_grid(2_000.0, 200_000)
     f = paths.generate_factors(grid, 2, 1, master_seed=606)
-    lx = markets.integrate_log_euler(model, f, 0).log_prices
+    lx = markets.simulate_block(model, f, 0, 1)[0][0]
     top = np.max(portfolios.market_weights(lx), axis=-1)
     avg = float(np.trapezoid(top, grid.times)) / grid.horizon
 
@@ -249,11 +249,10 @@ def test_criterion_07_local_time_and_ranked_decomposition():
     fine = paths.generate_factors(grid, 2, 16, master_seed=702)
     rel = []
     for factors in (fine, fine.coarsened(2)):
-        vals = [ranks.ranked_decomposition(
-                    model, markets.integrate_log_euler(model, factors, i),
-                    factor_increments=factors.path_increments(i))["relative_model"]
-                for i in range(16)]
-        rel.append(float(np.mean(vals)))
+        lx, aux = markets.simulate_block(model, factors, 0, 16)
+        dv = factors.block(0, 16) @ model.vol.sigma.T
+        res = ranks.ranked_decomposition(model, lx, dv, factors.grid.times, aux)
+        rel.append(float(np.mean(res["relative_model"])))
     ok = rel_err <= 0.02 and rel[0] <= 0.05 and rel[0] < rel[1]
     assert _record(
         7, "local-time oracle and ranked decomposition", ok,
@@ -350,17 +349,18 @@ def test_criterion_10_parity_failure_with_control():
 
 def test_criterion_11_instantaneous_dominance():
     model = markets.instantaneous_dominance_market(alpha=0.25)
-    res = arbitrage.dominance_refinement_study(model, horizon=1.0, steps_fine=8_192,
-                                               n_paths=1_000, master_seed=67)
-    ok = (res["fraction_fine"] >= 0.99
-          and res["fraction_fine"] >= res["fraction_coarse"]
-          and res["breaches_fine"] <= res["breaches_coarse"])
+    fine = paths.generate_factors(paths.geometric_grid(1.0, 8_192, 1e-8), model.m,
+                                  1_000, master_seed=67)
+    res, coarse = (arbitrage.dominance_study(model, f) for f in (fine, fine.coarsened(2)))
+    ok = (res["fraction"] >= 0.99
+          and res["fraction"] >= coarse["fraction"]
+          and res["confinement_breaches"] <= coarse["confinement_breaches"])
     assert _record(
         11, "strategy leads at every positive grid time", ok,
-        f"fraction {res['fraction_fine']:.3f} (need >= 0.99), "
-        f"coarse {res['fraction_coarse']:.3f}, worst lead {res['worst_lead_fine']:.2e}, "
-        f"confinement breaches {res['breaches_fine']} (coarse {res['breaches_coarse']}, "
-        f"need no more)")
+        f"fraction {res['fraction']:.3f} (need >= 0.99), "
+        f"coarse {coarse['fraction']:.3f}, worst lead {res['worst_lead']:.2e}, "
+        f"confinement breaches {res['confinement_breaches']} "
+        f"(coarse {coarse['confinement_breaches']}, need no more)")
 
 
 # ---------------------------------------------------------------------------

@@ -200,12 +200,13 @@ def test_dominance_holds_at_every_grid_time():
 
 def test_dominance_survives_refinement():
     model = markets.instantaneous_dominance_market(alpha=0.25)
-    out = arbitrage.dominance_refinement_study(model, 1.0, steps_fine=1_024,
-                                               n_paths=128, master_seed=67)
-    assert out["fraction_fine"] >= out["fraction_coarse"]
-    assert out["fraction_fine"] == 1.0
-    assert out["worst_lead_fine"] > 0.0
-    assert 0 <= out["breaches_fine"] <= out["breaches_coarse"]
+    fine = paths.generate_factors(paths.geometric_grid(1.0, 1_024, 1e-8), model.m,
+                                  128, master_seed=67)
+    res, coarse = (arbitrage.dominance_study(model, f) for f in (fine, fine.coarsened(2)))
+    assert res["fraction"] >= coarse["fraction"]
+    assert res["fraction"] == 1.0
+    assert res["worst_lead"] > 0.0
+    assert 0 <= res["confinement_breaches"] <= coarse["confinement_breaches"]
 
 
 def test_dominance_study_rejects_other_models():

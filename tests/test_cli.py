@@ -15,6 +15,9 @@ from spt_lab import cli
 from spt_lab.errors import ConfigError
 
 
+_PRESETS = Path(__file__).resolve().parents[1] / "configs"
+
+
 def _write(tmp_path, text, name="exp.ini"):
     p = tmp_path / name
     p.write_text(textwrap.dedent(text))
@@ -186,6 +189,28 @@ def test_run_simulate_writes_outputs(tmp_path):
     float(rows[1].split(",")[1])
 
 
+_RANKED_CFG = """\
+[experiment]
+name = ranked-decomposition
+
+[model]
+kind = ou-pair
+alpha = 0.5
+switch_time = 0.5
+"""
+
+_DIVERSITY_CFG = """\
+[experiment]
+name = diversity-report
+
+[model]
+kind = diverse
+sigma_scale = 1.0
+delta = 0.3
+x0 = 1.0, 1.0, 1.0
+"""
+
+
 def test_reruns_and_worker_counts_are_byte_identical(tmp_path):
     outs = []
     for i, extra in enumerate(("", "", "workers = 4")):
@@ -197,11 +222,44 @@ def test_reruns_and_worker_counts_are_byte_identical(tmp_path):
         blobs = [(o / fname).read_bytes() for o in outs]
         assert blobs[0] == blobs[1] == blobs[2], fname
 
+    # batched runners: default batches, three batches of at most 7 paths,
+    # and the same three batches on two worker threads
+    for name, head, fnames in (
+        ("ranked", _RANKED_CFG, ("metrics.csv", "per_path.csv", "series.csv")),
+        ("diversity", _DIVERSITY_CFG, ("metrics.csv", "per_path.csv")),
+    ):
+        outs = []
+        for i, extra in enumerate(("", "batch_size = 7", "batch_size = 7\nworkers = 2")):
+            out = tmp_path / f"{name}{i}"
+            cfg = _write(tmp_path, f"{head}\n[grid]\nhorizon = 1.0\nn_steps = 200\n\n"
+                                   f"[mc]\nn_paths = 20\nmaster_seed = 5\n{extra}\n\n"
+                                   f"[output]\ndirectory = {out}\nseries = true\n")
+            assert cli.main(["run", cfg]) == 0
+            outs.append(out)
+        for fname in fnames:
+            blobs = [(o / fname).read_bytes() for o in outs]
+            assert blobs[0] == blobs[1] == blobs[2], (name, fname)
 
-def test_exit_codes_for_bad_invocations(tmp_path):
+
+@pytest.mark.parametrize("preset", sorted(p.name for p in _PRESETS.glob("*.ini")))
+def test_preset_runs_at_small_size(tmp_path, preset):
+    """Every shipped preset runs end to end; assertions may fail at this size."""
+    out = tmp_path / "out"
+    rc = cli.main(["run", str(_PRESETS / preset), "--paths", "8", "--steps", "20",
+                   "--out", str(out)])
+    assert rc in (0, 4)
+    assert {"metrics.csv", "summary.txt", "summary.json"} <= set(os.listdir(out))
+
+
+def test_exit_codes_for_bad_invocations(tmp_path, capsys):
     assert cli.main(["run", str(tmp_path / "ghost.ini")]) == 2
     bad = _write(tmp_path, "[experiment]\nname = simulate\n")
     assert cli.main(["run", bad]) == 2
+    # the dominance breach check reruns on the grid coarsened by two
+    capsys.readouterr()
+    assert cli.main(["run", str(_PRESETS / "instantaneous_dominance.ini"), "--paths", "4",
+                     "--steps", "21", "--out", str(tmp_path / "odd")]) == 2
+    assert "cannot coarsen a 21-step grid by 2" in capsys.readouterr().err
     with pytest.raises(SystemExit):
         cli.main([])
 

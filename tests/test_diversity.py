@@ -29,9 +29,8 @@ def test_measure_two_stock_closed_form():
 def test_measure_bounds_symmetry_and_peak():
     rng = np.random.default_rng(3)
     for n in (2, 3, 6):
-        lo, hi = diversity.diversity_measure_bounds(n, 0.4)
-        assert lo == 1.0
-        assert hi == pytest.approx(n ** ((1 - 0.4) / 0.4), rel=1e-14)
+        # range on the simplex: 1 at the vertices, n**((1-p)/p) at the centre
+        lo, hi = 1.0, n ** ((1 - 0.4) / 0.4)
         w = random_simplex(rng, 1_000, n)
         d = diversity.diversity_measure(w, 0.4)
         assert np.all(d >= lo - 1e-12)
@@ -53,45 +52,52 @@ def test_measure_validation():
 
 def test_check_diversity_constant_path():
     times = np.linspace(0.0, 2.0, 101)
-    w = np.tile([0.6, 0.4], (101, 1))
-    rep = diversity.check_diversity(w, times, delta=0.3)
-    assert rep.is_diverse
-    assert rep.is_weakly_diverse
-    assert rep.max_top == pytest.approx(0.6)
-    assert rep.avg_top == pytest.approx(0.6)
-    assert rep.delta_max == pytest.approx(0.4)
-    assert rep.delta_avg == pytest.approx(0.4)
-    assert rep.tail_top == pytest.approx(0.6)
-    assert rep.tail_window == pytest.approx(0.5)
+    w = np.tile([0.6, 0.4], (1, 101, 1))
+    rep = diversity.check_diversity(w, times, delta=0.3, tail_fraction=0.25)
+    for key in ("max_top", "avg_top", "tail_top", "delta_max", "delta_avg",
+                "is_diverse", "is_weakly_diverse"):
+        assert rep[key].shape == (1,), key
+    assert rep["is_diverse"][0]
+    assert rep["is_weakly_diverse"][0]
+    assert rep["max_top"][0] == pytest.approx(0.6)
+    assert rep["avg_top"][0] == pytest.approx(0.6)
+    assert rep["delta_max"][0] == pytest.approx(0.4)
+    assert rep["delta_avg"][0] == pytest.approx(0.4)
+    assert rep["tail_top"][0] == pytest.approx(0.6)
 
 
 def test_check_diversity_margin_ordering():
     """The averaged margin always dominates the uniform margin."""
     rng = np.random.default_rng(9)
     times = np.linspace(0.0, 1.0, 257)
-    for _ in range(20):
-        w = random_simplex(rng, 257, 3)
-        rep = diversity.check_diversity(w, times, delta=0.25)
-        assert rep.delta_avg >= rep.delta_max - 1e-15
-        if rep.is_diverse:
-            assert rep.is_weakly_diverse
+    w = np.stack([random_simplex(rng, 257, 3) for _ in range(20)])
+    rep = diversity.check_diversity(w, times, delta=0.25, tail_fraction=0.25)
+    assert np.all(rep["delta_avg"] >= rep["delta_max"] - 1e-15)
+    assert np.all(rep["is_weakly_diverse"][rep["is_diverse"]])
+    # a batch of paths equals its rows checked one at a time
+    for i in range(20):
+        one = diversity.check_diversity(w[i:i + 1], times, delta=0.25, tail_fraction=0.25)
+        for key, value in one.items():
+            np.testing.assert_array_equal(rep[key][i], value[0], err_msg=key)
 
 
 def test_check_diversity_flags_concentration():
     times = np.linspace(0.0, 1.0, 51)
-    w = np.tile([0.5, 0.5], (51, 1))
-    w[30:, 0] = 0.8
-    w[30:, 1] = 0.2
-    rep = diversity.check_diversity(w, times, delta=0.3)
-    assert not rep.is_diverse
-    assert rep.tail_top > rep.avg_top  # concentration sits in the tail window
+    w = np.tile([0.5, 0.5], (1, 51, 1))
+    w[0, 30:, 0] = 0.8
+    w[0, 30:, 1] = 0.2
+    rep = diversity.check_diversity(w, times, delta=0.3, tail_fraction=0.25)
+    assert not rep["is_diverse"][0]
+    assert rep["tail_top"][0] > rep["avg_top"][0]  # concentration sits in the tail window
+    with pytest.raises(InvalidArgumentError):
+        diversity.check_diversity(w[0], times, delta=0.3, tail_fraction=0.25)
 
 
 def test_barrier_drift_holds_for_repelled_market():
     model = markets.diverse_market(np.eye(3), g=0.0, delta=0.25,
                                    x0=[1.0, 1.0, 1.0])
     grid = paths.make_grid(1.0, 4)
-    lx = np.tile(np.log([0.6, 0.25, 0.15]), (5, 1))
+    lx = np.tile(np.log([0.6, 0.25, 0.15]), (1, 5, 1))
     out = diversity.check_barrier_drift_condition(model, lx, grid.times, delta=0.25)
     assert out["checked"] == 5
     assert out["violations"] == 0
@@ -104,7 +110,7 @@ def test_barrier_drift_fails_for_driftless_market():
     model = markets.constant_market(b=0.5 * np.diag(sigma @ sigma.T), sigma=sigma,
                                     x0=[1.0, 1.0])
     grid = paths.make_grid(1.0, 1)
-    lx = np.tile(np.log([0.5, 0.5]), (2, 1))
+    lx = np.tile(np.log([0.5, 0.5]), (1, 2, 1))
     out = diversity.check_barrier_drift_condition(model, lx, grid.times, delta=0.25)
     assert out["checked"] == 2
     assert out["violations"] == 2
@@ -118,11 +124,11 @@ def test_barrier_drift_skips_unconcentrated_states():
                                    x0=[1.0, 1.0, 1.0])
     grid = paths.make_grid(1.0, 1)
     # top weight below one half: outside the zone the certificate covers
-    lx = np.tile(np.log([0.4, 0.35, 0.25]), (2, 1))
+    lx = np.tile(np.log([0.4, 0.35, 0.25]), (1, 2, 1))
     out = diversity.check_barrier_drift_condition(model, lx, grid.times, delta=0.25)
     assert out["checked"] == 0
     # past the barrier itself is out of zone as well
-    past = np.tile(np.log([0.8, 0.1, 0.1]), (2, 1))
+    past = np.tile(np.log([0.8, 0.1, 0.1]), (1, 2, 1))
     assert diversity.check_barrier_drift_condition(
         model, past, grid.times, delta=0.25)["checked"] == 0
 

@@ -4,14 +4,16 @@ import numpy as np
 import pytest
 
 import loop_kernels
-from spt_lab import _kernels, markets, paths
+from spt_lab import _kernels, markets, paths, portfolios
 from spt_lab.errors import InvalidArgumentError, InvalidModelError
 from helpers import ZeroFactors
 
 
 def _one_path(model, grid, seed=0):
+    """Log prices (K+1, n), integration records and factor increments of one path."""
     f = paths.generate_factors(grid, model.m, 1, master_seed=seed)
-    return markets.integrate_log_euler(model, f, 0), f.path_increments(0)
+    lx, aux = markets.simulate_block(model, f, 0, 1)
+    return lx[0], {key: value[0] for key, value in aux.items()}, f.path_increments(0)
 
 
 # ---------------------------------------------------------------------------
@@ -82,10 +84,10 @@ def test_single_stock_log_path_is_affine_in_brownian():
     """b = 0.07, vol 0.2: log X(t) = log X(0) + 0.05 t + 0.2 W(t) exactly."""
     model = markets.constant_market(b=[0.07], sigma=[[0.2]], x0=[1.5])
     grid = paths.make_grid(2.0, 64)
-    path, dw = _one_path(model, grid, seed=5)
+    lx, _, dw = _one_path(model, grid, seed=5)
     w = np.concatenate([[0.0], np.cumsum(dw[:, 0])])
     expect = np.log(1.5) + 0.05 * grid.times + 0.2 * w
-    np.testing.assert_allclose(path.log_prices[:, 0], expect, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(lx[:, 0], expect, rtol=0, atol=1e-12)
 
 
 def test_terminal_mean_matches_rate_of_return():
@@ -114,7 +116,7 @@ def test_run_batches_matches_per_path_integration():
     f = paths.generate_factors(grid, 2, 7, master_seed=11)
     got = markets.run_batches(model, f, _keep_batch, batch_size=3)
     np.testing.assert_array_equal(got["path"], np.arange(7))
-    single = np.stack([markets.integrate_log_euler(model, f, i).log_prices
+    single = np.stack([markets.simulate_block(model, f, i, i + 1)[0][0]
                        for i in range(7)])
     np.testing.assert_array_equal(got["log_prices"], single)
     np.testing.assert_array_equal(got["terminal"], single[:, -1])
@@ -221,9 +223,9 @@ def test_diverse_paths_respect_barrier():
 def test_spread_is_brownian_before_switch():
     model = markets.ou_two_stock(alpha=0.5, switch_time=1.0)
     grid = paths.make_grid(0.5, 50)
-    path, dw = _one_path(model, grid, seed=8)
+    lx, _, dw = _one_path(model, grid, seed=8)
     dv = dw @ model.vol.sigma.T
-    z = path.log_prices[:, 1] - path.log_prices[:, 0]
+    z = lx[:, 1] - lx[:, 0]
     np.testing.assert_allclose(z, np.concatenate([[0.0], np.cumsum(dv[:, 1] - dv[:, 0])]),
                                rtol=0, atol=1e-12)
     # spread variance accrues at unit rate
@@ -257,15 +259,12 @@ def test_patched_quiet_paths_have_zero_rate_of_return():
     model = markets.patched_weakly_diverse(base, eta=0.3, horizon=1.0)
     grid = paths.make_grid(1.0, 200)
     f = paths.generate_factors(grid, 3, 16, master_seed=23)
-    quiet = 0
-    for i in range(16):
-        path = markets.integrate_log_euler(model, f, i)
-        if path.aux["trigger_time"] > 1.0:
-            dv = f.path_increments(i) @ model.vol.sigma.T
-            expect = np.cumsum(dv, axis=0) - 0.5 * grid.times[1:, None] * np.diag(model.vol.a)
-            np.testing.assert_allclose(path.log_prices[1:], expect, rtol=0, atol=1e-10)
-            quiet += 1
-    assert quiet > 0
+    lx, aux = markets.simulate_block(model, f, 0, 16)
+    quiet = aux["trigger_time"] > 1.0
+    assert quiet.any()
+    dv = f.block(0, 16)[quiet] @ model.vol.sigma.T
+    expect = np.cumsum(dv, axis=1) - 0.5 * grid.times[1:, None] * np.diag(model.vol.a)
+    np.testing.assert_allclose(lx[quiet, 1:], expect, rtol=0, atol=1e-10)
 
 
 def test_patched_average_top_weight_bound_when_trigger_is_late():
@@ -275,15 +274,12 @@ def test_patched_average_top_weight_bound_when_trigger_is_late():
     model = markets.patched_weakly_diverse(base, eta=eta, horizon=2.0)
     grid = paths.make_grid(2.0, 400)
     f = paths.generate_factors(grid, 3, 32, master_seed=31)
-    checked = 0
-    for i in range(32):
-        path = markets.integrate_log_euler(model, f, i)
-        if path.aux["trigger_time"] > 1.0:
-            top = path.weights.max(axis=1)
-            avg = np.trapezoid(top, grid.times) / 2.0
-            assert avg < 1.0 - eta / 2.0
-            checked += 1
-    assert checked > 0
+    lx, aux = markets.simulate_block(model, f, 0, 32)
+    late = aux["trigger_time"] > 1.0
+    assert late.any()
+    top = portfolios.market_weights(lx[late]).max(axis=-1)
+    avg = np.trapezoid(top, grid.times, axis=-1) / 2.0
+    assert np.all(avg < 1.0 - eta / 2.0)
 
 
 def test_patched_validation():
@@ -304,15 +300,15 @@ def test_patched_validation():
 def test_dominance_early_drift_is_exact_power_law():
     model = markets.instantaneous_dominance_market(alpha=0.25)
     grid = paths.geometric_grid(0.01, 64, 1e-8)
-    path, dw = _one_path(model, grid, seed=12)
-    assert path.aux["exit_index"] == -1
+    lx, aux, dw = _one_path(model, grid, seed=12)
+    assert aux["exit_index"] == -1
     t = grid.times[1:]
-    np.testing.assert_allclose(path.aux["cumulative_drift"][1:], t ** 0.25,
+    np.testing.assert_allclose(aux["cumulative_drift"][1:], t ** 0.25,
                                rtol=1e-12, atol=0)
-    np.testing.assert_allclose(path.log_prices[1:, 1],
+    np.testing.assert_allclose(lx[1:, 1],
                                t ** 0.25 + np.cumsum(dw[:, 1]),
                                rtol=0, atol=1e-12)
-    np.testing.assert_allclose(path.log_prices[1:, 0], np.cumsum(dw[:, 0]),
+    np.testing.assert_allclose(lx[1:, 0], np.cumsum(dw[:, 0]),
                                rtol=0, atol=1e-12)
 
 

@@ -14,7 +14,7 @@ def _gbm_path(seed=0, n=3, k_steps=200, horizon=1.0):
                                     x0=np.linspace(1.0, 2.0, n))
     grid = paths.make_grid(horizon, k_steps)
     f = paths.generate_factors(grid, n, 1, master_seed=seed)
-    return model, grid, markets.integrate_log_euler(model, f, 0)
+    return model, grid, markets.simulate_block(model, f, 0, 1)[0][0]
 
 
 # ---------------------------------------------------------------------------
@@ -185,8 +185,7 @@ def test_numeraire_invariance_degenerate_covariance():
 # ---------------------------------------------------------------------------
 
 def test_market_value_equals_total_capitalization():
-    _, grid, path = _gbm_path(seed=1)
-    lx = path.log_prices
+    _, grid, lx = _gbm_path(seed=1)
     np.testing.assert_allclose(portfolios.market_value(lx),
                                np.exp(lx).sum(axis=1), rtol=1e-12)
     z = portfolios.market_value(lx, z0=2.0)
@@ -196,53 +195,33 @@ def test_market_value_equals_total_capitalization():
 
 
 def test_market_rule_wealth_tracks_total_cap():
-    _, grid, path = _gbm_path(seed=2)
-    lx = path.log_prices
+    _, grid, lx = _gbm_path(seed=2)
     w = portfolios.market_weights(lx)
-    z = portfolios.value_from_weights(w, lx, grid.times)
+    z = np.exp(portfolios.gross_log_value(w, lx))
     np.testing.assert_allclose(z, portfolios.market_value(lx, 1.0), rtol=1e-11)
 
 
 def test_single_stock_wealth_is_exact():
-    _, grid, path = _gbm_path(seed=3)
-    lx = path.log_prices
+    _, grid, lx = _gbm_path(seed=3)
     w = np.zeros(lx.shape)
     w[:, 1] = 1.0
-    z = portfolios.value_from_weights(w, lx, grid.times, z0=3.0)
+    z = 3.0 * np.exp(portfolios.gross_log_value(w, lx))
     np.testing.assert_allclose(z, 3.0 * np.exp(lx[:, 1] - lx[0, 1]), rtol=1e-12)
 
 
 def test_relative_log_value_of_market_is_zero():
-    model, grid, path = _gbm_path(seed=4)
-    lx = path.log_prices
+    model, grid, lx = _gbm_path(seed=4)
     mu = portfolios.market_weights(lx)
     lr = portfolios.relative_log_value(mu, lx, grid.times, model.vol.a)
     np.testing.assert_array_equal(lr, np.zeros(lx.shape[0]))
 
 
-def test_scheme_selection_and_validation():
-    model, grid, path = _gbm_path(seed=5)
-    lx = path.log_prices
-    mu = portfolios.market_weights(lx)
-    short = portfolios.mirror_weights(mu[:, [0]] * 0 + np.array([1.0, 0.0, 0.0]), mu, 2.0)
-    with pytest.raises(InvalidArgumentError):
-        portfolios.value_from_weights(short, lx, grid.times, scheme="gross")
-    with pytest.raises(InvalidArgumentError):
-        portfolios.value_from_weights(short, lx, grid.times)  # auto needs a
-    z = portfolios.value_from_weights(short, lx, grid.times, a=model.vol.a)
-    assert z.shape == (lx.shape[0],)
-    assert np.all(np.isfinite(z))
-    with pytest.raises(InvalidArgumentError):
-        portfolios.value_from_weights(mu, lx, grid.times, scheme="sideways")
-
-
 def test_gross_and_relative_schemes_agree_for_long_rules():
     """Two independent wealth integrators, one exact and one drift-based."""
-    model, grid, path = _gbm_path(seed=6, k_steps=4_000)
-    lx = path.log_prices
+    model, grid, lx = _gbm_path(seed=6, k_steps=4_000)
     w = portfolios.diversity_weighted(portfolios.market_weights(lx), 0.5)
-    zg = portfolios.value_from_weights(w, lx, grid.times, scheme="gross")
-    zr = portfolios.value_from_weights(w, lx, grid.times, scheme="relative",
-                                       a=model.vol.a)
-    assert abs(np.log(zg[-1]) - np.log(zr[-1])) < 0.02
+    log_zg = portfolios.gross_log_value(w, lx)
+    log_zr = (np.log(portfolios.market_value(lx, 1.0))
+              + portfolios.relative_log_value(w, lx, grid.times, model.vol.a))
+    assert abs(log_zg[-1] - log_zr[-1]) < 0.02
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from spt_lab import markets, paths, ranks
+from spt_lab import markets, paths, portfolios, ranks
 from spt_lab.errors import InvalidArgumentError
 
 
@@ -97,21 +97,26 @@ def test_adjacent_gap_no_crossings_is_zero():
     w = np.array([[0.7, 0.2, 0.1], [0.6, 0.3, 0.1], [0.65, 0.25, 0.1]])
     np.testing.assert_array_equal(ranks.adjacent_gap_local_times(w),
                                   np.zeros((3, 2)))
-    with pytest.raises(InvalidArgumentError):
-        ranks.adjacent_gap_local_times(np.zeros((2, 2, 2)))
+    # a batch of paths equals its rows stacked
+    batch = np.stack([w, w[::-1], w[:, ::-1]])
+    np.testing.assert_array_equal(
+        ranks.adjacent_gap_local_times(batch),
+        np.stack([ranks.adjacent_gap_local_times(row) for row in batch]))
 
 
-def _ou_path(seed, k_steps=2_000, horizon=2.0):
+def _ou_paths(lo, hi, k_steps=2_000, horizon=2.0, master_seed=13):
+    """Paths lo..hi-1 of the mean-reverting pair with their vol increments."""
     model = markets.ou_two_stock(alpha=0.5)
     grid = paths.make_grid(horizon, k_steps)
-    f = paths.generate_factors(grid, 2, max(seed + 1, 1), master_seed=13)
-    return model, markets.integrate_log_euler(model, f, seed), f.path_increments(seed)
+    f = paths.generate_factors(grid, 2, hi, master_seed=master_seed)
+    lx, aux = markets.simulate_block(model, f, lo, hi)
+    return model, grid, lx, f.block(lo, hi) @ model.vol.sigma.T, aux
 
 
 def test_top_pair_local_time_flat_while_leader_is_clear():
     """No collision time accrues while the top weight sits well above one half."""
-    model, path, _ = _ou_path(0)
-    w = path.weights
+    _, _, lx, _, _ = _ou_paths(0, 1)
+    w = portfolios.market_weights(lx[0])
     lam = ranks.adjacent_gap_local_times(w)[:, 0]
     inc = np.diff(lam)
     clear = (w.max(axis=1) > 0.55)[:-1]
@@ -120,28 +125,23 @@ def test_top_pair_local_time_flat_while_leader_is_clear():
 
 def test_ranked_decomposition_two_stocks_is_exact():
     """Bookkeeping with named increments plus boundary terms telescopes."""
-    model, path, dw = _ou_path(1)
-    out = ranks.ranked_decomposition(model, path)
+    model, grid, lx, dv, aux = _ou_paths(1, 2)
+    out = ranks.ranked_decomposition(model, lx, dv, grid.times, aux)
     assert set(out) >= {"local_times", "residual_named", "order", "relative_named"}
-    assert out["relative_named"] < 1e-12
+    assert out["relative_named"].shape == (1,)
+    assert out["relative_named"][0] < 1e-12
     # collisions actually happened, so the boundary term is active
-    assert out["local_times"][-1, 0] > 0.0
-    np.testing.assert_array_equal(out["order"], ranks.rank_order(path.weights))
+    assert out["local_times"][0, -1, 0] > 0.0
+    np.testing.assert_array_equal(
+        out["order"], ranks.rank_order(portfolios.market_weights(lx)))
 
 
 def test_ranked_decomposition_model_residual_shrinks():
-    model = markets.ou_two_stock(alpha=0.5)
     rel = []
     for k_steps in (500, 2_000):
-        grid = paths.make_grid(2.0, k_steps)
-        f = paths.generate_factors(grid, 2, 8, master_seed=21)
-        vals = []
-        for i in range(8):
-            path = markets.integrate_log_euler(model, f, i)
-            out = ranks.ranked_decomposition(model, path,
-                                             factor_increments=f.path_increments(i))
-            vals.append(out["relative_model"])
-        rel.append(np.mean(vals))
+        model, grid, lx, dv, aux = _ou_paths(0, 8, k_steps=k_steps, master_seed=21)
+        out = ranks.ranked_decomposition(model, lx, dv, grid.times, aux)
+        rel.append(np.mean(out["relative_model"]))
     assert rel[1] < rel[0]
 
 
@@ -150,8 +150,18 @@ def test_ranked_decomposition_three_stocks_small_residual():
                                     x0=[1.0, 1.05, 0.95])
     grid = paths.make_grid(1.0, 4_000)
     f = paths.generate_factors(grid, 3, 4, master_seed=3)
-    for i in range(4):
-        path = markets.integrate_log_euler(model, f, i)
-        out = ranks.ranked_decomposition(model, path)
-        assert out["residual_named"].shape == path.log_prices.shape
-        assert out["relative_named"] < 0.05
+    lx, aux = markets.simulate_block(model, f, 0, 4)
+    out = ranks.ranked_decomposition(model, lx, f.block(0, 4) @ model.vol.sigma.T,
+                                     grid.times, aux)
+    assert out["residual_named"].shape == lx.shape
+    assert np.all(out["relative_named"] < 0.05)
+
+
+def test_ranked_decomposition_batch_equals_its_paths():
+    """Each path's result is the same in a batch of eight and on its own."""
+    model, grid, lx, dv, aux = _ou_paths(0, 8)
+    batch = ranks.ranked_decomposition(model, lx, dv, grid.times, aux)
+    for i in range(8):
+        one = ranks.ranked_decomposition(model, lx[i:i + 1], dv[i:i + 1], grid.times, aux)
+        for key, value in one.items():
+            np.testing.assert_array_equal(batch[key][i], value[0], err_msg=key)
