@@ -17,6 +17,12 @@ matrix, ``dt (K,)`` step sizes and ``times (K+1,)`` grid.  A kernel runs the
 whole time loop and returns the log-price batch ``(B, K+1, n)`` and a dict
 of per-path records.  No cross-path reduction happens inside a kernel, so
 results never depend on how paths were split into batches.
+
+Sums, maxima and minima over the stock or factor axis go through
+``_sum_last``, ``_max_last`` and ``_min_last`` here, because numpy reduces
+a short contiguous last axis several times slower than it adds or compares
+its columns as whole arrays.  They match numpy bit for bit for up to seven
+stocks or factors; past that the sum may differ from numpy's by rounding.
 """
 
 from __future__ import annotations
@@ -24,6 +30,38 @@ from __future__ import annotations
 import functools
 
 import numpy as np
+
+
+def _sum_last(x):
+    """Sum over the last axis, adding the columns in index order.
+
+    Equals numpy's sum over the last axis bit for bit when that axis has
+    at most 7 entries: numpy then adds sequentially from +0.0, so an
+    all-(-0.0) row sums to +0.0 here too.  From 8 entries on numpy sums
+    pairwise and the two may differ by rounding.  A bool array counts its
+    True entries in numpy's default integer, as numpy's sum does (adding
+    two bool columns would be a logical or).
+    """
+    out = x[..., 0] + 0
+    for j in range(1, x.shape[-1]):
+        out += x[..., j]
+    return out
+
+
+def _max_last(x):
+    """Max over the last axis, equal to numpy's bit for bit, by columns."""
+    out = x[..., 0].copy()
+    for j in range(1, x.shape[-1]):
+        np.maximum(out, x[..., j], out=out)
+    return out
+
+
+def _min_last(x):
+    """Min over the last axis, equal to numpy's bit for bit, by columns."""
+    out = x[..., 0].copy()
+    for j in range(1, x.shape[-1]):
+        np.minimum(out, x[..., j], out=out)
+    return out
 
 
 @functools.lru_cache(maxsize=8)
@@ -40,7 +78,8 @@ def _leader(lx):
     """
     lead = lx.argmax(axis=-1)
     at_lead = (*_index_grid(lead.shape), lead)
-    return at_lead, np.exp(lx - lx[at_lead][..., None]).sum(axis=-1)
+    gap = lx - lx[at_lead][..., None]
+    return at_lead, _sum_last(np.exp(gap, out=gap))
 
 
 # ---------------------------------------------------------------------------
@@ -132,7 +171,7 @@ def _euler(logx0, dv, step, applied):
         disp, cap = step(k, cur)
         if cap is not None:
             over = np.abs(disp) > cap
-            caps += over.sum(axis=1)
+            caps += _sum_last(over)
             np.clip(disp, -cap, cap, out=disp)
         if applied is not None:
             applied(k, disp)

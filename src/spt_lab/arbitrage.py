@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._kernels import _max_last, _min_last, _sum_last
 from .errors import InvalidArgumentError
 from . import markets as _markets
 from . import paths as _paths
@@ -102,13 +103,13 @@ def master_formula_check(
         pi = _portfolios.diversity_weighted(mu, p)
         lr = _portfolios.gross_log_value(pi, lx) - _portfolios.gross_log_value(mu, lx)
         dterm = (1.0 / p) * (
-            np.log(np.sum(mu[:, -1, :] ** p, axis=-1))
-            - np.log(np.sum(mu[:, 0, :] ** p, axis=-1))
+            np.log(_sum_last(mu[:, -1, :] ** p))
+            - np.log(_sum_last(mu[:, 0, :] ** p))
         )
         dlm = np.diff(np.log(mu), axis=1)
         pim = pi[:, :-1, :]
-        m1 = np.sum(pim * dlm, axis=2)
-        realized = 0.5 * (np.sum(pim * dlm * dlm, axis=2) - m1 * m1)
+        m1 = _sum_last(pim * dlm)
+        realized = 0.5 * (_sum_last(pim * dlm * dlm) - m1 * m1)
         growth = np.sum(_portfolios.excess_growth(pim, a) * dt, axis=-1)
         return {
             "lhs": lr[:, -1],
@@ -179,7 +180,8 @@ def outperformance_study(
     it is a per-path conditional check rather than a model hypothesis.
     Also counts violations of the pointwise weight comparisons: the
     reweighted top weight never exceeds the market's, the reweighted
-    bottom never falls under the market's.
+    bottom never falls under the market's, and the drift entries the
+    integrator capped (0 for market kinds without a cap).
     """
     if not 0 < p < 1:
         raise InvalidArgumentError("p must lie in (0, 1)")
@@ -192,18 +194,19 @@ def outperformance_study(
         mu = _portfolios.market_weights(lx)
         pi = _portfolios.diversity_weighted(mu, p)
         lr = _portfolios.gross_log_value(pi, lx) - _portfolios.gross_log_value(mu, lx)
-        top = mu.max(axis=2)
+        top = _max_last(mu)
         top_avg = np.sum(top[:, :-1] * dt, axis=1) / horizon
         d = 1.0 - top_avg
         bound = (1.0 - p) * (eps * d * horizon / 2.0 - np.log(n) / p)
-        hi_ok = pi.max(axis=2) <= mu.max(axis=2) + 1e-12
-        lo_ok = pi.min(axis=2) >= mu.min(axis=2) - 1e-12
+        hi_ok = _max_last(pi) <= top + 1e-12
+        lo_ok = _min_last(pi) >= _min_last(mu) - 1e-12
         return {
             "term": lr[:, -1],
             "slack": lr[:, -1] - bound,
             "delta_avg": d,
             "delta_max": 1.0 - top.max(axis=1),
             "order_viol": np.sum(~(hi_ok & lo_ok), axis=1),
+            "capped": aux.get("capped_steps", np.zeros(hi - lo, np.int64)),
         }
 
     cols = _markets.run_batches(model, factors, per_batch, batch_size, workers)
@@ -229,6 +232,7 @@ def outperformance_study(
         "fixed_slack": fixed_slack,
         "min_slack": float(slack.min()),
         "weight_order_violations": int(cols["order_viol"].sum()),
+        "capped_steps": int(cols["capped"].sum()),
     }
 
 
@@ -267,7 +271,7 @@ def mirror_study(
     times = factors.grid.times
     dt = factors.grid.step_sizes
     horizon = factors.grid.horizon
-    top0 = float(np.max(model.x0 / model.x0.sum()))
+    top0 = float(_max_last(model.x0 / _sum_last(model.x0)))
     beta = top0
     p_star = mirror_exponent(eps, delta, horizon, top0)
     if p is None:

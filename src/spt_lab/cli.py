@@ -31,6 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import __version__
+from ._kernels import _max_last, _sum_last
 from . import arbitrage as _arbitrage
 from . import diversity as _diversity
 from . import hedging as _hedging
@@ -468,7 +469,7 @@ def _run_simulate(cfg):
 
     def per_batch(lo, hi, lx, aux):
         mu = _portfolios.market_weights(lx)
-        top = mu.max(axis=2)
+        top = _max_last(mu)
         return {
             "wsum": mu.sum(axis=0)[None],
             "topsum": top.sum(axis=0)[None],
@@ -486,7 +487,7 @@ def _run_simulate(cfg):
         "n_paths": cfg.n_paths,
         "n_steps": cfg.grid.n_steps,
         "horizon": cfg.grid.horizon,
-        "mean_terminal_top": float(cols["term_mu"].max(axis=1).sum() / cfg.n_paths),
+        "mean_terminal_top": float(_max_last(cols["term_mu"]).sum() / cfg.n_paths),
         "max_top_observed": float(cols["max_top"].max()),
         "capped_step_total": int(cols["capped"].sum()),
     }
@@ -597,7 +598,8 @@ def _run_arbitrage_45(cfg):
         "delta_avg": res["delta_avg"],
         "delta_max": res["delta_max"],
     }
-    return metrics, {}, assertions, {"per_path": per_path}
+    info = {"capped_steps": res["capped_steps"]}
+    return metrics, info, assertions, {"per_path": per_path}
 
 
 def _mirror_common(cfg):
@@ -863,7 +865,7 @@ def _run_parity_gap(cfg):
     if p is None:
         p = cfg.extras["margin"] * _arbitrage.mirror_exponent(
             model.vol.eps, model.params["delta"], cfg.grid.horizon,
-            float(np.max(model.x0 / model.x0.sum())),
+            float(_max_last(model.x0 / _sum_last(model.x0))),
         )
     wit = _hedging.parity_witness_study(
         model, factors, p, batch_size=cfg.batch_size or 128, workers=cfg.workers)

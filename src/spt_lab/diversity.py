@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ._kernels import _max_last, _min_last, _sum_last
 from .errors import InvalidArgumentError
 from . import markets as _markets
 from . import portfolios as _portfolios
@@ -32,7 +33,7 @@ def diversity_measure(x: np.ndarray, p: float) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if x.min() < 0:
         raise InvalidArgumentError("weights must be nonnegative")
-    return np.sum(x**p, axis=-1) ** (1.0 / p)
+    return _sum_last(x**p) ** (1.0 / p)
 
 
 def check_diversity(
@@ -58,7 +59,7 @@ def check_diversity(
         raise InvalidArgumentError("expected weight paths (B, K+1, n) on the grid of times")
     if not 0 < delta < 1:
         raise InvalidArgumentError("delta must lie in (0, 1)")
-    top = w.max(axis=-1)
+    top = _max_last(w)
     horizon = t[-1] - t[0]
     if horizon <= 0:
         raise InvalidArgumentError("need a positive horizon")
@@ -99,7 +100,7 @@ def check_barrier_drift_condition(model, log_prices, times, delta: float, aux=No
     """
     gamma = _markets.growth_rates_along(model, log_prices, times, aux=aux)
     w = _portfolios.market_weights(log_prices)
-    top = w.max(axis=-1)
+    top = _max_last(w)
     zone = (top >= 0.5) & (top < 1.0 - delta)
     checked = int(np.count_nonzero(zone))
     if checked == 0:
@@ -110,7 +111,7 @@ def check_barrier_drift_condition(model, log_prices, times, delta: float, aux=No
     g_lead = g[rows, lead]
     g_masked = g.copy()
     g_masked[rows, lead] = np.inf
-    g_min_other = g_masked.min(axis=1)
+    g_min_other = _min_last(g_masked)
     q = np.log((1.0 - delta) / top[zone])
     need = model.vol.big_m / (delta * np.maximum(q, 1e-300)) - 0.5 * model.vol.eps
     slack = np.minimum.reduce(

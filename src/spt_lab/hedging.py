@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._kernels import _sum_last
 from .errors import InvalidArgumentError, NumericFailureError
 from . import markets as _markets
 from . import paths as _paths
@@ -82,10 +83,16 @@ def market_price_of_risk(model, log_prices: np.ndarray, times, aux=None) -> np.n
 
 
 def _deflator_log_terminal_block(model, lx, dw, times, aux) -> np.ndarray:
-    """Per-path terminal log L for one simulated block."""
-    theta = market_price_of_risk(model, lx, times, aux=aux)[:, :-1, :]
-    dt = np.diff(np.asarray(times, dtype=float))
-    steps = -np.sum(theta * dw, axis=2) - 0.5 * np.sum(theta**2, axis=2) * dt
+    """Per-path terminal log L for one simulated block.
+
+    Each step reads theta at its left endpoint, so theta is built at the K
+    left endpoints only.
+    """
+    times = np.asarray(times, dtype=float)
+    theta = market_price_of_risk(model, lx[:, :-1], times[:-1], aux=aux)
+    square = _sum_last(theta * theta)
+    theta *= dw  # theta is not needed again; its entries become theta_j dW_j
+    steps = -_sum_last(theta) - 0.5 * square * np.diff(times)
     return np.sum(steps, axis=1)
 
 
@@ -247,7 +254,7 @@ def call_decay_study(
     if delta is None:
         raise InvalidArgumentError("the decay study expects a diversity-controlled model")
     eps = model.vol.eps
-    total0 = float(model.x0.sum())
+    total0 = float(_sum_last(model.x0))
     claim = call_claim(index, strike)
     rows = []
     for t in horizons:

@@ -184,7 +184,7 @@ def diverse_market(
             f"big_m {big_m} is below the certificate upper bound {vol.big_m}"
         )
     x0v = _as_vector(x0, vol.n, "x0")
-    if x0v.max() / x0v.sum() >= 1 - delta:
+    if _kernels._max_last(x0v) / _kernels._sum_last(x0v) >= 1 - delta:
         raise InvalidModelError("initial top weight already at or past the barrier")
     if q_floor <= 0 or step_cap <= 0:
         raise InvalidModelError("q_floor and step_cap must be positive")

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ._kernels import _max_last, _sum_last
 from .errors import InvalidArgumentError
 
 __all__ = [
@@ -36,9 +37,8 @@ __all__ = [
 def market_weights(log_prices: np.ndarray) -> np.ndarray:
     """Capitalization weights from log prices; stable under large spreads."""
     lx = np.asarray(log_prices, dtype=float)
-    mx = lx.max(axis=-1, keepdims=True)
-    e = np.exp(lx - mx)
-    return e / e.sum(axis=-1, keepdims=True)
+    e = np.exp(lx - _max_last(lx)[..., None])
+    return e / _sum_last(e)[..., None]
 
 
 def diversity_weighted(mu: np.ndarray, p: float) -> np.ndarray:
@@ -55,7 +55,7 @@ def diversity_weighted(mu: np.ndarray, p: float) -> np.ndarray:
     if p == 1.0:
         return mu.copy()
     w = mu**p
-    return w / w.sum(axis=-1, keepdims=True)
+    return w / _sum_last(w)[..., None]
 
 
 def mirror_weights(pi: np.ndarray, anchor: np.ndarray, p: float) -> np.ndarray:
@@ -110,8 +110,8 @@ def market_value(log_prices: np.ndarray, z0: float = None) -> np.ndarray:
     value equals total capitalization along the whole path.
     """
     lx = np.asarray(log_prices, dtype=float)
-    mx = lx.max(axis=-1, keepdims=True)
-    s = np.exp(lx - mx).sum(axis=-1) * np.exp(mx[..., 0])
+    mx = _max_last(lx)
+    s = _sum_last(np.exp(lx - mx[..., None])) * np.exp(mx)
     if z0 is None:
         return s.copy()
     return z0 * s / s[..., :1]
@@ -124,7 +124,7 @@ def gross_log_value(weights: np.ndarray, log_prices: np.ndarray) -> np.ndarray:
     with weights read at the left endpoint; starts from log wealth 0.
     """
     dlx = np.diff(log_prices, axis=-2)
-    gross = np.sum(weights[..., :-1, :] * np.exp(dlx), axis=-1)
+    gross = _sum_last(weights[..., :-1, :] * np.exp(dlx))
     out = np.zeros(gross.shape[:-1] + (gross.shape[-1] + 1,))
     np.cumsum(np.log(gross), axis=-1, out=out[..., 1:])
     return out
@@ -142,7 +142,7 @@ def relative_log_value(
     lx = np.asarray(log_prices, dtype=float)
     mu = market_weights(lx)
     dlm = np.diff(np.log(mu), axis=-2)
-    lin = np.sum((w - mu)[..., :-1, :] * dlm, axis=-1)
+    lin = _sum_last((w - mu)[..., :-1, :] * dlm)
     gap = excess_growth(w, a) - excess_growth(mu, a)
     dt = np.diff(np.asarray(times, dtype=float))
     drift = gap[..., :-1] * dt

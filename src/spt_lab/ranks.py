@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ._kernels import _max_last, _sum_last
 from .errors import InvalidArgumentError
 from . import markets as _markets
 from . import portfolios as _portfolios
@@ -122,7 +123,7 @@ def ranked_decomposition(model, log_prices, dv, times, aux):
     ranked_log = np.log(ranked)
     d_ranked = np.diff(ranked_log, axis=-2)
     hold = order[:, :-1]
-    scale = np.maximum(np.log(2.0), np.abs(ranked_log[:, -1]).max(-1))
+    scale = np.maximum(np.log(2.0), _max_last(np.abs(ranked_log[:, -1])))
 
     def residual(named_inc):
         res = np.zeros(lx.shape)
@@ -133,12 +134,12 @@ def ranked_decomposition(model, log_prices, dv, times, aux):
         np.take_along_axis(np.diff(np.log(w), axis=-2), hold, axis=-1))
 
     gamma = _markets.growth_rates_along(model, lx, times, aux=aux)
-    mu_gamma = _portfolios.excess_growth(w, model.vol.a) + np.sum(w * gamma, axis=-1)
+    mu_gamma = _portfolios.excess_growth(w, model.vol.a) + _sum_last(w * gamma)
     # named log-weight move from the model: (gamma_i - gamma_mu) dt
     #   + (sigma dW)_i - mu' sigma dW, all at the left endpoint
     dt = np.diff(np.asarray(times, dtype=float))[:, None]
     g_named = np.take_along_axis(gamma[:, :-1], hold, axis=-1)
-    mkt_noise = np.sum(w[:, :-1] * dv, axis=-1, keepdims=True)
+    mkt_noise = _sum_last(w[:, :-1] * dv)[..., None]
     res_model, rel_model = residual(
         (g_named - mu_gamma[:, :-1, None]) * dt
         + np.take_along_axis(dv, hold, axis=-1)

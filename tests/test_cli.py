@@ -210,6 +210,20 @@ delta = 0.3
 x0 = 1.0, 1.0, 1.0
 """
 
+_ARBITRAGE_CFG = """\
+[experiment]
+name = arbitrage-45
+p = 0.5
+
+[model]
+kind = diverse
+sigma_scale = 1.0
+delta = 0.3
+x0 = 1.0, 1.0, 1.0
+"""
+
+_SHORT_GRID = "horizon = 1.0\nn_steps = 200"
+
 
 def test_reruns_and_worker_counts_are_byte_identical(tmp_path):
     outs = []
@@ -224,16 +238,20 @@ def test_reruns_and_worker_counts_are_byte_identical(tmp_path):
 
     # batched runners: default batches, three batches of at most 7 paths,
     # and the same three batches on two worker threads
-    for name, head, fnames in (
-        ("ranked", _RANKED_CFG, ("metrics.csv", "per_path.csv", "series.csv")),
-        ("diversity", _DIVERSITY_CFG, ("metrics.csv", "per_path.csv")),
+    for name, head, grid, fnames in (
+        ("ranked", _RANKED_CFG, _SHORT_GRID, ("metrics.csv", "per_path.csv", "series.csv")),
+        ("diversity", _DIVERSITY_CFG, _SHORT_GRID, ("metrics.csv", "per_path.csv")),
+        # past the threshold horizon 14.6, so that every assertion passes
+        ("arbitrage", _ARBITRAGE_CFG, "horizon = 15.0\nn_steps = 1500",
+         ("metrics.csv", "per_path.csv")),
     ):
         outs = []
         for i, extra in enumerate(("", "batch_size = 7", "batch_size = 7\nworkers = 2")):
             out = tmp_path / f"{name}{i}"
-            cfg = _write(tmp_path, f"{head}\n[grid]\nhorizon = 1.0\nn_steps = 200\n\n"
+            cfg = _write(tmp_path, f"{head}\n[grid]\n{grid}\n\n"
                                    f"[mc]\nn_paths = 20\nmaster_seed = 5\n{extra}\n\n"
-                                   f"[output]\ndirectory = {out}\nseries = true\n")
+                                   f"[output]\ndirectory = {out}\nseries = true\n"
+                                   "per_path = true\n")
             assert cli.main(["run", cfg]) == 0
             outs.append(out)
         for fname in fnames:

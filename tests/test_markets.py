@@ -431,6 +431,31 @@ def test_growth_replay_matches_applied_displacement(kind):
     assert over.any()
 
 
+def test_last_axis_reductions_equal_numpy_bit_for_bit():
+    """The column-wise sum, max and min equal numpy's over the last axis.
+
+    Magnitudes span 1e-8 to 1e8 so the order of additions shows in the
+    rounding; rows with ties, all-(-0.0) rows and mixed signed zeros check
+    which zero comes out.  A bool array must be counted, not or-ed.
+    """
+    rng = np.random.default_rng(17)
+    for n in range(1, 8):
+        x = rng.standard_normal((6, 50, n)) * 10.0 ** rng.uniform(-8, 8, (6, 50, n))
+        x[0, :5] = x[0, :5, :1]             # every entry of the row tied
+        x[1, :5, -1] = x[1, :5, 0]          # first and last entries tied
+        x[2, :5] = -0.0
+        x[3, :5] = rng.choice([-0.0, 0.0], size=(5, n))
+        for ours, theirs in ((_kernels._sum_last, np.sum), (_kernels._max_last, np.max),
+                             (_kernels._min_last, np.min)):
+            got, want = ours(x), theirs(x, axis=-1)
+            assert np.array_equal(got, want), (ours.__name__, n)
+            assert np.array_equal(np.signbit(got), np.signbit(want)), (ours.__name__, n)
+        over = x > 0
+        count = _kernels._sum_last(over)
+        assert count.dtype == over.sum(axis=-1).dtype
+        np.testing.assert_array_equal(count, over.sum(axis=-1))
+
+
 def test_simulate_block_rejects_unknown_kind():
     model = markets.MarketModel(kind="bogus", vol=markets.Dispersion(np.eye(2)),
                                 x0=[1.0, 1.0])
