@@ -4,9 +4,9 @@ Each study simulates a batch of market paths, computes per-path wealth
 comparisons, and reduces them to fractions plus worst-case slacks.  A
 "probability one" claim is tested as: the comparison holds on every path,
 with the worst per-path slack reported.  Inequalities that are exact in
-continuous time are asserted elsewhere with a discretization budget of a
-few multiples of the measured one-step-scheme residual at the same step
-size; the studies here only measure and report.
+continuous time are asserted by the experiment runner with a
+discretization budget of a few multiples of the one-step-scheme residual
+measured on the same paths; the studies here only measure and report.
 
 Per-path reductions happen inside fixed-size batches, whose columns
 ``markets.run_batches`` joins in path order; cross-path reductions run
@@ -33,7 +33,6 @@ __all__ = [
     "master_formula_order_study",
     "outperformance_study",
     "mirror_study",
-    "mirror_identity_order_study",
     "dominance_study",
 ]
 
@@ -75,6 +74,26 @@ def mirror_exponent(eps: float, delta: float, horizon: float, top0: float) -> fl
 # master formula
 # ---------------------------------------------------------------------------
 
+def _master_terms(lx, mu, p: float):
+    """Per-path terms of the master formula for the weight-p portfolio.
+
+    Returns its weights, the terminal log wealth ratio over the market, the
+    log change of the concentration measure, and the quadrature of the
+    excess growth read off the realized log-weight moves.
+    """
+    pi = _portfolios.diversity_weighted(mu, p)
+    lr = _portfolios.gross_log_value(pi, lx) - _portfolios.gross_log_value(mu, lx)
+    dterm = (1.0 / p) * (
+        np.log(_sum_last(mu[:, -1, :] ** p))
+        - np.log(_sum_last(mu[:, 0, :] ** p))
+    )
+    dlm = np.diff(np.log(mu), axis=1)
+    pim = pi[:, :-1, :]
+    m1 = _sum_last(pim * dlm)
+    realized = 0.5 * (_sum_last(pim * dlm * dlm) - m1 * m1)
+    return pi, lr[:, -1], dterm, np.sum(realized, axis=1)
+
+
 def master_formula_check(
     model, factors: _paths.FactorPaths, p: float, batch_size: int = 256, workers: int = 1
 ) -> dict:
@@ -100,20 +119,11 @@ def master_formula_check(
 
     def per_batch(lo, hi, lx, aux):
         mu = _portfolios.market_weights(lx)
-        pi = _portfolios.diversity_weighted(mu, p)
-        lr = _portfolios.gross_log_value(pi, lx) - _portfolios.gross_log_value(mu, lx)
-        dterm = (1.0 / p) * (
-            np.log(_sum_last(mu[:, -1, :] ** p))
-            - np.log(_sum_last(mu[:, 0, :] ** p))
-        )
-        dlm = np.diff(np.log(mu), axis=1)
-        pim = pi[:, :-1, :]
-        m1 = _sum_last(pim * dlm)
-        realized = 0.5 * (_sum_last(pim * dlm * dlm) - m1 * m1)
-        growth = np.sum(_portfolios.excess_growth(pim, a) * dt, axis=-1)
+        pi, lhs, dterm, realized = _master_terms(lx, mu, p)
+        growth = np.sum(_portfolios.excess_growth(pi[:, :-1, :], a) * dt, axis=-1)
         return {
-            "lhs": lr[:, -1],
-            "rhs": dterm + (1.0 - p) * np.sum(realized, axis=1),
+            "lhs": lhs,
+            "rhs": dterm + (1.0 - p) * realized,
             "rhs_model_cov": dterm + (1.0 - p) * growth,
             "floor_margin": dterm - floor,
         }
@@ -262,7 +272,11 @@ def mirror_study(
       drowns the mirror in market holdings (underperformer) and the one
       that shorts the mirror against market holdings (outperformer); both
       must stay all-long, and their terminal values must straddle the
-      market's, scaled by their starting capital.
+      market's, scaled by their starting capital;
+    * the master-formula residual of the diversity-weighted portfolio with
+      exponent 1/2 on the same path, whose largest size times p is the
+      scheme's discrepancy that the running ceiling gap may show;
+    * the drift entries the integrator capped (0 for kinds without a cap).
     """
     if model.kind not in ("diverse", "patched"):
         raise InvalidArgumentError("mirror study expects a diversity-controlled model")
@@ -295,6 +309,7 @@ def mirror_study(
         diff = e1 - mu[:, :-1, :]
         tau = np.einsum("bki,ij,bkj->bk", diff, a, diff)
         ratio = np.exp(lr)
+        _, m_lhs, m_dterm, m_realized = _master_terms(lx, mu, 0.5)
         return {
             "term": lr[:, -1],
             "ceil_gap_max": np.max(lr - p * lead, axis=1),
@@ -305,6 +320,8 @@ def mirror_study(
             "wrap83_margin": np.min(
                 (p / beta**p) * mu1 - (p - (p - 1.0) * mu1) * ratio, axis=1
             ),
+            "master_residual": m_lhs - (m_dterm + 0.5 * m_realized),
+            "capped": aux.get("capped_steps", np.zeros(hi - lo, np.int64)),
         }
 
     cols = _markets.run_batches(model, factors, per_batch, batch_size, workers)
@@ -336,6 +353,7 @@ def mirror_study(
         ),
         "ceiling_gap_max": ceil_gap_max,
         "worst_ceiling_gap": float(ceil_gap_max.max()),
+        "master_residual_max": float(np.abs(cols["master_residual"]).max()),
         "wrap82_weight_margin_min": float(cols["wrap82_margin"].min()),
         "wrap83_weight_margin_min": float(cols["wrap83_margin"].min()),
         "wrap82_capital": float(z82),
@@ -344,59 +362,7 @@ def mirror_study(
         "wrap83_term_gap": wrap83_term_gap,
         "wrap82_fraction": float(np.mean(wrap82_term_gap > 0.0)),
         "wrap83_fraction": float(np.mean(wrap83_term_gap > 0.0)),
-    }
-
-
-def mirror_identity_order_study(
-    model,
-    p: float,
-    horizon: float,
-    steps_fine: int,
-    n_paths: int,
-    master_seed: int,
-    refine: int = 2,
-) -> dict:
-    """Self-convergence of the mirror value identity on shared noise.
-
-    The identity ties the mirror's log wealth ratio to p times the base
-    portfolio's plus a relative-variance integral.  Valued step-for-step
-    the discrete identity is exact, so the study quadratures the integral
-    with the trapezoid rule instead; the leftover is pure time-integration
-    error and shrinks at first order.
-    """
-    grid = _paths.make_grid(horizon, steps_fine)
-    fine = _paths.generate_factors(grid, model.m, n_paths, master_seed)
-    a = model.vol.a
-    n = model.n
-    e1 = np.zeros(n)
-    e1[0] = 1.0
-
-    def residuals(factors):
-        times = factors.grid.times
-
-        def per_batch(lo, hi, lx, aux):
-            mu = _portfolios.market_weights(lx)
-            what = _portfolios.mirror_weights(e1, mu, p)
-            lhs = _portfolios.relative_log_value(what, lx, times, a)[:, -1]
-            base = _portfolios.relative_log_value(
-                np.broadcast_to(e1, lx.shape).copy(), lx, times, a
-            )[:, -1]
-            diff = e1 - mu
-            tau = np.einsum("bki,ij,bkj->bk", diff, a, diff)
-            integral = np.trapezoid(tau, times, axis=1)
-            return {"residual": np.abs(lhs - (p * base + 0.5 * p * (1.0 - p) * integral))}
-
-        return _markets.run_batches(model, factors, per_batch, batch_size=256)["residual"]
-
-    r_fine = residuals(fine)
-    r_coarse = residuals(fine.coarsened(refine))
-    ratio = float(r_coarse.mean() / max(r_fine.mean(), 1e-300))
-    return {
-        "dt_fine": grid.dt,
-        "residual_fine": float(r_fine.mean()),
-        "residual_coarse": float(r_coarse.mean()),
-        "ratio": ratio,
-        "order": float(np.log(ratio) / np.log(refine)),
+        "capped_steps": int(cols["capped"].sum()),
     }
 
 

@@ -8,11 +8,12 @@ Configs are INI-style text with five sections::
     [mc]            path count, master seed, worker threads, batch size
     [output]        directory and which optional files to write
 
-Every run writes ``summary.txt`` (config echo, results, assertion lines,
-provenance) and ``metrics.csv`` (the numeric payload, 17 significant
-digits).  Identical configs reproduce the CSV files byte for byte, at any
-worker count.  Exit codes: 0 success, 2 invalid config, 3 numeric failure,
-4 an experiment assertion failed.
+Every run writes ``summary.txt`` (config echo, results, assertion lines
+with their budgets, provenance) and ``metrics.csv`` (the numeric payload,
+17 significant digits).  Each claim an experiment makes about its output
+is checked here, once, as a ``Check``.  Identical configs reproduce the
+CSV files byte for byte, at any worker count.  Exit codes: 0 success,
+2 invalid config, 3 numeric failure, 4 an experiment assertion failed.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ import os
 import re
 import sys
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -440,19 +442,32 @@ def parse_config(path: str, paths=None, seed=None, steps=None, out=None) -> Expe
 # experiment runners
 # ---------------------------------------------------------------------------
 
+class Check(NamedTuple):
+    """One verdict on a claim.  ``budget`` is the slack the verdict allows,
+    in the units of the quantity it compares: 0.0 for exact comparisons,
+    3 standard errors for Monte Carlo ones, the scheme's discretization
+    budget for pathwise ones, and the largest of these where it compares
+    several quantities."""
+
+    label: str
+    passed: bool
+    detail: str
+    budget: float
+
+
 @dataclass
 class ExperimentReport:
     name: str
     config: dict
     metrics: dict
     info: dict
-    assertions: list
+    assertions: list    # of Check
     tables: dict        # file stem -> {column name: 1-D array}
     provenance: dict
 
     @property
     def failed(self) -> list:
-        return [a for a in self.assertions if not a[1]]
+        return [c for c in self.assertions if not c.passed]
 
 
 def _factors(cfg: ExperimentConfig) -> _paths.FactorPaths:
@@ -530,6 +545,7 @@ def _run_diversity_report(cfg):
             drift = _diversity.check_barrier_drift_condition(
                 model, lx, times, model.params["delta"], aux)
             out.update({key: [value] for key, value in drift.items()})
+        out["capped"] = aux.get("capped_steps", np.zeros(hi - lo, np.int64))
         return out
 
     cols = _markets.run_batches(model, _factors(cfg), per_batch,
@@ -546,15 +562,15 @@ def _run_diversity_report(cfg):
     assertions = []
     if barrier:
         violations = int(cols["violations"].sum())
-        assertions.append((
+        assertions.append(Check(
             "drift repels the leader wherever the top weight nears the barrier",
             violations == 0,
             f"checked={int(cols['checked'].sum())} violations={violations} "
-            f"worst_slack={float(cols['worst_slack'].min()):.6g}",
+            f"worst_slack={float(cols['worst_slack'].min()):.6g}", 0.0,
         ))
     per_path = {"path_id": np.arange(cfg.n_paths),
                 **{key: cols[key] for key in _DIVERSITY_COLUMNS}}
-    return metrics, {}, assertions, {"per_path": per_path}
+    return metrics, {"capped_steps": int(cols["capped"].sum())}, assertions, {"per_path": per_path}
 
 
 def _run_arbitrage_45(cfg):
@@ -583,13 +599,14 @@ def _run_arbitrage_45(cfg):
     if res["fixed_slack"] is not None:
         metrics["min_fixed_slack"] = float(res["fixed_slack"].min())
     assertions = [
-        ("market outperformed on every path", study.fraction == 1.0,
-         f"fraction={study.fraction:g}"),
-        ("pathwise lower bound respected", res["min_slack"] > 0.0,
-         f"min_slack={res['min_slack']:.6g}"),
-        ("reweighting never flips the weight order",
-         res["weight_order_violations"] == 0,
-         f"violations={res['weight_order_violations']}"),
+        Check("market outperformed on every path", study.fraction == 1.0,
+              f"fraction={study.fraction:g}", 0.0),
+        Check("pathwise lower bound respected", res["min_slack"] > 0.0,
+              f"min_slack={res['min_slack']:.6g}", 0.0),
+        # each weight comparison allows 1e-12 of rounding
+        Check("reweighting never flips the weight order",
+              res["weight_order_violations"] == 0,
+              f"violations={res['weight_order_violations']}", 1e-12),
     ]
     per_path = {
         "path_id": np.arange(cfg.n_paths),
@@ -603,16 +620,43 @@ def _run_arbitrage_45(cfg):
 
 
 def _mirror_common(cfg):
-    factors = _factors(cfg)
-    return _arbitrage.mirror_study(
-        cfg.model, factors,
+    """The mirror study of mirror-81 and examples-82-83, with the checks of
+    every claim it tests; the two presets differ only in what they report."""
+    res = _arbitrage.mirror_study(
+        cfg.model, _factors(cfg),
         p=cfg.extras["p"], margin=cfg.extras["margin"],
         batch_size=cfg.batch_size or 128, workers=cfg.workers,
     )
+    fraction = res["study"].fraction
+    # the running ceiling is exact in continuous time; on the grid it may
+    # overshoot by the scheme's per-path discrepancy scaled by the exponent
+    ceiling_budget = 3.0 * res["p"] * res["master_residual_max"]
+    checks = [
+        Check("mirror finishes behind the market on every path",
+              fraction == 1.0, f"fraction={fraction:g}", 0.0),
+        Check("accumulated relative variance clears the threshold on every path",
+              res["tau_integral_min"] >= res["eta_needed"],
+              f"min={res['tau_integral_min']:.6g} needed={res['eta_needed']:.6g}", 0.0),
+        Check("running log wealth ratio stays under the ceiling",
+              res["worst_ceiling_gap"] <= ceiling_budget,
+              f"worst_gap={res['worst_ceiling_gap']:.6g} "
+              f"master_residual={res['master_residual_max']:.6g}", ceiling_budget),
+        Check("drowned mirror stays all-long",
+              res["wrap82_weight_margin_min"] >= 0.0,
+              f"margin={res['wrap82_weight_margin_min']:.6g}", 0.0),
+        Check("shorted mirror wrap stays all-long",
+              res["wrap83_weight_margin_min"] >= 0.0,
+              f"margin={res['wrap83_weight_margin_min']:.6g}", 0.0),
+        Check("drowned mirror underperforms scaled market on every path",
+              res["wrap82_fraction"] == 1.0, f"fraction={res['wrap82_fraction']:g}", 0.0),
+        Check("shorted mirror outperforms scaled market on every path",
+              res["wrap83_fraction"] == 1.0, f"fraction={res['wrap83_fraction']:g}", 0.0),
+    ]
+    return res, {"capped_steps": res["capped_steps"]}, checks
 
 
 def _run_mirror_81(cfg):
-    res = _mirror_common(cfg)
+    res, info, checks = _mirror_common(cfg)
     study = res["study"]
     metrics = {
         "p": res["p"],
@@ -627,25 +671,17 @@ def _run_mirror_81(cfg):
         "eta_model": res["eta_model"],
         "hypothesis_fraction": res["hypothesis_fraction"],
     }
-    assertions = [
-        ("mirror finishes behind the market on every path",
-         study.fraction == 1.0, f"fraction={study.fraction:g}"),
-        ("accumulated relative variance clears the threshold on every path",
-         res["tau_integral_min"] >= res["eta_needed"],
-         f"min={res['tau_integral_min']:.6g} needed={res['eta_needed']:.6g}"),
-    ]
     per_path = {
         "path_id": np.arange(cfg.n_paths),
         "terminal_log_ratio": study.terminal_log_ratio,
         "ceiling_gap_max": res["ceiling_gap_max"],
         "tau_integral": res["tau_integral"],
     }
-    return metrics, {}, assertions, {"per_path": per_path}
+    return metrics, info, checks, {"per_path": per_path}
 
 
 def _run_examples_82_83(cfg):
-    res = _mirror_common(cfg)
-    study = res["study"]
+    res, info, checks = _mirror_common(cfg)
     metrics = {
         "p": res["p"],
         "beta": res["beta"],
@@ -656,25 +692,13 @@ def _run_examples_82_83(cfg):
         "underperformer_weight_margin_min": res["wrap82_weight_margin_min"],
         "outperformer_weight_margin_min": res["wrap83_weight_margin_min"],
     }
-    assertions = [
-        ("drowned mirror stays all-long",
-         res["wrap82_weight_margin_min"] >= 0.0,
-         f"margin={res['wrap82_weight_margin_min']:.6g}"),
-        ("shorted mirror wrap stays all-long",
-         res["wrap83_weight_margin_min"] >= 0.0,
-         f"margin={res['wrap83_weight_margin_min']:.6g}"),
-        ("drowned mirror underperforms scaled market on every path",
-         res["wrap82_fraction"] == 1.0, f"fraction={res['wrap82_fraction']:g}"),
-        ("shorted mirror outperforms scaled market on every path",
-         res["wrap83_fraction"] == 1.0, f"fraction={res['wrap83_fraction']:g}"),
-    ]
     per_path = {
         "path_id": np.arange(cfg.n_paths),
-        "terminal_log_ratio": study.terminal_log_ratio,
+        "terminal_log_ratio": res["study"].terminal_log_ratio,
         "under_gap": res["wrap82_term_gap"],
         "out_gap": res["wrap83_term_gap"],
     }
-    return metrics, {}, assertions, {"per_path": per_path}
+    return metrics, info, checks, {"per_path": per_path}
 
 
 def _run_master_formula(cfg):
@@ -696,11 +720,19 @@ def _run_master_formula(cfg):
         "max_abs_residual_model_cov_fine": rf["max_abs_residual_model_cov"],
         "floor_margin_min": rf["floor_margin_min"],
     }
+    # the identity is exact in continuous time and its scheme is first order
+    assertions = [
+        Check("residual shrinks at first order in the step", res["order"] >= 0.9,
+              f"order={res['order']:.6g} refine={refine}", 0.1),
+        Check("decomposition holds on every path within the scheme budget",
+              rf["max_abs_residual"] <= 1e-2,
+              f"max_residual={rf['max_abs_residual']:.6g} dt={cfg.grid.dt:.6g}", 1e-2),
+    ]
     per_path = {
         "path_id": np.arange(cfg.n_paths),
         **{key: rf[key] for key in ("lhs", "rhs", "residual", "residual_model_cov")},
     }
-    return metrics, {}, [], {"per_path": per_path}
+    return metrics, {}, assertions, {"per_path": per_path}
 
 
 def _run_ranked_decomposition(cfg):
@@ -770,11 +802,10 @@ def _run_local_time_oracle(cfg):
             metrics["oracle"] = oracle
             metrics["abs_error"] = abs(mean - oracle)
             metrics["t_stat"] = (mean - oracle) / se if se > 0 else float("inf")
-            assertions.append((
+            assertions.append(Check(
                 "terminal local time matches the reflected-line mean",
                 abs(mean - oracle) <= tol,
-                f"mean={mean:.6g} oracle={oracle:.6g} tol={tol:.3g}",
-            ))
+                f"mean={mean:.6g} oracle={oracle:.6g} tol={tol:.3g}", tol))
     per_path = {"path_id": np.arange(cfg.n_paths), "terminal_local_time": lam}
     return metrics, {}, assertions, {"per_path": per_path}
 
@@ -804,10 +835,10 @@ def _run_hedge_price(cfg):
             float(model.x0[idx]), strike, model.r, vol, cfg.grid.horizon)
         metrics["reference"] = ref
         metrics["t_stat"] = (res["price"] - ref) / res["se"] if res["se"] > 0 else float("inf")
-        assertions.append((
+        assertions.append(Check(
             "deflator price matches the closed form within 3 standard errors",
             abs(res["price"] - ref) <= 3.0 * res["se"],
-            f"price={res['price']:.6g} ref={ref:.6g} se={res['se']:.3g}",
+            f"price={res['price']:.6g} ref={ref:.6g} se={res['se']:.3g}", 3.0 * res["se"],
         ))
     return metrics, info, assertions, {}
 
@@ -831,18 +862,18 @@ def _run_call_decay(cfg):
         "first_price": rows[0]["price"],
         "last_price": rows[-1]["price"],
     }
-    under_spot = all(r["price"] < spot for r in rows)
-    env_ok = all(r["stock_price"] <= r["envelope"] + 3.0 * r["stock_se"] for r in rows)
-    mono_ok = all(
-        rows[k + 1]["price"] <= rows[k]["price"]
-        + 3.0 * math.hypot(rows[k]["se"], rows[k + 1]["se"])
-        for k in range(len(rows) - 1)
-    )
+    env_budget = [3.0 * r["stock_se"] for r in rows]
+    mono_budget = [3.0 * math.hypot(a["se"], b["se"]) for a, b in zip(rows, rows[1:])]
     assertions = [
-        ("hedge price sits under the spot at every horizon", under_spot,
-         f"max_price={max(r['price'] for r in rows):.6g} spot={spot:g}"),
-        ("deflated stock price stays under the decay envelope", env_ok, ""),
-        ("hedge price decays along the horizon ladder", mono_ok, ""),
+        Check("hedge price sits under the spot at every horizon",
+              all(r["price"] < spot for r in rows),
+              f"max_price={max(r['price'] for r in rows):.6g} spot={spot:g}", 0.0),
+        Check("deflated stock price stays under the decay envelope",
+              all(r["stock_price"] <= r["envelope"] + b for r, b in zip(rows, env_budget)),
+              "", max(env_budget)),
+        Check("hedge price decays along the horizon ladder",
+              all(b["price"] <= a["price"] + m for a, b, m in zip(rows, rows[1:], mono_budget)),
+              "", max(mono_budget, default=0.0)),
     ]
 
     def column(key):
@@ -885,15 +916,16 @@ def _run_parity_gap(cfg):
         "control_expected": ctl["expected"], "control_t_stat": ctl["t_stat"],
     }
     assertions = [
-        ("two equal-start assets price apart by at least 3 standard errors",
-         wit["gap"] > 3.0 * wit["gap_se"],
-         f"gap={wit['gap']:.6g} se={wit['gap_se']:.3g}"),
-        ("plain stock pair prices at its initial difference",
-         abs(ctl["t_stat"]) <= 3.0, f"t={ctl['t_stat']:.3g}"),
-        ("deflated market and mirror wealth stay within 3 standard errors of their start",
-         wit["h1"] <= 1.0 + 3.0 * wit["h1_se"] and wit["h2"] <= 1.0 + 3.0 * wit["h2_se"],
-         f"h1={wit['h1']:.6g} se={wit['h1_se']:.3g} "
-         f"h2={wit['h2']:.6g} se={wit['h2_se']:.3g}"),
+        Check("two equal-start assets price apart by at least 3 standard errors",
+              wit["gap"] > 3.0 * wit["gap_se"],
+              f"gap={wit['gap']:.6g} se={wit['gap_se']:.3g}", 3.0 * wit["gap_se"]),
+        Check("plain stock pair prices at its initial difference",
+              abs(ctl["t_stat"]) <= 3.0, f"t={ctl['t_stat']:.3g}", 3.0 * ctl["gap_se"]),
+        Check("deflated market and mirror wealth stay within 3 standard errors of their start",
+              wit["h1"] <= 1.0 + 3.0 * wit["h1_se"] and wit["h2"] <= 1.0 + 3.0 * wit["h2_se"],
+              f"h1={wit['h1']:.6g} se={wit['h1_se']:.3g} "
+              f"h2={wit['h2']:.6g} se={wit['h2_se']:.3g}",
+              3.0 * max(wit["h1_se"], wit["h2_se"])),
     ]
     return metrics, {}, assertions, {}
 
@@ -915,12 +947,16 @@ def _run_instantaneous_dominance(cfg):
         "min_fraction": cfg.extras["min_fraction"],
     }
     assertions = [
-        ("second stock leads at every grid time until the handback",
-         res["fraction"] >= cfg.extras["min_fraction"],
-         f"fraction={res['fraction']:g} floor={cfg.extras['min_fraction']:g}"),
-        ("confinement breaches do not grow under refinement",
-         res["confinement_breaches"] <= coarse["confinement_breaches"],
-         f"fine={res['confinement_breaches']} coarse={coarse['confinement_breaches']}"),
+        Check("second stock leads at every grid time until the handback",
+              res["fraction"] >= cfg.extras["min_fraction"],
+              f"fraction={res['fraction']:g} floor={cfg.extras['min_fraction']:g}",
+              1.0 - cfg.extras["min_fraction"]),
+        Check("the leading fraction does not fall under refinement",
+              res["fraction"] >= coarse["fraction"],
+              f"fine={res['fraction']:g} coarse={coarse['fraction']:g}", 0.0),
+        Check("confinement breaches do not grow under refinement",
+              res["confinement_breaches"] <= coarse["confinement_breaches"],
+              f"fine={res['confinement_breaches']} coarse={coarse['confinement_breaches']}", 0.0),
     ]
     per_path = {
         "path_id": np.arange(cfg.n_paths),
@@ -983,6 +1019,12 @@ def _fmt_num(x) -> str:
     return format(float(x), ".17g")
 
 
+def _check_line(check: Check) -> str:
+    detail = f"{check.detail}; " if check.detail else ""
+    verdict = "PASS" if check.passed else "FAIL"
+    return f"{check.label} = {verdict} ({detail}budget={check.budget:.6g})"
+
+
 def _write_csv(path: str, table: dict):
     """Write named columns of equal length; the names form the header."""
     with open(path, "w", newline="") as f:
@@ -1022,9 +1064,7 @@ def persist(report: ExperimentReport, cfg: ExperimentConfig) -> list:
     lines.append("")
     if report.assertions:
         lines.append("[assertions]")
-        for label, ok, detail in report.assertions:
-            tail = f" ({detail})" if detail else ""
-            lines.append(f"{label} = {'PASS' if ok else 'FAIL'}{tail}")
+        lines.extend(_check_line(c) for c in report.assertions)
         lines.append("")
     lines.append("[provenance]")
     lines.extend(f"{k} = {v}" for k, v in report.provenance.items())
@@ -1041,8 +1081,8 @@ def persist(report: ExperimentReport, cfg: ExperimentConfig) -> list:
             "results": metrics,
             "info": report.info,
             "assertions": [
-                {"label": a, "passed": bool(ok), "detail": d}
-                for a, ok, d in report.assertions
+                {**c._asdict(), "passed": bool(c.passed), "budget": float(c.budget)}
+                for c in report.assertions
             ],
             "provenance": report.provenance,
         }
@@ -1099,9 +1139,8 @@ def main(argv=None) -> int:
     for k, v in report.metrics.items():
         if v is not None:
             print(f"{k} = {_fmt_num(v)}")
-    for label, ok, detail in report.assertions:
-        tail = f" ({detail})" if detail else ""
-        print(f"assert {'PASS' if ok else 'FAIL'}: {label}{tail}")
+    for c in report.assertions:
+        print(f"assert {_check_line(c)}")
     for path in written:
         print(f"wrote {path}")
     return 4 if report.failed else 0

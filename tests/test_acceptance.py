@@ -6,14 +6,22 @@ after the run by conftest.py).  Oracle values were computed away from
 the simulation code before these experiments were wired up and are
 frozen here as literals; nothing below fits a constant to the output it
 is checking.
+
+A criterion that checks the claim of a shipped preset in ``configs/``
+(02, 04, 05, 08, 10 and 11) runs that preset through ``cli.run``, with
+its path count, master seed and step count pinned here, and passes when
+every check of the report passes; each check states its own budget.
+Such a criterion adds only what the preset does not check: the frozen
+oracle (08), or that the preset's horizon is past the threshold (04).
 """
 
 import math
 import textwrap
+from pathlib import Path
 
 import numpy as np
 
-from spt_lab import arbitrage, cli, diversity, hedging, markets, paths, portfolios, ranks
+from spt_lab import cli, hedging, markets, paths, portfolios, ranks
 from helpers import random_covariance, random_simplex
 
 CRITERION_LINES = []
@@ -24,12 +32,30 @@ TOP_WEIGHT_MEAN = 0.6748568252669757         # E[1/(1+e^-|Z|)], Z standard norma
 TOP_WEIGHT_TAIL = 0.16565703800339682        # 2 (1 - Phi(log 4))
 CALL_PRICE_LOGNORMAL = 0.16728424634840483   # spot 1, strike 1, r 3%, vol 25%, T 2
 
+PRESETS = Path(__file__).resolve().parents[1] / "configs"
+
 
 def _record(num, label, ok, detail):
     line = "criterion %02d: %s  %s  (%s)" % (num, "PASS" if ok else "FAIL", label, detail)
     print(line)
     CRITERION_LINES.append(line)
     return bool(ok)
+
+
+def _run_preset(stem, paths, seed, steps):
+    """Report of a shipped preset run with pinned paths, seed and steps."""
+    cfg = cli.parse_config(str(PRESETS / f"{stem}.ini"), paths=paths, seed=seed, steps=steps)
+    return cli.run(cfg)
+
+
+def _check(report, start):
+    """The report's check whose label starts with ``start``."""
+    return next(c for c in report.assertions if c.label.startswith(start))
+
+
+def _failed(report):
+    """Tail for a criterion line naming each failed check of the report."""
+    return "".join(f"; FAIL {c.label} ({c.detail})" for c in report.failed)
 
 
 def _barrier_market(scale=1.0):
@@ -107,21 +133,13 @@ def test_criterion_01_identity_suite():
 # ---------------------------------------------------------------------------
 
 def test_criterion_02_master_decomposition():
-    sigma = np.full((5, 5), 0.05)
-    np.fill_diagonal(sigma, (0.2, 0.25, 0.3, 0.35, 0.4))
-    model = markets.constant_market(b=(0.05, 0.02, 0.08, 0.0, 0.04), sigma=sigma,
-                                    x0=(2.0, 1.0, 1.5, 0.8, 1.2))
-    shared = paths.generate_factors(paths.make_grid(1.0, 2_000), 5, 1_024, master_seed=202)
-    order = arbitrage.master_formula_order_study(
-        model, shared, p=0.5, refine=2, batch_size=256, workers=1)
-    grid = paths.make_grid(1.0, 10_000)
-    f = paths.generate_factors(grid, 5, 1_024, master_seed=202)
-    res = arbitrage.master_formula_check(model, f, p=0.5, batch_size=128)
-    ok = order["order"] >= 0.9 and res["max_abs_residual"] <= 1e-2
+    report = _run_preset("master_formula", paths=1_024, seed=202, steps=2_000)
+    m = report.metrics
     assert _record(
-        2, "wealth-ratio decomposition residual", ok,
-        f"order {order['order']:.2f} (need >= 0.9), "
-        f"max residual {res['max_abs_residual']:.1e} at dt 1e-4 (need <= 1e-2)")
+        2, "wealth-ratio decomposition residual", not report.failed,
+        f"order {m['order']:.2f} (need >= 0.9), max residual "
+        f"{m['max_abs_residual_fine']:.1e} at dt {m['dt_fine']:.0e} (need <= 1e-2)"
+        + _failed(report))
 
 
 # ---------------------------------------------------------------------------
@@ -159,19 +177,14 @@ def test_criterion_03_diversity_holds():
 # ---------------------------------------------------------------------------
 
 def test_criterion_04_outperformance_past_threshold():
-    model = _barrier_market()
-    p = 0.5
-    horizon = math.ceil(arbitrage.threshold_horizon(3, p, model.vol.eps, 0.3))
-    grid = paths.make_grid(float(horizon), 1_000 * horizon)
-    f = paths.generate_factors(grid, 3, 500, master_seed=211)
-    res = arbitrage.outperformance_study(model, f, p)
-    master = arbitrage.master_formula_check(model, f, p, batch_size=100)
-    budget = 3.0 * master["max_abs_residual"]
-    ok = res["study"].fraction == 1.0 and res["min_slack"] >= -budget
+    report = _run_preset("arbitrage_45", paths=500, seed=211, steps=15_000)
+    m = report.metrics
+    ok = not report.failed and m["horizon"] >= m["threshold_horizon"]
     assert _record(
         4, "reweighted portfolio leads at the threshold horizon", ok,
-        f"T {horizon}, fraction {res['study'].fraction:.3f} (need 1.0), "
-        f"min slack {res['min_slack']:.2e} vs -{budget:.2e}")
+        f"T {m['horizon']:g} (threshold {m['threshold_horizon']:.2f}), fraction "
+        f"{m['fraction']:.3f} (need 1.0), min slack {m['min_slack']:.2e} (need > 0)"
+        + _failed(report))
 
 
 # ---------------------------------------------------------------------------
@@ -179,26 +192,17 @@ def test_criterion_04_outperformance_past_threshold():
 # ---------------------------------------------------------------------------
 
 def test_criterion_05_mirror_and_wraps():
-    model = _barrier_market()
-    grid = paths.make_grid(15.0, 15_000)
-    f = paths.generate_factors(grid, 3, 500, master_seed=307)
-    res = arbitrage.mirror_study(model, f)
-    master = arbitrage.master_formula_check(model, f, p=0.5, batch_size=100)
-    # running-ceiling overshoot is the decomposition's per-step scheme
-    # discrepancy scaled by the mirror exponent
-    budget = 3.0 * res["p"] * master["max_abs_residual"]
-    ok = (res["study"].fraction == 1.0
-          and res["worst_ceiling_gap"] <= budget
-          and res["wrap82_weight_margin_min"] >= -1e-12
-          and res["wrap83_weight_margin_min"] >= -1e-12
-          and res["wrap82_fraction"] == 1.0
-          and res["wrap83_fraction"] == 1.0)
+    report = _run_preset("mirror_81", paths=500, seed=307, steps=15_000)
+    m = report.metrics
+    # the running-ceiling budget is the decomposition's per-path scheme
+    # discrepancy on the same paths, scaled by the mirror exponent
+    gap = _check(report, "running log wealth ratio")
+    wraps = [c.detail for c in report.assertions if c.label.startswith(("drowned", "shorted"))]
     assert _record(
-        5, "mirror underperforms, wraps stay long and straddle", ok,
-        f"p {res['p']:.2f}, fraction {res['study'].fraction:.3f}, ceiling gap "
-        f"{res['worst_ceiling_gap']:.2e} vs {budget:.2e}, wrap margins "
-        f"{res['wrap82_weight_margin_min']:.1e}/{res['wrap83_weight_margin_min']:.1e}, "
-        f"wrap fractions {res['wrap82_fraction']:.2f}/{res['wrap83_fraction']:.2f}")
+        5, "mirror underperforms, wraps stay long and straddle", not report.failed,
+        f"p {m['p']:.2f}, fraction {m['fraction_under']:.3f}, ceiling gap "
+        f"{m['worst_ceiling_gap']:.2e} vs {gap.budget:.2e}, wrap {', '.join(wraps)}"
+        + _failed(report))
 
 
 # ---------------------------------------------------------------------------
@@ -266,18 +270,14 @@ def test_criterion_07_local_time_and_ranked_decomposition():
 # ---------------------------------------------------------------------------
 
 def test_criterion_08_hedge_price_matches_closed_form():
-    model = markets.constant_market(b=(0.12, 0.05), sigma=np.diag((0.25, 0.30)),
-                                    x0=(1.0, 1.0), r=0.03)
-    grid = paths.make_grid(2.0, 200)
-    f = paths.generate_factors(grid, 2, 100_000, master_seed=41)
-    out = hedging.hedge_price(model, f, hedging.call_claim(0, 1.0),
-                              batch_size=4_096)
-    gap = out["price"] - CALL_PRICE_LOGNORMAL
-    ok = abs(gap) <= 3.0 * out["se"]
+    report = _run_preset("hedge_price", paths=100_000, seed=41, steps=200)
+    m = report.metrics
+    gap = m["price"] - CALL_PRICE_LOGNORMAL
+    ok = not report.failed and abs(gap) <= 3.0 * m["se"]
     assert _record(
         8, "deflated call price vs lognormal closed form", ok,
-        f"price {out['price']:.5f} vs {CALL_PRICE_LOGNORMAL:.5f}, "
-        f"gap {gap:+.1e} vs 3se {3.0 * out['se']:.1e}")
+        f"price {m['price']:.5f} vs {CALL_PRICE_LOGNORMAL:.5f}, "
+        f"gap {gap:+.1e} vs 3se {3.0 * m['se']:.1e}" + _failed(report))
 
 
 # ---------------------------------------------------------------------------
@@ -319,28 +319,13 @@ def test_criterion_09_deflator_deficit_and_call_decay():
 # ---------------------------------------------------------------------------
 
 def test_criterion_10_parity_failure_with_control():
-    model = _barrier_market(scale=0.25)
-    grid = paths.make_grid(4.0, 800)
-    f = paths.generate_factors(grid, 3, 20_000, master_seed=53)
-    p = 1.1 * arbitrage.mirror_exponent(model.vol.eps, 0.3, grid.horizon, 1.0 / 3.0)
-    wit = hedging.parity_witness_study(model, f, p, batch_size=2_048)
-
-    sigma = 0.25 * np.eye(3)
-    control = markets.constant_market(b=0.5 * np.diag(sigma @ sigma.T), sigma=sigma,
-                                      x0=(1.0, 1.0, 1.0), r=0.0)
-    ctl = hedging.parity_control_study(control, f, 0, 1)
-    # deflated wealth is a supermartingale: neither asset ends above its start
-    supermart = (wit["h1"] <= 1.0 + 3.0 * wit["h1_se"]
-                 and wit["h2"] <= 1.0 + 3.0 * wit["h2_se"])
-    ok = (wit["initial_difference"] == 0.0
-          and wit["gap"] > 3.0 * wit["gap_se"]
-          and abs(ctl["t_stat"]) <= 3.0
-          and supermart)
+    report = _run_preset("parity_gap", paths=20_000, seed=53, steps=800)
+    m = report.metrics
     assert _record(
-        10, "parity breaks at the witness, holds in the control", ok,
-        f"witness gap {wit['gap']:.4f} (t {wit['t_stat']:.1f}, need > 3), "
-        f"control t {ctl['t_stat']:+.2f} (need within 3), deflated values "
-        f"{wit['h1']:.3f}/{wit['h2']:.1e} (need <= 1 + 3 se)")
+        10, "parity breaks at the witness, holds in the control", not report.failed,
+        f"witness gap {m['gap']:.4f} (t {m['t_stat']:.1f}, need > 3), "
+        f"control t {m['control_t_stat']:+.2f} (need within 3), deflated values "
+        f"{m['h1']:.3f}/{m['h2']:.1e} (need <= 1 + 3 se)" + _failed(report))
 
 
 # ---------------------------------------------------------------------------
@@ -348,19 +333,14 @@ def test_criterion_10_parity_failure_with_control():
 # ---------------------------------------------------------------------------
 
 def test_criterion_11_instantaneous_dominance():
-    model = markets.instantaneous_dominance_market(alpha=0.25)
-    fine = paths.generate_factors(paths.geometric_grid(1.0, 8_192, 1e-8), model.m,
-                                  1_000, master_seed=67)
-    res, coarse = (arbitrage.dominance_study(model, f) for f in (fine, fine.coarsened(2)))
-    ok = (res["fraction"] >= 0.99
-          and res["fraction"] >= coarse["fraction"]
-          and res["confinement_breaches"] <= coarse["confinement_breaches"])
+    report = _run_preset("instantaneous_dominance", paths=1_000, seed=67, steps=8_192)
+    m = report.metrics
     assert _record(
-        11, "strategy leads at every positive grid time", ok,
-        f"fraction {res['fraction']:.3f} (need >= 0.99), "
-        f"coarse {coarse['fraction']:.3f}, worst lead {res['worst_lead']:.2e}, "
-        f"confinement breaches {res['confinement_breaches']} "
-        f"(coarse {coarse['confinement_breaches']}, need no more)")
+        11, "strategy leads at every positive grid time", not report.failed,
+        f"fraction {m['fraction']:.3f} (need >= 0.99), worst lead {m['worst_lead']:.2e}, "
+        f"fraction {_check(report, 'the leading fraction').detail}, confinement "
+        f"breaches {_check(report, 'confinement').detail} (need no more)"
+        + _failed(report))
 
 
 # ---------------------------------------------------------------------------

@@ -170,15 +170,6 @@ def test_mirror_study_rejects_other_models():
         arbitrage.mirror_study(model, f)
 
 
-def test_mirror_identity_self_convergence():
-    model = _diverse_pair(delta=0.3)
-    out = arbitrage.mirror_identity_order_study(model, 2.0, horizon=2.0,
-                                                steps_fine=400, n_paths=32,
-                                                master_seed=29)
-    assert out["residual_fine"] < out["residual_coarse"]
-    assert out["order"] >= 0.8
-
-
 # ---------------------------------------------------------------------------
 # early-lead dominance
 # ---------------------------------------------------------------------------

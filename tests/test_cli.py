@@ -188,6 +188,30 @@ def test_run_simulate_writes_outputs(tmp_path):
     assert len(rows) == 21
     float(rows[1].split(",")[1])
 
+    # every check records a budget; the mirror's ceiling gap gets a positive one
+    mirror = tmp_path / "mirror"
+    assert cli.main(["run", str(_PRESETS / "mirror_81.ini"), "--paths", "8",
+                     "--steps", "300", "--out", str(mirror)]) in (0, 4)
+    doc = _checks_with_budgets(mirror)
+    budgets = {a["label"]: a["budget"] for a in doc["assertions"]}
+    assert budgets["running log wealth ratio stays under the ceiling"] > 0.0
+    assert doc["info"]["capped_steps"] >= 0
+    assert "capped_steps = " in (mirror / "summary.txt").read_text()
+
+
+def _checks_with_budgets(out):
+    """summary.json, once each of its checks is seen to carry a finite
+    budget >= 0 that summary.txt states too."""
+    doc = json.loads((out / "summary.json").read_text())
+    text = (out / "summary.txt").read_text()
+    assert doc["assertions"]
+    for a in doc["assertions"]:
+        assert set(a) == {"label", "passed", "detail", "budget"}
+        assert np.isfinite(a["budget"]) and a["budget"] >= 0.0
+        assert f"{a['label']} = {'PASS' if a['passed'] else 'FAIL'} (" in text
+        assert f"budget={a['budget']:.6g})" in text
+    return doc
+
 
 _RANKED_CFG = """\
 [experiment]
@@ -306,8 +330,7 @@ def test_failed_comparison_exits_four(tmp_path):
         directory = {out}
         """)
     assert cli.main(["run", cfg]) == 4
-    summary = (out / "summary.txt").read_text()
-    assert "FAIL" in summary
+    assert not all(a["passed"] for a in _checks_with_budgets(out)["assertions"])
 
 
 def test_arbitrage_per_path_schema(tmp_path):
