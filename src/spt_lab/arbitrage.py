@@ -10,7 +10,7 @@ measured on the same paths; the studies here only measure and report.
 
 Per-path reductions happen inside fixed-size batches, whose columns
 ``markets.run_batches`` joins in path order; cross-path reductions run
-once over the joined columns, so results do not depend on worker count.
+once over the joined columns, so results do not depend on batch size.
 """
 
 from __future__ import annotations
@@ -95,7 +95,7 @@ def _master_terms(lx, mu, p: float):
 
 
 def master_formula_check(
-    model, factors: _paths.FactorPaths, p: float, batch_size: int = 256, workers: int = 1
+    model, factors: _paths.FactorPaths, p: float, batch_size: int = 256
 ) -> dict:
     """Decompose the reweighted portfolio's lead over the market.
 
@@ -128,7 +128,7 @@ def master_formula_check(
             "floor_margin": dterm - floor,
         }
 
-    cols = _markets.run_batches(model, factors, per_batch, batch_size, workers)
+    cols = _markets.run_batches(model, factors, per_batch, batch_size)
     lhs, rhs = cols["lhs"], cols["rhs"]
     res = lhs - rhs
     res_model = lhs - cols["rhs_model_cov"]
@@ -149,8 +149,7 @@ def master_formula_order_study(
     fine: _paths.FactorPaths,
     p: float,
     refine: int,
-    batch_size: int,
-    workers: int,
+    batch_size: int = 256,
 ) -> dict:
     """Self-convergence of the master-formula residual on shared noise.
 
@@ -160,8 +159,8 @@ def master_formula_order_study(
     ``master_formula_check`` results under ``fine`` and ``coarse``.
     """
     coarse = fine.coarsened(refine)
-    r_fine = master_formula_check(model, fine, p, batch_size, workers)
-    r_coarse = master_formula_check(model, coarse, p, batch_size, workers)
+    r_fine = master_formula_check(model, fine, p, batch_size)
+    r_coarse = master_formula_check(model, coarse, p, batch_size)
     ratio = r_coarse["mean_abs_residual"] / max(r_fine["mean_abs_residual"], 1e-300)
     return {
         "fine": r_fine,
@@ -181,7 +180,6 @@ def outperformance_study(
     p: float,
     delta: float | None = None,
     batch_size: int = 128,
-    workers: int = 1,
 ) -> dict:
     """Reweighted portfolio versus the market beyond the threshold horizon.
 
@@ -219,7 +217,7 @@ def outperformance_study(
             "capped": aux.get("capped_steps", np.zeros(hi - lo, np.int64)),
         }
 
-    cols = _markets.run_batches(model, factors, per_batch, batch_size, workers)
+    cols = _markets.run_batches(model, factors, per_batch, batch_size)
     term, slack = cols["term"], cols["slack"]
     if delta is not None:
         # fixed-margin variant of the bound, for certified models
@@ -256,7 +254,6 @@ def mirror_study(
     p: float | None = None,
     margin: float = 1.1,
     batch_size: int = 128,
-    workers: int = 1,
 ) -> dict:
     """Short-the-market mirror of the first stock, plus its all-long wraps.
 
@@ -324,7 +321,7 @@ def mirror_study(
             "capped": aux.get("capped_steps", np.zeros(hi - lo, np.int64)),
         }
 
-    cols = _markets.run_batches(model, factors, per_batch, batch_size, workers)
+    cols = _markets.run_batches(model, factors, per_batch, batch_size)
     term, tau_int, ceil_gap_max = cols["term"], cols["tau_int"], cols["ceil_gap_max"]
 
     eta_needed = 2.0 * np.log(1.0 / beta) / (p - 1.0)
@@ -371,7 +368,7 @@ def mirror_study(
 # ---------------------------------------------------------------------------
 
 def dominance_study(
-    model, factors: _paths.FactorPaths, batch_size: int = 512, workers: int = 1
+    model, factors: _paths.FactorPaths, batch_size: int = 512
 ) -> dict:
     """All-in on the runaway stock until it gives back half its head start.
 
@@ -415,7 +412,7 @@ def dominance_study(
             "capped": aux["capped_steps"],
         }
 
-    cols = _markets.run_batches(model, factors, per_batch, batch_size, workers)
+    cols = _markets.run_batches(model, factors, per_batch, batch_size)
     min_lead = cols["min_lead"]
     return {
         "n_paths": factors.n_paths,

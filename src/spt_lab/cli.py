@@ -5,15 +5,16 @@ Configs are INI-style text with five sections::
     [experiment]    name plus experiment-specific knobs (p, strike, ...)
     [model]         kind plus model parameters (sigma, delta, x0, ...)
     [grid]          horizon and step count, or a geometric early grid
-    [mc]            path count, master seed, worker threads, batch size
+    [mc]            path count and master seed
     [output]        directory and which optional files to write
 
-Every run writes ``summary.txt`` (config echo, results, assertion lines
-with their budgets, provenance) and ``metrics.csv`` (the numeric payload,
-17 significant digits).  Each claim an experiment makes about its output
-is checked here, once, as a ``Check``.  Identical configs reproduce the
-CSV files byte for byte, at any worker count.  Exit codes: 0 success,
-2 invalid config, 3 numeric failure, 4 an experiment assertion failed.
+Every run writes ``summary.txt`` and ``summary.json`` (config echo,
+results, assertion lines with their budgets, provenance) and
+``metrics.csv`` (the numeric payload, 17 significant digits).  Each claim
+an experiment makes about its output is checked here, once, as a
+``Check``.  Identical configs reproduce the CSV files byte for byte.
+Exit codes: 0 success, 2 invalid config, 3 numeric failure, 4 an
+experiment assertion failed.
 """
 
 from __future__ import annotations
@@ -66,12 +67,9 @@ class ExperimentConfig:
     grid: _paths.PathGrid | None
     n_paths: int
     master_seed: int
-    workers: int
-    batch_size: int | None
     out_dir: str
     per_path: bool
     series: bool
-    write_json: bool
     extras: dict
     echo: dict
     overrides: dict = field(default_factory=dict)
@@ -208,12 +206,9 @@ def _build_sigma(p: _Parse, n: int):
 
 
 def _build_model(p: _Parse, name: str, horizon):
-    kind = p.text("model", "kind", required=True,
-                  choices=_MODEL_KINDS + ("gbm",))
+    kind = p.text("model", "kind", required=True, choices=_MODEL_KINDS)
     if kind is None:
         return None
-    if kind == "gbm":
-        kind = "constant"
     r = p.num("model", "r", default=0.0)
     try:
         if kind == "dominance":
@@ -288,7 +283,7 @@ def _parse_extras(p: _Parse, name: str, model) -> dict:
     elif name == "arbitrage-45":
         ex["p"] = p.num("experiment", "p", default=0.5,
                         lo=0.0, hi=1.0, lo_open=True, hi_open=True)
-    elif name in ("mirror-81", "examples-82-83", "parity-gap"):
+    elif name in ("mirror-81", "parity-gap"):
         ex["p"] = p.num("experiment", "p", lo=1.0, lo_open=True)
         ex["margin"] = p.num("experiment", "margin", default=1.1, lo=1.0, lo_open=True)
         if name == "parity-gap":
@@ -324,7 +319,7 @@ def _parse_extras(p: _Parse, name: str, model) -> dict:
 def _check_model_fits(p: _Parse, name: str, model, grid):
     if model is None:
         return
-    if name in ("mirror-81", "examples-82-83") and model.kind not in ("diverse", "patched"):
+    if name == "mirror-81" and model.kind not in ("diverse", "patched"):
         p.err(f"{name} needs a barrier-controlled model, got kind {model.kind!r}")
     if name == "parity-gap":
         if "delta" not in model.params:
@@ -399,14 +394,11 @@ def parse_config(path: str, paths=None, seed=None, steps=None, out=None) -> Expe
 
     n_paths = p.num("mc", "n_paths", required=True, kind=int, lo=1)
     master_seed = p.num("mc", "master_seed", required=True, kind=int, lo=0)
-    workers = p.num("mc", "workers", default=1, kind=int, lo=1)
-    batch_size = p.num("mc", "batch_size", kind=int, lo=1)
 
     stem = os.path.splitext(os.path.basename(path))[0]
     out_dir = p.text("output", "directory", default=os.path.abspath(stem + ".out"))
     per_path = p.flag("output", "per_path")
     series = p.flag("output", "series", default=False)
-    write_json = p.flag("output", "json", default=True)
 
     extras = _parse_extras(p, name, model) if name is not None else {}
     if name == "call-decay":
@@ -426,12 +418,9 @@ def parse_config(path: str, paths=None, seed=None, steps=None, out=None) -> Expe
         grid=grid,
         n_paths=n_paths,
         master_seed=master_seed,
-        workers=workers,
-        batch_size=batch_size,
         out_dir=os.path.abspath(out_dir),
         per_path=per_path,
         series=series,
-        write_json=write_json,
         extras=extras,
         echo=echo,
         overrides=overrides,
@@ -495,8 +484,7 @@ def _run_simulate(cfg):
             "trigger": aux.get("trigger_time", np.full(hi - lo, np.nan)),
         }
 
-    cols = _markets.run_batches(model, _factors(cfg), per_batch,
-                                cfg.batch_size or 256, cfg.workers)
+    cols = _markets.run_batches(model, _factors(cfg), per_batch, 256)
     trigger = cols["trigger"]
     metrics = {
         "n_paths": cfg.n_paths,
@@ -548,8 +536,7 @@ def _run_diversity_report(cfg):
         out["capped"] = aux.get("capped_steps", np.zeros(hi - lo, np.int64))
         return out
 
-    cols = _markets.run_batches(model, _factors(cfg), per_batch,
-                                cfg.batch_size or 256, cfg.workers)
+    cols = _markets.run_batches(model, _factors(cfg), per_batch, 256)
     metrics = {
         "delta": delta,
         "tail_fraction": tail_fraction,
@@ -578,10 +565,7 @@ def _run_arbitrage_45(cfg):
     p = cfg.extras["p"]
     factors = _factors(cfg)
     delta = model.params.get("delta")
-    res = _arbitrage.outperformance_study(
-        model, factors, p, delta=delta,
-        batch_size=cfg.batch_size or 128, workers=cfg.workers,
-    )
+    res = _arbitrage.outperformance_study(model, factors, p, delta=delta)
     study = res["study"]
     tstar = _arbitrage.threshold_horizon(model.n, p, model.vol.eps, delta) \
         if delta is not None else None
@@ -619,15 +603,11 @@ def _run_arbitrage_45(cfg):
     return metrics, info, assertions, {"per_path": per_path}
 
 
-def _mirror_common(cfg):
-    """The mirror study of mirror-81 and examples-82-83, with the checks of
-    every claim it tests; the two presets differ only in what they report."""
+def _run_mirror_81(cfg):
     res = _arbitrage.mirror_study(
-        cfg.model, _factors(cfg),
-        p=cfg.extras["p"], margin=cfg.extras["margin"],
-        batch_size=cfg.batch_size or 128, workers=cfg.workers,
-    )
-    fraction = res["study"].fraction
+        cfg.model, _factors(cfg), p=cfg.extras["p"], margin=cfg.extras["margin"])
+    study = res["study"]
+    fraction = study.fraction
     # the running ceiling is exact in continuous time; on the grid it may
     # overshoot by the scheme's per-path discrepancy scaled by the exponent
     ceiling_budget = 3.0 * res["p"] * res["master_residual_max"]
@@ -652,39 +632,18 @@ def _mirror_common(cfg):
         Check("shorted mirror outperforms scaled market on every path",
               res["wrap83_fraction"] == 1.0, f"fraction={res['wrap83_fraction']:g}", 0.0),
     ]
-    return res, {"capped_steps": res["capped_steps"]}, checks
-
-
-def _run_mirror_81(cfg):
-    res, info, checks = _mirror_common(cfg)
-    study = res["study"]
     metrics = {
         "p": res["p"],
         "p_threshold": res["p_threshold"],
         "beta": res["beta"],
         "horizon": cfg.grid.horizon,
-        "fraction_under": study.fraction,
+        "fraction_under": fraction,
         "worst_terminal_log_ratio": float(study.terminal_log_ratio.max()),
         "worst_ceiling_gap": res["worst_ceiling_gap"],
         "tau_integral_min": res["tau_integral_min"],
         "eta_needed": res["eta_needed"],
         "eta_model": res["eta_model"],
         "hypothesis_fraction": res["hypothesis_fraction"],
-    }
-    per_path = {
-        "path_id": np.arange(cfg.n_paths),
-        "terminal_log_ratio": study.terminal_log_ratio,
-        "ceiling_gap_max": res["ceiling_gap_max"],
-        "tau_integral": res["tau_integral"],
-    }
-    return metrics, info, checks, {"per_path": per_path}
-
-
-def _run_examples_82_83(cfg):
-    res, info, checks = _mirror_common(cfg)
-    metrics = {
-        "p": res["p"],
-        "beta": res["beta"],
         "underperformer_capital": res["wrap82_capital"],
         "outperformer_capital": res["wrap83_capital"],
         "underperformer_fraction": res["wrap82_fraction"],
@@ -694,18 +653,19 @@ def _run_examples_82_83(cfg):
     }
     per_path = {
         "path_id": np.arange(cfg.n_paths),
-        "terminal_log_ratio": res["study"].terminal_log_ratio,
+        "terminal_log_ratio": study.terminal_log_ratio,
+        "ceiling_gap_max": res["ceiling_gap_max"],
+        "tau_integral": res["tau_integral"],
         "under_gap": res["wrap82_term_gap"],
         "out_gap": res["wrap83_term_gap"],
     }
-    return metrics, info, checks, {"per_path": per_path}
+    return metrics, {"capped_steps": res["capped_steps"]}, checks, {"per_path": per_path}
 
 
 def _run_master_formula(cfg):
     p = cfg.extras["p"]
     refine = cfg.extras["refine"]
-    res = _arbitrage.master_formula_order_study(
-        cfg.model, _factors(cfg), p, refine, cfg.batch_size or 256, cfg.workers)
+    res = _arbitrage.master_formula_order_study(cfg.model, _factors(cfg), p, refine)
     rf, rc = res["fine"], res["coarse"]
     metrics = {
         "p": p,
@@ -749,8 +709,7 @@ def _run_ranked_decomposition(cfg):
             "lam_term": res["local_times"][:, -1],
         }
 
-    cols = _markets.run_batches(model, factors, per_batch,
-                                cfg.batch_size or 256, cfg.workers)
+    cols = _markets.run_batches(model, factors, per_batch, 256)
     rel_named, rel_model, lam_term = (
         cols[key] for key in ("relative_named", "relative_model", "lam_term"))
     metrics = {
@@ -783,8 +742,7 @@ def _run_local_time_oracle(cfg):
         y = lx[:, :, idx] - lx[:, :1, idx]
         return {"lam": _ranks.estimate_local_time(y)[:, -1]}
 
-    lam = _markets.run_batches(model, _factors(cfg), per_batch,
-                               cfg.batch_size or 1024, cfg.workers)["lam"]
+    lam = _markets.run_batches(model, _factors(cfg), per_batch, 1024)["lam"]
     mean, se = _hedging._compensated_mean_se(lam)
     metrics = {
         "mean_terminal_local_time": mean,
@@ -816,9 +774,7 @@ def _run_hedge_price(cfg):
     idx = cfg.extras["index"]
     factors = _factors(cfg)
     claim = _hedging.call_claim(idx, strike)
-    res = _hedging.hedge_price(model, factors, claim,
-                               batch_size=cfg.batch_size or 1024,
-                               workers=cfg.workers)
+    res = _hedging.hedge_price(model, factors, claim)
     metrics = {
         "price": res["price"],
         "se": res["se"],
@@ -850,7 +806,6 @@ def _run_call_decay(cfg):
     res = _hedging.call_decay_study(
         model, ex["strike"], ex["horizons"], spu, cfg.n_paths, cfg.master_seed,
         p_bound=ex["p_bound"], index=ex["index"],
-        batch_size=cfg.batch_size or 1024, workers=cfg.workers,
     )
     rows = res["rows"]
     spot = res["spot"]
@@ -886,7 +841,7 @@ def _run_call_decay(cfg):
         "stock": {**ladder, "deflated_stock": column("stock_price"),
                   "stderr": column("stock_se"), **envelope},
     }
-    return metrics, {}, assertions, tables
+    return metrics, {"capped_steps": res["capped_steps"]}, assertions, tables
 
 
 def _run_parity_gap(cfg):
@@ -898,14 +853,12 @@ def _run_parity_gap(cfg):
             model.vol.eps, model.params["delta"], cfg.grid.horizon,
             float(_max_last(model.x0 / _sum_last(model.x0))),
         )
-    wit = _hedging.parity_witness_study(
-        model, factors, p, batch_size=cfg.batch_size or 128, workers=cfg.workers)
+    wit = _hedging.parity_witness_study(model, factors, p)
     control_model = _markets.constant_market(
         b=np.asarray(model.params["g"], dtype=float) + 0.5 * np.diag(model.vol.a),
         sigma=model.vol.sigma, x0=model.x0, r=model.r)
     ctl = _hedging.parity_control_study(
-        control_model, factors, cfg.extras["control_i"], cfg.extras["control_j"],
-        workers=cfg.workers)
+        control_model, factors, cfg.extras["control_i"], cfg.extras["control_j"])
     metrics = {
         "p": float(p),
         "h1": wit["h1"], "h1_se": wit["h1_se"],
@@ -927,16 +880,14 @@ def _run_parity_gap(cfg):
               f"h2={wit['h2']:.6g} se={wit['h2_se']:.3g}",
               3.0 * max(wit["h1_se"], wit["h2_se"])),
     ]
-    return metrics, {}, assertions, {}
+    return metrics, {"capped_steps": wit["capped_steps"]}, assertions, {}
 
 
 def _run_instantaneous_dominance(cfg):
     model = cfg.model
     factors = _factors(cfg)
-    res, coarse = (
-        _arbitrage.dominance_study(model, f, batch_size=cfg.batch_size or 512,
-                                   workers=cfg.workers)
-        for f in (factors, factors.coarsened(2)))
+    res, coarse = (_arbitrage.dominance_study(model, f)
+                   for f in (factors, factors.coarsened(2)))
     metrics = {
         "fraction": res["fraction"],
         "worst_lead": res["worst_lead"],
@@ -971,7 +922,6 @@ _RUNNERS = {
     "diversity-report": _run_diversity_report,
     "arbitrage-45": _run_arbitrage_45,
     "mirror-81": _run_mirror_81,
-    "examples-82-83": _run_examples_82_83,
     "master-formula": _run_master_formula,
     "ranked-decomposition": _run_ranked_decomposition,
     "local-time-oracle": _run_local_time_oracle,
@@ -989,7 +939,6 @@ def run(cfg: ExperimentConfig) -> ExperimentReport:
     provenance = {
         "artifact": f"spt-lab {__version__}",
         "master_seed": cfg.master_seed,
-        "workers": cfg.workers,
         "created_utc": datetime.datetime.now(datetime.timezone.utc)
         .isoformat(timespec="seconds"),
     }
@@ -1074,23 +1023,22 @@ def persist(report: ExperimentReport, cfg: ExperimentConfig) -> list:
         f.write("\n".join(lines))
     written.append(path)
 
-    if cfg.write_json:
-        payload = {
-            "experiment": report.name,
-            "config": report.config,
-            "results": metrics,
-            "info": report.info,
-            "assertions": [
-                {**c._asdict(), "passed": bool(c.passed), "budget": float(c.budget)}
-                for c in report.assertions
-            ],
-            "provenance": report.provenance,
-        }
-        path = os.path.join(cfg.out_dir, "summary.json")
-        with open(path, "w") as f:
-            json.dump(payload, f, indent=2, sort_keys=True, default=float)
-            f.write("\n")
-        written.append(path)
+    payload = {
+        "experiment": report.name,
+        "config": report.config,
+        "results": metrics,
+        "info": report.info,
+        "assertions": [
+            {**c._asdict(), "passed": bool(c.passed), "budget": float(c.budget)}
+            for c in report.assertions
+        ],
+        "provenance": report.provenance,
+    }
+    path = os.path.join(cfg.out_dir, "summary.json")
+    with open(path, "w") as f:
+        json.dump(payload, f, indent=2, sort_keys=True, default=float)
+        f.write("\n")
+    written.append(path)
     return written
 
 

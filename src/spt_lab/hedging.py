@@ -4,17 +4,18 @@ The deflator multiplies each path's payoff before averaging: log L moves by
 -theta' dW - ||theta||^2 dt / 2 per step, with theta the market price of
 risk read at the left endpoint and dW the same factor increments that drove
 the prices.  Because theta is known at the start of each step, every step
-factor has conditional mean one, so the sample mean of L(T) estimates 1
-without discretization bias.  In markets whose continuous-time deflator is
-a strict local martingale, the compensating mass sits in astronomically
-rare explosive paths; a finite sample essentially never draws them, and the
-sample mean instead hugs the continuous-time expectation, which is below
-one.  The studies report that deficit as statistical evidence (mean,
-standard error, persistence under step halving), never as a proof.
+factor has conditional mean one, so E[L(T)] = 1 exactly on every grid, even
+in markets whose continuous-time deflator is a strict local martingale with
+expectation below one.  The deficit 1 - mean(L(T)) that ``slm_deficit_study``
+reports therefore has estimand 0: a sample mean short of one only shows
+that the sample missed the rare paths that carry the compensating mass.
+The deflated prices of ``call_decay_study`` and ``parity_witness_study``
+average the same heavy-tailed factor and share the fault.  Estimating
+these quantities under the Foellmer measure is ROADMAP item 1 (see also
+the deflator note in the README).
 
 Monte Carlo reductions collect one value per path and reduce once with
-compensated (exact) summation, so results are independent of batch
-scheduling and worker count.
+compensated (exact) summation, so results are independent of batch size.
 """
 
 from __future__ import annotations
@@ -71,7 +72,8 @@ def exchange_claim(i: int, j: int) -> Claim:
 
 
 def market_price_of_risk(model, log_prices: np.ndarray, times, aux=None) -> np.ndarray:
-    """theta = sigma' (sigma sigma')^{-1} (b - r 1) along a path or batch."""
+    """theta = sigma' (sigma sigma')^{-1} (b - r 1) along a batch of log prices
+    (B, len(times), n)."""
     sigma = model.vol.sigma
     proj = sigma.T @ np.linalg.inv(model.vol.a)
     b = _markets.rates_of_return_along(model, log_prices, times, aux=aux)
@@ -97,7 +99,7 @@ def _deflator_log_terminal_block(model, lx, dw, times, aux) -> np.ndarray:
 
 
 def deflator_log_terminals(
-    model, factors: _paths.FactorPaths, batch_size: int = 1024, workers: int = 1
+    model, factors: _paths.FactorPaths, batch_size: int = 1024
 ) -> np.ndarray:
     """Terminal log L per path, streamed in fixed batches."""
     times = factors.grid.times
@@ -106,7 +108,7 @@ def deflator_log_terminals(
         dw = factors.block(lo, hi)
         return {"logl": _deflator_log_terminal_block(model, lx, dw, times, aux)}
 
-    return _markets.run_batches(model, factors, per_batch, batch_size, workers)["logl"]
+    return _markets.run_batches(model, factors, per_batch, batch_size)["logl"]
 
 
 def _compensated_mean_se(values: np.ndarray):
@@ -149,7 +151,6 @@ def hedge_price(
     factors: _paths.FactorPaths,
     claim: Claim,
     batch_size: int = 1024,
-    workers: int = 1,
 ) -> dict:
     """Monte Carlo estimate of E[Y * L(T) / B(T)] with its standard error."""
     times = factors.grid.times
@@ -164,7 +165,7 @@ def hedge_price(
             raise InvalidArgumentError("claim payoff must be nonnegative")
         return {"vals": y * np.exp(logl) / bank}
 
-    vals = _markets.run_batches(model, factors, per_batch, batch_size, workers)["vals"]
+    vals = _markets.run_batches(model, factors, per_batch, batch_size)["vals"]
     mean, se = _compensated_mean_se(vals)
     return {
         "price": mean,
@@ -186,7 +187,6 @@ def slm_deficit_study(
     n_paths: int,
     master_seed: int,
     batch_size: int = 1024,
-    workers: int = 1,
 ) -> dict:
     """Sample mean of L(T) at two step sizes sharing the same noise.
 
@@ -199,9 +199,7 @@ def slm_deficit_study(
     fine = _paths.generate_factors(grid, model.m, n_paths, master_seed)
     out = {}
     for tag, factors in (("fine", fine), ("coarse", fine.coarsened(2))):
-        logl = deflator_log_terminals(
-            model, factors, batch_size=batch_size, workers=workers
-        )
+        logl = deflator_log_terminals(model, factors, batch_size=batch_size)
         mean, se = _compensated_mean_se(np.exp(logl))
         out[tag] = {
             "dt": factors.grid.dt,
@@ -238,7 +236,6 @@ def call_decay_study(
     p_bound: float = 0.5,
     index: int = 0,
     batch_size: int = 1024,
-    workers: int = 1,
 ) -> dict:
     """Deflated call prices across a horizon ladder, plus the stock bound.
 
@@ -246,7 +243,8 @@ def call_decay_study(
     prefixes of longer ones and the monotonicity comparison is paired
     rather than independent.  For each horizon the study also estimates the
     deflated stock price E[L X / B] and the analytic envelope it must stay
-    under in a weakly diverse elliptic market.
+    under in a weakly diverse elliptic market, and counts the drift
+    entries the integrator capped, summed over the horizons.
     """
     if model.r <= 0:
         raise InvalidArgumentError("the decay study needs a positive interest rate")
@@ -257,6 +255,7 @@ def call_decay_study(
     total0 = float(_sum_last(model.x0))
     claim = call_claim(index, strike)
     rows = []
+    capped = 0
     for t in horizons:
         grid = _paths.make_grid(float(t), int(round(steps_per_unit * t)))
         factors = _paths.generate_factors(grid, model.m, n_paths, master_seed)
@@ -270,11 +269,13 @@ def call_decay_study(
             return {
                 "call": claim.payoff(lx, times, aux) * defl,
                 "stock": np.exp(lx[:, -1, index]) * defl,
+                "capped": aux.get("capped_steps", np.zeros(hi - lo, np.int64)),
             }
 
-        vals = _markets.run_batches(model, factors, per_batch, batch_size, workers)
+        vals = _markets.run_batches(model, factors, per_batch, batch_size)
         h, h_se = _compensated_mean_se(vals["call"])
         s, s_se = _compensated_mean_se(vals["stock"])
+        capped += int(vals["capped"].sum())
         rows.append(
             {
                 "horizon": float(t),
@@ -287,7 +288,8 @@ def call_decay_study(
                 ),
             }
         )
-    return {"strike": strike, "spot": float(model.x0[index]), "rows": rows}
+    return {"strike": strike, "spot": float(model.x0[index]), "rows": rows,
+            "capped_steps": capped}
 
 
 # ---------------------------------------------------------------------------
@@ -299,7 +301,6 @@ def parity_witness_study(
     factors: _paths.FactorPaths,
     p: float,
     batch_size: int = 128,
-    workers: int = 1,
 ) -> dict:
     """Deflated prices of two assets that start equal yet price apart.
 
@@ -308,6 +309,7 @@ def parity_witness_study(
     at one unit of capital, so any gap in their deflated prices breaks the
     parity that would tie the two jointly european claims together.  The
     gap is estimated pathwise (paired), which removes most of the variance.
+    Also counts the drift entries the integrator capped.
     """
     if model.r != 0.0:
         raise InvalidArgumentError("the parity witness assumes a zero interest rate")
@@ -325,9 +327,10 @@ def parity_witness_study(
         what = _portfolios.mirror_weights(e1, mu, p)
         rel = _portfolios.relative_log_value(what, lx, times, a)[:, -1]
         l = np.exp(logl)
-        return {"h1": l * zmu, "h2": l * zmu * np.exp(rel)}
+        return {"h1": l * zmu, "h2": l * zmu * np.exp(rel),
+                "capped": aux.get("capped_steps", np.zeros(hi - lo, np.int64))}
 
-    vals = _markets.run_batches(model, factors, per_batch, batch_size, workers)
+    vals = _markets.run_batches(model, factors, per_batch, batch_size)
     h1_vals, h2_vals = vals["h1"], vals["h2"]
     h1, h1_se = _compensated_mean_se(h1_vals)
     h2, h2_se = _compensated_mean_se(h2_vals)
@@ -341,6 +344,7 @@ def parity_witness_study(
         "gap_se": gap_se,
         "initial_difference": 0.0,
         "t_stat": gap / gap_se if gap_se > 0 else float("inf"),
+        "capped_steps": int(vals["capped"].sum()),
     }
 
 
@@ -350,7 +354,6 @@ def parity_control_study(
     i: int = 0,
     j: int = 1,
     batch_size: int = 1024,
-    workers: int = 1,
 ) -> dict:
     """Two plain stocks under a bounded market price of risk: their deflated
     discounted prices must sit at the initial prices, so the paired gap
@@ -365,7 +368,7 @@ def parity_control_study(
         diff = np.exp(lx[:, -1, i]) - np.exp(lx[:, -1, j])
         return {"vals": diff * np.exp(logl) / bank}
 
-    vals = _markets.run_batches(model, factors, per_batch, batch_size, workers)["vals"]
+    vals = _markets.run_batches(model, factors, per_batch, batch_size)["vals"]
     gap, gap_se = _compensated_mean_se(vals)
     expected = float(model.x0[i] - model.x0[j])
     return {

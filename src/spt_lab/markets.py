@@ -12,7 +12,6 @@ a pure function of (model, factor increments).
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -308,7 +307,7 @@ def simulate_block(model: MarketModel, factors: FactorPaths, lo: int, hi: int):
     """Integrate paths lo..hi-1.  Returns (log_prices (B, K+1, n), aux dict).
 
     Pure in (model, factors, path index): identical inputs give identical
-    float results regardless of batch boundaries or calling thread.
+    float results regardless of batch boundaries.
     """
     if factors.m != model.m:
         raise InvalidArgumentError(
@@ -348,17 +347,11 @@ def simulate_block(model: MarketModel, factors: FactorPaths, lo: int, hi: int):
     return logx, aux
 
 
-# batch size is fixed (not derived from worker count) so that the arithmetic
-# seen by any single path never depends on parallelism
-DEFAULT_BATCH = 1024
-
-
 def run_batches(
     model: MarketModel,
     factors: FactorPaths,
     per_batch,
-    batch_size: int = DEFAULT_BATCH,
-    workers: int = 1,
+    batch_size: int,
 ) -> dict:
     """Integrate all paths in fixed batches and join what each batch returns.
 
@@ -367,23 +360,17 @@ def run_batches(
     per-batch partial.  Each value is copied as soon as the callback
     returns, so no result pins a batch's log prices, and the copies are
     joined along axis 0 in batch order: per-path values come back as
-    ``(n_paths, ...)``, per-batch partials as ``(n_batches, ...)``.  Under
-    ``workers > 1`` batches run concurrently but batch boundaries (and hence
-    all float results) are unchanged.
+    ``(n_paths, ...)``, per-batch partials as ``(n_batches, ...)``.
     """
-    n = factors.n_paths
-    spans = [(lo, min(lo + batch_size, n)) for lo in range(0, n, batch_size)]
 
-    def job(span):
-        lo, hi = span
+    def batch(lo, hi):
+        # a function scope, so one batch's log prices are freed before the
+        # next batch is simulated
         logx, aux = simulate_block(model, factors, lo, hi)
         return {k: np.array(v) for k, v in per_batch(lo, hi, logx, aux).items()}
 
-    if workers <= 1:
-        parts = [job(s) for s in spans]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(job, spans))
+    n = factors.n_paths
+    parts = [batch(lo, min(lo + batch_size, n)) for lo in range(0, n, batch_size)]
     return {k: np.concatenate([part[k] for part in parts]) for k in parts[0]}
 
 
@@ -395,13 +382,11 @@ def growth_rates_along(model: MarketModel, log_prices: np.ndarray, times: np.nda
     """Growth rates gamma_i(t_k) the integrator applied at each grid point.
 
     Drift caps are not reflected here: this is the model's defining rule,
-    which checkers compare against theory.  Shape (K+1, n) for a single path
-    or (B, K+1, n) for a batch; the array is always freshly allocated.
+    which checkers compare against theory.  ``log_prices`` is a batch
+    (B, len(times), n); the returned array has its shape and is always
+    freshly allocated.
     """
     lx = np.asarray(log_prices, dtype=float)
-    single = lx.ndim == 2
-    if single:
-        lx = lx[None]
     t = np.asarray(times, dtype=float)[None, :]
     if model.kind == "constant":
         g = np.broadcast_to(model.params["b"] - 0.5 * np.diag(model.vol.a), lx.shape).copy()
@@ -420,7 +405,7 @@ def growth_rates_along(model: MarketModel, log_prices: np.ndarray, times: np.nda
         raise InvalidArgumentError(
             f"growth rates along a path are not defined for kind {model.kind!r}"
         )
-    return g[0] if single else g
+    return g
 
 
 def rates_of_return_along(model: MarketModel, log_prices: np.ndarray, times: np.ndarray, aux: dict | None = None) -> np.ndarray:

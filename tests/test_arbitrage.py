@@ -89,8 +89,7 @@ def test_master_decomposition_first_order_in_the_step():
     model = markets.constant_market(b=[0.04, 0.0], sigma=0.3 * np.eye(2) + 0.05,
                                     x0=[1.0, 1.2])
     fine = paths.generate_factors(paths.make_grid(1.0, 400), 2, 256, master_seed=71)
-    out = arbitrage.master_formula_order_study(model, fine, 0.5, refine=2,
-                                               batch_size=256, workers=1)
+    out = arbitrage.master_formula_order_study(model, fine, 0.5, refine=2)
     residual_fine = out["fine"]["mean_abs_residual"]
     residual_coarse = out["coarse"]["mean_abs_residual"]
     assert out["fine"]["lhs"].shape == out["coarse"]["lhs"].shape == (256,)

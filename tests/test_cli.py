@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import spt_lab
-from spt_lab import cli
+from spt_lab import arbitrage, cli, markets, paths
 from spt_lab.errors import ConfigError
 
 
@@ -62,11 +62,8 @@ def test_parse_minimal_config_defaults(tmp_path):
     assert cfg.grid.n_steps == 50
     assert cfg.n_paths == 20
     assert cfg.master_seed == 3
-    assert cfg.workers == 1
-    assert cfg.batch_size is None
     assert cfg.per_path is True      # small runs record per-path rows by default
     assert cfg.series is False
-    assert cfg.write_json is True
     assert cfg.overrides == {}
 
 
@@ -120,6 +117,21 @@ def test_parse_rejects_unknown_experiment_and_keys(tmp_path):
     with pytest.raises(ConfigError) as exc:
         cli.parse_config(stray)
     assert any("mc.typo" in m for m in exc.value.messages)
+
+    # settings that no longer exist are rejected like any unknown one
+    base = Path(_simulate_cfg(tmp_path, tmp_path / "o")).read_text()
+    for old, new, named in (
+        ("[mc]", "[mc]\nworkers = 2", "mc.workers"),
+        ("[mc]", "[mc]\nbatch_size = 7", "mc.batch_size"),
+        ("[output]", "[output]\njson = false", "output.json"),
+        ("kind = constant", "kind = gbm", "'gbm'"),
+        ("name = simulate", "name = examples-82-83", "'examples-82-83'"),
+    ):
+        removed = tmp_path / "removed.ini"
+        removed.write_text(base.replace(old, new))
+        with pytest.raises(ConfigError) as exc:
+            cli.parse_config(str(removed))
+        assert any(named in m for m in exc.value.messages), new
 
 
 def test_parse_steps_per_unit_restricted_to_call_decay(tmp_path):
@@ -197,6 +209,10 @@ def test_run_simulate_writes_outputs(tmp_path):
     assert budgets["running log wealth ratio stays under the ceiling"] > 0.0
     assert doc["info"]["capped_steps"] >= 0
     assert "capped_steps = " in (mirror / "summary.txt").read_text()
+    # the mirror's two all-long wraps are reported beside it
+    assert "underperformer_capital" in doc["results"]
+    header = (mirror / "per_path.csv").read_text().splitlines()[0]
+    assert header.endswith(",tau_integral,under_gap,out_gap")
 
 
 def _checks_with_budgets(out):
@@ -213,74 +229,27 @@ def _checks_with_budgets(out):
     return doc
 
 
-_RANKED_CFG = """\
-[experiment]
-name = ranked-decomposition
-
-[model]
-kind = ou-pair
-alpha = 0.5
-switch_time = 0.5
-"""
-
-_DIVERSITY_CFG = """\
-[experiment]
-name = diversity-report
-
-[model]
-kind = diverse
-sigma_scale = 1.0
-delta = 0.3
-x0 = 1.0, 1.0, 1.0
-"""
-
-_ARBITRAGE_CFG = """\
-[experiment]
-name = arbitrage-45
-p = 0.5
-
-[model]
-kind = diverse
-sigma_scale = 1.0
-delta = 0.3
-x0 = 1.0, 1.0, 1.0
-"""
-
-_SHORT_GRID = "horizon = 1.0\nn_steps = 200"
-
-
 def test_reruns_and_worker_counts_are_byte_identical(tmp_path):
     outs = []
-    for i, extra in enumerate(("", "", "workers = 4")):
+    for i in range(2):
         out = tmp_path / f"d{i}"
-        cfg = _simulate_cfg(tmp_path, out, extra_mc=extra)
-        assert cli.main(["run", cfg]) == 0
+        assert cli.main(["run", _simulate_cfg(tmp_path, out)]) == 0
         outs.append(out)
     for fname in ("metrics.csv", "per_path.csv"):
-        blobs = [(o / fname).read_bytes() for o in outs]
-        assert blobs[0] == blobs[1] == blobs[2], fname
+        assert (outs[0] / fname).read_bytes() == (outs[1] / fname).read_bytes(), fname
 
-    # batched runners: default batches, three batches of at most 7 paths,
-    # and the same three batches on two worker threads
-    for name, head, grid, fnames in (
-        ("ranked", _RANKED_CFG, _SHORT_GRID, ("metrics.csv", "per_path.csv", "series.csv")),
-        ("diversity", _DIVERSITY_CFG, _SHORT_GRID, ("metrics.csv", "per_path.csv")),
-        # past the threshold horizon 14.6, so that every assertion passes
-        ("arbitrage", _ARBITRAGE_CFG, "horizon = 15.0\nn_steps = 1500",
-         ("metrics.csv", "per_path.csv")),
-    ):
-        outs = []
-        for i, extra in enumerate(("", "batch_size = 7", "batch_size = 7\nworkers = 2")):
-            out = tmp_path / f"{name}{i}"
-            cfg = _write(tmp_path, f"{head}\n[grid]\n{grid}\n\n"
-                                   f"[mc]\nn_paths = 20\nmaster_seed = 5\n{extra}\n\n"
-                                   f"[output]\ndirectory = {out}\nseries = true\n"
-                                   "per_path = true\n")
-            assert cli.main(["run", cfg]) == 0
-            outs.append(out)
-        for fname in fnames:
-            blobs = [(o / fname).read_bytes() for o in outs]
-            assert blobs[0] == blobs[1] == blobs[2], (name, fname)
+    # a study gives the same columns in one batch of 20 paths (its default
+    # of 128) and in three batches of at most 7
+    model = markets.diverse_market(np.eye(3), g=0.0, delta=0.3, x0=[1.0, 1.0, 1.0])
+    factors = paths.generate_factors(paths.make_grid(15.0, 1500), 3, 20, master_seed=5)
+    one, three = (arbitrage.outperformance_study(model, factors, 0.5, delta=0.3, **kw)
+                  for kw in ({}, {"batch_size": 7}))
+    for key in ("terminal_log_ratio", "slack"):
+        np.testing.assert_array_equal(getattr(one["study"], key),
+                                      getattr(three["study"], key), err_msg=key)
+    for key in ("delta_avg", "delta_max", "fixed_slack", "min_slack",
+                "weight_order_violations", "capped_steps"):
+        np.testing.assert_array_equal(one[key], three[key], err_msg=key)
 
 
 @pytest.mark.parametrize("preset", sorted(p.name for p in _PRESETS.glob("*.ini")))
@@ -394,6 +363,10 @@ def test_call_decay_table_schema(tmp_path):
     assert len(table) == 3
     stock = (out / "stock.csv").read_text().splitlines()
     assert stock[0] == "T,deflated_stock,stderr,envelope"
+    # capped drift entries are counted over both rungs, outside the CSVs
+    capped = json.loads((out / "summary.json").read_text())["info"]["capped_steps"]
+    assert isinstance(capped, int) and capped >= 0
+    assert f"capped_steps = {capped}" in (out / "summary.txt").read_text()
 
 
 def test_call_decay_steps_override_goes_to_steps_per_unit(tmp_path):
@@ -425,12 +398,14 @@ def test_call_decay_steps_override_goes_to_steps_per_unit(tmp_path):
 
 
 def test_cli_import_leaves_scipy_unloaded():
-    """Importing the CLI does not import scipy, which no experiment uses."""
+    """Importing the CLI imports neither scipy, which no experiment uses,
+    nor concurrent.futures: batches run one after another."""
     root = str(Path(spt_lab.__file__).resolve().parents[1])
     pythonpath = os.pathsep.join(p for p in [root, os.environ.get("PYTHONPATH")] if p)
     r = subprocess.run(
-        [sys.executable, "-c", "import sys, spt_lab.cli; print('scipy' in sys.modules)"],
+        [sys.executable, "-c", "import sys, spt_lab.cli; "
+         "print('scipy' in sys.modules, 'concurrent.futures' in sys.modules)"],
         capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=pythonpath),
     )
     assert r.returncode == 0, r.stderr
-    assert r.stdout.strip() == "False"
+    assert r.stdout.strip() == "False False"

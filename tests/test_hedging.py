@@ -21,17 +21,17 @@ def _gbm_pair(r=0.0):
 
 def test_price_of_risk_closed_form():
     model = _gbm_pair()
-    lx = np.zeros((3, 2))
+    lx = np.zeros((1, 3, 2))
     times = np.array([0.0, 0.5, 1.0])
     theta = hedging.market_price_of_risk(model, lx, times)
-    np.testing.assert_allclose(theta, np.tile([0.14142135623730953, 0.0], (3, 1)),
+    np.testing.assert_allclose(theta, np.tile([0.14142135623730953, 0.0], (1, 3, 1)),
                                rtol=1e-13)
 
 
 def test_price_of_risk_vanishes_when_returns_match_the_rate():
     model = markets.constant_market(b=[0.03, 0.03], sigma=0.4 * np.eye(2),
                                     x0=[1.0, 2.0], r=0.03)
-    theta = hedging.market_price_of_risk(model, np.zeros((2, 2)), np.array([0.0, 1.0]))
+    theta = hedging.market_price_of_risk(model, np.zeros((1, 2, 2)), np.array([0.0, 1.0]))
     np.testing.assert_allclose(theta, 0.0, atol=1e-14)
 
 

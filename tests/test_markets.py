@@ -122,18 +122,6 @@ def test_run_batches_matches_per_path_integration():
     np.testing.assert_array_equal(got["terminal"], single[:, -1])
 
 
-def test_worker_count_does_not_change_results():
-    model = markets.diverse_market(np.eye(3) * 0.5, g=0.0, delta=0.3,
-                                   x0=[1.0, 1.0, 1.0])
-    grid = paths.make_grid(1.0, 32)
-    f = paths.generate_factors(grid, 3, 18, master_seed=4)
-    runs = [markets.run_batches(model, f, _keep_batch, batch_size=4, workers=w)
-            for w in (1, 4)]
-    assert runs[0].keys() == runs[1].keys()
-    for key in runs[0]:
-        np.testing.assert_array_equal(runs[0][key], runs[1][key], err_msg=key)
-
-
 def test_run_batches_stacks_per_batch_partials():
     model = markets.constant_market(b=[0.02, 0.05], sigma=np.eye(2) * 0.3,
                                     x0=[1.0, 2.0])
@@ -150,8 +138,7 @@ def test_run_batches_stacks_per_batch_partials():
                                rtol=1e-12, atol=1e-12)
 
 
-@pytest.mark.parametrize("workers", [1, 2])
-def test_run_batches_copies_every_returned_view(workers):
+def test_run_batches_copies_every_returned_view():
     """A returned view must not keep its batch's log prices alive."""
     model = markets.diverse_market(np.eye(3) * 0.5, g=0.0, delta=0.3,
                                    x0=[1.0, 1.0, 1.0])
@@ -162,7 +149,7 @@ def test_run_batches_copies_every_returned_view(workers):
         seen.append(lx)
         return _keep_batch(lo, hi, lx, aux)
 
-    got = markets.run_batches(model, f, per_batch, batch_size=4, workers=workers)
+    got = markets.run_batches(model, f, per_batch, batch_size=4)
     assert len(seen) == 3
     for key, col in got.items():
         for lx in seen:
@@ -184,8 +171,8 @@ def test_factor_count_mismatch_rejected():
 def test_leader_drift_value_and_tie_break():
     """Equal weights, delta = 0.25: leader drift is -M / (0.25 log 1.5)."""
     model = markets.diverse_market(np.eye(2), g=0.0, delta=0.25, x0=[1.0, 1.0])
-    lx = np.zeros((2, 2))
-    g = markets.growth_rates_along(model, lx, np.array([0.0, 1.0]))
+    lx = np.zeros((1, 2, 2))
+    g = markets.growth_rates_along(model, lx, np.array([0.0, 1.0]))[0]
     assert g[0, 0] == pytest.approx(-9.865213849505727, rel=1e-12)
     assert g[0, 1] == 0.0
     # on exact ties the lowest index is the leader
@@ -195,9 +182,9 @@ def test_leader_drift_value_and_tie_break():
 def test_leader_drift_diverges_near_barrier():
     model = markets.diverse_market(np.eye(2), g=0.0, delta=0.25, x0=[1.0, 1.0])
     times = np.array([0.0, 1.0])
-    mild = markets.growth_rates_along(model, np.zeros((2, 2)), times)[0, 0]
-    near = np.array([[np.log(0.7499), np.log(0.2501)]] * 2)
-    steep = markets.growth_rates_along(model, near, times)[0, 0]
+    mild = markets.growth_rates_along(model, np.zeros((1, 2, 2)), times)[0, 0, 0]
+    near = np.array([[[np.log(0.7499), np.log(0.2501)]] * 2])
+    steep = markets.growth_rates_along(model, near, times)[0, 0, 0]
     assert steep < 100 * mild < 0
 
 
@@ -318,7 +305,7 @@ def test_dominance_validation():
     with pytest.raises(InvalidModelError):
         markets.instantaneous_dominance_market(alpha=0.25, delta=0.4, delta_prime=0.3)
     model = markets.instantaneous_dominance_market(alpha=0.25)
-    lx = np.zeros((2, 2))
+    lx = np.zeros((1, 2, 2))
     with pytest.raises(InvalidArgumentError):
         markets.growth_rates_along(model, lx, np.array([0.0, 1.0]))
 
