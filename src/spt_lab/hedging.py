@@ -1,10 +1,16 @@
 """Deflator construction, Monte Carlo hedge pricing, and related studies.
 
-The deflator multiplies each path's payoff before averaging: log L moves by
--theta' dW - ||theta||^2 dt / 2 per step, with theta the market price of
-risk read at the left endpoint and dW the same factor increments that drove
-the prices.  Because theta is known at the start of each step, every step
-factor has conditional mean one, so E[L(T)] = 1 exactly on every grid, even
+The deflator multiplies each path's payoff before averaging, and its log is
+read off the stored path.  Over step k the log prices moved by the drift
+displacement the integrator applied (growth rate times dt_k, clipped at the
+step cap where the kind has one) plus dv_k = sigma dW_k, so dv_k is the
+log-price change less that displacement.  With beta_k = displacement / dt_k
++ diag(a)/2 - r, the excess rate of return the path used, and
+u_k = a^{-1} beta_k, log L moves by -u_k' dv_k - u_k' beta_k dt_k / 2: that
+is -theta' dW - |theta|^2 dt / 2 for theta = sigma' u_k, with any number of
+factors.  Given the left endpoint, u_k is known and
+u_k' dv_k ~ N(0, beta_k' a^{-1} beta_k dt_k), so every step factor has
+conditional mean one, and E[L(T)] = 1 exactly on every grid, even
 in markets whose continuous-time deflator is a strict local martingale with
 expectation below one.  The deficit 1 - mean(L(T)) that ``slm_deficit_study``
 reports therefore has estimand 0: a sample mean short of one only shows
@@ -84,18 +90,44 @@ def market_price_of_risk(model, log_prices: np.ndarray, times, aux=None) -> np.n
     return theta
 
 
-def _deflator_log_terminal_block(model, lx, dw, times, aux) -> np.ndarray:
-    """Per-path terminal log L for one simulated block.
+# Steps per slice of the deflator sum: its temporaries stay a few
+# (B, 256, n) arrays however long the path.
+_DEFLATOR_STEPS = 256
 
-    Each step reads theta at its left endpoint, so theta is built at the K
-    left endpoints only.
+
+def _deflator_log_terminal_block(model, lx, times, aux) -> np.ndarray:
+    """Per-path terminal log L for one simulated block, read off its log
+    prices as the module docstring describes; the factors are not drawn
+    again.  The rate beta_k uses is the replayed growth clipped at
+    step_cap / dt_k: the applied displacement over dt_k, without the
+    rounding that dividing it back out would put on unclipped rates.
     """
     times = np.asarray(times, dtype=float)
-    theta = market_price_of_risk(model, lx[:, :-1], times[:-1], aux=aux)
-    square = _sum_last(theta * theta)
-    theta *= dw  # theta is not needed again; its entries become theta_j dW_j
-    steps = -_sum_last(theta) - 0.5 * square * np.diff(times)
-    return np.sum(steps, axis=1)
+    dt = np.diff(times)[:, None]
+    a_inv = np.linalg.inv(model.vol.a)
+    excess = 0.5 * np.diag(model.vol.a) - model.r
+    cap = model.params.get("step_cap")
+    logl = np.zeros(lx.shape[0])
+    for lo in range(0, dt.shape[0], _DEFLATOR_STEPS):
+        hi = min(lo + _DEFLATOR_STEPS, dt.shape[0])
+        step = dt[lo:hi]
+        # three slice-sized arrays: rate, dv and work, which is reused
+        rate = _markets.growth_rates_along(model, lx[:, lo:hi], times[lo:hi], aux)
+        work = rate * step  # the displacement
+        if cap is not None:
+            np.clip(work, -cap, cap, out=work)
+            np.clip(rate, -cap / step, cap / step, out=rate)
+        dv = lx[:, lo + 1:hi + 1] - lx[:, lo:hi]
+        dv -= work
+        rate += excess  # now beta_k
+        np.multiply(rate, 0.5 * step, out=work)
+        dv += work  # dv_k + beta_k dt_k / 2
+        np.matmul(rate, a_inv.T, out=work)  # u_k
+        work *= dv
+        logl -= np.sum(_sum_last(work), axis=1)
+    if not np.isfinite(logl).all():
+        raise NumericFailureError("deflator is not finite")
+    return logl
 
 
 def deflator_log_terminals(
@@ -105,8 +137,7 @@ def deflator_log_terminals(
     times = factors.grid.times
 
     def per_batch(lo, hi, lx, aux):
-        dw = factors.block(lo, hi)
-        return {"logl": _deflator_log_terminal_block(model, lx, dw, times, aux)}
+        return {"logl": _deflator_log_terminal_block(model, lx, times, aux)}
 
     return _markets.run_batches(model, factors, per_batch, batch_size)["logl"]
 
@@ -158,8 +189,7 @@ def hedge_price(
     bank = math.exp(model.r * horizon)
 
     def per_batch(lo, hi, lx, aux):
-        dw = factors.block(lo, hi)
-        logl = _deflator_log_terminal_block(model, lx, dw, times, aux)
+        logl = _deflator_log_terminal_block(model, lx, times, aux)
         y = np.asarray(claim.payoff(lx, times, aux), dtype=float)
         if y.min() < 0:
             raise InvalidArgumentError("claim payoff must be nonnegative")
@@ -263,8 +293,7 @@ def call_decay_study(
         bank = math.exp(model.r * float(t))
 
         def per_batch(lo, hi, lx, aux):
-            dw = factors.block(lo, hi)
-            logl = _deflator_log_terminal_block(model, lx, dw, times, aux)
+            logl = _deflator_log_terminal_block(model, lx, times, aux)
             defl = np.exp(logl) / bank
             return {
                 "call": claim.payoff(lx, times, aux) * defl,
@@ -320,8 +349,7 @@ def parity_witness_study(
     e1[0] = 1.0
 
     def per_batch(lo, hi, lx, aux):
-        dw = factors.block(lo, hi)
-        logl = _deflator_log_terminal_block(model, lx, dw, times, aux)
+        logl = _deflator_log_terminal_block(model, lx, times, aux)
         zmu = _portfolios.market_value(lx, 1.0)[:, -1]
         mu = _portfolios.market_weights(lx)
         what = _portfolios.mirror_weights(e1, mu, p)
@@ -363,8 +391,7 @@ def parity_control_study(
     bank = math.exp(model.r * horizon)
 
     def per_batch(lo, hi, lx, aux):
-        dw = factors.block(lo, hi)
-        logl = _deflator_log_terminal_block(model, lx, dw, times, aux)
+        logl = _deflator_log_terminal_block(model, lx, times, aux)
         diff = np.exp(lx[:, -1, i]) - np.exp(lx[:, -1, j])
         return {"vals": diff * np.exp(logl) / bank}
 

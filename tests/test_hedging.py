@@ -7,7 +7,7 @@ import pytest
 
 from spt_lab import hedging, markets, paths
 from spt_lab.errors import InvalidArgumentError
-from helpers import ZeroFactors
+from helpers import ZeroFactors, kernel_cases
 
 
 def _gbm_pair(r=0.0):
@@ -52,6 +52,100 @@ def test_deflator_mean_is_one_for_constant_risk_premium():
     l = np.exp(hedging.deflator_log_terminals(model, f, batch_size=10_000))
     se = l.std(ddof=1) / np.sqrt(l.size)
     assert abs(l.mean() - 1.0) < 3.0 * se
+
+
+def _reference_log_deflator(model, factors, lx, aux):
+    """Terminal log L from the factors that drove the path and the drift it
+    applied: the replayed growth times dt, clipped at the step cap."""
+    times = factors.grid.times
+    dt = factors.grid.step_sizes[None, :, None]
+    dv = factors.block(0, factors.n_paths) @ model.vol.sigma.T
+    gamma = markets.growth_rates_along(model, lx[:, :-1], times[:-1], aux)
+    cap = model.params.get("step_cap", np.inf)
+    beta = np.clip(gamma * dt, -cap, cap) / dt + 0.5 * np.diag(model.vol.a) - model.r
+    u = np.linalg.solve(model.vol.a, beta[..., None])[..., 0]
+    return -(u * dv).sum(axis=(1, 2)) - 0.5 * (u * beta * dt).sum(axis=(1, 2))
+
+
+def _price_of_risk_log_deflator(model, factors, lx, aux):
+    """Terminal log L = -sum theta' dW - |theta|^2 dt / 2, with theta from the
+    uncapped growth rule and dW the drawn factors."""
+    times = factors.grid.times
+    theta = hedging.market_price_of_risk(model, lx[:, :-1], times[:-1], aux)
+    dw = factors.block(0, factors.n_paths)
+    return (-(theta * dw).sum(axis=(1, 2))
+            - 0.5 * ((theta * theta).sum(axis=2) * np.diff(times)).sum(axis=1))
+
+
+@pytest.mark.parametrize("kind", ["diverse", "patched"])
+def test_deflator_read_off_the_path_uses_the_applied_drift(kind):
+    """The deflator read off the stored log prices equals the one built from
+    the drawn factors and the drift the integrator applied, capped steps
+    included; the uncapped price of risk misses it where the cap binds."""
+    model, factors = kernel_cases()[kind]
+    lx, aux = markets.simulate_block(model, factors, 0, factors.n_paths)
+    got = hedging._deflator_log_terminal_block(model, lx, factors.grid.times, aux)
+    np.testing.assert_allclose(got, _reference_log_deflator(model, factors, lx, aux),
+                               rtol=0, atol=1e-12)
+    if kind == "diverse":
+        np.testing.assert_array_equal(aux["capped_steps"], [5, 0, 1, 0])
+        uncapped = _price_of_risk_log_deflator(model, factors, lx, aux)
+        assert (np.abs(uncapped - got)[aux["capped_steps"] > 0] > 1e-6).all()
+    else:
+        fired = np.isfinite(aux["trigger_time"])
+        assert fired.any() and not fired.all()
+
+
+def test_deflator_read_off_the_path_matches_the_price_of_risk_with_more_factors():
+    """Two stocks on three factors over more steps than one slice of the sum:
+    u'dv and u'beta equal theta'dW and |theta|^2."""
+    sigma = np.array([[0.25, 0.1, 0.0], [0.0, 0.3, 0.05]])
+    model = markets.constant_market(b=[0.12, 0.05], sigma=sigma, x0=[1.0, 1.0], r=0.03)
+    factors = paths.generate_factors(paths.make_grid(2.0, 600), 3, 8, master_seed=4)
+    lx, aux = markets.simulate_block(model, factors, 0, 8)
+    got = hedging._deflator_log_terminal_block(model, lx, factors.grid.times, aux)
+    np.testing.assert_allclose(got, _price_of_risk_log_deflator(model, factors, lx, aux),
+                               rtol=0, atol=1e-12)
+
+
+def test_deflated_prices_draw_each_path_once(monkeypatch):
+    """Every deflated price draws each path's factors once, in the simulation."""
+    draws = []
+    increments = paths.FactorPaths.path_increments
+
+    def counted(self, path_index):
+        draws.append(path_index)
+        return increments(self, path_index)
+
+    monkeypatch.setattr(paths.FactorPaths, "path_increments", counted)
+    gbm = markets.constant_market(b=[0.1, 0.0], sigma=0.3 * np.eye(2),
+                                  x0=[1.0, 0.8], r=0.02)
+    diverse = markets.diverse_market(0.25 * np.eye(2), g=0.0, delta=0.3,
+                                     x0=[1.0, 1.0])
+    grid = paths.make_grid(1.0, 10)
+
+    def factors(model):
+        return paths.generate_factors(grid, model.m, 12, master_seed=3)
+
+    runs = {
+        "hedge_price": lambda: hedging.hedge_price(
+            gbm, factors(gbm), hedging.call_claim(0, 1.0), batch_size=5),
+        "parity_control_study": lambda: hedging.parity_control_study(
+            gbm, factors(gbm), batch_size=5),
+        "deflator_log_terminals": lambda: hedging.deflator_log_terminals(
+            gbm, factors(gbm), batch_size=5),
+        "parity_witness_study": lambda: hedging.parity_witness_study(
+            diverse, factors(diverse), 2.0, batch_size=5),
+        "call_decay_study": lambda: hedging.call_decay_study(
+            markets.diverse_market(0.25 * np.eye(2), g=0.0, delta=0.3, x0=[1.0, 1.0],
+                                   r=0.03),
+            1.0, (1.0, 2.0), 10, 12, master_seed=3, batch_size=5),
+    }
+    for name, run in runs.items():
+        draws.clear()
+        run()
+        rungs = 2 if name == "call_decay_study" else 1
+        assert sorted(draws) == sorted(list(range(12)) * rungs), name
 
 
 def test_deflated_stock_gap_is_exact_for_constant_coefficients():

@@ -6,7 +6,7 @@ import pytest
 import loop_kernels
 from spt_lab import _kernels, markets, paths, portfolios
 from spt_lab.errors import InvalidArgumentError, InvalidModelError
-from helpers import ZeroFactors
+from helpers import ZeroFactors, kernel_cases
 
 
 def _one_path(model, grid, seed=0):
@@ -314,29 +314,6 @@ def test_dominance_validation():
 # kernels against the scalar-loop reference and the growth replay
 # ---------------------------------------------------------------------------
 
-def _kernel_cases():
-    """One small batch per drift kernel, chosen so every branch is taken.
-
-    The step caps are tight enough to bind on some paths, the patched
-    trigger fires on some paths and not on others, and every early-lead
-    path leaves the power-drift phase before the horizon.
-    """
-    grid = paths.make_grid(1.0, 100)
-    patched_base = markets.diverse_market(np.eye(3) * 0.5, g=0.01, delta=0.1,
-                                          x0=[1.0, 4.0, 1.0], step_cap=0.05)
-    models = {
-        "diverse": (markets.diverse_market(np.eye(3) * 0.5, g=0.01, delta=0.3,
-                                           x0=[1.0, 2.0, 1.5], step_cap=0.02), grid),
-        "ou_pair": (markets.ou_two_stock(alpha=0.5, switch_time=0.5), grid),
-        "patched": (markets.patched_weakly_diverse(patched_base, eta=0.3, horizon=1.0),
-                    grid),
-        "dominance": (markets.instantaneous_dominance_market(alpha=0.25),
-                      paths.geometric_grid(1.0, 100, 1e-8)),
-    }
-    return {kind: (model, paths.generate_factors(g, model.m, 4, master_seed=9))
-            for kind, (model, g) in models.items()}
-
-
 def _simulate_all(cases):
     """Log prices and per-path records of every case, keyed ``kind/name``."""
     records = {}
@@ -386,9 +363,9 @@ def test_kernels_match_scalar_loops(monkeypatch):
 
     Log prices and every per-path record must agree for all four kinds.
     """
-    vec = _simulate_all(_kernel_cases())
+    vec = _simulate_all(kernel_cases())
     monkeypatch.setattr(_kernels, "active_kernels", _loop_kernel_table)
-    loops = _simulate_all(_kernel_cases())
+    loops = _simulate_all(kernel_cases())
     assert vec.keys() == loops.keys()
     for key in loops:
         np.testing.assert_allclose(vec[key], loops[key], rtol=1e-12, atol=1e-12,
@@ -403,7 +380,7 @@ def test_growth_replay_matches_applied_displacement(kind):
     step cap must give the displacement the integrator applied, and the
     entries past the cap must number ``capped_steps`` on every path.
     """
-    model, factors = _kernel_cases()[kind]
+    model, factors = kernel_cases()[kind]
     n_paths = factors.n_paths
     logx, aux = markets.simulate_block(model, factors, 0, n_paths)
     dv = markets._vol_increments(model, factors.block(0, n_paths))
