@@ -329,8 +329,8 @@ def _check_model_fits(p: _Parse, name: str, model, grid):
     if name == "call-decay":
         if model.r <= 0:
             p.err("call-decay requires a positive model.r")
-        if "delta" not in model.params:
-            p.err("call-decay needs a barrier-controlled model")
+        if model.kind != "diverse":
+            p.err(f"call-decay needs the diverse model, got kind {model.kind!r}")
     if name == "instantaneous-dominance" and model.kind != "dominance":
         p.err(f"instantaneous-dominance needs the dominance model, got {model.kind!r}")
 
@@ -403,6 +403,12 @@ def parse_config(path: str, paths=None, seed=None, steps=None, out=None) -> Expe
     extras = _parse_extras(p, name, model) if name is not None else {}
     if name == "call-decay":
         extras["steps_per_unit"] = steps_per_unit
+        hz = extras["horizons"]
+        if steps_per_unit is not None and hz is not None and all(t > 0 for t in hz):
+            try:
+                _hedging.ladder_steps(hz, steps_per_unit)
+            except InvalidArgumentError as exc:
+                p.err(f"experiment.horizons: {exc}")
     _check_model_fits(p, name, model, grid)
     if not p.errors:
         p.sweep_unknown()
@@ -841,7 +847,11 @@ def _run_call_decay(cfg):
         "stock": {**ladder, "deflated_stock": column("stock_price"),
                   "stderr": column("stock_se"), **envelope},
     }
-    return metrics, {"capped_steps": res["capped_steps"]}, assertions, tables
+    info = {
+        "knocked_out": [r["knocked_out"] for r in rows],
+        "monitoring_pair": [[r["price"], r["price_2dt"]] for r in rows],
+    }
+    return metrics, info, assertions, tables
 
 
 def _run_parity_gap(cfg):

@@ -1,24 +1,39 @@
 """Deflator construction, Monte Carlo hedge pricing, and related studies.
 
-The deflator multiplies each path's payoff before averaging, and its log is
-read off the stored path.  Over step k the log prices moved by the drift
-displacement the integrator applied (growth rate times dt_k, clipped at the
-step cap where the kind has one) plus dv_k = sigma dW_k, so dv_k is the
-log-price change less that displacement.  With beta_k = displacement / dt_k
-+ diag(a)/2 - r, the excess rate of return the path used, and
-u_k = a^{-1} beta_k, log L moves by -u_k' dv_k - u_k' beta_k dt_k / 2: that
-is -theta' dW - |theta|^2 dt / 2 for theta = sigma' u_k, with any number of
-factors.  Given the left endpoint, u_k is known and
-u_k' dv_k ~ N(0, beta_k' a^{-1} beta_k dt_k), so every step factor has
-conditional mean one, and E[L(T)] = 1 exactly on every grid, even
-in markets whose continuous-time deflator is a strict local martingale with
-expectation below one.  The deficit 1 - mean(L(T)) that ``slm_deficit_study``
-reports therefore has estimand 0: a sample mean short of one only shows
-that the sample missed the rare paths that carry the compensating mass.
-The deflated prices of ``call_decay_study`` and ``parity_witness_study``
-average the same heavy-tailed factor and share the fault.  Estimating
-these quantities under the Foellmer measure is ROADMAP item 1 (see also
-the deflator note in the README).
+Deflated prices in the barrier-repelled market are taken under the
+Foellmer measure Q (Foellmer 1972; Ruf 2013, "Hedging under arbitrage").
+The market's deflator L is a strict local martingale there, with
+E[L(T)] < 1, and for a payoff Y of the path up to T
+
+    E_P[L(T) Y] = E_Q[Y ; tau > T],
+
+where under Q every stock is a geometric Brownian motion with rate of
+return r (the market's own dispersion, no drift kernel) and tau is the
+first time the top weight reaches 1 - delta, the barrier that the
+P-drift never lets the market reach.  ``call_decay_study`` and
+``slm_deficit_study`` run one such Q simulation, monitor tau on its grid
+and read every quantity off that one pass: a knock-out estimator, with
+bounded variance and an honest standard error.  Monitoring on the grid
+misses crossings between grid points and so biases survival upward; each
+study also reports the reading monitored on every other grid point (the
+coarse grid of the same Brownian path), and no bridge correction is made.
+
+The discrete deflator that ``hedge_price``, ``parity_witness_study`` and
+``parity_control_study`` average is read off the stored path.  Over step
+k the log prices moved by the drift displacement the integrator applied
+(growth rate times dt_k, clipped at the step cap where the kind has one)
+plus dv_k = sigma dW_k, so dv_k is the log-price change less that
+displacement.  With beta_k = displacement / dt_k + diag(a)/2 - r, the
+excess rate of return the path used, and u_k = a^{-1} beta_k, log L moves
+by -u_k' dv_k - u_k' beta_k dt_k / 2: that is -theta' dW - |theta|^2 dt / 2
+for theta = sigma' u_k, with any number of factors.  Given the left
+endpoint, u_k' dv_k ~ N(0, beta_k' a^{-1} beta_k dt_k), so every step
+factor has conditional mean one and E[L(T)] = 1 exactly on every grid.
+That is right where theta is bounded (the constant-coefficient market),
+but in a barrier market the mean of this L(T) misses the strict local
+martingale's deficit: its compensating mass sits in a tail that no
+feasible sample draws.  ``parity_witness_study`` still averages it (see
+ROADMAP item 1 and the deflator note in the README).
 
 Monte Carlo reductions collect one value per path and reduce once with
 compensated (exact) summation, so results are independent of batch size.
@@ -31,7 +46,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._kernels import _sum_last
+from ._kernels import _max_last, _sum_last
 from .errors import InvalidArgumentError, NumericFailureError
 from . import markets as _markets
 from . import paths as _paths
@@ -42,8 +57,8 @@ __all__ = [
     "call_claim",
     "exchange_claim",
     "market_price_of_risk",
-    "deflator_log_terminals",
     "hedge_price",
+    "ladder_steps",
     "slm_deficit_study",
     "call_decay_study",
     "decay_envelope",
@@ -90,9 +105,9 @@ def market_price_of_risk(model, log_prices: np.ndarray, times, aux=None) -> np.n
     return theta
 
 
-# Steps per slice of the deflator sum: its temporaries stay a few
-# (B, 256, n) arrays however long the path.
-_DEFLATOR_STEPS = 256
+# Steps per slice of the deflator sum and of the barrier check: their
+# temporaries stay a few (B, 256, n) arrays however long the path.
+_SLICE_STEPS = 256
 
 
 def _deflator_log_terminal_block(model, lx, times, aux) -> np.ndarray:
@@ -108,8 +123,8 @@ def _deflator_log_terminal_block(model, lx, times, aux) -> np.ndarray:
     excess = 0.5 * np.diag(model.vol.a) - model.r
     cap = model.params.get("step_cap")
     logl = np.zeros(lx.shape[0])
-    for lo in range(0, dt.shape[0], _DEFLATOR_STEPS):
-        hi = min(lo + _DEFLATOR_STEPS, dt.shape[0])
+    for lo in range(0, dt.shape[0], _SLICE_STEPS):
+        hi = min(lo + _SLICE_STEPS, dt.shape[0])
         step = dt[lo:hi]
         # three slice-sized arrays: rate, dv and work, which is reused
         rate = _markets.growth_rates_along(model, lx[:, lo:hi], times[lo:hi], aux)
@@ -128,18 +143,6 @@ def _deflator_log_terminal_block(model, lx, times, aux) -> np.ndarray:
     if not np.isfinite(logl).all():
         raise NumericFailureError("deflator is not finite")
     return logl
-
-
-def deflator_log_terminals(
-    model, factors: _paths.FactorPaths, batch_size: int = 1024
-) -> np.ndarray:
-    """Terminal log L per path, streamed in fixed batches."""
-    times = factors.grid.times
-
-    def per_batch(lo, hi, lx, aux):
-        return {"logl": _deflator_log_terminal_block(model, lx, times, aux)}
-
-    return _markets.run_batches(model, factors, per_batch, batch_size)["logl"]
 
 
 def _compensated_mean_se(values: np.ndarray):
@@ -207,8 +210,45 @@ def hedge_price(
 
 
 # ---------------------------------------------------------------------------
-# strict-local-martingale evidence
+# deflated prices under the Foellmer measure
 # ---------------------------------------------------------------------------
+
+def _foellmer_knock_out(model, horizon, n_steps, rungs, n_paths, master_seed,
+                        index, batch_size):
+    """One simulation of ``model``'s market under the Foellmer measure,
+    read at the grid indices ``rungs``.
+
+    Under Q every stock is a GBM with rate of return r.  Returns per path
+    and rung: ``x``, the price of stock ``index`` at the rung, and
+    ``alive`` / ``alive_2dt``, whether the top weight stayed under
+    1 - delta at every grid point up to the rung, monitored at every point
+    and at every other point.
+    """
+    if model.kind != "diverse":
+        raise InvalidArgumentError(
+            "the Foellmer knock-out is defined for the diverse market kind, "
+            f"not {model.kind!r}")
+    q = _markets.constant_market(b=model.r, sigma=model.vol.sigma, x0=model.x0, r=model.r)
+    factors = _paths.generate_factors(_paths.make_grid(horizon, n_steps), q.m,
+                                      n_paths, master_seed)
+    level = 1.0 - model.params["delta"]
+    rungs = np.asarray(rungs)
+
+    def per_batch(lo, hi, lx, aux):
+        hit = np.empty(lx.shape[:2], bool)
+        for a in range(0, hit.shape[1], _SLICE_STEPS):
+            x = np.exp(lx[:, a:a + _SLICE_STEPS])
+            np.greater_equal(_max_last(x), level * _sum_last(x),
+                             out=hit[:, a:a + _SLICE_STEPS])
+        out = {"x": np.exp(lx[:, rungs, index])}
+        for key, stride in (("alive", 1), ("alive_2dt", 2)):
+            h = hit[:, ::stride]
+            first = np.where(h.any(axis=1), stride * h.argmax(axis=1), n_steps + 1)
+            out[key] = first[:, None] > rungs
+        return out
+
+    return _markets.run_batches(q, factors, per_batch, batch_size)
+
 
 def slm_deficit_study(
     model,
@@ -218,27 +258,32 @@ def slm_deficit_study(
     master_seed: int,
     batch_size: int = 1024,
 ) -> dict:
-    """Sample mean of L(T) at two step sizes sharing the same noise.
+    """Deficit 1 - E_P[L(T)] = 1 - Q(tau > T) of the strict local
+    martingale deflator, monitored at two step sizes of one Q simulation.
 
-    The fine grid's increments are pair-summed for the coarse run, so the
-    comparison isolates the step-size effect.  A genuine deficit shows the
-    same sign and comparable size at both resolutions; see the module
-    docstring for why this is evidence rather than proof.
+    The fine reading monitors the top weight at every point of a
+    ``steps_fine``-step grid, the coarse one at every other point, which is
+    the coarse grid of the same Brownian path.  Each reports the Bernoulli
+    standard error of the survival share and the deficit's t-statistic.
     """
-    grid = _paths.make_grid(horizon, steps_fine)
-    fine = _paths.generate_factors(grid, model.m, n_paths, master_seed)
-    out = {}
-    for tag, factors in (("fine", fine), ("coarse", fine.coarsened(2))):
-        logl = deflator_log_terminals(model, factors, batch_size=batch_size)
-        mean, se = _compensated_mean_se(np.exp(logl))
-        out[tag] = {
-            "dt": factors.grid.dt,
-            "mean": mean,
+    if steps_fine % 2:
+        raise InvalidArgumentError("steps_fine must be even: the coarse grid halves it")
+    out = _foellmer_knock_out(model, horizon, steps_fine, [steps_fine], n_paths,
+                              master_seed, 0, batch_size)
+    dt = horizon / steps_fine
+    res = {}
+    for tag, key, step in (("fine", "alive", dt), ("coarse", "alive_2dt", 2 * dt)):
+        survival = float(np.count_nonzero(out[key])) / n_paths
+        se = math.sqrt(survival * (1.0 - survival) / n_paths)
+        deficit = 1.0 - survival
+        res[tag] = {
+            "dt": step,
+            "survival": survival,
             "se": se,
-            "deficit": 1.0 - mean,
-            "t_stat": (1.0 - mean) / se if se > 0 else float("inf"),
+            "deficit": deficit,
+            "t_stat": deficit / se if se > 0 else float("inf"),
         }
-    return out
+    return res
 
 
 def decay_envelope(
@@ -256,6 +301,22 @@ def decay_envelope(
     )
 
 
+def ladder_steps(horizons, steps_per_unit: int) -> list:
+    """Grid index k = steps_per_unit * T of each horizon T on the ladder's
+    one grid; every horizon must be positive and land on a grid point."""
+    if len(horizons) == 0:
+        raise InvalidArgumentError("the ladder needs at least one horizon")
+    steps = []
+    for t in horizons:
+        k = steps_per_unit * float(t)
+        if not (t > 0 and math.isclose(k, round(k), rel_tol=1e-9, abs_tol=0.0)):
+            raise InvalidArgumentError(
+                f"horizon {t:g} is not a whole number of steps at "
+                f"{steps_per_unit} steps per unit time")
+        steps.append(int(round(k)))
+    return steps
+
+
 def call_decay_study(
     model,
     strike: float,
@@ -269,56 +330,44 @@ def call_decay_study(
 ) -> dict:
     """Deflated call prices across a horizon ladder, plus the stock bound.
 
-    All horizons reuse the same master seed, so shorter paths are exact
-    prefixes of longer ones and the monotonicity comparison is paired
-    rather than independent.  For each horizon the study also estimates the
-    deflated stock price E[L X / B] and the analytic envelope it must stay
-    under in a weakly diverse elliptic market, and counts the drift
-    entries the integrator capped, summed over the horizons.
+    Every rung T is read off one knock-out simulation under the Foellmer
+    measure, run to the longest horizon:
+    h(T) = e^{-rT} E_Q[(X_T - K)^+ ; tau > T] and the deflated stock price
+    s(T) = e^{-rT} E_Q[X_T ; tau > T], so the rungs share their paths and the
+    monotonicity comparison is paired.  Each row also gives the analytic
+    envelope s(T) must stay under in a weakly diverse elliptic market, the
+    paths knocked out by T, and the call price monitored on every other
+    grid point.
     """
     if model.r <= 0:
         raise InvalidArgumentError("the decay study needs a positive interest rate")
-    delta = model.params.get("delta")
-    if delta is None:
-        raise InvalidArgumentError("the decay study expects a diversity-controlled model")
-    eps = model.vol.eps
+    rungs = ladder_steps(horizons, steps_per_unit)
+    k_max = max(rungs)
+    out = _foellmer_knock_out(model, k_max / steps_per_unit, k_max, rungs, n_paths,
+                              master_seed, index, batch_size)
+    delta, eps = model.params["delta"], model.vol.eps
     total0 = float(_sum_last(model.x0))
-    claim = call_claim(index, strike)
     rows = []
-    capped = 0
-    for t in horizons:
-        grid = _paths.make_grid(float(t), int(round(steps_per_unit * t)))
-        factors = _paths.generate_factors(grid, model.m, n_paths, master_seed)
-        times = grid.times
-        bank = math.exp(model.r * float(t))
-
-        def per_batch(lo, hi, lx, aux):
-            logl = _deflator_log_terminal_block(model, lx, times, aux)
-            defl = np.exp(logl) / bank
-            return {
-                "call": claim.payoff(lx, times, aux) * defl,
-                "stock": np.exp(lx[:, -1, index]) * defl,
-                "capped": aux.get("capped_steps", np.zeros(hi - lo, np.int64)),
-            }
-
-        vals = _markets.run_batches(model, factors, per_batch, batch_size)
-        h, h_se = _compensated_mean_se(vals["call"])
-        s, s_se = _compensated_mean_se(vals["stock"])
-        capped += int(vals["capped"].sum())
+    for j, t in enumerate(horizons):
+        t = float(t)
+        discount = math.exp(-model.r * t)
+        x = out["x"][:, j]
+        call = np.maximum(x - strike, 0.0) * discount
+        h, h_se = _compensated_mean_se(call * out["alive"][:, j])
+        s, s_se = _compensated_mean_se(x * discount * out["alive"][:, j])
         rows.append(
             {
-                "horizon": float(t),
+                "horizon": t,
                 "price": h,
                 "se": h_se,
                 "stock_price": s,
                 "stock_se": s_se,
-                "envelope": decay_envelope(
-                    total0, model.n, p_bound, eps, delta, float(t)
-                ),
+                "envelope": decay_envelope(total0, model.n, p_bound, eps, delta, t),
+                "knocked_out": int(n_paths - np.count_nonzero(out["alive"][:, j])),
+                "price_2dt": _compensated_mean_se(call * out["alive_2dt"][:, j])[0],
             }
         )
-    return {"strike": strike, "spot": float(model.x0[index]), "rows": rows,
-            "capped_steps": capped}
+    return {"strike": strike, "spot": float(model.x0[index]), "rows": rows}
 
 
 # ---------------------------------------------------------------------------

@@ -293,10 +293,11 @@ def instantaneous_dominance_market(
 # integration
 # ---------------------------------------------------------------------------
 
-def _vol_increments(model: MarketModel, dw: np.ndarray) -> np.ndarray:
+def _vol_increments(model: MarketModel, dw: np.ndarray, out=None) -> np.ndarray:
     # per-path matmul keeps the arithmetic independent of batch size
     B = dw.shape[0]
-    out = np.empty((B, dw.shape[1], model.n))
+    if out is None:
+        out = np.empty((B, dw.shape[1], model.n))
     st = model.vol.sigma.T
     for b in range(B):
         np.matmul(dw[b], st, out=out[b])
@@ -315,25 +316,27 @@ def simulate_block(model: MarketModel, factors: FactorPaths, lo: int, hi: int):
         )
     grid = factors.grid
     dw = factors.block(lo, hi)
-    dv = _vol_increments(model, dw)
     dt = grid.step_sizes
     times = grid.times
     logx0 = np.log(model.x0)
     if model.kind == "constant":
+        # built in place: one (B, K+1, n) array besides the draws
+        logx = np.empty((hi - lo, grid.n_steps + 1, model.n))
+        logx[:, 0] = logx0
+        steps = logx[:, 1:]
+        _vol_increments(model, dw, out=steps)
+        del dw
         growth = model.params["b"] - 0.5 * np.diag(model.vol.a)
-        drift = growth[None, None, :] * dt[None, :, None]
-        logx = np.concatenate(
-            [
-                np.broadcast_to(logx0, (hi - lo, 1, model.n)),
-                logx0[None, None, :] + np.cumsum(drift + dv, axis=1),
-            ],
-            axis=1,
-        )
+        steps += growth[None, :] * dt[:, None]
+        np.cumsum(steps, axis=1, out=steps)
+        steps += logx0
         aux = {}
     else:
         kernel = _kernels.active_kernels().get(model.kind)
         if kernel is None:
             raise InvalidModelError(f"unknown model kind {model.kind!r}")
+        dv = _vol_increments(model, dw)
+        del dw
         logx, aux = kernel(logx0, dv, dt, times, model)
 
     if not np.isfinite(logx).all():

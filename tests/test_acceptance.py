@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from spt_lab import cli, hedging, markets, paths, portfolios, ranks
-from helpers import random_covariance, random_simplex
+from helpers import knock_out_ladder, random_covariance, random_simplex
 
 CRITERION_LINES = []
 
@@ -287,15 +287,16 @@ def test_criterion_08_hedge_price_matches_closed_form():
 def test_criterion_09_deflator_deficit_and_call_decay():
     quiet = _barrier_market(scale=0.25)
     slm = hedging.slm_deficit_study(quiet, horizon=20.0, steps_fine=4_000,
-                                    n_paths=100_000, master_seed=909,
+                                    n_paths=20_000, master_seed=909,
                                     batch_size=512)
     fine, coarse = slm["fine"], slm["coarse"]
     ok_deficit = (fine["deficit"] > 0 and coarse["deficit"] > 0
                   and fine["t_stat"] >= 3.0 and coarse["t_stat"] >= 2.0)
 
+    horizons = (5, 10, 20, 40, 80)
     priced = markets.diverse_market(sigma=0.25 * np.eye(3), g=np.zeros(3),
                                     delta=0.3, x0=(1.0, 1.0, 1.0), r=0.03)
-    dec = hedging.call_decay_study(priced, strike=1.0, horizons=(5, 10, 20, 40, 80),
+    dec = hedging.call_decay_study(priced, strike=1.0, horizons=horizons,
                                    steps_per_unit=100, n_paths=5_000, master_seed=77,
                                    batch_size=512)
     rows = dec["rows"]
@@ -305,13 +306,25 @@ def test_criterion_09_deflator_deficit_and_call_decay():
                + 3.0 * math.hypot(rows[i]["se"], rows[i + 1]["se"])
                for i in range(len(rows) - 1))
     envel = all(r["stock_price"] <= r["envelope"] + 3.0 * r["stock_se"] for r in rows)
-    ok = ok_deficit and below and mono and envel
+    # each rung against an independent knock-out simulated at dt / 2: within
+    # 4 combined se plus the monitoring budget, since the error of monitoring
+    # at dt shrinks like sqrt(dt), |value at dt - value at dt/2| / (1 - 1/sqrt 2)
+    ref, ref_se = knock_out_ladder(horizons, 100, priced.x0, priced.vol.sigma, 0.3,
+                                   0.03, 1.0, 0, 4_000, seed=2008)
+    budget = np.abs(ref[0] - ref[1]) / (1.0 - math.sqrt(0.5))
+    worst = max(
+        abs(est - ref[0, j, q]) / (4.0 * math.hypot(se, ref_se[0, j, q]) + budget[j, q])
+        for j, r in enumerate(rows)
+        for q, (est, se) in enumerate(((r["price"], r["se"]),
+                                       (r["stock_price"], r["stock_se"]))))
+    ok = ok_deficit and below and mono and envel and worst <= 1.0
     assert _record(
         9, "deflator deficit and call-price decay", ok,
-        f"deficit {fine['deficit']:.1e} (t {fine['t_stat']:.1f}, need >= 3) / "
-        f"coarse t {coarse['t_stat']:.1f} (need >= 2); prices "
+        f"deficit {fine['deficit']:.3f} +- {fine['se']:.4f} (t {fine['t_stat']:.1f}, "
+        f"need >= 3) / coarse t {coarse['t_stat']:.1f} (need >= 2); prices "
         f"{rows[0]['price']:.3f}..{rows[-1]['price']:.1e} below spot {below}, "
-        f"monotone {mono}, envelope {envel}")
+        f"monotone {mono}, envelope {envel}, worst miss of the reference "
+        f"{worst:.2f} of its budget (need <= 1)")
 
 
 # ---------------------------------------------------------------------------

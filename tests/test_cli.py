@@ -363,10 +363,45 @@ def test_call_decay_table_schema(tmp_path):
     assert len(table) == 3
     stock = (out / "stock.csv").read_text().splitlines()
     assert stock[0] == "T,deflated_stock,stderr,envelope"
-    # capped drift entries are counted over both rungs, outside the CSVs
-    capped = json.loads((out / "summary.json").read_text())["info"]["capped_steps"]
-    assert isinstance(capped, int) and capped >= 0
-    assert f"capped_steps = {capped}" in (out / "summary.txt").read_text()
+    # knocked-out paths and the call price monitored at dt and at 2 dt, per
+    # rung, outside the CSVs
+    info = json.loads((out / "summary.json").read_text())["info"]
+    assert set(info) == {"knocked_out", "monitoring_pair"}
+    assert len(info["knocked_out"]) == 2
+    assert all(isinstance(k, int) and 0 <= k <= 200 for k in info["knocked_out"])
+    h_hat = [float(line.split(",")[1]) for line in table[1:]]
+    assert [pair[0] for pair in info["monitoring_pair"]] == h_hat
+    summary = (out / "summary.txt").read_text()
+    assert f"knocked_out = {info['knocked_out']}" in summary
+    assert "monitoring_pair = " in summary
+
+
+def test_call_decay_rejects_off_grid_horizons(tmp_path):
+    cfg = _write(tmp_path, """\
+        [experiment]
+        name = call-decay
+        strike = 1.0
+        horizons = 1.0, 2.5
+
+        [model]
+        kind = diverse
+        sigma_scale = 0.25
+        delta = 0.3
+        x0 = 1.0, 1.0
+        r = 0.03
+
+        [grid]
+        steps_per_unit = 3
+
+        [mc]
+        n_paths = 10
+        master_seed = 7
+        """, name="offgrid.ini")
+    with pytest.raises(ConfigError) as exc:
+        cli.parse_config(cfg)
+    assert any("horizon 2.5 is not a whole number of steps" in m
+               for m in exc.value.messages)
+    assert cli.parse_config(cfg, steps=4).extras["horizons"] == [1.0, 2.5]
 
 
 def test_call_decay_steps_override_goes_to_steps_per_unit(tmp_path):

@@ -35,13 +35,16 @@ def test_price_of_risk_vanishes_when_returns_match_the_rate():
     np.testing.assert_allclose(theta, 0.0, atol=1e-14)
 
 
+_UNIT = hedging.Claim("one", lambda lx, times, aux: np.ones(lx.shape[0]))
+
+
 def test_deflator_is_one_without_risk_premium():
     model = markets.constant_market(b=[0.0, 0.0], sigma=0.3 * np.eye(2),
                                     x0=[1.0, 1.0])
     grid = paths.make_grid(1.0, 32)
     f = paths.generate_factors(grid, 2, 64, master_seed=1)
-    log_l = hedging.deflator_log_terminals(model, f)
-    np.testing.assert_array_equal(log_l, np.zeros(64))
+    out = hedging.hedge_price(model, f, _UNIT)
+    assert (out["price"], out["se"]) == (1.0, 0.0)
 
 
 def test_deflator_mean_is_one_for_constant_risk_premium():
@@ -49,9 +52,8 @@ def test_deflator_mean_is_one_for_constant_risk_premium():
     model = _gbm_pair()
     grid = paths.make_grid(1.0, 16)
     f = paths.generate_factors(grid, 2, 40_000, master_seed=2)
-    l = np.exp(hedging.deflator_log_terminals(model, f, batch_size=10_000))
-    se = l.std(ddof=1) / np.sqrt(l.size)
-    assert abs(l.mean() - 1.0) < 3.0 * se
+    out = hedging.hedge_price(model, f, _UNIT, batch_size=10_000)
+    assert abs(out["price"] - 1.0) < 3.0 * out["se"]
 
 
 def _reference_log_deflator(model, factors, lx, aux):
@@ -109,7 +111,8 @@ def test_deflator_read_off_the_path_matches_the_price_of_risk_with_more_factors(
 
 
 def test_deflated_prices_draw_each_path_once(monkeypatch):
-    """Every deflated price draws each path's factors once, in the simulation."""
+    """Every deflated price draws each path's factors once, in the simulation;
+    the call ladder reads all its rungs off one pass."""
     draws = []
     increments = paths.FactorPaths.path_increments
 
@@ -132,8 +135,6 @@ def test_deflated_prices_draw_each_path_once(monkeypatch):
             gbm, factors(gbm), hedging.call_claim(0, 1.0), batch_size=5),
         "parity_control_study": lambda: hedging.parity_control_study(
             gbm, factors(gbm), batch_size=5),
-        "deflator_log_terminals": lambda: hedging.deflator_log_terminals(
-            gbm, factors(gbm), batch_size=5),
         "parity_witness_study": lambda: hedging.parity_witness_study(
             diverse, factors(diverse), 2.0, batch_size=5),
         "call_decay_study": lambda: hedging.call_decay_study(
@@ -144,8 +145,7 @@ def test_deflated_prices_draw_each_path_once(monkeypatch):
     for name, run in runs.items():
         draws.clear()
         run()
-        rungs = 2 if name == "call_decay_study" else 1
-        assert sorted(draws) == sorted(list(range(12)) * rungs), name
+        assert sorted(draws) == list(range(12)), name
 
 
 def test_deflated_stock_gap_is_exact_for_constant_coefficients():
@@ -258,6 +258,35 @@ def test_call_decay_study_needs_positive_rate_and_barrier():
                                     x0=[1.0, 1.0], r=0.03)
     with pytest.raises(InvalidArgumentError):
         hedging.call_decay_study(plain, 1.0, (1.0, 2.0), 10, 50, 0)
+    # the patched market's drift may never switch on, so tau is not its
+    # first hit of the barrier
+    base = markets.diverse_market(0.25 * np.eye(2), g=0.0, delta=0.1,
+                                  x0=[1.0, 1.0], r=0.03)
+    patched = markets.patched_weakly_diverse(base, eta=0.3, horizon=2.0)
+    with pytest.raises(InvalidArgumentError, match="diverse market kind"):
+        hedging.call_decay_study(patched, 1.0, (1.0, 2.0), 10, 50, 0)
+
+
+def test_call_decay_rejects_off_grid_horizons():
+    model = markets.diverse_market(0.25 * np.eye(2), g=0.0, delta=0.3,
+                                   x0=[1.0, 1.0], r=0.03)
+    with pytest.raises(InvalidArgumentError, match="horizon 1.05"):
+        hedging.call_decay_study(model, 1.0, (1.0, 1.05), 10, 50, 0)
+    assert hedging.ladder_steps((0.1, 0.7, 3.0), 10) == [1, 7, 30]
+
+
+def test_call_decay_without_knock_out_is_the_lognormal_price():
+    """With the barrier out of reach every rung is the lognormal call price
+    at rate r, and no path is knocked out."""
+    rate, vol = 0.03, 0.25
+    model = markets.diverse_market(vol * np.eye(2), g=0.0, delta=0.01,
+                                   x0=[1.0, 1.0], r=rate)
+    out = hedging.call_decay_study(model, 1.1, (0.5, 1.0), 20, 4_000, master_seed=12)
+    for r in out["rows"]:
+        ref = hedging.call_price_closed_form(1.0, 1.1, rate, vol, r["horizon"])
+        assert abs(r["price"] - ref) <= 3.0 * r["se"], (r, ref)
+        assert r["knocked_out"] == 0
+        assert r["price_2dt"] == r["price"]
 
 
 def test_call_decay_rows_carry_envelopes():
