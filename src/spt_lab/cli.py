@@ -321,9 +321,13 @@ def _check_model_fits(p: _Parse, name: str, model, grid):
         return
     if name == "mirror-81" and model.kind not in ("diverse", "patched"):
         p.err(f"{name} needs a barrier-controlled model, got kind {model.kind!r}")
+    if name == "hedge-price" and model.kind != "constant":
+        p.err(f"hedge-price needs the constant model, got kind {model.kind!r}")
     if name == "parity-gap":
-        if "delta" not in model.params:
-            p.err("parity-gap needs a barrier-controlled model")
+        if model.kind != "diverse":
+            p.err(f"parity-gap needs the diverse model, got kind {model.kind!r}")
+        if grid is not None and not grid.is_uniform:
+            p.err("parity-gap needs a uniform grid")
         if model.r != 0.0:
             p.err("parity-gap requires model.r = 0")
     if name == "call-decay":
@@ -789,20 +793,17 @@ def _run_hedge_price(cfg):
         "spot": float(model.x0[idx]),
         "horizon": cfg.grid.horizon,
     }
-    info = {"claim": res["claim"]}
-    assertions = []
-    if model.kind == "constant":
-        vol = math.sqrt(model.vol.a[idx, idx])
-        ref = _hedging.call_price_closed_form(
-            float(model.x0[idx]), strike, model.r, vol, cfg.grid.horizon)
-        metrics["reference"] = ref
-        metrics["t_stat"] = (res["price"] - ref) / res["se"] if res["se"] > 0 else float("inf")
-        assertions.append(Check(
-            "deflator price matches the closed form within 3 standard errors",
-            abs(res["price"] - ref) <= 3.0 * res["se"],
-            f"price={res['price']:.6g} ref={ref:.6g} se={res['se']:.3g}", 3.0 * res["se"],
-        ))
-    return metrics, info, assertions, {}
+    vol = math.sqrt(model.vol.a[idx, idx])
+    ref = _hedging.call_price_closed_form(
+        float(model.x0[idx]), strike, model.r, vol, cfg.grid.horizon)
+    metrics["reference"] = ref
+    metrics["t_stat"] = (res["price"] - ref) / res["se"] if res["se"] > 0 else float("inf")
+    assertions = [Check(
+        "deflator price matches the closed form within 3 standard errors",
+        abs(res["price"] - ref) <= 3.0 * res["se"],
+        f"price={res['price']:.6g} ref={ref:.6g} se={res['se']:.3g}", 3.0 * res["se"],
+    )]
+    return metrics, {"claim": res["claim"]}, assertions, {}
 
 
 def _run_call_decay(cfg):
@@ -856,19 +857,19 @@ def _run_call_decay(cfg):
 
 def _run_parity_gap(cfg):
     model = cfg.model
-    factors = _factors(cfg)
     p = cfg.extras["p"]
     if p is None:
         p = cfg.extras["margin"] * _arbitrage.mirror_exponent(
             model.vol.eps, model.params["delta"], cfg.grid.horizon,
             float(_max_last(model.x0 / _sum_last(model.x0))),
         )
-    wit = _hedging.parity_witness_study(model, factors, p)
+    wit = _hedging.parity_witness_study(model, p, cfg.grid.horizon, cfg.grid.n_steps,
+                                        cfg.n_paths, cfg.master_seed)
     control_model = _markets.constant_market(
         b=np.asarray(model.params["g"], dtype=float) + 0.5 * np.diag(model.vol.a),
         sigma=model.vol.sigma, x0=model.x0, r=model.r)
     ctl = _hedging.parity_control_study(
-        control_model, factors, cfg.extras["control_i"], cfg.extras["control_j"])
+        control_model, _factors(cfg), cfg.extras["control_i"], cfg.extras["control_j"])
     metrics = {
         "p": float(p),
         "h1": wit["h1"], "h1_se": wit["h1_se"],
@@ -890,7 +891,11 @@ def _run_parity_gap(cfg):
               f"h2={wit['h2']:.6g} se={wit['h2_se']:.3g}",
               3.0 * max(wit["h1_se"], wit["h2_se"])),
     ]
-    return metrics, {"capped_steps": wit["capped_steps"]}, assertions, {}
+    info = {
+        "knocked_out": wit["knocked_out"],
+        "monitoring_pair": [wit["h1"], wit["h1_2dt"]],
+    }
+    return metrics, info, assertions, {}
 
 
 def _run_instantaneous_dominance(cfg):

@@ -1,39 +1,38 @@
 """Deflator construction, Monte Carlo hedge pricing, and related studies.
 
-Deflated prices in the barrier-repelled market are taken under the
-Foellmer measure Q (Foellmer 1972; Ruf 2013, "Hedging under arbitrage").
-The market's deflator L is a strict local martingale there, with
-E[L(T)] < 1, and for a payoff Y of the path up to T
+Every deflated price is taken with one of two estimators, each where it
+is exact.
+
+Where the market price of risk theta is constant (the ``constant`` kind:
+``hedge_price`` and ``parity_control_study``) the deflator
+L = exp(-int theta' dW - int |theta|^2 dt / 2) is read off the terminal
+log prices.  With beta = b - r, u = a^{-1} beta and growth rates
+gamma = b - diag(a)/2, the log prices move by gamma dt + sigma dW, so
+
+    log L(T) = -u' (log x_T - log x_0 - gamma T) - u' beta T / 2,
+
+which is also the discrete deflator of the Euler grid: its sum over steps
+telescopes.  Its step factors have conditional mean one, so E[L(T)] = 1
+on every grid, as it should be where theta is bounded.
+
+In the barrier-repelled market (the ``diverse`` kind: ``call_decay_study``
+and ``parity_witness_study``) prices are taken under the Foellmer measure
+Q (Foellmer 1972; Ruf 2013, "Hedging under arbitrage").  The deflator is a
+strict local martingale there, with E[L(T)] < 1, and for a payoff Y of
+the path up to T
 
     E_P[L(T) Y] = E_Q[Y ; tau > T],
 
 where under Q every stock is a geometric Brownian motion with rate of
 return r (the market's own dispersion, no drift kernel) and tau is the
 first time the top weight reaches 1 - delta, the barrier that the
-P-drift never lets the market reach.  ``call_decay_study`` and
-``slm_deficit_study`` run one such Q simulation, monitor tau on its grid
-and read every quantity off that one pass: a knock-out estimator, with
-bounded variance and an honest standard error.  Monitoring on the grid
-misses crossings between grid points and so biases survival upward; each
-study also reports the reading monitored on every other grid point (the
-coarse grid of the same Brownian path), and no bridge correction is made.
-
-The discrete deflator that ``hedge_price``, ``parity_witness_study`` and
-``parity_control_study`` average is read off the stored path.  Over step
-k the log prices moved by the drift displacement the integrator applied
-(growth rate times dt_k, clipped at the step cap where the kind has one)
-plus dv_k = sigma dW_k, so dv_k is the log-price change less that
-displacement.  With beta_k = displacement / dt_k + diag(a)/2 - r, the
-excess rate of return the path used, and u_k = a^{-1} beta_k, log L moves
-by -u_k' dv_k - u_k' beta_k dt_k / 2: that is -theta' dW - |theta|^2 dt / 2
-for theta = sigma' u_k, with any number of factors.  Given the left
-endpoint, u_k' dv_k ~ N(0, beta_k' a^{-1} beta_k dt_k), so every step
-factor has conditional mean one and E[L(T)] = 1 exactly on every grid.
-That is right where theta is bounded (the constant-coefficient market),
-but in a barrier market the mean of this L(T) misses the strict local
-martingale's deficit: its compensating mass sits in a tail that no
-feasible sample draws.  ``parity_witness_study`` still averages it (see
-ROADMAP item 1 and the deflator note in the README).
+P-drift never lets the market reach.  Each study runs one such Q
+simulation, monitors tau on its grid and reads every quantity off that
+one pass: a knock-out estimator, with bounded variance and an honest
+standard error.  Monitoring on the grid misses crossings between grid
+points and so biases survival upward; each study also reports the reading
+monitored on every other grid point (the coarse grid of the same Brownian
+path), and no bridge correction is made.
 
 Monte Carlo reductions collect one value per path and reduce once with
 compensated (exact) summation, so results are independent of batch size.
@@ -55,11 +54,9 @@ from . import portfolios as _portfolios
 __all__ = [
     "Claim",
     "call_claim",
-    "exchange_claim",
     "market_price_of_risk",
     "hedge_price",
     "ladder_steps",
-    "slm_deficit_study",
     "call_decay_study",
     "decay_envelope",
     "parity_witness_study",
@@ -85,13 +82,6 @@ def call_claim(index: int, strike: float) -> Claim:
     return Claim(f"call(stock={index}, strike={strike:g})", payoff)
 
 
-def exchange_claim(i: int, j: int) -> Claim:
-    def payoff(lx, times, aux):
-        return np.maximum(np.exp(lx[:, -1, i]) - np.exp(lx[:, -1, j]), 0.0)
-
-    return Claim(f"exchange({i}, {j})", payoff)
-
-
 def market_price_of_risk(model, log_prices: np.ndarray, times, aux=None) -> np.ndarray:
     """theta = sigma' (sigma sigma')^{-1} (b - r 1) along a batch of log prices
     (B, len(times), n)."""
@@ -105,44 +95,24 @@ def market_price_of_risk(model, log_prices: np.ndarray, times, aux=None) -> np.n
     return theta
 
 
-# Steps per slice of the deflator sum and of the barrier check: their
-# temporaries stay a few (B, 256, n) arrays however long the path.
-_SLICE_STEPS = 256
+def _constant_log_deflator(model, horizon: float):
+    """Per-path terminal log L of a constant-coefficient market, in closed
+    form (see the module docstring), as a function of a batch's log prices
+    (B, K+1, n); it reads the first and last grid points only."""
+    if model.kind != "constant":
+        raise InvalidArgumentError(
+            f"the closed-form deflator needs a constant market, not {model.kind!r}")
+    beta = model.params["b"] - model.r
+    u = np.linalg.solve(model.vol.a, beta)
+    growth = model.params["b"] - 0.5 * np.diag(model.vol.a)
 
+    def log_deflator(lx):
+        logl = -(lx[:, -1] - lx[:, 0] - growth * horizon) @ u - 0.5 * (u @ beta) * horizon
+        if not np.isfinite(logl).all():
+            raise NumericFailureError("deflator is not finite")
+        return logl
 
-def _deflator_log_terminal_block(model, lx, times, aux) -> np.ndarray:
-    """Per-path terminal log L for one simulated block, read off its log
-    prices as the module docstring describes; the factors are not drawn
-    again.  The rate beta_k uses is the replayed growth clipped at
-    step_cap / dt_k: the applied displacement over dt_k, without the
-    rounding that dividing it back out would put on unclipped rates.
-    """
-    times = np.asarray(times, dtype=float)
-    dt = np.diff(times)[:, None]
-    a_inv = np.linalg.inv(model.vol.a)
-    excess = 0.5 * np.diag(model.vol.a) - model.r
-    cap = model.params.get("step_cap")
-    logl = np.zeros(lx.shape[0])
-    for lo in range(0, dt.shape[0], _SLICE_STEPS):
-        hi = min(lo + _SLICE_STEPS, dt.shape[0])
-        step = dt[lo:hi]
-        # three slice-sized arrays: rate, dv and work, which is reused
-        rate = _markets.growth_rates_along(model, lx[:, lo:hi], times[lo:hi], aux)
-        work = rate * step  # the displacement
-        if cap is not None:
-            np.clip(work, -cap, cap, out=work)
-            np.clip(rate, -cap / step, cap / step, out=rate)
-        dv = lx[:, lo + 1:hi + 1] - lx[:, lo:hi]
-        dv -= work
-        rate += excess  # now beta_k
-        np.multiply(rate, 0.5 * step, out=work)
-        dv += work  # dv_k + beta_k dt_k / 2
-        np.matmul(rate, a_inv.T, out=work)  # u_k
-        work *= dv
-        logl -= np.sum(_sum_last(work), axis=1)
-    if not np.isfinite(logl).all():
-        raise NumericFailureError("deflator is not finite")
-    return logl
+    return log_deflator
 
 
 def _compensated_mean_se(values: np.ndarray):
@@ -186,17 +156,18 @@ def hedge_price(
     claim: Claim,
     batch_size: int = 1024,
 ) -> dict:
-    """Monte Carlo estimate of E[Y * L(T) / B(T)] with its standard error."""
+    """Monte Carlo estimate of E[Y * L(T) / B(T)] with its standard error,
+    for a constant-coefficient ``model``: L(T) in closed form."""
     times = factors.grid.times
     horizon = factors.grid.horizon
     bank = math.exp(model.r * horizon)
+    log_deflator = _constant_log_deflator(model, horizon)
 
     def per_batch(lo, hi, lx, aux):
-        logl = _deflator_log_terminal_block(model, lx, times, aux)
         y = np.asarray(claim.payoff(lx, times, aux), dtype=float)
         if y.min() < 0:
             raise InvalidArgumentError("claim payoff must be nonnegative")
-        return {"vals": y * np.exp(logl) / bank}
+        return {"vals": y * np.exp(log_deflator(lx)) / bank}
 
     vals = _markets.run_batches(model, factors, per_batch, batch_size)["vals"]
     mean, se = _compensated_mean_se(vals)
@@ -213,16 +184,26 @@ def hedge_price(
 # deflated prices under the Foellmer measure
 # ---------------------------------------------------------------------------
 
+# Steps per slice of the barrier check: its temporaries stay a few
+# (B, 256, n) arrays however long the path.
+_SLICE_STEPS = 256
+
+# Log prices one batch of a Foellmer pass may hold.  Long ladders get
+# smaller batches, so memory stays bounded however long the longest rung;
+# results do not depend on the batch size.
+_KNOCK_OUT_BYTES = 64 << 20
+
+
 def _foellmer_knock_out(model, horizon, n_steps, rungs, n_paths, master_seed,
-                        index, batch_size):
+                        read, batch_size):
     """One simulation of ``model``'s market under the Foellmer measure,
     read at the grid indices ``rungs``.
 
-    Under Q every stock is a GBM with rate of return r.  Returns per path
-    and rung: ``x``, the price of stock ``index`` at the rung, and
-    ``alive`` / ``alive_2dt``, whether the top weight stayed under
-    1 - delta at every grid point up to the rung, monitored at every point
-    and at every other point.
+    Under Q every stock is a GBM with rate of return r.  Returns per path:
+    ``x``, what ``read`` takes from the batch's log prices (B, n_steps + 1,
+    n), and per rung ``alive`` / ``alive_2dt``, whether the top weight
+    stayed under 1 - delta at every grid point up to the rung, monitored at
+    every point and at every other point.
     """
     if model.kind != "diverse":
         raise InvalidArgumentError(
@@ -240,50 +221,15 @@ def _foellmer_knock_out(model, horizon, n_steps, rungs, n_paths, master_seed,
             x = np.exp(lx[:, a:a + _SLICE_STEPS])
             np.greater_equal(_max_last(x), level * _sum_last(x),
                              out=hit[:, a:a + _SLICE_STEPS])
-        out = {"x": np.exp(lx[:, rungs, index])}
+        out = {"x": read(lx)}
         for key, stride in (("alive", 1), ("alive_2dt", 2)):
             h = hit[:, ::stride]
             first = np.where(h.any(axis=1), stride * h.argmax(axis=1), n_steps + 1)
             out[key] = first[:, None] > rungs
         return out
 
-    return _markets.run_batches(q, factors, per_batch, batch_size)
-
-
-def slm_deficit_study(
-    model,
-    horizon: float,
-    steps_fine: int,
-    n_paths: int,
-    master_seed: int,
-    batch_size: int = 1024,
-) -> dict:
-    """Deficit 1 - E_P[L(T)] = 1 - Q(tau > T) of the strict local
-    martingale deflator, monitored at two step sizes of one Q simulation.
-
-    The fine reading monitors the top weight at every point of a
-    ``steps_fine``-step grid, the coarse one at every other point, which is
-    the coarse grid of the same Brownian path.  Each reports the Bernoulli
-    standard error of the survival share and the deficit's t-statistic.
-    """
-    if steps_fine % 2:
-        raise InvalidArgumentError("steps_fine must be even: the coarse grid halves it")
-    out = _foellmer_knock_out(model, horizon, steps_fine, [steps_fine], n_paths,
-                              master_seed, 0, batch_size)
-    dt = horizon / steps_fine
-    res = {}
-    for tag, key, step in (("fine", "alive", dt), ("coarse", "alive_2dt", 2 * dt)):
-        survival = float(np.count_nonzero(out[key])) / n_paths
-        se = math.sqrt(survival * (1.0 - survival) / n_paths)
-        deficit = 1.0 - survival
-        res[tag] = {
-            "dt": step,
-            "survival": survival,
-            "se": se,
-            "deficit": deficit,
-            "t_stat": deficit / se if se > 0 else float("inf"),
-        }
-    return res
+    batch = max(1, min(batch_size, _KNOCK_OUT_BYTES // ((n_steps + 1) * q.n * 8)))
+    return _markets.run_batches(q, factors, per_batch, batch)
 
 
 def decay_envelope(
@@ -336,15 +282,16 @@ def call_decay_study(
     s(T) = e^{-rT} E_Q[X_T ; tau > T], so the rungs share their paths and the
     monotonicity comparison is paired.  Each row also gives the analytic
     envelope s(T) must stay under in a weakly diverse elliptic market, the
-    paths knocked out by T, and the call price monitored on every other
-    grid point.
+    paths knocked out by T, monitored at every grid point and at every
+    other one, and the call price monitored on every other grid point.
     """
     if model.r <= 0:
         raise InvalidArgumentError("the decay study needs a positive interest rate")
     rungs = ladder_steps(horizons, steps_per_unit)
     k_max = max(rungs)
     out = _foellmer_knock_out(model, k_max / steps_per_unit, k_max, rungs, n_paths,
-                              master_seed, index, batch_size)
+                              master_seed, lambda lx: np.exp(lx[:, rungs, index]),
+                              batch_size)
     delta, eps = model.params["delta"], model.vol.eps
     total0 = float(_sum_last(model.x0))
     rows = []
@@ -364,6 +311,7 @@ def call_decay_study(
                 "stock_se": s_se,
                 "envelope": decay_envelope(total0, model.n, p_bound, eps, delta, t),
                 "knocked_out": int(n_paths - np.count_nonzero(out["alive"][:, j])),
+                "knocked_out_2dt": int(n_paths - np.count_nonzero(out["alive_2dt"][:, j])),
                 "price_2dt": _compensated_mean_se(call * out["alive_2dt"][:, j])[0],
             }
         )
@@ -376,8 +324,11 @@ def call_decay_study(
 
 def parity_witness_study(
     model,
-    factors: _paths.FactorPaths,
     p: float,
+    horizon: float,
+    n_steps: int,
+    n_paths: int,
+    master_seed: int,
     batch_size: int = 128,
 ) -> dict:
     """Deflated prices of two assets that start equal yet price apart.
@@ -385,30 +336,28 @@ def parity_witness_study(
     Asset one is the market portfolio's value, asset two the value of the
     short-the-market mirror of the first stock with exponent p; both start
     at one unit of capital, so any gap in their deflated prices breaks the
-    parity that would tie the two jointly european claims together.  The
-    gap is estimated pathwise (paired), which removes most of the variance.
-    Also counts the drift entries the integrator capped.
+    parity that would tie the two jointly european claims together.  Both
+    are read off one knock-out pass under the Foellmer measure (r = 0):
+    h1 = E_Q[Z_mu(T) ; tau > T] and h2 = E_Q[Z_pi(T) ; tau > T], the
+    mirror's value being a functional of the Q path.  The gap is estimated
+    pathwise (paired), which removes most of the variance.  Also reports
+    the paths knocked out and h1 monitored on every other grid point.
     """
     if model.r != 0.0:
         raise InvalidArgumentError("the parity witness assumes a zero interest rate")
-    times = factors.grid.times
-    a = model.vol.a
-    n = model.n
-    e1 = np.zeros(n)
+    times = _paths.make_grid(horizon, n_steps).times
+    e1 = np.zeros(model.n)
     e1[0] = 1.0
 
-    def per_batch(lo, hi, lx, aux):
-        logl = _deflator_log_terminal_block(model, lx, times, aux)
+    def read(lx):
         zmu = _portfolios.market_value(lx, 1.0)[:, -1]
-        mu = _portfolios.market_weights(lx)
-        what = _portfolios.mirror_weights(e1, mu, p)
-        rel = _portfolios.relative_log_value(what, lx, times, a)[:, -1]
-        l = np.exp(logl)
-        return {"h1": l * zmu, "h2": l * zmu * np.exp(rel),
-                "capped": aux.get("capped_steps", np.zeros(hi - lo, np.int64))}
+        what = _portfolios.mirror_weights(e1, _portfolios.market_weights(lx), p)
+        rel = _portfolios.relative_log_value(what, lx, times, model.vol.a)[:, -1]
+        return np.stack([zmu, zmu * np.exp(rel)], axis=1)
 
-    vals = _markets.run_batches(model, factors, per_batch, batch_size)
-    h1_vals, h2_vals = vals["h1"], vals["h2"]
+    out = _foellmer_knock_out(model, horizon, n_steps, [n_steps], n_paths, master_seed,
+                              read, batch_size)
+    h1_vals, h2_vals = (out["x"][:, q] * out["alive"][:, 0] for q in (0, 1))
     h1, h1_se = _compensated_mean_se(h1_vals)
     h2, h2_se = _compensated_mean_se(h2_vals)
     gap, gap_se = _compensated_mean_se(h1_vals - h2_vals)
@@ -421,7 +370,8 @@ def parity_witness_study(
         "gap_se": gap_se,
         "initial_difference": 0.0,
         "t_stat": gap / gap_se if gap_se > 0 else float("inf"),
-        "capped_steps": int(vals["capped"].sum()),
+        "knocked_out": int(n_paths - np.count_nonzero(out["alive"][:, 0])),
+        "h1_2dt": _compensated_mean_se(out["x"][:, 0] * out["alive_2dt"][:, 0])[0],
     }
 
 
@@ -432,17 +382,17 @@ def parity_control_study(
     j: int = 1,
     batch_size: int = 1024,
 ) -> dict:
-    """Two plain stocks under a bounded market price of risk: their deflated
-    discounted prices must sit at the initial prices, so the paired gap
-    matches the initial difference within Monte Carlo error."""
-    times = factors.grid.times
+    """Two plain stocks of a constant-coefficient market, where the market
+    price of risk is constant: their deflated discounted prices must sit at
+    the initial prices, so the paired gap matches the initial difference
+    within Monte Carlo error."""
     horizon = factors.grid.horizon
     bank = math.exp(model.r * horizon)
+    log_deflator = _constant_log_deflator(model, horizon)
 
     def per_batch(lo, hi, lx, aux):
-        logl = _deflator_log_terminal_block(model, lx, times, aux)
         diff = np.exp(lx[:, -1, i]) - np.exp(lx[:, -1, j])
-        return {"vals": diff * np.exp(logl) / bank}
+        return {"vals": diff * np.exp(log_deflator(lx)) / bank}
 
     vals = _markets.run_batches(model, factors, per_batch, batch_size)["vals"]
     gap, gap_se = _compensated_mean_se(vals)

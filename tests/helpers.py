@@ -67,10 +67,11 @@ def kernel_cases():
 
 def knock_out_ladder(horizons, steps_per_unit, x0, sigma, delta, rate, strike, index,
                      n_paths, seed, chunk=100):
-    """Deflated call and stock prices of the barrier market under the
+    """Deflated call, stock and market values of the barrier market under the
     Foellmer measure, in plain numpy:
 
         h(T) = e^{-rT} E_Q[(X_T - K)^+ ; tau > T],  s(T) = e^{-rT} E_Q[X_T ; tau > T],
+        m(T) = e^{-rT} E_Q[sum X_T / sum X_0 ; tau > T],
 
     with independent draws from ``default_rng(seed)``.  Under Q each log
     price is a Brownian motion with drift r - a_ii / 2 and dispersion
@@ -78,17 +79,18 @@ def knock_out_ladder(horizons, steps_per_unit, x0, sigma, delta, rate, strike, i
     reaches 1 - delta.  The paths are simulated at dt / 2 for
     dt = 1 / steps_per_unit and monitored at every other point (dt) and at
     every point (dt / 2).  Returns ``(mean, se)``, each of shape
-    (2, len(horizons), 2): monitoring grid (0: dt, 1: dt / 2), rung, and
-    quantity (0: call, 1: stock).
+    (2, len(horizons), 3): monitoring grid (0: dt, 1: dt / 2), rung, and
+    quantity (0: call, 1: stock, 2: market).
     """
     sigma = np.atleast_2d(np.asarray(sigma, dtype=float))
     lx0 = np.log(np.asarray(x0, dtype=float))
+    total0 = np.exp(lx0).sum()
     dt = 0.5 / steps_per_unit
     rungs = [int(round(2 * steps_per_unit * t)) for t in horizons]
     steps = max(rungs)
     drift = (rate - 0.5 * np.sum(sigma * sigma, axis=1)) * dt
     rng = np.random.default_rng(seed)
-    sums = np.zeros((2, 2, len(rungs), 2))  # (sum, sum of squares), grid, rung, quantity
+    sums = np.zeros((2, 2, len(rungs), 3))  # (sum, sum of squares), grid, rung, quantity
     for lo in range(0, n_paths, chunk):
         b = min(chunk, n_paths - lo)
         z = rng.standard_normal((b, steps, sigma.shape[1]))
@@ -100,8 +102,10 @@ def knock_out_ladder(horizons, steps_per_unit, x0, sigma, delta, rate, strike, i
             first = np.where(h.any(axis=1), stride * (h.argmax(axis=1) + 1), steps + 1)
             for j, (k, t) in enumerate(zip(rungs, horizons)):
                 xt = x[:, k - 1, index]
+                mt = x[:, k - 1].sum(axis=1) / total0
                 kept = np.exp(-rate * t) * (first > k)
-                for q, v in enumerate((np.maximum(xt - strike, 0.0) * kept, xt * kept)):
+                for q, v in enumerate((np.maximum(xt - strike, 0.0) * kept, xt * kept,
+                                       mt * kept)):
                     sums[:, g, j, q] += (v.sum(), (v * v).sum())
     mean = sums[0] / n_paths
     var = (sums[1] / n_paths - mean * mean) * n_paths / (n_paths - 1)

@@ -376,6 +376,48 @@ def test_call_decay_table_schema(tmp_path):
     assert "monitoring_pair = " in summary
 
 
+@pytest.mark.parametrize("name, extra, kind, grid, message", [
+    ("hedge-price", "strike = 1.0", "diverse", "n_steps = 10",
+     "hedge-price needs the constant model, got kind 'diverse'"),
+    ("parity-gap", "p = 2.0", "patched", "n_steps = 10",
+     "parity-gap needs the diverse model, got kind 'patched'"),
+    ("call-decay", "strike = 1.0\nhorizons = 1.0", "patched", "steps_per_unit = 10",
+     "call-decay needs the diverse model, got kind 'patched'"),
+    ("parity-gap", "p = 2.0", "diverse", "n_steps = 10\ngeometric = true",
+     "parity-gap needs a uniform grid"),
+])
+def test_experiments_reject_models_they_cannot_price(tmp_path, name, extra, kind, grid,
+                                                     message):
+    """hedge-price's closed-form deflator needs a constant market; the
+    Foellmer knock-out needs the diverse one on a uniform grid, since the
+    patched market's drift may never switch on and its tau is not the first
+    barrier hit."""
+    cfg = tmp_path / "kind.ini"
+    cfg.write_text(f"[experiment]\nname = {name}\n{extra}\n\n"
+                   f"[model]\nkind = {kind}\nsigma_scale = 0.25\ndelta = 0.1\n"
+                   "eta = 0.3\nx0 = 1.0, 1.0\nr = 0.03\n\n"
+                   f"[grid]\nhorizon = 1.0\n{grid}\n\n"
+                   "[mc]\nn_paths = 10\nmaster_seed = 7\n")
+    with pytest.raises(ConfigError) as exc:
+        cli.parse_config(str(cfg))
+    assert message in exc.value.messages, exc.value.messages
+
+
+def test_parity_gap_records_knock_outs(tmp_path):
+    """The witness runs under the Foellmer measure: its summary records the
+    paths knocked out and h1 monitored at dt and at 2 dt, not capped steps."""
+    out = tmp_path / "gap"
+    rc = cli.main(["run", str(_PRESETS / "parity_gap.ini"), "--paths", "200",
+                   "--steps", "80", "--out", str(out)])
+    assert rc in (0, 4)
+    info = json.loads((out / "summary.json").read_text())["info"]
+    assert set(info) == {"knocked_out", "monitoring_pair"}
+    assert isinstance(info["knocked_out"], int) and 0 <= info["knocked_out"] <= 200
+    metrics = dict(line.split(",") for line in (out / "metrics.csv").read_text().splitlines())
+    h1, h1_2dt = info["monitoring_pair"]
+    assert h1 == float(metrics["h1"]) and h1 <= h1_2dt
+
+
 def test_call_decay_rejects_off_grid_horizons(tmp_path):
     cfg = _write(tmp_path, """\
         [experiment]

@@ -7,7 +7,7 @@ import pytest
 
 from spt_lab import hedging, markets, paths
 from spt_lab.errors import InvalidArgumentError
-from helpers import ZeroFactors, kernel_cases
+from helpers import ZeroFactors
 
 
 def _gbm_pair(r=0.0):
@@ -56,22 +56,9 @@ def test_deflator_mean_is_one_for_constant_risk_premium():
     assert abs(out["price"] - 1.0) < 3.0 * out["se"]
 
 
-def _reference_log_deflator(model, factors, lx, aux):
-    """Terminal log L from the factors that drove the path and the drift it
-    applied: the replayed growth times dt, clipped at the step cap."""
-    times = factors.grid.times
-    dt = factors.grid.step_sizes[None, :, None]
-    dv = factors.block(0, factors.n_paths) @ model.vol.sigma.T
-    gamma = markets.growth_rates_along(model, lx[:, :-1], times[:-1], aux)
-    cap = model.params.get("step_cap", np.inf)
-    beta = np.clip(gamma * dt, -cap, cap) / dt + 0.5 * np.diag(model.vol.a) - model.r
-    u = np.linalg.solve(model.vol.a, beta[..., None])[..., 0]
-    return -(u * dv).sum(axis=(1, 2)) - 0.5 * (u * beta * dt).sum(axis=(1, 2))
-
-
 def _price_of_risk_log_deflator(model, factors, lx, aux):
     """Terminal log L = -sum theta' dW - |theta|^2 dt / 2, with theta from the
-    uncapped growth rule and dW the drawn factors."""
+    growth rule and dW the drawn factors."""
     times = factors.grid.times
     theta = hedging.market_price_of_risk(model, lx[:, :-1], times[:-1], aux)
     dw = factors.block(0, factors.n_paths)
@@ -79,33 +66,14 @@ def _price_of_risk_log_deflator(model, factors, lx, aux):
             - 0.5 * ((theta * theta).sum(axis=2) * np.diff(times)).sum(axis=1))
 
 
-@pytest.mark.parametrize("kind", ["diverse", "patched"])
-def test_deflator_read_off_the_path_uses_the_applied_drift(kind):
-    """The deflator read off the stored log prices equals the one built from
-    the drawn factors and the drift the integrator applied, capped steps
-    included; the uncapped price of risk misses it where the cap binds."""
-    model, factors = kernel_cases()[kind]
-    lx, aux = markets.simulate_block(model, factors, 0, factors.n_paths)
-    got = hedging._deflator_log_terminal_block(model, lx, factors.grid.times, aux)
-    np.testing.assert_allclose(got, _reference_log_deflator(model, factors, lx, aux),
-                               rtol=0, atol=1e-12)
-    if kind == "diverse":
-        np.testing.assert_array_equal(aux["capped_steps"], [5, 0, 1, 0])
-        uncapped = _price_of_risk_log_deflator(model, factors, lx, aux)
-        assert (np.abs(uncapped - got)[aux["capped_steps"] > 0] > 1e-6).all()
-    else:
-        fired = np.isfinite(aux["trigger_time"])
-        assert fired.any() and not fired.all()
-
-
 def test_deflator_read_off_the_path_matches_the_price_of_risk_with_more_factors():
-    """Two stocks on three factors over more steps than one slice of the sum:
-    u'dv and u'beta equal theta'dW and |theta|^2."""
+    """Two stocks on three factors: the closed form read off the terminal log
+    prices equals -sum theta'dW - |theta|^2 dt / 2 summed over the steps."""
     sigma = np.array([[0.25, 0.1, 0.0], [0.0, 0.3, 0.05]])
     model = markets.constant_market(b=[0.12, 0.05], sigma=sigma, x0=[1.0, 1.0], r=0.03)
     factors = paths.generate_factors(paths.make_grid(2.0, 600), 3, 8, master_seed=4)
     lx, aux = markets.simulate_block(model, factors, 0, 8)
-    got = hedging._deflator_log_terminal_block(model, lx, factors.grid.times, aux)
+    got = hedging._constant_log_deflator(model, factors.grid.horizon)(lx)
     np.testing.assert_allclose(got, _price_of_risk_log_deflator(model, factors, lx, aux),
                                rtol=0, atol=1e-12)
 
@@ -136,7 +104,7 @@ def test_deflated_prices_draw_each_path_once(monkeypatch):
         "parity_control_study": lambda: hedging.parity_control_study(
             gbm, factors(gbm), batch_size=5),
         "parity_witness_study": lambda: hedging.parity_witness_study(
-            diverse, factors(diverse), 2.0, batch_size=5),
+            diverse, 2.0, 1.0, 10, 12, master_seed=3, batch_size=5),
         "call_decay_study": lambda: hedging.call_decay_study(
             markets.diverse_market(0.25 * np.eye(2), g=0.0, delta=0.3, x0=[1.0, 1.0],
                                    r=0.03),
@@ -189,15 +157,14 @@ def test_hedge_price_matches_lognormal_benchmark():
     assert out["n_paths"] == 20_000
 
 
-def test_hedge_price_degenerate_exchange():
+def test_hedge_price_degenerate_call():
     """No noise, no risk premium: prices decay deterministically and the
-    exchange option is worth exactly its terminal intrinsic value."""
+    call is worth exactly its terminal intrinsic value."""
     sigma = 0.4 * np.eye(2)
     model = markets.constant_market(b=[0.0, 0.0], sigma=sigma, x0=[2.0, 0.5])
     grid = paths.make_grid(1.0, 8)
-    out = hedging.hedge_price(model, ZeroFactors(grid, 2, 16),
-                              hedging.exchange_claim(0, 1))
-    assert out["price"] == pytest.approx(1.5 * np.exp(-0.08), rel=1e-12)
+    out = hedging.hedge_price(model, ZeroFactors(grid, 2, 16), hedging.call_claim(0, 0.5))
+    assert out["price"] == pytest.approx(2.0 * np.exp(-0.08) - 0.5, rel=1e-12)
     assert out["se"] == pytest.approx(0.0, abs=1e-12)
 
 
@@ -212,6 +179,14 @@ def test_hedge_price_zero_and_negative_payoffs():
     bad = hedging.Claim("debt", lambda lx, times, aux: -np.ones(lx.shape[0]))
     with pytest.raises(InvalidArgumentError):
         hedging.hedge_price(model, f, bad)
+
+
+def test_hedge_price_needs_a_constant_market():
+    """The closed-form deflator holds only where theta is constant."""
+    model = markets.diverse_market(0.25 * np.eye(2), g=0.0, delta=0.3, x0=[1.0, 1.0])
+    f = paths.generate_factors(paths.make_grid(1.0, 4), 2, 8, master_seed=6)
+    with pytest.raises(InvalidArgumentError, match="constant market, not 'diverse'"):
+        hedging.hedge_price(model, f, hedging.call_claim(0, 1.0))
 
 
 def test_standard_error_survives_tiny_values():
@@ -310,20 +285,19 @@ def test_call_decay_rows_carry_envelopes():
 def test_parity_witness_requires_zero_rate():
     model = markets.diverse_market(0.25 * np.eye(2), g=0.0, delta=0.3,
                                    x0=[1.0, 1.0], r=0.03)
-    grid = paths.make_grid(1.0, 10)
-    f = paths.generate_factors(grid, 2, 4, master_seed=0)
     with pytest.raises(InvalidArgumentError):
-        hedging.parity_witness_study(model, f, 2.0)
+        hedging.parity_witness_study(model, 2.0, 1.0, 10, 4, master_seed=0)
 
 
 def test_parity_witness_reports_finite_statistics():
     model = markets.diverse_market(0.25 * np.eye(2), g=0.0, delta=0.3,
                                    x0=[1.0, 1.0])
-    grid = paths.make_grid(2.0, 200)
-    f = paths.generate_factors(grid, 2, 2_000, master_seed=11)
-    out = hedging.parity_witness_study(model, f, 2.0)
+    out = hedging.parity_witness_study(model, 2.0, 2.0, 200, 2_000, master_seed=11)
     assert out["initial_difference"] == 0.0
     assert out["h1"] > 0.0
     assert np.isfinite(out["gap"])
     assert out["gap_se"] > 0.0
     assert out["gap"] == pytest.approx(out["h1"] - out["h2"], rel=1e-12)
+    # monitoring every other grid point knocks out fewer paths
+    assert 0 < out["knocked_out"] < 2_000
+    assert out["h1"] <= out["h1_2dt"] <= 1.0 + 3.0 * out["h1_se"]
