@@ -11,6 +11,9 @@ measured on the same paths; the studies here only measure and report.
 Per-path reductions happen inside fixed-size batches, whose columns
 ``markets.run_batches`` joins in path order; cross-path reductions run
 once over the joined columns, so results do not depend on batch size.
+``outperformance_study`` reduces each batch chunk by chunk in time into
+terminal values and running extremes, so the temporaries of its weight
+maps do not grow with the horizon.
 """
 
 from __future__ import annotations
@@ -108,7 +111,9 @@ def master_formula_check(
     at first order in the step.  The model-covariance quadrature, whose
     mismatch with the realized one fluctuates at half order, is reported
     alongside.  The measure term can never fall below
-    -(1-p)/p * log n; its margin over that floor is returned too.
+    -(1-p)/p * log n; its margin over that floor is returned too, and so is
+    the number of drift entries the integrator capped (0 for market kinds
+    without a cap).
     """
     if not 0 < p < 1:
         raise InvalidArgumentError("p must lie in (0, 1)")
@@ -126,6 +131,7 @@ def master_formula_check(
             "rhs": dterm + (1.0 - p) * realized,
             "rhs_model_cov": dterm + (1.0 - p) * growth,
             "floor_margin": dterm - floor,
+            "capped": aux.get("capped_steps", np.zeros(hi - lo, np.int64)),
         }
 
     cols = _markets.run_batches(model, factors, per_batch, batch_size)
@@ -141,6 +147,7 @@ def master_formula_check(
         "residual_model_cov": res_model,
         "max_abs_residual_model_cov": float(np.abs(res_model).max()),
         "floor_margin_min": float(cols["floor_margin"].min()),
+        "capped_steps": int(cols["capped"].sum()),
     }
 
 
@@ -174,12 +181,59 @@ def master_formula_order_study(
 # outperformance past the threshold horizon
 # ---------------------------------------------------------------------------
 
+# steps of a batch reduced at a time: bounds the reduction's temporaries to
+# a few (B, _CHUNK_STEPS + 1, n) arrays whatever the horizon
+_CHUNK_STEPS = 256
+
+
+def _outperformance_terms(lx, p: float, eps: float, dt, horizon: float) -> dict:
+    """Per-path terms of ``outperformance_study``, one time chunk at a time.
+
+    Each chunk of ``_CHUNK_STEPS`` steps weighs its own log prices.  The two
+    gross log values carry their sums across chunks: the carry goes in front
+    of the chunk's per-step logs before the cumsum, so each terminal value is
+    the same sequence of additions as one cumsum over the whole path.  The
+    top weight times dt keeps one row per path, summed once at the end,
+    because numpy sums such a row pairwise.
+    """
+    b, k_steps, n = lx.shape[0], lx.shape[1] - 1, lx.shape[2]
+    top_dt = np.empty((b, k_steps))
+    top_max = np.full(b, -np.inf)
+    order_viol = np.zeros(b, np.int64)
+    log_value = np.zeros((2, b, 1))   # gross log values of pi and mu
+    for s in range(0, k_steps, _CHUNK_STEPS):
+        seg = lx[:, s:s + _CHUNK_STEPS + 1]
+        mu = _portfolios.market_weights(seg)
+        pi = _portfolios.diversity_weighted(mu, p)
+        top = _max_last(mu)
+        top_dt[:, s:s + seg.shape[1] - 1] = top[:, :-1] * dt[s:s + _CHUNK_STEPS]
+        np.maximum(top_max, top.max(axis=1), out=top_max)
+        ok = (_max_last(pi) <= top + 1e-12) & (_min_last(pi) >= _min_last(mu) - 1e-12)
+        # a chunk's first point is the previous chunk's last
+        order_viol += np.sum(~ok[:, 1 if s else 0:], axis=1)
+        growth = np.exp(np.diff(seg, axis=1))
+        for j, w in enumerate((pi, mu)):
+            steps = np.log(_sum_last(w[:, :-1] * growth))
+            log_value[j] = np.cumsum(np.concatenate([log_value[j], steps], axis=1),
+                                     axis=1)[:, -1:]
+    term = log_value[0, :, 0] - log_value[1, :, 0]
+    d = 1.0 - np.sum(top_dt, axis=1) / horizon
+    bound = (1.0 - p) * (eps * d * horizon / 2.0 - np.log(n) / p)
+    return {
+        "term": term,
+        "slack": term - bound,
+        "delta_avg": d,
+        "delta_max": 1.0 - top_max,
+        "order_viol": order_viol,
+    }
+
+
 def outperformance_study(
     model,
     factors: _paths.FactorPaths,
     p: float,
     delta: float | None = None,
-    batch_size: int = 128,
+    batch_size: int = 256,
 ) -> dict:
     """Reweighted portfolio versus the market beyond the threshold horizon.
 
@@ -189,7 +243,9 @@ def outperformance_study(
     Also counts violations of the pointwise weight comparisons: the
     reweighted top weight never exceeds the market's, the reweighted
     bottom never falls under the market's, and the drift entries the
-    integrator capped (0 for market kinds without a cap).
+    integrator capped (0 for market kinds without a cap).  Each batch is
+    reduced chunk by chunk in time into these terminal values and running
+    extremes, so its memory beyond the log prices stays bounded.
     """
     if not 0 < p < 1:
         raise InvalidArgumentError("p must lie in (0, 1)")
@@ -199,21 +255,8 @@ def outperformance_study(
     horizon = factors.grid.horizon
 
     def per_batch(lo, hi, lx, aux):
-        mu = _portfolios.market_weights(lx)
-        pi = _portfolios.diversity_weighted(mu, p)
-        lr = _portfolios.gross_log_value(pi, lx) - _portfolios.gross_log_value(mu, lx)
-        top = _max_last(mu)
-        top_avg = np.sum(top[:, :-1] * dt, axis=1) / horizon
-        d = 1.0 - top_avg
-        bound = (1.0 - p) * (eps * d * horizon / 2.0 - np.log(n) / p)
-        hi_ok = _max_last(pi) <= top + 1e-12
-        lo_ok = _min_last(pi) >= _min_last(mu) - 1e-12
         return {
-            "term": lr[:, -1],
-            "slack": lr[:, -1] - bound,
-            "delta_avg": d,
-            "delta_max": 1.0 - top.max(axis=1),
-            "order_viol": np.sum(~(hi_ok & lo_ok), axis=1),
+            **_outperformance_terms(lx, p, eps, dt, horizon),
             "capped": aux.get("capped_steps", np.zeros(hi - lo, np.int64)),
         }
 

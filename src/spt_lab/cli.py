@@ -381,6 +381,10 @@ def parse_config(path: str, paths=None, seed=None, steps=None, out=None) -> Expe
     if name == "call-decay":
         if steps_per_unit is None:
             p.err("grid.steps_per_unit is required for call-decay")
+        # the ladder's grids come from experiment.horizons and steps_per_unit
+        for key, v in (("grid.horizon", horizon), ("grid.n_steps", n_steps)):
+            if v is not None:
+                p.err(f"{key} does not apply to call-decay")
     elif name is not None:
         if steps_per_unit is not None:
             p.err("grid.steps_per_unit only applies to call-decay")
@@ -702,7 +706,8 @@ def _run_master_formula(cfg):
         "path_id": np.arange(cfg.n_paths),
         **{key: rf[key] for key in ("lhs", "rhs", "residual", "residual_model_cov")},
     }
-    return metrics, {}, assertions, {"per_path": per_path}
+    info = {"capped_steps": rf["capped_steps"], "capped_steps_coarse": rc["capped_steps"]}
+    return metrics, info, assertions, {"per_path": per_path}
 
 
 def _run_ranked_decomposition(cfg):

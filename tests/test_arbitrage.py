@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from spt_lab import arbitrage, markets, paths
+from spt_lab import arbitrage, markets, paths, portfolios
 from spt_lab.errors import InvalidArgumentError
 from helpers import ZeroFactors
 
@@ -116,6 +116,38 @@ def test_outperformance_beyond_threshold():
     assert study.worst_path == int(np.argmin(study.slack))
     assert out["weight_order_violations"] == 0
     assert np.all(out["delta_max"] <= out["delta_avg"] + 1e-15)
+
+
+@pytest.mark.parametrize("grid", [
+    paths.make_grid(1.0, arbitrage._CHUNK_STEPS // 2),            # inside one chunk
+    paths.make_grid(2.0, 2 * arbitrage._CHUNK_STEPS),             # whole chunks
+    paths.geometric_grid(3.0, 2 * arbitrage._CHUNK_STEPS + 37, 1e-3),  # ragged tail
+], ids=["short", "whole", "ragged"])
+def test_outperformance_chunks_match_the_whole_path(grid):
+    """The time-chunked reduction equals, bit for bit, the same terms
+    computed over whole paths."""
+    model = markets.diverse_market(np.eye(3), g=0.0, delta=0.3, x0=[1.0, 2.0, 3.0])
+    p, eps, dt, horizon = 0.5, model.vol.eps, grid.step_sizes, grid.horizon
+    lx = markets.simulate_block(model, paths.generate_factors(grid, 3, 6, 17), 0, 6)[0]
+    got = arbitrage._outperformance_terms(lx, p, eps, dt, horizon)
+
+    mu = portfolios.market_weights(lx)
+    pi = portfolios.diversity_weighted(mu, p)
+    term = (portfolios.gross_log_value(pi, lx) - portfolios.gross_log_value(mu, lx))[:, -1]
+    top = mu.max(axis=2)
+    d = 1.0 - np.sum(top[:, :-1] * dt, axis=1) / horizon
+    bound = (1.0 - p) * (eps * d * horizon / 2.0 - np.log(3) / p)
+    ok = (pi.max(axis=2) <= top + 1e-12) & (pi.min(axis=2) >= mu.min(axis=2) - 1e-12)
+    want = {
+        "term": term,
+        "slack": term - bound,
+        "delta_avg": d,
+        "delta_max": 1.0 - top.max(axis=1),
+        "order_viol": np.sum(~ok, axis=1),
+    }
+    assert set(got) == set(want)
+    for key in want:
+        np.testing.assert_array_equal(got[key], want[key], err_msg=key)
 
 
 def test_outperformance_slack_grows_with_horizon():

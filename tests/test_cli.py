@@ -239,7 +239,8 @@ def test_reruns_and_worker_counts_are_byte_identical(tmp_path):
         assert (outs[0] / fname).read_bytes() == (outs[1] / fname).read_bytes(), fname
 
     # a study gives the same columns in one batch of 20 paths (its default
-    # of 128) and in three batches of at most 7
+    # batch holds 256) and in three batches of at most 7; each run reduces
+    # its 1,500 steps in several time chunks
     model = markets.diverse_market(np.eye(3), g=0.0, delta=0.3, x0=[1.0, 1.0, 1.0])
     factors = paths.generate_factors(paths.make_grid(15.0, 1500), 3, 20, master_seed=5)
     one, three = (arbitrage.outperformance_study(model, factors, 0.5, delta=0.3, **kw)
@@ -444,6 +445,81 @@ def test_call_decay_rejects_off_grid_horizons(tmp_path):
     assert any("horizon 2.5 is not a whole number of steps" in m
                for m in exc.value.messages)
     assert cli.parse_config(cfg, steps=4).extras["horizons"] == [1.0, 2.5]
+
+
+def test_call_decay_rejects_grid_horizon_and_steps(tmp_path):
+    """call-decay's grids come from experiment.horizons and steps_per_unit,
+    so a grid horizon or step count would be ignored; both are errors."""
+    cfg = _write(tmp_path, """\
+        [experiment]
+        name = call-decay
+        strike = 1.0
+        horizons = 1.0
+
+        [model]
+        kind = diverse
+        sigma_scale = 0.25
+        delta = 0.3
+        x0 = 1.0, 1.0
+        r = 0.03
+
+        [grid]
+        steps_per_unit = 10
+        horizon = 7.0
+        n_steps = 3
+
+        [mc]
+        n_paths = 10
+        master_seed = 7
+        """, name="decay_grid.ini")
+    with pytest.raises(ConfigError) as exc:
+        cli.parse_config(cfg)
+    assert exc.value.messages == ["grid.horizon does not apply to call-decay",
+                                  "grid.n_steps does not apply to call-decay"]
+
+
+def test_master_formula_records_capped_steps(tmp_path):
+    """On a coarse grid the diverse market's drift cap binds; the summary
+    counts the capped entries of the fine and the coarse run, outside the
+    CSVs."""
+    out = tmp_path / "mf"
+    cfg = _write(tmp_path, f"""\
+        [experiment]
+        name = master-formula
+        p = 0.5
+        refine = 2
+
+        [model]
+        kind = diverse
+        sigma_scale = 1.0
+        delta = 0.3
+        x0 = 1.0, 1.0, 1.0
+
+        [grid]
+        horizon = 15.0
+        n_steps = 400
+
+        [mc]
+        n_paths = 16
+        master_seed = 5
+
+        [output]
+        directory = {out}
+        """, name="mf.ini")
+    assert cli.main(["run", cfg]) in (0, 4)
+    info = json.loads((out / "summary.json").read_text())["info"]
+    parsed = cli.parse_config(cfg)
+    factors = cli._factors(parsed)
+    caps = [int(markets.simulate_block(parsed.model, f, 0, 16)[1]["capped_steps"].sum())
+            for f in (factors, factors.coarsened(2))]
+    assert caps[0] > 0 and caps[1] > 0
+    assert info == {"capped_steps": caps[0], "capped_steps_coarse": caps[1]}
+    summary = (out / "summary.txt").read_text()
+    assert f"capped_steps = {caps[0]}" in summary
+    assert f"capped_steps_coarse = {caps[1]}" in summary
+    assert "capped" not in (out / "metrics.csv").read_text()
+    assert (out / "per_path.csv").read_text().splitlines()[0] == \
+        "path_id,lhs,rhs,residual,residual_model_cov"
 
 
 def test_call_decay_steps_override_goes_to_steps_per_unit(tmp_path):
