@@ -14,9 +14,11 @@ noise for every kind.
 Kernel contract: ``kernel(logx0, dv, dt, times, model)`` with ``logx0 (n,)``,
 ``dv (B, K, n)`` volatility increments already multiplied by the dispersion
 matrix, ``dt (K,)`` step sizes and ``times (K+1,)`` grid.  A kernel runs the
-whole time loop and returns the log-price batch ``(B, K+1, n)`` and a dict
-of per-path records.  No cross-path reduction happens inside a kernel, so
-results never depend on how paths were split into batches.
+whole time loop, overwriting ``dv`` in place with the log prices at
+``times[1:]`` (each step's increment is read once, then replaced by the new
+state), and returns a dict of per-path records.  No cross-path reduction
+happens inside a kernel, so results never depend on how paths were split
+into batches.
 
 Sums, maxima and minima over the stock or factor axis go through
 ``_sum_last``, ``_max_last`` and ``_min_last`` here, because numpy reduces
@@ -155,18 +157,19 @@ def spread_reversion(model):
 def _euler(logx0, dv, step, applied):
     """log x_{k+1} = log x_k + capped displacement + dv_k, for a whole batch.
 
-    ``step(k, cur)`` returns the drift displacement over step k from the
-    left-endpoint log prices ``cur (B, n)`` and the cap on its size: a
-    scalar, an array broadcasting against ``cur``, or None for no cap.
-    Entries past the cap are clipped to it and counted per path.
+    ``dv (B, K, n)`` holds the volatility increments on entry and the log
+    prices x_1..x_K on return: ``dv[:, k]`` is overwritten with the new state
+    right after it is read.  ``step(k, cur)`` returns the drift displacement
+    over step k from the left-endpoint log prices ``cur (B, n)`` and the cap
+    on its size: a scalar, an array broadcasting against ``cur``, or None
+    for no cap.  Entries past the cap are clipped to it and counted per path.
     ``applied(k, disp)``, unless None, sees each displacement as applied.
-    Returns the log prices (B, K+1, n) and the capped-entry counts (B,).
+    Returns the capped-entry counts (B,).
     """
     B, K, n = dv.shape
-    out = np.empty((B, K + 1, n))
-    out[:, 0, :] = logx0
     caps = np.zeros(B, np.int64)
-    cur = out[:, 0, :].copy()
+    cur = np.empty((B, n))
+    cur[:] = logx0
     for k in range(K):
         disp, cap = step(k, cur)
         if cap is not None:
@@ -175,22 +178,23 @@ def _euler(logx0, dv, step, applied):
             np.clip(disp, -cap, cap, out=disp)
         if applied is not None:
             applied(k, disp)
-        cur = cur + disp + dv[:, k, :]
-        out[:, k + 1, :] = cur
-    return out, caps
+        cur += disp
+        cur += dv[:, k, :]
+        dv[:, k, :] = cur
+    return caps
 
 
 def _diverse(logx0, dv, dt, times, model):
     growth = leader_repulsion(model)
     step_cap = model.params["step_cap"]
-    logx, caps = _euler(logx0, dv, lambda k, cur: (growth(cur) * dt[k], step_cap), None)
-    return logx, {"capped_steps": caps}
+    caps = _euler(logx0, dv, lambda k, cur: (growth(cur) * dt[k], step_cap), None)
+    return {"capped_steps": caps}
 
 
 def _ou_pair(logx0, dv, dt, times, model):
     growth = spread_reversion(model)
-    logx, _ = _euler(logx0, dv, lambda k, cur: (growth(times[k], cur) * dt[k], None), None)
-    return logx, {}
+    _euler(logx0, dv, lambda k, cur: (growth(times[k], cur) * dt[k], None), None)
+    return {}
 
 
 def _patched(logx0, dv, dt, times, model):
@@ -204,8 +208,8 @@ def _patched(logx0, dv, dt, times, model):
         trigger_time[hit] = times[k]
         return growth(times[k], cur, trigger_time) * dt[k], p["step_cap"]
 
-    logx, caps = _euler(logx0, dv, step, None)
-    return logx, {"capped_steps": caps, "trigger_time": trigger_time}
+    caps = _euler(logx0, dv, step, None)
+    return {"capped_steps": caps, "trigger_time": trigger_time}
 
 
 def _dominance(logx0, dv, dt, times, model):
@@ -241,8 +245,8 @@ def _dominance(logx0, dv, dt, times, model):
     def applied(k, disp):
         big_gamma[:, k + 1] = big_gamma[:, k] + disp[:, 1]
 
-    logx, caps = _euler(logx0, dv, step, applied)
-    return logx, {"cumulative_drift": big_gamma, "exit_index": exit_index, "capped_steps": caps}
+    caps = _euler(logx0, dv, step, applied)
+    return {"cumulative_drift": big_gamma, "exit_index": exit_index, "capped_steps": caps}
 
 
 _KERNELS = {

@@ -385,9 +385,15 @@ def parse_config(path: str, paths=None, seed=None, steps=None, out=None) -> Expe
         for key, v in (("grid.horizon", horizon), ("grid.n_steps", n_steps)):
             if v is not None:
                 p.err(f"{key} does not apply to call-decay")
+        # the geometric keys have defaults, so a set key shows in the file
+        for key in ("geometric", "t_min"):
+            if cp.has_option("grid", key):
+                p.err(f"grid.{key} does not apply to call-decay")
     elif name is not None:
         if steps_per_unit is not None:
             p.err("grid.steps_per_unit only applies to call-decay")
+        if not geometric and cp.has_option("grid", "t_min"):
+            p.err("grid.t_min only applies to a geometric grid")
         missing = [k for k, v in (("grid.horizon", horizon), ("grid.n_steps", n_steps)) if v is None]
         for key in missing:
             p.err(f"{key} is required")
@@ -959,6 +965,7 @@ def run(cfg: ExperimentConfig) -> ExperimentReport:
     provenance = {
         "artifact": f"spt-lab {__version__}",
         "master_seed": cfg.master_seed,
+        "rng": "PCG64 per path, seeded by SeedSequence((master_seed, path_index))",
         "created_utc": datetime.datetime.now(datetime.timezone.utc)
         .isoformat(timespec="seconds"),
     }

@@ -293,6 +293,10 @@ def instantaneous_dominance_market(
 # integration
 # ---------------------------------------------------------------------------
 
+# Bytes of factor draws held at once while a batch's noise is mixed in.
+_DRAW_BYTES = 8 << 20
+
+
 def _vol_increments(model: MarketModel, dw: np.ndarray, out=None) -> np.ndarray:
     # per-path matmul keeps the arithmetic independent of batch size
     B = dw.shape[0]
@@ -307,37 +311,40 @@ def _vol_increments(model: MarketModel, dw: np.ndarray, out=None) -> np.ndarray:
 def simulate_block(model: MarketModel, factors: FactorPaths, lo: int, hi: int):
     """Integrate paths lo..hi-1.  Returns (log_prices (B, K+1, n), aux dict).
 
-    Pure in (model, factors, path index): identical inputs give identical
-    float results regardless of batch boundaries.
+    The log-price buffer is the only batch-sized array: the factors are
+    drawn in slices of paths whose draws take at most ``_DRAW_BYTES`` (one
+    path at least), each slice is mixed into its rows as volatility
+    increments dv, and the drift is then integrated over dv in place.  Pure in (model, factors, path index): identical inputs
+    give identical float results regardless of batch boundaries.
     """
     if factors.m != model.m:
         raise InvalidArgumentError(
             f"factors carry {factors.m} factors but the model needs {model.m}"
         )
-    grid = factors.grid
-    dw = factors.block(lo, hi)
-    dt = grid.step_sizes
-    times = grid.times
-    logx0 = np.log(model.x0)
-    if model.kind == "constant":
-        # built in place: one (B, K+1, n) array besides the draws
-        logx = np.empty((hi - lo, grid.n_steps + 1, model.n))
-        logx[:, 0] = logx0
-        steps = logx[:, 1:]
-        _vol_increments(model, dw, out=steps)
-        del dw
-        growth = model.params["b"] - 0.5 * np.diag(model.vol.a)
-        steps += growth[None, :] * dt[:, None]
-        np.cumsum(steps, axis=1, out=steps)
-        steps += logx0
-        aux = {}
-    else:
+    kernel = None
+    if model.kind != "constant":
         kernel = _kernels.active_kernels().get(model.kind)
         if kernel is None:
             raise InvalidModelError(f"unknown model kind {model.kind!r}")
-        dv = _vol_increments(model, dw)
-        del dw
-        logx, aux = kernel(logx0, dv, dt, times, model)
+    grid = factors.grid
+    dt = grid.step_sizes
+    logx0 = np.log(model.x0)
+    logx = np.empty((hi - lo, grid.n_steps + 1, model.n))
+    dv = logx[:, 1:]
+    per_slice = max(1, _DRAW_BYTES // (grid.n_steps * model.m * 8))
+    for s in range(lo, hi, per_slice):
+        e = min(s + per_slice, hi)
+        _vol_increments(model, factors.block(s, e), out=dv[s - lo:e - lo])
+    # row 0 last, so the draws, not this strided write, first touch the pages
+    logx[:, 0] = logx0
+    if kernel is None:
+        growth = model.params["b"] - 0.5 * np.diag(model.vol.a)
+        dv += growth[None, :] * dt[:, None]
+        np.cumsum(dv, axis=1, out=dv)
+        dv += logx0
+        aux = {}
+    else:
+        aux = kernel(logx0, dv, dt, grid.times, model)
 
     if not np.isfinite(logx).all():
         bad = np.argwhere(~np.isfinite(logx))

@@ -118,23 +118,27 @@ class FactorPaths:
         """Increments for one path, shape (n_steps, m)."""
         if not 0 <= path_index < self.n_paths:
             raise InvalidArgumentError(f"path_index {path_index} out of range")
-        if self._parent is not None:
-            fine = self._parent.path_increments(path_index)
-            k, m = fine.shape
-            return fine.reshape(k // self._factor, self._factor, m).sum(axis=1)
-        rng = np.random.default_rng(
-            np.random.SeedSequence((self.master_seed, path_index))
-        )
-        z = rng.standard_normal((self.grid.n_steps, self.m))
-        return z * np.sqrt(self.grid.step_sizes)[:, None]
+        return self._draw(path_index, path_index + 1)[0]
 
     def block(self, lo: int, hi: int) -> np.ndarray:
         """Increments for paths lo..hi-1, shape (hi-lo, n_steps, m)."""
         if not 0 <= lo < hi <= self.n_paths:
             raise InvalidArgumentError(f"bad path range [{lo}, {hi})")
+        return self._draw(lo, hi)
+
+    def _draw(self, lo: int, hi: int) -> np.ndarray:
+        # a coarsened source reads its parent through here, not through
+        # ``block``, so a wrapper that counts ``block`` calls sees each path once
         out = np.empty((hi - lo, self.grid.n_steps, self.m))
+        if self._parent is not None:
+            for i in range(lo, hi):
+                fine = self._parent._draw(i, i + 1)[0]
+                out[i - lo] = fine.reshape(-1, self._factor, self.m).sum(axis=1)
+            return out
         for i in range(lo, hi):
-            out[i - lo] = self.path_increments(i)
+            rng = np.random.default_rng(np.random.SeedSequence((self.master_seed, i)))
+            rng.standard_normal(out=out[i - lo])
+        out *= np.sqrt(self.grid.step_sizes)[:, None]
         return out
 
     def coarsened(self, factor: int) -> "FactorPaths":

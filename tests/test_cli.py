@@ -193,6 +193,8 @@ def test_run_simulate_writes_outputs(tmp_path):
         assert (out / fname).is_file(), fname
     doc = json.loads((out / "summary.json").read_text())
     assert doc["provenance"]["master_seed"] == 3
+    assert doc["provenance"]["rng"] == (
+        "PCG64 per path, seeded by SeedSequence((master_seed, path_index))")
     assert doc["config"]["experiment"]["name"] == "simulate"
     # numeric cells carry full precision and parse back to floats
     rows = (out / "per_path.csv").read_text().strip().splitlines()
@@ -476,6 +478,78 @@ def test_call_decay_rejects_grid_horizon_and_steps(tmp_path):
         cli.parse_config(cfg)
     assert exc.value.messages == ["grid.horizon does not apply to call-decay",
                                   "grid.n_steps does not apply to call-decay"]
+
+
+def test_call_decay_rejects_geometric_grid_keys(tmp_path):
+    """call-decay builds uniform ladder grids, so a set grid.geometric or
+    grid.t_min would be ignored; each is an error, even at its default."""
+    cfg = _write(tmp_path, """\
+        [experiment]
+        name = call-decay
+        strike = 1.0
+        horizons = 1.0
+
+        [model]
+        kind = diverse
+        sigma_scale = 0.25
+        delta = 0.3
+        x0 = 1.0, 1.0
+        r = 0.03
+
+        [grid]
+        steps_per_unit = 10
+        geometric = false
+        t_min = 1e-8
+
+        [mc]
+        n_paths = 10
+        master_seed = 7
+        """, name="decay_geometric.ini")
+    with pytest.raises(ConfigError) as exc:
+        cli.parse_config(cfg)
+    assert exc.value.messages == ["grid.geometric does not apply to call-decay",
+                                  "grid.t_min does not apply to call-decay"]
+
+
+@pytest.mark.parametrize("geometric", ["", "geometric = false"])
+def test_t_min_needs_a_geometric_grid(tmp_path, geometric):
+    """grid.t_min only shapes a geometric grid; on a uniform one it is an
+    error, whether the grid is uniform by default or by a set key."""
+    cfg = _write(tmp_path, f"""\
+        [experiment]
+        name = simulate
+
+        [model]
+        kind = constant
+        sigma_diag = 0.2, 0.3
+        b = 0.05, 0.0
+        x0 = 1.0, 2.0
+
+        [grid]
+        horizon = 1.0
+        n_steps = 50
+        t_min = 1e-6
+        {geometric}
+
+        [mc]
+        n_paths = 10
+        master_seed = 3
+        """, name="uniform_t_min.ini")
+    with pytest.raises(ConfigError) as exc:
+        cli.parse_config(cfg)
+    assert exc.value.messages == ["grid.t_min only applies to a geometric grid"]
+
+
+def test_geometric_grid_keys_parse_where_they_apply(tmp_path):
+    """The dominance preset sets both keys on its geometric grid, and a
+    geometric grid may be asked for on any other experiment."""
+    cfg = cli.parse_config(str(_PRESETS / "instantaneous_dominance.ini"))
+    assert not cfg.grid.is_uniform
+    assert cfg.grid.times[1] == pytest.approx(1e-8)
+    text = Path(_simulate_cfg(tmp_path, tmp_path / "out")).read_text()
+    geo = _write(tmp_path, text.replace(
+        "n_steps = 50", "n_steps = 50\ngeometric = true\nt_min = 1e-4"), name="geo.ini")
+    assert cli.parse_config(geo).grid.times[1] == pytest.approx(1e-4)
 
 
 def test_master_formula_records_capped_steps(tmp_path):

@@ -82,13 +82,13 @@ def test_deflated_prices_draw_each_path_once(monkeypatch):
     """Every deflated price draws each path's factors once, in the simulation;
     the call ladder reads all its rungs off one pass."""
     draws = []
-    increments = paths.FactorPaths.path_increments
+    block = paths.FactorPaths.block
 
-    def counted(self, path_index):
-        draws.append(path_index)
-        return increments(self, path_index)
+    def counted(self, lo, hi):
+        draws.extend(range(lo, hi))
+        return block(self, lo, hi)
 
-    monkeypatch.setattr(paths.FactorPaths, "path_increments", counted)
+    monkeypatch.setattr(paths.FactorPaths, "block", counted)
     gbm = markets.constant_market(b=[0.1, 0.0], sigma=0.3 * np.eye(2),
                                   x0=[1.0, 0.8], r=0.02)
     diverse = markets.diverse_market(0.25 * np.eye(2), g=0.0, delta=0.3,

@@ -1,5 +1,7 @@
 """Model factories, ellipticity certificates, and the log-space integrator."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -325,34 +327,42 @@ def _simulate_all(cases):
 
 
 def _loop_kernel_table():
-    """The scalar loops of ``loop_kernels`` behind the ``_kernels`` interface."""
+    """The scalar loops of ``loop_kernels`` behind the ``_kernels`` interface.
+
+    Each loop returns fresh log prices; they are written into ``dv``, as the
+    kernel contract asks.
+    """
 
     def diverse(logx0, dv, dt, times, model):
         p = model.params
         logx, caps = loop_kernels.repelled_leader_loops(
             logx0, dv, dt, p["g"], p["delta"], p["big_m"], p["q_floor"], p["step_cap"])
-        return logx, {"capped_steps": caps}
+        dv[...] = logx[:, 1:]
+        return {"capped_steps": caps}
 
     def ou_pair(logx0, dv, dt, times, model):
         p = model.params
-        return loop_kernels.spread_reversion_loops(
+        dv[...] = loop_kernels.spread_reversion_loops(
             logx0, dv, dt, times, p["alpha"], p["switch_time"],
-            0.5 * float(model.vol.a[0, 0])), {}
+            0.5 * float(model.vol.a[0, 0]))[:, 1:]
+        return {}
 
     def patched(logx0, dv, dt, times, model):
         p = model.params
         logx, caps, s_time = loop_kernels.patched_trigger_loops(
             logx0, dv, dt, times, p["g"], p["delta"], p["big_m"], p["q_floor"],
             p["step_cap"], np.diag(model.vol.a).copy(), p["eta"], 0.5 * p["horizon"])
-        return logx, {"capped_steps": caps, "trigger_time": s_time}
+        dv[...] = logx[:, 1:]
+        return {"capped_steps": caps, "trigger_time": s_time}
 
     def dominance(logx0, dv, dt, times, model):
         p = model.params
         logx, big_gamma, t1_idx, caps = loop_kernels.upstart_loops(
             logx0, dv, dt, times, p["alpha"], p["eta"], p["eta_prime"], p["cdrift"],
             p["step_cap"])
-        return logx, {"cumulative_drift": big_gamma, "exit_index": t1_idx,
-                      "capped_steps": caps}
+        dv[...] = logx[:, 1:]
+        return {"cumulative_drift": big_gamma, "exit_index": t1_idx,
+                "capped_steps": caps}
 
     return {"diverse": diverse, "ou_pair": ou_pair, "patched": patched,
             "dominance": dominance}
@@ -370,6 +380,47 @@ def test_kernels_match_scalar_loops(monkeypatch):
     for key in loops:
         np.testing.assert_allclose(vec[key], loops[key], rtol=1e-12, atol=1e-12,
                                    err_msg=key)
+
+
+def test_batches_and_draw_slices_leave_every_path_unchanged(monkeypatch):
+    """One batch drawn in several slices, the last one ragged, gives every
+    path bit for bit what it gets when simulated alone, for all five kinds."""
+    cases = {kind: (model, f.grid) for kind, (model, f) in kernel_cases().items()}
+    constant = markets.constant_market(b=[0.05, -0.02, 0.0], sigma=0.3 * np.eye(3),
+                                       x0=[1.0, 2.0, 0.5])
+    cases["constant"] = (constant, paths.make_grid(1.0, 100))
+    # every grid has 100 steps: slices of 2 paths on three factors, 3 on two
+    monkeypatch.setattr(markets, "_DRAW_BYTES", 2 * 100 * 3 * 8)
+    for kind, (model, grid) in cases.items():
+        f = paths.generate_factors(grid, model.m, 7, master_seed=9)
+        lx, aux = markets.simulate_block(model, f, 0, 7)
+        alone = [markets.simulate_block(model, f, i, i + 1) for i in range(7)]
+        np.testing.assert_array_equal(lx, np.concatenate([one[0] for one in alone]),
+                                      err_msg=kind)
+        assert aux.keys() == alone[0][1].keys()
+        for key in aux:
+            np.testing.assert_array_equal(
+                aux[key], np.concatenate([one[1][key] for one in alone]),
+                err_msg=f"{kind}/{key}")
+
+
+def test_simulate_block_holds_one_batch_sized_array(monkeypatch):
+    """Besides its log prices, a diverse batch holds one slice of draws at a
+    time: the traced peak stays under 1.3 times the log-price buffer."""
+    model, _ = kernel_cases()["diverse"]
+    factors = paths.generate_factors(paths.make_grid(1.0, 2000), 3, 64, master_seed=5)
+    logx_bytes = 64 * 2001 * 3 * 8
+    monkeypatch.setattr(markets, "_DRAW_BYTES", logx_bytes // 8)
+    markets.simulate_block(model, factors, 0, 1)  # one-time imports and caches
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        lx, _ = markets.simulate_block(model, factors, 0, 64)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert lx.nbytes == logx_bytes
+    assert peak < 1.3 * logx_bytes, peak / logx_bytes
 
 
 @pytest.mark.parametrize("kind", ["diverse", "patched"])
