@@ -16,9 +16,10 @@ Kernel contract: ``kernel(logx0, dv, dt, times, model)`` with ``logx0 (n,)``,
 matrix, ``dt (K,)`` step sizes and ``times (K+1,)`` grid.  A kernel runs the
 whole time loop, overwriting ``dv`` in place with the log prices at
 ``times[1:]`` (each step's increment is read once, then replaced by the new
-state), and returns a dict of per-path records.  No cross-path reduction
-happens inside a kernel, so results never depend on how paths were split
-into batches.
+state), and returns a dict of per-path records that always holds
+``capped_steps``, the (B,) int64 count of capped drift entries (zeros for a
+kind without a cap).  No cross-path reduction happens inside a kernel, so
+results never depend on how paths were split into batches.
 
 Sums, maxima and minima over the stock or factor axis go through
 ``_sum_last``, ``_max_last`` and ``_min_last`` here, because numpy reduces
@@ -154,7 +155,7 @@ def spread_reversion(model):
 # the stepping loop and the kernels
 # ---------------------------------------------------------------------------
 
-def _euler(logx0, dv, step, applied):
+def _euler(logx0, dv, step):
     """log x_{k+1} = log x_k + capped displacement + dv_k, for a whole batch.
 
     ``dv (B, K, n)`` holds the volatility increments on entry and the log
@@ -163,8 +164,7 @@ def _euler(logx0, dv, step, applied):
     over step k from the left-endpoint log prices ``cur (B, n)`` and the cap
     on its size: a scalar, an array broadcasting against ``cur``, or None
     for no cap.  Entries past the cap are clipped to it and counted per path.
-    ``applied(k, disp)``, unless None, sees each displacement as applied.
-    Returns the capped-entry counts (B,).
+    Returns the capped-entry counts (B,), zeros where no step had a cap.
     """
     B, K, n = dv.shape
     caps = np.zeros(B, np.int64)
@@ -176,8 +176,6 @@ def _euler(logx0, dv, step, applied):
             over = np.abs(disp) > cap
             caps += _sum_last(over)
             np.clip(disp, -cap, cap, out=disp)
-        if applied is not None:
-            applied(k, disp)
         cur += disp
         cur += dv[:, k, :]
         dv[:, k, :] = cur
@@ -187,14 +185,14 @@ def _euler(logx0, dv, step, applied):
 def _diverse(logx0, dv, dt, times, model):
     growth = leader_repulsion(model)
     step_cap = model.params["step_cap"]
-    caps = _euler(logx0, dv, lambda k, cur: (growth(cur) * dt[k], step_cap), None)
+    caps = _euler(logx0, dv, lambda k, cur: (growth(cur) * dt[k], step_cap))
     return {"capped_steps": caps}
 
 
 def _ou_pair(logx0, dv, dt, times, model):
     growth = spread_reversion(model)
-    _euler(logx0, dv, lambda k, cur: (growth(times[k], cur) * dt[k], None), None)
-    return {}
+    caps = _euler(logx0, dv, lambda k, cur: (growth(times[k], cur) * dt[k], None))
+    return {"capped_steps": caps}
 
 
 def _patched(logx0, dv, dt, times, model):
@@ -208,7 +206,7 @@ def _patched(logx0, dv, dt, times, model):
         trigger_time[hit] = times[k]
         return growth(times[k], cur, trigger_time) * dt[k], p["step_cap"]
 
-    caps = _euler(logx0, dv, step, None)
+    caps = _euler(logx0, dv, step)
     return {"capped_steps": caps, "trigger_time": trigger_time}
 
 
@@ -222,11 +220,10 @@ def _dominance(logx0, dv, dt, times, model):
     p = model.params
     alpha, eta, eta_prime, cdrift = p["alpha"], p["eta"], p["eta_prime"], p["cdrift"]
     margin = 1e-9 * eta
-    B, K, _ = dv.shape
+    B = dv.shape[0]
     exit_index = np.full(B, -1, np.int64)
     confined = np.zeros(B, bool)
     row_cap = np.full((B, 1), np.inf)  # the power phase is never capped
-    big_gamma = np.zeros((B, K + 1))
 
     def step(k, cur):
         y = cur[:, 1] - cur[:, 0]
@@ -242,11 +239,8 @@ def _dominance(logx0, dv, dt, times, model):
         disp[confined, 1] = cdrift * (1.0 / (eta + yc) - 1.0 / (eta - yc)) * dt[k]
         return disp, row_cap
 
-    def applied(k, disp):
-        big_gamma[:, k + 1] = big_gamma[:, k] + disp[:, 1]
-
-    caps = _euler(logx0, dv, step, applied)
-    return {"cumulative_drift": big_gamma, "exit_index": exit_index, "capped_steps": caps}
+    caps = _euler(logx0, dv, step)
+    return {"exit_index": exit_index, "capped_steps": caps}
 
 
 _KERNELS = {

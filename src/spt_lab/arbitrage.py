@@ -18,8 +18,6 @@ maps do not grow with the horizon.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from ._kernels import _max_last, _min_last, _sum_last
@@ -29,7 +27,6 @@ from . import paths as _paths
 from . import portfolios as _portfolios
 
 __all__ = [
-    "ArbitrageStudy",
     "threshold_horizon",
     "mirror_exponent",
     "master_formula_check",
@@ -38,23 +35,6 @@ __all__ = [
     "mirror_study",
     "dominance_study",
 ]
-
-
-@dataclass(frozen=True)
-class ArbitrageStudy:
-    """Reduced record of one pathwise-comparison experiment."""
-
-    n_paths: int
-    terminal_log_ratio: np.ndarray   # per path, log of the wealth ratio at T
-    fraction: float                  # paths where the tested comparison holds
-    slack: np.ndarray                # per path, LHS - RHS of the bound
-    worst_path: int                  # index attaining the smallest slack
-
-    def __post_init__(self):
-        if not 0.0 <= self.fraction <= 1.0:
-            raise InvalidArgumentError("fraction must lie in [0, 1]")
-        if self.slack.shape[0] != self.n_paths:
-            raise InvalidArgumentError("need one slack entry per path")
 
 
 def threshold_horizon(n: int, p: float, eps: float, delta: float) -> float:
@@ -97,9 +77,7 @@ def _master_terms(lx, mu, p: float):
     return pi, lr[:, -1], dterm, np.sum(realized, axis=1)
 
 
-def master_formula_check(
-    model, factors: _paths.FactorPaths, p: float, batch_size: int = 256
-) -> dict:
+def master_formula_check(model, factors: _paths.FactorPaths, p: float) -> dict:
     """Decompose the reweighted portfolio's lead over the market.
 
     Left side: terminal log wealth ratio.  Right side: log change of the
@@ -131,10 +109,9 @@ def master_formula_check(
             "rhs": dterm + (1.0 - p) * realized,
             "rhs_model_cov": dterm + (1.0 - p) * growth,
             "floor_margin": dterm - floor,
-            "capped": aux.get("capped_steps", np.zeros(hi - lo, np.int64)),
         }
 
-    cols = _markets.run_batches(model, factors, per_batch, batch_size)
+    cols = _markets.run_batches(model, factors, per_batch, 256)
     lhs, rhs = cols["lhs"], cols["rhs"]
     res = lhs - rhs
     res_model = lhs - cols["rhs_model_cov"]
@@ -147,17 +124,11 @@ def master_formula_check(
         "residual_model_cov": res_model,
         "max_abs_residual_model_cov": float(np.abs(res_model).max()),
         "floor_margin_min": float(cols["floor_margin"].min()),
-        "capped_steps": int(cols["capped"].sum()),
+        "capped_steps": int(cols["capped_steps"].sum()),
     }
 
 
-def master_formula_order_study(
-    model,
-    fine: _paths.FactorPaths,
-    p: float,
-    refine: int,
-    batch_size: int = 256,
-) -> dict:
+def master_formula_order_study(model, fine: _paths.FactorPaths, p: float, refine: int) -> dict:
     """Self-convergence of the master-formula residual on shared noise.
 
     The fine grid's factor increments are summed ``refine`` at a time to
@@ -166,8 +137,8 @@ def master_formula_order_study(
     ``master_formula_check`` results under ``fine`` and ``coarse``.
     """
     coarse = fine.coarsened(refine)
-    r_fine = master_formula_check(model, fine, p, batch_size)
-    r_coarse = master_formula_check(model, coarse, p, batch_size)
+    r_fine = master_formula_check(model, fine, p)
+    r_coarse = master_formula_check(model, coarse, p)
     ratio = r_coarse["mean_abs_residual"] / max(r_fine["mean_abs_residual"], 1e-300)
     return {
         "fine": r_fine,
@@ -233,7 +204,6 @@ def outperformance_study(
     factors: _paths.FactorPaths,
     p: float,
     delta: float | None = None,
-    batch_size: int = 256,
 ) -> dict:
     """Reweighted portfolio versus the market beyond the threshold horizon.
 
@@ -255,12 +225,9 @@ def outperformance_study(
     horizon = factors.grid.horizon
 
     def per_batch(lo, hi, lx, aux):
-        return {
-            **_outperformance_terms(lx, p, eps, dt, horizon),
-            "capped": aux.get("capped_steps", np.zeros(hi - lo, np.int64)),
-        }
+        return _outperformance_terms(lx, p, eps, dt, horizon)
 
-    cols = _markets.run_batches(model, factors, per_batch, batch_size)
+    cols = _markets.run_batches(model, factors, per_batch, 256)
     term, slack = cols["term"], cols["slack"]
     if delta is not None:
         # fixed-margin variant of the bound, for certified models
@@ -268,22 +235,16 @@ def outperformance_study(
         fixed_slack = term - bound
     else:
         fixed_slack = None
-    worst = int(np.argmin(slack))
-    study = ArbitrageStudy(
-        n_paths=factors.n_paths,
-        terminal_log_ratio=term,
-        fraction=float(np.mean(term > 0.0)),
-        slack=slack,
-        worst_path=worst,
-    )
     return {
-        "study": study,
+        "terminal_log_ratio": term,
+        "fraction": float(np.mean(term > 0.0)),
+        "slack": slack,
         "delta_avg": cols["delta_avg"],
         "delta_max": cols["delta_max"],
         "fixed_slack": fixed_slack,
         "min_slack": float(slack.min()),
         "weight_order_violations": int(cols["order_viol"].sum()),
-        "capped_steps": int(cols["capped"].sum()),
+        "capped_steps": int(cols["capped_steps"].sum()),
     }
 
 
@@ -294,15 +255,14 @@ def outperformance_study(
 def mirror_study(
     model,
     factors: _paths.FactorPaths,
-    p: float | None = None,
-    margin: float = 1.1,
-    batch_size: int = 128,
+    p: float | None,
+    margin: float,
 ) -> dict:
     """Short-the-market mirror of the first stock, plus its all-long wraps.
 
     With exponent p above the threshold, the mirror must finish strictly
-    behind the market on every path.  Along the way the study records, per
-    path:
+    behind the market on every path; p None takes ``margin`` times the
+    threshold.  Along the way the study records, per path:
 
     * the running ceiling gap: log wealth ratio minus p times the log move
       of the first stock's weight (nonpositive in continuous time);
@@ -361,26 +321,19 @@ def mirror_study(
                 (p / beta**p) * mu1 - (p - (p - 1.0) * mu1) * ratio, axis=1
             ),
             "master_residual": m_lhs - (m_dterm + 0.5 * m_realized),
-            "capped": aux.get("capped_steps", np.zeros(hi - lo, np.int64)),
         }
 
-    cols = _markets.run_batches(model, factors, per_batch, batch_size)
+    cols = _markets.run_batches(model, factors, per_batch, 128)
     term, tau_int, ceil_gap_max = cols["term"], cols["tau_int"], cols["ceil_gap_max"]
 
     eta_needed = 2.0 * np.log(1.0 / beta) / (p - 1.0)
     ratio_t = np.exp(term)
     wrap82_term_gap = (1.0 - ratio_t) / z82       # positive iff value < z * market
     wrap83_term_gap = (1.0 - ratio_t) / zeta83    # positive iff value > zeta * market
-    worst = int(np.argmax(term))
-    study = ArbitrageStudy(
-        n_paths=factors.n_paths,
-        terminal_log_ratio=term,
-        fraction=float(np.mean(term < 0.0)),
-        slack=-term,
-        worst_path=worst,
-    )
     return {
-        "study": study,
+        "terminal_log_ratio": term,
+        "fraction": float(np.mean(term < 0.0)),
+        "slack": -term,
         "p": float(p),
         "p_threshold": float(p_star),
         "beta": beta,
@@ -402,7 +355,7 @@ def mirror_study(
         "wrap83_term_gap": wrap83_term_gap,
         "wrap82_fraction": float(np.mean(wrap82_term_gap > 0.0)),
         "wrap83_fraction": float(np.mean(wrap83_term_gap > 0.0)),
-        "capped_steps": int(cols["capped"].sum()),
+        "capped_steps": int(cols["capped_steps"].sum()),
     }
 
 
@@ -410,9 +363,7 @@ def mirror_study(
 # instantaneous dominance
 # ---------------------------------------------------------------------------
 
-def dominance_study(
-    model, factors: _paths.FactorPaths, batch_size: int = 512
-) -> dict:
+def dominance_study(model, factors: _paths.FactorPaths) -> dict:
     """All-in on the runaway stock until it gives back half its head start.
 
     On each path the strategy holds only the second stock throughout the
@@ -452,10 +403,9 @@ def dominance_study(
             "switch_index": handback,
             "exit_index": t1,
             "breaches": np.sum(after_exit & (np.abs(y[:, 1:]) >= eta), axis=1),
-            "capped": aux["capped_steps"],
         }
 
-    cols = _markets.run_batches(model, factors, per_batch, batch_size)
+    cols = _markets.run_batches(model, factors, per_batch, 512)
     min_lead = cols["min_lead"]
     return {
         "n_paths": factors.n_paths,
@@ -466,5 +416,5 @@ def dominance_study(
         "switch_found_fraction": float(np.mean(cols["switch_index"] < k_steps)),
         "exit_index": cols["exit_index"],
         "confinement_breaches": int(cols["breaches"].sum()),
-        "capped_steps": int(cols["capped"].sum()),
+        "capped_steps": int(cols["capped_steps"].sum()),
     }

@@ -500,7 +500,6 @@ def _run_simulate(cfg):
             "term_lx": lx[:, -1],
             "term_mu": mu[:, -1],
             "max_top": top.max(axis=1),
-            "capped": aux.get("capped_steps", np.zeros(hi - lo, dtype=np.int64)),
             "trigger": aux.get("trigger_time", np.full(hi - lo, np.nan)),
         }
 
@@ -512,7 +511,7 @@ def _run_simulate(cfg):
         "horizon": cfg.grid.horizon,
         "mean_terminal_top": float(_max_last(cols["term_mu"]).sum() / cfg.n_paths),
         "max_top_observed": float(cols["max_top"].max()),
-        "capped_step_total": int(cols["capped"].sum()),
+        "capped_step_total": int(cols["capped_steps"].sum()),
     }
     if np.isfinite(trigger).any():
         hit = trigger[np.isfinite(trigger)]
@@ -524,7 +523,7 @@ def _run_simulate(cfg):
         **_numbered("log_x", cols["term_lx"]),
         **_numbered("mu", cols["term_mu"]),
         "max_top": cols["max_top"],
-        "capped_steps": cols["capped"],
+        "capped_steps": cols["capped_steps"],
     }}
     if cfg.series:
         tables["series"] = {
@@ -553,7 +552,6 @@ def _run_diversity_report(cfg):
             drift = _diversity.check_barrier_drift_condition(
                 model, lx, times, model.params["delta"], aux)
             out.update({key: [value] for key, value in drift.items()})
-        out["capped"] = aux.get("capped_steps", np.zeros(hi - lo, np.int64))
         return out
 
     cols = _markets.run_batches(model, _factors(cfg), per_batch, 256)
@@ -577,7 +575,8 @@ def _run_diversity_report(cfg):
         ))
     per_path = {"path_id": np.arange(cfg.n_paths),
                 **{key: cols[key] for key in _DIVERSITY_COLUMNS}}
-    return metrics, {"capped_steps": int(cols["capped"].sum())}, assertions, {"per_path": per_path}
+    info = {"capped_steps": int(cols["capped_steps"].sum())}
+    return metrics, info, assertions, {"per_path": per_path}
 
 
 def _run_arbitrage_45(cfg):
@@ -586,13 +585,12 @@ def _run_arbitrage_45(cfg):
     factors = _factors(cfg)
     delta = model.params.get("delta")
     res = _arbitrage.outperformance_study(model, factors, p, delta=delta)
-    study = res["study"]
     tstar = _arbitrage.threshold_horizon(model.n, p, model.vol.eps, delta) \
         if delta is not None else None
     metrics = {
         "p": p,
         "horizon": cfg.grid.horizon,
-        "fraction": study.fraction,
+        "fraction": res["fraction"],
         "min_slack": res["min_slack"],
         "weight_order_violations": res["weight_order_violations"],
         "delta_avg_min": float(res["delta_avg"].min()),
@@ -603,8 +601,8 @@ def _run_arbitrage_45(cfg):
     if res["fixed_slack"] is not None:
         metrics["min_fixed_slack"] = float(res["fixed_slack"].min())
     assertions = [
-        Check("market outperformed on every path", study.fraction == 1.0,
-              f"fraction={study.fraction:g}", 0.0),
+        Check("market outperformed on every path", res["fraction"] == 1.0,
+              f"fraction={res['fraction']:g}", 0.0),
         Check("pathwise lower bound respected", res["min_slack"] > 0.0,
               f"min_slack={res['min_slack']:.6g}", 0.0),
         # each weight comparison allows 1e-12 of rounding
@@ -614,8 +612,8 @@ def _run_arbitrage_45(cfg):
     ]
     per_path = {
         "path_id": np.arange(cfg.n_paths),
-        "terminal_log_ratio": study.terminal_log_ratio,
-        "a5_slack": study.slack,
+        "terminal_log_ratio": res["terminal_log_ratio"],
+        "a5_slack": res["slack"],
         "delta_avg": res["delta_avg"],
         "delta_max": res["delta_max"],
     }
@@ -626,8 +624,7 @@ def _run_arbitrage_45(cfg):
 def _run_mirror_81(cfg):
     res = _arbitrage.mirror_study(
         cfg.model, _factors(cfg), p=cfg.extras["p"], margin=cfg.extras["margin"])
-    study = res["study"]
-    fraction = study.fraction
+    fraction = res["fraction"]
     # the running ceiling is exact in continuous time; on the grid it may
     # overshoot by the scheme's per-path discrepancy scaled by the exponent
     ceiling_budget = 3.0 * res["p"] * res["master_residual_max"]
@@ -658,7 +655,7 @@ def _run_mirror_81(cfg):
         "beta": res["beta"],
         "horizon": cfg.grid.horizon,
         "fraction_under": fraction,
-        "worst_terminal_log_ratio": float(study.terminal_log_ratio.max()),
+        "worst_terminal_log_ratio": float(res["terminal_log_ratio"].max()),
         "worst_ceiling_gap": res["worst_ceiling_gap"],
         "tau_integral_min": res["tau_integral_min"],
         "eta_needed": res["eta_needed"],
@@ -673,7 +670,7 @@ def _run_mirror_81(cfg):
     }
     per_path = {
         "path_id": np.arange(cfg.n_paths),
-        "terminal_log_ratio": study.terminal_log_ratio,
+        "terminal_log_ratio": res["terminal_log_ratio"],
         "ceiling_gap_max": res["ceiling_gap_max"],
         "tau_integral": res["tau_integral"],
         "under_gap": res["wrap82_term_gap"],
@@ -752,7 +749,7 @@ def _run_ranked_decomposition(cfg):
             **_numbered("ranked_w", _ranks.ranked_weight_path(w)[0][0]),
             **_numbered("gap_local_time", _ranks.adjacent_gap_local_times(w)[0]),
         }
-    return metrics, {}, [], tables
+    return metrics, {"capped_steps": int(cols["capped_steps"].sum())}, [], tables
 
 
 def _run_local_time_oracle(cfg):
@@ -763,7 +760,8 @@ def _run_local_time_oracle(cfg):
         y = lx[:, :, idx] - lx[:, :1, idx]
         return {"lam": _ranks.estimate_local_time(y)[:, -1]}
 
-    lam = _markets.run_batches(model, _factors(cfg), per_batch, 1024)["lam"]
+    cols = _markets.run_batches(model, _factors(cfg), per_batch, 1024)
+    lam = cols["lam"]
     mean, se = _hedging._compensated_mean_se(lam)
     metrics = {
         "mean_terminal_local_time": mean,
@@ -786,7 +784,8 @@ def _run_local_time_oracle(cfg):
                 abs(mean - oracle) <= tol,
                 f"mean={mean:.6g} oracle={oracle:.6g} tol={tol:.3g}", tol))
     per_path = {"path_id": np.arange(cfg.n_paths), "terminal_local_time": lam}
-    return metrics, {}, assertions, {"per_path": per_path}
+    info = {"capped_steps": int(cols["capped_steps"].sum())}
+    return metrics, info, assertions, {"per_path": per_path}
 
 
 def _run_hedge_price(cfg):

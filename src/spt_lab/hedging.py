@@ -150,12 +150,7 @@ def call_price_closed_form(
     return spot * _normal_cdf(d1) - strike * math.exp(-rate * horizon) * _normal_cdf(d2)
 
 
-def hedge_price(
-    model,
-    factors: _paths.FactorPaths,
-    claim: Claim,
-    batch_size: int = 1024,
-) -> dict:
+def hedge_price(model, factors: _paths.FactorPaths, claim: Claim) -> dict:
     """Monte Carlo estimate of E[Y * L(T) / B(T)] with its standard error,
     for a constant-coefficient ``model``: L(T) in closed form."""
     times = factors.grid.times
@@ -169,7 +164,7 @@ def hedge_price(
             raise InvalidArgumentError("claim payoff must be nonnegative")
         return {"vals": y * np.exp(log_deflator(lx)) / bank}
 
-    vals = _markets.run_batches(model, factors, per_batch, batch_size)["vals"]
+    vals = _markets.run_batches(model, factors, per_batch, 1024)["vals"]
     mean, se = _compensated_mean_se(vals)
     return {
         "price": mean,
@@ -270,9 +265,8 @@ def call_decay_study(
     steps_per_unit: int,
     n_paths: int,
     master_seed: int,
-    p_bound: float = 0.5,
-    index: int = 0,
-    batch_size: int = 1024,
+    p_bound: float,
+    index: int,
 ) -> dict:
     """Deflated call prices across a horizon ladder, plus the stock bound.
 
@@ -290,8 +284,7 @@ def call_decay_study(
     rungs = ladder_steps(horizons, steps_per_unit)
     k_max = max(rungs)
     out = _foellmer_knock_out(model, k_max / steps_per_unit, k_max, rungs, n_paths,
-                              master_seed, lambda lx: np.exp(lx[:, rungs, index]),
-                              batch_size)
+                              master_seed, lambda lx: np.exp(lx[:, rungs, index]), 1024)
     delta, eps = model.params["delta"], model.vol.eps
     total0 = float(_sum_last(model.x0))
     rows = []
@@ -329,7 +322,6 @@ def parity_witness_study(
     n_steps: int,
     n_paths: int,
     master_seed: int,
-    batch_size: int = 128,
 ) -> dict:
     """Deflated prices of two assets that start equal yet price apart.
 
@@ -356,7 +348,7 @@ def parity_witness_study(
         return np.stack([zmu, zmu * np.exp(rel)], axis=1)
 
     out = _foellmer_knock_out(model, horizon, n_steps, [n_steps], n_paths, master_seed,
-                              read, batch_size)
+                              read, 128)
     h1_vals, h2_vals = (out["x"][:, q] * out["alive"][:, 0] for q in (0, 1))
     h1, h1_se = _compensated_mean_se(h1_vals)
     h2, h2_se = _compensated_mean_se(h2_vals)
@@ -375,13 +367,7 @@ def parity_witness_study(
     }
 
 
-def parity_control_study(
-    model,
-    factors: _paths.FactorPaths,
-    i: int = 0,
-    j: int = 1,
-    batch_size: int = 1024,
-) -> dict:
+def parity_control_study(model, factors: _paths.FactorPaths, i: int, j: int) -> dict:
     """Two plain stocks of a constant-coefficient market, where the market
     price of risk is constant: their deflated discounted prices must sit at
     the initial prices, so the paired gap matches the initial difference
@@ -394,7 +380,7 @@ def parity_control_study(
         diff = np.exp(lx[:, -1, i]) - np.exp(lx[:, -1, j])
         return {"vals": diff * np.exp(log_deflator(lx)) / bank}
 
-    vals = _markets.run_batches(model, factors, per_batch, batch_size)["vals"]
+    vals = _markets.run_batches(model, factors, per_batch, 1024)["vals"]
     gap, gap_se = _compensated_mean_se(vals)
     expected = float(model.x0[i] - model.x0[j])
     return {

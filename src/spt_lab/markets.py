@@ -311,6 +311,9 @@ def _vol_increments(model: MarketModel, dw: np.ndarray, out=None) -> np.ndarray:
 def simulate_block(model: MarketModel, factors: FactorPaths, lo: int, hi: int):
     """Integrate paths lo..hi-1.  Returns (log_prices (B, K+1, n), aux dict).
 
+    ``aux`` holds the kernel's per-path records, ``capped_steps`` (B,) int64
+    among them for every kind: zeros where the kind has no cap.
+
     The log-price buffer is the only batch-sized array: the factors are
     drawn in slices of paths whose draws take at most ``_DRAW_BYTES`` (one
     path at least), each slice is mixed into its rows as volatility
@@ -342,7 +345,7 @@ def simulate_block(model: MarketModel, factors: FactorPaths, lo: int, hi: int):
         dv += growth[None, :] * dt[:, None]
         np.cumsum(dv, axis=1, out=dv)
         dv += logx0
-        aux = {}
+        aux = {"capped_steps": np.zeros(hi - lo, np.int64)}
     else:
         aux = kernel(logx0, dv, dt, grid.times, model)
 
@@ -370,14 +373,22 @@ def run_batches(
     per-batch partial.  Each value is copied as soon as the callback
     returns, so no result pins a batch's log prices, and the copies are
     joined along axis 0 in batch order: per-path values come back as
-    ``(n_paths, ...)``, per-batch partials as ``(n_batches, ...)``.
+    ``(n_paths, ...)``, per-batch partials as ``(n_batches, ...)``.  The
+    integrator's record joins them as the per-path column ``capped_steps``
+    (drift entries capped, 0 where the kind has no cap); a callback that
+    returns that key is rejected.
     """
 
     def batch(lo, hi):
         # a function scope, so one batch's log prices are freed before the
         # next batch is simulated
         logx, aux = simulate_block(model, factors, lo, hi)
-        return {k: np.array(v) for k, v in per_batch(lo, hi, logx, aux).items()}
+        cols = per_batch(lo, hi, logx, aux)
+        if "capped_steps" in cols:
+            raise InvalidArgumentError(
+                "per_batch returned 'capped_steps', which run_batches joins itself")
+        cols = {**cols, "capped_steps": aux["capped_steps"]}
+        return {k: np.array(v) for k, v in cols.items()}
 
     n = factors.n_paths
     parts = [batch(lo, min(lo + batch_size, n)) for lo in range(0, n, batch_size)]

@@ -24,6 +24,17 @@ class ZeroFactors:
         return np.zeros((self.grid.n_steps, self.m))
 
 
+def force_batch_size(monkeypatch, size):
+    """Make every ``markets.run_batches`` call run batches of ``size`` paths,
+    whatever size its caller asks for."""
+    run = markets.run_batches
+
+    def run_batches(model, factors, per_batch, batch_size):
+        return run(model, factors, per_batch, size)
+
+    monkeypatch.setattr(markets, "run_batches", run_batches)
+
+
 def random_simplex(rng, n_points, n, floor=1e-3):
     """Interior points of the weight simplex, every coordinate >= floor/n."""
     w = rng.dirichlet(np.ones(n), size=n_points)

@@ -110,14 +110,12 @@ def patched_trigger_loops(
 def upstart_loops(logx0, dv, dt, times, alpha, eta, eta_prime, cdrift, step_cap):
     B, K, _ = dv.shape
     out = np.empty((B, K + 1, 2))
-    big_gamma = np.empty((B, K + 1))
     t1_idx = np.full(B, -1, np.int64)
     caps = np.zeros(B, np.int64)
     margin = 1e-9 * eta
     for b in range(B):
         out[b, 0, 0] = logx0[0]
         out[b, 0, 1] = logx0[1]
-        big_gamma[b, 0] = 0.0
         confined = False
         for k in range(K):
             y = out[b, k, 1] - out[b, k, 0]
@@ -142,5 +140,4 @@ def upstart_loops(logx0, dv, dt, times, alpha, eta, eta_prime, cdrift, step_cap)
                 dgam = times[k + 1] ** alpha - times[k] ** alpha
             out[b, k + 1, 0] = out[b, k, 0] + dv[b, k, 0]
             out[b, k + 1, 1] = out[b, k, 1] + dgam + dv[b, k, 1]
-            big_gamma[b, k + 1] = big_gamma[b, k] + dgam
-    return out, big_gamma, t1_idx, caps
+    return out, t1_idx, caps

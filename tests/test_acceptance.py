@@ -291,7 +291,7 @@ def test_criterion_09_deflator_deficit_and_call_decay():
                                     delta=0.3, x0=(1.0, 1.0, 1.0), r=0.03)
     dec = hedging.call_decay_study(priced, strike=1.0, horizons=horizons,
                                    steps_per_unit=100, n_paths=n_paths, master_seed=77,
-                                   batch_size=512)
+                                   p_bound=0.5, index=0)
     rows = dec["rows"]
     # deficit 1 - E_P[L(T)] = 1 - Q(tau > T) at T = 20, monitored at dt and at
     # 2 dt, with the Bernoulli standard error of the knocked-out share

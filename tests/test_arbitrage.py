@@ -5,7 +5,7 @@ import pytest
 
 from spt_lab import arbitrage, markets, paths, portfolios
 from spt_lab.errors import InvalidArgumentError
-from helpers import ZeroFactors
+from helpers import ZeroFactors, force_batch_size
 
 
 def _diverse_pair(delta=0.3, x0=(1.0, 1.0)):
@@ -43,15 +43,6 @@ def test_mirror_exponent_closed_form():
         arbitrage.mirror_exponent(1.0, 0.1, 1.0, 1.0)
 
 
-def test_study_record_validation():
-    with pytest.raises(InvalidArgumentError):
-        arbitrage.ArbitrageStudy(n_paths=2, terminal_log_ratio=np.zeros(2),
-                                 fraction=1.5, slack=np.zeros(2), worst_path=0)
-    with pytest.raises(InvalidArgumentError):
-        arbitrage.ArbitrageStudy(n_paths=2, terminal_log_ratio=np.zeros(2),
-                                 fraction=1.0, slack=np.zeros(3), worst_path=0)
-
-
 # ---------------------------------------------------------------------------
 # wealth-ratio decomposition
 # ---------------------------------------------------------------------------
@@ -70,13 +61,14 @@ def test_master_decomposition_degenerate_market():
     assert out["floor_margin_min"] == pytest.approx(np.log(3.0), rel=1e-12)
 
 
-def test_master_decomposition_tracks_simulated_paths():
+def test_master_decomposition_tracks_simulated_paths(monkeypatch):
     sigma = np.array([[0.3, 0.05, 0.0], [0.05, 0.25, 0.0], [0.0, 0.05, 0.35]])
     model = markets.constant_market(b=[0.05, 0.0, 0.08], sigma=sigma,
                                     x0=[1.0, 1.4, 0.8])
     grid = paths.make_grid(1.0, 500)
     f = paths.generate_factors(grid, 3, 64, master_seed=101)
-    out = arbitrage.master_formula_check(model, f, 0.5, batch_size=32)
+    force_batch_size(monkeypatch, 32)
+    out = arbitrage.master_formula_check(model, f, 0.5)
     assert out["lhs"].shape == (64,)
     assert out["max_abs_residual"] < 1e-3
     assert out["mean_abs_residual"] <= out["max_abs_residual"]
@@ -108,12 +100,10 @@ def test_outperformance_beyond_threshold():
     grid = paths.make_grid(horizon, 2_000)
     f = paths.generate_factors(grid, 2, 64, master_seed=41)
     out = arbitrage.outperformance_study(model, f, 0.5)
-    study = out["study"]
-    assert study.n_paths == 64
-    assert study.fraction == 1.0
-    assert np.all(study.terminal_log_ratio > 0.0)
-    assert out["min_slack"] == pytest.approx(study.slack.min())
-    assert study.worst_path == int(np.argmin(study.slack))
+    assert out["slack"].shape == (64,)
+    assert out["fraction"] == 1.0
+    assert np.all(out["terminal_log_ratio"] > 0.0)
+    assert out["min_slack"] == pytest.approx(out["slack"].min())
     assert out["weight_order_violations"] == 0
     assert np.all(out["delta_max"] <= out["delta_avg"] + 1e-15)
 
@@ -170,10 +160,10 @@ def test_mirror_underperforms_with_enough_leverage():
     model = _diverse_pair(delta=0.3)
     grid = paths.make_grid(6.0, 1_200)
     f = paths.generate_factors(grid, 2, 64, master_seed=19)
-    out = arbitrage.mirror_study(model, f)
+    out = arbitrage.mirror_study(model, f, None, 1.1)
     assert out["p"] == pytest.approx(1.1 * out["p_threshold"])
-    assert out["study"].fraction == 1.0
-    assert np.all(out["study"].terminal_log_ratio < 0.0)
+    assert out["fraction"] == 1.0
+    assert np.all(out["terminal_log_ratio"] < 0.0)
     # the wraps stay fully invested on the long side
     assert out["wrap82_weight_margin_min"] >= -1e-12
     assert out["wrap83_weight_margin_min"] >= -1e-12
@@ -188,7 +178,7 @@ def test_mirror_wrap_starting_capitals():
     model = _diverse_pair(delta=0.3)
     grid = paths.make_grid(1.0, 100)
     f = paths.generate_factors(grid, 2, 16, master_seed=3)
-    out = arbitrage.mirror_study(model, f, p=3.0)
+    out = arbitrage.mirror_study(model, f, p=3.0, margin=1.1)
     assert out["wrap82_capital"] == pytest.approx(17.0, rel=1e-12)
     assert out["wrap83_capital"] == pytest.approx(23.0, rel=1e-12)
 
@@ -198,7 +188,7 @@ def test_mirror_study_rejects_other_models():
     grid = paths.make_grid(1.0, 10)
     f = paths.generate_factors(grid, 2, 2, master_seed=0)
     with pytest.raises(InvalidArgumentError):
-        arbitrage.mirror_study(model, f)
+        arbitrage.mirror_study(model, f, None, 1.1)
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ import pytest
 import spt_lab
 from spt_lab import arbitrage, cli, markets, paths
 from spt_lab.errors import ConfigError
+from helpers import force_batch_size
 
 
 _PRESETS = Path(__file__).resolve().parents[1] / "configs"
@@ -231,7 +232,7 @@ def _checks_with_budgets(out):
     return doc
 
 
-def test_reruns_and_worker_counts_are_byte_identical(tmp_path):
+def test_reruns_and_worker_counts_are_byte_identical(tmp_path, monkeypatch):
     outs = []
     for i in range(2):
         out = tmp_path / f"d{i}"
@@ -245,13 +246,11 @@ def test_reruns_and_worker_counts_are_byte_identical(tmp_path):
     # its 1,500 steps in several time chunks
     model = markets.diverse_market(np.eye(3), g=0.0, delta=0.3, x0=[1.0, 1.0, 1.0])
     factors = paths.generate_factors(paths.make_grid(15.0, 1500), 3, 20, master_seed=5)
-    one, three = (arbitrage.outperformance_study(model, factors, 0.5, delta=0.3, **kw)
-                  for kw in ({}, {"batch_size": 7}))
-    for key in ("terminal_log_ratio", "slack"):
-        np.testing.assert_array_equal(getattr(one["study"], key),
-                                      getattr(three["study"], key), err_msg=key)
-    for key in ("delta_avg", "delta_max", "fixed_slack", "min_slack",
-                "weight_order_violations", "capped_steps"):
+    one = arbitrage.outperformance_study(model, factors, 0.5, delta=0.3)
+    force_batch_size(monkeypatch, 7)
+    three = arbitrage.outperformance_study(model, factors, 0.5, delta=0.3)
+    for key in ("terminal_log_ratio", "slack", "delta_avg", "delta_max", "fixed_slack",
+                "min_slack", "weight_order_violations", "capped_steps"):
         np.testing.assert_array_equal(one[key], three[key], err_msg=key)
 
 
@@ -594,6 +593,42 @@ def test_master_formula_records_capped_steps(tmp_path):
     assert "capped" not in (out / "metrics.csv").read_text()
     assert (out / "per_path.csv").read_text().splitlines()[0] == \
         "path_id,lhs,rhs,residual,residual_model_cov"
+
+
+@pytest.mark.parametrize("name", ["ranked-decomposition", "local-time-oracle"])
+def test_experiments_without_a_study_record_capped_steps(tmp_path, name):
+    """Experiments whose runner reduces the batches itself also count the
+    capped drift entries in the summary, outside the CSVs."""
+    out = tmp_path / "capped"
+    cfg = _write(tmp_path, f"""\
+        [experiment]
+        name = {name}
+
+        [model]
+        kind = diverse
+        sigma_scale = 1.0
+        delta = 0.3
+        x0 = 1.0, 1.0, 1.0
+
+        [grid]
+        horizon = 15.0
+        n_steps = 400
+
+        [mc]
+        n_paths = 16
+        master_seed = 5
+
+        [output]
+        directory = {out}
+        """)
+    assert cli.main(["run", cfg]) == 0
+    parsed = cli.parse_config(cfg)
+    caps = int(markets.simulate_block(parsed.model, cli._factors(parsed), 0, 16)[1]
+               ["capped_steps"].sum())
+    assert caps > 0
+    assert json.loads((out / "summary.json").read_text())["info"] == {"capped_steps": caps}
+    assert f"capped_steps = {caps}" in (out / "summary.txt").read_text()
+    assert "capped" not in (out / "metrics.csv").read_text()
 
 
 def test_call_decay_steps_override_goes_to_steps_per_unit(tmp_path):

@@ -7,7 +7,7 @@ import pytest
 
 from spt_lab import hedging, markets, paths
 from spt_lab.errors import InvalidArgumentError
-from helpers import ZeroFactors
+from helpers import ZeroFactors, force_batch_size
 
 
 def _gbm_pair(r=0.0):
@@ -47,12 +47,13 @@ def test_deflator_is_one_without_risk_premium():
     assert (out["price"], out["se"]) == (1.0, 0.0)
 
 
-def test_deflator_mean_is_one_for_constant_risk_premium():
+def test_deflator_mean_is_one_for_constant_risk_premium(monkeypatch):
     """The discrete deflator is an exact martingale when theta is constant."""
     model = _gbm_pair()
     grid = paths.make_grid(1.0, 16)
     f = paths.generate_factors(grid, 2, 40_000, master_seed=2)
-    out = hedging.hedge_price(model, f, _UNIT, batch_size=10_000)
+    force_batch_size(monkeypatch, 10_000)
+    out = hedging.hedge_price(model, f, _UNIT)
     assert abs(out["price"] - 1.0) < 3.0 * out["se"]
 
 
@@ -98,17 +99,18 @@ def test_deflated_prices_draw_each_path_once(monkeypatch):
     def factors(model):
         return paths.generate_factors(grid, model.m, 12, master_seed=3)
 
+    force_batch_size(monkeypatch, 5)
     runs = {
         "hedge_price": lambda: hedging.hedge_price(
-            gbm, factors(gbm), hedging.call_claim(0, 1.0), batch_size=5),
+            gbm, factors(gbm), hedging.call_claim(0, 1.0)),
         "parity_control_study": lambda: hedging.parity_control_study(
-            gbm, factors(gbm), batch_size=5),
+            gbm, factors(gbm), 0, 1),
         "parity_witness_study": lambda: hedging.parity_witness_study(
-            diverse, 2.0, 1.0, 10, 12, master_seed=3, batch_size=5),
+            diverse, 2.0, 1.0, 10, 12, master_seed=3),
         "call_decay_study": lambda: hedging.call_decay_study(
             markets.diverse_market(0.25 * np.eye(2), g=0.0, delta=0.3, x0=[1.0, 1.0],
                                    r=0.03),
-            1.0, (1.0, 2.0), 10, 12, master_seed=3, batch_size=5),
+            1.0, (1.0, 2.0), 10, 12, master_seed=3, p_bound=0.5, index=0),
     }
     for name, run in runs.items():
         draws.clear()
@@ -228,25 +230,25 @@ def test_call_decay_study_needs_positive_rate_and_barrier():
     diverse = markets.diverse_market(0.25 * np.eye(2), g=0.0, delta=0.3,
                                      x0=[1.0, 1.0])
     with pytest.raises(InvalidArgumentError):
-        hedging.call_decay_study(diverse, 1.0, (1.0, 2.0), 10, 50, 0)
+        hedging.call_decay_study(diverse, 1.0, (1.0, 2.0), 10, 50, 0, 0.5, 0)
     plain = markets.constant_market(b=[0.0, 0.0], sigma=np.eye(2),
                                     x0=[1.0, 1.0], r=0.03)
     with pytest.raises(InvalidArgumentError):
-        hedging.call_decay_study(plain, 1.0, (1.0, 2.0), 10, 50, 0)
+        hedging.call_decay_study(plain, 1.0, (1.0, 2.0), 10, 50, 0, 0.5, 0)
     # the patched market's drift may never switch on, so tau is not its
     # first hit of the barrier
     base = markets.diverse_market(0.25 * np.eye(2), g=0.0, delta=0.1,
                                   x0=[1.0, 1.0], r=0.03)
     patched = markets.patched_weakly_diverse(base, eta=0.3, horizon=2.0)
     with pytest.raises(InvalidArgumentError, match="diverse market kind"):
-        hedging.call_decay_study(patched, 1.0, (1.0, 2.0), 10, 50, 0)
+        hedging.call_decay_study(patched, 1.0, (1.0, 2.0), 10, 50, 0, 0.5, 0)
 
 
 def test_call_decay_rejects_off_grid_horizons():
     model = markets.diverse_market(0.25 * np.eye(2), g=0.0, delta=0.3,
                                    x0=[1.0, 1.0], r=0.03)
     with pytest.raises(InvalidArgumentError, match="horizon 1.05"):
-        hedging.call_decay_study(model, 1.0, (1.0, 1.05), 10, 50, 0)
+        hedging.call_decay_study(model, 1.0, (1.0, 1.05), 10, 50, 0, 0.5, 0)
     assert hedging.ladder_steps((0.1, 0.7, 3.0), 10) == [1, 7, 30]
 
 
@@ -256,7 +258,7 @@ def test_call_decay_without_knock_out_is_the_lognormal_price():
     rate, vol = 0.03, 0.25
     model = markets.diverse_market(vol * np.eye(2), g=0.0, delta=0.01,
                                    x0=[1.0, 1.0], r=rate)
-    out = hedging.call_decay_study(model, 1.1, (0.5, 1.0), 20, 4_000, master_seed=12)
+    out = hedging.call_decay_study(model, 1.1, (0.5, 1.0), 20, 4_000, 12, 0.5, 0)
     for r in out["rows"]:
         ref = hedging.call_price_closed_form(1.0, 1.1, rate, vol, r["horizon"])
         assert abs(r["price"] - ref) <= 3.0 * r["se"], (r, ref)
@@ -267,7 +269,7 @@ def test_call_decay_without_knock_out_is_the_lognormal_price():
 def test_call_decay_rows_carry_envelopes():
     model = markets.diverse_market(0.25 * np.eye(2), g=0.0, delta=0.3,
                                    x0=[1.0, 1.0], r=0.03)
-    out = hedging.call_decay_study(model, 1.0, (1.0, 2.0), 20, 200, master_seed=7)
+    out = hedging.call_decay_study(model, 1.0, (1.0, 2.0), 20, 200, 7, 0.5, 0)
     assert out["strike"] == 1.0
     assert len(out["rows"]) == 2
     toc = [r["horizon"] for r in out["rows"]]

@@ -107,8 +107,7 @@ def test_terminal_mean_matches_rate_of_return():
 
 
 def _keep_batch(lo, hi, lx, aux):
-    return {"path": np.arange(lo, hi), "log_prices": lx, "terminal": lx[:, -1],
-            **aux}
+    return {"path": np.arange(lo, hi), "log_prices": lx, "terminal": lx[:, -1]}
 
 
 def test_run_batches_matches_per_path_integration():
@@ -138,6 +137,23 @@ def test_run_batches_stacks_per_batch_partials():
     lx, _ = markets.simulate_block(model, f, 0, 7)
     np.testing.assert_allclose(got["sum"].sum(axis=0), lx.sum(axis=0),
                                rtol=1e-12, atol=1e-12)
+
+
+def test_run_batches_joins_capped_steps_in_path_order():
+    """Every result carries the integrator's capped-entry counts as a
+    per-path column, in path order across batches; a callback that returns
+    that key is rejected rather than overwritten."""
+    model, f = kernel_cases()["diverse"]
+    want = markets.simulate_block(model, f, 0, f.n_paths)[1]["capped_steps"]
+    assert len(set(want)) > 1  # the order shows
+    got = markets.run_batches(model, f, _keep_batch, batch_size=3)
+    np.testing.assert_array_equal(got["capped_steps"], want)
+
+    def colliding(lo, hi, lx, aux):
+        return {"capped_steps": np.zeros(hi - lo, np.int64)}
+
+    with pytest.raises(InvalidArgumentError, match="capped_steps"):
+        markets.run_batches(model, f, colliding, batch_size=3)
 
 
 def test_run_batches_copies_every_returned_view():
@@ -292,8 +308,6 @@ def test_dominance_early_drift_is_exact_power_law():
     lx, aux, dw = _one_path(model, grid, seed=12)
     assert aux["exit_index"] == -1
     t = grid.times[1:]
-    np.testing.assert_allclose(aux["cumulative_drift"][1:], t ** 0.25,
-                               rtol=1e-12, atol=0)
     np.testing.assert_allclose(lx[1:, 1],
                                t ** 0.25 + np.cumsum(dw[:, 1]),
                                rtol=0, atol=1e-12)
@@ -345,7 +359,7 @@ def _loop_kernel_table():
         dv[...] = loop_kernels.spread_reversion_loops(
             logx0, dv, dt, times, p["alpha"], p["switch_time"],
             0.5 * float(model.vol.a[0, 0]))[:, 1:]
-        return {}
+        return {"capped_steps": np.zeros(dv.shape[0], np.int64)}
 
     def patched(logx0, dv, dt, times, model):
         p = model.params
@@ -357,12 +371,11 @@ def _loop_kernel_table():
 
     def dominance(logx0, dv, dt, times, model):
         p = model.params
-        logx, big_gamma, t1_idx, caps = loop_kernels.upstart_loops(
+        logx, t1_idx, caps = loop_kernels.upstart_loops(
             logx0, dv, dt, times, p["alpha"], p["eta"], p["eta_prime"], p["cdrift"],
             p["step_cap"])
         dv[...] = logx[:, 1:]
-        return {"cumulative_drift": big_gamma, "exit_index": t1_idx,
-                "capped_steps": caps}
+        return {"exit_index": t1_idx, "capped_steps": caps}
 
     return {"diverse": diverse, "ou_pair": ou_pair, "patched": patched,
             "dominance": dominance}
@@ -402,6 +415,21 @@ def test_batches_and_draw_slices_leave_every_path_unchanged(monkeypatch):
             np.testing.assert_array_equal(
                 aux[key], np.concatenate([one[1][key] for one in alone]),
                 err_msg=f"{kind}/{key}")
+
+
+def test_every_kind_records_capped_steps():
+    """``aux["capped_steps"]`` is a (B,) int64 count for all five kinds: zeros
+    for the constant and ou_pair kinds, which have no cap."""
+    cases = kernel_cases()
+    constant = markets.constant_market(b=[0.05, -0.02], sigma=0.3 * np.eye(2),
+                                       x0=[1.0, 2.0])
+    cases["constant"] = (constant, paths.generate_factors(paths.make_grid(1.0, 10), 2, 4,
+                                                          master_seed=9))
+    for kind, (model, f) in cases.items():
+        caps = markets.simulate_block(model, f, 0, f.n_paths)[1]["capped_steps"]
+        assert caps.dtype == np.int64 and caps.shape == (f.n_paths,), kind
+        if kind in ("constant", "ou_pair"):
+            np.testing.assert_array_equal(caps, 0, err_msg=kind)
 
 
 def test_simulate_block_holds_one_batch_sized_array(monkeypatch):
