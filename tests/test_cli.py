@@ -254,14 +254,114 @@ def test_reruns_and_worker_counts_are_byte_identical(tmp_path, monkeypatch):
         np.testing.assert_array_equal(one[key], three[key], err_msg=key)
 
 
+# What each preset reports at 8 paths and 20 steps, by name: its metrics in
+# order, its info keys, its check labels in order, and each CSV's columns.
+_SCHEMA = {
+    "arbitrage_45.ini": (
+        "p horizon fraction min_slack weight_order_violations delta_avg_min "
+        "delta_max_min threshold_horizon min_fixed_slack",
+        "capped_steps",
+        ["market outperformed on every path", "pathwise lower bound respected",
+         "reweighting never flips the weight order"],
+        {"per_path": "path_id terminal_log_ratio a5_slack delta_avg delta_max"}),
+    "call_decay.ini": (
+        "strike spot p_bound n_horizons first_price last_price",
+        "knocked_out monitoring_pair",
+        ["hedge price sits under the spot at every horizon",
+         "deflated stock price stays under the decay envelope",
+         "hedge price decays along the horizon ladder"],
+        {"stock": "T deflated_stock stderr envelope", "table": "T h_hat stderr envelope"}),
+    "diversity_report.ini": (
+        "delta tail_fraction diverse_fraction weakly_diverse_fraction min_delta_max "
+        "min_delta_avg worst_tail_top",
+        "capped_steps",
+        ["drift repels the leader wherever the top weight nears the barrier"],
+        {"per_path": "path_id max_top avg_top tail_top delta_max delta_avg is_diverse "
+                     "is_weakly_diverse"}),
+    "hedge_price.ini": (
+        "price se zero_fraction strike spot horizon reference t_stat",
+        "claim",
+        ["deflator price matches the closed form within 3 standard errors"],
+        {}),
+    "instantaneous_dominance.ini": (
+        "fraction worst_lead switch_found_fraction confinement_breaches capped_steps "
+        "n_steps min_fraction",
+        "",
+        ["second stock leads at every grid time until the handback",
+         "the leading fraction does not fall under refinement",
+         "confinement breaches do not grow under refinement"],
+        {"per_path": "path_id min_lead switch_index exit_index dominated"}),
+    "local_time_oracle.ini": (
+        "mean_terminal_local_time se horizon oracle abs_error t_stat",
+        "capped_steps",
+        ["terminal local time matches the reflected-line mean"],
+        {}),
+    "master_formula.ini": (
+        "p dt_fine dt_coarse mean_abs_residual_fine mean_abs_residual_coarse "
+        "max_abs_residual_fine max_abs_residual_coarse ratio order "
+        "max_abs_residual_model_cov_fine floor_margin_min",
+        "capped_steps capped_steps_coarse",
+        ["residual shrinks at first order in the step",
+         "decomposition holds on every path within the scheme budget"],
+        {"per_path": "path_id lhs rhs residual residual_model_cov"}),
+    "mirror_81.ini": (
+        "p p_threshold beta horizon fraction_under worst_terminal_log_ratio "
+        "worst_ceiling_gap tau_integral_min eta_needed eta_model hypothesis_fraction "
+        "underperformer_capital outperformer_capital underperformer_fraction "
+        "outperformer_fraction underperformer_weight_margin_min "
+        "outperformer_weight_margin_min",
+        "capped_steps",
+        ["mirror finishes behind the market on every path",
+         "accumulated relative variance clears the threshold on every path",
+         "running log wealth ratio stays under the ceiling",
+         "drowned mirror stays all-long",
+         "shorted mirror wrap stays all-long",
+         "drowned mirror underperforms scaled market on every path",
+         "shorted mirror outperforms scaled market on every path"],
+        {"per_path": "path_id terminal_log_ratio ceiling_gap_max tau_integral under_gap "
+                     "out_gap"}),
+    "parity_gap.ini": (
+        "p h1 h1_se h2 h2_se gap gap_se t_stat control_gap control_gap_se "
+        "control_expected control_t_stat",
+        "knocked_out monitoring_pair",
+        ["two equal-start assets price apart by at least 3 standard errors",
+         "plain stock pair prices at its initial difference",
+         "deflated market and mirror wealth stay within 3 standard errors of their start"],
+        {}),
+    "ranked_decomposition.ini": (
+        "max_relative_named max_relative_model mean_relative_model "
+        "mean_terminal_local_time_top_gap",
+        "capped_steps",
+        [],
+        {"per_path": "path_id relative_named relative_model gap_local_time1",
+         "series": "t ranked_w1 ranked_w2 gap_local_time1"}),
+    "simulate_diverse.ini": (
+        "n_paths n_steps horizon mean_terminal_top max_top_observed capped_step_total",
+        "",
+        [],
+        {"per_path": "path_id log_x1 log_x2 log_x3 mu1 mu2 mu3 max_top capped_steps",
+         "series": "t mean_mu1 mean_mu2 mean_mu3 mean_top"}),
+}
+
+
 @pytest.mark.parametrize("preset", sorted(p.name for p in _PRESETS.glob("*.ini")))
 def test_preset_runs_at_small_size(tmp_path, preset):
-    """Every shipped preset runs end to end; assertions may fail at this size."""
+    """Every shipped preset runs end to end, and reports what it reported
+    before by name; assertions may fail at this size."""
     out = tmp_path / "out"
     rc = cli.main(["run", str(_PRESETS / preset), "--paths", "8", "--steps", "20",
                    "--out", str(out)])
     assert rc in (0, 4)
     assert {"metrics.csv", "summary.txt", "summary.json"} <= set(os.listdir(out))
+    metrics, info, labels, tables = _SCHEMA[preset]
+    rows = (out / "metrics.csv").read_text().splitlines()
+    assert [row.split(",")[0] for row in rows[1:]] == metrics.split()
+    doc = json.loads((out / "summary.json").read_text())
+    assert sorted(doc["info"]) == info.split()
+    assert [a["label"] for a in doc["assertions"]] == labels
+    headers = {p.stem: p.read_text().splitlines()[0].split(",")
+               for p in out.glob("*.csv") if p.stem != "metrics"}
+    assert headers == {stem: cols.split() for stem, cols in tables.items()}
 
 
 def test_exit_codes_for_bad_invocations(tmp_path, capsys):
