@@ -1,7 +1,8 @@
-"""Drift rules and the stepping loop of the state-dependent market kinds.
+"""Drift rules and the kernels that integrate them, one per market kind.
 
-Each state-dependent kind has its drift written once, batch-vectorised.
-The rules of the repelled-leader market (shared by its patched variant)
+Each kind has its drift written once, batch-vectorised.  The constant
+kind's growth rates do not depend on the state, so its kernel adds them to
+every step at once and sums the increments.  The rules of the repelled-leader market (shared by its patched variant)
 and of the spread market take log prices of any leading shape ``(..., n)``:
 the kernels evaluate them on a whole batch at one grid time, and
 ``markets.growth_rates_along`` on a stored path at every grid time, so the
@@ -9,7 +10,7 @@ integrator and the reconstruction cannot disagree about the rule.  The
 upstart market's drift lives in its kernel, because its power phase adds
 an exact integral over each step rather than a rate times the step.
 One stepping loop applies the step cap, counts capped entries and adds the
-noise for every kind.
+noise for every state-dependent kind.
 
 Kernel contract: ``kernel(logx0, dv, dt, times, model)`` with ``logx0 (n,)``,
 ``dv (B, K, n)`` volatility increments already multiplied by the dispersion
@@ -88,6 +89,12 @@ def _leader(lx):
 # ---------------------------------------------------------------------------
 # drift rules
 # ---------------------------------------------------------------------------
+
+def constant_growth(model):
+    """Growth rates ``b - diag(a)/2`` of the constant-coefficient market,
+    one per stock, the same in every state."""
+    return model.params["b"] - 0.5 * np.diag(model.vol.a)
+
 
 def leader_repulsion(model):
     """Growth rule ``lx -> gamma`` of the repelled-leader market.
@@ -182,6 +189,13 @@ def _euler(logx0, dv, step):
     return caps
 
 
+def _constant(logx0, dv, dt, times, model):
+    dv += constant_growth(model)[None, :] * dt[:, None]
+    np.cumsum(dv, axis=1, out=dv)
+    dv += logx0
+    return {"capped_steps": np.zeros(dv.shape[0], np.int64)}
+
+
 def _diverse(logx0, dv, dt, times, model):
     growth = leader_repulsion(model)
     step_cap = model.params["step_cap"]
@@ -244,6 +258,7 @@ def _dominance(logx0, dv, dt, times, model):
 
 
 _KERNELS = {
+    "constant": _constant,
     "diverse": _diverse,
     "ou_pair": _ou_pair,
     "patched": _patched,
@@ -252,7 +267,7 @@ _KERNELS = {
 
 
 def active_kernels():
-    """The kernel of each state-dependent kind.
+    """The kernel of each market kind.
 
     ``markets.simulate_block`` looks its kernel up here on every call, so
     replacing this function (to wrap the kernels, say) takes effect at once.

@@ -4,9 +4,10 @@ Each study simulates a batch of market paths, computes per-path wealth
 comparisons, and reduces them to fractions plus worst-case slacks.  A
 "probability one" claim is tested as: the comparison holds on every path,
 with the worst per-path slack reported.  Inequalities that are exact in
-continuous time are asserted by the experiment runner with a
-discretization budget of a few multiples of the one-step-scheme residual
-measured on the same paths; the studies here only measure and report.
+continuous time are checked with a discretization budget of a few
+multiples of the one-step-scheme residual measured on the same paths.
+Each study is one experiment: ``study(model, factors, **extras)`` returns
+``(metrics, info, checks, tables)`` under the report's names.
 
 Per-path reductions happen inside fixed-size batches, whose columns
 ``markets.run_batches`` joins in path order; cross-path reductions run
@@ -21,6 +22,7 @@ from __future__ import annotations
 import numpy as np
 
 from ._kernels import _max_last, _min_last, _sum_last
+from .checks import Check
 from .errors import InvalidArgumentError
 from . import markets as _markets
 from . import paths as _paths
@@ -128,24 +130,46 @@ def master_formula_check(model, factors: _paths.FactorPaths, p: float) -> dict:
     }
 
 
-def master_formula_order_study(model, fine: _paths.FactorPaths, p: float, refine: int) -> dict:
+def master_formula_order_study(model, factors: _paths.FactorPaths, p: float, refine: int):
     """Self-convergence of the master-formula residual on shared noise.
 
     The fine grid's factor increments are summed ``refine`` at a time to
     drive the coarse run, so both step sizes see the same underlying path
-    and the residual ratio estimates the weak order directly.  Returns both
-    ``master_formula_check`` results under ``fine`` and ``coarse``.
+    and the residual ratio estimates the weak order directly.  The per-path
+    table is the fine run's ``master_formula_check``.
     """
-    coarse = fine.coarsened(refine)
-    r_fine = master_formula_check(model, fine, p)
-    r_coarse = master_formula_check(model, coarse, p)
-    ratio = r_coarse["mean_abs_residual"] / max(r_fine["mean_abs_residual"], 1e-300)
-    return {
-        "fine": r_fine,
-        "coarse": r_coarse,
-        "ratio": float(ratio),
-        "order": float(np.log(ratio) / np.log(refine)),
+    dt = factors.grid.dt
+    rf = master_formula_check(model, factors, p)
+    rc = master_formula_check(model, factors.coarsened(refine), p)
+    ratio = float(rc["mean_abs_residual"] / max(rf["mean_abs_residual"], 1e-300))
+    order = float(np.log(ratio) / np.log(refine))
+    metrics = {
+        "p": p,
+        "dt_fine": dt,
+        "dt_coarse": dt * refine,
+        "mean_abs_residual_fine": rf["mean_abs_residual"],
+        "mean_abs_residual_coarse": rc["mean_abs_residual"],
+        "max_abs_residual_fine": rf["max_abs_residual"],
+        "max_abs_residual_coarse": rc["max_abs_residual"],
+        "ratio": ratio,
+        "order": order,
+        "max_abs_residual_model_cov_fine": rf["max_abs_residual_model_cov"],
+        "floor_margin_min": rf["floor_margin_min"],
     }
+    # the identity is exact in continuous time and its scheme is first order
+    checks = [
+        Check("residual shrinks at first order in the step", order >= 0.9,
+              f"order={order:.6g} refine={refine}", 0.1),
+        Check("decomposition holds on every path within the scheme budget",
+              rf["max_abs_residual"] <= 1e-2,
+              f"max_residual={rf['max_abs_residual']:.6g} dt={dt:.6g}", 1e-2),
+    ]
+    per_path = {
+        "path_id": np.arange(factors.n_paths),
+        **{key: rf[key] for key in ("lhs", "rhs", "residual", "residual_model_cov")},
+    }
+    info = {"capped_steps": rf["capped_steps"], "capped_steps_coarse": rc["capped_steps"]}
+    return metrics, info, checks, {"per_path": per_path}
 
 
 # ---------------------------------------------------------------------------
@@ -199,28 +223,24 @@ def _outperformance_terms(lx, p: float, eps: float, dt, horizon: float) -> dict:
     }
 
 
-def outperformance_study(
-    model,
-    factors: _paths.FactorPaths,
-    p: float,
-    delta: float | None = None,
-) -> dict:
+def outperformance_study(model, factors: _paths.FactorPaths, p: float):
     """Reweighted portfolio versus the market beyond the threshold horizon.
 
     The pathwise lower bound is evaluated with each path's own realized
     average diversity margin (left-endpoint average of the top weight), so
-    it is a per-path conditional check rather than a model hypothesis.
-    Also counts violations of the pointwise weight comparisons: the
-    reweighted top weight never exceeds the market's, the reweighted
-    bottom never falls under the market's, and the drift entries the
-    integrator capped (0 for market kinds without a cap).  Each batch is
-    reduced chunk by chunk in time into these terminal values and running
-    extremes, so its memory beyond the log prices stays bounded.
+    it is a per-path conditional check rather than a model hypothesis;
+    where the model has a barrier delta, the threshold horizon and the
+    fixed-margin bound are reported too.  Also counts violations of the
+    pointwise weight comparisons: the reweighted top weight never exceeds
+    the market's, the reweighted bottom never falls under the market's.
+    Each batch is reduced chunk by chunk in time into these terminal values
+    and running extremes, so its memory beyond the log prices stays bounded.
     """
     if not 0 < p < 1:
         raise InvalidArgumentError("p must lie in (0, 1)")
     n = model.n
     eps = model.vol.eps
+    delta = model.params.get("delta")
     dt = factors.grid.step_sizes
     horizon = factors.grid.horizon
 
@@ -229,35 +249,48 @@ def outperformance_study(
 
     cols = _markets.run_batches(model, factors, per_batch, 256)
     term, slack = cols["term"], cols["slack"]
+    fraction = float(np.mean(term > 0.0))
+    min_slack = float(slack.min())
+    violations = int(cols["order_viol"].sum())
+    metrics = {
+        "p": p,
+        "horizon": horizon,
+        "fraction": fraction,
+        "min_slack": min_slack,
+        "weight_order_violations": violations,
+        "delta_avg_min": float(cols["delta_avg"].min()),
+        "delta_max_min": float(cols["delta_max"].min()),
+    }
     if delta is not None:
+        metrics["threshold_horizon"] = threshold_horizon(n, p, eps, delta)
         # fixed-margin variant of the bound, for certified models
         bound = (1.0 - p) * (eps * delta * horizon / 2.0 - np.log(n) / p)
-        fixed_slack = term - bound
-    else:
-        fixed_slack = None
-    return {
+        metrics["min_fixed_slack"] = float((term - bound).min())
+    checks = [
+        Check("market outperformed on every path", fraction == 1.0,
+              f"fraction={fraction:g}", 0.0),
+        Check("pathwise lower bound respected", min_slack > 0.0,
+              f"min_slack={min_slack:.6g}", 0.0),
+        # each weight comparison allows 1e-12 of rounding
+        Check("reweighting never flips the weight order", violations == 0,
+              f"violations={violations}", 1e-12),
+    ]
+    per_path = {
+        "path_id": np.arange(factors.n_paths),
         "terminal_log_ratio": term,
-        "fraction": float(np.mean(term > 0.0)),
-        "slack": slack,
+        "a5_slack": slack,
         "delta_avg": cols["delta_avg"],
         "delta_max": cols["delta_max"],
-        "fixed_slack": fixed_slack,
-        "min_slack": float(slack.min()),
-        "weight_order_violations": int(cols["order_viol"].sum()),
-        "capped_steps": int(cols["capped_steps"].sum()),
     }
+    info = {"capped_steps": int(cols["capped_steps"].sum())}
+    return metrics, info, checks, {"per_path": per_path}
 
 
 # ---------------------------------------------------------------------------
 # mirror constructions
 # ---------------------------------------------------------------------------
 
-def mirror_study(
-    model,
-    factors: _paths.FactorPaths,
-    p: float | None,
-    margin: float,
-) -> dict:
+def mirror_study(model, factors: _paths.FactorPaths, p: float | None, margin: float):
     """Short-the-market mirror of the first stock, plus its all-long wraps.
 
     With exponent p above the threshold, the mirror must finish strictly
@@ -275,8 +308,9 @@ def mirror_study(
       market's, scaled by their starting capital;
     * the master-formula residual of the diversity-weighted portfolio with
       exponent 1/2 on the same path, whose largest size times p is the
-      scheme's discrepancy that the running ceiling gap may show;
-    * the drift entries the integrator capped (0 for kinds without a cap).
+      scheme's discrepancy that the running ceiling gap may show.
+
+    The underperformer is Example 8.2's wrap, the outperformer Example 8.3's.
     """
     if model.kind not in ("diverse", "patched"):
         raise InvalidArgumentError("mirror study expects a diversity-controlled model")
@@ -326,44 +360,74 @@ def mirror_study(
     cols = _markets.run_batches(model, factors, per_batch, 128)
     term, tau_int, ceil_gap_max = cols["term"], cols["tau_int"], cols["ceil_gap_max"]
 
-    eta_needed = 2.0 * np.log(1.0 / beta) / (p - 1.0)
+    eta_needed = float(2.0 * np.log(1.0 / beta) / (p - 1.0))
     ratio_t = np.exp(term)
-    wrap82_term_gap = (1.0 - ratio_t) / z82       # positive iff value < z * market
-    wrap83_term_gap = (1.0 - ratio_t) / zeta83    # positive iff value > zeta * market
-    return {
-        "terminal_log_ratio": term,
-        "fraction": float(np.mean(term < 0.0)),
-        "slack": -term,
+    under_gap = (1.0 - ratio_t) / z82       # positive iff value < z * market
+    out_gap = (1.0 - ratio_t) / zeta83      # positive iff value > zeta * market
+    metrics = {
         "p": float(p),
         "p_threshold": float(p_star),
         "beta": beta,
-        "eta_model": float(eps * delta**2 * horizon),
-        "eta_needed": float(eta_needed),
-        "tau_integral": tau_int,
+        "horizon": horizon,
+        "fraction_under": float(np.mean(term < 0.0)),
+        "worst_terminal_log_ratio": float(term.max()),
+        "worst_ceiling_gap": float(ceil_gap_max.max()),
         "tau_integral_min": float(tau_int.min()),
+        "eta_needed": eta_needed,
+        "eta_model": float(eps * delta**2 * horizon),
         "hypothesis_fraction": float(
             np.mean((tau_int >= eta_needed) & (cols["base_term_ratio"] <= 1.0 / beta + 1e-12))
         ),
-        "ceiling_gap_max": ceil_gap_max,
-        "worst_ceiling_gap": float(ceil_gap_max.max()),
-        "master_residual_max": float(np.abs(cols["master_residual"]).max()),
-        "wrap82_weight_margin_min": float(cols["wrap82_margin"].min()),
-        "wrap83_weight_margin_min": float(cols["wrap83_margin"].min()),
-        "wrap82_capital": float(z82),
-        "wrap83_capital": float(zeta83),
-        "wrap82_term_gap": wrap82_term_gap,
-        "wrap83_term_gap": wrap83_term_gap,
-        "wrap82_fraction": float(np.mean(wrap82_term_gap > 0.0)),
-        "wrap83_fraction": float(np.mean(wrap83_term_gap > 0.0)),
-        "capped_steps": int(cols["capped_steps"].sum()),
+        "underperformer_capital": float(z82),
+        "outperformer_capital": float(zeta83),
+        "underperformer_fraction": float(np.mean(under_gap > 0.0)),
+        "outperformer_fraction": float(np.mean(out_gap > 0.0)),
+        "underperformer_weight_margin_min": float(cols["wrap82_margin"].min()),
+        "outperformer_weight_margin_min": float(cols["wrap83_margin"].min()),
     }
+    m = metrics
+    residual = float(np.abs(cols["master_residual"]).max())
+    # the running ceiling is exact in continuous time; on the grid it may
+    # overshoot by the scheme's per-path discrepancy scaled by the exponent
+    ceiling_budget = 3.0 * m["p"] * residual
+    checks = [
+        Check("mirror finishes behind the market on every path",
+              m["fraction_under"] == 1.0, f"fraction={m['fraction_under']:g}", 0.0),
+        Check("accumulated relative variance clears the threshold on every path",
+              m["tau_integral_min"] >= eta_needed,
+              f"min={m['tau_integral_min']:.6g} needed={eta_needed:.6g}", 0.0),
+        Check("running log wealth ratio stays under the ceiling",
+              m["worst_ceiling_gap"] <= ceiling_budget,
+              f"worst_gap={m['worst_ceiling_gap']:.6g} master_residual={residual:.6g}",
+              ceiling_budget),
+        Check("drowned mirror stays all-long", m["underperformer_weight_margin_min"] >= 0.0,
+              f"margin={m['underperformer_weight_margin_min']:.6g}", 0.0),
+        Check("shorted mirror wrap stays all-long", m["outperformer_weight_margin_min"] >= 0.0,
+              f"margin={m['outperformer_weight_margin_min']:.6g}", 0.0),
+        Check("drowned mirror underperforms scaled market on every path",
+              m["underperformer_fraction"] == 1.0,
+              f"fraction={m['underperformer_fraction']:g}", 0.0),
+        Check("shorted mirror outperforms scaled market on every path",
+              m["outperformer_fraction"] == 1.0,
+              f"fraction={m['outperformer_fraction']:g}", 0.0),
+    ]
+    per_path = {
+        "path_id": np.arange(factors.n_paths),
+        "terminal_log_ratio": term,
+        "ceiling_gap_max": ceil_gap_max,
+        "tau_integral": tau_int,
+        "under_gap": under_gap,
+        "out_gap": out_gap,
+    }
+    info = {"capped_steps": int(cols["capped_steps"].sum())}
+    return metrics, info, checks, {"per_path": per_path}
 
 
 # ---------------------------------------------------------------------------
 # instantaneous dominance
 # ---------------------------------------------------------------------------
 
-def dominance_study(model, factors: _paths.FactorPaths) -> dict:
+def _dominance_terms(model, factors: _paths.FactorPaths) -> dict:
     """All-in on the runaway stock until it gives back half its head start.
 
     On each path the strategy holds only the second stock throughout the
@@ -377,7 +441,9 @@ def dominance_study(model, factors: _paths.FactorPaths) -> dict:
     and zero at once, and those vanish under refinement.  Both stocks start
     equal, so the strategy is ahead at every positive grid time exactly
     when the lead is positive at every grid time up to the handback;
-    afterwards the wealth ratio is frozen.
+    afterwards the wealth ratio is frozen.  Returns per path the lowest
+    lead up to the handback, the handback and exit indices, and the
+    confinement breaches after the exit.
     """
     if model.kind != "dominance":
         raise InvalidArgumentError("dominance study needs the dominance model")
@@ -406,15 +472,44 @@ def dominance_study(model, factors: _paths.FactorPaths) -> dict:
         }
 
     cols = _markets.run_batches(model, factors, per_batch, 512)
-    min_lead = cols["min_lead"]
     return {
-        "n_paths": factors.n_paths,
-        "fraction": float(np.mean(min_lead > 0.0)),
-        "min_lead": min_lead,
-        "worst_lead": float(min_lead.min()),
-        "switch_index": cols["switch_index"],
-        "switch_found_fraction": float(np.mean(cols["switch_index"] < k_steps)),
-        "exit_index": cols["exit_index"],
+        **cols,
+        "fraction": float(np.mean(cols["min_lead"] > 0.0)),
         "confinement_breaches": int(cols["breaches"].sum()),
-        "capped_steps": int(cols["capped_steps"].sum()),
     }
+
+
+def dominance_study(model, factors: _paths.FactorPaths, min_fraction: float):
+    """The early-lead strategy of ``_dominance_terms`` on ``factors`` and on
+    the same paths coarsened by two: the strategy must lead on at least
+    ``min_fraction`` of the paths, and neither its leading fraction nor the
+    confinement breaches may get worse under refinement."""
+    fine, coarse = (_dominance_terms(model, f) for f in (factors, factors.coarsened(2)))
+    k_steps = factors.grid.n_steps
+    fraction, breaches = fine["fraction"], fine["confinement_breaches"]
+    metrics = {
+        "fraction": fraction,
+        "worst_lead": float(fine["min_lead"].min()),
+        "switch_found_fraction": float(np.mean(fine["switch_index"] < k_steps)),
+        "confinement_breaches": breaches,
+        "capped_steps": int(fine["capped_steps"].sum()),
+        "n_steps": k_steps,
+        "min_fraction": min_fraction,
+    }
+    checks = [
+        Check("second stock leads at every grid time until the handback",
+              fraction >= min_fraction, f"fraction={fraction:g} floor={min_fraction:g}",
+              1.0 - min_fraction),
+        Check("the leading fraction does not fall under refinement",
+              fraction >= coarse["fraction"], f"fine={fraction:g} coarse={coarse['fraction']:g}",
+              0.0),
+        Check("confinement breaches do not grow under refinement",
+              breaches <= coarse["confinement_breaches"],
+              f"fine={breaches} coarse={coarse['confinement_breaches']}", 0.0),
+    ]
+    per_path = {
+        "path_id": np.arange(factors.n_paths),
+        **{key: fine[key] for key in ("min_lead", "switch_index", "exit_index")},
+        "dominated": fine["min_lead"] > 0.0,
+    }
+    return metrics, {}, checks, {"per_path": per_path}

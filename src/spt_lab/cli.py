@@ -8,11 +8,17 @@ Configs are INI-style text with five sections::
     [mc]            path count and master seed
     [output]        directory and which optional files to write
 
+Every experiment is one function ``f(model, factors, **extras)`` that
+returns ``(metrics, info, checks, tables)`` under the report's names: its
+study in ``arbitrage`` or ``hedging``, or, for the four experiments that
+reduce the batches themselves, a function here.  ``extras`` are the
+experiment's parsed ``[experiment]`` keys.  Each claim an experiment makes
+is checked in its function, once, as a ``Check`` with its budget.
+
 Every run writes ``summary.txt`` and ``summary.json`` (config echo,
 results, assertion lines with their budgets, provenance) and
-``metrics.csv`` (the numeric payload, 17 significant digits).  Each claim
-an experiment makes about its output is checked here, once, as a
-``Check``.  Identical configs reproduce the CSV files byte for byte.
+``metrics.csv`` (the numeric payload, 17 significant digits).  Identical
+configs reproduce the CSV files byte for byte.
 Exit codes: 0 success, 2 invalid config, 3 numeric failure, 4 an
 experiment assertion failed.
 """
@@ -29,12 +35,11 @@ import os
 import re
 import sys
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
 from . import __version__
-from ._kernels import _max_last, _sum_last
+from ._kernels import _max_last, constant_growth
 from . import arbitrage as _arbitrage
 from . import diversity as _diversity
 from . import hedging as _hedging
@@ -42,6 +47,7 @@ from . import markets as _markets
 from . import paths as _paths
 from . import portfolios as _portfolios
 from . import ranks as _ranks
+from .checks import Check
 from .errors import (
     ConfigError,
     IntegrationFailureError,
@@ -64,7 +70,7 @@ _FALSE = {"0", "false", "no", "off"}
 class ExperimentConfig:
     name: str
     model: _markets.MarketModel
-    grid: _paths.PathGrid | None
+    grid: _paths.PathGrid
     n_paths: int
     master_seed: int
     out_dir: str
@@ -310,9 +316,11 @@ def _parse_extras(p: _Parse, name: str, model) -> dict:
     elif name == "instantaneous-dominance":
         ex["min_fraction"] = p.num("experiment", "min_fraction", default=0.99,
                                    lo=0.0, hi=1.0)
-    if model is not None and "index" in ex and ex["index"] is not None:
-        if ex["index"] >= model.n:
-            p.err(f"experiment.index: {ex['index']} is out of range for {model.n} stocks")
+    for key in ("index", "control_i", "control_j"):
+        if model is not None and ex.get(key) is not None and ex[key] >= model.n:
+            p.err(f"experiment.{key}: {ex[key]} is out of range for {model.n} stocks")
+    if name == "parity-gap" and ex["control_i"] is not None and ex["control_i"] == ex["control_j"]:
+        p.err("experiment.control_j: must differ from control_i")
     return ex
 
 
@@ -377,7 +385,7 @@ def parse_config(path: str, paths=None, seed=None, steps=None, out=None) -> Expe
 
     model = _build_model(p, name, horizon) if name is not None else None
 
-    grid = None
+    grid = None  # set below, or by call-decay's ladder once its horizons are read
     if name == "call-decay":
         if steps_per_unit is None:
             p.err("grid.steps_per_unit is required for call-decay")
@@ -416,11 +424,12 @@ def parse_config(path: str, paths=None, seed=None, steps=None, out=None) -> Expe
 
     extras = _parse_extras(p, name, model) if name is not None else {}
     if name == "call-decay":
-        extras["steps_per_unit"] = steps_per_unit
+        # one uniform grid out to the ladder's longest rung
         hz = extras["horizons"]
         if steps_per_unit is not None and hz is not None and all(t > 0 for t in hz):
             try:
-                _hedging.ladder_steps(hz, steps_per_unit)
+                k_max = max(_hedging.ladder_steps(hz, steps_per_unit))
+                grid = _paths.make_grid(k_max / steps_per_unit, k_max)
             except InvalidArgumentError as exc:
                 p.err(f"experiment.horizons: {exc}")
     _check_model_fits(p, name, model, grid)
@@ -448,21 +457,8 @@ def parse_config(path: str, paths=None, seed=None, steps=None, out=None) -> Expe
 
 
 # ---------------------------------------------------------------------------
-# experiment runners
+# experiments
 # ---------------------------------------------------------------------------
-
-class Check(NamedTuple):
-    """One verdict on a claim.  ``budget`` is the slack the verdict allows,
-    in the units of the quantity it compares: 0.0 for exact comparisons,
-    3 standard errors for Monte Carlo ones, the scheme's discretization
-    budget for pathwise ones, and the largest of these where it compares
-    several quantities."""
-
-    label: str
-    passed: bool
-    detail: str
-    budget: float
-
 
 @dataclass
 class ExperimentReport:
@@ -488,8 +484,8 @@ def _numbered(prefix: str, matrix) -> dict:
     return {f"{prefix}{i + 1}": matrix[:, i] for i in range(matrix.shape[1])}
 
 
-def _run_simulate(cfg):
-    model = cfg.model
+def _simulate(model, factors):
+    n_paths, grid = factors.n_paths, factors.grid
 
     def per_batch(lo, hi, lx, aux):
         mu = _portfolios.market_weights(lx)
@@ -503,34 +499,35 @@ def _run_simulate(cfg):
             "trigger": aux.get("trigger_time", np.full(hi - lo, np.nan)),
         }
 
-    cols = _markets.run_batches(model, _factors(cfg), per_batch, 256)
+    cols = _markets.run_batches(model, factors, per_batch, 256)
     trigger = cols["trigger"]
     metrics = {
-        "n_paths": cfg.n_paths,
-        "n_steps": cfg.grid.n_steps,
-        "horizon": cfg.grid.horizon,
-        "mean_terminal_top": float(_max_last(cols["term_mu"]).sum() / cfg.n_paths),
+        "n_paths": n_paths,
+        "n_steps": grid.n_steps,
+        "horizon": grid.horizon,
+        "mean_terminal_top": float(_max_last(cols["term_mu"]).sum() / n_paths),
         "max_top_observed": float(cols["max_top"].max()),
         "capped_step_total": int(cols["capped_steps"].sum()),
     }
     if np.isfinite(trigger).any():
         hit = trigger[np.isfinite(trigger)]
-        metrics["trigger_fraction"] = float(hit.size / cfg.n_paths)
+        metrics["trigger_fraction"] = float(hit.size / n_paths)
         metrics["trigger_time_mean"] = float(hit.mean())
 
-    tables = {"per_path": {
-        "path_id": np.arange(cfg.n_paths),
-        **_numbered("log_x", cols["term_lx"]),
-        **_numbered("mu", cols["term_mu"]),
-        "max_top": cols["max_top"],
-        "capped_steps": cols["capped_steps"],
-    }}
-    if cfg.series:
-        tables["series"] = {
-            "t": cfg.grid.times,
-            **_numbered("mean_mu", cols["wsum"].sum(axis=0) / cfg.n_paths),
-            "mean_top": cols["topsum"].sum(axis=0) / cfg.n_paths,
-        }
+    tables = {
+        "per_path": {
+            "path_id": np.arange(n_paths),
+            **_numbered("log_x", cols["term_lx"]),
+            **_numbered("mu", cols["term_mu"]),
+            "max_top": cols["max_top"],
+            "capped_steps": cols["capped_steps"],
+        },
+        "series": {
+            "t": grid.times,
+            **_numbered("mean_mu", cols["wsum"].sum(axis=0) / n_paths),
+            "mean_top": cols["topsum"].sum(axis=0) / n_paths,
+        },
+    }
     return metrics, {}, [], tables
 
 
@@ -538,11 +535,8 @@ _DIVERSITY_COLUMNS = ("max_top", "avg_top", "tail_top", "delta_max", "delta_avg"
                       "is_diverse", "is_weakly_diverse")
 
 
-def _run_diversity_report(cfg):
-    model = cfg.model
-    delta = cfg.extras["delta"]
-    tail_fraction = cfg.extras["tail_fraction"]
-    times = cfg.grid.times
+def _diversity_report(model, factors, delta, tail_fraction):
+    times = factors.grid.times
     barrier = model.kind == "diverse"
 
     def per_batch(lo, hi, lx, aux):
@@ -554,7 +548,7 @@ def _run_diversity_report(cfg):
             out.update({key: [value] for key, value in drift.items()})
         return out
 
-    cols = _markets.run_batches(model, _factors(cfg), per_batch, 256)
+    cols = _markets.run_batches(model, factors, per_batch, 256)
     metrics = {
         "delta": delta,
         "tail_fraction": tail_fraction,
@@ -564,159 +558,23 @@ def _run_diversity_report(cfg):
         "min_delta_avg": float(cols["delta_avg"].min()),
         "worst_tail_top": float(cols["tail_top"].max()),
     }
-    assertions = []
+    checks = []
     if barrier:
         violations = int(cols["violations"].sum())
-        assertions.append(Check(
+        checks.append(Check(
             "drift repels the leader wherever the top weight nears the barrier",
             violations == 0,
             f"checked={int(cols['checked'].sum())} violations={violations} "
             f"worst_slack={float(cols['worst_slack'].min()):.6g}", 0.0,
         ))
-    per_path = {"path_id": np.arange(cfg.n_paths),
+    per_path = {"path_id": np.arange(factors.n_paths),
                 **{key: cols[key] for key in _DIVERSITY_COLUMNS}}
     info = {"capped_steps": int(cols["capped_steps"].sum())}
-    return metrics, info, assertions, {"per_path": per_path}
+    return metrics, info, checks, {"per_path": per_path}
 
 
-def _run_arbitrage_45(cfg):
-    model = cfg.model
-    p = cfg.extras["p"]
-    factors = _factors(cfg)
-    delta = model.params.get("delta")
-    res = _arbitrage.outperformance_study(model, factors, p, delta=delta)
-    tstar = _arbitrage.threshold_horizon(model.n, p, model.vol.eps, delta) \
-        if delta is not None else None
-    metrics = {
-        "p": p,
-        "horizon": cfg.grid.horizon,
-        "fraction": res["fraction"],
-        "min_slack": res["min_slack"],
-        "weight_order_violations": res["weight_order_violations"],
-        "delta_avg_min": float(res["delta_avg"].min()),
-        "delta_max_min": float(res["delta_max"].min()),
-    }
-    if tstar is not None:
-        metrics["threshold_horizon"] = tstar
-    if res["fixed_slack"] is not None:
-        metrics["min_fixed_slack"] = float(res["fixed_slack"].min())
-    assertions = [
-        Check("market outperformed on every path", res["fraction"] == 1.0,
-              f"fraction={res['fraction']:g}", 0.0),
-        Check("pathwise lower bound respected", res["min_slack"] > 0.0,
-              f"min_slack={res['min_slack']:.6g}", 0.0),
-        # each weight comparison allows 1e-12 of rounding
-        Check("reweighting never flips the weight order",
-              res["weight_order_violations"] == 0,
-              f"violations={res['weight_order_violations']}", 1e-12),
-    ]
-    per_path = {
-        "path_id": np.arange(cfg.n_paths),
-        "terminal_log_ratio": res["terminal_log_ratio"],
-        "a5_slack": res["slack"],
-        "delta_avg": res["delta_avg"],
-        "delta_max": res["delta_max"],
-    }
-    info = {"capped_steps": res["capped_steps"]}
-    return metrics, info, assertions, {"per_path": per_path}
-
-
-def _run_mirror_81(cfg):
-    res = _arbitrage.mirror_study(
-        cfg.model, _factors(cfg), p=cfg.extras["p"], margin=cfg.extras["margin"])
-    fraction = res["fraction"]
-    # the running ceiling is exact in continuous time; on the grid it may
-    # overshoot by the scheme's per-path discrepancy scaled by the exponent
-    ceiling_budget = 3.0 * res["p"] * res["master_residual_max"]
-    checks = [
-        Check("mirror finishes behind the market on every path",
-              fraction == 1.0, f"fraction={fraction:g}", 0.0),
-        Check("accumulated relative variance clears the threshold on every path",
-              res["tau_integral_min"] >= res["eta_needed"],
-              f"min={res['tau_integral_min']:.6g} needed={res['eta_needed']:.6g}", 0.0),
-        Check("running log wealth ratio stays under the ceiling",
-              res["worst_ceiling_gap"] <= ceiling_budget,
-              f"worst_gap={res['worst_ceiling_gap']:.6g} "
-              f"master_residual={res['master_residual_max']:.6g}", ceiling_budget),
-        Check("drowned mirror stays all-long",
-              res["wrap82_weight_margin_min"] >= 0.0,
-              f"margin={res['wrap82_weight_margin_min']:.6g}", 0.0),
-        Check("shorted mirror wrap stays all-long",
-              res["wrap83_weight_margin_min"] >= 0.0,
-              f"margin={res['wrap83_weight_margin_min']:.6g}", 0.0),
-        Check("drowned mirror underperforms scaled market on every path",
-              res["wrap82_fraction"] == 1.0, f"fraction={res['wrap82_fraction']:g}", 0.0),
-        Check("shorted mirror outperforms scaled market on every path",
-              res["wrap83_fraction"] == 1.0, f"fraction={res['wrap83_fraction']:g}", 0.0),
-    ]
-    metrics = {
-        "p": res["p"],
-        "p_threshold": res["p_threshold"],
-        "beta": res["beta"],
-        "horizon": cfg.grid.horizon,
-        "fraction_under": fraction,
-        "worst_terminal_log_ratio": float(res["terminal_log_ratio"].max()),
-        "worst_ceiling_gap": res["worst_ceiling_gap"],
-        "tau_integral_min": res["tau_integral_min"],
-        "eta_needed": res["eta_needed"],
-        "eta_model": res["eta_model"],
-        "hypothesis_fraction": res["hypothesis_fraction"],
-        "underperformer_capital": res["wrap82_capital"],
-        "outperformer_capital": res["wrap83_capital"],
-        "underperformer_fraction": res["wrap82_fraction"],
-        "outperformer_fraction": res["wrap83_fraction"],
-        "underperformer_weight_margin_min": res["wrap82_weight_margin_min"],
-        "outperformer_weight_margin_min": res["wrap83_weight_margin_min"],
-    }
-    per_path = {
-        "path_id": np.arange(cfg.n_paths),
-        "terminal_log_ratio": res["terminal_log_ratio"],
-        "ceiling_gap_max": res["ceiling_gap_max"],
-        "tau_integral": res["tau_integral"],
-        "under_gap": res["wrap82_term_gap"],
-        "out_gap": res["wrap83_term_gap"],
-    }
-    return metrics, {"capped_steps": res["capped_steps"]}, checks, {"per_path": per_path}
-
-
-def _run_master_formula(cfg):
-    p = cfg.extras["p"]
-    refine = cfg.extras["refine"]
-    res = _arbitrage.master_formula_order_study(cfg.model, _factors(cfg), p, refine)
-    rf, rc = res["fine"], res["coarse"]
-    metrics = {
-        "p": p,
-        "dt_fine": cfg.grid.dt,
-        "dt_coarse": cfg.grid.dt * refine,
-        "mean_abs_residual_fine": rf["mean_abs_residual"],
-        "mean_abs_residual_coarse": rc["mean_abs_residual"],
-        "max_abs_residual_fine": rf["max_abs_residual"],
-        "max_abs_residual_coarse": rc["max_abs_residual"],
-        "ratio": res["ratio"],
-        "order": res["order"],
-        "max_abs_residual_model_cov_fine": rf["max_abs_residual_model_cov"],
-        "floor_margin_min": rf["floor_margin_min"],
-    }
-    # the identity is exact in continuous time and its scheme is first order
-    assertions = [
-        Check("residual shrinks at first order in the step", res["order"] >= 0.9,
-              f"order={res['order']:.6g} refine={refine}", 0.1),
-        Check("decomposition holds on every path within the scheme budget",
-              rf["max_abs_residual"] <= 1e-2,
-              f"max_residual={rf['max_abs_residual']:.6g} dt={cfg.grid.dt:.6g}", 1e-2),
-    ]
-    per_path = {
-        "path_id": np.arange(cfg.n_paths),
-        **{key: rf[key] for key in ("lhs", "rhs", "residual", "residual_model_cov")},
-    }
-    info = {"capped_steps": rf["capped_steps"], "capped_steps_coarse": rc["capped_steps"]}
-    return metrics, info, assertions, {"per_path": per_path}
-
-
-def _run_ranked_decomposition(cfg):
-    model = cfg.model
-    factors = _factors(cfg)
-    times = cfg.grid.times
+def _ranked_decomposition(model, factors):
+    times = factors.grid.times
 
     def per_batch(lo, hi, lx, aux):
         dv = _markets._vol_increments(model, factors.block(lo, hi))
@@ -736,231 +594,81 @@ def _run_ranked_decomposition(cfg):
         "mean_relative_model": float(rel_model.mean()),
         "mean_terminal_local_time_top_gap": float(lam_term[:, 0].mean()),
     }
-    tables = {"per_path": {
-        "path_id": np.arange(cfg.n_paths),
-        "relative_named": rel_named,
-        "relative_model": rel_model,
-        **_numbered("gap_local_time", lam_term),
-    }}
-    if cfg.series:
-        w = _portfolios.market_weights(_markets.simulate_block(model, factors, 0, 1)[0])
-        tables["series"] = {
+    # the series follows the first path alone
+    w = _portfolios.market_weights(_markets.simulate_block(model, factors, 0, 1)[0])
+    tables = {
+        "per_path": {
+            "path_id": np.arange(factors.n_paths),
+            "relative_named": rel_named,
+            "relative_model": rel_model,
+            **_numbered("gap_local_time", lam_term),
+        },
+        "series": {
             "t": times,
             **_numbered("ranked_w", _ranks.ranked_weight_path(w)[0][0]),
             **_numbered("gap_local_time", _ranks.adjacent_gap_local_times(w)[0]),
-        }
+        },
+    }
     return metrics, {"capped_steps": int(cols["capped_steps"].sum())}, [], tables
 
 
-def _run_local_time_oracle(cfg):
-    model = cfg.model
-    idx = cfg.extras["index"]
+def _local_time_oracle(model, factors, index):
+    horizon = factors.grid.horizon
 
     def per_batch(lo, hi, lx, aux):
-        y = lx[:, :, idx] - lx[:, :1, idx]
+        y = lx[:, :, index] - lx[:, :1, index]
         return {"lam": _ranks.estimate_local_time(y)[:, -1]}
 
-    cols = _markets.run_batches(model, _factors(cfg), per_batch, 1024)
+    cols = _markets.run_batches(model, factors, per_batch, 1024)
     lam = cols["lam"]
     mean, se = _hedging._compensated_mean_se(lam)
-    metrics = {
-        "mean_terminal_local_time": mean,
-        "se": se,
-        "horizon": cfg.grid.horizon,
-    }
-    assertions = []
+    metrics = {"mean_terminal_local_time": mean, "se": se, "horizon": horizon}
+    checks = []
     if model.kind == "constant":
-        a = model.vol.a
-        drift = model.params["b"][idx] - 0.5 * a[idx, idx]
-        if abs(drift) < 1e-12:
-            oracle = math.sqrt(a[idx, idx]) * math.sqrt(
-                2.0 * cfg.grid.horizon / math.pi)
+        if abs(constant_growth(model)[index]) < 1e-12:
+            oracle = math.sqrt(model.vol.a[index, index]) * math.sqrt(2.0 * horizon / math.pi)
             tol = max(3.0 * se, 0.02 * oracle)
             metrics["oracle"] = oracle
             metrics["abs_error"] = abs(mean - oracle)
             metrics["t_stat"] = (mean - oracle) / se if se > 0 else float("inf")
-            assertions.append(Check(
+            checks.append(Check(
                 "terminal local time matches the reflected-line mean",
                 abs(mean - oracle) <= tol,
                 f"mean={mean:.6g} oracle={oracle:.6g} tol={tol:.3g}", tol))
-    per_path = {"path_id": np.arange(cfg.n_paths), "terminal_local_time": lam}
+    per_path = {"path_id": np.arange(factors.n_paths), "terminal_local_time": lam}
     info = {"capped_steps": int(cols["capped_steps"].sum())}
-    return metrics, info, assertions, {"per_path": per_path}
+    return metrics, info, checks, {"per_path": per_path}
 
 
-def _run_hedge_price(cfg):
-    model = cfg.model
-    strike = cfg.extras["strike"]
-    idx = cfg.extras["index"]
-    factors = _factors(cfg)
-    claim = _hedging.call_claim(idx, strike)
-    res = _hedging.hedge_price(model, factors, claim)
-    metrics = {
-        "price": res["price"],
-        "se": res["se"],
-        "zero_fraction": res["zero_fraction"],
-        "strike": strike,
-        "spot": float(model.x0[idx]),
-        "horizon": cfg.grid.horizon,
-    }
-    vol = math.sqrt(model.vol.a[idx, idx])
-    ref = _hedging.call_price_closed_form(
-        float(model.x0[idx]), strike, model.r, vol, cfg.grid.horizon)
-    metrics["reference"] = ref
-    metrics["t_stat"] = (res["price"] - ref) / res["se"] if res["se"] > 0 else float("inf")
-    assertions = [Check(
-        "deflator price matches the closed form within 3 standard errors",
-        abs(res["price"] - ref) <= 3.0 * res["se"],
-        f"price={res['price']:.6g} ref={ref:.6g} se={res['se']:.3g}", 3.0 * res["se"],
-    )]
-    return metrics, {"claim": res["claim"]}, assertions, {}
-
-
-def _run_call_decay(cfg):
-    model = cfg.model
-    ex = cfg.extras
-    spu = ex["steps_per_unit"]
-    res = _hedging.call_decay_study(
-        model, ex["strike"], ex["horizons"], spu, cfg.n_paths, cfg.master_seed,
-        p_bound=ex["p_bound"], index=ex["index"],
-    )
-    rows = res["rows"]
-    spot = res["spot"]
-    metrics = {
-        "strike": res["strike"],
-        "spot": spot,
-        "p_bound": ex["p_bound"],
-        "n_horizons": len(rows),
-        "first_price": rows[0]["price"],
-        "last_price": rows[-1]["price"],
-    }
-    env_budget = [3.0 * r["stock_se"] for r in rows]
-    mono_budget = [3.0 * math.hypot(a["se"], b["se"]) for a, b in zip(rows, rows[1:])]
-    assertions = [
-        Check("hedge price sits under the spot at every horizon",
-              all(r["price"] < spot for r in rows),
-              f"max_price={max(r['price'] for r in rows):.6g} spot={spot:g}", 0.0),
-        Check("deflated stock price stays under the decay envelope",
-              all(r["stock_price"] <= r["envelope"] + b for r, b in zip(rows, env_budget)),
-              "", max(env_budget)),
-        Check("hedge price decays along the horizon ladder",
-              all(b["price"] <= a["price"] + m for a, b, m in zip(rows, rows[1:], mono_budget)),
-              "", max(mono_budget, default=0.0)),
-    ]
-
-    def column(key):
-        return np.array([r[key] for r in rows])
-
-    ladder = {"T": column("horizon")}
-    envelope = {"envelope": column("envelope")}
-    tables = {
-        "table": {**ladder, "h_hat": column("price"), "stderr": column("se"), **envelope},
-        "stock": {**ladder, "deflated_stock": column("stock_price"),
-                  "stderr": column("stock_se"), **envelope},
-    }
-    info = {
-        "knocked_out": [r["knocked_out"] for r in rows],
-        "monitoring_pair": [[r["price"], r["price_2dt"]] for r in rows],
-    }
-    return metrics, info, assertions, tables
-
-
-def _run_parity_gap(cfg):
-    model = cfg.model
-    p = cfg.extras["p"]
-    if p is None:
-        p = cfg.extras["margin"] * _arbitrage.mirror_exponent(
-            model.vol.eps, model.params["delta"], cfg.grid.horizon,
-            float(_max_last(model.x0 / _sum_last(model.x0))),
-        )
-    wit = _hedging.parity_witness_study(model, p, cfg.grid.horizon, cfg.grid.n_steps,
-                                        cfg.n_paths, cfg.master_seed)
-    control_model = _markets.constant_market(
-        b=np.asarray(model.params["g"], dtype=float) + 0.5 * np.diag(model.vol.a),
-        sigma=model.vol.sigma, x0=model.x0, r=model.r)
-    ctl = _hedging.parity_control_study(
-        control_model, _factors(cfg), cfg.extras["control_i"], cfg.extras["control_j"])
-    metrics = {
-        "p": float(p),
-        "h1": wit["h1"], "h1_se": wit["h1_se"],
-        "h2": wit["h2"], "h2_se": wit["h2_se"],
-        "gap": wit["gap"], "gap_se": wit["gap_se"],
-        "t_stat": wit["t_stat"],
-        "control_gap": ctl["gap"], "control_gap_se": ctl["gap_se"],
-        "control_expected": ctl["expected"], "control_t_stat": ctl["t_stat"],
-    }
-    assertions = [
-        Check("two equal-start assets price apart by at least 3 standard errors",
-              wit["gap"] > 3.0 * wit["gap_se"],
-              f"gap={wit['gap']:.6g} se={wit['gap_se']:.3g}", 3.0 * wit["gap_se"]),
-        Check("plain stock pair prices at its initial difference",
-              abs(ctl["t_stat"]) <= 3.0, f"t={ctl['t_stat']:.3g}", 3.0 * ctl["gap_se"]),
-        Check("deflated market and mirror wealth stay within 3 standard errors of their start",
-              wit["h1"] <= 1.0 + 3.0 * wit["h1_se"] and wit["h2"] <= 1.0 + 3.0 * wit["h2_se"],
-              f"h1={wit['h1']:.6g} se={wit['h1_se']:.3g} "
-              f"h2={wit['h2']:.6g} se={wit['h2_se']:.3g}",
-              3.0 * max(wit["h1_se"], wit["h2_se"])),
-    ]
-    info = {
-        "knocked_out": wit["knocked_out"],
-        "monitoring_pair": [wit["h1"], wit["h1_2dt"]],
-    }
-    return metrics, info, assertions, {}
-
-
-def _run_instantaneous_dominance(cfg):
-    model = cfg.model
-    factors = _factors(cfg)
-    res, coarse = (_arbitrage.dominance_study(model, f)
-                   for f in (factors, factors.coarsened(2)))
-    metrics = {
-        "fraction": res["fraction"],
-        "worst_lead": res["worst_lead"],
-        "switch_found_fraction": res["switch_found_fraction"],
-        "confinement_breaches": res["confinement_breaches"],
-        "capped_steps": res["capped_steps"],
-        "n_steps": cfg.grid.n_steps,
-        "min_fraction": cfg.extras["min_fraction"],
-    }
-    assertions = [
-        Check("second stock leads at every grid time until the handback",
-              res["fraction"] >= cfg.extras["min_fraction"],
-              f"fraction={res['fraction']:g} floor={cfg.extras['min_fraction']:g}",
-              1.0 - cfg.extras["min_fraction"]),
-        Check("the leading fraction does not fall under refinement",
-              res["fraction"] >= coarse["fraction"],
-              f"fine={res['fraction']:g} coarse={coarse['fraction']:g}", 0.0),
-        Check("confinement breaches do not grow under refinement",
-              res["confinement_breaches"] <= coarse["confinement_breaches"],
-              f"fine={res['confinement_breaches']} coarse={coarse['confinement_breaches']}", 0.0),
-    ]
-    per_path = {
-        "path_id": np.arange(cfg.n_paths),
-        **{key: res[key] for key in ("min_lead", "switch_index", "exit_index")},
-        "dominated": res["min_lead"] > 0.0,
-    }
-    return metrics, {}, assertions, {"per_path": per_path}
-
-
-_RUNNERS = {
-    "simulate": _run_simulate,
-    "diversity-report": _run_diversity_report,
-    "arbitrage-45": _run_arbitrage_45,
-    "mirror-81": _run_mirror_81,
-    "master-formula": _run_master_formula,
-    "ranked-decomposition": _run_ranked_decomposition,
-    "local-time-oracle": _run_local_time_oracle,
-    "hedge-price": _run_hedge_price,
-    "call-decay": _run_call_decay,
-    "parity-gap": _run_parity_gap,
-    "instantaneous-dominance": _run_instantaneous_dominance,
+# experiment name -> (module, function).  The function is looked up on its
+# module each time an experiment runs, so one replaced there (to trace it,
+# say) is the one that runs.
+_EXPERIMENTS = {
+    "simulate": (sys.modules[__name__], "_simulate"),
+    "diversity-report": (sys.modules[__name__], "_diversity_report"),
+    "arbitrage-45": (_arbitrage, "outperformance_study"),
+    "mirror-81": (_arbitrage, "mirror_study"),
+    "master-formula": (_arbitrage, "master_formula_order_study"),
+    "ranked-decomposition": (sys.modules[__name__], "_ranked_decomposition"),
+    "local-time-oracle": (sys.modules[__name__], "_local_time_oracle"),
+    "hedge-price": (_hedging, "hedge_price"),
+    "call-decay": (_hedging, "call_decay_study"),
+    "parity-gap": (_hedging, "parity_gap_study"),
+    "instantaneous-dominance": (_arbitrage, "dominance_study"),
 }
-EXPERIMENTS = tuple(_RUNNERS)
+EXPERIMENTS = tuple(_EXPERIMENTS)
+
+
+def experiment(name: str):
+    """The function that runs experiment ``name``."""
+    module, attr = _EXPERIMENTS[name]
+    return getattr(module, attr)
 
 
 def run(cfg: ExperimentConfig) -> ExperimentReport:
-    """Dispatch a validated config to its experiment and collect the report."""
-    metrics, info, assertions, tables = _RUNNERS[cfg.name](cfg)
+    """Run a validated config's experiment and collect the report."""
+    metrics, info, assertions, tables = experiment(cfg.name)(
+        cfg.model, _factors(cfg), **cfg.extras)
     provenance = {
         "artifact": f"spt-lab {__version__}",
         "master_seed": cfg.master_seed,

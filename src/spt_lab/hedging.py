@@ -4,7 +4,7 @@ Every deflated price is taken with one of two estimators, each where it
 is exact.
 
 Where the market price of risk theta is constant (the ``constant`` kind:
-``hedge_price`` and ``parity_control_study``) the deflator
+``hedge_price`` and the control of ``parity_gap_study``) the deflator
 L = exp(-int theta' dW - int |theta|^2 dt / 2) is read off the terminal
 log prices.  With beta = b - r, u = a^{-1} beta and growth rates
 gamma = b - diag(a)/2, the log prices move by gamma dt + sigma dW, so
@@ -16,7 +16,7 @@ telescopes.  Its step factors have conditional mean one, so E[L(T)] = 1
 on every grid, as it should be where theta is bounded.
 
 In the barrier-repelled market (the ``diverse`` kind: ``call_decay_study``
-and ``parity_witness_study``) prices are taken under the Foellmer measure
+and the witness of ``parity_gap_study``) prices are taken under the Foellmer measure
 Q (Foellmer 1972; Ruf 2013, "Hedging under arbitrage").  The deflator is a
 strict local martingale there, with E[L(T)] < 1, and for a payoff Y of
 the path up to T
@@ -36,50 +36,32 @@ path), and no bridge correction is made.
 
 Monte Carlo reductions collect one value per path and reduce once with
 compensated (exact) summation, so results are independent of batch size.
+Each study is one experiment: ``study(model, factors, **extras)`` returns
+``(metrics, info, checks, tables)`` under the report's names.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._kernels import _max_last, _sum_last
+from ._kernels import _max_last, _sum_last, constant_growth
+from .checks import Check
 from .errors import InvalidArgumentError, NumericFailureError
+from . import arbitrage as _arbitrage
 from . import markets as _markets
 from . import paths as _paths
 from . import portfolios as _portfolios
 
 __all__ = [
-    "Claim",
-    "call_claim",
     "market_price_of_risk",
     "hedge_price",
     "ladder_steps",
     "call_decay_study",
     "decay_envelope",
-    "parity_witness_study",
-    "parity_control_study",
+    "parity_gap_study",
 ]
-
-
-@dataclass(frozen=True)
-class Claim:
-    """Nonnegative payoff functional of the terminal market state."""
-
-    descriptor: str
-    payoff: object = field(repr=False)  # callable (lx_block, times, aux) -> (B,)
-
-
-def call_claim(index: int, strike: float) -> Claim:
-    if strike < 0:
-        raise InvalidArgumentError("strike must be nonnegative")
-
-    def payoff(lx, times, aux):
-        return np.maximum(np.exp(lx[:, -1, index]) - strike, 0.0)
-
-    return Claim(f"call(stock={index}, strike={strike:g})", payoff)
 
 
 def market_price_of_risk(model, log_prices: np.ndarray, times, aux=None) -> np.ndarray:
@@ -104,7 +86,7 @@ def _constant_log_deflator(model, horizon: float):
             f"the closed-form deflator needs a constant market, not {model.kind!r}")
     beta = model.params["b"] - model.r
     u = np.linalg.solve(model.vol.a, beta)
-    growth = model.params["b"] - 0.5 * np.diag(model.vol.a)
+    growth = constant_growth(model)
 
     def log_deflator(lx):
         logl = -(lx[:, -1] - lx[:, 0] - growth * horizon) @ u - 0.5 * (u @ beta) * horizon
@@ -150,29 +132,47 @@ def call_price_closed_form(
     return spot * _normal_cdf(d1) - strike * math.exp(-rate * horizon) * _normal_cdf(d2)
 
 
-def hedge_price(model, factors: _paths.FactorPaths, claim: Claim) -> dict:
-    """Monte Carlo estimate of E[Y * L(T) / B(T)] with its standard error,
-    for a constant-coefficient ``model``: L(T) in closed form."""
-    times = factors.grid.times
+def _deflated_payoffs(model, factors: _paths.FactorPaths, payoff) -> np.ndarray:
+    """Per path, Y L(T) / B(T) for the payoff Y = ``payoff(log_prices)`` of
+    a batch's log prices (B, K+1, n), in a constant-coefficient ``model``:
+    L(T) in closed form.  Their mean is Y's deflated price."""
     horizon = factors.grid.horizon
     bank = math.exp(model.r * horizon)
     log_deflator = _constant_log_deflator(model, horizon)
 
     def per_batch(lo, hi, lx, aux):
-        y = np.asarray(claim.payoff(lx, times, aux), dtype=float)
-        if y.min() < 0:
-            raise InvalidArgumentError("claim payoff must be nonnegative")
-        return {"vals": y * np.exp(log_deflator(lx)) / bank}
+        return {"vals": payoff(lx) * np.exp(log_deflator(lx)) / bank}
 
-    vals = _markets.run_batches(model, factors, per_batch, 1024)["vals"]
-    mean, se = _compensated_mean_se(vals)
-    return {
-        "price": mean,
+    return _markets.run_batches(model, factors, per_batch, 1024)["vals"]
+
+
+def hedge_price(model, factors: _paths.FactorPaths, strike: float, index: int):
+    """Monte Carlo price E[(X_T - K)^+ L(T) / B(T)] of a call on stock
+    ``index`` with its standard error, for a constant-coefficient
+    ``model``, checked against the lognormal closed form."""
+    spot = float(model.x0[index])
+    horizon = factors.grid.horizon
+    vals = _deflated_payoffs(
+        model, factors, lambda lx: np.maximum(np.exp(lx[:, -1, index]) - strike, 0.0))
+    price, se = _compensated_mean_se(vals)
+    ref = call_price_closed_form(spot, strike, model.r, math.sqrt(model.vol.a[index, index]),
+                                 horizon)
+    metrics = {
+        "price": price,
         "se": se,
-        "claim": claim.descriptor,
-        "n_paths": factors.n_paths,
         "zero_fraction": float(np.mean(vals == 0.0)),
+        "strike": strike,
+        "spot": spot,
+        "horizon": horizon,
+        "reference": ref,
+        "t_stat": (price - ref) / se if se > 0 else float("inf"),
     }
+    checks = [Check(
+        "deflator price matches the closed form within 3 standard errors",
+        abs(price - ref) <= 3.0 * se,
+        f"price={price:.6g} ref={ref:.6g} se={se:.3g}", 3.0 * se,
+    )]
+    return metrics, {"claim": f"call(stock={index}, strike={strike:g})"}, checks, {}
 
 
 # ---------------------------------------------------------------------------
@@ -189,24 +189,22 @@ _SLICE_STEPS = 256
 _KNOCK_OUT_BYTES = 64 << 20
 
 
-def _foellmer_knock_out(model, horizon, n_steps, rungs, n_paths, master_seed,
-                        read, batch_size):
-    """One simulation of ``model``'s market under the Foellmer measure,
-    read at the grid indices ``rungs``.
+def _foellmer_knock_out(model, factors: _paths.FactorPaths, rungs, read, batch_size):
+    """One simulation of ``model``'s market under the Foellmer measure on
+    ``factors``, read at the grid indices ``rungs``.
 
     Under Q every stock is a GBM with rate of return r.  Returns per path:
-    ``x``, what ``read`` takes from the batch's log prices (B, n_steps + 1,
-    n), and per rung ``alive`` / ``alive_2dt``, whether the top weight
-    stayed under 1 - delta at every grid point up to the rung, monitored at
-    every point and at every other point.
+    ``x``, what ``read`` takes from the batch's log prices (B, K+1, n), and
+    per rung ``alive`` / ``alive_2dt``, whether the top weight stayed under
+    1 - delta at every grid point up to the rung, monitored at every point
+    and at every other point.
     """
     if model.kind != "diverse":
         raise InvalidArgumentError(
             "the Foellmer knock-out is defined for the diverse market kind, "
             f"not {model.kind!r}")
     q = _markets.constant_market(b=model.r, sigma=model.vol.sigma, x0=model.x0, r=model.r)
-    factors = _paths.generate_factors(_paths.make_grid(horizon, n_steps), q.m,
-                                      n_paths, master_seed)
+    n_steps = factors.grid.n_steps
     level = 1.0 - model.params["delta"]
     rungs = np.asarray(rungs)
 
@@ -242,7 +240,7 @@ def decay_envelope(
     )
 
 
-def ladder_steps(horizons, steps_per_unit: int) -> list:
+def ladder_steps(horizons, steps_per_unit) -> list:
     """Grid index k = steps_per_unit * T of each horizon T on the ladder's
     one grid; every horizon must be positive and land on a grid point."""
     if len(horizons) == 0:
@@ -253,40 +251,37 @@ def ladder_steps(horizons, steps_per_unit: int) -> list:
         if not (t > 0 and math.isclose(k, round(k), rel_tol=1e-9, abs_tol=0.0)):
             raise InvalidArgumentError(
                 f"horizon {t:g} is not a whole number of steps at "
-                f"{steps_per_unit} steps per unit time")
+                f"{steps_per_unit:g} steps per unit time")
         steps.append(int(round(k)))
     return steps
 
 
-def call_decay_study(
-    model,
-    strike: float,
-    horizons,
-    steps_per_unit: int,
-    n_paths: int,
-    master_seed: int,
-    p_bound: float,
-    index: int,
-) -> dict:
+def call_decay_study(model, factors: _paths.FactorPaths, strike: float, horizons,
+                     p_bound: float, index: int):
     """Deflated call prices across a horizon ladder, plus the stock bound.
 
     Every rung T is read off one knock-out simulation under the Foellmer
-    measure, run to the longest horizon:
+    measure on ``factors``, whose uniform grid must hold every horizon:
     h(T) = e^{-rT} E_Q[(X_T - K)^+ ; tau > T] and the deflated stock price
     s(T) = e^{-rT} E_Q[X_T ; tau > T], so the rungs share their paths and the
-    monotonicity comparison is paired.  Each row also gives the analytic
+    monotonicity comparison is paired.  Each rung also gives the analytic
     envelope s(T) must stay under in a weakly diverse elliptic market, the
     paths knocked out by T, monitored at every grid point and at every
     other one, and the call price monitored on every other grid point.
     """
     if model.r <= 0:
         raise InvalidArgumentError("the decay study needs a positive interest rate")
-    rungs = ladder_steps(horizons, steps_per_unit)
-    k_max = max(rungs)
-    out = _foellmer_knock_out(model, k_max / steps_per_unit, k_max, rungs, n_paths,
-                              master_seed, lambda lx: np.exp(lx[:, rungs, index]), 1024)
+    grid = factors.grid
+    rungs = ladder_steps(horizons, 1.0 / grid.dt)
+    if max(rungs) > grid.n_steps:
+        raise InvalidArgumentError(
+            f"horizon {max(horizons):g} lies past the grid's horizon {grid.horizon:g}")
+    out = _foellmer_knock_out(model, factors, rungs,
+                              lambda lx: np.exp(lx[:, rungs, index]), 1024)
+    n_paths = factors.n_paths
     delta, eps = model.params["delta"], model.vol.eps
     total0 = float(_sum_last(model.x0))
+    spot = float(model.x0[index])
     rows = []
     for j, t in enumerate(horizons):
         t = float(t)
@@ -295,98 +290,138 @@ def call_decay_study(
         call = np.maximum(x - strike, 0.0) * discount
         h, h_se = _compensated_mean_se(call * out["alive"][:, j])
         s, s_se = _compensated_mean_se(x * discount * out["alive"][:, j])
-        rows.append(
-            {
-                "horizon": t,
-                "price": h,
-                "se": h_se,
-                "stock_price": s,
-                "stock_se": s_se,
-                "envelope": decay_envelope(total0, model.n, p_bound, eps, delta, t),
-                "knocked_out": int(n_paths - np.count_nonzero(out["alive"][:, j])),
-                "knocked_out_2dt": int(n_paths - np.count_nonzero(out["alive_2dt"][:, j])),
-                "price_2dt": _compensated_mean_se(call * out["alive_2dt"][:, j])[0],
-            }
-        )
-    return {"strike": strike, "spot": float(model.x0[index]), "rows": rows}
+        rows.append({
+            "T": t,
+            "price": h,
+            "se": h_se,
+            "stock_price": s,
+            "stock_se": s_se,
+            "envelope": decay_envelope(total0, model.n, p_bound, eps, delta, t),
+            "knocked_out": int(n_paths - np.count_nonzero(out["alive"][:, j])),
+            "knocked_out_2dt": int(n_paths - np.count_nonzero(out["alive_2dt"][:, j])),
+            "price_2dt": _compensated_mean_se(call * out["alive_2dt"][:, j])[0],
+        })
+
+    metrics = {
+        "strike": strike,
+        "spot": spot,
+        "p_bound": p_bound,
+        "n_horizons": len(rows),
+        "first_price": rows[0]["price"],
+        "last_price": rows[-1]["price"],
+    }
+    env_budget = [3.0 * r["stock_se"] for r in rows]
+    mono_budget = [3.0 * math.hypot(a["se"], b["se"]) for a, b in zip(rows, rows[1:])]
+    checks = [
+        Check("hedge price sits under the spot at every horizon",
+              all(r["price"] < spot for r in rows),
+              f"max_price={max(r['price'] for r in rows):.6g} spot={spot:g}", 0.0),
+        Check("deflated stock price stays under the decay envelope",
+              all(r["stock_price"] <= r["envelope"] + b for r, b in zip(rows, env_budget)),
+              "", max(env_budget)),
+        Check("hedge price decays along the horizon ladder",
+              all(b["price"] <= a["price"] + m for a, b, m in zip(rows, rows[1:], mono_budget)),
+              "", max(mono_budget, default=0.0)),
+    ]
+
+    def column(key):
+        return np.array([r[key] for r in rows])
+
+    def table(**named):
+        return {"T": column("T"), **{name: column(key) for name, key in named.items()},
+                "envelope": column("envelope")}
+
+    tables = {
+        "table": table(h_hat="price", stderr="se"),
+        "stock": table(deflated_stock="stock_price", stderr="stock_se"),
+    }
+    info = {
+        "knocked_out": [r["knocked_out"] for r in rows],
+        "knocked_out_2dt": [r["knocked_out_2dt"] for r in rows],
+        "monitoring_pair": [[r["price"], r["price_2dt"]] for r in rows],
+    }
+    return metrics, info, checks, tables
 
 
 # ---------------------------------------------------------------------------
 # put-call parity gap
 # ---------------------------------------------------------------------------
 
-def parity_witness_study(
-    model,
-    p: float,
-    horizon: float,
-    n_steps: int,
-    n_paths: int,
-    master_seed: int,
-) -> dict:
-    """Deflated prices of two assets that start equal yet price apart.
+def parity_gap_study(model, factors: _paths.FactorPaths, p: float | None, margin: float,
+                     control_i: int, control_j: int):
+    """Deflated prices of two assets that start equal yet price apart, and
+    of a plain stock pair that prices at its initial difference.
 
-    Asset one is the market portfolio's value, asset two the value of the
-    short-the-market mirror of the first stock with exponent p; both start
-    at one unit of capital, so any gap in their deflated prices breaks the
-    parity that would tie the two jointly european claims together.  Both
-    are read off one knock-out pass under the Foellmer measure (r = 0):
+    Witness: asset one is the market portfolio's value, asset two the value
+    of the short-the-market mirror of the first stock with exponent p (p
+    None takes ``margin`` times the mirror's threshold); both start at one
+    unit of capital, so any gap in their deflated prices breaks the parity
+    that would tie the two jointly european claims together.  Both are read
+    off one knock-out pass under the Foellmer measure (r = 0):
     h1 = E_Q[Z_mu(T) ; tau > T] and h2 = E_Q[Z_pi(T) ; tau > T], the
     mirror's value being a functional of the Q path.  The gap is estimated
     pathwise (paired), which removes most of the variance.  Also reports
     the paths knocked out and h1 monitored on every other grid point.
+
+    Control: stocks ``control_i`` and ``control_j`` of the constant market
+    with the same dispersion and growth rates g, where the market price of
+    risk is constant, so their paired deflated gap must match the initial
+    difference within Monte Carlo error.  The control draws the same paths
+    again.
     """
     if model.r != 0.0:
         raise InvalidArgumentError("the parity witness assumes a zero interest rate")
-    times = _paths.make_grid(horizon, n_steps).times
+    grid = factors.grid
+    if p is None:
+        p = margin * _arbitrage.mirror_exponent(
+            model.vol.eps, model.params["delta"], grid.horizon,
+            float(_max_last(model.x0 / _sum_last(model.x0))))
     e1 = np.zeros(model.n)
     e1[0] = 1.0
 
     def read(lx):
         zmu = _portfolios.market_value(lx, 1.0)[:, -1]
         what = _portfolios.mirror_weights(e1, _portfolios.market_weights(lx), p)
-        rel = _portfolios.relative_log_value(what, lx, times, model.vol.a)[:, -1]
+        rel = _portfolios.relative_log_value(what, lx, grid.times, model.vol.a)[:, -1]
         return np.stack([zmu, zmu * np.exp(rel)], axis=1)
 
-    out = _foellmer_knock_out(model, horizon, n_steps, [n_steps], n_paths, master_seed,
-                              read, 128)
+    out = _foellmer_knock_out(model, factors, [grid.n_steps], read, 128)
     h1_vals, h2_vals = (out["x"][:, q] * out["alive"][:, 0] for q in (0, 1))
     h1, h1_se = _compensated_mean_se(h1_vals)
     h2, h2_se = _compensated_mean_se(h2_vals)
     gap, gap_se = _compensated_mean_se(h1_vals - h2_vals)
-    return {
-        "h1": h1,
-        "h1_se": h1_se,
-        "h2": h2,
-        "h2_se": h2_se,
-        "gap": gap,
-        "gap_se": gap_se,
-        "initial_difference": 0.0,
+    h1_2dt = _compensated_mean_se(out["x"][:, 0] * out["alive_2dt"][:, 0])[0]
+
+    control = _markets.constant_market(
+        b=np.asarray(model.params["g"], dtype=float) + 0.5 * np.diag(model.vol.a),
+        sigma=model.vol.sigma, x0=model.x0, r=model.r)
+    diff = _deflated_payoffs(
+        control, factors, lambda lx: np.exp(lx[:, -1, control_i]) - np.exp(lx[:, -1, control_j]))
+    c_gap, c_se = _compensated_mean_se(diff)
+    expected = float(model.x0[control_i] - model.x0[control_j])
+    c_t = (c_gap - expected) / c_se if c_se > 0 else float("inf")
+
+    metrics = {
+        "p": float(p),
+        "h1": h1, "h1_se": h1_se,
+        "h2": h2, "h2_se": h2_se,
+        "gap": gap, "gap_se": gap_se,
         "t_stat": gap / gap_se if gap_se > 0 else float("inf"),
-        "knocked_out": int(n_paths - np.count_nonzero(out["alive"][:, 0])),
-        "h1_2dt": _compensated_mean_se(out["x"][:, 0] * out["alive_2dt"][:, 0])[0],
+        "control_gap": c_gap, "control_gap_se": c_se,
+        "control_expected": expected, "control_t_stat": c_t,
     }
-
-
-def parity_control_study(model, factors: _paths.FactorPaths, i: int, j: int) -> dict:
-    """Two plain stocks of a constant-coefficient market, where the market
-    price of risk is constant: their deflated discounted prices must sit at
-    the initial prices, so the paired gap matches the initial difference
-    within Monte Carlo error."""
-    horizon = factors.grid.horizon
-    bank = math.exp(model.r * horizon)
-    log_deflator = _constant_log_deflator(model, horizon)
-
-    def per_batch(lo, hi, lx, aux):
-        diff = np.exp(lx[:, -1, i]) - np.exp(lx[:, -1, j])
-        return {"vals": diff * np.exp(log_deflator(lx)) / bank}
-
-    vals = _markets.run_batches(model, factors, per_batch, 1024)["vals"]
-    gap, gap_se = _compensated_mean_se(vals)
-    expected = float(model.x0[i] - model.x0[j])
-    return {
-        "gap": gap,
-        "gap_se": gap_se,
-        "expected": expected,
-        "t_stat": (gap - expected) / gap_se if gap_se > 0 else float("inf"),
+    checks = [
+        Check("two equal-start assets price apart by at least 3 standard errors",
+              gap > 3.0 * gap_se, f"gap={gap:.6g} se={gap_se:.3g}", 3.0 * gap_se),
+        Check("plain stock pair prices at its initial difference",
+              abs(c_t) <= 3.0, f"t={c_t:.3g}", 3.0 * c_se),
+        Check("deflated market and mirror wealth stay within 3 standard errors of their start",
+              h1 <= 1.0 + 3.0 * h1_se and h2 <= 1.0 + 3.0 * h2_se,
+              f"h1={h1:.6g} se={h1_se:.3g} h2={h2:.6g} se={h2_se:.3g}",
+              3.0 * max(h1_se, h2_se)),
+    ]
+    info = {
+        "knocked_out": int(factors.n_paths - np.count_nonzero(out["alive"][:, 0])),
+        "monitoring_pair": [h1, h1_2dt],
     }
-
+    return metrics, info, checks, {}

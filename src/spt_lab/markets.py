@@ -324,13 +324,10 @@ def simulate_block(model: MarketModel, factors: FactorPaths, lo: int, hi: int):
         raise InvalidArgumentError(
             f"factors carry {factors.m} factors but the model needs {model.m}"
         )
-    kernel = None
-    if model.kind != "constant":
-        kernel = _kernels.active_kernels().get(model.kind)
-        if kernel is None:
-            raise InvalidModelError(f"unknown model kind {model.kind!r}")
+    kernel = _kernels.active_kernels().get(model.kind)
+    if kernel is None:
+        raise InvalidModelError(f"unknown model kind {model.kind!r}")
     grid = factors.grid
-    dt = grid.step_sizes
     logx0 = np.log(model.x0)
     logx = np.empty((hi - lo, grid.n_steps + 1, model.n))
     dv = logx[:, 1:]
@@ -340,14 +337,7 @@ def simulate_block(model: MarketModel, factors: FactorPaths, lo: int, hi: int):
         _vol_increments(model, factors.block(s, e), out=dv[s - lo:e - lo])
     # row 0 last, so the draws, not this strided write, first touch the pages
     logx[:, 0] = logx0
-    if kernel is None:
-        growth = model.params["b"] - 0.5 * np.diag(model.vol.a)
-        dv += growth[None, :] * dt[:, None]
-        np.cumsum(dv, axis=1, out=dv)
-        dv += logx0
-        aux = {"capped_steps": np.zeros(hi - lo, np.int64)}
-    else:
-        aux = kernel(logx0, dv, dt, grid.times, model)
+    aux = kernel(logx0, dv, grid.step_sizes, grid.times, model)
 
     if not np.isfinite(logx).all():
         bad = np.argwhere(~np.isfinite(logx))
@@ -410,7 +400,7 @@ def growth_rates_along(model: MarketModel, log_prices: np.ndarray, times: np.nda
     lx = np.asarray(log_prices, dtype=float)
     t = np.asarray(times, dtype=float)[None, :]
     if model.kind == "constant":
-        g = np.broadcast_to(model.params["b"] - 0.5 * np.diag(model.vol.a), lx.shape).copy()
+        g = np.broadcast_to(_kernels.constant_growth(model), lx.shape).copy()
     elif model.kind == "diverse":
         g = _kernels.leader_repulsion(model)(lx)
     elif model.kind == "ou_pair":

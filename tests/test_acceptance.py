@@ -8,11 +8,12 @@ frozen here as literals; nothing below fits a constant to the output it
 is checking.
 
 A criterion that checks the claim of a shipped preset in ``configs/``
-(02, 04, 05, 08, 10 and 11) runs that preset through ``cli.run``, with
+(02, 04, 05, 08, 09, 10 and 11) runs that preset through ``cli.run``, with
 its path count, master seed and step count pinned here, and passes when
 every check of the report passes; each check states its own budget.
 Such a criterion adds only what the preset does not check: the frozen
-oracle (08), or that the preset's horizon is past the threshold (04).
+oracle (08), that the preset's horizon is past the threshold (04), or the
+deflator deficit and an independent knock-out reference (09, 10).
 """
 
 import math
@@ -21,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from spt_lab import cli, hedging, markets, paths, portfolios, ranks
+from spt_lab import cli, markets, paths, portfolios, ranks
 from helpers import knock_out_ladder, random_covariance, random_simplex
 
 CRITERION_LINES = []
@@ -285,48 +286,39 @@ def test_criterion_08_hedge_price_matches_closed_form():
 # ---------------------------------------------------------------------------
 
 def test_criterion_09_deflator_deficit_and_call_decay():
-    horizons = (5, 10, 20, 40, 80)
     n_paths = 5_000
-    priced = markets.diverse_market(sigma=0.25 * np.eye(3), g=np.zeros(3),
-                                    delta=0.3, x0=(1.0, 1.0, 1.0), r=0.03)
-    dec = hedging.call_decay_study(priced, strike=1.0, horizons=horizons,
-                                   steps_per_unit=100, n_paths=n_paths, master_seed=77,
-                                   p_bound=0.5, index=0)
-    rows = dec["rows"]
+    report = _run_preset("call_decay", paths=n_paths, seed=77, steps=100)
+    info, call, stock = report.info, report.tables["table"], report.tables["stock"]
+    horizons = call["T"].tolist()
     # deficit 1 - E_P[L(T)] = 1 - Q(tau > T) at T = 20, monitored at dt and at
     # 2 dt, with the Bernoulli standard error of the knocked-out share
-    fine, coarse = ({"deficit": rows[2][key] / n_paths} for key in ("knocked_out",
-                                                                    "knocked_out_2dt"))
+    j20 = horizons.index(20.0)
+    fine, coarse = ({"deficit": info[key][j20] / n_paths}
+                    for key in ("knocked_out", "knocked_out_2dt"))
     for d in (fine, coarse):
         d["se"] = math.sqrt(d["deficit"] * (1.0 - d["deficit"]) / n_paths)
         d["t_stat"] = d["deficit"] / d["se"] if d["se"] > 0 else float("inf")
     ok_deficit = (fine["deficit"] > 0 and coarse["deficit"] > 0
                   and fine["t_stat"] >= 3.0 and coarse["t_stat"] >= 2.0)
-    spot = dec["spot"]
-    below = all(r["price"] < spot for r in rows)
-    mono = all(rows[i + 1]["price"] <= rows[i]["price"]
-               + 3.0 * math.hypot(rows[i]["se"], rows[i + 1]["se"])
-               for i in range(len(rows) - 1))
-    envel = all(r["stock_price"] <= r["envelope"] + 3.0 * r["stock_se"] for r in rows)
     # each rung against an independent knock-out simulated at dt / 2: within
     # 4 combined se plus the monitoring budget, since the error of monitoring
     # at dt shrinks like sqrt(dt), |value at dt - value at dt/2| / (1 - 1/sqrt 2)
-    ref, ref_se = knock_out_ladder(horizons, 100, priced.x0, priced.vol.sigma, 0.3,
+    ref, ref_se = knock_out_ladder(horizons, 100, (1.0, 1.0, 1.0), 0.25 * np.eye(3), 0.3,
                                    0.03, 1.0, 0, 4_000, seed=2008)
     budget = np.abs(ref[0] - ref[1]) / (1.0 - math.sqrt(0.5))
     worst = max(
-        abs(est - ref[0, j, q]) / (4.0 * math.hypot(se, ref_se[0, j, q]) + budget[j, q])
-        for j, r in enumerate(rows)
-        for q, (est, se) in enumerate(((r["price"], r["se"]),
-                                       (r["stock_price"], r["stock_se"]))))
-    ok = ok_deficit and below and mono and envel and worst <= 1.0
+        abs(est[j] - ref[0, j, q]) / (4.0 * math.hypot(se[j], ref_se[0, j, q]) + budget[j, q])
+        for j in range(len(horizons))
+        for q, (est, se) in enumerate(((call["h_hat"], call["stderr"]),
+                                       (stock["deflated_stock"], stock["stderr"]))))
+    ok = ok_deficit and not report.failed and worst <= 1.0
     assert _record(
         9, "deflator deficit and call-price decay", ok,
         f"deficit {fine['deficit']:.3f} +- {fine['se']:.4f} (t {fine['t_stat']:.1f}, "
         f"need >= 3) / coarse t {coarse['t_stat']:.1f} (need >= 2); prices "
-        f"{rows[0]['price']:.3f}..{rows[-1]['price']:.1e} below spot {below}, "
-        f"monotone {mono}, envelope {envel}, worst miss of the reference "
-        f"{worst:.2f} of its budget (need <= 1)")
+        f"{call['h_hat'][0]:.3f}..{call['h_hat'][-1]:.1e} below spot, monotone and "
+        f"under the envelope; worst miss of the reference {worst:.2f} of its budget "
+        f"(need <= 1)" + _failed(report))
 
 
 # ---------------------------------------------------------------------------

@@ -81,13 +81,15 @@ def test_master_decomposition_first_order_in_the_step():
     model = markets.constant_market(b=[0.04, 0.0], sigma=0.3 * np.eye(2) + 0.05,
                                     x0=[1.0, 1.2])
     fine = paths.generate_factors(paths.make_grid(1.0, 400), 2, 256, master_seed=71)
-    out = arbitrage.master_formula_order_study(model, fine, 0.5, refine=2)
-    residual_fine = out["fine"]["mean_abs_residual"]
-    residual_coarse = out["coarse"]["mean_abs_residual"]
-    assert out["fine"]["lhs"].shape == out["coarse"]["lhs"].shape == (256,)
+    metrics, info, _, tables = arbitrage.master_formula_order_study(model, fine, 0.5, refine=2)
+    residual_fine = metrics["mean_abs_residual_fine"]
+    residual_coarse = metrics["mean_abs_residual_coarse"]
+    coarse = arbitrage.master_formula_check(model, fine.coarsened(2), 0.5)
+    assert coarse["mean_abs_residual"] == residual_coarse
+    assert tables["per_path"]["lhs"].shape == coarse["lhs"].shape == (256,)
     assert residual_fine < residual_coarse
-    assert out["ratio"] == residual_coarse / residual_fine
-    assert out["order"] >= 0.7
+    assert metrics["ratio"] == residual_coarse / residual_fine
+    assert metrics["order"] >= 0.7
 
 
 # ---------------------------------------------------------------------------
@@ -99,13 +101,15 @@ def test_outperformance_beyond_threshold():
     horizon = 10.0  # threshold at delta = 0.3 is about 9.24
     grid = paths.make_grid(horizon, 2_000)
     f = paths.generate_factors(grid, 2, 64, master_seed=41)
-    out = arbitrage.outperformance_study(model, f, 0.5)
-    assert out["slack"].shape == (64,)
-    assert out["fraction"] == 1.0
-    assert np.all(out["terminal_log_ratio"] > 0.0)
-    assert out["min_slack"] == pytest.approx(out["slack"].min())
-    assert out["weight_order_violations"] == 0
-    assert np.all(out["delta_max"] <= out["delta_avg"] + 1e-15)
+    metrics, _, checks, tables = arbitrage.outperformance_study(model, f, 0.5)
+    per_path = tables["per_path"]
+    assert per_path["a5_slack"].shape == (64,)
+    assert metrics["fraction"] == 1.0
+    assert np.all(per_path["terminal_log_ratio"] > 0.0)
+    assert metrics["min_slack"] == pytest.approx(per_path["a5_slack"].min())
+    assert metrics["weight_order_violations"] == 0
+    assert np.all(per_path["delta_max"] <= per_path["delta_avg"] + 1e-15)
+    assert all(c.passed for c in checks)
 
 
 @pytest.mark.parametrize("grid", [
@@ -146,7 +150,7 @@ def test_outperformance_slack_grows_with_horizon():
     for t in (10.0, 12.0, 14.0):
         grid = paths.make_grid(t, int(round(100 * t)))
         factors = paths.generate_factors(grid, model.m, 32, master_seed=5)
-        slacks.append(arbitrage.outperformance_study(model, factors, 0.5)["min_slack"])
+        slacks.append(arbitrage.outperformance_study(model, factors, 0.5)[0]["min_slack"])
     assert len(slacks) == 3
     assert slacks == sorted(slacks)
     assert slacks[0] > 0.0
@@ -160,17 +164,17 @@ def test_mirror_underperforms_with_enough_leverage():
     model = _diverse_pair(delta=0.3)
     grid = paths.make_grid(6.0, 1_200)
     f = paths.generate_factors(grid, 2, 64, master_seed=19)
-    out = arbitrage.mirror_study(model, f, None, 1.1)
-    assert out["p"] == pytest.approx(1.1 * out["p_threshold"])
-    assert out["fraction"] == 1.0
-    assert np.all(out["terminal_log_ratio"] < 0.0)
+    m, _, _, tables = arbitrage.mirror_study(model, f, None, 1.1)
+    assert m["p"] == pytest.approx(1.1 * m["p_threshold"])
+    assert m["fraction_under"] == 1.0
+    assert np.all(tables["per_path"]["terminal_log_ratio"] < 0.0)
     # the wraps stay fully invested on the long side
-    assert out["wrap82_weight_margin_min"] >= -1e-12
-    assert out["wrap83_weight_margin_min"] >= -1e-12
-    assert out["wrap82_fraction"] == 1.0
-    assert out["wrap83_fraction"] == 1.0
-    assert 0.0 <= out["hypothesis_fraction"] <= 1.0
-    assert out["tau_integral_min"] >= 0.0
+    assert m["underperformer_weight_margin_min"] >= -1e-12
+    assert m["outperformer_weight_margin_min"] >= -1e-12
+    assert m["underperformer_fraction"] == 1.0
+    assert m["outperformer_fraction"] == 1.0
+    assert 0.0 <= m["hypothesis_fraction"] <= 1.0
+    assert m["tau_integral_min"] >= 0.0
 
 
 def test_mirror_wrap_starting_capitals():
@@ -178,9 +182,9 @@ def test_mirror_wrap_starting_capitals():
     model = _diverse_pair(delta=0.3)
     grid = paths.make_grid(1.0, 100)
     f = paths.generate_factors(grid, 2, 16, master_seed=3)
-    out = arbitrage.mirror_study(model, f, p=3.0, margin=1.1)
-    assert out["wrap82_capital"] == pytest.approx(17.0, rel=1e-12)
-    assert out["wrap83_capital"] == pytest.approx(23.0, rel=1e-12)
+    metrics = arbitrage.mirror_study(model, f, p=3.0, margin=1.1)[0]
+    assert metrics["underperformer_capital"] == pytest.approx(17.0, rel=1e-12)
+    assert metrics["outperformer_capital"] == pytest.approx(23.0, rel=1e-12)
 
 
 def test_mirror_study_rejects_other_models():
@@ -199,26 +203,29 @@ def test_dominance_holds_at_every_grid_time():
     model = markets.instantaneous_dominance_market(alpha=0.25)
     grid = paths.geometric_grid(1.0, 1_024, 1e-8)
     f = paths.generate_factors(grid, 2, 128, master_seed=67)
-    out = arbitrage.dominance_study(model, f)
-    assert out["n_paths"] == 128
-    assert out["fraction"] == 1.0
-    assert out["worst_lead"] == pytest.approx(out["min_lead"].min())
-    assert out["worst_lead"] > 0.0
-    assert np.all(out["switch_index"] >= 1)
-    assert 0.0 <= out["switch_found_fraction"] <= 1.0
-    assert out["confinement_breaches"] >= 0
-    assert np.all(out["exit_index"] >= -1)
+    m, _, _, tables = arbitrage.dominance_study(model, f, 0.99)
+    per_path = tables["per_path"]
+    assert per_path["path_id"].tolist() == list(range(128))
+    assert m["fraction"] == 1.0
+    assert m["worst_lead"] == pytest.approx(per_path["min_lead"].min())
+    assert m["worst_lead"] > 0.0
+    assert np.all(per_path["switch_index"] >= 1)
+    assert 0.0 <= m["switch_found_fraction"] <= 1.0
+    assert m["confinement_breaches"] >= 0
+    assert np.all(per_path["exit_index"] >= -1)
 
 
 def test_dominance_survives_refinement():
     model = markets.instantaneous_dominance_market(alpha=0.25)
     fine = paths.generate_factors(paths.geometric_grid(1.0, 1_024, 1e-8), model.m,
                                   128, master_seed=67)
-    res, coarse = (arbitrage.dominance_study(model, f) for f in (fine, fine.coarsened(2)))
-    assert res["fraction"] >= coarse["fraction"]
-    assert res["fraction"] == 1.0
-    assert res["worst_lead"] > 0.0
-    assert 0 <= res["confinement_breaches"] <= coarse["confinement_breaches"]
+    metrics, _, checks, _ = arbitrage.dominance_study(model, fine, 0.99)
+    by_label = {c.label: c for c in checks}
+    assert by_label["the leading fraction does not fall under refinement"].passed
+    assert metrics["fraction"] == 1.0
+    assert metrics["worst_lead"] > 0.0
+    assert metrics["confinement_breaches"] >= 0
+    assert by_label["confinement breaches do not grow under refinement"].passed
 
 
 def test_dominance_study_rejects_other_models():
@@ -226,4 +233,4 @@ def test_dominance_study_rejects_other_models():
     grid = paths.geometric_grid(1.0, 64, 1e-6)
     f = paths.generate_factors(grid, 2, 2, master_seed=0)
     with pytest.raises(InvalidArgumentError):
-        arbitrage.dominance_study(model, f)
+        arbitrage.dominance_study(model, f, 0.99)

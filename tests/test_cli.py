@@ -1,5 +1,6 @@
 """Config parsing, experiment runs, output files, and exit codes."""
 
+import inspect
 import json
 import os
 import subprocess
@@ -246,12 +247,13 @@ def test_reruns_and_worker_counts_are_byte_identical(tmp_path, monkeypatch):
     # its 1,500 steps in several time chunks
     model = markets.diverse_market(np.eye(3), g=0.0, delta=0.3, x0=[1.0, 1.0, 1.0])
     factors = paths.generate_factors(paths.make_grid(15.0, 1500), 3, 20, master_seed=5)
-    one = arbitrage.outperformance_study(model, factors, 0.5, delta=0.3)
+    one = arbitrage.outperformance_study(model, factors, 0.5)
     force_batch_size(monkeypatch, 7)
-    three = arbitrage.outperformance_study(model, factors, 0.5, delta=0.3)
-    for key in ("terminal_log_ratio", "slack", "delta_avg", "delta_max", "fixed_slack",
-                "min_slack", "weight_order_violations", "capped_steps"):
-        np.testing.assert_array_equal(one[key], three[key], err_msg=key)
+    three = arbitrage.outperformance_study(model, factors, 0.5)
+    assert one[0] == three[0]      # metrics, min_slack and min_fixed_slack among them
+    assert one[1] == three[1]      # capped_steps
+    for key, column in one[3]["per_path"].items():
+        np.testing.assert_array_equal(column, three[3]["per_path"][key], err_msg=key)
 
 
 # What each preset reports at 8 paths and 20 steps, by name: its metrics in
@@ -266,7 +268,7 @@ _SCHEMA = {
         {"per_path": "path_id terminal_log_ratio a5_slack delta_avg delta_max"}),
     "call_decay.ini": (
         "strike spot p_bound n_horizons first_price last_price",
-        "knocked_out monitoring_pair",
+        "knocked_out knocked_out_2dt monitoring_pair",
         ["hedge price sits under the spot at every horizon",
          "deflated stock price stays under the decay envelope",
          "hedge price decays along the horizon ladder"],
@@ -466,11 +468,13 @@ def test_call_decay_table_schema(tmp_path):
     stock = (out / "stock.csv").read_text().splitlines()
     assert stock[0] == "T,deflated_stock,stderr,envelope"
     # knocked-out paths and the call price monitored at dt and at 2 dt, per
-    # rung, outside the CSVs
+    # rung, outside the CSVs; monitoring every other point knocks out fewer
     info = json.loads((out / "summary.json").read_text())["info"]
-    assert set(info) == {"knocked_out", "monitoring_pair"}
-    assert len(info["knocked_out"]) == 2
+    assert set(info) == {"knocked_out", "knocked_out_2dt", "monitoring_pair"}
+    assert len(info["knocked_out"]) == len(info["knocked_out_2dt"]) == 2
     assert all(isinstance(k, int) and 0 <= k <= 200 for k in info["knocked_out"])
+    assert all(isinstance(k2, int) and 0 <= k2 <= k
+               for k, k2 in zip(info["knocked_out"], info["knocked_out_2dt"]))
     h_hat = [float(line.split(",")[1]) for line in table[1:]]
     assert [pair[0] for pair in info["monitoring_pair"]] == h_hat
     summary = (out / "summary.txt").read_text()
@@ -731,6 +735,40 @@ def test_experiments_without_a_study_record_capped_steps(tmp_path, name):
     assert "capped" not in (out / "metrics.csv").read_text()
 
 
+def _parity_gap_with(tmp_path, old, new):
+    text = (_PRESETS / "parity_gap.ini").read_text()
+    assert old in text
+    return _write(tmp_path, text.replace(old, new), name="gap.ini")
+
+
+@pytest.mark.parametrize("control, message", [
+    ("control_j = 7", "experiment.control_j: 7 is out of range for 3 stocks"),
+    ("control_j = 0", "experiment.control_j: must differ from control_i"),
+])
+def test_parity_gap_rejects_bad_control_indices(tmp_path, capsys, control, message):
+    """A control stock outside the market, or a pair of one stock, is a
+    config error rather than an index error or a gap of 0 with t = inf."""
+    cfg = _parity_gap_with(tmp_path, "control_j = 1", control)
+    with pytest.raises(ConfigError) as exc:
+        cli.parse_config(cfg)
+    assert exc.value.messages == [message]
+    capsys.readouterr()
+    assert cli.main(["run", cfg, "--paths", "4", "--out", str(tmp_path / "o")]) == 2
+    assert f"config error: {message}" in capsys.readouterr().err
+
+
+def test_each_experiment_reads_exactly_its_parsed_keys():
+    """Every experiment's function takes the model, the factors and, by
+    name, the extras that parse_config reads for it from its preset: no key
+    is parsed and never read, and no parameter is left unparsed."""
+    parsed = {cfg.name: cfg for cfg in map(cli.parse_config, map(str, _PRESETS.glob("*.ini")))}
+    assert sorted(parsed) == sorted(cli.EXPERIMENTS)
+    for name, cfg in parsed.items():
+        params = list(inspect.signature(cli.experiment(name)).parameters)
+        assert params[:2] == ["model", "factors"], name
+        assert sorted(params[2:]) == sorted(cfg.extras), name
+
+
 def test_call_decay_steps_override_goes_to_steps_per_unit(tmp_path):
     cfg = _write(tmp_path, f"""\
         [experiment]
@@ -756,7 +794,7 @@ def test_call_decay_steps_override_goes_to_steps_per_unit(tmp_path):
         directory = {tmp_path / "x"}
         """, name="decay.ini")
     parsed = cli.parse_config(cfg, steps=5)
-    assert parsed.extras["steps_per_unit"] == 5
+    assert (parsed.grid.n_steps, parsed.grid.horizon) == (5, 1.0)
 
 
 def test_cli_import_leaves_scipy_unloaded():

@@ -35,7 +35,14 @@ def test_price_of_risk_vanishes_when_returns_match_the_rate():
     np.testing.assert_allclose(theta, 0.0, atol=1e-14)
 
 
-_UNIT = hedging.Claim("one", lambda lx, times, aux: np.ones(lx.shape[0]))
+def _price(model, factors, payoff):
+    """Deflated price and standard error of ``payoff(log_prices)``, with the
+    deflator in closed form."""
+    return hedging._compensated_mean_se(hedging._deflated_payoffs(model, factors, payoff))
+
+
+def _unit(lx):
+    return np.ones(lx.shape[0])
 
 
 def test_deflator_is_one_without_risk_premium():
@@ -43,8 +50,7 @@ def test_deflator_is_one_without_risk_premium():
                                     x0=[1.0, 1.0])
     grid = paths.make_grid(1.0, 32)
     f = paths.generate_factors(grid, 2, 64, master_seed=1)
-    out = hedging.hedge_price(model, f, _UNIT)
-    assert (out["price"], out["se"]) == (1.0, 0.0)
+    assert _price(model, f, _unit) == (1.0, 0.0)
 
 
 def test_deflator_mean_is_one_for_constant_risk_premium(monkeypatch):
@@ -53,8 +59,8 @@ def test_deflator_mean_is_one_for_constant_risk_premium(monkeypatch):
     grid = paths.make_grid(1.0, 16)
     f = paths.generate_factors(grid, 2, 40_000, master_seed=2)
     force_batch_size(monkeypatch, 10_000)
-    out = hedging.hedge_price(model, f, _UNIT)
-    assert abs(out["price"] - 1.0) < 3.0 * out["se"]
+    price, se = _price(model, f, _unit)
+    assert abs(price - 1.0) < 3.0 * se
 
 
 def _price_of_risk_log_deflator(model, factors, lx, aux):
@@ -81,7 +87,8 @@ def test_deflator_read_off_the_path_matches_the_price_of_risk_with_more_factors(
 
 def test_deflated_prices_draw_each_path_once(monkeypatch):
     """Every deflated price draws each path's factors once, in the simulation;
-    the call ladder reads all its rungs off one pass."""
+    the call ladder reads all its rungs off one pass.  parity-gap prices its
+    witness and its control on the same paths, so it draws each path twice."""
     draws = []
     block = paths.FactorPaths.block
 
@@ -94,40 +101,38 @@ def test_deflated_prices_draw_each_path_once(monkeypatch):
                                   x0=[1.0, 0.8], r=0.02)
     diverse = markets.diverse_market(0.25 * np.eye(2), g=0.0, delta=0.3,
                                      x0=[1.0, 1.0])
-    grid = paths.make_grid(1.0, 10)
-
-    def factors(model):
-        return paths.generate_factors(grid, model.m, 12, master_seed=3)
+    factors = paths.generate_factors(paths.make_grid(1.0, 10), 2, 12, master_seed=3)
+    ladder = paths.generate_factors(paths.make_grid(2.0, 20), 2, 12, master_seed=3)
 
     force_batch_size(monkeypatch, 5)
     runs = {
-        "hedge_price": lambda: hedging.hedge_price(
-            gbm, factors(gbm), hedging.call_claim(0, 1.0)),
-        "parity_control_study": lambda: hedging.parity_control_study(
-            gbm, factors(gbm), 0, 1),
-        "parity_witness_study": lambda: hedging.parity_witness_study(
-            diverse, 2.0, 1.0, 10, 12, master_seed=3),
-        "call_decay_study": lambda: hedging.call_decay_study(
+        "hedge_price": (lambda: hedging.hedge_price(gbm, factors, 1.0, 0), 1),
+        "parity_gap_study": (lambda: hedging.parity_gap_study(
+            diverse, factors, 2.0, 1.1, 0, 1), 2),
+        "call_decay_study": (lambda: hedging.call_decay_study(
             markets.diverse_market(0.25 * np.eye(2), g=0.0, delta=0.3, x0=[1.0, 1.0],
                                    r=0.03),
-            1.0, (1.0, 2.0), 10, 12, master_seed=3, p_bound=0.5, index=0),
+            ladder, 1.0, (1.0, 2.0), p_bound=0.5, index=0), 1),
     }
-    for name, run in runs.items():
+    for name, (run, passes) in runs.items():
         draws.clear()
         run()
-        assert sorted(draws) == list(range(12)), name
+        assert sorted(draws) == sorted(passes * list(range(12))), name
 
 
 def test_deflated_stock_gap_is_exact_for_constant_coefficients():
+    """parity-gap's control: the paired deflated gap of two plain stocks
+    sits at their initial difference."""
     model = markets.constant_market(b=[0.1, 0.0],
                                     sigma=np.diag([1.0 / np.sqrt(2.0)] * 2),
                                     x0=[1.0, 0.8])
     grid = paths.make_grid(1.0, 16)
     f = paths.generate_factors(grid, 2, 40_000, master_seed=3)
-    out = hedging.parity_control_study(model, f, 0, 1)
-    assert out["expected"] == pytest.approx(0.2)
-    assert abs(out["gap"] - 0.2) < 3.0 * out["gap_se"]
-    assert abs(out["t_stat"]) < 3.0
+    gap, gap_se = _price(model, f, lambda lx: np.exp(lx[:, -1, 0]) - np.exp(lx[:, -1, 1]))
+    expected = float(model.x0[0] - model.x0[1])
+    assert expected == pytest.approx(0.2)
+    assert abs(gap - 0.2) < 3.0 * gap_se
+    assert abs((gap - expected) / gap_se) < 3.0
 
 
 # ---------------------------------------------------------------------------
@@ -152,11 +157,13 @@ def test_hedge_price_matches_lognormal_benchmark():
                                     x0=[1.0, 1.0], r=0.03)
     grid = paths.make_grid(2.0, 8)
     f = paths.generate_factors(grid, 2, 20_000, master_seed=5)
-    out = hedging.hedge_price(model, f, hedging.call_claim(0, 1.0))
+    metrics, info, checks, tables = hedging.hedge_price(model, f, 1.0, 0)
     expect = 0.16728424634840483
-    assert abs(out["price"] - expect) < 3.0 * out["se"]
-    assert 0.0 < out["zero_fraction"] < 1.0
-    assert out["n_paths"] == 20_000
+    assert abs(metrics["price"] - expect) < 3.0 * metrics["se"]
+    assert 0.0 < metrics["zero_fraction"] < 1.0
+    assert metrics["reference"] == pytest.approx(expect, rel=1e-15)
+    assert checks[0].passed and tables == {}
+    assert info == {"claim": "call(stock=0, strike=1)"}
 
 
 def test_hedge_price_degenerate_call():
@@ -165,22 +172,18 @@ def test_hedge_price_degenerate_call():
     sigma = 0.4 * np.eye(2)
     model = markets.constant_market(b=[0.0, 0.0], sigma=sigma, x0=[2.0, 0.5])
     grid = paths.make_grid(1.0, 8)
-    out = hedging.hedge_price(model, ZeroFactors(grid, 2, 16), hedging.call_claim(0, 0.5))
-    assert out["price"] == pytest.approx(2.0 * np.exp(-0.08) - 0.5, rel=1e-12)
-    assert out["se"] == pytest.approx(0.0, abs=1e-12)
+    metrics = hedging.hedge_price(model, ZeroFactors(grid, 2, 16), 0.5, 0)[0]
+    assert metrics["price"] == pytest.approx(2.0 * np.exp(-0.08) - 0.5, rel=1e-12)
+    assert metrics["se"] == pytest.approx(0.0, abs=1e-12)
 
 
-def test_hedge_price_zero_and_negative_payoffs():
+def test_deflated_zero_payoff_prices_at_zero():
     model = _gbm_pair()
     grid = paths.make_grid(1.0, 4)
     f = paths.generate_factors(grid, 2, 50, master_seed=6)
-    zero = hedging.Claim("nothing", lambda lx, times, aux: np.zeros(lx.shape[0]))
-    out = hedging.hedge_price(model, f, zero)
-    assert out["price"] == 0.0
-    assert out["zero_fraction"] == 1.0
-    bad = hedging.Claim("debt", lambda lx, times, aux: -np.ones(lx.shape[0]))
-    with pytest.raises(InvalidArgumentError):
-        hedging.hedge_price(model, f, bad)
+    vals = hedging._deflated_payoffs(model, f, lambda lx: np.zeros(lx.shape[0]))
+    assert hedging._compensated_mean_se(vals)[0] == 0.0
+    assert np.mean(vals == 0.0) == 1.0
 
 
 def test_hedge_price_needs_a_constant_market():
@@ -188,7 +191,7 @@ def test_hedge_price_needs_a_constant_market():
     model = markets.diverse_market(0.25 * np.eye(2), g=0.0, delta=0.3, x0=[1.0, 1.0])
     f = paths.generate_factors(paths.make_grid(1.0, 4), 2, 8, master_seed=6)
     with pytest.raises(InvalidArgumentError, match="constant market, not 'diverse'"):
-        hedging.hedge_price(model, f, hedging.call_claim(0, 1.0))
+        hedging.hedge_price(model, f, 1.0, 0)
 
 
 def test_standard_error_survives_tiny_values():
@@ -226,29 +229,38 @@ def test_decay_envelope_frozen_value():
         hedging.decay_envelope(2.0, 2, 1.5, 1.0, 0.1, 60.0)
 
 
+def _ladder(horizon, steps_per_unit, n_paths, seed):
+    """Factors of a two-stock call ladder out to ``horizon``."""
+    grid = paths.make_grid(horizon, int(round(horizon * steps_per_unit)))
+    return paths.generate_factors(grid, 2, n_paths, seed)
+
+
 def test_call_decay_study_needs_positive_rate_and_barrier():
     diverse = markets.diverse_market(0.25 * np.eye(2), g=0.0, delta=0.3,
                                      x0=[1.0, 1.0])
+    f = _ladder(2.0, 10, 50, 0)
     with pytest.raises(InvalidArgumentError):
-        hedging.call_decay_study(diverse, 1.0, (1.0, 2.0), 10, 50, 0, 0.5, 0)
+        hedging.call_decay_study(diverse, f, 1.0, (1.0, 2.0), 0.5, 0)
     plain = markets.constant_market(b=[0.0, 0.0], sigma=np.eye(2),
                                     x0=[1.0, 1.0], r=0.03)
     with pytest.raises(InvalidArgumentError):
-        hedging.call_decay_study(plain, 1.0, (1.0, 2.0), 10, 50, 0, 0.5, 0)
+        hedging.call_decay_study(plain, f, 1.0, (1.0, 2.0), 0.5, 0)
     # the patched market's drift may never switch on, so tau is not its
     # first hit of the barrier
     base = markets.diverse_market(0.25 * np.eye(2), g=0.0, delta=0.1,
                                   x0=[1.0, 1.0], r=0.03)
     patched = markets.patched_weakly_diverse(base, eta=0.3, horizon=2.0)
     with pytest.raises(InvalidArgumentError, match="diverse market kind"):
-        hedging.call_decay_study(patched, 1.0, (1.0, 2.0), 10, 50, 0, 0.5, 0)
+        hedging.call_decay_study(patched, f, 1.0, (1.0, 2.0), 0.5, 0)
 
 
 def test_call_decay_rejects_off_grid_horizons():
     model = markets.diverse_market(0.25 * np.eye(2), g=0.0, delta=0.3,
                                    x0=[1.0, 1.0], r=0.03)
     with pytest.raises(InvalidArgumentError, match="horizon 1.05"):
-        hedging.call_decay_study(model, 1.0, (1.0, 1.05), 10, 50, 0, 0.5, 0)
+        hedging.call_decay_study(model, _ladder(2.0, 10, 50, 0), 1.0, (1.0, 1.05), 0.5, 0)
+    with pytest.raises(InvalidArgumentError, match="horizon 3 lies past the grid's horizon 2"):
+        hedging.call_decay_study(model, _ladder(2.0, 10, 50, 0), 1.0, (1.0, 3.0), 0.5, 0)
     assert hedging.ladder_steps((0.1, 0.7, 3.0), 10) == [1, 7, 30]
 
 
@@ -258,26 +270,30 @@ def test_call_decay_without_knock_out_is_the_lognormal_price():
     rate, vol = 0.03, 0.25
     model = markets.diverse_market(vol * np.eye(2), g=0.0, delta=0.01,
                                    x0=[1.0, 1.0], r=rate)
-    out = hedging.call_decay_study(model, 1.1, (0.5, 1.0), 20, 4_000, 12, 0.5, 0)
-    for r in out["rows"]:
-        ref = hedging.call_price_closed_form(1.0, 1.1, rate, vol, r["horizon"])
-        assert abs(r["price"] - ref) <= 3.0 * r["se"], (r, ref)
-        assert r["knocked_out"] == 0
-        assert r["price_2dt"] == r["price"]
+    _, info, _, tables = hedging.call_decay_study(model, _ladder(1.0, 20, 4_000, 12), 1.1,
+                                                  (0.5, 1.0), 0.5, 0)
+    table = tables["table"]
+    for t, price, se, (at_dt, at_2dt) in zip(table["T"], table["h_hat"], table["stderr"],
+                                             info["monitoring_pair"]):
+        ref = hedging.call_price_closed_form(1.0, 1.1, rate, vol, t)
+        assert abs(price - ref) <= 3.0 * se, (t, price, ref)
+        assert at_2dt == at_dt == price
+    assert info["knocked_out"] == [0, 0]
 
 
 def test_call_decay_rows_carry_envelopes():
     model = markets.diverse_market(0.25 * np.eye(2), g=0.0, delta=0.3,
                                    x0=[1.0, 1.0], r=0.03)
-    out = hedging.call_decay_study(model, 1.0, (1.0, 2.0), 20, 200, 7, 0.5, 0)
-    assert out["strike"] == 1.0
-    assert len(out["rows"]) == 2
-    toc = [r["horizon"] for r in out["rows"]]
-    assert toc == [1.0, 2.0]
-    for r in out["rows"]:
-        assert r["price"] >= 0.0
-        assert r["envelope"] > 0.0
-        assert r["stock_price"] <= r["envelope"] + 3.0 * max(r["stock_se"], 1e-12)
+    metrics, _, _, tables = hedging.call_decay_study(model, _ladder(2.0, 20, 200, 7), 1.0,
+                                                     (1.0, 2.0), 0.5, 0)
+    assert metrics["strike"] == 1.0
+    assert metrics["n_horizons"] == 2
+    call, stock = tables["table"], tables["stock"]
+    assert call["T"].tolist() == stock["T"].tolist() == [1.0, 2.0]
+    assert np.all(call["h_hat"] >= 0.0)
+    assert np.all(stock["envelope"] > 0.0)
+    assert np.all(stock["deflated_stock"]
+                  <= stock["envelope"] + 3.0 * np.maximum(stock["stderr"], 1e-12))
 
 
 # ---------------------------------------------------------------------------
@@ -287,19 +303,22 @@ def test_call_decay_rows_carry_envelopes():
 def test_parity_witness_requires_zero_rate():
     model = markets.diverse_market(0.25 * np.eye(2), g=0.0, delta=0.3,
                                    x0=[1.0, 1.0], r=0.03)
+    f = paths.generate_factors(paths.make_grid(1.0, 10), 2, 4, master_seed=0)
     with pytest.raises(InvalidArgumentError):
-        hedging.parity_witness_study(model, 2.0, 1.0, 10, 4, master_seed=0)
+        hedging.parity_gap_study(model, f, 2.0, 1.1, 0, 1)
 
 
 def test_parity_witness_reports_finite_statistics():
     model = markets.diverse_market(0.25 * np.eye(2), g=0.0, delta=0.3,
                                    x0=[1.0, 1.0])
-    out = hedging.parity_witness_study(model, 2.0, 2.0, 200, 2_000, master_seed=11)
-    assert out["initial_difference"] == 0.0
-    assert out["h1"] > 0.0
-    assert np.isfinite(out["gap"])
-    assert out["gap_se"] > 0.0
-    assert out["gap"] == pytest.approx(out["h1"] - out["h2"], rel=1e-12)
+    f = paths.generate_factors(paths.make_grid(2.0, 200), 2, 2_000, master_seed=11)
+    m, info, _, _ = hedging.parity_gap_study(model, f, 2.0, 1.1, 0, 1)
+    assert m["control_expected"] == 0.0
+    assert m["h1"] > 0.0
+    assert np.isfinite(m["gap"])
+    assert m["gap_se"] > 0.0
+    assert m["gap"] == pytest.approx(m["h1"] - m["h2"], rel=1e-12)
     # monitoring every other grid point knocks out fewer paths
-    assert 0 < out["knocked_out"] < 2_000
-    assert out["h1"] <= out["h1_2dt"] <= 1.0 + 3.0 * out["h1_se"]
+    assert 0 < info["knocked_out"] < 2_000
+    h1, h1_2dt = info["monitoring_pair"]
+    assert m["h1"] == h1 <= h1_2dt <= 1.0 + 3.0 * m["h1_se"]
