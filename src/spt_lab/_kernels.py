@@ -1,9 +1,10 @@
 """Drift rules and the kernels that integrate them, one per market kind.
 
 Each kind has its drift written once, batch-vectorised.  The constant
-kind's growth rates do not depend on the state, so its kernel adds them to
-every step at once and sums the increments.  The rules of the repelled-leader market (shared by its patched variant)
-and of the spread market take log prices of any leading shape ``(..., n)``:
+kind's growth rates do not depend on the state, so its kernel adds them
+to every step at once and sums the increments.  The rules of the
+repelled-leader market (shared by its patched variant) and of the spread
+market take log prices of any leading shape ``(..., n)``:
 the kernels evaluate them on a whole batch at one grid time, and
 ``markets.growth_rates_along`` on a stored path at every grid time, so the
 integrator and the reconstruction cannot disagree about the rule.  The

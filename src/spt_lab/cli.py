@@ -1,4 +1,4 @@
-"""Experiment runner: config parsing, dispatch, and plot-ready output files.
+"""The spt-lab command: config parsing, dispatch, and plot-ready output files.
 
 Configs are INI-style text with five sections::
 
@@ -643,14 +643,15 @@ def _local_time_oracle(model, factors, index):
 # experiment name -> (module, function).  The function is looked up on its
 # module each time an experiment runs, so one replaced there (to trace it,
 # say) is the one that runs.
+_CLI = sys.modules[__name__]
 _EXPERIMENTS = {
-    "simulate": (sys.modules[__name__], "_simulate"),
-    "diversity-report": (sys.modules[__name__], "_diversity_report"),
+    "simulate": (_CLI, "_simulate"),
+    "diversity-report": (_CLI, "_diversity_report"),
     "arbitrage-45": (_arbitrage, "outperformance_study"),
     "mirror-81": (_arbitrage, "mirror_study"),
     "master-formula": (_arbitrage, "master_formula_order_study"),
-    "ranked-decomposition": (sys.modules[__name__], "_ranked_decomposition"),
-    "local-time-oracle": (sys.modules[__name__], "_local_time_oracle"),
+    "ranked-decomposition": (_CLI, "_ranked_decomposition"),
+    "local-time-oracle": (_CLI, "_local_time_oracle"),
     "hedge-price": (_hedging, "hedge_price"),
     "call-decay": (_hedging, "call_decay_study"),
     "parity-gap": (_hedging, "parity_gap_study"),

@@ -701,7 +701,7 @@ def test_master_formula_records_capped_steps(tmp_path):
 
 @pytest.mark.parametrize("name", ["ranked-decomposition", "local-time-oracle"])
 def test_experiments_without_a_study_record_capped_steps(tmp_path, name):
-    """Experiments whose runner reduces the batches itself also count the
+    """Experiments that reduce the batches in cli also count the
     capped drift entries in the summary, outside the CSVs."""
     out = tmp_path / "capped"
     cfg = _write(tmp_path, f"""\
