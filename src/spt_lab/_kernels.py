@@ -13,15 +13,25 @@ an exact integral over each step rather than a rate times the step.
 One stepping loop applies the step cap, counts capped entries and adds the
 noise for every state-dependent kind.
 
-Kernel contract: ``kernel(logx0, dv, dt, times, model)`` with ``logx0 (n,)``,
-``dv (B, K, n)`` volatility increments already multiplied by the dispersion
-matrix, ``dt (K,)`` step sizes and ``times (K+1,)`` grid.  A kernel runs the
-whole time loop, overwriting ``dv`` in place with the log prices at
-``times[1:]`` (each step's increment is read once, then replaced by the new
-state), and returns a dict of per-path records that always holds
+Kernel contract: ``kernel(logx0, dv, dt, times, model, carry)`` with
+``logx0 (n,)``, ``dv (B, K, n)`` volatility increments already multiplied
+by the dispersion matrix, ``dt (K,)`` step sizes and ``times (K+1,)`` grid.
+A kernel runs the whole time loop, overwriting ``dv`` in place with the log
+prices at ``times[1:]`` (each step's increment is read once, then replaced
+by the new state), and returns a dict of per-path records that always holds
 ``capped_steps``, the (B,) int64 count of capped drift entries (zeros for a
 kind without a cap).  No cross-path reduction happens inside a kernel, so
 results never depend on how paths were split into batches.
+
+A time chunk carries its state in and out.  ``carry`` is None where the
+paths start at ``logx0`` on ``times[0]``; otherwise it is the
+``aux["carry"]`` the kernel returned for the same paths' chunk before,
+rows of dropped paths removed.  Only the constant kind carries: its state
+is the running sum of each path's log increments, (B, n), added in front
+of the chunk's ``cumsum``, so every addition happens in the order it has
+on the whole path and the log prices, log x0 plus the sum, match it bit
+for bit; the chunk starts at ``logx0 + carry``.  The kinds that step with
+``_euler`` reject a carry.
 
 Sums, maxima and minima over the stock or factor axis go through
 ``_sum_last``, ``_max_last`` and ``_min_last`` here, because numpy reduces
@@ -35,6 +45,8 @@ from __future__ import annotations
 import functools
 
 import numpy as np
+
+from .errors import InvalidArgumentError
 
 
 def _sum_last(x):
@@ -163,7 +175,7 @@ def spread_reversion(model):
 # the stepping loop and the kernels
 # ---------------------------------------------------------------------------
 
-def _euler(logx0, dv, step):
+def _euler(logx0, dv, step, carry):
     """log x_{k+1} = log x_k + capped displacement + dv_k, for a whole batch.
 
     ``dv (B, K, n)`` holds the volatility increments on entry and the log
@@ -173,7 +185,10 @@ def _euler(logx0, dv, step):
     on its size: a scalar, an array broadcasting against ``cur``, or None
     for no cap.  Entries past the cap are clipped to it and counted per path.
     Returns the capped-entry counts (B,), zeros where no step had a cap.
+    It integrates whole paths only: a ``carry`` other than None is rejected.
     """
+    if carry is not None:
+        raise InvalidArgumentError("this kind integrates whole paths, not time chunks")
     B, K, n = dv.shape
     caps = np.zeros(B, np.int64)
     cur = np.empty((B, n))
@@ -190,27 +205,31 @@ def _euler(logx0, dv, step):
     return caps
 
 
-def _constant(logx0, dv, dt, times, model):
+def _constant(logx0, dv, dt, times, model, carry):
     dv += constant_growth(model)[None, :] * dt[:, None]
+    if carry is not None:
+        dv[:, 0] += carry
     np.cumsum(dv, axis=1, out=dv)
-    dv += logx0
-    return {"capped_steps": np.zeros(dv.shape[0], np.int64)}
+    carry = dv[:, -1].copy()
+    # a (K, n) operand: numpy adds it per path in one run, an (n,) row per step
+    dv += np.tile(logx0, (dv.shape[1], 1))
+    return {"capped_steps": np.zeros(dv.shape[0], np.int64), "carry": carry}
 
 
-def _diverse(logx0, dv, dt, times, model):
+def _diverse(logx0, dv, dt, times, model, carry):
     growth = leader_repulsion(model)
     step_cap = model.params["step_cap"]
-    caps = _euler(logx0, dv, lambda k, cur: (growth(cur) * dt[k], step_cap))
+    caps = _euler(logx0, dv, lambda k, cur: (growth(cur) * dt[k], step_cap), carry)
     return {"capped_steps": caps}
 
 
-def _ou_pair(logx0, dv, dt, times, model):
+def _ou_pair(logx0, dv, dt, times, model, carry):
     growth = spread_reversion(model)
-    caps = _euler(logx0, dv, lambda k, cur: (growth(times[k], cur) * dt[k], None))
+    caps = _euler(logx0, dv, lambda k, cur: (growth(times[k], cur) * dt[k], None), carry)
     return {"capped_steps": caps}
 
 
-def _patched(logx0, dv, dt, times, model):
+def _patched(logx0, dv, dt, times, model, carry):
     growth = patched_repulsion(model)
     p = model.params
     trigger = 1.0 / (1.0 - p["eta"])  # mu_max >= 1-eta  <=>  1/mu_max <= this
@@ -221,11 +240,11 @@ def _patched(logx0, dv, dt, times, model):
         trigger_time[hit] = times[k]
         return growth(times[k], cur, trigger_time) * dt[k], p["step_cap"]
 
-    caps = _euler(logx0, dv, step)
+    caps = _euler(logx0, dv, step, carry)
     return {"capped_steps": caps, "trigger_time": trigger_time}
 
 
-def _dominance(logx0, dv, dt, times, model):
+def _dominance(logx0, dv, dt, times, model, carry):
     """Two-stock upstart market.
 
     Stock 2 carries the power drift t**alpha, integrated exactly over each
@@ -254,7 +273,7 @@ def _dominance(logx0, dv, dt, times, model):
         disp[confined, 1] = cdrift * (1.0 / (eta + yc) - 1.0 / (eta - yc)) * dt[k]
         return disp, row_cap
 
-    caps = _euler(logx0, dv, step)
+    caps = _euler(logx0, dv, step, carry)
     return {"exit_index": exit_index, "capped_steps": caps}
 
 

@@ -29,13 +29,17 @@ first time the top weight reaches 1 - delta, the barrier that the
 P-drift never lets the market reach.  Each study runs one such Q
 simulation, monitors tau on its grid and reads every quantity off that
 one pass: a knock-out estimator, with bounded variance and an honest
-standard error.  Monitoring on the grid misses crossings between grid
+standard error.  The pass integrates each batch of paths in time chunks
+and reads each rung as a chunk passes it; a path knocked out under both
+monitors (below) only adds zeros from then on, so no later chunk draws or
+integrates it.  Monitoring on the grid misses crossings between grid
 points and so biases survival upward; each study also reports the reading
 monitored on every other grid point (the coarse grid of the same Brownian
 path), and no bridge correction is made.
 
 Monte Carlo reductions collect one value per path and reduce once with
-compensated (exact) summation, so results are independent of batch size.
+compensated (exact) summation, so results are independent of batch size
+and of time chunks.
 Each study is one experiment: ``study(model, factors, **extras)`` returns
 ``(metrics, info, checks, tables)`` under the report's names.
 """
@@ -75,6 +79,13 @@ def market_price_of_risk(model, log_prices: np.ndarray, times, aux=None) -> np.n
     if not np.isfinite(theta).all():
         raise NumericFailureError("market price of risk is not finite")
     return theta
+
+
+def _check_stock(model, index, name: str) -> None:
+    """Reject a stock index outside 0..n-1 before anything is simulated."""
+    if not (isinstance(index, (int, np.integer)) and 0 <= index < model.n):
+        raise InvalidArgumentError(
+            f"{name} {index!r} is not a stock of a {model.n}-stock market")
 
 
 def _constant_log_deflator(model, horizon: float):
@@ -150,6 +161,7 @@ def hedge_price(model, factors: _paths.FactorPaths, strike: float, index: int):
     """Monte Carlo price E[(X_T - K)^+ L(T) / B(T)] of a call on stock
     ``index`` with its standard error, for a constant-coefficient
     ``model``, checked against the lognormal closed form."""
+    _check_stock(model, index, "index")
     spot = float(model.x0[index])
     horizon = factors.grid.horizon
     vals = _deflated_payoffs(
@@ -179,50 +191,75 @@ def hedge_price(model, factors: _paths.FactorPaths, strike: float, index: int):
 # deflated prices under the Foellmer measure
 # ---------------------------------------------------------------------------
 
-# Steps per slice of the barrier check: its temporaries stay a few
-# (B, 256, n) arrays however long the path.
-_SLICE_STEPS = 256
-
-# Log prices one batch of a Foellmer pass may hold.  Long ladders get
-# smaller batches, so memory stays bounded however long the longest rung;
-# results do not depend on the batch size.
-_KNOCK_OUT_BYTES = 64 << 20
+# Paths per batch and steps per time chunk of a Foellmer pass: a batch holds
+# a few (512, 257, n) arrays however long the ladder.  Results do not depend
+# on either.
+_PASS_PATHS = 512
+_CHUNK_STEPS = 256
 
 
-def _foellmer_knock_out(model, factors: _paths.FactorPaths, rungs, read, batch_size):
+def _foellmer_knock_out(model, factors: _paths.FactorPaths, rungs, read):
     """One simulation of ``model``'s market under the Foellmer measure on
     ``factors``, read at the grid indices ``rungs``.
 
-    Under Q every stock is a GBM with rate of return r.  Returns per path:
-    ``x``, what ``read`` takes from the batch's log prices (B, K+1, n), and
-    per rung ``alive`` / ``alive_2dt``, whether the top weight stayed under
-    1 - delta at every grid point up to the rung, monitored at every point
-    and at every other point.
+    Under Q every stock is a GBM with rate of return r.  Each batch of
+    ``_PASS_PATHS`` paths is integrated by ``markets.simulate_block`` in time
+    chunks of ``_CHUNK_STEPS`` steps up to the last rung, and the top weight
+    is checked against 1 - delta at every grid point (the dt monitor) and at
+    every even one (the 2dt monitor).  A path out under both monitors only
+    adds zeros from then on, so it is retired: no later chunk draws or
+    integrates it.
+
+    ``read(lx, times, ks, carry)`` gets a chunk's log prices (B, K+1, n) on
+    its grid points ``times``, the chunk rows ``ks`` of the rungs it
+    passes (maybe none) and what it returned as carry for the chunk before
+    (None on the first), one row per path still simulated; it returns the
+    values at those rungs (B, len(ks), ...) and its carry.  Returns per
+    path: ``x``, the values read at each rung (0 past a retired path's
+    last chunk), and per rung ``alive`` / ``alive_2dt``, whether the top
+    weight stayed under the barrier at every monitored point up to the rung.
     """
     if model.kind != "diverse":
         raise InvalidArgumentError(
             "the Foellmer knock-out is defined for the diverse market kind, "
             f"not {model.kind!r}")
     q = _markets.constant_market(b=model.r, sigma=model.vol.sigma, x0=model.x0, r=model.r)
-    n_steps = factors.grid.n_steps
     level = 1.0 - model.params["delta"]
     rungs = np.asarray(rungs)
-
-    def per_batch(lo, hi, lx, aux):
-        hit = np.empty(lx.shape[:2], bool)
-        for a in range(0, hit.shape[1], _SLICE_STEPS):
-            x = np.exp(lx[:, a:a + _SLICE_STEPS])
-            np.greater_equal(_max_last(x), level * _sum_last(x),
-                             out=hit[:, a:a + _SLICE_STEPS])
-        out = {"x": read(lx)}
-        for key, stride in (("alive", 1), ("alive_2dt", 2)):
-            h = hit[:, ::stride]
-            first = np.where(h.any(axis=1), stride * h.argmax(axis=1), n_steps + 1)
-            out[key] = first[:, None] > rungs
-        return out
-
-    batch = max(1, min(batch_size, _KNOCK_OUT_BYTES // ((n_steps + 1) * q.n * 8)))
-    return _markets.run_batches(q, factors, per_batch, batch)
+    top = int(rungs.max())
+    n_paths = factors.n_paths
+    out = {key: np.zeros((n_paths, rungs.size), bool) for key in ("alive", "alive_2dt")}
+    for lo in range(0, n_paths, _PASS_PATHS):
+        rows = np.arange(lo, min(lo + _PASS_PATHS, n_paths))
+        # a plain source's chunk takes path indices, a chunk's the rows it keeps
+        chunk, keep, carry, read_carry = factors, rows, None, None
+        out_dt = out_2dt = np.zeros(rows.size, bool)
+        for a in range(0, top, _CHUNK_STEPS):
+            b = min(a + _CHUNK_STEPS, top)
+            chunk = chunk.time_chunk(keep, a, b, carry)
+            lx, aux = _markets.simulate_block(q, chunk, 0, rows.size)
+            carry = aux["carry"]
+            x = np.exp(lx)
+            hit = _max_last(x) >= level * _sum_last(x)  # at grid points a..b
+            even = a % 2  # the first row on an even grid point
+            j = np.flatnonzero((a < rungs) & (rungs <= b))
+            ks = rungs[j] - a
+            vals, read_carry = read(lx, chunk.times, ks, read_carry)
+            if "x" not in out:
+                out["x"] = np.zeros((n_paths, rungs.size) + vals.shape[2:])
+            out["x"][rows[:, None], j] = vals
+            for jj, k in zip(j, ks):
+                out["alive"][rows, jj] = ~(out_dt | hit[:, :k + 1].any(axis=1))
+                out["alive_2dt"][rows, jj] = ~(out_2dt | hit[:, even:k + 1:2].any(axis=1))
+            out_dt = out_dt | hit.any(axis=1)
+            out_2dt = out_2dt | hit[:, even::2].any(axis=1)
+            # out under the 2dt monitor means out under the dt one too
+            keep = np.flatnonzero(~out_2dt)
+            if keep.size == 0:
+                break
+            rows, out_dt, out_2dt = rows[keep], out_dt[keep], out_2dt[keep]
+            read_carry = None if read_carry is None else read_carry[keep]
+    return out
 
 
 def decay_envelope(
@@ -271,13 +308,14 @@ def call_decay_study(model, factors: _paths.FactorPaths, strike: float, horizons
     """
     if model.r <= 0:
         raise InvalidArgumentError("the decay study needs a positive interest rate")
+    _check_stock(model, index, "index")
     grid = factors.grid
     rungs = ladder_steps(horizons, 1.0 / grid.dt)
     if max(rungs) > grid.n_steps:
         raise InvalidArgumentError(
             f"horizon {max(horizons):g} lies past the grid's horizon {grid.horizon:g}")
     out = _foellmer_knock_out(model, factors, rungs,
-                              lambda lx: np.exp(lx[:, rungs, index]), 1024)
+                              lambda lx, times, ks, carry: (np.exp(lx[:, ks, index]), None))
     n_paths = factors.n_paths
     delta, eps = model.params["delta"], model.vol.eps
     total0 = float(_sum_last(model.x0))
@@ -371,6 +409,8 @@ def parity_gap_study(model, factors: _paths.FactorPaths, p: float | None, margin
     """
     if model.r != 0.0:
         raise InvalidArgumentError("the parity witness assumes a zero interest rate")
+    _check_stock(model, control_i, "control_i")
+    _check_stock(model, control_j, "control_j")
     grid = factors.grid
     if p is None:
         p = margin * _arbitrage.mirror_exponent(
@@ -379,18 +419,26 @@ def parity_gap_study(model, factors: _paths.FactorPaths, p: float | None, margin
     e1 = np.zeros(model.n)
     e1[0] = 1.0
 
-    def read(lx):
-        zmu = _portfolios.market_value(lx, 1.0)[:, -1]
-        what = _portfolios.mirror_weights(e1, _portfolios.market_weights(lx), p)
-        rel = _portfolios.relative_log_value(what, lx, grid.times, model.vol.a)[:, -1]
-        return np.stack([zmu, zmu * np.exp(rel)], axis=1)
+    # the market's value z_mu = total cap / its start, every path starting at x0
+    cap0 = _portfolios.market_value(np.log(model.x0))
 
-    out = _foellmer_knock_out(model, factors, [grid.n_steps], read, 128)
-    h1_vals, h2_vals = (out["x"][:, q] * out["alive"][:, 0] for q in (0, 1))
+    def read(lx, times, ks, carry):
+        # the mirror's relative log value is a running sum over steps: carry
+        # it in front of the chunk's increments, as the whole path's cumsum does
+        what = _portfolios.mirror_weights(e1, _portfolios.market_weights(lx), p)
+        rel = _portfolios._relative_log_increments(what, lx, times, model.vol.a)
+        if carry is not None:
+            rel[:, 0] += carry
+        np.cumsum(rel, axis=1, out=rel)
+        zmu = _portfolios.market_value(lx[:, ks]) / cap0
+        return np.stack([zmu, zmu * np.exp(rel[:, ks - 1])], axis=2), rel[:, -1]
+
+    out = _foellmer_knock_out(model, factors, [grid.n_steps], read)
+    h1_vals, h2_vals = (out["x"][:, 0, q] * out["alive"][:, 0] for q in (0, 1))
     h1, h1_se = _compensated_mean_se(h1_vals)
     h2, h2_se = _compensated_mean_se(h2_vals)
     gap, gap_se = _compensated_mean_se(h1_vals - h2_vals)
-    h1_2dt = _compensated_mean_se(out["x"][:, 0] * out["alive_2dt"][:, 0])[0]
+    h1_2dt = _compensated_mean_se(out["x"][:, 0, 0] * out["alive_2dt"][:, 0])[0]
 
     control = _markets.constant_market(
         b=np.asarray(model.params["g"], dtype=float) + 0.5 * np.diag(model.vol.a),

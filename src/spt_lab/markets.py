@@ -298,27 +298,30 @@ _DRAW_BYTES = 8 << 20
 
 
 def _vol_increments(model: MarketModel, dw: np.ndarray, out=None) -> np.ndarray:
-    # per-path matmul keeps the arithmetic independent of batch size
-    B = dw.shape[0]
+    # one matmul per path (numpy loops over the leading axis), so the
+    # arithmetic does not depend on how paths are batched
     if out is None:
-        out = np.empty((B, dw.shape[1], model.n))
-    st = model.vol.sigma.T
-    for b in range(B):
-        np.matmul(dw[b], st, out=out[b])
-    return out
+        out = np.empty(dw.shape[:2] + (model.n,))
+    return np.matmul(dw, model.vol.sigma.T, out=out)
 
 
 def simulate_block(model: MarketModel, factors: FactorPaths, lo: int, hi: int):
-    """Integrate paths lo..hi-1.  Returns (log_prices (B, K+1, n), aux dict).
+    """Integrate paths lo..hi-1 over ``factors.times``.  Returns (log_prices
+    (B, K+1, n), aux dict).
 
     ``aux`` holds the kernel's per-path records, ``capped_steps`` (B,) int64
-    among them for every kind: zeros where the kind has no cap.
+    among them for every kind: zeros where the kind has no cap.  On a time
+    chunk (``FactorPaths.time_chunk``) the paths go on from the state the
+    chunk carries, the ``aux["carry"]`` of the same paths' chunk before,
+    and start from log x0 where it carries None; a kind that cannot carry
+    its state rejects a chunk that does.
 
     The log-price buffer is the only batch-sized array: the factors are
     drawn in slices of paths whose draws take at most ``_DRAW_BYTES`` (one
     path at least), each slice is mixed into its rows as volatility
     increments dv, and the drift is then integrated over dv in place.  Pure in (model, factors, path index): identical inputs
-    give identical float results regardless of batch boundaries.
+    give identical float results regardless of batch boundaries or time
+    chunks.
     """
     if factors.m != model.m:
         raise InvalidArgumentError(
@@ -327,17 +330,21 @@ def simulate_block(model: MarketModel, factors: FactorPaths, lo: int, hi: int):
     kernel = _kernels.active_kernels().get(model.kind)
     if kernel is None:
         raise InvalidModelError(f"unknown model kind {model.kind!r}")
-    grid = factors.grid
+    times = factors.times
+    n_steps = times.size - 1
     logx0 = np.log(model.x0)
-    logx = np.empty((hi - lo, grid.n_steps + 1, model.n))
+    logx = np.empty((hi - lo, n_steps + 1, model.n))
     dv = logx[:, 1:]
-    per_slice = max(1, _DRAW_BYTES // (grid.n_steps * model.m * 8))
+    per_slice = max(1, _DRAW_BYTES // (n_steps * model.m * 8))
     for s in range(lo, hi, per_slice):
         e = min(s + per_slice, hi)
         _vol_increments(model, factors.block(s, e), out=dv[s - lo:e - lo])
+    carry = factors.carry
+    if carry is not None:
+        carry = carry[lo:hi]
     # row 0 last, so the draws, not this strided write, first touch the pages
-    logx[:, 0] = logx0
-    aux = kernel(logx0, dv, grid.step_sizes, grid.times, model)
+    logx[:, 0] = logx0 if carry is None else logx0 + carry
+    aux = kernel(logx0, dv, np.diff(times), times, model, carry)
 
     if not np.isfinite(logx).all():
         bad = np.argwhere(~np.isfinite(logx))

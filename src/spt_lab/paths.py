@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -87,6 +87,36 @@ def geometric_grid(horizon: float, n_steps: int, t_min: float) -> PathGrid:
     return PathGrid(np.concatenate(([0.0], interior)))
 
 
+class _Stream:
+    """One path's generator, seeded at its first draw, and the grid step it
+    stands at."""
+
+    __slots__ = ("path", "rng", "step")
+
+    def __init__(self, path: int):
+        self.path, self.rng, self.step = path, None, 0
+
+    def advance(self, master_seed: int, start: int, stop: int):
+        """The generator, to draw steps start..stop-1 with."""
+        if self.step != start:
+            raise InvalidArgumentError(
+                f"path {self.path} stands at step {self.step}, so it cannot draw "
+                f"steps {start}..{stop - 1}: draw each chunk once, in order")
+        if self.rng is None:
+            self.rng = np.random.default_rng(np.random.SeedSequence((master_seed, self.path)))
+        self.step = stop
+        return self.rng
+
+
+@dataclass(frozen=True)
+class _Chunk:
+    rows: np.ndarray  # path index of each row
+    start: int
+    stop: int
+    streams: list  # one _Stream per row
+    carry: object  # the integrator's state at ``start``, one entry per row, or None
+
+
 @dataclass(frozen=True)
 class FactorPaths:
     """Brownian factor increments on a grid, regenerable path by path.
@@ -97,6 +127,9 @@ class FactorPaths:
     result never depends on how paths are batched.  Increments (not levels)
     are the stored representation; levels would couple a path's state to
     summation order.
+
+    ``time_chunk`` cuts a source for a set of paths over a span of grid
+    steps; its ``block`` and ``times`` cover that span only.
     """
 
     grid: PathGrid
@@ -105,6 +138,7 @@ class FactorPaths:
     master_seed: int
     _parent: "FactorPaths | None" = field(default=None, repr=False)
     _factor: int = field(default=1, repr=False)
+    _chunk: "_Chunk | None" = field(default=None, repr=False)
 
     def __post_init__(self):
         if self.m < 1:
@@ -113,6 +147,18 @@ class FactorPaths:
             raise InvalidArgumentError("need at least one path")
         if self.master_seed < 0:
             raise InvalidArgumentError("master_seed must be a nonnegative integer")
+
+    @property
+    def times(self) -> np.ndarray:
+        """Grid points the draws span: the grid's, or a time chunk's."""
+        if self._chunk is None:
+            return self.grid.times
+        return self.grid.times[self._chunk.start:self._chunk.stop + 1]
+
+    @property
+    def carry(self):
+        """A time chunk's carried state (see ``time_chunk``); None otherwise."""
+        return None if self._chunk is None else self._chunk.carry
 
     def path_increments(self, path_index: int) -> np.ndarray:
         """Increments for one path, shape (n_steps, m)."""
@@ -126,19 +172,55 @@ class FactorPaths:
             raise InvalidArgumentError(f"bad path range [{lo}, {hi})")
         return self._draw(lo, hi)
 
+    def time_chunk(self, rows, start: int, stop: int, carry) -> "FactorPaths":
+        """Paths ``rows`` of this source over grid steps start..stop-1.
+
+        The chunk is a source of ``len(rows)`` paths: its ``block(lo, hi)``
+        draws rows lo..hi-1 over those steps, (hi-lo, stop-start, m), and
+        its ``times`` are grid points start..stop.  Each path keeps its
+        generator from one chunk to the next, because a stream drawn in
+        pieces equals the stream drawn whole: a plain source's chunks start
+        at step 0, a chunk's chunks go on where it stops, and drawing a
+        path's steps out of order or twice raises ``InvalidArgumentError``.
+        ``carry`` holds one entry per path of this source, what the
+        integrator carried to ``start`` (None at step 0); the chunk keeps
+        the entries of its rows for ``markets.simulate_block``.
+        """
+        if self._parent is not None:
+            raise InvalidArgumentError("a coarsened source draws whole paths only")
+        rows = np.asarray(rows, dtype=np.intp).reshape(-1)
+        if rows.size == 0 or not np.all((0 <= rows) & (rows < self.n_paths)):
+            raise InvalidArgumentError("a time chunk needs rows among the source's paths")
+        if not 0 <= start < stop <= self.grid.n_steps:
+            raise InvalidArgumentError(f"bad step range [{start}, {stop})")
+        if self._chunk is None:
+            paths, streams = rows, [_Stream(int(i)) for i in rows]
+        else:
+            paths = self._chunk.rows[rows]
+            streams = [self._chunk.streams[i] for i in rows]
+        return replace(self, n_paths=rows.size, _chunk=_Chunk(
+            paths, start, stop, streams, None if carry is None else carry[rows]))
+
     def _draw(self, lo: int, hi: int) -> np.ndarray:
         # a coarsened source reads its parent through here, not through
         # ``block``, so a wrapper that counts ``block`` calls sees each path once
-        out = np.empty((hi - lo, self.grid.n_steps, self.m))
         if self._parent is not None:
+            out = np.empty((hi - lo, self.grid.n_steps, self.m))
             for i in range(lo, hi):
                 fine = self._parent._draw(i, i + 1)[0]
                 out[i - lo] = fine.reshape(-1, self._factor, self.m).sum(axis=1)
             return out
+        chunk = self._chunk
+        start, stop = (0, self.grid.n_steps) if chunk is None else (chunk.start, chunk.stop)
+        out = np.empty((hi - lo, stop - start, self.m))
         for i in range(lo, hi):
-            rng = np.random.default_rng(np.random.SeedSequence((self.master_seed, i)))
+            if chunk is None:
+                rng = np.random.default_rng(np.random.SeedSequence((self.master_seed, i)))
+            else:
+                rng = chunk.streams[i].advance(self.master_seed, start, stop)
             rng.standard_normal(out=out[i - lo])
-        out *= np.sqrt(self.grid.step_sizes)[:, None]
+        # a (K, m) factor: numpy scales each path in one run, not a row per step
+        out *= np.repeat(np.sqrt(self.grid.step_sizes[start:stop])[:, None], self.m, axis=1)
         return out
 
     def coarsened(self, factor: int) -> "FactorPaths":

@@ -130,13 +130,15 @@ def gross_log_value(weights: np.ndarray, log_prices: np.ndarray) -> np.ndarray:
     return out
 
 
-def relative_log_value(
+def _relative_log_increments(
     weights: np.ndarray, log_prices: np.ndarray, times: np.ndarray, a: np.ndarray
 ) -> np.ndarray:
-    """Cumulative log(Z / Z_market) for an arbitrary (possibly short) rule.
+    """Per-step increments of log(Z / Z_market) for an arbitrary (possibly
+    short) rule, shape (..., K) for K+1 points.
 
     Per step: sum_i (w_i - mu_i) dlog mu_i plus the excess-growth spread
-    times dt, both read at the left endpoint.
+    times dt, both read at the left endpoint.  Each step reads its own two
+    points only, so a path cut in time chunks gives the same increments.
     """
     w = np.asarray(weights, dtype=float)
     lx = np.asarray(log_prices, dtype=float)
@@ -145,12 +147,14 @@ def relative_log_value(
     lin = _sum_last((w - mu)[..., :-1, :] * dlm)
     gap = excess_growth(w, a) - excess_growth(mu, a)
     dt = np.diff(np.asarray(times, dtype=float))
-    drift = gap[..., :-1] * dt
-    return np.concatenate(
-        [
-            np.zeros(lin.shape[:-1] + (1,)),
-            np.cumsum(lin + drift, axis=-1),
-        ],
-        axis=-1,
-    )
+    return lin + gap[..., :-1] * dt
 
+
+def relative_log_value(
+    weights: np.ndarray, log_prices: np.ndarray, times: np.ndarray, a: np.ndarray
+) -> np.ndarray:
+    """Cumulative log(Z / Z_market) for an arbitrary (possibly short) rule:
+    the running sum of ``_relative_log_increments``, from 0."""
+    inc = _relative_log_increments(weights, log_prices, times, a)
+    return np.concatenate([np.zeros(inc.shape[:-1] + (1,)), np.cumsum(inc, axis=-1)],
+                          axis=-1)

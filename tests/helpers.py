@@ -12,8 +12,11 @@ class ZeroFactors:
     bookkeeping can be checked in isolation.
     """
 
+    carry = None  # never a time chunk
+
     def __init__(self, grid, m, n_paths=1):
         self.grid = grid
+        self.times = grid.times
         self.m = m
         self.n_paths = n_paths
 

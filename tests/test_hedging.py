@@ -1,11 +1,13 @@
 """Deflators, Monte Carlo claim pricing, and long-horizon decay bounds."""
 
+import collections
+import itertools
 import math
 
 import numpy as np
 import pytest
 
-from spt_lab import hedging, markets, paths
+from spt_lab import hedging, markets, paths, portfolios
 from spt_lab.errors import InvalidArgumentError
 from helpers import ZeroFactors, force_batch_size
 
@@ -85,39 +87,116 @@ def test_deflator_read_off_the_path_matches_the_price_of_risk_with_more_factors(
                                rtol=0, atol=1e-12)
 
 
-def test_deflated_prices_draw_each_path_once(monkeypatch):
-    """Every deflated price draws each path's factors once, in the simulation;
-    the call ladder reads all its rungs off one pass.  parity-gap prices its
-    witness and its control on the same paths, so it draws each path twice."""
-    draws = []
+def _count_draws(monkeypatch):
+    """Wrap ``FactorPaths.block`` to record what each call draws.
+
+    Returns two Counters of (path, step) pairs: those drawn by a plain source
+    (whole paths) and those drawn by a time chunk."""
+    whole, chunked = collections.Counter(), collections.Counter()
     block = paths.FactorPaths.block
 
     def counted(self, lo, hi):
-        draws.extend(range(lo, hi))
+        chunk = self._chunk
+        if chunk is None:
+            whole.update(itertools.product(range(lo, hi), range(self.grid.n_steps)))
+        else:
+            chunked.update(itertools.product(chunk.rows[lo:hi].tolist(),
+                                             range(chunk.start, chunk.stop)))
         return block(self, lo, hi)
 
     monkeypatch.setattr(paths.FactorPaths, "block", counted)
+    return whole, chunked
+
+
+def test_deflated_prices_draw_each_path_once(monkeypatch):
+    """Every deflated price draws each (path, step) of its factors at most
+    once per pass.  hedge-price and parity-gap's control draw every whole
+    path once; the Foellmer passes of the call ladder and of the parity
+    witness draw each path from its first step on, never a step twice."""
+    whole, chunked = _count_draws(monkeypatch)
     gbm = markets.constant_market(b=[0.1, 0.0], sigma=0.3 * np.eye(2),
                                   x0=[1.0, 0.8], r=0.02)
     diverse = markets.diverse_market(0.25 * np.eye(2), g=0.0, delta=0.3,
                                      x0=[1.0, 1.0])
     factors = paths.generate_factors(paths.make_grid(1.0, 10), 2, 12, master_seed=3)
-    ladder = paths.generate_factors(paths.make_grid(2.0, 20), 2, 12, master_seed=3)
+    ladder = paths.generate_factors(paths.make_grid(2.0, 600), 2, 12, master_seed=3)
 
     force_batch_size(monkeypatch, 5)
+    monkeypatch.setattr(hedging, "_PASS_PATHS", 5)
+    every_step = {(i, k) for i in range(12) for k in range(10)}
     runs = {
-        "hedge_price": (lambda: hedging.hedge_price(gbm, factors, 1.0, 0), 1),
+        "hedge_price": (lambda: hedging.hedge_price(gbm, factors, 1.0, 0), True, False),
         "parity_gap_study": (lambda: hedging.parity_gap_study(
-            diverse, factors, 2.0, 1.1, 0, 1), 2),
+            diverse, factors, 2.0, 1.1, 0, 1), True, True),
         "call_decay_study": (lambda: hedging.call_decay_study(
             markets.diverse_market(0.25 * np.eye(2), g=0.0, delta=0.3, x0=[1.0, 1.0],
                                    r=0.03),
-            ladder, 1.0, (1.0, 2.0), p_bound=0.5, index=0), 1),
+            ladder, 1.0, (1.0, 2.0), p_bound=0.5, index=0), False, True),
     }
-    for name, (run, passes) in runs.items():
-        draws.clear()
+    for name, (run, draws_whole, draws_chunks) in runs.items():
+        whole.clear()
+        chunked.clear()
         run()
-        assert sorted(draws) == sorted(passes * list(range(12))), name
+        if draws_whole:
+            assert set(whole) == every_step and set(whole.values()) == {1}, name
+        else:
+            assert not whole, name
+        assert bool(chunked) == draws_chunks, name
+        assert set(chunked.values()) <= {1}, name
+        assert {i for i, k in chunked if k == 0} == (set(range(12)) if draws_chunks else set())
+
+
+def _whole_path_knock_out(model, factors, rungs, index):
+    """The Foellmer knock-out on whole paths: the Q market integrated to the
+    grid's end in one ``simulate_block`` call, and the first monitored hit
+    of 1 - delta found on every grid point and on every even one.  Returns
+    x at the rungs, ``alive`` and ``alive_2dt`` (n_paths, len(rungs)) and
+    each path's first hit on an even point (n_steps + 1 where there is none).
+    """
+    q = markets.constant_market(b=model.r, sigma=model.vol.sigma, x0=model.x0, r=model.r)
+    lx, _ = markets.simulate_block(q, factors, 0, factors.n_paths)
+    x = np.exp(lx)
+    hit = x.max(axis=2) >= (1.0 - model.params["delta"]) * x.sum(axis=2)
+    n_steps = factors.grid.n_steps
+    alive, first = [], None
+    for stride in (1, 2):
+        h = hit[:, ::stride]
+        first = np.where(h.any(axis=1), stride * h.argmax(axis=1), n_steps + 1)
+        alive.append(first[:, None] > np.asarray(rungs))
+    return x[:, rungs, index], alive[0], alive[1], first
+
+
+@pytest.mark.parametrize("chunk_steps", [256, 37])
+def test_retired_paths_match_the_whole_path_pass(monkeypatch, chunk_steps):
+    """Retiring knocked-out paths changes nothing: per path, x times alive,
+    ``alive`` and ``alive_2dt`` equal the whole-path algorithm's bit for bit,
+    over several batches, with chunks of an even and of an odd length.  Each
+    (path, step) is drawn at most once, and a path out under both monitors
+    by the end of a chunk is drawn for no later step."""
+    _, chunked = _count_draws(monkeypatch)
+    monkeypatch.setattr(hedging, "_PASS_PATHS", 16)
+    monkeypatch.setattr(hedging, "_CHUNK_STEPS", chunk_steps)
+    model = markets.diverse_market(0.3 * np.eye(3), g=0.0, delta=0.35,
+                                   x0=[1.0, 1.2, 0.9], r=0.03)
+    factors = paths.generate_factors(paths.make_grid(21.0, 630), 3, 40, master_seed=21)
+    rungs = [100, 300, 299, 600]
+    index = 1
+    got = hedging._foellmer_knock_out(
+        model, factors, rungs, lambda lx, times, ks, carry: (np.exp(lx[:, ks, index]), None))
+    x, alive, alive_2dt, first_2dt = _whole_path_knock_out(model, factors, rungs, index)
+    assert 0 < alive_2dt[:, -1].sum() < 40 and (alive != alive_2dt).any()
+    np.testing.assert_array_equal(got["alive"], alive)
+    np.testing.assert_array_equal(got["alive_2dt"], alive_2dt)
+    np.testing.assert_array_equal(got["x"] * got["alive"], x * alive)
+    np.testing.assert_array_equal(got["x"] * got["alive_2dt"], x * alive_2dt)
+
+    assert set(chunked.values()) == {1}
+    top = max(rungs)
+    for i in range(factors.n_paths):
+        # out at grid point p: the chunk holding p is the path's last
+        p = first_2dt[i]
+        last = top if p > top else min(top, -(-p // chunk_steps) * chunk_steps)
+        assert sorted(k for j, k in chunked if j == i) == list(range(last)), i
 
 
 def test_deflated_stock_gap_is_exact_for_constant_coefficients():
@@ -322,3 +401,50 @@ def test_parity_witness_reports_finite_statistics():
     assert 0 < info["knocked_out"] < 2_000
     h1, h1_2dt = info["monitoring_pair"]
     assert m["h1"] == h1 <= h1_2dt <= 1.0 + 3.0 * m["h1_se"]
+
+
+def test_parity_witness_matches_the_whole_path_values(monkeypatch):
+    """The witness read chunk by chunk, with the mirror's relative log value
+    carried across chunks of an odd length, gives h1 and h2 bit for bit as
+    read off whole paths: Z_mu(T) and Z_mu(T) exp(log(Z_pi / Z_mu)(T)) over
+    the paths alive at T."""
+    monkeypatch.setattr(hedging, "_CHUNK_STEPS", 37)
+    model = markets.diverse_market(0.5 * np.eye(3), g=0.0, delta=0.3, x0=[1.0, 1.2, 0.9])
+    f = paths.generate_factors(paths.make_grid(3.0, 300), 3, 60, master_seed=5)
+    metrics = hedging.parity_gap_study(model, f, 2.0, 1.1, 0, 1)[0]
+    q = markets.constant_market(b=0.0, sigma=model.vol.sigma, x0=model.x0)
+    lx, _ = markets.simulate_block(q, f, 0, f.n_paths)
+    zmu = portfolios.market_value(lx, 1.0)[:, -1]
+    what = portfolios.mirror_weights(np.eye(3)[0], portfolios.market_weights(lx), 2.0)
+    rel = portfolios.relative_log_value(what, lx, f.grid.times, model.vol.a)[:, -1]
+    alive = _whole_path_knock_out(model, f, [300], 0)[1][:, 0]
+    assert 0 < alive.sum() < f.n_paths
+    assert metrics["h1"] == hedging._compensated_mean_se(zmu * alive)[0]
+    assert metrics["h2"] == hedging._compensated_mean_se(zmu * np.exp(rel) * alive)[0]
+
+
+# ---------------------------------------------------------------------------
+# stock indices
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("bad", [5, 2, -1, 1.0])
+def test_studies_reject_a_stock_outside_the_market_before_simulating(monkeypatch, bad):
+    """A stock index outside 0..n-1, or not an integer, raises
+    ``InvalidArgumentError`` in every study before any factor is drawn."""
+    whole, chunked = _count_draws(monkeypatch)
+    gbm = markets.constant_market(b=[0.1, 0.0], sigma=0.3 * np.eye(2), x0=[1.0, 0.8])
+    diverse = markets.diverse_market(0.25 * np.eye(2), g=0.0, delta=0.3, x0=[1.0, 1.0])
+    rated = markets.diverse_market(0.25 * np.eye(2), g=0.0, delta=0.3, x0=[1.0, 1.0],
+                                   r=0.03)
+    f = paths.generate_factors(paths.make_grid(1.0, 10), 2, 4, master_seed=1)
+    runs = {
+        "index": [lambda: hedging.hedge_price(gbm, f, 1.0, bad),
+                  lambda: hedging.call_decay_study(rated, f, 1.0, (0.5, 1.0), 0.5, bad)],
+        "control_i": [lambda: hedging.parity_gap_study(diverse, f, 2.0, 1.1, bad, 1)],
+        "control_j": [lambda: hedging.parity_gap_study(diverse, f, 2.0, 1.1, 0, bad)],
+    }
+    for name, calls in runs.items():
+        for call in calls:
+            with pytest.raises(InvalidArgumentError, match=f"{name} .* 2-stock market"):
+                call()
+    assert not whole and not chunked

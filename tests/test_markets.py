@@ -347,21 +347,21 @@ def _loop_kernel_table():
     kernel contract asks.
     """
 
-    def diverse(logx0, dv, dt, times, model):
+    def diverse(logx0, dv, dt, times, model, carry):
         p = model.params
         logx, caps = loop_kernels.repelled_leader_loops(
             logx0, dv, dt, p["g"], p["delta"], p["big_m"], p["q_floor"], p["step_cap"])
         dv[...] = logx[:, 1:]
         return {"capped_steps": caps}
 
-    def ou_pair(logx0, dv, dt, times, model):
+    def ou_pair(logx0, dv, dt, times, model, carry):
         p = model.params
         dv[...] = loop_kernels.spread_reversion_loops(
             logx0, dv, dt, times, p["alpha"], p["switch_time"],
             0.5 * float(model.vol.a[0, 0]))[:, 1:]
         return {"capped_steps": np.zeros(dv.shape[0], np.int64)}
 
-    def patched(logx0, dv, dt, times, model):
+    def patched(logx0, dv, dt, times, model, carry):
         p = model.params
         logx, caps, s_time = loop_kernels.patched_trigger_loops(
             logx0, dv, dt, times, p["g"], p["delta"], p["big_m"], p["q_floor"],
@@ -369,7 +369,7 @@ def _loop_kernel_table():
         dv[...] = logx[:, 1:]
         return {"capped_steps": caps, "trigger_time": s_time}
 
-    def dominance(logx0, dv, dt, times, model):
+    def dominance(logx0, dv, dt, times, model, carry):
         p = model.params
         logx, t1_idx, caps = loop_kernels.upstart_loops(
             logx0, dv, dt, times, p["alpha"], p["eta"], p["eta_prime"], p["cdrift"],
@@ -505,3 +505,29 @@ def test_simulate_block_rejects_unknown_kind():
     factors = paths.generate_factors(paths.make_grid(1.0, 4), 2, 2, master_seed=0)
     with pytest.raises(InvalidModelError):
         markets.simulate_block(model, factors, 0, 2)
+
+
+def test_time_chunks_integrate_to_the_whole_path():
+    """The constant kind integrated chunk by chunk, each chunk from the state
+    the one before carried, gives the whole path's log prices bit for bit,
+    also when a chunk keeps only some of its rows.  A kind that steps with
+    ``_euler`` rejects a carried state."""
+    model = markets.constant_market(b=[0.05, -0.02, 0.0], sigma=0.3 * np.eye(3),
+                                    x0=[1.0, 2.0, 0.5], r=0.01)
+    f = paths.generate_factors(paths.make_grid(2.0, 100), 3, 6, master_seed=4)
+    whole, _ = markets.simulate_block(model, f, 0, 6)
+    chunk, keep, carry, rows = f, np.arange(6), None, np.arange(6)
+    for start, stop, kept in ((0, 33, [0, 2, 3, 5]), (33, 64, [1, 3]), (64, 100, None)):
+        chunk = chunk.time_chunk(keep, start, stop, carry)
+        lx, aux = markets.simulate_block(model, chunk, 0, chunk.n_paths)
+        np.testing.assert_array_equal(lx, whole[rows, start:stop + 1])
+        carry = aux["carry"]
+        if kept is not None:
+            keep, rows = np.array(kept), rows[kept]
+    diverse, _ = kernel_cases()["diverse"]
+    first = paths.generate_factors(paths.make_grid(1.0, 10), 3, 2, master_seed=1).time_chunk(
+        np.arange(2), 0, 5, None)
+    markets.simulate_block(diverse, first, 0, 2)  # a chunk from step 0 carries nothing
+    with pytest.raises(InvalidArgumentError, match="whole paths"):
+        markets.simulate_block(diverse, first.time_chunk(np.arange(2), 5, 10, np.zeros((2, 3))),
+                               0, 2)

@@ -115,3 +115,87 @@ def test_factor_validation():
         f.path_increments(4)
     with pytest.raises(InvalidArgumentError):
         f.block(2, 2)
+
+
+# ---------------------------------------------------------------------------
+# time-chunked draws
+# ---------------------------------------------------------------------------
+
+def _chunks(source, rows, ends):
+    """Draw the paths ``rows`` of ``source`` chunk by chunk, each chunk ending
+    at a step in ``ends``; each chunk is drawn in two slices of its rows."""
+    out, chunk, keep, start = [], source, rows, 0
+    for stop in ends:
+        chunk = chunk.time_chunk(keep, start, stop, None)
+        half = max(1, chunk.n_paths // 2)
+        parts = [chunk.block(0, half)]
+        if half < chunk.n_paths:
+            parts.append(chunk.block(half, chunk.n_paths))
+        out.append(np.concatenate(parts))
+        np.testing.assert_array_equal(chunk.times, source.grid.times[start:stop + 1])
+        keep, start = np.arange(chunk.n_paths), stop
+    return np.concatenate(out, axis=1)
+
+
+def test_time_chunks_join_to_the_whole_draw():
+    """Chunks joined along the time axis equal ``block`` bit for bit: an odd
+    path range, a last partial chunk, and a non-contiguous set of paths."""
+    g = paths.make_grid(3.0, 70)
+    f = paths.generate_factors(g, 3, 11, master_seed=41)
+    whole = f.block(0, 11)
+    np.testing.assert_array_equal(_chunks(f, np.arange(3, 10), [16, 32, 48, 64, 70]),
+                                  whole[3:10])
+    rows = np.array([9, 0, 4, 5])
+    np.testing.assert_array_equal(_chunks(f, rows, [25, 50, 70]), whole[rows])
+    np.testing.assert_array_equal(_chunks(f, np.array([10]), [70]), whole[10:])
+
+
+def test_time_chunks_drop_rows_and_keep_the_streams():
+    """A chunk cut from a chunk keeps a subset of its rows, and each kept
+    path goes on with its own stream."""
+    g = paths.make_grid(1.0, 40)
+    f = paths.generate_factors(g, 2, 6, master_seed=8)
+    whole = f.block(0, 6)
+    first = f.time_chunk(np.arange(6), 0, 16, None)
+    np.testing.assert_array_equal(first.block(0, 6), whole[:, :16])
+    second = first.time_chunk(np.array([1, 4, 5]), 16, 40, None)
+    assert second.n_paths == 3
+    np.testing.assert_array_equal(second.block(0, 3), whole[[1, 4, 5], 16:])
+
+
+def test_time_chunks_carry_their_rows_state():
+    """``carry`` keeps the entries of the chunk's rows; a plain source has none."""
+    f = paths.generate_factors(paths.make_grid(1.0, 8), 1, 5, master_seed=2)
+    assert f.carry is None
+    chunk = f.time_chunk(np.array([4, 1]), 0, 4, np.arange(5.0) * 10)
+    np.testing.assert_array_equal(chunk.carry, [40.0, 10.0])
+    assert chunk.time_chunk(np.array([1]), 4, 8, chunk.carry).carry.tolist() == [10.0]
+
+
+def test_time_chunks_drawn_out_of_order_raise():
+    """A path's steps are drawn once each and in order, or the draw raises."""
+    g = paths.make_grid(1.0, 20)
+    f = paths.generate_factors(g, 1, 4, master_seed=3)
+    with pytest.raises(InvalidArgumentError, match="stands at step 0"):
+        f.time_chunk(np.arange(4), 10, 20, None).block(0, 4)  # skips steps 0..9
+    first = f.time_chunk(np.arange(4), 0, 10, None)
+    second = first.time_chunk(np.arange(4), 10, 20, None)
+    with pytest.raises(InvalidArgumentError, match="stands at step 0"):
+        second.block(0, 4)  # before the chunk it continues
+    first.block(0, 4)
+    with pytest.raises(InvalidArgumentError, match="stands at step 10"):
+        first.block(1, 2)  # twice
+    second.block(0, 4)
+
+
+def test_time_chunk_validation():
+    g = paths.make_grid(1.0, 16)
+    f = paths.generate_factors(g, 2, 4, master_seed=9)
+    with pytest.raises(InvalidArgumentError, match="coarsened source"):
+        f.coarsened(4).time_chunk(np.arange(4), 0, 2, None)
+    for rows in (np.array([], int), np.array([4]), np.array([-1])):
+        with pytest.raises(InvalidArgumentError, match="rows"):
+            f.time_chunk(rows, 0, 8, None)
+    for start, stop in ((0, 0), (4, 2), (0, 17), (-1, 4)):
+        with pytest.raises(InvalidArgumentError, match="step range"):
+            f.time_chunk(np.arange(4), start, stop, None)
