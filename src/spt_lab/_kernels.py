@@ -26,11 +26,11 @@ results never depend on how paths were split into batches.
 A time chunk carries its state in and out.  ``carry`` is None where the
 paths start at ``logx0`` on ``times[0]``; otherwise it is the
 ``aux["carry"]`` the kernel returned for the same paths' chunk before,
-rows of dropped paths removed.  Only the constant kind carries: its state
-is the running sum of each path's log increments, (B, n), added in front
-of the chunk's ``cumsum``, so every addition happens in the order it has
-on the whole path and the log prices, log x0 plus the sum, match it bit
-for bit; the chunk starts at ``logx0 + carry``.  The kinds that step with
+one row per path.  Only the constant kind carries: its state is the
+running sum of each path's log increments, (B, n), added in front of the
+chunk's ``cumsum``, so every addition happens in the order it has on the
+whole path and the log prices, log x0 plus the sum, match it bit for bit;
+the chunk starts at ``logx0 + carry``.  The kinds that step with
 ``_euler`` reject a carry.
 
 Sums, maxima and minima over the stock or factor axis go through
@@ -103,6 +103,10 @@ def _leader(lx):
 # drift rules
 # ---------------------------------------------------------------------------
 
+# Floor for the log-distance to the barrier inside the repelling drift.
+_Q_FLOOR = 1e-8
+
+
 def constant_growth(model):
     """Growth rates ``b - diag(a)/2`` of the constant-coefficient market,
     one per stock, the same in every state."""
@@ -114,16 +118,16 @@ def leader_repulsion(model):
 
     Non-leading stocks grow at ``g``; the leader (lowest index on ties)
     grows at ``-(big_m/delta) / q`` with ``q = log((1-delta)/mu_max)``
-    floored at ``q_floor``.
+    floored at ``_Q_FLOOR``.
     """
     p = model.params
     log_barrier = np.log(1.0 - p["delta"])
     pull = -(p["big_m"] / p["delta"])
-    g, q_floor = p["g"], p["q_floor"]
+    g = p["g"]
 
     def growth(lx):
         at_lead, s = _leader(lx)
-        q = np.maximum(log_barrier + np.log(s), q_floor)
+        q = np.maximum(log_barrier + np.log(s), _Q_FLOOR)
         gam = np.empty(lx.shape)
         gam[...] = g
         gam[at_lead] = pull / q

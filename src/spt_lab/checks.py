@@ -1,4 +1,5 @@
-"""The verdict an experiment returns for each claim it checks."""
+"""The verdict an experiment returns for each claim it checks, and the
+numbered columns of its tables."""
 
 from __future__ import annotations
 
@@ -16,3 +17,8 @@ class Check(NamedTuple):
     passed: bool
     detail: str
     budget: float
+
+
+def numbered(prefix: str, matrix) -> dict:
+    """One table column per stock (or gap): ``prefix1``, ``prefix2``, ..."""
+    return {f"{prefix}{i + 1}": matrix[:, i] for i in range(matrix.shape[1])}

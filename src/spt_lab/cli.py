@@ -8,12 +8,12 @@ Configs are INI-style text with five sections::
     [mc]            path count and master seed
     [output]        directory and which optional files to write
 
-Every experiment is one function ``f(model, factors, **extras)`` that
-returns ``(metrics, info, checks, tables)`` under the report's names: its
-study in ``arbitrage`` or ``hedging``, or, for the four experiments that
-reduce the batches themselves, a function here.  ``extras`` are the
-experiment's parsed ``[experiment]`` keys.  Each claim an experiment makes
-is checked in its function, once, as a ``Check`` with its budget.
+Every experiment is one function ``f(model, factors, **extras)`` in its
+domain module (``diversity``, ``arbitrage``, ``ranks`` or ``hedging``)
+that returns ``(metrics, info, checks, tables)`` under the report's names.
+``extras`` are the experiment's parsed ``[experiment]`` keys.  Each claim
+an experiment makes is checked in its function, once, as a ``Check`` with
+its budget.  This module only parses, dispatches and writes.
 
 Every run writes ``summary.txt`` and ``summary.json`` (config echo,
 results, assertion lines with their budgets, provenance) and
@@ -29,7 +29,7 @@ import argparse
 import configparser
 import csv
 import datetime
-import math
+import importlib
 import json
 import os
 import re
@@ -39,14 +39,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import __version__
-from ._kernels import _max_last, constant_growth
-from . import arbitrage as _arbitrage
-from . import diversity as _diversity
 from . import hedging as _hedging
 from . import markets as _markets
 from . import paths as _paths
-from . import portfolios as _portfolios
-from . import ranks as _ranks
 from .checks import Check
 from .errors import (
     ConfigError,
@@ -479,191 +474,28 @@ def _factors(cfg: ExperimentConfig) -> _paths.FactorPaths:
     return _paths.generate_factors(cfg.grid, cfg.model.m, cfg.n_paths, cfg.master_seed)
 
 
-def _numbered(prefix: str, matrix) -> dict:
-    """One column per stock (or gap): ``prefix1``, ``prefix2``, ..."""
-    return {f"{prefix}{i + 1}": matrix[:, i] for i in range(matrix.shape[1])}
-
-
-def _simulate(model, factors):
-    n_paths, grid = factors.n_paths, factors.grid
-
-    def per_batch(lo, hi, lx, aux):
-        mu = _portfolios.market_weights(lx)
-        top = _max_last(mu)
-        return {
-            "wsum": mu.sum(axis=0)[None],
-            "topsum": top.sum(axis=0)[None],
-            "term_lx": lx[:, -1],
-            "term_mu": mu[:, -1],
-            "max_top": top.max(axis=1),
-            "trigger": aux.get("trigger_time", np.full(hi - lo, np.nan)),
-        }
-
-    cols = _markets.run_batches(model, factors, per_batch, 256)
-    trigger = cols["trigger"]
-    metrics = {
-        "n_paths": n_paths,
-        "n_steps": grid.n_steps,
-        "horizon": grid.horizon,
-        "mean_terminal_top": float(_max_last(cols["term_mu"]).sum() / n_paths),
-        "max_top_observed": float(cols["max_top"].max()),
-        "capped_step_total": int(cols["capped_steps"].sum()),
-    }
-    if np.isfinite(trigger).any():
-        hit = trigger[np.isfinite(trigger)]
-        metrics["trigger_fraction"] = float(hit.size / n_paths)
-        metrics["trigger_time_mean"] = float(hit.mean())
-
-    tables = {
-        "per_path": {
-            "path_id": np.arange(n_paths),
-            **_numbered("log_x", cols["term_lx"]),
-            **_numbered("mu", cols["term_mu"]),
-            "max_top": cols["max_top"],
-            "capped_steps": cols["capped_steps"],
-        },
-        "series": {
-            "t": grid.times,
-            **_numbered("mean_mu", cols["wsum"].sum(axis=0) / n_paths),
-            "mean_top": cols["topsum"].sum(axis=0) / n_paths,
-        },
-    }
-    return metrics, {}, [], tables
-
-
-_DIVERSITY_COLUMNS = ("max_top", "avg_top", "tail_top", "delta_max", "delta_avg",
-                      "is_diverse", "is_weakly_diverse")
-
-
-def _diversity_report(model, factors, delta, tail_fraction):
-    times = factors.grid.times
-    barrier = model.kind == "diverse"
-
-    def per_batch(lo, hi, lx, aux):
-        out = _diversity.check_diversity(
-            _portfolios.market_weights(lx), times, delta, tail_fraction)
-        if barrier:
-            drift = _diversity.check_barrier_drift_condition(
-                model, lx, times, model.params["delta"], aux)
-            out.update({key: [value] for key, value in drift.items()})
-        return out
-
-    cols = _markets.run_batches(model, factors, per_batch, 256)
-    metrics = {
-        "delta": delta,
-        "tail_fraction": tail_fraction,
-        "diverse_fraction": float(cols["is_diverse"].mean()),
-        "weakly_diverse_fraction": float(cols["is_weakly_diverse"].mean()),
-        "min_delta_max": float(cols["delta_max"].min()),
-        "min_delta_avg": float(cols["delta_avg"].min()),
-        "worst_tail_top": float(cols["tail_top"].max()),
-    }
-    checks = []
-    if barrier:
-        violations = int(cols["violations"].sum())
-        checks.append(Check(
-            "drift repels the leader wherever the top weight nears the barrier",
-            violations == 0,
-            f"checked={int(cols['checked'].sum())} violations={violations} "
-            f"worst_slack={float(cols['worst_slack'].min()):.6g}", 0.0,
-        ))
-    per_path = {"path_id": np.arange(factors.n_paths),
-                **{key: cols[key] for key in _DIVERSITY_COLUMNS}}
-    info = {"capped_steps": int(cols["capped_steps"].sum())}
-    return metrics, info, checks, {"per_path": per_path}
-
-
-def _ranked_decomposition(model, factors):
-    times = factors.grid.times
-
-    def per_batch(lo, hi, lx, aux):
-        dv = _markets._vol_increments(model, factors.block(lo, hi))
-        res = _ranks.ranked_decomposition(model, lx, dv, times, aux)
-        return {
-            "relative_named": res["relative_named"],
-            "relative_model": res["relative_model"],
-            "lam_term": res["local_times"][:, -1],
-        }
-
-    cols = _markets.run_batches(model, factors, per_batch, 256)
-    rel_named, rel_model, lam_term = (
-        cols[key] for key in ("relative_named", "relative_model", "lam_term"))
-    metrics = {
-        "max_relative_named": float(rel_named.max()),
-        "max_relative_model": float(rel_model.max()),
-        "mean_relative_model": float(rel_model.mean()),
-        "mean_terminal_local_time_top_gap": float(lam_term[:, 0].mean()),
-    }
-    # the series follows the first path alone
-    w = _portfolios.market_weights(_markets.simulate_block(model, factors, 0, 1)[0])
-    tables = {
-        "per_path": {
-            "path_id": np.arange(factors.n_paths),
-            "relative_named": rel_named,
-            "relative_model": rel_model,
-            **_numbered("gap_local_time", lam_term),
-        },
-        "series": {
-            "t": times,
-            **_numbered("ranked_w", _ranks.ranked_weight_path(w)[0][0]),
-            **_numbered("gap_local_time", _ranks.adjacent_gap_local_times(w)[0]),
-        },
-    }
-    return metrics, {"capped_steps": int(cols["capped_steps"].sum())}, [], tables
-
-
-def _local_time_oracle(model, factors, index):
-    horizon = factors.grid.horizon
-
-    def per_batch(lo, hi, lx, aux):
-        y = lx[:, :, index] - lx[:, :1, index]
-        return {"lam": _ranks.estimate_local_time(y)[:, -1]}
-
-    cols = _markets.run_batches(model, factors, per_batch, 1024)
-    lam = cols["lam"]
-    mean, se = _hedging._compensated_mean_se(lam)
-    metrics = {"mean_terminal_local_time": mean, "se": se, "horizon": horizon}
-    checks = []
-    if model.kind == "constant":
-        if abs(constant_growth(model)[index]) < 1e-12:
-            oracle = math.sqrt(model.vol.a[index, index]) * math.sqrt(2.0 * horizon / math.pi)
-            tol = max(3.0 * se, 0.02 * oracle)
-            metrics["oracle"] = oracle
-            metrics["abs_error"] = abs(mean - oracle)
-            metrics["t_stat"] = (mean - oracle) / se if se > 0 else float("inf")
-            checks.append(Check(
-                "terminal local time matches the reflected-line mean",
-                abs(mean - oracle) <= tol,
-                f"mean={mean:.6g} oracle={oracle:.6g} tol={tol:.3g}", tol))
-    per_path = {"path_id": np.arange(factors.n_paths), "terminal_local_time": lam}
-    info = {"capped_steps": int(cols["capped_steps"].sum())}
-    return metrics, info, checks, {"per_path": per_path}
-
-
-# experiment name -> (module, function).  The function is looked up on its
-# module each time an experiment runs, so one replaced there (to trace it,
-# say) is the one that runs.
-_CLI = sys.modules[__name__]
+# experiment name -> "module.function" in this package.  The function is
+# looked up on its module each time an experiment runs, so one replaced
+# there (to trace it, say) is the one that runs.
 _EXPERIMENTS = {
-    "simulate": (_CLI, "_simulate"),
-    "diversity-report": (_CLI, "_diversity_report"),
-    "arbitrage-45": (_arbitrage, "outperformance_study"),
-    "mirror-81": (_arbitrage, "mirror_study"),
-    "master-formula": (_arbitrage, "master_formula_order_study"),
-    "ranked-decomposition": (_CLI, "_ranked_decomposition"),
-    "local-time-oracle": (_CLI, "_local_time_oracle"),
-    "hedge-price": (_hedging, "hedge_price"),
-    "call-decay": (_hedging, "call_decay_study"),
-    "parity-gap": (_hedging, "parity_gap_study"),
-    "instantaneous-dominance": (_arbitrage, "dominance_study"),
+    "diversity-report": "diversity.diversity_study",
+    "arbitrage-45": "arbitrage.outperformance_study",
+    "mirror-81": "arbitrage.mirror_study",
+    "master-formula": "arbitrage.master_formula_order_study",
+    "ranked-decomposition": "ranks.ranked_decomposition_study",
+    "local-time-oracle": "ranks.local_time_study",
+    "hedge-price": "hedging.hedge_price",
+    "call-decay": "hedging.call_decay_study",
+    "parity-gap": "hedging.parity_gap_study",
+    "instantaneous-dominance": "arbitrage.dominance_study",
 }
 EXPERIMENTS = tuple(_EXPERIMENTS)
 
 
 def experiment(name: str):
     """The function that runs experiment ``name``."""
-    module, attr = _EXPERIMENTS[name]
-    return getattr(module, attr)
+    module, attr = _EXPERIMENTS[name].split(".")
+    return getattr(importlib.import_module(f".{module}", __package__), attr)
 
 
 def run(cfg: ExperimentConfig) -> ExperimentReport:

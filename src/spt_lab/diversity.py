@@ -4,6 +4,8 @@ A market is called diverse on a horizon when the largest capitalization
 weight stays below 1 minus a fixed margin on the whole horizon, and weakly
 diverse when its time average does.  These are properties of a realized
 path; the checks here measure the largest margin a given path certifies.
+``diversity_study`` is the diversity-report experiment: it returns
+``(metrics, info, checks, tables)`` under the report's names.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from ._kernels import _max_last, _min_last, _sum_last
+from .checks import Check, numbered
 from .errors import InvalidArgumentError
 from . import markets as _markets
 from . import portfolios as _portfolios
@@ -19,6 +22,7 @@ __all__ = [
     "diversity_measure",
     "check_diversity",
     "check_barrier_drift_condition",
+    "diversity_study",
 ]
 
 
@@ -126,3 +130,79 @@ def check_barrier_drift_condition(model, log_prices, times, delta: float, aux=No
         "violations": int(np.count_nonzero(slack < 0)),
         "worst_slack": float(slack.min()),
     }
+
+
+_DIVERSITY_COLUMNS = ("max_top", "avg_top", "tail_top", "delta_max", "delta_avg",
+                      "is_diverse", "is_weakly_diverse")
+
+
+def diversity_study(model, factors, delta: float, tail_fraction: float):
+    """Diversity margins of every path, with the raw path statistics.
+
+    Per path: the terminal log prices and weights, the columns of
+    ``check_diversity`` and the capped drift entries.  Per grid time: the
+    mean weight of each stock and the mean top weight.  In the barrier
+    market, also checks ``check_barrier_drift_condition`` at its own delta
+    on every path.  A patched model reports how many paths fired its trigger
+    and when, if any did.
+    """
+    n_paths, times = factors.n_paths, factors.grid.times
+    barrier = model.kind == "diverse"
+
+    def per_batch(lo, hi, lx, aux):
+        mu = _portfolios.market_weights(lx)
+        out = check_diversity(mu, times, delta, tail_fraction)
+        out.update({
+            "wsum": mu.sum(axis=0)[None],
+            "topsum": _max_last(mu).sum(axis=0)[None],
+            "term_lx": lx[:, -1],
+            # a copy, so the batch's weights are freed before the drift check
+            "term_mu": mu[:, -1].copy(),
+            "trigger": aux.get("trigger_time", np.full(hi - lo, np.nan)),
+        })
+        del mu
+        if barrier:
+            drift = check_barrier_drift_condition(model, lx, times, model.params["delta"], aux)
+            out.update({key: [value] for key, value in drift.items()})
+        return out
+
+    cols = _markets.run_batches(model, factors, per_batch, 256)
+    metrics = {
+        "delta": delta,
+        "tail_fraction": tail_fraction,
+        "diverse_fraction": float(cols["is_diverse"].mean()),
+        "weakly_diverse_fraction": float(cols["is_weakly_diverse"].mean()),
+        "min_delta_max": float(cols["delta_max"].min()),
+        "min_delta_avg": float(cols["delta_avg"].min()),
+        "worst_tail_top": float(cols["tail_top"].max()),
+        "mean_terminal_top": float(_max_last(cols["term_mu"]).sum() / n_paths),
+    }
+    trigger = cols["trigger"]
+    if np.isfinite(trigger).any():
+        hit = trigger[np.isfinite(trigger)]
+        metrics["trigger_fraction"] = float(hit.size / n_paths)
+        metrics["trigger_time_mean"] = float(hit.mean())
+    checks = []
+    if barrier:
+        violations = int(cols["violations"].sum())
+        checks.append(Check(
+            "drift repels the leader wherever the top weight nears the barrier",
+            violations == 0,
+            f"checked={int(cols['checked'].sum())} violations={violations} "
+            f"worst_slack={float(cols['worst_slack'].min()):.6g}", 0.0,
+        ))
+    tables = {
+        "per_path": {
+            "path_id": np.arange(n_paths),
+            **numbered("log_x", cols["term_lx"]),
+            **numbered("mu", cols["term_mu"]),
+            **{key: cols[key] for key in _DIVERSITY_COLUMNS},
+            "capped_steps": cols["capped_steps"],
+        },
+        "series": {
+            "t": times,
+            **numbered("mean_mu", cols["wsum"].sum(axis=0) / n_paths),
+            "mean_top": cols["topsum"].sum(axis=0) / n_paths,
+        },
+    }
+    return metrics, {"capped_steps": int(cols["capped_steps"].sum())}, checks, tables

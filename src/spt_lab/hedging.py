@@ -236,8 +236,8 @@ def _foellmer_knock_out(model, factors: _paths.FactorPaths, rungs, read):
         out_dt = out_2dt = np.zeros(rows.size, bool)
         for a in range(0, top, _CHUNK_STEPS):
             b = min(a + _CHUNK_STEPS, top)
-            chunk = chunk.time_chunk(keep, a, b, carry)
-            lx, aux = _markets.simulate_block(q, chunk, 0, rows.size)
+            chunk = chunk.time_chunk(keep, a, b)
+            lx, aux = _markets.simulate_block(q, chunk, 0, rows.size, carry)
             carry = aux["carry"]
             x = np.exp(lx)
             hit = _max_last(x) >= level * _sum_last(x)  # at grid points a..b
@@ -257,7 +257,7 @@ def _foellmer_knock_out(model, factors: _paths.FactorPaths, rungs, read):
             keep = np.flatnonzero(~out_2dt)
             if keep.size == 0:
                 break
-            rows, out_dt, out_2dt = rows[keep], out_dt[keep], out_2dt[keep]
+            rows, out_dt, out_2dt, carry = rows[keep], out_dt[keep], out_2dt[keep], carry[keep]
             read_carry = None if read_carry is None else read_carry[keep]
     return out
 

@@ -39,9 +39,6 @@ __all__ = [
 # steps are counted and reported, never silent.
 DRIFT_STEP_CAP = 0.25
 
-# Floor for the log-distance to the barrier inside singular drift rules.
-Q_FLOOR = 1e-8
-
 
 @dataclass(frozen=True)
 class Dispersion:
@@ -148,7 +145,6 @@ def diverse_market(
     x0,
     big_m: float | None = None,
     r: float = 0.0,
-    q_floor: float = Q_FLOOR,
     step_cap: float = DRIFT_STEP_CAP,
 ) -> MarketModel:
     """Market whose current leader is log-repelled from the weight barrier.
@@ -185,8 +181,8 @@ def diverse_market(
     x0v = _as_vector(x0, vol.n, "x0")
     if _kernels._max_last(x0v) / _kernels._sum_last(x0v) >= 1 - delta:
         raise InvalidModelError("initial top weight already at or past the barrier")
-    if q_floor <= 0 or step_cap <= 0:
-        raise InvalidModelError("q_floor and step_cap must be positive")
+    if step_cap <= 0:
+        raise InvalidModelError("step_cap must be positive")
     return MarketModel(
         kind="diverse",
         vol=vol,
@@ -196,7 +192,6 @@ def diverse_market(
             "g": g,
             "delta": float(delta),
             "big_m": float(big_m),
-            "q_floor": float(q_floor),
             "step_cap": float(step_cap),
         },
     )
@@ -305,16 +300,16 @@ def _vol_increments(model: MarketModel, dw: np.ndarray, out=None) -> np.ndarray:
     return np.matmul(dw, model.vol.sigma.T, out=out)
 
 
-def simulate_block(model: MarketModel, factors: FactorPaths, lo: int, hi: int):
+def simulate_block(model: MarketModel, factors: FactorPaths, lo: int, hi: int, carry=None):
     """Integrate paths lo..hi-1 over ``factors.times``.  Returns (log_prices
     (B, K+1, n), aux dict).
 
     ``aux`` holds the kernel's per-path records, ``capped_steps`` (B,) int64
-    among them for every kind: zeros where the kind has no cap.  On a time
-    chunk (``FactorPaths.time_chunk``) the paths go on from the state the
-    chunk carries, the ``aux["carry"]`` of the same paths' chunk before,
-    and start from log x0 where it carries None; a kind that cannot carry
-    its state rejects a chunk that does.
+    among them for every kind: zeros where the kind has no cap.  The paths
+    start from log x0, or, given a ``carry``, go on from the state it holds
+    for them: the ``aux["carry"]`` of the same paths over the steps before
+    ``factors.times`` (a time chunk, ``FactorPaths.time_chunk``), one row per
+    path.  A kind that cannot carry its state rejects a carry.
 
     The log-price buffer is the only batch-sized array: the factors are
     drawn in slices of paths whose draws take at most ``_DRAW_BYTES`` (one
@@ -339,9 +334,6 @@ def simulate_block(model: MarketModel, factors: FactorPaths, lo: int, hi: int):
     for s in range(lo, hi, per_slice):
         e = min(s + per_slice, hi)
         _vol_increments(model, factors.block(s, e), out=dv[s - lo:e - lo])
-    carry = factors.carry
-    if carry is not None:
-        carry = carry[lo:hi]
     # row 0 last, so the draws, not this strided write, first touch the pages
     logx[:, 0] = logx0 if carry is None else logx0 + carry
     aux = kernel(logx0, dv, np.diff(times), times, model, carry)

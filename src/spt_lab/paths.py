@@ -114,7 +114,6 @@ class _Chunk:
     start: int
     stop: int
     streams: list  # one _Stream per row
-    carry: object  # the integrator's state at ``start``, one entry per row, or None
 
 
 @dataclass(frozen=True)
@@ -155,24 +154,13 @@ class FactorPaths:
             return self.grid.times
         return self.grid.times[self._chunk.start:self._chunk.stop + 1]
 
-    @property
-    def carry(self):
-        """A time chunk's carried state (see ``time_chunk``); None otherwise."""
-        return None if self._chunk is None else self._chunk.carry
-
-    def path_increments(self, path_index: int) -> np.ndarray:
-        """Increments for one path, shape (n_steps, m)."""
-        if not 0 <= path_index < self.n_paths:
-            raise InvalidArgumentError(f"path_index {path_index} out of range")
-        return self._draw(path_index, path_index + 1)[0]
-
     def block(self, lo: int, hi: int) -> np.ndarray:
         """Increments for paths lo..hi-1, shape (hi-lo, n_steps, m)."""
         if not 0 <= lo < hi <= self.n_paths:
             raise InvalidArgumentError(f"bad path range [{lo}, {hi})")
         return self._draw(lo, hi)
 
-    def time_chunk(self, rows, start: int, stop: int, carry) -> "FactorPaths":
+    def time_chunk(self, rows, start: int, stop: int) -> "FactorPaths":
         """Paths ``rows`` of this source over grid steps start..stop-1.
 
         The chunk is a source of ``len(rows)`` paths: its ``block(lo, hi)``
@@ -182,9 +170,6 @@ class FactorPaths:
         pieces equals the stream drawn whole: a plain source's chunks start
         at step 0, a chunk's chunks go on where it stops, and drawing a
         path's steps out of order or twice raises ``InvalidArgumentError``.
-        ``carry`` holds one entry per path of this source, what the
-        integrator carried to ``start`` (None at step 0); the chunk keeps
-        the entries of its rows for ``markets.simulate_block``.
         """
         if self._parent is not None:
             raise InvalidArgumentError("a coarsened source draws whole paths only")
@@ -198,8 +183,7 @@ class FactorPaths:
         else:
             paths = self._chunk.rows[rows]
             streams = [self._chunk.streams[i] for i in rows]
-        return replace(self, n_paths=rows.size, _chunk=_Chunk(
-            paths, start, stop, streams, None if carry is None else carry[rows]))
+        return replace(self, n_paths=rows.size, _chunk=_Chunk(paths, start, stop, streams))
 
     def _draw(self, lo: int, hi: int) -> np.ndarray:
         # a coarsened source reads its parent through here, not through

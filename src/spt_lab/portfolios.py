@@ -103,18 +103,12 @@ def numeraire_invariance_residual(w: np.ndarray, rho: np.ndarray, a: np.ndarray)
 # wealth integration
 # ---------------------------------------------------------------------------
 
-def market_value(log_prices: np.ndarray, z0: float = None) -> np.ndarray:
-    """Wealth of the market portfolio: z0 * (total cap / initial total cap).
-
-    With z0 left unset the initial total capitalization is used, so the
-    value equals total capitalization along the whole path.
-    """
+def market_value(log_prices: np.ndarray) -> np.ndarray:
+    """Wealth of the market portfolio started with the initial total
+    capitalization: the total capitalization along the whole path."""
     lx = np.asarray(log_prices, dtype=float)
     mx = _max_last(lx)
-    s = _sum_last(np.exp(lx - mx[..., None])) * np.exp(mx)
-    if z0 is None:
-        return s.copy()
-    return z0 * s / s[..., :1]
+    return _sum_last(np.exp(lx - mx[..., None])) * np.exp(mx)
 
 
 def gross_log_value(weights: np.ndarray, log_prices: np.ndarray) -> np.ndarray:

@@ -12,14 +12,22 @@ which is zero when no sign change occurs, 2 |y_next| on a crossing, and
 so the estimate is nondecreasing without any flooring.  Feeding a
 nonnegative path (a gap that never crosses) therefore yields identically
 zero, which is the correct degenerate answer for that input.
+
+Two experiments live here, each returning ``(metrics, info, checks,
+tables)`` under the report's names: ``ranked_decomposition_study`` and
+``local_time_study``.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from ._kernels import _max_last, _sum_last
+from ._kernels import _max_last, _sum_last, constant_growth
+from .checks import Check, numbered
 from .errors import InvalidArgumentError
+from . import hedging as _hedging
 from . import markets as _markets
 from . import portfolios as _portfolios
 
@@ -29,6 +37,8 @@ __all__ = [
     "estimate_local_time",
     "adjacent_gap_local_times",
     "ranked_decomposition",
+    "ranked_decomposition_study",
+    "local_time_study",
 ]
 
 
@@ -153,3 +163,80 @@ def ranked_decomposition(model, log_prices, dv, times, aux):
         "relative_named": rel_named,
         "relative_model": rel_model,
     }
+
+
+def ranked_decomposition_study(model, factors):
+    """``ranked_decomposition`` on every path: the relative residual sups
+    and the terminal gap local times per path, and path 0's ranked weights
+    and gap local times along the grid."""
+    times = factors.grid.times
+    first = []  # path 0's log prices, kept from the batch that simulates it
+
+    def per_batch(lo, hi, lx, aux):
+        if lo == 0:
+            first.append(lx[:1].copy())
+        dv = _markets._vol_increments(model, factors.block(lo, hi))
+        res = ranked_decomposition(model, lx, dv, times, aux)
+        return {
+            "relative_named": res["relative_named"],
+            "relative_model": res["relative_model"],
+            "lam_term": res["local_times"][:, -1],
+        }
+
+    cols = _markets.run_batches(model, factors, per_batch, 256)
+    rel_named, rel_model, lam_term = (
+        cols[key] for key in ("relative_named", "relative_model", "lam_term"))
+    metrics = {
+        "max_relative_named": float(rel_named.max()),
+        "max_relative_model": float(rel_model.max()),
+        "mean_relative_model": float(rel_model.mean()),
+        "mean_terminal_local_time_top_gap": float(lam_term[:, 0].mean()),
+    }
+    w = _portfolios.market_weights(first[0])
+    tables = {
+        "per_path": {
+            "path_id": np.arange(factors.n_paths),
+            "relative_named": rel_named,
+            "relative_model": rel_model,
+            **numbered("gap_local_time", lam_term),
+        },
+        "series": {
+            "t": times,
+            **numbered("ranked_w", ranked_weight_path(w)[0][0]),
+            **numbered("gap_local_time", adjacent_gap_local_times(w)[0]),
+        },
+    }
+    return metrics, {"capped_steps": int(cols["capped_steps"].sum())}, [], tables
+
+
+def local_time_study(model, factors, index: int):
+    """Terminal local time at zero of stock ``index``'s log price move
+    ``log X(t) - log X(0)``, per path and in mean with its standard error.
+    Where that stock's log price is a driftless Brownian motion (a constant
+    market with zero growth rate), the mean is checked against the
+    reflected-line value sqrt(a_ii) sqrt(2T / pi)."""
+    horizon = factors.grid.horizon
+
+    def per_batch(lo, hi, lx, aux):
+        y = lx[:, :, index] - lx[:, :1, index]
+        return {"lam": estimate_local_time(y)[:, -1]}
+
+    cols = _markets.run_batches(model, factors, per_batch, 1024)
+    lam = cols["lam"]
+    mean, se = _hedging._compensated_mean_se(lam)
+    metrics = {"mean_terminal_local_time": mean, "se": se, "horizon": horizon}
+    checks = []
+    if model.kind == "constant":
+        if abs(constant_growth(model)[index]) < 1e-12:
+            oracle = math.sqrt(model.vol.a[index, index]) * math.sqrt(2.0 * horizon / math.pi)
+            tol = max(3.0 * se, 0.02 * oracle)
+            metrics["oracle"] = oracle
+            metrics["abs_error"] = abs(mean - oracle)
+            metrics["t_stat"] = (mean - oracle) / se if se > 0 else float("inf")
+            checks.append(Check(
+                "terminal local time matches the reflected-line mean",
+                abs(mean - oracle) <= tol,
+                f"mean={mean:.6g} oracle={oracle:.6g} tol={tol:.3g}", tol))
+    per_path = {"path_id": np.arange(factors.n_paths), "terminal_local_time": lam}
+    info = {"capped_steps": int(cols["capped_steps"].sum())}
+    return metrics, info, checks, {"per_path": per_path}

@@ -12,8 +12,6 @@ class ZeroFactors:
     bookkeeping can be checked in isolation.
     """
 
-    carry = None  # never a time chunk
-
     def __init__(self, grid, m, n_paths=1):
         self.grid = grid
         self.times = grid.times
@@ -22,9 +20,6 @@ class ZeroFactors:
 
     def block(self, lo, hi):
         return np.zeros((hi - lo, self.grid.n_steps, self.m))
-
-    def path_increments(self, path_index):
-        return np.zeros((self.grid.n_steps, self.m))
 
 
 def force_batch_size(monkeypatch, size):

@@ -368,7 +368,8 @@ def test_criterion_12_deterministic_output(tmp_path):
     cfg = tmp_path / "sim.ini"
     cfg.write_text(textwrap.dedent("""\
             [experiment]
-            name = simulate
+            name = diversity-report
+            delta = 0.3
 
             [model]
             kind = constant

@@ -26,10 +26,11 @@ def _write(tmp_path, text, name="exp.ini"):
     return str(p)
 
 
-def _simulate_cfg(tmp_path, out_dir, extra_mc="", extra_out="", n_paths=20):
+def _constant_cfg(tmp_path, out_dir, extra_mc="", extra_out="", n_paths=20):
     return _write(tmp_path, f"""\
         [experiment]
-        name = simulate
+        name = diversity-report
+        delta = 0.3
 
         [model]
         kind = constant
@@ -57,8 +58,8 @@ def _simulate_cfg(tmp_path, out_dir, extra_mc="", extra_out="", n_paths=20):
 # ---------------------------------------------------------------------------
 
 def test_parse_minimal_config_defaults(tmp_path):
-    cfg = cli.parse_config(_simulate_cfg(tmp_path, tmp_path / "out"))
-    assert cfg.name == "simulate"
+    cfg = cli.parse_config(_constant_cfg(tmp_path, tmp_path / "out"))
+    assert cfg.name == "diversity-report"
     assert cfg.model.kind == "constant"
     assert cfg.model.n == 2
     assert cfg.grid.n_steps == 50
@@ -78,7 +79,7 @@ def test_parse_missing_file(tmp_path):
 def test_parse_collects_every_error(tmp_path):
     path = _write(tmp_path, """\
         [experiment]
-        name = simulate
+        name = diversity-report
 
         [model]
         kind = diverse
@@ -115,19 +116,20 @@ def test_parse_rejects_unknown_experiment_and_keys(tmp_path):
         cli.parse_config(path)
     assert any("experiment.name" in m for m in exc.value.messages)
 
-    stray = _simulate_cfg(tmp_path, tmp_path / "o", extra_mc="typo = 1")
+    stray = _constant_cfg(tmp_path, tmp_path / "o", extra_mc="typo = 1")
     with pytest.raises(ConfigError) as exc:
         cli.parse_config(stray)
     assert any("mc.typo" in m for m in exc.value.messages)
 
     # settings that no longer exist are rejected like any unknown one
-    base = Path(_simulate_cfg(tmp_path, tmp_path / "o")).read_text()
+    base = Path(_constant_cfg(tmp_path, tmp_path / "o")).read_text()
     for old, new, named in (
         ("[mc]", "[mc]\nworkers = 2", "mc.workers"),
         ("[mc]", "[mc]\nbatch_size = 7", "mc.batch_size"),
         ("[output]", "[output]\njson = false", "output.json"),
         ("kind = constant", "kind = gbm", "'gbm'"),
-        ("name = simulate", "name = examples-82-83", "'examples-82-83'"),
+        ("name = diversity-report", "name = examples-82-83", "'examples-82-83'"),
+        ("name = diversity-report", "name = simulate", "'simulate'"),
     ):
         removed = tmp_path / "removed.ini"
         removed.write_text(base.replace(old, new))
@@ -139,7 +141,8 @@ def test_parse_rejects_unknown_experiment_and_keys(tmp_path):
 def test_parse_steps_per_unit_restricted_to_call_decay(tmp_path):
     path = _write(tmp_path, """\
         [experiment]
-        name = simulate
+        name = diversity-report
+        delta = 0.3
 
         [model]
         kind = constant
@@ -162,7 +165,7 @@ def test_parse_steps_per_unit_restricted_to_call_decay(tmp_path):
 
 
 def test_flag_overrides_beat_file_values(tmp_path):
-    cfg = cli.parse_config(_simulate_cfg(tmp_path, tmp_path / "a"),
+    cfg = cli.parse_config(_constant_cfg(tmp_path, tmp_path / "a"),
                            paths=7, seed=99, steps=25, out=str(tmp_path / "b"))
     assert cfg.n_paths == 7
     assert cfg.master_seed == 99
@@ -175,9 +178,9 @@ def test_flag_overrides_beat_file_values(tmp_path):
 
 
 def test_per_path_gating(tmp_path):
-    big = _simulate_cfg(tmp_path, tmp_path / "o1", n_paths=20_000)
+    big = _constant_cfg(tmp_path, tmp_path / "o1", n_paths=20_000)
     assert cli.parse_config(big).per_path is False
-    forced = _simulate_cfg(tmp_path, tmp_path / "o2", n_paths=20_000,
+    forced = _constant_cfg(tmp_path, tmp_path / "o2", n_paths=20_000,
                            extra_out="per_path = true")
     assert cli.parse_config(forced).per_path is True
 
@@ -188,7 +191,7 @@ def test_per_path_gating(tmp_path):
 
 def test_run_simulate_writes_outputs(tmp_path):
     out = tmp_path / "run1"
-    cfg = _simulate_cfg(tmp_path, out, extra_out="series = true")
+    cfg = _constant_cfg(tmp_path, out, extra_out="series = true")
     assert cli.main(["run", cfg]) == 0
     for fname in ("metrics.csv", "per_path.csv", "series.csv",
                   "summary.txt", "summary.json"):
@@ -197,7 +200,7 @@ def test_run_simulate_writes_outputs(tmp_path):
     assert doc["provenance"]["master_seed"] == 3
     assert doc["provenance"]["rng"] == (
         "PCG64 per path, seeded by SeedSequence((master_seed, path_index))")
-    assert doc["config"]["experiment"]["name"] == "simulate"
+    assert doc["config"]["experiment"]["name"] == "diversity-report"
     # numeric cells carry full precision and parse back to floats
     rows = (out / "per_path.csv").read_text().strip().splitlines()
     assert rows[0].startswith("path_id,")
@@ -237,7 +240,7 @@ def test_reruns_and_worker_counts_are_byte_identical(tmp_path, monkeypatch):
     outs = []
     for i in range(2):
         out = tmp_path / f"d{i}"
-        assert cli.main(["run", _simulate_cfg(tmp_path, out)]) == 0
+        assert cli.main(["run", _constant_cfg(tmp_path, out)]) == 0
         outs.append(out)
     for fname in ("metrics.csv", "per_path.csv"):
         assert (outs[0] / fname).read_bytes() == (outs[1] / fname).read_bytes(), fname
@@ -275,11 +278,12 @@ _SCHEMA = {
         {"stock": "T deflated_stock stderr envelope", "table": "T h_hat stderr envelope"}),
     "diversity_report.ini": (
         "delta tail_fraction diverse_fraction weakly_diverse_fraction min_delta_max "
-        "min_delta_avg worst_tail_top",
+        "min_delta_avg worst_tail_top mean_terminal_top",
         "capped_steps",
         ["drift repels the leader wherever the top weight nears the barrier"],
-        {"per_path": "path_id max_top avg_top tail_top delta_max delta_avg is_diverse "
-                     "is_weakly_diverse"}),
+        {"per_path": "path_id log_x1 log_x2 log_x3 mu1 mu2 mu3 max_top avg_top tail_top "
+                     "delta_max delta_avg is_diverse is_weakly_diverse capped_steps",
+         "series": "t mean_mu1 mean_mu2 mean_mu3 mean_top"}),
     "hedge_price.ini": (
         "price se zero_fraction strike spot horizon reference t_stat",
         "claim",
@@ -337,12 +341,6 @@ _SCHEMA = {
         [],
         {"per_path": "path_id relative_named relative_model gap_local_time1",
          "series": "t ranked_w1 ranked_w2 gap_local_time1"}),
-    "simulate_diverse.ini": (
-        "n_paths n_steps horizon mean_terminal_top max_top_observed capped_step_total",
-        "",
-        [],
-        {"per_path": "path_id log_x1 log_x2 log_x3 mu1 mu2 mu3 max_top capped_steps",
-         "series": "t mean_mu1 mean_mu2 mean_mu3 mean_top"}),
 }
 
 
@@ -368,7 +366,7 @@ def test_preset_runs_at_small_size(tmp_path, preset):
 
 def test_exit_codes_for_bad_invocations(tmp_path, capsys):
     assert cli.main(["run", str(tmp_path / "ghost.ini")]) == 2
-    bad = _write(tmp_path, "[experiment]\nname = simulate\n")
+    bad = _write(tmp_path, "[experiment]\nname = diversity-report\n")
     assert cli.main(["run", bad]) == 2
     # the dominance breach check reruns on the grid coarsened by two
     capsys.readouterr()
@@ -620,7 +618,8 @@ def test_t_min_needs_a_geometric_grid(tmp_path, geometric):
     error, whether the grid is uniform by default or by a set key."""
     cfg = _write(tmp_path, f"""\
         [experiment]
-        name = simulate
+        name = diversity-report
+        delta = 0.3
 
         [model]
         kind = constant
@@ -649,7 +648,7 @@ def test_geometric_grid_keys_parse_where_they_apply(tmp_path):
     cfg = cli.parse_config(str(_PRESETS / "instantaneous_dominance.ini"))
     assert not cfg.grid.is_uniform
     assert cfg.grid.times[1] == pytest.approx(1e-8)
-    text = Path(_simulate_cfg(tmp_path, tmp_path / "out")).read_text()
+    text = Path(_constant_cfg(tmp_path, tmp_path / "out")).read_text()
     geo = _write(tmp_path, text.replace(
         "n_steps = 50", "n_steps = 50\ngeometric = true\nt_min = 1e-4"), name="geo.ini")
     assert cli.parse_config(geo).grid.times[1] == pytest.approx(1e-4)
@@ -701,8 +700,8 @@ def test_master_formula_records_capped_steps(tmp_path):
 
 @pytest.mark.parametrize("name", ["ranked-decomposition", "local-time-oracle"])
 def test_experiments_without_a_study_record_capped_steps(tmp_path, name):
-    """Experiments that reduce the batches in cli also count the
-    capped drift entries in the summary, outside the CSVs."""
+    """ranked-decomposition and local-time-oracle count the capped drift
+    entries in the summary, outside the CSVs."""
     out = tmp_path / "capped"
     cfg = _write(tmp_path, f"""\
         [experiment]

@@ -414,7 +414,8 @@ def test_parity_witness_matches_the_whole_path_values(monkeypatch):
     metrics = hedging.parity_gap_study(model, f, 2.0, 1.1, 0, 1)[0]
     q = markets.constant_market(b=0.0, sigma=model.vol.sigma, x0=model.x0)
     lx, _ = markets.simulate_block(q, f, 0, f.n_paths)
-    zmu = portfolios.market_value(lx, 1.0)[:, -1]
+    cap = portfolios.market_value(lx)
+    zmu = cap[:, -1] / cap[:, 0]
     what = portfolios.mirror_weights(np.eye(3)[0], portfolios.market_weights(lx), 2.0)
     rel = portfolios.relative_log_value(what, lx, f.grid.times, model.vol.a)[:, -1]
     alive = _whole_path_knock_out(model, f, [300], 0)[1][:, 0]

@@ -15,7 +15,7 @@ def _one_path(model, grid, seed=0):
     """Log prices (K+1, n), integration records and factor increments of one path."""
     f = paths.generate_factors(grid, model.m, 1, master_seed=seed)
     lx, aux = markets.simulate_block(model, f, 0, 1)
-    return lx[0], {key: value[0] for key, value in aux.items()}, f.path_increments(0)
+    return lx[0], {key: value[0] for key, value in aux.items()}, f.block(0, 1)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -350,7 +350,7 @@ def _loop_kernel_table():
     def diverse(logx0, dv, dt, times, model, carry):
         p = model.params
         logx, caps = loop_kernels.repelled_leader_loops(
-            logx0, dv, dt, p["g"], p["delta"], p["big_m"], p["q_floor"], p["step_cap"])
+            logx0, dv, dt, p["g"], p["delta"], p["big_m"], _kernels._Q_FLOOR, p["step_cap"])
         dv[...] = logx[:, 1:]
         return {"capped_steps": caps}
 
@@ -364,7 +364,7 @@ def _loop_kernel_table():
     def patched(logx0, dv, dt, times, model, carry):
         p = model.params
         logx, caps, s_time = loop_kernels.patched_trigger_loops(
-            logx0, dv, dt, times, p["g"], p["delta"], p["big_m"], p["q_floor"],
+            logx0, dv, dt, times, p["g"], p["delta"], p["big_m"], _kernels._Q_FLOOR,
             p["step_cap"], np.diag(model.vol.a).copy(), p["eta"], 0.5 * p["horizon"])
         dv[...] = logx[:, 1:]
         return {"capped_steps": caps, "trigger_time": s_time}
@@ -518,16 +518,16 @@ def test_time_chunks_integrate_to_the_whole_path():
     whole, _ = markets.simulate_block(model, f, 0, 6)
     chunk, keep, carry, rows = f, np.arange(6), None, np.arange(6)
     for start, stop, kept in ((0, 33, [0, 2, 3, 5]), (33, 64, [1, 3]), (64, 100, None)):
-        chunk = chunk.time_chunk(keep, start, stop, carry)
-        lx, aux = markets.simulate_block(model, chunk, 0, chunk.n_paths)
+        chunk = chunk.time_chunk(keep, start, stop)
+        lx, aux = markets.simulate_block(model, chunk, 0, chunk.n_paths, carry)
         np.testing.assert_array_equal(lx, whole[rows, start:stop + 1])
         carry = aux["carry"]
         if kept is not None:
-            keep, rows = np.array(kept), rows[kept]
+            keep, rows, carry = np.array(kept), rows[kept], carry[kept]
     diverse, _ = kernel_cases()["diverse"]
     first = paths.generate_factors(paths.make_grid(1.0, 10), 3, 2, master_seed=1).time_chunk(
-        np.arange(2), 0, 5, None)
+        np.arange(2), 0, 5)
     markets.simulate_block(diverse, first, 0, 2)  # a chunk from step 0 carries nothing
     with pytest.raises(InvalidArgumentError, match="whole paths"):
-        markets.simulate_block(diverse, first.time_chunk(np.arange(2), 5, 10, np.zeros((2, 3))),
-                               0, 2)
+        markets.simulate_block(diverse, first.time_chunk(np.arange(2), 5, 10), 0, 2,
+                               np.zeros((2, 3)))

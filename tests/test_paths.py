@@ -60,7 +60,7 @@ def test_increments_reproducible_and_split_invariant():
     f2 = paths.generate_factors(g, 2, 8, master_seed=123)
     b1 = f1.block(0, 8)
     np.testing.assert_array_equal(b1, f2.block(0, 8))
-    rows = np.stack([f1.path_increments(i) for i in range(8)])
+    rows = np.stack([f1.block(i, i + 1)[0] for i in range(8)])
     np.testing.assert_array_equal(b1, rows)
     split = np.concatenate([f2.block(0, 3), f2.block(3, 8)])
     np.testing.assert_array_equal(b1, split)
@@ -112,7 +112,7 @@ def test_factor_validation():
         paths.generate_factors(g, 1, 4, master_seed=-1)
     f = paths.generate_factors(g, 1, 4, master_seed=1)
     with pytest.raises(InvalidArgumentError):
-        f.path_increments(4)
+        f.block(4, 5)
     with pytest.raises(InvalidArgumentError):
         f.block(2, 2)
 
@@ -126,7 +126,7 @@ def _chunks(source, rows, ends):
     at a step in ``ends``; each chunk is drawn in two slices of its rows."""
     out, chunk, keep, start = [], source, rows, 0
     for stop in ends:
-        chunk = chunk.time_chunk(keep, start, stop, None)
+        chunk = chunk.time_chunk(keep, start, stop)
         half = max(1, chunk.n_paths // 2)
         parts = [chunk.block(0, half)]
         if half < chunk.n_paths:
@@ -156,20 +156,11 @@ def test_time_chunks_drop_rows_and_keep_the_streams():
     g = paths.make_grid(1.0, 40)
     f = paths.generate_factors(g, 2, 6, master_seed=8)
     whole = f.block(0, 6)
-    first = f.time_chunk(np.arange(6), 0, 16, None)
+    first = f.time_chunk(np.arange(6), 0, 16)
     np.testing.assert_array_equal(first.block(0, 6), whole[:, :16])
-    second = first.time_chunk(np.array([1, 4, 5]), 16, 40, None)
+    second = first.time_chunk(np.array([1, 4, 5]), 16, 40)
     assert second.n_paths == 3
     np.testing.assert_array_equal(second.block(0, 3), whole[[1, 4, 5], 16:])
-
-
-def test_time_chunks_carry_their_rows_state():
-    """``carry`` keeps the entries of the chunk's rows; a plain source has none."""
-    f = paths.generate_factors(paths.make_grid(1.0, 8), 1, 5, master_seed=2)
-    assert f.carry is None
-    chunk = f.time_chunk(np.array([4, 1]), 0, 4, np.arange(5.0) * 10)
-    np.testing.assert_array_equal(chunk.carry, [40.0, 10.0])
-    assert chunk.time_chunk(np.array([1]), 4, 8, chunk.carry).carry.tolist() == [10.0]
 
 
 def test_time_chunks_drawn_out_of_order_raise():
@@ -177,9 +168,9 @@ def test_time_chunks_drawn_out_of_order_raise():
     g = paths.make_grid(1.0, 20)
     f = paths.generate_factors(g, 1, 4, master_seed=3)
     with pytest.raises(InvalidArgumentError, match="stands at step 0"):
-        f.time_chunk(np.arange(4), 10, 20, None).block(0, 4)  # skips steps 0..9
-    first = f.time_chunk(np.arange(4), 0, 10, None)
-    second = first.time_chunk(np.arange(4), 10, 20, None)
+        f.time_chunk(np.arange(4), 10, 20).block(0, 4)  # skips steps 0..9
+    first = f.time_chunk(np.arange(4), 0, 10)
+    second = first.time_chunk(np.arange(4), 10, 20)
     with pytest.raises(InvalidArgumentError, match="stands at step 0"):
         second.block(0, 4)  # before the chunk it continues
     first.block(0, 4)
@@ -192,10 +183,10 @@ def test_time_chunk_validation():
     g = paths.make_grid(1.0, 16)
     f = paths.generate_factors(g, 2, 4, master_seed=9)
     with pytest.raises(InvalidArgumentError, match="coarsened source"):
-        f.coarsened(4).time_chunk(np.arange(4), 0, 2, None)
+        f.coarsened(4).time_chunk(np.arange(4), 0, 2)
     for rows in (np.array([], int), np.array([4]), np.array([-1])):
         with pytest.raises(InvalidArgumentError, match="rows"):
-            f.time_chunk(rows, 0, 8, None)
+            f.time_chunk(rows, 0, 8)
     for start, stop in ((0, 0), (4, 2), (0, 17), (-1, 4)):
         with pytest.raises(InvalidArgumentError, match="step range"):
-            f.time_chunk(np.arange(4), start, stop, None)
+            f.time_chunk(np.arange(4), start, stop)

@@ -188,17 +188,14 @@ def test_market_value_equals_total_capitalization():
     _, grid, lx = _gbm_path(seed=1)
     np.testing.assert_allclose(portfolios.market_value(lx),
                                np.exp(lx).sum(axis=1), rtol=1e-12)
-    z = portfolios.market_value(lx, z0=2.0)
-    assert z[0] == 2.0
-    np.testing.assert_allclose(z / z[0],
-                               np.exp(lx).sum(axis=1) / np.exp(lx[0]).sum(), rtol=1e-12)
 
 
 def test_market_rule_wealth_tracks_total_cap():
     _, grid, lx = _gbm_path(seed=2)
     w = portfolios.market_weights(lx)
     z = np.exp(portfolios.gross_log_value(w, lx))
-    np.testing.assert_allclose(z, portfolios.market_value(lx, 1.0), rtol=1e-11)
+    cap = portfolios.market_value(lx)
+    np.testing.assert_allclose(z, cap / cap[0], rtol=1e-11)
 
 
 def test_single_stock_wealth_is_exact():
@@ -221,7 +218,8 @@ def test_gross_and_relative_schemes_agree_for_long_rules():
     model, grid, lx = _gbm_path(seed=6, k_steps=4_000)
     w = portfolios.diversity_weighted(portfolios.market_weights(lx), 0.5)
     log_zg = portfolios.gross_log_value(w, lx)
-    log_zr = (np.log(portfolios.market_value(lx, 1.0))
+    cap = portfolios.market_value(lx)
+    log_zr = (np.log(cap / cap[0])
               + portfolios.relative_log_value(w, lx, grid.times, model.vol.a))
     assert abs(log_zg[-1] - log_zr[-1]) < 0.02
 
