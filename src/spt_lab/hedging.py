@@ -30,16 +30,19 @@ P-drift never lets the market reach.  Each study runs one such Q
 simulation, monitors tau on its grid and reads every quantity off that
 one pass: a knock-out estimator, with bounded variance and an honest
 standard error.  The pass integrates each batch of paths in time chunks
-and reads each rung as a chunk passes it; a path knocked out under both
-monitors (below) only adds zeros from then on, so no later chunk draws or
-integrates it.  Monitoring on the grid misses crossings between grid
-points and so biases survival upward; each study also reports the reading
-monitored on every other grid point (the coarse grid of the same Brownian
-path), and no bridge correction is made.
+and returns what it observed, whatever the study: the log prices at each
+rung, each path's first grid index at or over the barrier, and the running
+sum of one optional per-step functional (the mirror's relative log value).
+A path is alive at a rung when its index is past the rung.  A path knocked
+out under both monitors (below) only adds zeros from then on, so no later
+chunk draws or integrates it.  Monitoring on the grid misses crossings
+between grid points and so biases survival upward; each study also
+reports the reading monitored on every other grid point (the coarse grid
+of the same Brownian path), and no bridge correction is made.
 
 Monte Carlo reductions collect one value per path and reduce once with
-compensated (exact) summation, so results are independent of batch size
-and of time chunks.
+compensated (exact) summation, ``checks.compensated_mean_se``, so results
+are independent of batch size and of time chunks.
 Each study is one experiment: ``study(model, factors, **extras)`` returns
 ``(metrics, info, checks, tables)`` under the report's names.
 """
@@ -51,7 +54,7 @@ import math
 import numpy as np
 
 from ._kernels import _max_last, _sum_last, constant_growth
-from .checks import Check
+from .checks import Check, check_stock, compensated_mean_se
 from .errors import InvalidArgumentError, NumericFailureError
 from . import arbitrage as _arbitrage
 from . import markets as _markets
@@ -81,13 +84,6 @@ def market_price_of_risk(model, log_prices: np.ndarray, times, aux=None) -> np.n
     return theta
 
 
-def _check_stock(model, index, name: str) -> None:
-    """Reject a stock index outside 0..n-1 before anything is simulated."""
-    if not (isinstance(index, (int, np.integer)) and 0 <= index < model.n):
-        raise InvalidArgumentError(
-            f"{name} {index!r} is not a stock of a {model.n}-stock market")
-
-
 def _constant_log_deflator(model, horizon: float):
     """Per-path terminal log L of a constant-coefficient market, in closed
     form (see the module docstring), as a function of a batch's log prices
@@ -106,19 +102,6 @@ def _constant_log_deflator(model, horizon: float):
         return logl
 
     return log_deflator
-
-
-def _compensated_mean_se(values: np.ndarray):
-    n = values.shape[0]
-    mean = math.fsum(values) / n
-    if n < 2:
-        return mean, float("inf")
-    # Deviations are scaled by an exact power of two so that their squares
-    # do not underflow for tiny values; the scaling leaves every rounding,
-    # and hence the result on normal-range inputs, unchanged.
-    _, e = math.frexp(float(np.max(np.abs(values))))
-    var = math.fsum(np.ldexp(values - mean, -e) ** 2) / (n - 1)
-    return mean, math.ldexp(math.sqrt(var / n), e)
 
 
 def _normal_cdf(z: float) -> float:
@@ -161,14 +144,15 @@ def hedge_price(model, factors: _paths.FactorPaths, strike: float, index: int):
     """Monte Carlo price E[(X_T - K)^+ L(T) / B(T)] of a call on stock
     ``index`` with its standard error, for a constant-coefficient
     ``model``, checked against the lognormal closed form."""
-    _check_stock(model, index, "index")
+    check_stock(model, index, "index")
     spot = float(model.x0[index])
     horizon = factors.grid.horizon
-    vals = _deflated_payoffs(
-        model, factors, lambda lx: np.maximum(np.exp(lx[:, -1, index]) - strike, 0.0))
-    price, se = _compensated_mean_se(vals)
+    # the closed form first: it rejects a bad strike before any path is drawn
     ref = call_price_closed_form(spot, strike, model.r, math.sqrt(model.vol.a[index, index]),
                                  horizon)
+    vals = _deflated_payoffs(
+        model, factors, lambda lx: np.maximum(np.exp(lx[:, -1, index]) - strike, 0.0))
+    price, se = compensated_mean_se(vals)
     metrics = {
         "price": price,
         "se": se,
@@ -198,9 +182,17 @@ _PASS_PATHS = 512
 _CHUNK_STEPS = 256
 
 
-def _foellmer_knock_out(model, factors: _paths.FactorPaths, rungs, read):
+def _check_foellmer(model) -> None:
+    """Reject a market without the barrier the knock-out monitors."""
+    if model.kind != "diverse":
+        raise InvalidArgumentError(
+            "the Foellmer knock-out is defined for the diverse market kind, "
+            f"not {model.kind!r}")
+
+
+def _foellmer_knock_out(model, factors: _paths.FactorPaths, rungs, increments=None):
     """One simulation of ``model``'s market under the Foellmer measure on
-    ``factors``, read at the grid indices ``rungs``.
+    ``factors``, observed at the grid indices ``rungs``.
 
     Under Q every stock is a GBM with rate of return r.  Each batch of
     ``_PASS_PATHS`` paths is integrated by ``markets.simulate_block`` in time
@@ -210,56 +202,56 @@ def _foellmer_knock_out(model, factors: _paths.FactorPaths, rungs, read):
     adds zeros from then on, so it is retired: no later chunk draws or
     integrates it.
 
-    ``read(lx, times, ks, carry)`` gets a chunk's log prices (B, K+1, n) on
-    its grid points ``times``, the chunk rows ``ks`` of the rungs it
-    passes (maybe none) and what it returned as carry for the chunk before
-    (None on the first), one row per path still simulated; it returns the
-    values at those rungs (B, len(ks), ...) and its carry.  Returns per
-    path: ``x``, the values read at each rung (0 past a retired path's
-    last chunk), and per rung ``alive`` / ``alive_2dt``, whether the top
-    weight stayed under the barrier at every monitored point up to the rung.
+    Returns per path ``(lx, running, first, first_2dt)``: the log prices at
+    each rung (N, len(rungs), n); the running sum at each rung of the
+    per-step functional ``increments(lx, times)`` of a chunk's log prices
+    (B, K+1, n) on its grid points, (B, K) per chunk, carried in front of
+    each chunk's cumsum (None without ``increments``); and the first grid
+    index at which the top weight is at or over the barrier under the dt
+    and under the 2dt monitor (the last rung + 1 where there is none).  A
+    path is alive at rung k when its index is past k.  Past a retired
+    path's last chunk ``lx`` and ``running`` hold 0.
     """
-    if model.kind != "diverse":
-        raise InvalidArgumentError(
-            "the Foellmer knock-out is defined for the diverse market kind, "
-            f"not {model.kind!r}")
     q = _markets.constant_market(b=model.r, sigma=model.vol.sigma, x0=model.x0, r=model.r)
     level = 1.0 - model.params["delta"]
     rungs = np.asarray(rungs)
     top = int(rungs.max())
     n_paths = factors.n_paths
-    out = {key: np.zeros((n_paths, rungs.size), bool) for key in ("alive", "alive_2dt")}
+    lx_at = np.zeros((n_paths, rungs.size, model.n))
+    running = None if increments is None else np.zeros((n_paths, rungs.size))
+    first, first_2dt = np.full((2, n_paths), top + 1)
     for lo in range(0, n_paths, _PASS_PATHS):
         rows = np.arange(lo, min(lo + _PASS_PATHS, n_paths))
         # a plain source's chunk takes path indices, a chunk's the rows it keeps
-        chunk, keep, carry, read_carry = factors, rows, None, None
-        out_dt = out_2dt = np.zeros(rows.size, bool)
+        chunk, keep, carry, run = factors, rows, None, None
         for a in range(0, top, _CHUNK_STEPS):
             b = min(a + _CHUNK_STEPS, top)
             chunk = chunk.time_chunk(keep, a, b)
             lx, aux = _markets.simulate_block(q, chunk, 0, rows.size, carry)
             carry = aux["carry"]
-            x = np.exp(lx)
-            hit = _max_last(x) >= level * _sum_last(x)  # at grid points a..b
-            even = a % 2  # the first row on an even grid point
             j = np.flatnonzero((a < rungs) & (rungs <= b))
             ks = rungs[j] - a
-            vals, read_carry = read(lx, chunk.times, ks, read_carry)
-            if "x" not in out:
-                out["x"] = np.zeros((n_paths, rungs.size) + vals.shape[2:])
-            out["x"][rows[:, None], j] = vals
-            for jj, k in zip(j, ks):
-                out["alive"][rows, jj] = ~(out_dt | hit[:, :k + 1].any(axis=1))
-                out["alive_2dt"][rows, jj] = ~(out_2dt | hit[:, even:k + 1:2].any(axis=1))
-            out_dt = out_dt | hit.any(axis=1)
-            out_2dt = out_2dt | hit[:, even::2].any(axis=1)
+            lx_at[rows[:, None], j] = lx[:, ks]
+            if increments is not None:
+                inc = increments(lx, chunk.times)
+                if run is not None:
+                    inc[:, 0] += run
+                np.cumsum(inc, axis=1, out=inc)
+                running[rows[:, None], j] = inc[:, ks - 1]
+                run = inc[:, -1]
+            x = np.exp(lx)
+            hit = _max_last(x) >= level * _sum_last(x)  # at grid points a..b
+            for f, stride, start in ((first, 1, a), (first_2dt, 2, a + a % 2)):
+                h = hit[:, start - a::stride]
+                f[rows] = np.minimum(
+                    f[rows], np.where(h.any(axis=1), start + stride * h.argmax(axis=1), top + 1))
             # out under the 2dt monitor means out under the dt one too
-            keep = np.flatnonzero(~out_2dt)
+            keep = np.flatnonzero(first_2dt[rows] > top)
             if keep.size == 0:
                 break
-            rows, out_dt, out_2dt, carry = rows[keep], out_dt[keep], out_2dt[keep], carry[keep]
-            read_carry = None if read_carry is None else read_carry[keep]
-    return out
+            rows, carry = rows[keep], carry[keep]
+            run = None if run is None else run[keep]
+    return lx_at, running, first, first_2dt
 
 
 def decay_envelope(
@@ -308,75 +300,50 @@ def call_decay_study(model, factors: _paths.FactorPaths, strike: float, horizons
     """
     if model.r <= 0:
         raise InvalidArgumentError("the decay study needs a positive interest rate")
-    _check_stock(model, index, "index")
+    check_stock(model, index, "index")
+    _check_foellmer(model)
     grid = factors.grid
     rungs = ladder_steps(horizons, 1.0 / grid.dt)
     if max(rungs) > grid.n_steps:
         raise InvalidArgumentError(
             f"horizon {max(horizons):g} lies past the grid's horizon {grid.horizon:g}")
-    out = _foellmer_knock_out(model, factors, rungs,
-                              lambda lx, times, ks, carry: (np.exp(lx[:, ks, index]), None))
-    n_paths = factors.n_paths
+    t = np.array(horizons, dtype=float)
     delta, eps = model.params["delta"], model.vol.eps
     total0 = float(_sum_last(model.x0))
+    # the envelope first: it rejects a bad p_bound before any path is drawn
+    envelope = np.array([decay_envelope(total0, model.n, p_bound, eps, delta, h)
+                         for h in t.tolist()])
+    discount = np.array([math.exp(-model.r * h) for h in t.tolist()])
+    lx, _, first, first_2dt = _foellmer_knock_out(model, factors, rungs)
+    alive, alive_2dt = (f[:, None] > np.asarray(rungs) for f in (first, first_2dt))
+    x = np.exp(lx[:, :, index])
+    call = np.maximum(x - strike, 0.0) * discount
+    price, se = compensated_mean_se(call * alive)
+    stock, stock_se = compensated_mean_se(x * discount * alive)
+    price_2dt = compensated_mean_se(call * alive_2dt)[0]
     spot = float(model.x0[index])
-    rows = []
-    for j, t in enumerate(horizons):
-        t = float(t)
-        discount = math.exp(-model.r * t)
-        x = out["x"][:, j]
-        call = np.maximum(x - strike, 0.0) * discount
-        h, h_se = _compensated_mean_se(call * out["alive"][:, j])
-        s, s_se = _compensated_mean_se(x * discount * out["alive"][:, j])
-        rows.append({
-            "T": t,
-            "price": h,
-            "se": h_se,
-            "stock_price": s,
-            "stock_se": s_se,
-            "envelope": decay_envelope(total0, model.n, p_bound, eps, delta, t),
-            "knocked_out": int(n_paths - np.count_nonzero(out["alive"][:, j])),
-            "knocked_out_2dt": int(n_paths - np.count_nonzero(out["alive_2dt"][:, j])),
-            "price_2dt": _compensated_mean_se(call * out["alive_2dt"][:, j])[0],
-        })
 
-    metrics = {
-        "strike": strike,
-        "spot": spot,
-        "p_bound": p_bound,
-        "n_horizons": len(rows),
-        "first_price": rows[0]["price"],
-        "last_price": rows[-1]["price"],
-    }
-    env_budget = [3.0 * r["stock_se"] for r in rows]
-    mono_budget = [3.0 * math.hypot(a["se"], b["se"]) for a, b in zip(rows, rows[1:])]
+    metrics = {"strike": strike, "spot": spot, "p_bound": p_bound, "n_horizons": t.size,
+               "first_price": float(price[0]), "last_price": float(price[-1])}
+    env_budget = 3.0 * stock_se
+    mono_budget = np.array([3.0 * math.hypot(a, b) for a, b in zip(se, se[1:])])
     checks = [
         Check("hedge price sits under the spot at every horizon",
-              all(r["price"] < spot for r in rows),
-              f"max_price={max(r['price'] for r in rows):.6g} spot={spot:g}", 0.0),
+              bool((price < spot).all()), f"max_price={price.max():.6g} spot={spot:g}", 0.0),
         Check("deflated stock price stays under the decay envelope",
-              all(r["stock_price"] <= r["envelope"] + b for r, b in zip(rows, env_budget)),
-              "", max(env_budget)),
+              bool((stock <= envelope + env_budget).all()), "", float(env_budget.max())),
         Check("hedge price decays along the horizon ladder",
-              all(b["price"] <= a["price"] + m for a, b, m in zip(rows, rows[1:], mono_budget)),
-              "", max(mono_budget, default=0.0)),
+              bool((price[1:] <= price[:-1] + mono_budget).all()), "",
+              float(mono_budget.max(initial=0.0))),
     ]
-
-    def column(key):
-        return np.array([r[key] for r in rows])
-
-    def table(**named):
-        return {"T": column("T"), **{name: column(key) for name, key in named.items()},
-                "envelope": column("envelope")}
-
     tables = {
-        "table": table(h_hat="price", stderr="se"),
-        "stock": table(deflated_stock="stock_price", stderr="stock_se"),
+        "table": {"T": t, "h_hat": price, "stderr": se, "envelope": envelope},
+        "stock": {"T": t, "deflated_stock": stock, "stderr": stock_se, "envelope": envelope},
     }
     info = {
-        "knocked_out": [r["knocked_out"] for r in rows],
-        "knocked_out_2dt": [r["knocked_out_2dt"] for r in rows],
-        "monitoring_pair": [[r["price"], r["price_2dt"]] for r in rows],
+        "knocked_out": (factors.n_paths - np.count_nonzero(alive, axis=0)).tolist(),
+        "knocked_out_2dt": (factors.n_paths - np.count_nonzero(alive_2dt, axis=0)).tolist(),
+        "monitoring_pair": np.column_stack([price, price_2dt]).tolist(),
     }
     return metrics, info, checks, tables
 
@@ -409,43 +376,42 @@ def parity_gap_study(model, factors: _paths.FactorPaths, p: float | None, margin
     """
     if model.r != 0.0:
         raise InvalidArgumentError("the parity witness assumes a zero interest rate")
-    _check_stock(model, control_i, "control_i")
-    _check_stock(model, control_j, "control_j")
+    check_stock(model, control_i, "control_i")
+    check_stock(model, control_j, "control_j")
+    if control_i == control_j:
+        raise InvalidArgumentError(f"control_j {control_j!r} must differ from control_i")
+    _check_foellmer(model)
     grid = factors.grid
     if p is None:
         p = margin * _arbitrage.mirror_exponent(
             model.vol.eps, model.params["delta"], grid.horizon,
             float(_max_last(model.x0 / _sum_last(model.x0))))
-    e1 = np.zeros(model.n)
-    e1[0] = 1.0
+    e1 = np.eye(model.n)[0]
 
     # the market's value z_mu = total cap / its start, every path starting at x0
     cap0 = _portfolios.market_value(np.log(model.x0))
 
-    def read(lx, times, ks, carry):
-        # the mirror's relative log value is a running sum over steps: carry
-        # it in front of the chunk's increments, as the whole path's cumsum does
+    def mirror(lx, times):
+        # per step, the mirror's log value relative to the market
         what = _portfolios.mirror_weights(e1, _portfolios.market_weights(lx), p)
-        rel = _portfolios._relative_log_increments(what, lx, times, model.vol.a)
-        if carry is not None:
-            rel[:, 0] += carry
-        np.cumsum(rel, axis=1, out=rel)
-        zmu = _portfolios.market_value(lx[:, ks]) / cap0
-        return np.stack([zmu, zmu * np.exp(rel[:, ks - 1])], axis=2), rel[:, -1]
+        return _portfolios._relative_log_increments(what, lx, times, model.vol.a)
 
-    out = _foellmer_knock_out(model, factors, [grid.n_steps], read)
-    h1_vals, h2_vals = (out["x"][:, 0, q] * out["alive"][:, 0] for q in (0, 1))
-    h1, h1_se = _compensated_mean_se(h1_vals)
-    h2, h2_se = _compensated_mean_se(h2_vals)
-    gap, gap_se = _compensated_mean_se(h1_vals - h2_vals)
-    h1_2dt = _compensated_mean_se(out["x"][:, 0, 0] * out["alive_2dt"][:, 0])[0]
+    n_steps = grid.n_steps
+    lx, rel, first, first_2dt = _foellmer_knock_out(model, factors, [n_steps], mirror)
+    zmu = _portfolios.market_value(lx[:, 0]) / cap0
+    alive = first > n_steps
+    h1_vals, h2_vals = zmu * alive, zmu * np.exp(rel[:, 0]) * alive
+    h1, h1_se = compensated_mean_se(h1_vals)
+    h2, h2_se = compensated_mean_se(h2_vals)
+    gap, gap_se = compensated_mean_se(h1_vals - h2_vals)
+    h1_2dt = compensated_mean_se(zmu * (first_2dt > n_steps))[0]
 
     control = _markets.constant_market(
         b=np.asarray(model.params["g"], dtype=float) + 0.5 * np.diag(model.vol.a),
         sigma=model.vol.sigma, x0=model.x0, r=model.r)
     diff = _deflated_payoffs(
         control, factors, lambda lx: np.exp(lx[:, -1, control_i]) - np.exp(lx[:, -1, control_j]))
-    c_gap, c_se = _compensated_mean_se(diff)
+    c_gap, c_se = compensated_mean_se(diff)
     expected = float(model.x0[control_i] - model.x0[control_j])
     c_t = (c_gap - expected) / c_se if c_se > 0 else float("inf")
 
@@ -469,7 +435,7 @@ def parity_gap_study(model, factors: _paths.FactorPaths, p: float | None, margin
               3.0 * max(h1_se, h2_se)),
     ]
     info = {
-        "knocked_out": int(factors.n_paths - np.count_nonzero(out["alive"][:, 0])),
+        "knocked_out": int(factors.n_paths - np.count_nonzero(alive)),
         "monitoring_pair": [h1, h1_2dt],
     }
     return metrics, info, checks, {}

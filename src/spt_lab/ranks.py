@@ -25,9 +25,8 @@ import math
 import numpy as np
 
 from ._kernels import _max_last, _sum_last, constant_growth
-from .checks import Check, numbered
+from .checks import Check, check_stock, compensated_mean_se, numbered
 from .errors import InvalidArgumentError
-from . import hedging as _hedging
 from . import markets as _markets
 from . import portfolios as _portfolios
 
@@ -215,6 +214,7 @@ def local_time_study(model, factors, index: int):
     Where that stock's log price is a driftless Brownian motion (a constant
     market with zero growth rate), the mean is checked against the
     reflected-line value sqrt(a_ii) sqrt(2T / pi)."""
+    check_stock(model, index, "index")
     horizon = factors.grid.horizon
 
     def per_batch(lo, hi, lx, aux):
@@ -223,7 +223,7 @@ def local_time_study(model, factors, index: int):
 
     cols = _markets.run_batches(model, factors, per_batch, 1024)
     lam = cols["lam"]
-    mean, se = _hedging._compensated_mean_se(lam)
+    mean, se = compensated_mean_se(lam)
     metrics = {"mean_terminal_local_time": mean, "se": se, "horizon": horizon}
     checks = []
     if model.kind == "constant":

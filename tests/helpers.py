@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from spt_lab import markets, paths
+from spt_lab import markets, paths, portfolios
 
 
 class ZeroFactors:
@@ -31,6 +31,37 @@ def force_batch_size(monkeypatch, size):
         return run(model, factors, per_batch, size)
 
     monkeypatch.setattr(markets, "run_batches", run_batches)
+
+
+def whole_path_knock_out(model, factors, lo=0, hi=None):
+    """The Foellmer knock-out on whole paths lo..hi-1: the Q market (every
+    stock a GBM with rate of return r) integrated to the grid's end in one
+    ``simulate_block`` call, and each path's first grid index at which the
+    top weight reaches 1 - delta, monitored on every grid point and on every
+    even one (n_steps + 1 where there is none).  Returns (log prices, first,
+    first_2dt)."""
+    q = markets.constant_market(b=model.r, sigma=model.vol.sigma, x0=model.x0, r=model.r)
+    lx, _ = markets.simulate_block(q, factors, lo, factors.n_paths if hi is None else hi)
+    x = np.exp(lx)
+    hit = x.max(axis=2) >= (1.0 - model.params["delta"]) * x.sum(axis=2)
+    n_steps = factors.grid.n_steps
+    first = [np.where(h.any(axis=1), stride * h.argmax(axis=1), n_steps + 1)
+             for stride, h in ((1, hit), (2, hit[:, ::2]))]
+    return lx, first[0], first[1]
+
+
+def whole_path_parity_witness(model, factors, p, lo=0, hi=None):
+    """The parity witness's summands read off whole paths lo..hi-1: Z_mu(T)
+    and Z_mu(T) exp(log(Z_pi / Z_mu)(T)), Z_pi the mirror of stock 0 with
+    exponent p, each times whether the path is alive at T under the dt
+    monitor."""
+    lx, first, _ = whole_path_knock_out(model, factors, lo, hi)
+    cap = portfolios.market_value(lx)
+    zmu = cap[:, -1] / cap[:, 0]
+    what = portfolios.mirror_weights(np.eye(model.n)[0], portfolios.market_weights(lx), p)
+    rel = portfolios.relative_log_value(what, lx, factors.grid.times, model.vol.a)[:, -1]
+    alive = first > factors.grid.n_steps
+    return zmu * alive, zmu * np.exp(rel) * alive
 
 
 def random_simplex(rng, n_points, n, floor=1e-3):

@@ -12,8 +12,9 @@ A criterion that checks the claim of a shipped preset in ``configs/``
 its path count, master seed and step count pinned here, and passes when
 every check of the report passes; each check states its own budget.
 Such a criterion adds only what the preset does not check: the frozen
-oracle (08), that the preset's horizon is past the threshold (04), or the
-deflator deficit and an independent knock-out reference (09, 10).
+oracle (08), that the preset's horizon is past the threshold (04), the
+deflator deficit and an independent knock-out reference (09, 10), or the
+parity witness read off whole paths (10).
 """
 
 import math
@@ -23,7 +24,9 @@ from pathlib import Path
 import numpy as np
 
 from spt_lab import cli, markets, paths, portfolios, ranks
-from helpers import knock_out_ladder, random_covariance, random_simplex
+from spt_lab.checks import compensated_mean_se
+from helpers import (knock_out_ladder, random_covariance, random_simplex,
+                     whole_path_parity_witness)
 
 CRITERION_LINES = []
 
@@ -326,8 +329,17 @@ def test_criterion_09_deflator_deficit_and_call_decay():
 # ---------------------------------------------------------------------------
 
 def test_criterion_10_parity_failure_with_control():
-    report = _run_preset("parity_gap", paths=20_000, seed=53, steps=800)
+    cfg = cli.parse_config(str(PRESETS / "parity_gap.ini"), paths=20_000, seed=53, steps=800)
+    report = cli.run(cfg)
     m = report.metrics
+    # h1 and h2 bit for bit as read off whole paths of the preset's own
+    # factors, batch by batch: the chunked pass carries the mirror's value
+    factors = paths.generate_factors(cfg.grid, cfg.model.m, cfg.n_paths, cfg.master_seed)
+    h1_vals, h2_vals = (np.concatenate(v) for v in zip(*(
+        whole_path_parity_witness(cfg.model, factors, m["p"], lo, min(lo + 500, cfg.n_paths))
+        for lo in range(0, cfg.n_paths, 500))))
+    whole = (compensated_mean_se(h1_vals)[0], compensated_mean_se(h2_vals)[0])
+    exact = (m["h1"], m["h2"]) == whole
     # h1 against an independent knock-out simulated at dt / 2, within 4
     # combined se plus the monitoring budget, as in criterion 09
     model = _barrier_market(scale=0.25)
@@ -338,10 +350,11 @@ def test_criterion_10_parity_failure_with_control():
                                           + budget)
     assert _record(
         10, "parity breaks at the witness, holds in the control",
-        not report.failed and miss <= 1.0,
+        not report.failed and miss <= 1.0 and exact,
         f"witness gap {m['gap']:.4f} (t {m['t_stat']:.1f}, need > 3), "
         f"control t {m['control_t_stat']:+.2f} (need within 3), deflated values "
-        f"{m['h1']:.3f}/{m['h2']:.1e} (need <= 1 + 3 se), h1 misses the reference "
+        f"{m['h1']:.3f}/{m['h2']:.1e} (need <= 1 + 3 se, and the whole paths' "
+        f"{whole[0]:.3f}/{whole[1]:.1e} bit for bit), h1 misses the reference "
         f"{ref[0, 0, 2]:.4f} by {miss:.2f} of its budget (need <= 1)" + _failed(report))
 
 

@@ -236,7 +236,7 @@ def _checks_with_budgets(out):
     return doc
 
 
-def test_reruns_and_worker_counts_are_byte_identical(tmp_path, monkeypatch):
+def test_reruns_and_batch_sizes_are_byte_identical(tmp_path, monkeypatch):
     outs = []
     for i in range(2):
         out = tmp_path / f"d{i}"

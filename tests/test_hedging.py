@@ -7,9 +7,10 @@ import math
 import numpy as np
 import pytest
 
-from spt_lab import hedging, markets, paths, portfolios
+from spt_lab import checks, hedging, markets, paths, ranks
 from spt_lab.errors import InvalidArgumentError
-from helpers import ZeroFactors, force_batch_size
+from helpers import (ZeroFactors, force_batch_size, whole_path_knock_out,
+                     whole_path_parity_witness)
 
 
 def _gbm_pair(r=0.0):
@@ -40,7 +41,7 @@ def test_price_of_risk_vanishes_when_returns_match_the_rate():
 def _price(model, factors, payoff):
     """Deflated price and standard error of ``payoff(log_prices)``, with the
     deflator in closed form."""
-    return hedging._compensated_mean_se(hedging._deflated_payoffs(model, factors, payoff))
+    return checks.compensated_mean_se(hedging._deflated_payoffs(model, factors, payoff))
 
 
 def _unit(lx):
@@ -146,33 +147,16 @@ def test_deflated_prices_draw_each_path_once(monkeypatch):
         assert {i for i, k in chunked if k == 0} == (set(range(12)) if draws_chunks else set())
 
 
-def _whole_path_knock_out(model, factors, rungs, index):
-    """The Foellmer knock-out on whole paths: the Q market integrated to the
-    grid's end in one ``simulate_block`` call, and the first monitored hit
-    of 1 - delta found on every grid point and on every even one.  Returns
-    x at the rungs, ``alive`` and ``alive_2dt`` (n_paths, len(rungs)) and
-    each path's first hit on an even point (n_steps + 1 where there is none).
-    """
-    q = markets.constant_market(b=model.r, sigma=model.vol.sigma, x0=model.x0, r=model.r)
-    lx, _ = markets.simulate_block(q, factors, 0, factors.n_paths)
-    x = np.exp(lx)
-    hit = x.max(axis=2) >= (1.0 - model.params["delta"]) * x.sum(axis=2)
-    n_steps = factors.grid.n_steps
-    alive, first = [], None
-    for stride in (1, 2):
-        h = hit[:, ::stride]
-        first = np.where(h.any(axis=1), stride * h.argmax(axis=1), n_steps + 1)
-        alive.append(first[:, None] > np.asarray(rungs))
-    return x[:, rungs, index], alive[0], alive[1], first
-
-
 @pytest.mark.parametrize("chunk_steps", [256, 37])
 def test_retired_paths_match_the_whole_path_pass(monkeypatch, chunk_steps):
-    """Retiring knocked-out paths changes nothing: per path, x times alive,
-    ``alive`` and ``alive_2dt`` equal the whole-path algorithm's bit for bit,
-    over several batches, with chunks of an even and of an odd length.  Each
-    (path, step) is drawn at most once, and a path out under both monitors
-    by the end of a chunk is drawn for no later step."""
+    """Retiring knocked-out paths changes nothing: per path, the first index
+    at or over the barrier under each monitor equals the whole-path
+    algorithm's up to the last rung, and the log prices at each rung and
+    the running sum of a per-step functional equal the whole path's bit for
+    bit up to the path's last chunk (0 past it), over several batches, with
+    chunks of an even and of an odd length.  Each (path, step) is drawn at
+    most once, and a path out under both monitors by the end of a chunk is
+    drawn for no later step."""
     _, chunked = _count_draws(monkeypatch)
     monkeypatch.setattr(hedging, "_PASS_PATHS", 16)
     monkeypatch.setattr(hedging, "_CHUNK_STEPS", chunk_steps)
@@ -180,23 +164,30 @@ def test_retired_paths_match_the_whole_path_pass(monkeypatch, chunk_steps):
                                    x0=[1.0, 1.2, 0.9], r=0.03)
     factors = paths.generate_factors(paths.make_grid(21.0, 630), 3, 40, master_seed=21)
     rungs = [100, 300, 299, 600]
-    index = 1
-    got = hedging._foellmer_knock_out(
-        model, factors, rungs, lambda lx, times, ks, carry: (np.exp(lx[:, ks, index]), None))
-    x, alive, alive_2dt, first_2dt = _whole_path_knock_out(model, factors, rungs, index)
+    top = max(rungs)
+
+    def moves(lx, times):
+        return np.diff(lx[:, :, 0], axis=1) * np.diff(times)
+
+    lx, running, first, first_2dt = hedging._foellmer_knock_out(model, factors, rungs, moves)
+    whole, w_first, w_first_2dt = whole_path_knock_out(model, factors)
+    np.testing.assert_array_equal(first, np.minimum(w_first, top + 1))
+    np.testing.assert_array_equal(first_2dt, np.minimum(w_first_2dt, top + 1))
+    alive, alive_2dt = (f[:, None] > np.asarray(rungs) for f in (first, first_2dt))
     assert 0 < alive_2dt[:, -1].sum() < 40 and (alive != alive_2dt).any()
-    np.testing.assert_array_equal(got["alive"], alive)
-    np.testing.assert_array_equal(got["alive_2dt"], alive_2dt)
-    np.testing.assert_array_equal(got["x"] * got["alive"], x * alive)
-    np.testing.assert_array_equal(got["x"] * got["alive_2dt"], x * alive_2dt)
+    whole_running = np.cumsum(moves(whole, factors.grid.times), axis=1)[:, np.asarray(rungs) - 1]
 
     assert set(chunked.values()) == {1}
-    top = max(rungs)
     for i in range(factors.n_paths):
         # out at grid point p: the chunk holding p is the path's last
         p = first_2dt[i]
         last = top if p > top else min(top, -(-p // chunk_steps) * chunk_steps)
         assert sorted(k for j, k in chunked if j == i) == list(range(last)), i
+        seen = np.asarray(rungs) <= last
+        np.testing.assert_array_equal(lx[i, seen], whole[i, rungs][seen])
+        np.testing.assert_array_equal(running[i, seen], whole_running[i, seen])
+        assert not lx[i, ~seen].any() and not running[i, ~seen].any()
+    assert hedging._foellmer_knock_out(model, factors, rungs)[1] is None
 
 
 def test_deflated_stock_gap_is_exact_for_constant_coefficients():
@@ -261,7 +252,7 @@ def test_deflated_zero_payoff_prices_at_zero():
     grid = paths.make_grid(1.0, 4)
     f = paths.generate_factors(grid, 2, 50, master_seed=6)
     vals = hedging._deflated_payoffs(model, f, lambda lx: np.zeros(lx.shape[0]))
-    assert hedging._compensated_mean_se(vals)[0] == 0.0
+    assert checks.compensated_mean_se(vals)[0] == 0.0
     assert np.mean(vals == 0.0) == 1.0
 
 
@@ -277,7 +268,7 @@ def test_standard_error_survives_tiny_values():
     """Deviations around 1e-286 square to below the smallest double."""
     rng = np.random.default_rng(4)
     vals = 1e-286 * rng.lognormal(size=500)
-    mean, se = hedging._compensated_mean_se(vals)
+    mean, se = checks.compensated_mean_se(vals)
     assert mean == pytest.approx(np.mean(vals), rel=1e-12)
     assert se > 0
     assert se == pytest.approx(1e-286 * np.std(vals / 1e-286, ddof=1) / np.sqrt(500),
@@ -289,7 +280,7 @@ def test_standard_error_unchanged_on_ordinary_values():
     rng = np.random.default_rng(5)
     for vals in (rng.normal(size=1000), 1e3 * rng.lognormal(size=77),
                  rng.exponential(size=2), np.zeros(8)):
-        mean, se = hedging._compensated_mean_se(vals)
+        mean, se = checks.compensated_mean_se(vals)
         plain = math.sqrt(math.fsum((vals - mean) ** 2) / (len(vals) - 1) / len(vals))
         assert se == plain
 
@@ -412,16 +403,10 @@ def test_parity_witness_matches_the_whole_path_values(monkeypatch):
     model = markets.diverse_market(0.5 * np.eye(3), g=0.0, delta=0.3, x0=[1.0, 1.2, 0.9])
     f = paths.generate_factors(paths.make_grid(3.0, 300), 3, 60, master_seed=5)
     metrics = hedging.parity_gap_study(model, f, 2.0, 1.1, 0, 1)[0]
-    q = markets.constant_market(b=0.0, sigma=model.vol.sigma, x0=model.x0)
-    lx, _ = markets.simulate_block(q, f, 0, f.n_paths)
-    cap = portfolios.market_value(lx)
-    zmu = cap[:, -1] / cap[:, 0]
-    what = portfolios.mirror_weights(np.eye(3)[0], portfolios.market_weights(lx), 2.0)
-    rel = portfolios.relative_log_value(what, lx, f.grid.times, model.vol.a)[:, -1]
-    alive = _whole_path_knock_out(model, f, [300], 0)[1][:, 0]
-    assert 0 < alive.sum() < f.n_paths
-    assert metrics["h1"] == hedging._compensated_mean_se(zmu * alive)[0]
-    assert metrics["h2"] == hedging._compensated_mean_se(zmu * np.exp(rel) * alive)[0]
+    h1_vals, h2_vals = whole_path_parity_witness(model, f, 2.0)
+    assert 0 < np.count_nonzero(h1_vals) < f.n_paths
+    assert metrics["h1"] == checks.compensated_mean_se(h1_vals)[0]
+    assert metrics["h2"] == checks.compensated_mean_se(h2_vals)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -431,21 +416,34 @@ def test_parity_witness_matches_the_whole_path_values(monkeypatch):
 @pytest.mark.parametrize("bad", [5, 2, -1, 1.0])
 def test_studies_reject_a_stock_outside_the_market_before_simulating(monkeypatch, bad):
     """A stock index outside 0..n-1, or not an integer, raises
-    ``InvalidArgumentError`` in every study before any factor is drawn."""
+    ``InvalidArgumentError`` in every study before any factor is drawn, as
+    does every other argument the CLI rejects when it parses: a strike at
+    or below 0, a p_bound outside (0, 1) (every ``bad`` value is), equal
+    control stocks, and a parity witness on a market without the barrier."""
     whole, chunked = _count_draws(monkeypatch)
     gbm = markets.constant_market(b=[0.1, 0.0], sigma=0.3 * np.eye(2), x0=[1.0, 0.8])
     diverse = markets.diverse_market(0.25 * np.eye(2), g=0.0, delta=0.3, x0=[1.0, 1.0])
     rated = markets.diverse_market(0.25 * np.eye(2), g=0.0, delta=0.3, x0=[1.0, 1.0],
                                    r=0.03)
     f = paths.generate_factors(paths.make_grid(1.0, 10), 2, 4, master_seed=1)
-    runs = {
-        "index": [lambda: hedging.hedge_price(gbm, f, 1.0, bad),
-                  lambda: hedging.call_decay_study(rated, f, 1.0, (0.5, 1.0), 0.5, bad)],
-        "control_i": [lambda: hedging.parity_gap_study(diverse, f, 2.0, 1.1, bad, 1)],
-        "control_j": [lambda: hedging.parity_gap_study(diverse, f, 2.0, 1.1, 0, bad)],
-    }
-    for name, calls in runs.items():
-        for call in calls:
-            with pytest.raises(InvalidArgumentError, match=f"{name} .* 2-stock market"):
-                call()
+    runs = [
+        (lambda: hedging.hedge_price(gbm, f, 1.0, bad), "index .* 2-stock market"),
+        (lambda: hedging.call_decay_study(rated, f, 1.0, (0.5, 1.0), 0.5, bad),
+         "index .* 2-stock market"),
+        (lambda: ranks.local_time_study(gbm, f, bad), "index .* 2-stock market"),
+        (lambda: hedging.parity_gap_study(diverse, f, 2.0, 1.1, bad, 1),
+         "control_i .* 2-stock market"),
+        (lambda: hedging.parity_gap_study(diverse, f, 2.0, 1.1, 0, bad),
+         "control_j .* 2-stock market"),
+        (lambda: hedging.hedge_price(gbm, f, 0.0, 0), "strike must be positive"),
+        (lambda: hedging.call_decay_study(rated, f, 1.0, (0.5, 1.0), bad, 0),
+         r"p must lie in \(0, 1\)"),
+        (lambda: hedging.parity_gap_study(diverse, f, 2.0, 1.1, 1, 1),
+         "control_j 1 must differ from control_i"),
+        (lambda: hedging.parity_gap_study(gbm, f, None, 1.1, 0, 1),
+         "diverse market kind, not 'constant'"),
+    ]
+    for call, match in runs:
+        with pytest.raises(InvalidArgumentError, match=match):
+            call()
     assert not whole and not chunked
