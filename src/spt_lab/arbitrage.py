@@ -31,6 +31,7 @@ from . import portfolios as _portfolios
 __all__ = [
     "threshold_horizon",
     "mirror_exponent",
+    "mirror_p",
     "master_formula_check",
     "master_formula_order_study",
     "outperformance_study",
@@ -53,6 +54,20 @@ def mirror_exponent(eps: float, delta: float, horizon: float, top0: float) -> fl
     if eps <= 0 or not 0 < delta < 1 or horizon <= 0 or not 0 < top0 < 1:
         raise InvalidArgumentError("bad mirror threshold inputs")
     return 1.0 + 2.0 * np.log(1.0 / top0) / (eps * delta**2 * horizon)
+
+
+def mirror_p(model, horizon: float, p: float | None, margin: float) -> float:
+    """The mirror's exponent: ``p``, or with p None ``margin`` times the
+    threshold of ``model``'s barrier over ``horizon``.  Rejects a margin or
+    an exponent that does not exceed 1."""
+    if not margin > 1:
+        raise InvalidArgumentError(f"margin {margin!r} must exceed 1")
+    if p is None:
+        top0 = float(_max_last(model.x0 / _sum_last(model.x0)))
+        p = margin * mirror_exponent(model.vol.eps, model.params["delta"], horizon, top0)
+    if not p > 1:
+        raise InvalidArgumentError("mirror exponent must exceed 1")
+    return p
 
 
 # ---------------------------------------------------------------------------
@@ -130,17 +145,21 @@ def master_formula_check(model, factors: _paths.FactorPaths, p: float) -> dict:
     }
 
 
-def master_formula_order_study(model, factors: _paths.FactorPaths, p: float, refine: int):
+def master_formula_order_study(model, factors: _paths.FactorPaths, p: float = 0.5,
+                               refine: int = 2):
     """Self-convergence of the master-formula residual on shared noise.
 
-    The fine grid's factor increments are summed ``refine`` at a time to
-    drive the coarse run, so both step sizes see the same underlying path
-    and the residual ratio estimates the weak order directly.  The per-path
-    table is the fine run's ``master_formula_check``.
+    The fine grid's factor increments are summed ``refine`` (at least 2) at
+    a time to drive the coarse run, so both step sizes see the same
+    underlying path and the residual ratio estimates the weak order
+    directly.  The per-path table is the fine run's ``master_formula_check``.
     """
+    if refine < 2:
+        raise InvalidArgumentError(f"refine {refine!r} must be at least 2")
     dt = factors.grid.dt
+    coarse = factors.coarsened(refine)
     rf = master_formula_check(model, factors, p)
-    rc = master_formula_check(model, factors.coarsened(refine), p)
+    rc = master_formula_check(model, coarse, p)
     ratio = float(rc["mean_abs_residual"] / max(rf["mean_abs_residual"], 1e-300))
     order = float(np.log(ratio) / np.log(refine))
     metrics = {
@@ -223,7 +242,7 @@ def _outperformance_terms(lx, p: float, eps: float, dt, horizon: float) -> dict:
     }
 
 
-def outperformance_study(model, factors: _paths.FactorPaths, p: float):
+def outperformance_study(model, factors: _paths.FactorPaths, p: float = 0.5):
     """Reweighted portfolio versus the market beyond the threshold horizon.
 
     The pathwise lower bound is evaluated with each path's own realized
@@ -290,7 +309,8 @@ def outperformance_study(model, factors: _paths.FactorPaths, p: float):
 # mirror constructions
 # ---------------------------------------------------------------------------
 
-def mirror_study(model, factors: _paths.FactorPaths, p: float | None, margin: float):
+def mirror_study(model, factors: _paths.FactorPaths, p: float | None = None,
+                 margin: float = 1.1):
     """Short-the-market mirror of the first stock, plus its all-long wraps.
 
     With exponent p above the threshold, the mirror must finish strictly
@@ -319,13 +339,9 @@ def mirror_study(model, factors: _paths.FactorPaths, p: float | None, margin: fl
     times = factors.grid.times
     dt = factors.grid.step_sizes
     horizon = factors.grid.horizon
-    top0 = float(_max_last(model.x0 / _sum_last(model.x0)))
-    beta = top0
-    p_star = mirror_exponent(eps, delta, horizon, top0)
-    if p is None:
-        p = margin * p_star
-    if p <= 1:
-        raise InvalidArgumentError("mirror exponent must exceed 1")
+    beta = float(_max_last(model.x0 / _sum_last(model.x0)))
+    p_star = mirror_exponent(eps, delta, horizon, beta)
+    p = mirror_p(model, horizon, p, margin)
     a = model.vol.a
     n = model.n
     e1 = np.zeros(n)
@@ -479,11 +495,13 @@ def _dominance_terms(model, factors: _paths.FactorPaths) -> dict:
     }
 
 
-def dominance_study(model, factors: _paths.FactorPaths, min_fraction: float):
+def dominance_study(model, factors: _paths.FactorPaths, min_fraction: float = 0.99):
     """The early-lead strategy of ``_dominance_terms`` on ``factors`` and on
     the same paths coarsened by two: the strategy must lead on at least
-    ``min_fraction`` of the paths, and neither its leading fraction nor the
-    confinement breaches may get worse under refinement."""
+    ``min_fraction`` (in [0, 1]) of the paths, and neither its leading
+    fraction nor the confinement breaches may get worse under refinement."""
+    if not 0 <= min_fraction <= 1:
+        raise InvalidArgumentError(f"min_fraction {min_fraction!r} must lie in [0, 1]")
     fine, coarse = (_dominance_terms(model, f) for f in (factors, factors.coarsened(2)))
     k_steps = factors.grid.n_steps
     fraction, breaches = fine["fraction"], fine["confinement_breaches"]

@@ -2,7 +2,7 @@
 
 Configs are INI-style text with five sections::
 
-    [experiment]    name plus experiment-specific knobs (p, strike, ...)
+    [experiment]    name plus the experiment's parameters (p, strike, ...)
     [model]         kind plus model parameters (sigma, delta, x0, ...)
     [grid]          horizon and step count, or a geometric early grid
     [mc]            path count and master seed
@@ -11,9 +11,11 @@ Configs are INI-style text with five sections::
 Every experiment is one function ``f(model, factors, **extras)`` in its
 domain module (``diversity``, ``arbitrage``, ``ranks`` or ``hedging``)
 that returns ``(metrics, info, checks, tables)`` under the report's names.
-``extras`` are the experiment's parsed ``[experiment]`` keys.  Each claim
-an experiment makes is checked in its function, once, as a ``Check`` with
-its budget.  This module only parses, dispatches and writes.
+``extras`` are the function's parameters, read from ``[experiment]``:
+each key is typed by the parameter's annotation, and a key left out takes
+the parameter's default.  The function checks its own arguments before it
+draws a factor, and each claim it makes once, as a ``Check`` with its
+budget.  This module only parses, dispatches and writes.
 
 Every run writes ``summary.txt`` and ``summary.json`` (config echo,
 results, assertion lines with their budgets, provenance) and
@@ -30,6 +32,7 @@ import configparser
 import csv
 import datetime
 import importlib
+import inspect
 import json
 import os
 import re
@@ -105,7 +108,7 @@ class _Parse:
         return raw
 
     def num(self, sec, key, default=None, required=False, kind=float,
-            lo=None, hi=None, lo_open=False, hi_open=False):
+            lo=None, lo_open=False):
         raw = self.raw(sec, key)
         if raw is None:
             if required:
@@ -117,9 +120,6 @@ class _Parse:
             self.err(f"{sec}.{key}: not a valid {kind.__name__}: {raw!r}")
             return default
         if lo is not None and (val <= lo if lo_open else val < lo):
-            self.err(f"{sec}.{key}: {val} is out of range")
-            return default
-        if hi is not None and (val >= hi if hi_open else val > hi):
             self.err(f"{sec}.{key}: {val} is out of range")
             return default
         return val
@@ -206,28 +206,27 @@ def _build_sigma(p: _Parse, n: int):
     return m
 
 
-def _build_model(p: _Parse, name: str, horizon):
+def _build_model(p: _Parse, horizon):
     kind = p.text("model", "kind", required=True, choices=_MODEL_KINDS)
     if kind is None:
         return None
-    r = p.num("model", "r", default=0.0)
+
+    def given(*keys, read=p.num) -> dict:
+        # the keys the file sets; the constructor's defaults fill the rest
+        return {k: v for k in keys if (v := read("model", k)) is not None}
+
     try:
         if kind == "dominance":
             return _markets.instantaneous_dominance_market(
                 alpha=p.num("model", "alpha", required=True),
-                delta=p.num("model", "delta", default=0.2),
-                delta_prime=p.num("model", "delta_prime", default=0.35),
-                cdrift=p.num("model", "cdrift", default=1.0),
-                r=r,
+                **given("delta", "delta_prime", "cdrift", "r"),
             )
         if kind == "ou-pair":
-            x0 = p.vector("model", "x0", default=[1.0, 1.0])
             return _markets.ou_two_stock(
                 alpha=p.num("model", "alpha", required=True),
-                x0=x0,
-                switch_time=p.num("model", "switch_time", default=1.0),
-                r=r,
+                **given("x0", read=p.vector), **given("switch_time", "r"),
             )
+        rate = given("r")
         x0 = p.vector("model", "x0", required=True)
         if x0 is None:
             return None
@@ -239,23 +238,19 @@ def _build_model(p: _Parse, name: str, horizon):
             if b is None:
                 return None
             bv = b[0] if len(b) == 1 else b
-            return _markets.constant_market(b=bv, sigma=sigma, x0=x0, r=r)
+            return _markets.constant_market(b=bv, sigma=sigma, x0=x0, **rate)
         # diverse or patched
         g = p.vector("model", "g", default=[0.0])
         delta = p.num("model", "delta", required=True)
         if delta is None:
             return None
-        kwargs = {}
-        big_m = p.num("model", "big_m")
-        if big_m is not None:
-            kwargs["big_m"] = big_m
         base = _markets.diverse_market(
             sigma=sigma,
             g=g[0] if len(g) == 1 else g,
             delta=delta,
             x0=x0,
-            r=r,
-            **kwargs,
+            **given("big_m"),
+            **rate,
         )
         if kind == "diverse":
             return base
@@ -271,75 +266,23 @@ def _build_model(p: _Parse, name: str, horizon):
         return None
 
 
-def _parse_extras(p: _Parse, name: str, model) -> dict:
-    ex = {}
-    if name == "diversity-report":
-        fallback = model.params.get("delta") if model is not None else None
-        ex["delta"] = p.num("experiment", "delta", default=fallback,
-                            lo=0.0, hi=1.0, lo_open=True, hi_open=True)
-        if ex["delta"] is None:
-            p.err("experiment.delta is required when the model carries no barrier")
-        ex["tail_fraction"] = p.num("experiment", "tail_fraction", default=0.25,
-                                    lo=0.0, hi=1.0, lo_open=True)
-    elif name == "arbitrage-45":
-        ex["p"] = p.num("experiment", "p", default=0.5,
-                        lo=0.0, hi=1.0, lo_open=True, hi_open=True)
-    elif name in ("mirror-81", "parity-gap"):
-        ex["p"] = p.num("experiment", "p", lo=1.0, lo_open=True)
-        ex["margin"] = p.num("experiment", "margin", default=1.1, lo=1.0, lo_open=True)
-        if name == "parity-gap":
-            ex["control_i"] = p.num("experiment", "control_i", default=0, kind=int, lo=0)
-            ex["control_j"] = p.num("experiment", "control_j", default=1, kind=int, lo=0)
-    elif name == "master-formula":
-        ex["p"] = p.num("experiment", "p", default=0.5,
-                        lo=0.0, hi=1.0, lo_open=True)
-        ex["refine"] = p.num("experiment", "refine", default=2, kind=int, lo=2)
-    elif name == "local-time-oracle":
-        ex["index"] = p.num("experiment", "index", default=0, kind=int, lo=0)
-    elif name == "hedge-price":
-        ex["strike"] = p.num("experiment", "strike", required=True, lo=0.0, lo_open=True)
-        ex["index"] = p.num("experiment", "index", default=0, kind=int, lo=0)
-    elif name == "call-decay":
-        ex["strike"] = p.num("experiment", "strike", required=True, lo=0.0, lo_open=True)
-        hz = p.vector("experiment", "horizons", default=[5.0, 10.0, 20.0, 40.0, 80.0])
-        if hz is not None and any(t <= 0 for t in hz):
-            p.err("experiment.horizons: entries must be positive")
-        ex["horizons"] = hz
-        ex["p_bound"] = p.num("experiment", "p_bound", default=0.5,
-                              lo=0.0, hi=1.0, lo_open=True, hi_open=True)
-        ex["index"] = p.num("experiment", "index", default=0, kind=int, lo=0)
-    elif name == "instantaneous-dominance":
-        ex["min_fraction"] = p.num("experiment", "min_fraction", default=0.99,
-                                   lo=0.0, hi=1.0)
-    for key in ("index", "control_i", "control_j"):
-        if model is not None and ex.get(key) is not None and ex[key] >= model.n:
-            p.err(f"experiment.{key}: {ex[key]} is out of range for {model.n} stocks")
-    if name == "parity-gap" and ex["control_i"] is not None and ex["control_i"] == ex["control_j"]:
-        p.err("experiment.control_j: must differ from control_i")
-    return ex
-
-
-def _check_model_fits(p: _Parse, name: str, model, grid):
-    if model is None:
-        return
-    if name == "mirror-81" and model.kind not in ("diverse", "patched"):
-        p.err(f"{name} needs a barrier-controlled model, got kind {model.kind!r}")
-    if name == "hedge-price" and model.kind != "constant":
-        p.err(f"hedge-price needs the constant model, got kind {model.kind!r}")
-    if name == "parity-gap":
-        if model.kind != "diverse":
-            p.err(f"parity-gap needs the diverse model, got kind {model.kind!r}")
-        if grid is not None and not grid.is_uniform:
-            p.err("parity-gap needs a uniform grid")
-        if model.r != 0.0:
-            p.err("parity-gap requires model.r = 0")
-    if name == "call-decay":
-        if model.r <= 0:
-            p.err("call-decay requires a positive model.r")
-        if model.kind != "diverse":
-            p.err(f"call-decay needs the diverse model, got kind {model.kind!r}")
-    if name == "instantaneous-dominance" and model.kind != "dominance":
-        p.err(f"instantaneous-dominance needs the dominance model, got {model.kind!r}")
+def _parse_extras(p: _Parse, name: str) -> dict:
+    """Every parameter of experiment ``name`` after ``(model, factors)``,
+    read from ``[experiment]`` as its annotation says (an int, a float or a
+    list of floats).  A key left out takes the parameter's default; one
+    without a default is required."""
+    params = inspect.signature(experiment(name), eval_str=True).parameters
+    extras = {}
+    for key, param in list(params.items())[2:]:
+        required = param.default is param.empty
+        default = None if required else param.default
+        if param.annotation is int:
+            extras[key] = p.num("experiment", key, default, required, kind=int)
+        elif param.annotation in (float, float | None):
+            extras[key] = p.num("experiment", key, default, required)
+        else:
+            extras[key] = p.vector("experiment", key, default, required)
+    return extras
 
 
 def parse_config(path: str, paths=None, seed=None, steps=None, out=None) -> ExperimentConfig:
@@ -378,7 +321,7 @@ def parse_config(path: str, paths=None, seed=None, steps=None, out=None) -> Expe
     t_min = p.num("grid", "t_min", default=1e-8, lo=0.0, lo_open=True)
     steps_per_unit = p.num("grid", "steps_per_unit", kind=int, lo=1)
 
-    model = _build_model(p, name, horizon) if name is not None else None
+    model = _build_model(p, horizon) if name is not None else None
 
     grid = None  # set below, or by call-decay's ladder once its horizons are read
     if name == "call-decay":
@@ -417,17 +360,16 @@ def parse_config(path: str, paths=None, seed=None, steps=None, out=None) -> Expe
     per_path = p.flag("output", "per_path")
     series = p.flag("output", "series", default=False)
 
-    extras = _parse_extras(p, name, model) if name is not None else {}
+    extras = _parse_extras(p, name) if name is not None else {}
     if name == "call-decay":
         # one uniform grid out to the ladder's longest rung
         hz = extras["horizons"]
-        if steps_per_unit is not None and hz is not None and all(t > 0 for t in hz):
+        if steps_per_unit is not None and hz is not None:
             try:
                 k_max = max(_hedging.ladder_steps(hz, steps_per_unit))
                 grid = _paths.make_grid(k_max / steps_per_unit, k_max)
             except InvalidArgumentError as exc:
                 p.err(f"experiment.horizons: {exc}")
-    _check_model_fits(p, name, model, grid)
     if not p.errors:
         p.sweep_unknown()
     if p.errors:

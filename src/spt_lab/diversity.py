@@ -136,16 +136,26 @@ _DIVERSITY_COLUMNS = ("max_top", "avg_top", "tail_top", "delta_max", "delta_avg"
                       "is_diverse", "is_weakly_diverse")
 
 
-def diversity_study(model, factors, delta: float, tail_fraction: float):
+def diversity_study(model, factors, delta: float | None = None,
+                    tail_fraction: float = 0.25):
     """Diversity margins of every path, with the raw path statistics.
 
     Per path: the terminal log prices and weights, the columns of
-    ``check_diversity`` and the capped drift entries.  Per grid time: the
-    mean weight of each stock and the mean top weight.  In the barrier
-    market, also checks ``check_barrier_drift_condition`` at its own delta
-    on every path.  A patched model reports how many paths fired its trigger
-    and when, if any did.
+    ``check_diversity`` at ``delta`` in (0, 1) (None takes the model's
+    barrier) and ``tail_fraction`` in (0, 1], and the capped drift entries.
+    Per grid time: the mean weight of each stock and the mean top weight.
+    In the barrier market, also checks ``check_barrier_drift_condition`` at
+    its own delta on every path.  A patched model reports how many paths
+    fired its trigger and when, if any did.
     """
+    if delta is None:
+        delta = model.params.get("delta")
+        if delta is None:
+            raise InvalidArgumentError("delta is required when the model carries no barrier")
+    if not 0 < delta < 1:
+        raise InvalidArgumentError(f"delta {delta!r} must lie in (0, 1)")
+    if not 0 < tail_fraction <= 1:
+        raise InvalidArgumentError(f"tail_fraction {tail_fraction!r} must lie in (0, 1]")
     n_paths, times = factors.n_paths, factors.grid.times
     barrier = model.kind == "diverse"
 

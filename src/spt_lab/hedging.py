@@ -50,6 +50,7 @@ Each study is one experiment: ``study(model, factors, **extras)`` returns
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -140,7 +141,7 @@ def _deflated_payoffs(model, factors: _paths.FactorPaths, payoff) -> np.ndarray:
     return _markets.run_batches(model, factors, per_batch, 1024)["vals"]
 
 
-def hedge_price(model, factors: _paths.FactorPaths, strike: float, index: int):
+def hedge_price(model, factors: _paths.FactorPaths, strike: float, index: int = 0):
     """Monte Carlo price E[(X_T - K)^+ L(T) / B(T)] of a call on stock
     ``index`` with its standard error, for a constant-coefficient
     ``model``, checked against the lognormal closed form."""
@@ -276,8 +277,10 @@ def ladder_steps(horizons, steps_per_unit) -> list:
         raise InvalidArgumentError("the ladder needs at least one horizon")
     steps = []
     for t in horizons:
+        if not t > 0:
+            raise InvalidArgumentError(f"horizon {t:g} must be positive")
         k = steps_per_unit * float(t)
-        if not (t > 0 and math.isclose(k, round(k), rel_tol=1e-9, abs_tol=0.0)):
+        if not math.isclose(k, round(k), rel_tol=1e-9, abs_tol=0.0):
             raise InvalidArgumentError(
                 f"horizon {t:g} is not a whole number of steps at "
                 f"{steps_per_unit:g} steps per unit time")
@@ -285,8 +288,9 @@ def ladder_steps(horizons, steps_per_unit) -> list:
     return steps
 
 
-def call_decay_study(model, factors: _paths.FactorPaths, strike: float, horizons,
-                     p_bound: float, index: int):
+def call_decay_study(model, factors: _paths.FactorPaths, strike: float,
+                     horizons: Sequence[float] = (5.0, 10.0, 20.0, 40.0, 80.0),
+                     p_bound: float = 0.5, index: int = 0):
     """Deflated call prices across a horizon ladder, plus the stock bound.
 
     Every rung T is read off one knock-out simulation under the Foellmer
@@ -300,6 +304,8 @@ def call_decay_study(model, factors: _paths.FactorPaths, strike: float, horizons
     """
     if model.r <= 0:
         raise InvalidArgumentError("the decay study needs a positive interest rate")
+    if not strike > 0:
+        raise InvalidArgumentError(f"strike {strike!r} must be positive")
     check_stock(model, index, "index")
     _check_foellmer(model)
     grid = factors.grid
@@ -352,8 +358,8 @@ def call_decay_study(model, factors: _paths.FactorPaths, strike: float, horizons
 # put-call parity gap
 # ---------------------------------------------------------------------------
 
-def parity_gap_study(model, factors: _paths.FactorPaths, p: float | None, margin: float,
-                     control_i: int, control_j: int):
+def parity_gap_study(model, factors: _paths.FactorPaths, p: float | None = None,
+                     margin: float = 1.1, control_i: int = 0, control_j: int = 1):
     """Deflated prices of two assets that start equal yet price apart, and
     of a plain stock pair that prices at its initial difference.
 
@@ -382,10 +388,9 @@ def parity_gap_study(model, factors: _paths.FactorPaths, p: float | None, margin
         raise InvalidArgumentError(f"control_j {control_j!r} must differ from control_i")
     _check_foellmer(model)
     grid = factors.grid
-    if p is None:
-        p = margin * _arbitrage.mirror_exponent(
-            model.vol.eps, model.params["delta"], grid.horizon,
-            float(_max_last(model.x0 / _sum_last(model.x0))))
+    if not grid.is_uniform:
+        raise InvalidArgumentError("the parity witness needs a uniform grid")
+    p = _arbitrage.mirror_p(model, grid.horizon, p, margin)
     e1 = np.eye(model.n)[0]
 
     # the market's value z_mu = total cap / its start, every path starting at x0

@@ -208,7 +208,7 @@ def ranked_decomposition_study(model, factors):
     return metrics, {"capped_steps": int(cols["capped_steps"].sum())}, [], tables
 
 
-def local_time_study(model, factors, index: int):
+def local_time_study(model, factors, index: int = 0):
     """Terminal local time at zero of stock ``index``'s log price move
     ``log X(t) - log X(0)``, per path and in mean with its standard error.
     Where that stock's log price is a driftless Brownian motion (a constant

@@ -1,5 +1,8 @@
 """Small utilities shared across test modules."""
 
+import collections
+import itertools
+
 import numpy as np
 
 from spt_lab import markets, paths, portfolios
@@ -31,6 +34,27 @@ def force_batch_size(monkeypatch, size):
         return run(model, factors, per_batch, size)
 
     monkeypatch.setattr(markets, "run_batches", run_batches)
+
+
+def count_draws(monkeypatch):
+    """Wrap ``FactorPaths.block`` to record what each call draws.
+
+    Returns two Counters of (path, step) pairs: those drawn by a plain source
+    (whole paths) and those drawn by a time chunk."""
+    whole, chunked = collections.Counter(), collections.Counter()
+    block = paths.FactorPaths.block
+
+    def counted(self, lo, hi):
+        chunk = self._chunk
+        if chunk is None:
+            whole.update(itertools.product(range(lo, hi), range(self.grid.n_steps)))
+        else:
+            chunked.update(itertools.product(chunk.rows[lo:hi].tolist(),
+                                             range(chunk.start, chunk.stop)))
+        return block(self, lo, hi)
+
+    monkeypatch.setattr(paths.FactorPaths, "block", counted)
+    return whole, chunked
 
 
 def whole_path_knock_out(model, factors, lo=0, hi=None):

@@ -480,31 +480,43 @@ def test_call_decay_table_schema(tmp_path):
     assert "monitoring_pair = " in summary
 
 
+def _assert_rejected(capsys, argv, out, message):
+    """``spt-lab`` exits 2 with the study's ``message`` as a config error
+    and writes nothing."""
+    capsys.readouterr()
+    assert cli.main([*argv, "--out", str(out)]) == 2
+    assert f"config error: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("name, extra, kind, grid, message", [
-    ("hedge-price", "strike = 1.0", "diverse", "n_steps = 10",
-     "hedge-price needs the constant model, got kind 'diverse'"),
-    ("parity-gap", "p = 2.0", "patched", "n_steps = 10",
-     "parity-gap needs the diverse model, got kind 'patched'"),
-    ("call-decay", "strike = 1.0\nhorizons = 1.0", "patched", "steps_per_unit = 10",
-     "call-decay needs the diverse model, got kind 'patched'"),
-    ("parity-gap", "p = 2.0", "diverse", "n_steps = 10\ngeometric = true",
-     "parity-gap needs a uniform grid"),
+    ("hedge-price", "strike = 1.0", "diverse", "n_steps = 10\nhorizon = 1.0",
+     "the closed-form deflator needs a constant market, not 'diverse'"),
+    ("parity-gap", "p = 2.0", "patched", "n_steps = 10\nhorizon = 1.0",
+     "the Foellmer knock-out is defined for the diverse market kind, not 'patched'"),
+    ("call-decay", "strike = 1.0\nhorizons = 1.0", "constant", "steps_per_unit = 10",
+     "the Foellmer knock-out is defined for the diverse market kind, not 'constant'"),
+    ("parity-gap", "p = 2.0", "diverse", "n_steps = 10\nhorizon = 1.0\ngeometric = true",
+     "the parity witness needs a uniform grid"),
 ])
-def test_experiments_reject_models_they_cannot_price(tmp_path, name, extra, kind, grid,
-                                                     message):
+def test_experiments_reject_models_they_cannot_price(tmp_path, capsys, name, extra, kind,
+                                                     grid, message):
     """hedge-price's closed-form deflator needs a constant market; the
-    Foellmer knock-out needs the diverse one on a uniform grid, since the
-    patched market's drift may never switch on and its tau is not the first
-    barrier hit."""
+    Foellmer knock-out needs the diverse one, since the patched market's
+    drift may never switch on and its tau is not the first barrier hit; the
+    parity witness needs a uniform grid.  Each config parses, and its study
+    rejects it before anything is written."""
+    model = {"constant": "b = 0.05", "diverse": "delta = 0.1",
+             "patched": "delta = 0.1\neta = 0.3"}[kind]
+    # call-decay needs a positive rate, parity-gap a zero one
+    rate = "r = 0.03\n" if name == "call-decay" else ""
     cfg = tmp_path / "kind.ini"
     cfg.write_text(f"[experiment]\nname = {name}\n{extra}\n\n"
-                   f"[model]\nkind = {kind}\nsigma_scale = 0.25\ndelta = 0.1\n"
-                   "eta = 0.3\nx0 = 1.0, 1.0\nr = 0.03\n\n"
-                   f"[grid]\nhorizon = 1.0\n{grid}\n\n"
+                   f"[model]\nkind = {kind}\nsigma_scale = 0.25\n{model}\n"
+                   f"x0 = 1.0, 1.0\n{rate}\n"
+                   f"[grid]\n{grid}\n\n"
                    "[mc]\nn_paths = 10\nmaster_seed = 7\n")
-    with pytest.raises(ConfigError) as exc:
-        cli.parse_config(str(cfg))
-    assert message in exc.value.messages, exc.value.messages
+    _assert_rejected(capsys, ["run", str(cfg)], tmp_path / "out", message)
 
 
 def test_parity_gap_records_knock_outs(tmp_path):
@@ -548,6 +560,10 @@ def test_call_decay_rejects_off_grid_horizons(tmp_path):
     assert any("horizon 2.5 is not a whole number of steps" in m
                for m in exc.value.messages)
     assert cli.parse_config(cfg, steps=4).extras["horizons"] == [1.0, 2.5]
+    negative = _write(tmp_path, Path(cfg).read_text().replace("2.5", "-2"), name="neg.ini")
+    with pytest.raises(ConfigError) as exc:
+        cli.parse_config(negative)
+    assert exc.value.messages == ["experiment.horizons: horizon -2 must be positive"]
 
 
 def test_call_decay_rejects_grid_horizon_and_steps(tmp_path):
@@ -741,19 +757,14 @@ def _parity_gap_with(tmp_path, old, new):
 
 
 @pytest.mark.parametrize("control, message", [
-    ("control_j = 7", "experiment.control_j: 7 is out of range for 3 stocks"),
-    ("control_j = 0", "experiment.control_j: must differ from control_i"),
+    ("control_j = 7", "control_j 7 is not a stock of a 3-stock market"),
+    ("control_j = 0", "control_j 0 must differ from control_i"),
 ])
 def test_parity_gap_rejects_bad_control_indices(tmp_path, capsys, control, message):
     """A control stock outside the market, or a pair of one stock, is a
     config error rather than an index error or a gap of 0 with t = inf."""
     cfg = _parity_gap_with(tmp_path, "control_j = 1", control)
-    with pytest.raises(ConfigError) as exc:
-        cli.parse_config(cfg)
-    assert exc.value.messages == [message]
-    capsys.readouterr()
-    assert cli.main(["run", cfg, "--paths", "4", "--out", str(tmp_path / "o")]) == 2
-    assert f"config error: {message}" in capsys.readouterr().err
+    _assert_rejected(capsys, ["run", cfg, "--paths", "4"], tmp_path / "o", message)
 
 
 def test_each_experiment_reads_exactly_its_parsed_keys():
@@ -766,6 +777,18 @@ def test_each_experiment_reads_exactly_its_parsed_keys():
         params = list(inspect.signature(cli.experiment(name)).parameters)
         assert params[:2] == ["model", "factors"], name
         assert sorted(params[2:]) == sorted(cfg.extras), name
+
+
+def test_left_out_keys_take_the_study_defaults(tmp_path):
+    """A key left out of [experiment] takes its parameter's default, and one
+    whose parameter has none is required."""
+    text = (_PRESETS / "hedge_price.ini").read_text()
+    no_index = _write(tmp_path, text.replace("index = 0\n", ""), name="no_index.ini")
+    assert cli.parse_config(no_index).extras == {"strike": 1.0, "index": 0}
+    no_strike = _write(tmp_path, text.replace("strike = 1.0\n", ""), name="no_strike.ini")
+    with pytest.raises(ConfigError) as exc:
+        cli.parse_config(no_strike)
+    assert exc.value.messages == ["experiment.strike is required"]
 
 
 def test_call_decay_steps_override_goes_to_steps_per_unit(tmp_path):

@@ -1,15 +1,13 @@
 """Deflators, Monte Carlo claim pricing, and long-horizon decay bounds."""
 
-import collections
-import itertools
 import math
 
 import numpy as np
 import pytest
 
-from spt_lab import checks, hedging, markets, paths, ranks
+from spt_lab import arbitrage, checks, diversity, hedging, markets, paths, ranks
 from spt_lab.errors import InvalidArgumentError
-from helpers import (ZeroFactors, force_batch_size, whole_path_knock_out,
+from helpers import (ZeroFactors, count_draws, force_batch_size, whole_path_knock_out,
                      whole_path_parity_witness)
 
 
@@ -88,33 +86,12 @@ def test_deflator_read_off_the_path_matches_the_price_of_risk_with_more_factors(
                                rtol=0, atol=1e-12)
 
 
-def _count_draws(monkeypatch):
-    """Wrap ``FactorPaths.block`` to record what each call draws.
-
-    Returns two Counters of (path, step) pairs: those drawn by a plain source
-    (whole paths) and those drawn by a time chunk."""
-    whole, chunked = collections.Counter(), collections.Counter()
-    block = paths.FactorPaths.block
-
-    def counted(self, lo, hi):
-        chunk = self._chunk
-        if chunk is None:
-            whole.update(itertools.product(range(lo, hi), range(self.grid.n_steps)))
-        else:
-            chunked.update(itertools.product(chunk.rows[lo:hi].tolist(),
-                                             range(chunk.start, chunk.stop)))
-        return block(self, lo, hi)
-
-    monkeypatch.setattr(paths.FactorPaths, "block", counted)
-    return whole, chunked
-
-
 def test_deflated_prices_draw_each_path_once(monkeypatch):
     """Every deflated price draws each (path, step) of its factors at most
     once per pass.  hedge-price and parity-gap's control draw every whole
     path once; the Foellmer passes of the call ladder and of the parity
     witness draw each path from its first step on, never a step twice."""
-    whole, chunked = _count_draws(monkeypatch)
+    whole, chunked = count_draws(monkeypatch)
     gbm = markets.constant_market(b=[0.1, 0.0], sigma=0.3 * np.eye(2),
                                   x0=[1.0, 0.8], r=0.02)
     diverse = markets.diverse_market(0.25 * np.eye(2), g=0.0, delta=0.3,
@@ -157,7 +134,7 @@ def test_retired_paths_match_the_whole_path_pass(monkeypatch, chunk_steps):
     chunks of an even and of an odd length.  Each (path, step) is drawn at
     most once, and a path out under both monitors by the end of a chunk is
     drawn for no later step."""
-    _, chunked = _count_draws(monkeypatch)
+    _, chunked = count_draws(monkeypatch)
     monkeypatch.setattr(hedging, "_PASS_PATHS", 16)
     monkeypatch.setattr(hedging, "_CHUNK_STEPS", chunk_steps)
     model = markets.diverse_market(0.3 * np.eye(3), g=0.0, delta=0.35,
@@ -414,18 +391,23 @@ def test_parity_witness_matches_the_whole_path_values(monkeypatch):
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("bad", [5, 2, -1, 1.0])
-def test_studies_reject_a_stock_outside_the_market_before_simulating(monkeypatch, bad):
-    """A stock index outside 0..n-1, or not an integer, raises
-    ``InvalidArgumentError`` in every study before any factor is drawn, as
-    does every other argument the CLI rejects when it parses: a strike at
-    or below 0, a p_bound outside (0, 1) (every ``bad`` value is), equal
-    control stocks, and a parity witness on a market without the barrier."""
-    whole, chunked = _count_draws(monkeypatch)
+def test_studies_reject_bad_arguments_before_simulating(monkeypatch, bad):
+    """Every argument out of its range raises ``InvalidArgumentError`` in its
+    study before any factor is drawn: a stock index outside 0..n-1 or not an
+    integer, a strike at or below 0, a p_bound outside (0, 1) (every ``bad``
+    value is), equal control stocks, a parity witness on a market without
+    the barrier or on a geometric grid, a mirror margin or exponent not above
+    1, a refinement below 2, a diversity delta outside (0, 1), a tail
+    fraction outside (0, 1], and a dominance floor outside [0, 1]."""
+    whole, chunked = count_draws(monkeypatch)
     gbm = markets.constant_market(b=[0.1, 0.0], sigma=0.3 * np.eye(2), x0=[1.0, 0.8])
     diverse = markets.diverse_market(0.25 * np.eye(2), g=0.0, delta=0.3, x0=[1.0, 1.0])
     rated = markets.diverse_market(0.25 * np.eye(2), g=0.0, delta=0.3, x0=[1.0, 1.0],
                                    r=0.03)
+    dominance = markets.instantaneous_dominance_market(alpha=0.25)
     f = paths.generate_factors(paths.make_grid(1.0, 10), 2, 4, master_seed=1)
+    geometric = paths.generate_factors(paths.geometric_grid(1.0, 10, 1e-3), 2, 4,
+                                       master_seed=1)
     runs = [
         (lambda: hedging.hedge_price(gbm, f, 1.0, bad), "index .* 2-stock market"),
         (lambda: hedging.call_decay_study(rated, f, 1.0, (0.5, 1.0), 0.5, bad),
@@ -436,12 +418,31 @@ def test_studies_reject_a_stock_outside_the_market_before_simulating(monkeypatch
         (lambda: hedging.parity_gap_study(diverse, f, 2.0, 1.1, 0, bad),
          "control_j .* 2-stock market"),
         (lambda: hedging.hedge_price(gbm, f, 0.0, 0), "strike must be positive"),
+        (lambda: hedging.call_decay_study(rated, f, 0.0, (0.5, 1.0), 0.5, 0),
+         "strike 0.0 must be positive"),
         (lambda: hedging.call_decay_study(rated, f, 1.0, (0.5, 1.0), bad, 0),
          r"p must lie in \(0, 1\)"),
         (lambda: hedging.parity_gap_study(diverse, f, 2.0, 1.1, 1, 1),
          "control_j 1 must differ from control_i"),
         (lambda: hedging.parity_gap_study(gbm, f, None, 1.1, 0, 1),
          "diverse market kind, not 'constant'"),
+        (lambda: hedging.parity_gap_study(diverse, geometric, 2.0, 1.1, 0, 1),
+         "the parity witness needs a uniform grid"),
+        (lambda: hedging.parity_gap_study(diverse, f, None, 0.5, 0, 1),
+         "margin 0.5 must exceed 1"),
+        (lambda: hedging.parity_gap_study(diverse, f, 0.5, 1.1, 0, 1),
+         "mirror exponent must exceed 1"),
+        (lambda: arbitrage.mirror_study(diverse, f, None, 0.5), "margin 0.5 must exceed 1"),
+        (lambda: arbitrage.master_formula_order_study(gbm, f, 0.5, 1),
+         "refine 1 must be at least 2"),
+        (lambda: diversity.diversity_study(diverse, f, 1.5, 0.25),
+         r"delta 1.5 must lie in \(0, 1\)"),
+        (lambda: diversity.diversity_study(diverse, f, 0.3, 0.0),
+         r"tail_fraction 0.0 must lie in \(0, 1\]"),
+        (lambda: diversity.diversity_study(diverse, f, 0.3, 2.0),
+         r"tail_fraction 2.0 must lie in \(0, 1\]"),
+        (lambda: arbitrage.dominance_study(dominance, f, 1.5),
+         r"min_fraction 1.5 must lie in \[0, 1\]"),
     ]
     for call, match in runs:
         with pytest.raises(InvalidArgumentError, match=match):

@@ -1,13 +1,11 @@
 """Rank maps, collision local times, and the ranked log-weight decomposition."""
 
-import collections
-
 import numpy as np
 import pytest
 
 from spt_lab import markets, paths, portfolios, ranks
 from spt_lab.errors import InvalidArgumentError
-from helpers import force_batch_size
+from helpers import count_draws, force_batch_size
 
 
 def test_rank_order_basic_and_ties():
@@ -174,19 +172,13 @@ def test_ranked_decomposition_study_draws_path_zero_twice(monkeypatch):
     """The series reads path 0 from the batch that simulates it: every path
     is drawn twice, once to integrate and once for its vol increments, and
     the series equals the one of path 0 simulated on its own."""
-    drawn = collections.Counter()
-    block = paths.FactorPaths.block
-
-    def counted(self, lo, hi):
-        drawn.update(range(lo, hi))
-        return block(self, lo, hi)
-
-    monkeypatch.setattr(paths.FactorPaths, "block", counted)
+    whole, chunked = count_draws(monkeypatch)
     force_batch_size(monkeypatch, 3)
     model = markets.ou_two_stock(alpha=0.5)
     f = paths.generate_factors(paths.make_grid(2.0, 200), 2, 8, master_seed=13)
     series = ranks.ranked_decomposition_study(model, f)[3]["series"]
-    assert drawn == {i: 2 for i in range(8)}
+    assert whole == {(i, k): 2 for i in range(8) for k in range(200)}
+    assert not chunked
     w = portfolios.market_weights(markets.simulate_block(model, f, 0, 1)[0])
     np.testing.assert_array_equal(series["ranked_w1"], ranks.ranked_weight_path(w)[0][0, :, 0])
     np.testing.assert_array_equal(series["gap_local_time1"],
