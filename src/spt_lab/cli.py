@@ -216,16 +216,16 @@ def _build_model(p: _Parse, horizon):
         return {k: v for k in keys if (v := read("model", k)) is not None}
 
     try:
+        if kind in ("dominance", "ou-pair"):
+            alpha = p.num("model", "alpha", required=True)
+            if alpha is None:
+                return None
         if kind == "dominance":
             return _markets.instantaneous_dominance_market(
-                alpha=p.num("model", "alpha", required=True),
-                **given("delta", "delta_prime", "cdrift", "r"),
-            )
+                alpha=alpha, **given("delta", "delta_prime", "cdrift", "r"))
         if kind == "ou-pair":
             return _markets.ou_two_stock(
-                alpha=p.num("model", "alpha", required=True),
-                **given("x0", read=p.vector), **given("switch_time", "r"),
-            )
+                alpha=alpha, **given("x0", read=p.vector), **given("switch_time", "r"))
         rate = given("r")
         x0 = p.vector("model", "x0", required=True)
         if x0 is None:

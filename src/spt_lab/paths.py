@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -87,25 +88,115 @@ def geometric_grid(horizon: float, n_steps: int, t_min: float) -> PathGrid:
     return PathGrid(np.concatenate(([0.0], interior)))
 
 
+# numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx)
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_XSHIFT = 16
+_MASK32 = 0xFFFFFFFF
+_POOL_SIZE = 4
+
+
+def _hashmix(const: int, mult: int):
+    """numpy's ``hashmix`` over uint32 arrays: each call mixes its words with
+    the hash constant, then steps the constant on for the next call."""
+    def hashmix(value):
+        nonlocal const
+        value = value ^ np.uint32(const)
+        const = const * mult & _MASK32
+        value = value * np.uint32(const)
+        return value ^ value >> _XSHIFT
+    return hashmix
+
+
+def _seed_words(master_seed: int, paths) -> np.ndarray:
+    """``SeedSequence((master_seed, i)).generate_state(4, np.uint64)`` for each
+    path index ``i`` (below 2**32), as the rows of a (len(paths), 4) uint64
+    array.
+
+    This is numpy's ``SeedSequence`` hash from ``bit_generator.pyx``, run in
+    uint32 arrays over all the paths at once.  The entropy is the master
+    seed's 32-bit words, least significant first, then the path index.  Its
+    first four words fill the pool and are mixed with each other, and any
+    word past the pool is mixed in after.
+    """
+    index = np.asarray(paths, dtype=np.uint32)
+    seed = int(master_seed)
+    entropy = [np.full(index.shape, seed >> shift & _MASK32, np.uint32)
+               for shift in range(0, max(seed.bit_length(), 1), 32)] + [index]
+    hashmix = _hashmix(_INIT_A, _MULT_A)
+
+    def mix(x, y):
+        value = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
+        return value ^ value >> _XSHIFT
+
+    zero = np.zeros(index.shape, np.uint32)
+    pool = [hashmix(entropy[i] if i < len(entropy) else zero) for i in range(_POOL_SIZE)]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = mix(pool[dst], hashmix(word))
+
+    # generate_state: eight uint32 words cycled out of the pool, read in
+    # little-endian pairs as four uint64 words
+    state = _hashmix(_INIT_B, _MULT_B)
+    words = [state(pool[i % _POOL_SIZE]) for i in range(2 * _POOL_SIZE)]
+    return np.stack(words, axis=-1).astype("<u4").view("<u8").astype(np.uint64)
+
+
+@functools.cache
+def _seed_words_type():
+    # built at the first draw, not at import: numpy imports numpy.random
+    # lazily, and importing spt_lab does not import it either
+    from numpy.random.bit_generator import ISeedSequence
+
+    class _SeedWords(ISeedSequence):
+        """The four uint64 words a PCG64 seeds itself from."""
+
+        def __init__(self, words):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.words
+
+    return _SeedWords
+
+
+def _generators(master_seed: int, paths):
+    """The generators of ``paths``, one at a time: path ``i``'s is a PCG64
+    seeded bit for bit as ``SeedSequence((master_seed, i))`` seeds it, and
+    the seed words of all the paths are hashed in one pass."""
+    seed_words, generator, pcg64 = _seed_words_type(), np.random.Generator, np.random.PCG64
+    for words in _seed_words(master_seed, paths):
+        yield generator(pcg64(seed_words(words)))
+
+
+def _scale(step_sizes: np.ndarray, m: int) -> np.ndarray:
+    # a (K, m) factor: numpy scales each path in one run, not a row per step
+    return np.repeat(np.sqrt(step_sizes)[:, None], m, axis=1)
+
+
 class _Stream:
-    """One path's generator, seeded at its first draw, and the grid step it
-    stands at."""
+    """One path's generator and the grid step it stands at.  A time chunk
+    seeds the generators of its paths that have not drawn yet together, at
+    its first draw, and each stream keeps its generator from one chunk to
+    the next."""
 
     __slots__ = ("path", "rng", "step")
 
     def __init__(self, path: int):
         self.path, self.rng, self.step = path, None, 0
 
-    def advance(self, master_seed: int, start: int, stop: int):
-        """The generator, to draw steps start..stop-1 with."""
+    def advance(self, start: int, stop: int):
+        """Move on past steps start..stop-1, which the caller then draws."""
         if self.step != start:
             raise InvalidArgumentError(
                 f"path {self.path} stands at step {self.step}, so it cannot draw "
                 f"steps {start}..{stop - 1}: draw each chunk once, in order")
-        if self.rng is None:
-            self.rng = np.random.default_rng(np.random.SeedSequence((master_seed, self.path)))
         self.step = stop
-        return self.rng
 
 
 @dataclass(frozen=True)
@@ -120,12 +211,14 @@ class _Chunk:
 class FactorPaths:
     """Brownian factor increments on a grid, regenerable path by path.
 
-    Each path's increments come from an independent generator seeded by the
+    Each path's increments come from its own PCG64 stream, seeded by the
     pure tuple hash ``SeedSequence((master_seed, path_index))``, so any path
     can be produced in isolation, in any order, on any worker, and the
-    result never depends on how paths are batched.  Increments (not levels)
-    are the stored representation; levels would couple a path's state to
-    summation order.
+    result never depends on how paths are batched.  A block's streams are
+    seeded in one vectorised pass over its paths, bit for bit as numpy seeds
+    them one by one.  Increments (not levels) are the stored representation;
+    levels would couple a path's state to summation order.  Path indices
+    hash as one 32-bit word, so a source has at most 2**32 paths.
 
     ``time_chunk`` cuts a source for a set of paths over a span of grid
     steps; its ``block`` and ``times`` cover that span only.
@@ -142,8 +235,8 @@ class FactorPaths:
     def __post_init__(self):
         if self.m < 1:
             raise InvalidArgumentError("need at least one factor")
-        if self.n_paths < 1:
-            raise InvalidArgumentError("need at least one path")
+        if not 1 <= self.n_paths <= 2**32:
+            raise InvalidArgumentError(f"need between 1 and 2**32 paths, not {self.n_paths}")
         if self.master_seed < 0:
             raise InvalidArgumentError("master_seed must be a nonnegative integer")
 
@@ -186,30 +279,50 @@ class FactorPaths:
         return replace(self, n_paths=rows.size, _chunk=_Chunk(paths, start, stop, streams))
 
     def _draw(self, lo: int, hi: int) -> np.ndarray:
-        # a coarsened source reads its parent through here, not through
-        # ``block``, so a wrapper that counts ``block`` calls sees each path once
         if self._parent is not None:
+            # the parent's paths come through ``_paths``, not ``block``, so a
+            # wrapper that counts ``block`` calls sees each path once
             out = np.empty((hi - lo, self.grid.n_steps, self.m))
-            for i in range(lo, hi):
-                fine = self._parent._draw(i, i + 1)[0]
-                out[i - lo] = fine.reshape(-1, self._factor, self.m).sum(axis=1)
+            for row, fine in zip(out, self._parent._paths(lo, hi)):
+                row[...] = fine.reshape(-1, self._factor, self.m).sum(axis=1)
             return out
         chunk = self._chunk
-        start, stop = (0, self.grid.n_steps) if chunk is None else (chunk.start, chunk.stop)
+        if chunk is None:
+            start, stop = 0, self.grid.n_steps
+            rngs = _generators(self.master_seed, range(lo, hi))
+        else:
+            start, stop = chunk.start, chunk.stop
+            streams = chunk.streams[lo:hi]
+            for stream in streams:
+                stream.advance(start, stop)
+            fresh = [s for s in streams if s.rng is None]
+            for stream, rng in zip(fresh, _generators(self.master_seed, [s.path for s in fresh])):
+                stream.rng = rng
+            rngs = (s.rng for s in streams)
         out = np.empty((hi - lo, stop - start, self.m))
-        for i in range(lo, hi):
-            if chunk is None:
-                rng = np.random.default_rng(np.random.SeedSequence((self.master_seed, i)))
-            else:
-                rng = chunk.streams[i].advance(self.master_seed, start, stop)
-            rng.standard_normal(out=out[i - lo])
-        # a (K, m) factor: numpy scales each path in one run, not a row per step
-        out *= np.repeat(np.sqrt(self.grid.step_sizes[start:stop])[:, None], self.m, axis=1)
+        for row, rng in zip(out, rngs):
+            rng.standard_normal(out=row)
+        out *= _scale(self.grid.step_sizes[start:stop], self.m)
         return out
+
+    def _paths(self, lo: int, hi: int):
+        """Paths lo..hi-1 one at a time, each (n_steps, m) as ``block`` draws
+        it; a plain source draws them all into one buffer."""
+        if self._parent is not None:
+            yield from self._draw(lo, hi)
+            return
+        scale = _scale(self.grid.step_sizes, self.m)
+        fine = np.empty((self.grid.n_steps, self.m))
+        for rng in _generators(self.master_seed, range(lo, hi)):
+            rng.standard_normal(out=fine)
+            fine *= scale
+            yield fine
 
     def coarsened(self, factor: int) -> "FactorPaths":
         """Same Brownian paths on a grid coarsened by an integer factor;
         consecutive fine increments are summed, preserving the path law."""
+        if self._chunk is not None:
+            raise InvalidArgumentError("a time chunk cannot be coarsened")
         return FactorPaths(
             grid=self.grid.coarsened(factor),
             m=self.m,

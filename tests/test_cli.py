@@ -767,6 +767,38 @@ def test_parity_gap_rejects_bad_control_indices(tmp_path, capsys, control, messa
     _assert_rejected(capsys, ["run", cfg, "--paths", "4"], tmp_path / "o", message)
 
 
+@pytest.mark.parametrize("name, kind", [
+    ("ranked-decomposition", "ou-pair"),
+    ("instantaneous-dominance", "dominance"),
+])
+def test_alpha_is_required(tmp_path, capsys, name, kind):
+    """A market kind whose constructor takes alpha without a default reports
+    the missing key, not a TypeError from comparing None."""
+    cfg = _write(tmp_path, f"""\
+        [experiment]
+        name = {name}
+
+        [model]
+        kind = {kind}
+
+        [grid]
+        horizon = 1.0
+        n_steps = 10
+
+        [mc]
+        n_paths = 4
+        master_seed = 1
+        """)
+    _assert_rejected(capsys, ["run", cfg], tmp_path / "o", "model.alpha is required")
+
+
+def test_more_paths_than_seeds_is_a_config_error(tmp_path, capsys):
+    """A path index hashes as one 32-bit word, so a run has at most 2**32
+    paths; the factor source rejects more before it draws anything."""
+    _assert_rejected(capsys, ["run", str(_PRESETS / "hedge_price.ini"), "--paths", str(2**32 + 1)],
+                     tmp_path / "o", "need between 1 and 2**32 paths, not 4294967297")
+
+
 def test_each_experiment_reads_exactly_its_parsed_keys():
     """Every experiment's function takes the model, the factors and, by
     name, the extras that parse_config reads for it from its preset: no key
@@ -821,13 +853,16 @@ def test_call_decay_steps_override_goes_to_steps_per_unit(tmp_path):
 
 def test_cli_import_leaves_scipy_unloaded():
     """Importing the CLI imports neither scipy, which no experiment uses,
-    nor concurrent.futures: batches run one after another."""
+    nor concurrent.futures: batches run one after another.  Nor does it
+    import numpy.random, which numpy loads lazily: the first factor draw
+    loads it, so its cost falls in the draws and not in a run's set-up."""
     root = str(Path(spt_lab.__file__).resolve().parents[1])
     pythonpath = os.pathsep.join(p for p in [root, os.environ.get("PYTHONPATH")] if p)
     r = subprocess.run(
         [sys.executable, "-c", "import sys, spt_lab.cli; "
-         "print('scipy' in sys.modules, 'concurrent.futures' in sys.modules)"],
+         "print('scipy' in sys.modules, 'concurrent.futures' in sys.modules, "
+         "'numpy.random' in sys.modules)"],
         capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=pythonpath),
     )
     assert r.returncode == 0, r.stderr
-    assert r.stdout.strip() == "False False"
+    assert r.stdout.strip() == "False False False"

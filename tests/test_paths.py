@@ -115,6 +115,68 @@ def test_factor_validation():
         f.block(4, 5)
     with pytest.raises(InvalidArgumentError):
         f.block(2, 2)
+    # a path index hashes as one 32-bit word; a source allocates nothing
+    # until it draws, so the largest one costs nothing to build
+    assert paths.generate_factors(g, 1, 2**32, master_seed=1).n_paths == 2**32
+    with pytest.raises(InvalidArgumentError, match="2\\*\\*32 paths"):
+        paths.FactorPaths(grid=g, m=1, n_paths=2**32 + 1, master_seed=1)
+
+
+# ---------------------------------------------------------------------------
+# the streams are numpy's own: path i draws from
+# default_rng(SeedSequence((master_seed, i))), as the provenance says
+# ---------------------------------------------------------------------------
+
+def _numpy_paths(grid, m, master_seed, rows):
+    """Each path in ``rows`` drawn on its own from numpy's generator."""
+    scale = np.sqrt(grid.step_sizes)[:, None]
+    return np.stack([
+        np.random.default_rng(np.random.SeedSequence((master_seed, int(i))))
+        .standard_normal((grid.n_steps, m)) * scale
+        for i in rows])
+
+
+_SEEDS = [0, 2**32 - 1, 2**33 + 5, 10**30]
+
+
+@pytest.mark.parametrize("seed", _SEEDS)
+def test_blocks_draw_numpys_streams(seed):
+    g = paths.geometric_grid(2.0, 12, 1e-3)
+    f = paths.generate_factors(g, 2, 9, master_seed=seed)
+    np.testing.assert_array_equal(f.block(3, 9), _numpy_paths(g, 2, seed, range(3, 9)))
+
+
+@pytest.mark.parametrize("seed", _SEEDS)
+def test_time_chunks_draw_numpys_streams(seed):
+    """Uneven chunks that drop rows on the way: each kept path goes on with
+    numpy's stream for its index."""
+    g = paths.make_grid(1.0, 30)
+    f = paths.generate_factors(g, 3, 12, master_seed=seed)
+    want = _numpy_paths(g, 3, seed, range(12))
+    first = f.time_chunk(np.arange(2, 12), 0, 7)
+    np.testing.assert_array_equal(np.concatenate([first.block(0, 4), first.block(4, 10)]),
+                                  want[2:12, :7])
+    second = first.time_chunk(np.array([9, 0, 5]), 7, 26)  # paths 11, 2, 7
+    np.testing.assert_array_equal(second.block(0, 3), want[[11, 2, 7], 7:26])
+    third = second.time_chunk(np.array([2]), 26, 30)
+    np.testing.assert_array_equal(third.block(0, 1), want[[7], 26:])
+
+
+@pytest.mark.parametrize("seed", _SEEDS)
+def test_coarsened_blocks_draw_numpys_streams(seed):
+    g = paths.make_grid(1.0, 24)
+    f = paths.generate_factors(g, 2, 7, master_seed=seed)
+    want = _numpy_paths(g, 2, seed, range(1, 6)).reshape(5, 8, 3, 2).sum(axis=2)
+    np.testing.assert_array_equal(f.coarsened(3).block(1, 6), want)
+
+
+def test_seed_words_are_numpys():
+    index = [0, 1, 2**32 - 1]
+    for seed in (0, 1, 2**32 - 1, 2**32, 2**64 + 3, 10**30):
+        want = [np.random.SeedSequence((seed, i)).generate_state(4, np.uint64) for i in index]
+        got = paths._seed_words(seed, index)
+        assert got.dtype == np.uint64
+        np.testing.assert_array_equal(got, want)
 
 
 # ---------------------------------------------------------------------------
@@ -184,6 +246,8 @@ def test_time_chunk_validation():
     f = paths.generate_factors(g, 2, 4, master_seed=9)
     with pytest.raises(InvalidArgumentError, match="coarsened source"):
         f.coarsened(4).time_chunk(np.arange(4), 0, 2)
+    with pytest.raises(InvalidArgumentError, match="cannot be coarsened"):
+        f.time_chunk(np.arange(4), 0, 8).coarsened(2)
     for rows in (np.array([], int), np.array([4]), np.array([-1])):
         with pytest.raises(InvalidArgumentError, match="rows"):
             f.time_chunk(rows, 0, 8)
