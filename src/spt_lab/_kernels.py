@@ -13,25 +13,31 @@ an exact integral over each step rather than a rate times the step.
 One stepping loop applies the step cap, counts capped entries and adds the
 noise for every state-dependent kind.
 
-Kernel contract: ``kernel(logx0, dv, dt, times, model, carry)`` with
-``logx0 (n,)``, ``dv (B, K, n)`` volatility increments already multiplied
-by the dispersion matrix, ``dt (K,)`` step sizes and ``times (K+1,)`` grid.
-A kernel runs the whole time loop, overwriting ``dv`` in place with the log
-prices at ``times[1:]`` (each step's increment is read once, then replaced
-by the new state), and returns a dict of per-path records that always holds
-``capped_steps``, the (B,) int64 count of capped drift entries (zeros for a
-kind without a cap).  No cross-path reduction happens inside a kernel, so
-results never depend on how paths were split into batches.
+Kernel contract: ``kernel(logx0, dv, dt, times, model, carry, start)``
+with ``logx0 (n,)``, ``dv (B, K, n)`` volatility increments already
+multiplied by the dispersion matrix, ``dt (K,)`` step sizes, ``times
+(K+1,)`` grid points and ``start`` the grid index of ``times[0]``.  A
+kernel runs the whole time loop, overwriting ``dv`` in place with the log
+prices at ``times[1:]`` (each step's increment is read once, then
+replaced by the new state), and returns a dict of per-path records of the
+paths from grid step 0 on.  It always holds ``capped_steps``, the (B,)
+int64 count of capped drift entries (zeros for a kind without a cap).  No
+cross-path reduction happens inside a kernel, so results never depend on
+how paths were split into batches.
 
-A time chunk carries its state in and out.  ``carry`` is None where the
-paths start at ``logx0`` on ``times[0]``; otherwise it is the
-``aux["carry"]`` the kernel returned for the same paths' chunk before,
-one row per path.  Only the constant kind carries: its state is the
-running sum of each path's log increments, (B, n), added in front of the
-chunk's ``cumsum``, so every addition happens in the order it has on the
-whole path and the log prices, log x0 plus the sum, match it bit for bit;
-the chunk starts at ``logx0 + carry``.  The kinds that step with
-``_euler`` reject a carry.
+Every kind carries its state through time chunks.  ``carry`` is None
+where the paths start at ``logx0`` on grid step 0; otherwise it holds,
+one row per path, ``log_prices`` (B, n) at ``times[0]`` and the records
+the kernel returned for the same paths' chunk before.  The kinds that
+step with ``_euler`` go on from those log prices, their capped-entry
+counts and their own records: the patched kind's trigger time and the
+dominance kind's exit index (a grid index, so ``start`` is added to the
+kernel's own step), whose sign is its confined flag.  ``_euler`` takes
+one step at a time, so a chunk repeats the whole path's arithmetic.  The
+constant kind's state is the running sum of each path's log increments,
+its record ``increment_sum`` (B, n), added in front of the chunk's
+``cumsum``, so every addition happens in the order it has on the whole
+path and the log prices, log x0 plus the sum, match it bit for bit.
 
 Sums, maxima and minima over the stock or factor axis go through
 ``_sum_last``, ``_max_last`` and ``_min_last`` here, because numpy reduces
@@ -45,8 +51,6 @@ from __future__ import annotations
 import functools
 
 import numpy as np
-
-from .errors import InvalidArgumentError
 
 
 def _sum_last(x):
@@ -179,25 +183,19 @@ def spread_reversion(model):
 # the stepping loop and the kernels
 # ---------------------------------------------------------------------------
 
-def _euler(logx0, dv, step, carry):
+def _euler(cur, dv, step, caps):
     """log x_{k+1} = log x_k + capped displacement + dv_k, for a whole batch.
 
-    ``dv (B, K, n)`` holds the volatility increments on entry and the log
-    prices x_1..x_K on return: ``dv[:, k]`` is overwritten with the new state
-    right after it is read.  ``step(k, cur)`` returns the drift displacement
-    over step k from the left-endpoint log prices ``cur (B, n)`` and the cap
-    on its size: a scalar, an array broadcasting against ``cur``, or None
-    for no cap.  Entries past the cap are clipped to it and counted per path.
-    Returns the capped-entry counts (B,), zeros where no step had a cap.
-    It integrates whole paths only: a ``carry`` other than None is rejected.
+    ``cur (B, n)`` holds the log prices at the first grid point on entry
+    and moves on with every step.  ``dv (B, K, n)`` holds the volatility
+    increments on entry and the log prices x_1..x_K on return: ``dv[:, k]``
+    is overwritten with the new state right after it is read.
+    ``step(k, cur)`` returns the drift displacement over step k from the
+    left-endpoint log prices ``cur`` and the cap on its size: a scalar, an
+    array broadcasting against ``cur``, or None for no cap.  Entries past
+    the cap are clipped to it and counted per path into ``caps`` (B,).
     """
-    if carry is not None:
-        raise InvalidArgumentError("this kind integrates whole paths, not time chunks")
-    B, K, n = dv.shape
-    caps = np.zeros(B, np.int64)
-    cur = np.empty((B, n))
-    cur[:] = logx0
-    for k in range(K):
+    for k in range(dv.shape[1]):
         disp, cap = step(k, cur)
         if cap is not None:
             over = np.abs(disp) > cap
@@ -206,49 +204,61 @@ def _euler(logx0, dv, step, carry):
         cur += disp
         cur += dv[:, k, :]
         dv[:, k, :] = cur
-    return caps
 
 
-def _constant(logx0, dv, dt, times, model, carry):
+def _start(logx0, dv, carry):
+    """Fresh copies of the log prices (B, n) at ``times[0]`` and the
+    capped-entry counts (B,) an ``_euler`` kind starts a chunk from."""
+    if carry is None:
+        cur = np.empty((dv.shape[0], dv.shape[2]))
+        cur[:] = logx0
+        return cur, np.zeros(dv.shape[0], np.int64)
+    return carry["log_prices"].copy(), carry["capped_steps"].copy()
+
+
+def _constant(logx0, dv, dt, times, model, carry, start):
     dv += constant_growth(model)[None, :] * dt[:, None]
     if carry is not None:
-        dv[:, 0] += carry
+        dv[:, 0] += carry["increment_sum"]
     np.cumsum(dv, axis=1, out=dv)
-    carry = dv[:, -1].copy()
+    total = dv[:, -1].copy()
     # a (K, n) operand: numpy adds it per path in one run, an (n,) row per step
     dv += np.tile(logx0, (dv.shape[1], 1))
-    return {"capped_steps": np.zeros(dv.shape[0], np.int64), "carry": carry}
+    return {"capped_steps": np.zeros(dv.shape[0], np.int64), "increment_sum": total}
 
 
-def _diverse(logx0, dv, dt, times, model, carry):
+def _diverse(logx0, dv, dt, times, model, carry, start):
     growth = leader_repulsion(model)
     step_cap = model.params["step_cap"]
-    caps = _euler(logx0, dv, lambda k, cur: (growth(cur) * dt[k], step_cap), carry)
+    cur, caps = _start(logx0, dv, carry)
+    _euler(cur, dv, lambda k, cur: (growth(cur) * dt[k], step_cap), caps)
     return {"capped_steps": caps}
 
 
-def _ou_pair(logx0, dv, dt, times, model, carry):
+def _ou_pair(logx0, dv, dt, times, model, carry, start):
     growth = spread_reversion(model)
-    caps = _euler(logx0, dv, lambda k, cur: (growth(times[k], cur) * dt[k], None), carry)
+    cur, caps = _start(logx0, dv, carry)
+    _euler(cur, dv, lambda k, cur: (growth(times[k], cur) * dt[k], None), caps)
     return {"capped_steps": caps}
 
 
-def _patched(logx0, dv, dt, times, model, carry):
+def _patched(logx0, dv, dt, times, model, carry, start):
     growth = patched_repulsion(model)
     p = model.params
     trigger = 1.0 / (1.0 - p["eta"])  # mu_max >= 1-eta  <=>  1/mu_max <= this
-    trigger_time = np.full(dv.shape[0], np.inf)
+    cur, caps = _start(logx0, dv, carry)
+    trigger_time = np.full(dv.shape[0], np.inf) if carry is None else carry["trigger_time"].copy()
 
     def step(k, cur):
         hit = (trigger_time == np.inf) & (_leader(cur)[1] <= trigger)
         trigger_time[hit] = times[k]
         return growth(times[k], cur, trigger_time) * dt[k], p["step_cap"]
 
-    caps = _euler(logx0, dv, step, carry)
+    _euler(cur, dv, step, caps)
     return {"capped_steps": caps, "trigger_time": trigger_time}
 
 
-def _dominance(logx0, dv, dt, times, model, carry):
+def _dominance(logx0, dv, dt, times, model, carry, start):
     """Two-stock upstart market.
 
     Stock 2 carries the power drift t**alpha, integrated exactly over each
@@ -259,14 +269,16 @@ def _dominance(logx0, dv, dt, times, model, carry):
     alpha, eta, eta_prime, cdrift = p["alpha"], p["eta"], p["eta_prime"], p["cdrift"]
     margin = 1e-9 * eta
     B = dv.shape[0]
-    exit_index = np.full(B, -1, np.int64)
-    confined = np.zeros(B, bool)
-    row_cap = np.full((B, 1), np.inf)  # the power phase is never capped
+    cur, caps = _start(logx0, dv, carry)
+    exit_index = np.full(B, -1, np.int64) if carry is None else carry["exit_index"].copy()
+    confined = exit_index >= 0
+    # the power phase is never capped
+    row_cap = np.where(confined, p["step_cap"], np.inf)[:, None]
 
     def step(k, cur):
         y = cur[:, 1] - cur[:, 0]
         newly = ~confined & (np.abs(y) >= eta_prime)
-        exit_index[newly] = k
+        exit_index[newly] = start + k
         confined[newly] = True
         row_cap[newly] = p["step_cap"]
         disp = np.zeros((B, 2))
@@ -277,7 +289,7 @@ def _dominance(logx0, dv, dt, times, model, carry):
         disp[confined, 1] = cdrift * (1.0 / (eta + yc) - 1.0 / (eta - yc)) * dt[k]
         return disp, row_cap
 
-    caps = _euler(logx0, dv, step, carry)
+    _euler(cur, dv, step, caps)
     return {"exit_index": exit_index, "capped_steps": caps}
 
 

@@ -12,9 +12,10 @@ Each study is one experiment: ``study(model, factors, **extras)`` returns
 Per-path reductions happen inside fixed-size batches, whose columns
 ``markets.run_batches`` joins in path order; cross-path reductions run
 once over the joined columns, so results do not depend on batch size.
-``outperformance_study`` reduces each batch chunk by chunk in time into
-terminal values and running extremes, so the temporaries of its weight
-maps do not grow with the horizon.
+``outperformance_study`` walks each batch in time chunks
+(``markets.walk``) and reduces chunk by chunk into terminal values and
+running extremes, so neither its log prices nor the temporaries of its
+weight maps grow with the horizon.
 """
 
 from __future__ import annotations
@@ -195,51 +196,59 @@ def master_formula_order_study(model, factors: _paths.FactorPaths, p: float = 0.
 # outperformance past the threshold horizon
 # ---------------------------------------------------------------------------
 
-# steps of a batch reduced at a time: bounds the reduction's temporaries to
-# a few (B, _CHUNK_STEPS + 1, n) arrays whatever the horizon
-_CHUNK_STEPS = 256
+def _outperformance_terms(model, factors: _paths.FactorPaths, p: float) -> dict:
+    """Per-path terms of ``outperformance_study``, reduced one time chunk of
+    the walk at a time.
 
-
-def _outperformance_terms(lx, p: float, eps: float, dt, horizon: float) -> dict:
-    """Per-path terms of ``outperformance_study``, one time chunk at a time.
-
-    Each chunk of ``_CHUNK_STEPS`` steps weighs its own log prices.  The two
-    gross log values carry their sums across chunks: the carry goes in front
-    of the chunk's per-step logs before the cumsum, so each terminal value is
-    the same sequence of additions as one cumsum over the whole path.  The
-    top weight times dt keeps one row per path, summed once at the end,
+    Each chunk weighs its own log prices.  The two gross log values carry
+    their sums across chunks: the carry goes in front of the chunk's
+    per-step logs before the cumsum, so each terminal value is the same
+    sequence of additions as one cumsum over the whole path.  The top
+    weight times dt keeps one row per path, summed once at the end,
     because numpy sums such a row pairwise.
     """
-    b, k_steps, n = lx.shape[0], lx.shape[1] - 1, lx.shape[2]
-    top_dt = np.empty((b, k_steps))
-    top_max = np.full(b, -np.inf)
-    order_viol = np.zeros(b, np.int64)
-    log_value = np.zeros((2, b, 1))   # gross log values of pi and mu
-    for s in range(0, k_steps, _CHUNK_STEPS):
-        seg = lx[:, s:s + _CHUNK_STEPS + 1]
-        mu = _portfolios.market_weights(seg)
-        pi = _portfolios.diversity_weighted(mu, p)
-        top = _max_last(mu)
-        top_dt[:, s:s + seg.shape[1] - 1] = top[:, :-1] * dt[s:s + _CHUNK_STEPS]
-        np.maximum(top_max, top.max(axis=1), out=top_max)
-        ok = (_max_last(pi) <= top + 1e-12) & (_min_last(pi) >= _min_last(mu) - 1e-12)
-        # a chunk's first point is the previous chunk's last
-        order_viol += np.sum(~ok[:, 1 if s else 0:], axis=1)
-        growth = np.exp(np.diff(seg, axis=1))
-        for j, w in enumerate((pi, mu)):
-            steps = np.log(_sum_last(w[:, :-1] * growth))
-            log_value[j] = np.cumsum(np.concatenate([log_value[j], steps], axis=1),
-                                     axis=1)[:, -1:]
-    term = log_value[0, :, 0] - log_value[1, :, 0]
-    d = 1.0 - np.sum(top_dt, axis=1) / horizon
-    bound = (1.0 - p) * (eps * d * horizon / 2.0 - np.log(n) / p)
-    return {
-        "term": term,
-        "slack": term - bound,
-        "delta_avg": d,
-        "delta_max": 1.0 - top_max,
-        "order_viol": order_viol,
-    }
+    n, eps = model.n, model.vol.eps
+    dt = factors.grid.step_sizes
+    horizon = factors.grid.horizon
+
+    def batch(lo, hi):
+        b = hi - lo
+        top_dt = np.empty((b, dt.size))
+        top_max = np.full(b, -np.inf)
+        order_viol = np.zeros(b, np.int64)
+        log_value = np.zeros((2, b, 1))   # gross log values of pi and mu
+
+        def consume(rows, s, seg, aux):
+            mu = _portfolios.market_weights(seg)
+            pi = _portfolios.diversity_weighted(mu, p)
+            top = _max_last(mu)
+            k = seg.shape[1] - 1
+            top_dt[:, s:s + k] = top[:, :-1] * dt[s:s + k]
+            np.maximum(top_max, top.max(axis=1), out=top_max)
+            ok = (_max_last(pi) <= top + 1e-12) & (_min_last(pi) >= _min_last(mu) - 1e-12)
+            # a chunk's first point is the previous chunk's last
+            order_viol[:] += np.sum(~ok[:, 1 if s else 0:], axis=1)
+            growth = np.exp(np.diff(seg, axis=1))
+            for j, w in enumerate((pi, mu)):
+                steps = np.log(_sum_last(w[:, :-1] * growth))
+                log_value[j] = np.cumsum(np.concatenate([log_value[j], steps], axis=1),
+                                         axis=1)[:, -1:]
+
+        def columns():
+            term = log_value[0, :, 0] - log_value[1, :, 0]
+            d = 1.0 - np.sum(top_dt, axis=1) / horizon
+            bound = (1.0 - p) * (eps * d * horizon / 2.0 - np.log(n) / p)
+            return {
+                "term": term,
+                "slack": term - bound,
+                "delta_avg": d,
+                "delta_max": 1.0 - top_max,
+                "order_viol": order_viol,
+            }
+
+        return consume, columns
+
+    return _markets.walk(model, factors, batch, 256)
 
 
 def outperformance_study(model, factors: _paths.FactorPaths, p: float = 0.5):
@@ -252,21 +261,17 @@ def outperformance_study(model, factors: _paths.FactorPaths, p: float = 0.5):
     fixed-margin bound are reported too.  Also counts violations of the
     pointwise weight comparisons: the reweighted top weight never exceeds
     the market's, the reweighted bottom never falls under the market's.
-    Each batch is reduced chunk by chunk in time into these terminal values
-    and running extremes, so its memory beyond the log prices stays bounded.
+    Each batch is walked in time chunks and reduced chunk by chunk into
+    these terminal values and running extremes, so no array of its log
+    prices spans the horizon.
     """
     if not 0 < p < 1:
         raise InvalidArgumentError("p must lie in (0, 1)")
     n = model.n
     eps = model.vol.eps
     delta = model.params.get("delta")
-    dt = factors.grid.step_sizes
     horizon = factors.grid.horizon
-
-    def per_batch(lo, hi, lx, aux):
-        return _outperformance_terms(lx, p, eps, dt, horizon)
-
-    cols = _markets.run_batches(model, factors, per_batch, 256)
+    cols = _outperformance_terms(model, factors, p)
     term, slack = cols["term"], cols["slack"]
     fraction = float(np.mean(term > 0.0))
     min_slack = float(slack.min())

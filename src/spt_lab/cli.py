@@ -18,7 +18,9 @@ draws a factor, and each claim it makes once, as a ``Check`` with its
 budget.  This module only parses, dispatches and writes.
 
 Every run writes ``summary.txt`` and ``summary.json`` (config echo,
-results, assertion lines with their budgets, provenance) and
+results, assertion lines with their budgets, provenance: the master seed,
+the RNG scheme, and the batch size and chunk length of each walk over the
+paths) and
 ``metrics.csv`` (the numeric payload, 17 significant digits).  Identical
 configs reproduce the CSV files byte for byte.
 Exit codes: 0 success, 2 invalid config, 3 numeric failure, 4 an
@@ -442,12 +444,14 @@ def experiment(name: str):
 
 def run(cfg: ExperimentConfig) -> ExperimentReport:
     """Run a validated config's experiment and collect the report."""
-    metrics, info, assertions, tables = experiment(cfg.name)(
-        cfg.model, _factors(cfg), **cfg.extras)
+    with _markets.recording_walks() as walks:
+        metrics, info, assertions, tables = experiment(cfg.name)(
+            cfg.model, _factors(cfg), **cfg.extras)
     provenance = {
         "artifact": f"spt-lab {__version__}",
         "master_seed": cfg.master_seed,
         "rng": "PCG64 per path, seeded by SeedSequence((master_seed, path_index))",
+        "walks": walks,
         "created_utc": datetime.datetime.now(datetime.timezone.utc)
         .isoformat(timespec="seconds"),
     }

@@ -176,11 +176,10 @@ def hedge_price(model, factors: _paths.FactorPaths, strike: float, index: int = 
 # deflated prices under the Foellmer measure
 # ---------------------------------------------------------------------------
 
-# Paths per batch and steps per time chunk of a Foellmer pass: a batch holds
-# a few (512, 257, n) arrays however long the ladder.  Results do not depend
-# on either.
+# Paths per batch of a Foellmer pass: with the walk's time chunks a batch
+# holds a few (512, 257, n) arrays however long the ladder.  Results do not
+# depend on it.
 _PASS_PATHS = 512
-_CHUNK_STEPS = 256
 
 
 def _check_foellmer(model) -> None:
@@ -196,12 +195,11 @@ def _foellmer_knock_out(model, factors: _paths.FactorPaths, rungs, increments=No
     ``factors``, observed at the grid indices ``rungs``.
 
     Under Q every stock is a GBM with rate of return r.  Each batch of
-    ``_PASS_PATHS`` paths is integrated by ``markets.simulate_block`` in time
-    chunks of ``_CHUNK_STEPS`` steps up to the last rung, and the top weight
-    is checked against 1 - delta at every grid point (the dt monitor) and at
-    every even one (the 2dt monitor).  A path out under both monitors only
-    adds zeros from then on, so it is retired: no later chunk draws or
-    integrates it.
+    ``_PASS_PATHS`` paths is walked (``markets.walk``) in time chunks up to
+    the last rung, and the top weight is checked against 1 - delta at every
+    grid point (the dt monitor) and at every even one (the 2dt monitor).  A
+    path out under both monitors only adds zeros from then on, so it is
+    retired: no later chunk draws or integrates it.
 
     Returns per path ``(lx, running, first, first_2dt)``: the log prices at
     each rung (N, len(rungs), n); the running sum at each rung of the
@@ -217,29 +215,26 @@ def _foellmer_knock_out(model, factors: _paths.FactorPaths, rungs, increments=No
     level = 1.0 - model.params["delta"]
     rungs = np.asarray(rungs)
     top = int(rungs.max())
-    n_paths = factors.n_paths
-    lx_at = np.zeros((n_paths, rungs.size, model.n))
-    running = None if increments is None else np.zeros((n_paths, rungs.size))
-    first, first_2dt = np.full((2, n_paths), top + 1)
-    for lo in range(0, n_paths, _PASS_PATHS):
-        rows = np.arange(lo, min(lo + _PASS_PATHS, n_paths))
-        # a plain source's chunk takes path indices, a chunk's the rows it keeps
-        chunk, keep, carry, run = factors, rows, None, None
-        for a in range(0, top, _CHUNK_STEPS):
-            b = min(a + _CHUNK_STEPS, top)
-            chunk = chunk.time_chunk(keep, a, b)
-            lx, aux = _markets.simulate_block(q, chunk, 0, rows.size, carry)
-            carry = aux["carry"]
+    times = factors.grid.times
+
+    def batch(lo, hi):
+        lx_at = np.zeros((hi - lo, rungs.size, model.n))
+        running = np.zeros((hi - lo, rungs.size))
+        run = np.zeros(hi - lo)
+        first, first_2dt = np.full((2, hi - lo), top + 1)
+
+        def consume(rows, a, lx, aux):
+            b = a + lx.shape[1] - 1
             j = np.flatnonzero((a < rungs) & (rungs <= b))
             ks = rungs[j] - a
             lx_at[rows[:, None], j] = lx[:, ks]
             if increments is not None:
-                inc = increments(lx, chunk.times)
-                if run is not None:
-                    inc[:, 0] += run
+                inc = increments(lx, times[a:b + 1])
+                if a:
+                    inc[:, 0] += run[rows]
                 np.cumsum(inc, axis=1, out=inc)
                 running[rows[:, None], j] = inc[:, ks - 1]
-                run = inc[:, -1]
+                run[rows] = inc[:, -1]
             x = np.exp(lx)
             hit = _max_last(x) >= level * _sum_last(x)  # at grid points a..b
             for f, stride, start in ((first, 1, a), (first_2dt, 2, a + a % 2)):
@@ -247,12 +242,16 @@ def _foellmer_knock_out(model, factors: _paths.FactorPaths, rungs, increments=No
                 f[rows] = np.minimum(
                     f[rows], np.where(h.any(axis=1), start + stride * h.argmax(axis=1), top + 1))
             # out under the 2dt monitor means out under the dt one too
-            keep = np.flatnonzero(first_2dt[rows] > top)
-            if keep.size == 0:
-                break
-            rows, carry = rows[keep], carry[keep]
-            run = None if run is None else run[keep]
-    return lx_at, running, first, first_2dt
+            return np.flatnonzero(first_2dt[rows] > top)
+
+        def columns():
+            return {"lx": lx_at, "running": running, "first": first, "first_2dt": first_2dt}
+
+        return consume, columns
+
+    cols = _markets.walk(q, factors, batch, _PASS_PATHS, stop=top)
+    running = None if increments is None else cols["running"]
+    return cols["lx"], running, cols["first"], cols["first_2dt"]
 
 
 def decay_envelope(

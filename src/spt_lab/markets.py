@@ -12,6 +12,7 @@ a pure function of (model, factor increments).
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,6 +31,8 @@ __all__ = [
     "instantaneous_dominance_market",
     "simulate_block",
     "run_batches",
+    "walk",
+    "recording_walks",
     "growth_rates_along",
     "rates_of_return_along",
 ]
@@ -300,23 +303,35 @@ def _vol_increments(model: MarketModel, dw: np.ndarray, out=None) -> np.ndarray:
     return np.matmul(dw, model.vol.sigma.T, out=out)
 
 
-def simulate_block(model: MarketModel, factors: FactorPaths, lo: int, hi: int, carry=None):
+def simulate_block(model: MarketModel, factors: FactorPaths, lo: int, hi: int, carry=None,
+                   out=None):
     """Integrate paths lo..hi-1 over ``factors.times``.  Returns (log_prices
     (B, K+1, n), aux dict).
 
-    ``aux`` holds the kernel's per-path records, ``capped_steps`` (B,) int64
-    among them for every kind: zeros where the kind has no cap.  The paths
-    start from log x0, or, given a ``carry``, go on from the state it holds
-    for them: the ``aux["carry"]`` of the same paths over the steps before
-    ``factors.times`` (a time chunk, ``FactorPaths.time_chunk``), one row per
-    path.  A kind that cannot carry its state rejects a carry.
+    ``aux`` holds the kernel's per-path records of the paths from grid step
+    0 on.  ``capped_steps`` (B,) int64 is among them for every kind: zeros
+    where the kind has no cap.  The patched kind adds ``trigger_time``, the
+    dominance kind ``exit_index`` (a grid index) and the constant kind
+    ``increment_sum``, the running sum of each path's log increments.
 
-    The log-price buffer is the only batch-sized array: the factors are
+    The paths start from log x0 on grid step 0, or go on from the state a
+    ``carry`` holds for them, one row per path: ``log_prices`` (B, n) at
+    ``factors.times[0]`` and the ``aux`` of the same paths over the steps
+    before (a time chunk, ``FactorPaths.time_chunk``).  Row 0 of the log
+    prices is that starting state for every kind: log x0, or the carry's
+    ``log_prices``.  A chunk integrated from the carry of the chunk before
+    gives the log prices and records of the whole path bit for bit.  Given
+    ``out``, a buffer of at least (B, K+1, n), the log prices are written
+    into its leading corner and returned as a view of it.
+
+    The log-price buffer is the only batch-sized array.  The factors are
     drawn in slices of paths whose draws take at most ``_DRAW_BYTES`` (one
-    path at least), each slice is mixed into its rows as volatility
-    increments dv, and the drift is then integrated over dv in place.  Pure in (model, factors, path index): identical inputs
-    give identical float results regardless of batch boundaries or time
-    chunks.
+    path at least), and each slice is mixed into its rows as volatility
+    increments dv.  The drift is then integrated over dv in place.  The
+    result is pure in (model, factors, path index): identical inputs give
+    identical float results regardless of batch boundaries or time chunks.
+    A non-finite log price raises ``IntegrationFailureError`` naming its
+    path index and grid step.
     """
     if factors.m != model.m:
         raise InvalidArgumentError(
@@ -328,25 +343,119 @@ def simulate_block(model: MarketModel, factors: FactorPaths, lo: int, hi: int, c
     times = factors.times
     n_steps = times.size - 1
     logx0 = np.log(model.x0)
-    logx = np.empty((hi - lo, n_steps + 1, model.n))
+    shape = (hi - lo, n_steps + 1, model.n)
+    logx = np.empty(shape) if out is None else out[:shape[0], :shape[1]]
     dv = logx[:, 1:]
     per_slice = max(1, _DRAW_BYTES // (n_steps * model.m * 8))
     for s in range(lo, hi, per_slice):
         e = min(s + per_slice, hi)
         _vol_increments(model, factors.block(s, e), out=dv[s - lo:e - lo])
     # row 0 last, so the draws, not this strided write, first touch the pages
-    logx[:, 0] = logx0 if carry is None else logx0 + carry
-    aux = kernel(logx0, dv, np.diff(times), times, model, carry)
+    logx[:, 0] = logx0 if carry is None else carry["log_prices"]
+    aux = kernel(logx0, dv, np.diff(times), times, model, carry, factors.first_step)
 
     if not np.isfinite(logx).all():
-        bad = np.argwhere(~np.isfinite(logx))
-        b, k, _ = bad[0]
+        b, k, _ = np.argwhere(~np.isfinite(logx))[0]
+        path, step = factors.path_index(lo + b), factors.first_step + int(k)
         raise IntegrationFailureError(
-            f"non-finite log price at path {lo + b}, step {k}",
-            path_index=int(lo + b),
-            step=int(k),
+            f"non-finite log price at path {path}, step {step}",
+            path_index=path,
+            step=step,
         )
     return logx, aux
+
+
+# Steps per time chunk of a walk: a walked batch holds a few (B, 257, n)
+# arrays, however long the grid.  No result depends on it.
+_CHUNK_STEPS = 256
+
+# glibc gives freed heap memory back to the system once more than twice its
+# mmap threshold is free, and raises that threshold to the size of any freed
+# mmapped block of up to 32 MB.  A chunk's temporaries take a few times its
+# log-price buffer, so one untouched block of this many buffers, freed as a
+# chunked batch starts, keeps them in the heap from chunk to chunk instead
+# of faulting them in afresh each time.
+_HEAP_HINT_BUFFERS = 8
+
+# the list ``recording_walks`` collects into, None outside one
+_walks = None
+
+
+@contextlib.contextmanager
+def recording_walks():
+    """Collect the shape of every walk run inside the ``with`` block: a list,
+    in order, of ``{"batch_size": paths per batch, "chunk_steps": steps per
+    time chunk}``."""
+    global _walks
+    outer, _walks = _walks, []
+    try:
+        yield _walks
+    finally:
+        _walks = outer
+
+
+def walk(model: MarketModel, factors: FactorPaths, batch, batch_size: int,
+         stop: int | None = None, whole: bool = False) -> dict:
+    """Integrate all paths in batches, each in time chunks, and join what
+    each batch returns.
+
+    ``batch(lo, hi)`` starts paths lo..hi-1 and returns ``(consume,
+    columns)``.  ``consume(rows, start, log_prices, aux)`` is handed each
+    time chunk of ``_CHUNK_STEPS`` steps up to grid step ``stop`` (the
+    grid's end by default), in order: the log prices (len(rows), k+1, n) at
+    grid points start..start+k and the kernel records so far of the
+    batch's paths ``rows`` (positions 0..hi-lo-1) still walked.  It returns
+    the positions in ``rows`` of the paths it still needs, or None for all:
+    a path left out is retired, and no later chunk draws or integrates it.
+    With ``whole``, one chunk spans the grid and the source draws it
+    itself, so a coarsened source walks too.  After the batch's last chunk
+    ``columns()`` returns a dict of arrays whose leading axis runs over the
+    batch's paths, or has length 1 for a per-batch partial; the walk copies
+    and joins them as ``run_batches`` describes.
+
+    Each chunk goes on from the state the chunk before carried
+    (``simulate_block``), in one log-price buffer per batch that every
+    chunk reuses, so the log prices are the whole path's bit for bit.
+    """
+    stop = factors.grid.n_steps if stop is None else stop
+    steps = stop if whole else min(_CHUNK_STEPS, stop)
+    if _walks is not None:
+        _walks.append({"batch_size": batch_size, "chunk_steps": steps})
+
+    def walked(lo, hi):
+        # a function scope, so one batch's buffer is freed before the next
+        # batch is walked
+        shape = (hi - lo, steps + 1, model.n)
+        if not whole:
+            np.empty((_HEAP_HINT_BUFFERS, *shape))  # freed at once
+        consume, columns = batch(lo, hi)
+        caps = np.zeros(hi - lo, np.int64)
+        buf = np.empty(shape)
+        rows, keep, chunk, carry = np.arange(hi - lo), np.arange(lo, hi), factors, None
+        for start in range(0, stop, steps):
+            if whole:
+                lx, aux = simulate_block(model, factors, lo, hi, out=buf)
+            else:
+                # a plain source's chunk takes path indices, a chunk's the rows it keeps
+                chunk = chunk.time_chunk(keep, start, min(start + steps, stop))
+                lx, aux = simulate_block(model, chunk, 0, rows.size, carry, out=buf)
+            caps[rows] = aux["capped_steps"]
+            keep = consume(rows, start, lx, aux)
+            keep = np.arange(rows.size) if keep is None else np.asarray(keep)
+            if keep.size == 0:
+                break
+            rows = rows[keep]
+            carry = {key: v[keep] for key, v in {"log_prices": lx[:, -1], **aux}.items()}
+        cols = columns()
+        if "capped_steps" in cols:
+            raise InvalidArgumentError(
+                "a batch returned 'capped_steps', which the walk joins itself")
+        cols = {**cols, "capped_steps": caps}
+        return {k: np.array(v) for k, v in cols.items()}
+
+    n = factors.n_paths
+    parts = [walked(lo, min(lo + batch_size, n)) for lo in range(0, n, batch_size)]
+    return {k: np.concatenate([part[k] for part in parts]) for k in parts[0]}
 
 
 def run_batches(
@@ -355,33 +464,29 @@ def run_batches(
     per_batch,
     batch_size: int,
 ) -> dict:
-    """Integrate all paths in fixed batches and join what each batch returns.
+    """Integrate all paths in fixed batches of whole paths and join what each
+    batch returns: ``walk`` with one chunk spanning the grid.
 
     ``per_batch(lo, hi, log_prices, aux)`` returns a dict of arrays whose
     leading axis runs over the batch's paths, or has length 1 for a
-    per-batch partial.  Each value is copied as soon as the callback
-    returns, so no result pins a batch's log prices, and the copies are
-    joined along axis 0 in batch order: per-path values come back as
-    ``(n_paths, ...)``, per-batch partials as ``(n_batches, ...)``.  The
-    integrator's record joins them as the per-path column ``capped_steps``
-    (drift entries capped, 0 where the kind has no cap); a callback that
-    returns that key is rejected.
+    per-batch partial.  Each value is copied as soon as the batch ends, so
+    no result pins a batch's log prices, and the copies are joined along
+    axis 0 in batch order: per-path values come back as ``(n_paths, ...)``,
+    per-batch partials as ``(n_batches, ...)``.  The integrator's record
+    joins them as the per-path column ``capped_steps`` (drift entries
+    capped, 0 where the kind has no cap); a callback that returns that key
+    is rejected.
     """
 
     def batch(lo, hi):
-        # a function scope, so one batch's log prices are freed before the
-        # next batch is simulated
-        logx, aux = simulate_block(model, factors, lo, hi)
-        cols = per_batch(lo, hi, logx, aux)
-        if "capped_steps" in cols:
-            raise InvalidArgumentError(
-                "per_batch returned 'capped_steps', which run_batches joins itself")
-        cols = {**cols, "capped_steps": aux["capped_steps"]}
-        return {k: np.array(v) for k, v in cols.items()}
+        cols = {}
 
-    n = factors.n_paths
-    parts = [batch(lo, min(lo + batch_size, n)) for lo in range(0, n, batch_size)]
-    return {k: np.concatenate([part[k] for part in parts]) for k in parts[0]}
+        def consume(rows, start, lx, aux):
+            cols.update(per_batch(lo, hi, lx, aux))
+
+        return consume, lambda: cols
+
+    return walk(model, factors, batch, batch_size, whole=True)
 
 
 # ---------------------------------------------------------------------------

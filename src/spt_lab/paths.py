@@ -247,6 +247,16 @@ class FactorPaths:
             return self.grid.times
         return self.grid.times[self._chunk.start:self._chunk.stop + 1]
 
+    @property
+    def first_step(self) -> int:
+        """Grid index of ``times[0]``: 0, or a time chunk's first step."""
+        return 0 if self._chunk is None else self._chunk.start
+
+    def path_index(self, row: int) -> int:
+        """Path index of this source's row ``row``: the row itself, or the
+        path a time chunk's row draws."""
+        return int(row) if self._chunk is None else int(self._chunk.rows[row])
+
     def block(self, lo: int, hi: int) -> np.ndarray:
         """Increments for paths lo..hi-1, shape (hi-lo, n_steps, m)."""
         if not 0 <= lo < hi <= self.n_paths:

@@ -61,12 +61,16 @@ def estimate_local_time(path: np.ndarray) -> np.ndarray:
     y = np.asarray(path, dtype=float)
     if y.shape[-1] < 2:
         raise InvalidArgumentError("need at least two grid points")
+    out = np.zeros(y.shape)
+    np.cumsum(_tanaka_increments(y), axis=-1, out=out[..., 1:])
+    return out
+
+
+def _tanaka_increments(y):
+    """Each step's discrete Tanaka term of a signed path (..., K+1)."""
     ynext = y[..., 1:]
     ynow = y[..., :-1]
-    inc = np.abs(ynext) - np.abs(ynow) - np.sign(ynow) * (ynext - ynow)
-    out = np.zeros(y.shape)
-    np.cumsum(inc, axis=-1, out=out[..., 1:])
-    return out
+    return np.abs(ynext) - np.abs(ynow) - np.sign(ynow) * (ynext - ynow)
 
 
 def adjacent_gap_local_times(weight_path: np.ndarray) -> np.ndarray:
@@ -213,15 +217,26 @@ def local_time_study(model, factors, index: int = 0):
     ``log X(t) - log X(0)``, per path and in mean with its standard error.
     Where that stock's log price is a driftless Brownian motion (a constant
     market with zero growth rate), the mean is checked against the
-    reflected-line value sqrt(a_ii) sqrt(2T / pi)."""
+    reflected-line value sqrt(a_ii) sqrt(2T / pi).  Each batch is walked in
+    time chunks (``markets.walk``), and each chunk's Tanaka increments go
+    on from the running sum carried in front of their cumsum, which repeats
+    the whole path's additions."""
     check_stock(model, index, "index")
     horizon = factors.grid.horizon
+    start = np.log(model.x0)[index]  # row 0 of every whole path
 
-    def per_batch(lo, hi, lx, aux):
-        y = lx[:, :, index] - lx[:, :1, index]
-        return {"lam": estimate_local_time(y)[:, -1]}
+    def batch(lo, hi):
+        lam = np.zeros(hi - lo)
 
-    cols = _markets.run_batches(model, factors, per_batch, 1024)
+        def consume(rows, a, lx, aux):
+            inc = _tanaka_increments(lx[:, :, index] - start)
+            if a:
+                inc[:, 0] += lam
+            lam[:] = np.cumsum(inc, axis=1)[:, -1]
+
+        return consume, lambda: {"lam": lam}
+
+    cols = _markets.walk(model, factors, batch, 1024)
     lam = cols["lam"]
     mean, se = compensated_mean_se(lam)
     metrics = {"mean_terminal_local_time": mean, "se": se, "horizon": horizon}

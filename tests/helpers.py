@@ -21,19 +21,25 @@ class ZeroFactors:
         self.m = m
         self.n_paths = n_paths
 
+    first_step = 0
+
+    def path_index(self, row):
+        return row
+
     def block(self, lo, hi):
         return np.zeros((hi - lo, self.grid.n_steps, self.m))
 
 
 def force_batch_size(monkeypatch, size):
-    """Make every ``markets.run_batches`` call run batches of ``size`` paths,
-    whatever size its caller asks for."""
-    run = markets.run_batches
+    """Make every walk over paths (``markets.walk``, which ``run_batches``
+    runs too) take batches of ``size`` paths, whatever size its caller asks
+    for."""
+    walk = markets.walk
 
-    def run_batches(model, factors, per_batch, batch_size):
-        return run(model, factors, per_batch, size)
+    def forced(model, factors, batch, batch_size, *args, **kwargs):
+        return walk(model, factors, batch, size, *args, **kwargs)
 
-    monkeypatch.setattr(markets, "run_batches", run_batches)
+    monkeypatch.setattr(markets, "walk", forced)
 
 
 def count_draws(monkeypatch):

@@ -1,5 +1,7 @@
 """Pathwise comparison studies: thresholds, decompositions, mirrors, dominance."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -113,17 +115,18 @@ def test_outperformance_beyond_threshold():
 
 
 @pytest.mark.parametrize("grid", [
-    paths.make_grid(1.0, arbitrage._CHUNK_STEPS // 2),            # inside one chunk
-    paths.make_grid(2.0, 2 * arbitrage._CHUNK_STEPS),             # whole chunks
-    paths.geometric_grid(3.0, 2 * arbitrage._CHUNK_STEPS + 37, 1e-3),  # ragged tail
+    paths.make_grid(1.0, markets._CHUNK_STEPS // 2),            # inside one chunk
+    paths.make_grid(2.0, 2 * markets._CHUNK_STEPS),             # whole chunks
+    paths.geometric_grid(3.0, 2 * markets._CHUNK_STEPS + 37, 1e-3),  # ragged tail
 ], ids=["short", "whole", "ragged"])
 def test_outperformance_chunks_match_the_whole_path(grid):
-    """The time-chunked reduction equals, bit for bit, the same terms
-    computed over whole paths."""
+    """The reduction of the walk's time chunks equals, bit for bit, the same
+    terms computed over whole paths, and so do the capped steps."""
     model = markets.diverse_market(np.eye(3), g=0.0, delta=0.3, x0=[1.0, 2.0, 3.0])
     p, eps, dt, horizon = 0.5, model.vol.eps, grid.step_sizes, grid.horizon
-    lx = markets.simulate_block(model, paths.generate_factors(grid, 3, 6, 17), 0, 6)[0]
-    got = arbitrage._outperformance_terms(lx, p, eps, dt, horizon)
+    f = paths.generate_factors(grid, 3, 6, 17)
+    lx, aux = markets.simulate_block(model, f, 0, 6)
+    got = arbitrage._outperformance_terms(model, f, p)
 
     mu = portfolios.market_weights(lx)
     pi = portfolios.diversity_weighted(mu, p)
@@ -138,10 +141,30 @@ def test_outperformance_chunks_match_the_whole_path(grid):
         "delta_avg": d,
         "delta_max": 1.0 - top.max(axis=1),
         "order_viol": np.sum(~ok, axis=1),
+        "capped_steps": aux["capped_steps"],
     }
     assert set(got) == set(want)
     for key in want:
         np.testing.assert_array_equal(got[key], want[key], err_msg=key)
+
+
+def test_outperformance_study_holds_no_whole_path_buffer():
+    """The study walks its batch in time chunks: its traced peak stays under
+    one batch's whole (B, K+1, n) log-price buffer, although it keeps one
+    (B, K) row of top weights per batch."""
+    model = markets.diverse_market(np.eye(3), g=0.0, delta=0.3, x0=[1.0, 2.0, 3.0])
+    factors = paths.generate_factors(paths.make_grid(4.0, 4000), 3, 64, master_seed=5)
+    whole_bytes = 64 * 4001 * 3 * 8
+    arbitrage.outperformance_study(  # one-time imports and caches
+        model, paths.generate_factors(paths.make_grid(1.0, 300), 3, 2, master_seed=5))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        arbitrage.outperformance_study(model, factors)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak < whole_bytes, peak / whole_bytes
 
 
 def test_outperformance_slack_grows_with_horizon():

@@ -236,6 +236,28 @@ def _checks_with_budgets(out):
     return doc
 
 
+def test_provenance_records_each_walk(tmp_path):
+    """summary.json's provenance lists each walk over the paths in order,
+    with its batch size and chunk length: a whole-path study walks its grid
+    in one chunk, arbitrage-45 in 256-step chunks, and the call ladder's
+    Foellmer pass in 512-path batches of 256-step chunks up to its last
+    rung.  summary.txt carries the same list."""
+    runs = {
+        "report": ([_constant_cfg(tmp_path, tmp_path / "report")],
+                   [{"batch_size": 256, "chunk_steps": 50}]),
+        "a45": ([str(_PRESETS / "arbitrage_45.ini"), "--paths", "4", "--steps", "600"],
+                [{"batch_size": 256, "chunk_steps": 256}]),
+        "decay": ([str(_PRESETS / "call_decay.ini"), "--paths", "4", "--steps", "20"],
+                  [{"batch_size": 512, "chunk_steps": 256}]),
+    }
+    for name, (args, walks) in runs.items():
+        out = tmp_path / name
+        assert cli.main(["run", *args, "--out", str(out)]) in (0, 4), name
+        doc = json.loads((out / "summary.json").read_text())
+        assert doc["provenance"]["walks"] == walks, name
+        assert f"walks = {walks}" in (out / "summary.txt").read_text().splitlines(), name
+
+
 def test_reruns_and_batch_sizes_are_byte_identical(tmp_path, monkeypatch):
     outs = []
     for i in range(2):

@@ -136,7 +136,7 @@ def test_retired_paths_match_the_whole_path_pass(monkeypatch, chunk_steps):
     drawn for no later step."""
     _, chunked = count_draws(monkeypatch)
     monkeypatch.setattr(hedging, "_PASS_PATHS", 16)
-    monkeypatch.setattr(hedging, "_CHUNK_STEPS", chunk_steps)
+    monkeypatch.setattr(markets, "_CHUNK_STEPS", chunk_steps)
     model = markets.diverse_market(0.3 * np.eye(3), g=0.0, delta=0.35,
                                    x0=[1.0, 1.2, 0.9], r=0.03)
     factors = paths.generate_factors(paths.make_grid(21.0, 630), 3, 40, master_seed=21)
@@ -376,7 +376,7 @@ def test_parity_witness_matches_the_whole_path_values(monkeypatch):
     carried across chunks of an odd length, gives h1 and h2 bit for bit as
     read off whole paths: Z_mu(T) and Z_mu(T) exp(log(Z_pi / Z_mu)(T)) over
     the paths alive at T."""
-    monkeypatch.setattr(hedging, "_CHUNK_STEPS", 37)
+    monkeypatch.setattr(markets, "_CHUNK_STEPS", 37)
     model = markets.diverse_market(0.5 * np.eye(3), g=0.0, delta=0.3, x0=[1.0, 1.2, 0.9])
     f = paths.generate_factors(paths.make_grid(3.0, 300), 3, 60, master_seed=5)
     metrics = hedging.parity_gap_study(model, f, 2.0, 1.1, 0, 1)[0]

@@ -7,7 +7,7 @@ import pytest
 
 import loop_kernels
 from spt_lab import _kernels, markets, paths, portfolios
-from spt_lab.errors import InvalidArgumentError, InvalidModelError
+from spt_lab.errors import IntegrationFailureError, InvalidArgumentError, InvalidModelError
 from helpers import ZeroFactors, kernel_cases
 
 
@@ -347,21 +347,21 @@ def _loop_kernel_table():
     kernel contract asks.
     """
 
-    def diverse(logx0, dv, dt, times, model, carry):
+    def diverse(logx0, dv, dt, times, model, carry, start):
         p = model.params
         logx, caps = loop_kernels.repelled_leader_loops(
             logx0, dv, dt, p["g"], p["delta"], p["big_m"], _kernels._Q_FLOOR, p["step_cap"])
         dv[...] = logx[:, 1:]
         return {"capped_steps": caps}
 
-    def ou_pair(logx0, dv, dt, times, model, carry):
+    def ou_pair(logx0, dv, dt, times, model, carry, start):
         p = model.params
         dv[...] = loop_kernels.spread_reversion_loops(
             logx0, dv, dt, times, p["alpha"], p["switch_time"],
             0.5 * float(model.vol.a[0, 0]))[:, 1:]
         return {"capped_steps": np.zeros(dv.shape[0], np.int64)}
 
-    def patched(logx0, dv, dt, times, model, carry):
+    def patched(logx0, dv, dt, times, model, carry, start):
         p = model.params
         logx, caps, s_time = loop_kernels.patched_trigger_loops(
             logx0, dv, dt, times, p["g"], p["delta"], p["big_m"], _kernels._Q_FLOOR,
@@ -369,7 +369,7 @@ def _loop_kernel_table():
         dv[...] = logx[:, 1:]
         return {"capped_steps": caps, "trigger_time": s_time}
 
-    def dominance(logx0, dv, dt, times, model, carry):
+    def dominance(logx0, dv, dt, times, model, carry, start):
         p = model.params
         logx, t1_idx, caps = loop_kernels.upstart_loops(
             logx0, dv, dt, times, p["alpha"], p["eta"], p["eta_prime"], p["cdrift"],
@@ -507,27 +507,66 @@ def test_simulate_block_rejects_unknown_kind():
         markets.simulate_block(model, factors, 0, 2)
 
 
-def test_time_chunks_integrate_to_the_whole_path():
-    """The constant kind integrated chunk by chunk, each chunk from the state
-    the one before carried, gives the whole path's log prices bit for bit,
-    also when a chunk keeps only some of its rows.  A kind that steps with
-    ``_euler`` rejects a carried state."""
-    model = markets.constant_market(b=[0.05, -0.02, 0.0], sigma=0.3 * np.eye(3),
-                                    x0=[1.0, 2.0, 0.5], r=0.01)
-    f = paths.generate_factors(paths.make_grid(2.0, 100), 3, 6, master_seed=4)
-    whole, _ = markets.simulate_block(model, f, 0, 6)
-    chunk, keep, carry, rows = f, np.arange(6), None, np.arange(6)
-    for start, stop, kept in ((0, 33, [0, 2, 3, 5]), (33, 64, [1, 3]), (64, 100, None)):
-        chunk = chunk.time_chunk(keep, start, stop)
-        lx, aux = markets.simulate_block(model, chunk, 0, chunk.n_paths, carry)
-        np.testing.assert_array_equal(lx, whole[rows, start:stop + 1])
-        carry = aux["carry"]
-        if kept is not None:
-            keep, rows, carry = np.array(kept), rows[kept], carry[kept]
-    diverse, _ = kernel_cases()["diverse"]
-    first = paths.generate_factors(paths.make_grid(1.0, 10), 3, 2, master_seed=1).time_chunk(
-        np.arange(2), 0, 5)
-    markets.simulate_block(diverse, first, 0, 2)  # a chunk from step 0 carries nothing
-    with pytest.raises(InvalidArgumentError, match="whole paths"):
-        markets.simulate_block(diverse, first.time_chunk(np.arange(2), 5, 10), 0, 2,
-                               np.zeros((2, 3)))
+def _walk_cases():
+    """kernel_cases' four kinds and a constant market, six paths each."""
+    cases = {kind: (model, f.grid) for kind, (model, f) in kernel_cases().items()}
+    cases["constant"] = (markets.constant_market(b=[0.05, -0.02, 0.0], sigma=0.3 * np.eye(3),
+                                                 x0=[1.0, 2.0, 0.5], r=0.01),
+                         paths.make_grid(2.0, 100))
+    return {kind: (model, paths.generate_factors(grid, model.m, 6, master_seed=4))
+            for kind, (model, grid) in cases.items()}
+
+
+def test_time_chunks_integrate_to_the_whole_path(monkeypatch):
+    """All five kinds walked in time chunks of 33 steps (the last one a single
+    step), each chunk from the state the one before carried, give the whole
+    path's log prices bit for bit, row 0 of every chunk included, also while
+    rows are retired between chunks.  Each chunk's records (``capped_steps``,
+    ``trigger_time``, ``exit_index``, the constant kind's ``increment_sum``)
+    are bit for bit those of the whole path on the grid cut at the chunk's
+    end, and the joined ``capped_steps`` column holds each path's record at
+    its last chunk."""
+    monkeypatch.setattr(markets, "_CHUNK_STEPS", 33)
+    for kind, (model, f) in _walk_cases().items():
+        whole, _ = markets.simulate_block(model, f, 0, 6)
+        last_caps = np.full(6, -1)
+
+        def batch(lo, hi):
+            def consume(rows, start, lx, aux):
+                stop = start + lx.shape[1] - 1
+                np.testing.assert_array_equal(lx, whole[lo + rows, start:stop + 1],
+                                              err_msg=f"{kind} {start}")
+                cut = paths.generate_factors(paths.PathGrid(f.grid.times[:stop + 1]), f.m, 6,
+                                             f.master_seed)
+                want = markets.simulate_block(model, cut, 0, 6)[1]
+                assert aux.keys() == want.keys(), kind
+                for key in aux:
+                    np.testing.assert_array_equal(aux[key], want[key][lo + rows],
+                                                  err_msg=f"{kind}/{key} {start}")
+                last_caps[lo + rows] = aux["capped_steps"]
+                # retire the first row at every other chunk
+                return np.arange(1, rows.size) if start % 66 == 0 else None
+
+            return consume, dict
+
+        cols = markets.walk(model, f, batch, 4)
+        assert (last_caps >= 0).all(), kind
+        np.testing.assert_array_equal(cols["capped_steps"], last_caps, err_msg=kind)
+        # the capped kinds carry counts that are not all zero
+        assert cols["capped_steps"].any() == (kind not in ("constant", "ou_pair")), kind
+
+
+def test_a_chunk_names_the_path_and_grid_step_that_fail():
+    """A non-finite log price inside a time chunk is reported at its path
+    index and grid step, not at the chunk's row and local step."""
+    model = markets.constant_market(b=[0.05, 0.0], sigma=0.3 * np.eye(2), x0=[1.0, 2.0])
+    f = paths.generate_factors(paths.make_grid(1.0, 100), 2, 12, master_seed=3)
+    first = f.time_chunk(np.array([7, 8, 9]), 0, 40)
+    lx, aux = markets.simulate_block(model, first, 0, 3)
+    carry = {key: v[1:].copy() for key, v in {"log_prices": lx[:, -1], **aux}.items()}
+    carry["log_prices"][0, 1] = np.nan  # path 8
+    second = first.time_chunk(np.arange(3), 40, 60)
+    second.block(0, 1)  # row 0, path 7, draws its steps; rows 1 and 2 are integrated
+    with pytest.raises(IntegrationFailureError, match="at path 8, step 40") as err:
+        markets.simulate_block(model, second, 1, 3, carry)
+    assert (err.value.path_index, err.value.step) == (8, 40)
