@@ -1,15 +1,17 @@
 """Drift rules and the kernels that integrate them, one per market kind.
 
-Each kind has its drift written once, batch-vectorised.  The constant
-kind's growth rates do not depend on the state, so its kernel adds them
-to every step at once and sums the increments.  The rules of the
-repelled-leader market (shared by its patched variant) and of the spread
-market take log prices of any leading shape ``(..., n)``:
+Each kind has its drift written once, batch-vectorised, and its kernel
+is keyed by its kind name (``markets.KINDS``).  The ``constant`` kind's
+growth rates do not depend on the state, so its kernel adds them to every
+step at once and sums the increments.  The rules of the repelled-leader
+market (``diverse``, shared by its ``patched`` variant) and of the spread
+market (``ou-pair``) take log prices of any leading shape ``(..., n)``:
 the kernels evaluate them on a whole batch at one grid time, and
 ``markets.growth_rates_along`` on a stored path at every grid time, so the
 integrator and the reconstruction cannot disagree about the rule.  The
-upstart market's drift lives in its kernel, because its power phase adds
-an exact integral over each step rather than a rate times the step.
+upstart market's drift (``dominance``) lives in its kernel, because its
+power phase adds an exact integral over each step rather than a rate
+times the step.
 One stepping loop applies the step cap, counts capped entries and adds the
 noise for every state-dependent kind.
 
@@ -296,7 +298,7 @@ def _dominance(logx0, dv, dt, times, model, carry, start):
 _KERNELS = {
     "constant": _constant,
     "diverse": _diverse,
-    "ou_pair": _ou_pair,
+    "ou-pair": _ou_pair,
     "patched": _patched,
     "dominance": _dominance,
 }

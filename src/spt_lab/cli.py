@@ -3,7 +3,7 @@
 Configs are INI-style text with five sections::
 
     [experiment]    name plus the experiment's parameters (p, strike, ...)
-    [model]         kind plus model parameters (sigma, delta, x0, ...)
+    [model]         kind plus the market's parameters (sigma, delta, x0, ...)
     [grid]          horizon and step count, or a geometric early grid
     [mc]            path count and master seed
     [output]        directory and which optional files to write
@@ -16,6 +16,10 @@ each key is typed by the parameter's annotation, and a key left out takes
 the parameter's default.  The function checks its own arguments before it
 draws a factor, and each claim it makes once, as a ``Check`` with its
 budget.  This module only parses, dispatches and writes.
+
+A market kind is one constructor in ``markets.KINDS``.  Its ``[model]``
+keys are the constructor's parameters that are not keyword-only, read the
+same way (``_build_model`` says which three are read otherwise).
 
 Every run writes ``summary.txt`` and ``summary.json`` (config echo,
 results, assertion lines with their budgets, provenance: the master seed,
@@ -57,7 +61,6 @@ from .errors import (
     SptLabError,
 )
 
-_MODEL_KINDS = ("constant", "diverse", "ou-pair", "patched", "dominance")
 _TRUE = {"1", "true", "yes", "on"}
 _FALSE = {"0", "false", "no", "off"}
 
@@ -179,112 +182,78 @@ class _Parse:
                     self.err(f"unknown key {sec}.{key}")
 
 
+def _read_args(p: _Parse, sec: str, fn, skip=()) -> dict:
+    """The parameters of ``fn``, each read from the key of its name in
+    section ``sec`` as its annotation says: an int, a float (``float`` or
+    ``float | None``), or else a list of floats.  A key left out takes the
+    parameter's default; one without a default is required.  Keyword-only
+    parameters are not keys, and those in ``skip`` are the caller's."""
+    args = {}
+    for key, param in inspect.signature(fn, eval_str=True).parameters.items():
+        if key in skip or param.kind is param.KEYWORD_ONLY:
+            continue
+        required = param.default is param.empty
+        default = None if required else param.default
+        if param.annotation is int:
+            args[key] = p.num(sec, key, default, required, kind=int)
+        elif param.annotation in (float, float | None):
+            args[key] = p.num(sec, key, default, required)
+        else:
+            args[key] = p.vector(sec, key, default, required)
+    return args
+
+
 def _build_sigma(p: _Parse, n: int):
     mat = p.matrix("model", "sigma")
     diag = p.vector("model", "sigma_diag")
     scale = p.num("model", "sigma_scale", lo=0.0, lo_open=True)
-    off = p.num("model", "sigma_offdiag", default=0.0)
+    off = p.num("model", "sigma_offdiag")
     given = sum(x is not None for x in (mat, diag, scale))
-    if given == 0:
-        p.err("model: one of sigma, sigma_diag, sigma_scale is required")
-        return None
-    if given > 1:
-        p.err("model: give only one of sigma, sigma_diag, sigma_scale")
-        return None
-    if mat is not None:
+    if given != 1:
+        p.err("model: one of sigma, sigma_diag, sigma_scale is required" if given == 0
+              else "model: give only one of sigma, sigma_diag, sigma_scale")
+    elif mat is not None and off is not None:
+        p.err("model.sigma_offdiag does not apply to a full sigma matrix")
+    elif mat is not None:
         return np.asarray(mat, dtype=float)
-    if diag is not None:
-        if n is not None and len(diag) != n:
-            p.err(f"model.sigma_diag: expected {n} entries, got {len(diag)}")
-            return None
-        m = np.full((len(diag), len(diag)), off)
-        np.fill_diagonal(m, diag)
+    elif diag is not None and len(diag) != n:
+        p.err(f"model.sigma_diag: expected {n} entries, got {len(diag)}")
+    else:
+        m = np.full((n, n), 0.0 if off is None else off)
+        np.fill_diagonal(m, scale if diag is None else diag)
         return m
-    if n is None:
-        p.err("model.sigma_scale needs x0 to fix the dimension")
-        return None
-    m = np.full((n, n), off)
-    np.fill_diagonal(m, scale)
-    return m
+    return None
 
 
-def _build_model(p: _Parse, horizon):
-    kind = p.text("model", "kind", required=True, choices=_MODEL_KINDS)
+def _build_model(p: _Parse, horizon, kind=None):
+    """The ``[model]`` kind's market (or ``kind``'s), its constructor called
+    once every parameter read cleanly; None after an error.  ``_read_args``
+    reads all but three: ``sigma`` from its spellings once ``x0`` has fixed
+    the dimension, ``horizon`` from ``[grid]``, and ``base``, annotated
+    ``Annotated[MarketModel, kind]``, as that kind's model."""
     if kind is None:
-        return None
-
-    def given(*keys, read=p.num) -> dict:
-        # the keys the file sets; the constructor's defaults fill the rest
-        return {k: v for k in keys if (v := read("model", k)) is not None}
-
-    try:
-        if kind in ("dominance", "ou-pair"):
-            alpha = p.num("model", "alpha", required=True)
-            if alpha is None:
-                return None
-        if kind == "dominance":
-            return _markets.instantaneous_dominance_market(
-                alpha=alpha, **given("delta", "delta_prime", "cdrift", "r"))
-        if kind == "ou-pair":
-            return _markets.ou_two_stock(
-                alpha=alpha, **given("x0", read=p.vector), **given("switch_time", "r"))
-        rate = given("r")
-        x0 = p.vector("model", "x0", required=True)
-        if x0 is None:
+        kind = p.text("model", "kind", required=True, choices=tuple(_markets.KINDS))
+        if kind is None:
             return None
-        sigma = _build_sigma(p, len(x0))
-        if sigma is None:
-            return None
-        if kind == "constant":
-            b = p.vector("model", "b", required=True)
-            if b is None:
-                return None
-            bv = b[0] if len(b) == 1 else b
-            return _markets.constant_market(b=bv, sigma=sigma, x0=x0, **rate)
-        # diverse or patched
-        g = p.vector("model", "g", default=[0.0])
-        delta = p.num("model", "delta", required=True)
-        if delta is None:
-            return None
-        base = _markets.diverse_market(
-            sigma=sigma,
-            g=g[0] if len(g) == 1 else g,
-            delta=delta,
-            x0=x0,
-            **given("big_m"),
-            **rate,
-        )
-        if kind == "diverse":
-            return base
-        eta = p.num("model", "eta", required=True)
-        if eta is None:
-            return None
+    make = _markets.KINDS[kind]
+    params = inspect.signature(make, eval_str=True).parameters
+    errors = len(p.errors)
+    args = _read_args(p, "model", make, skip=("sigma", "horizon", "base"))
+    if "sigma" in params and args["x0"] is not None:
+        args["sigma"] = _build_sigma(p, len(args["x0"]))
+    if "horizon" in params:
         if horizon is None:
-            p.err("grid.horizon is required for the patched model")
-            return None
-        return _markets.patched_weakly_diverse(base, eta=eta, horizon=horizon)
+            p.err(f"grid.horizon is required for the {kind} model")
+        args["horizon"] = horizon
+    if "base" in params:
+        args["base"] = _build_model(p, horizon, params["base"].annotation.__metadata__[0])
+    if len(p.errors) > errors:
+        return None
+    try:
+        return make(**args)
     except (InvalidModelError, InvalidArgumentError) as exc:
         p.err(f"model: {exc}")
         return None
-
-
-def _parse_extras(p: _Parse, name: str) -> dict:
-    """Every parameter of experiment ``name`` after ``(model, factors)``,
-    read from ``[experiment]`` as its annotation says (an int, a float or a
-    list of floats).  A key left out takes the parameter's default; one
-    without a default is required."""
-    params = inspect.signature(experiment(name), eval_str=True).parameters
-    extras = {}
-    for key, param in list(params.items())[2:]:
-        required = param.default is param.empty
-        default = None if required else param.default
-        if param.annotation is int:
-            extras[key] = p.num("experiment", key, default, required, kind=int)
-        elif param.annotation in (float, float | None):
-            extras[key] = p.num("experiment", key, default, required)
-        else:
-            extras[key] = p.vector("experiment", key, default, required)
-    return extras
 
 
 def parse_config(path: str, paths=None, seed=None, steps=None, out=None) -> ExperimentConfig:
@@ -316,7 +285,7 @@ def parse_config(path: str, paths=None, seed=None, steps=None, out=None) -> Expe
     p = _Parse(cp)
     name = p.text("experiment", "name", required=True, choices=EXPERIMENTS)
 
-    # grid first: the patched model needs the horizon
+    # grid first: a model may need the horizon
     horizon = p.num("grid", "horizon", lo=0.0, lo_open=True)
     n_steps = p.num("grid", "n_steps", kind=int, lo=1)
     geometric = p.flag("grid", "geometric", default=name == "instantaneous-dominance")
@@ -362,7 +331,8 @@ def parse_config(path: str, paths=None, seed=None, steps=None, out=None) -> Expe
     per_path = p.flag("output", "per_path")
     series = p.flag("output", "series", default=False)
 
-    extras = _parse_extras(p, name) if name is not None else {}
+    extras = (_read_args(p, "experiment", experiment(name), skip=("model", "factors"))
+              if name is not None else {})
     if name == "call-decay":
         # one uniform grid out to the ladder's longest rung
         hz = extras["horizons"]

@@ -74,10 +74,11 @@ __all__ = [
 
 def market_price_of_risk(model, log_prices: np.ndarray, times, aux=None) -> np.ndarray:
     """theta = sigma' (sigma sigma')^{-1} (b - r 1) along a batch of log prices
-    (B, len(times), n)."""
+    (B, len(times), n), with the rates of return b = gamma + diag(a) / 2."""
     sigma = model.vol.sigma
     proj = sigma.T @ np.linalg.inv(model.vol.a)
-    b = _markets.rates_of_return_along(model, log_prices, times, aux=aux)
+    b = _markets.growth_rates_along(model, log_prices, times, aux=aux)
+    b += 0.5 * np.diag(model.vol.a)
     b -= model.r
     theta = b @ proj.T
     if not np.isfinite(theta).all():

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import contextlib
 from dataclasses import dataclass, field
+from typing import Annotated
 
 import numpy as np
 
@@ -29,12 +30,12 @@ __all__ = [
     "ou_two_stock",
     "patched_weakly_diverse",
     "instantaneous_dominance_market",
+    "KINDS",
     "simulate_block",
     "run_batches",
     "walk",
     "recording_walks",
     "growth_rates_along",
-    "rates_of_return_along",
 ]
 
 # Per-step displacement cap on singular drifts.  The continuous dynamics never
@@ -113,8 +114,8 @@ class MarketModel:
 
 def _as_vector(v, n, name):
     out = np.asarray(v, dtype=float)
-    if out.shape == ():
-        out = np.full(n, float(out))
+    if out.shape in ((), (1,)):
+        out = np.full(n, out.item())
     if out.shape != (n,):
         raise InvalidModelError(f"{name} must be a scalar or length-{n} vector")
     if not np.isfinite(out).all():
@@ -143,11 +144,12 @@ def constant_market(b, sigma, x0, r: float = 0.0) -> MarketModel:
 
 def diverse_market(
     sigma,
-    g,
     delta: float,
     x0,
+    g=0.0,
     big_m: float | None = None,
     r: float = 0.0,
+    *,
     step_cap: float = DRIFT_STEP_CAP,
 ) -> MarketModel:
     """Market whose current leader is log-repelled from the weight barrier.
@@ -162,14 +164,14 @@ def diverse_market(
     sigma : array_like
         Dispersion matrix; its certificate upper bound is the default drift
         scale ``big_m``.
-    g : array_like
-        Growth rates for non-leading stocks.
     delta : float
         Barrier parameter in (0, 1): the top weight is repelled from 1-delta.
     x0 : array_like
         Initial prices; the initial top weight must sit below the barrier.
+    g : array_like
+        Growth rates for non-leading stocks, one or one per stock.
     big_m : float, optional
-        Drift scale; must be at least the certificate upper bound.
+        Drift scale; finite, and at least the certificate upper bound.
     """
     vol = Dispersion(sigma)
     g = _as_vector(g, vol.n, "g")
@@ -177,9 +179,9 @@ def diverse_market(
         raise InvalidModelError("delta must lie in (0, 1)")
     if big_m is None:
         big_m = vol.big_m
-    if big_m < vol.big_m * (1 - 1e-12):
+    if not vol.big_m * (1 - 1e-12) <= big_m < np.inf:
         raise InvalidModelError(
-            f"big_m {big_m} is below the certificate upper bound {vol.big_m}"
+            f"big_m {big_m} must be finite and at least the certificate upper bound {vol.big_m}"
         )
     x0v = _as_vector(x0, vol.n, "x0")
     if _kernels._max_last(x0v) / _kernels._sum_last(x0v) >= 1 - delta:
@@ -211,13 +213,13 @@ def ou_two_stock(
     Brownian motion.  With alpha = 1/2 the spread is stationary N(0, 1) from
     t = switch_time on.
     """
-    if not alpha > 0:
-        raise InvalidModelError("alpha must be positive")
-    if switch_time < 0:
-        raise InvalidModelError("switch_time must be nonnegative")
+    if not 0 < alpha < np.inf:
+        raise InvalidModelError(f"alpha must be finite and positive, not {alpha}")
+    if not 0 <= switch_time < np.inf:
+        raise InvalidModelError(f"switch_time must be finite and nonnegative, not {switch_time}")
     sigma = np.diag([1.0 / np.sqrt(2.0), 1.0 / np.sqrt(2.0)])
     return MarketModel(
-        kind="ou_pair",
+        kind="ou-pair",
         vol=Dispersion(sigma),
         x0=x0,
         r=r,
@@ -225,14 +227,16 @@ def ou_two_stock(
     )
 
 
-def patched_weakly_diverse(base: MarketModel, eta: float, horizon: float) -> MarketModel:
+def patched_weakly_diverse(base: Annotated[MarketModel, "diverse"], eta: float,
+                           horizon: float) -> MarketModel:
     """Drop the repelling drift until the top weight first reaches 1 - eta.
 
-    The repelling drift of ``base`` is switched on at the first time S the
-    top weight hits 1 - eta, and only if S lands in the first half of the
-    horizon; otherwise every stock keeps zero rate of return for the whole
-    run.  The result is weakly diverse for half the base barrier parameter
-    even though single time points can concentrate.
+    The repelling drift of ``base``, a diverse market, is switched on at the
+    first time S the top weight hits 1 - eta, and only if S lands in the
+    first half of the horizon; otherwise every stock keeps zero rate of
+    return for the whole run.  The result is weakly diverse for half the
+    base barrier parameter even though single time points can concentrate.
+    ``horizon`` is the one model parameter a config sets in ``[grid]``.
     """
     if base.kind != "diverse":
         raise InvalidModelError("patched construction needs a diverse base model")
@@ -252,6 +256,7 @@ def instantaneous_dominance_market(
     delta_prime: float = 0.35,
     cdrift: float = 1.0,
     r: float = 0.0,
+    *,
     step_cap: float = DRIFT_STEP_CAP,
 ) -> MarketModel:
     """Two equal-priced stocks where stock 2 takes the lead immediately.
@@ -268,8 +273,9 @@ def instantaneous_dominance_market(
         raise InvalidModelError("need 0 < delta < delta_prime < 1/2")
     eta = float(np.log((1 - delta) / delta))
     eta_prime = float(np.log((1 - delta_prime) / delta_prime))
-    if cdrift <= 0 or step_cap <= 0:
-        raise InvalidModelError("cdrift and step_cap must be positive")
+    if not (0 < cdrift < np.inf and step_cap > 0):
+        raise InvalidModelError(f"cdrift {cdrift} and step_cap {step_cap} must be "
+                                "finite and positive")
     return MarketModel(
         kind="dominance",
         vol=Dispersion(np.eye(2)),
@@ -285,6 +291,17 @@ def instantaneous_dominance_market(
             "step_cap": float(step_cap),
         },
     )
+
+
+# kind -> constructor.  A config's [model] keys are the constructor's
+# parameters that are not keyword-only (see ``cli``).
+KINDS = {
+    "constant": constant_market,
+    "diverse": diverse_market,
+    "ou-pair": ou_two_stock,
+    "patched": patched_weakly_diverse,
+    "dominance": instantaneous_dominance_market,
+}
 
 
 # ---------------------------------------------------------------------------
@@ -507,7 +524,7 @@ def growth_rates_along(model: MarketModel, log_prices: np.ndarray, times: np.nda
         g = np.broadcast_to(_kernels.constant_growth(model), lx.shape).copy()
     elif model.kind == "diverse":
         g = _kernels.leader_repulsion(model)(lx)
-    elif model.kind == "ou_pair":
+    elif model.kind == "ou-pair":
         g = _kernels.spread_reversion(model)(t, lx)
     elif model.kind == "patched":
         if aux is None or "trigger_time" not in aux:
@@ -522,9 +539,3 @@ def growth_rates_along(model: MarketModel, log_prices: np.ndarray, times: np.nda
         )
     return g
 
-
-def rates_of_return_along(model: MarketModel, log_prices: np.ndarray, times: np.ndarray, aux: dict | None = None) -> np.ndarray:
-    """Arithmetic rates of return b_i(t_k) = gamma_i(t_k) + a_ii / 2."""
-    g = growth_rates_along(model, log_prices, times, aux)
-    g += 0.5 * np.diag(model.vol.a)
-    return g

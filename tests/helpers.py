@@ -125,7 +125,7 @@ def kernel_cases():
     models = {
         "diverse": (markets.diverse_market(np.eye(3) * 0.5, g=0.01, delta=0.3,
                                            x0=[1.0, 2.0, 1.5], step_cap=0.02), grid),
-        "ou_pair": (markets.ou_two_stock(alpha=0.5, switch_time=0.5), grid),
+        "ou-pair": (markets.ou_two_stock(alpha=0.5, switch_time=0.5), grid),
         "patched": (markets.patched_weakly_diverse(patched_base, eta=0.3, horizon=1.0),
                     grid),
         "dominance": (markets.instantaneous_dominance_market(alpha=0.25),

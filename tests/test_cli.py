@@ -821,6 +821,136 @@ def test_more_paths_than_seeds_is_a_config_error(tmp_path, capsys):
                      tmp_path / "o", "need between 1 and 2**32 paths, not 4294967297")
 
 
+@pytest.mark.parametrize("preset, old, new, message", [
+    ("ranked_decomposition.ini", "switch_time = 1.0", "switch_time = nan",
+     "model: switch_time must be finite and nonnegative, not nan"),
+    ("ranked_decomposition.ini", "alpha = 0.5", "alpha = inf",
+     "model: alpha must be finite and positive, not inf"),
+    ("instantaneous_dominance.ini", "cdrift = 1.0", "cdrift = nan",
+     "model: cdrift nan and step_cap 0.25 must be finite and positive"),
+    ("arbitrage_45.ini", "delta = 0.3", "delta = 0.3\nbig_m = nan",
+     "model: big_m nan must be finite and at least the certificate upper bound"),
+    ("arbitrage_45.ini", "delta = 0.3", "delta = 0.3\nbig_m = inf",
+     "model: big_m inf must be finite and at least the certificate upper bound"),
+])
+def test_non_finite_model_numbers_are_config_errors(tmp_path, capsys, preset, old, new,
+                                                    message):
+    """A nan or inf the constructor would carry into the drift (a spread
+    that never reverts or reverts infinitely fast, a leader step always
+    capped) is rejected before the run, naming its key."""
+    text = (_PRESETS / preset).read_text()
+    assert old in text
+    cfg = _write(tmp_path, text.replace(old, new), name=preset)
+    _assert_rejected(capsys, ["run", cfg], tmp_path / "o", message)
+
+
+def test_full_sigma_matrix_parses_and_takes_no_offdiag(tmp_path):
+    """``sigma`` spells the whole matrix, rows split by ``;``; a
+    ``sigma_offdiag`` beside it would be read and dropped, so it is an
+    error."""
+    text = Path(_constant_cfg(tmp_path, tmp_path / "o")).read_text()
+    full = _write(tmp_path, text.replace("sigma_diag = 0.2, 0.3", "sigma = 0.2 0.1; 0 0.3"),
+                  name="full.ini")
+    np.testing.assert_array_equal(cli.parse_config(full).model.vol.sigma,
+                                  [[0.2, 0.1], [0.0, 0.3]])
+    both = _write(tmp_path, text.replace("sigma_diag = 0.2, 0.3",
+                                         "sigma = 1 0; 0 1\nsigma_offdiag = 0.5"),
+                  name="both.ini")
+    with pytest.raises(ConfigError) as exc:
+        cli.parse_config(both)
+    assert exc.value.messages == ["model.sigma_offdiag does not apply to a full sigma matrix"]
+
+
+# a valid value for every [model] key of every kind, on two stocks
+_MODEL_VALUES = {
+    "alpha": "0.25", "b": "0.05, 0.0", "big_m": "2.0", "cdrift": "1.5", "delta": "0.2",
+    "delta_prime": "0.35", "eta": "0.3", "g": "0.01", "r": "0.02", "switch_time": "0.5",
+    "x0": "1.0, 1.2",
+}
+_SIGMA_SPELLINGS = ({"sigma": "0.3 0.05; 0.05 0.3"},
+                    {"sigma_diag": "0.3, 0.2", "sigma_offdiag": "0.05"},
+                    {"sigma_scale": "0.3", "sigma_offdiag": "0.05"})
+
+
+def _model_keys(kind):
+    """The [model] keys of ``kind`` as its constructor's signature names
+    them: ``sigma`` as its spellings, ``base`` as the diverse kind's keys,
+    and no ``horizon``, which ``[grid]`` sets."""
+    params = inspect.signature(markets.KINDS[kind]).parameters.values()
+    keys = set()
+    for param in params:
+        if param.kind is not param.POSITIONAL_OR_KEYWORD or param.name == "horizon":
+            continue
+        if param.name == "sigma":
+            keys |= {k for spelling in _SIGMA_SPELLINGS for k in spelling}
+        elif param.name == "base":
+            keys |= _model_keys("diverse")
+        else:
+            keys.add(param.name)
+    return keys
+
+
+def _model_cfg(tmp_path, kind, keys: dict):
+    return _write(tmp_path, "[experiment]\nname = diversity-report\n\n"
+                  f"[model]\nkind = {kind}\n"
+                  + "".join(f"{k} = {v}\n" for k, v in keys.items())
+                  + "\n[grid]\nhorizon = 1.0\nn_steps = 10\n\n"
+                  "[mc]\nn_paths = 4\nmaster_seed = 1\n", name=f"{kind}.ini")
+
+
+@pytest.mark.parametrize("kind", sorted(markets.KINDS))
+def test_each_kind_reads_exactly_its_constructor_keys(tmp_path, kind):
+    """parse_config accepts every key the constructor's signature names, in
+    each spelling of sigma, and rejects every other [model] key as
+    unknown: ``step_cap``, which is keyword-only and set in code,
+    ``horizon``, which [grid] sets, and the keys of the other kinds."""
+    keys = _model_keys(kind)
+    plain = {k: _MODEL_VALUES[k] for k in keys if k in _MODEL_VALUES}
+    spellings = [s for s in _SIGMA_SPELLINGS if s.keys() <= keys] or [{}]
+    for spelling in spellings:
+        cfg = cli.parse_config(_model_cfg(tmp_path, kind, {**plain, **spelling}))
+        assert cfg.model.kind == kind
+        assert set(cfg.echo["model"]) == {"kind", *plain, *spelling}
+    others = set().union(*map(_model_keys, markets.KINDS)) | {"horizon"}
+    for key in sorted(others - keys | {"step_cap"}):
+        with pytest.raises(ConfigError) as exc:
+            cli.parse_config(_model_cfg(tmp_path, kind, {**plain, **spellings[0], key: "0.1"}))
+        assert exc.value.messages == [f"unknown key model.{key}"], key
+
+
+_PRESET_MODELS = {
+    "arbitrage_45": lambda: markets.diverse_market(np.eye(3), delta=0.3, x0=[1.0] * 3),
+    "call_decay": lambda: markets.diverse_market(0.25 * np.eye(3), delta=0.3, x0=[1.0] * 3,
+                                                 r=0.03),
+    "diversity_report": lambda: markets.diverse_market(np.eye(3), delta=0.3, x0=[1.0] * 3),
+    "hedge_price": lambda: markets.constant_market(
+        b=[0.12, 0.05], sigma=np.diag([0.25, 0.30]), x0=[1.0, 1.0], r=0.03),
+    "instantaneous_dominance": lambda: markets.instantaneous_dominance_market(alpha=0.25),
+    "local_time_oracle": lambda: markets.constant_market(b=0.5, sigma=[[1.0]], x0=[1.0]),
+    "master_formula": lambda: markets.constant_market(
+        b=[0.05, 0.02, 0.08, 0.0, 0.04],
+        sigma=np.where(np.eye(5, dtype=bool), [0.2, 0.25, 0.3, 0.35, 0.4], 0.05),
+        x0=[2.0, 1.0, 1.5, 0.8, 1.2]),
+    "mirror_81": lambda: markets.diverse_market(np.eye(3), delta=0.3, x0=[1.0] * 3),
+    "parity_gap": lambda: markets.diverse_market(0.25 * np.eye(3), delta=0.3, x0=[1.0] * 3),
+    "ranked_decomposition": lambda: markets.ou_two_stock(alpha=0.5, switch_time=1.0),
+}
+
+
+def test_each_preset_parses_to_its_constructors_model():
+    """Every preset's [model] gives the market its constructor builds when
+    called directly: the same kind, parameters, sigma, x0 and r."""
+    assert sorted(_PRESET_MODELS) == sorted(p.stem for p in _PRESETS.glob("*.ini"))
+    for stem, build in _PRESET_MODELS.items():
+        got, want = cli.parse_config(str(_PRESETS / f"{stem}.ini")).model, build()
+        assert (got.kind, got.r) == (want.kind, want.r), stem
+        assert got.params.keys() == want.params.keys(), stem
+        for key in want.params:
+            np.testing.assert_array_equal(got.params[key], want.params[key], err_msg=stem)
+        np.testing.assert_array_equal(got.vol.sigma, want.vol.sigma, err_msg=stem)
+        np.testing.assert_array_equal(got.x0, want.x0, err_msg=stem)
+
+
 def test_each_experiment_reads_exactly_its_parsed_keys():
     """Every experiment's function takes the model, the factors and, by
     name, the extras that parse_config reads for it from its preset: no key

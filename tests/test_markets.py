@@ -377,7 +377,7 @@ def _loop_kernel_table():
         dv[...] = logx[:, 1:]
         return {"exit_index": t1_idx, "capped_steps": caps}
 
-    return {"diverse": diverse, "ou_pair": ou_pair, "patched": patched,
+    return {"diverse": diverse, "ou-pair": ou_pair, "patched": patched,
             "dominance": dominance}
 
 
@@ -419,7 +419,7 @@ def test_batches_and_draw_slices_leave_every_path_unchanged(monkeypatch):
 
 def test_every_kind_records_capped_steps():
     """``aux["capped_steps"]`` is a (B,) int64 count for all five kinds: zeros
-    for the constant and ou_pair kinds, which have no cap."""
+    for the constant and ou-pair kinds, which have no cap."""
     cases = kernel_cases()
     constant = markets.constant_market(b=[0.05, -0.02], sigma=0.3 * np.eye(2),
                                        x0=[1.0, 2.0])
@@ -428,7 +428,7 @@ def test_every_kind_records_capped_steps():
     for kind, (model, f) in cases.items():
         caps = markets.simulate_block(model, f, 0, f.n_paths)[1]["capped_steps"]
         assert caps.dtype == np.int64 and caps.shape == (f.n_paths,), kind
-        if kind in ("constant", "ou_pair"):
+        if kind in ("constant", "ou-pair"):
             np.testing.assert_array_equal(caps, 0, err_msg=kind)
 
 
@@ -553,7 +553,7 @@ def test_time_chunks_integrate_to_the_whole_path(monkeypatch):
         assert (last_caps >= 0).all(), kind
         np.testing.assert_array_equal(cols["capped_steps"], last_caps, err_msg=kind)
         # the capped kinds carry counts that are not all zero
-        assert cols["capped_steps"].any() == (kind not in ("constant", "ou_pair")), kind
+        assert cols["capped_steps"].any() == (kind not in ("constant", "ou-pair")), kind
 
 
 def test_a_chunk_names_the_path_and_grid_step_that_fail():
