@@ -46,6 +46,8 @@ Sums, maxima and minima over the stock or factor axis go through
 a short contiguous last axis several times slower than it adds or compares
 its columns as whole arrays.  They match numpy bit for bit for up to seven
 stocks or factors; past that the sum may differ from numpy's by rounding.
+A sum over time that a study takes chunk by chunk goes through
+``_RowSum``, which repeats numpy's pairwise sum of the whole row.
 """
 
 from __future__ import annotations
@@ -69,6 +71,68 @@ def _sum_last(x):
     for j in range(1, x.shape[-1]):
         out += x[..., j]
     return out
+
+
+# numpy sums a row of up to this many entries as one leaf, with eight
+# accumulators; a longer row splits at half its length rounded down to a
+# multiple of 8, and each half is summed the same way
+_PAIRWISE_LEAF = 128
+
+
+def _pairwise_plan(n):
+    """numpy's pairwise summation of n entries, in post-order: the length of
+    each leaf, and None where the two sums on top are added."""
+    if n <= _PAIRWISE_LEAF:
+        yield n
+        return
+    half = n // 2 - n // 2 % 8
+    yield from _pairwise_plan(half)
+    yield from _pairwise_plan(n - half)
+    yield None
+
+
+class _RowSum:
+    """``np.sum(x, axis=1)`` of a (B, n) block fed in column pieces, bit for bit.
+
+    numpy adds a contiguous row pairwise (``_pairwise_plan``), so a sum
+    carried from piece to piece would round differently.  This walks the
+    same recursion instead: ``add`` copies each (B, k) piece into one
+    (B, 128) leaf buffer, each full leaf is summed by numpy, and the leaf
+    sums are added as the recursion adds them, holding O(log n) partial
+    sums per row.  ``total()`` returns the (B,) sums once all n columns
+    have come.
+    """
+
+    def __init__(self, b: int, n: int):
+        self._plan = _pairwise_plan(n)
+        self._leaf = np.empty((b, _PAIRWISE_LEAF))
+        self._size = next(self._plan)
+        self._fill = 0
+        self._sums = []
+
+    def add(self, piece):
+        at, k = 0, piece.shape[1]
+        while at < k:
+            if self._size is None:
+                raise ValueError("more columns than the row holds")
+            take = min(self._size - self._fill, k - at)
+            self._leaf[:, self._fill:self._fill + take] = piece[:, at:at + take]
+            self._fill += take
+            at += take
+            if self._fill == self._size:
+                self._sums.append(np.sum(self._leaf[:, :self._size], axis=1))
+                self._fill, self._size = 0, None
+                for op in self._plan:
+                    if op is not None:
+                        self._size = op
+                        break
+                    right = self._sums.pop()
+                    self._sums[-1] += right
+
+    def total(self):
+        if self._size is not None:
+            raise ValueError("the row is not complete")
+        return self._sums[0]
 
 
 def _max_last(x):
@@ -197,12 +261,16 @@ def _euler(cur, dv, step, caps):
     array broadcasting against ``cur``, or None for no cap.  Entries past
     the cap are clipped to it and counted per path into ``caps`` (B,).
     """
+    size = np.empty(cur.shape)
+    over = np.empty(cur.shape, bool)
     for k in range(dv.shape[1]):
         disp, cap = step(k, cur)
         if cap is not None:
-            over = np.abs(disp) > cap
-            caps += _sum_last(over)
-            np.clip(disp, -cap, cap, out=disp)
+            np.greater(np.abs(disp, out=size), cap, out=over)
+            for j in range(over.shape[1]):
+                caps += over[:, j]
+            np.maximum(disp, -cap, out=disp)
+            np.minimum(disp, cap, out=disp)
         cur += disp
         cur += dv[:, k, :]
         dv[:, k, :] = cur

@@ -10,19 +10,22 @@ Each study is one experiment: ``study(model, factors, **extras)`` returns
 ``(metrics, info, checks, tables)`` under the report's names.
 
 Per-path reductions happen inside fixed-size batches, whose columns
-``markets.run_batches`` joins in path order; cross-path reductions run
+``markets.walk`` joins in path order; cross-path reductions run
 once over the joined columns, so results do not depend on batch size.
-``outperformance_study`` walks each batch in time chunks
-(``markets.walk``) and reduces chunk by chunk into terminal values and
-running extremes, so neither its log prices nor the temporaries of its
-weight maps grow with the horizon.
+``outperformance_study`` and ``mirror_study`` walk each batch in time
+chunks (``markets.walk``) and reduce chunk by chunk into terminal values,
+running sums and running extremes; their sums over time stream through
+``_kernels._RowSum``.  So nothing they hold grows with the horizon, and
+every column is the whole path's bit for bit.  ``master_formula_check``
+and ``dominance_study`` take whole paths (``markets.run_batches``), because
+the coarsened sources of their refinement runs draw whole paths only.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ._kernels import _max_last, _min_last, _sum_last
+from ._kernels import _RowSum, _max_last, _min_last, _sum_last
 from .checks import Check
 from .errors import InvalidArgumentError
 from . import markets as _markets
@@ -75,24 +78,63 @@ def mirror_p(model, horizon: float, p: float | None, margin: float) -> float:
 # master formula
 # ---------------------------------------------------------------------------
 
-def _master_terms(lx, mu, p: float):
-    """Per-path terms of the master formula for the weight-p portfolio.
+def _running_sum(head, steps):
+    """A running sum over a chunk's (B, k) ``steps`` at its k+1 grid points:
+    from ``head`` (B, 1), the sum at the chunk's first point, or from 0 on
+    grid step 0 where ``head`` is None.  Each entry is the same sequence of
+    additions as one cumsum over the whole path."""
+    if head is None:
+        out = np.zeros((steps.shape[0], steps.shape[1] + 1))
+        np.cumsum(steps, axis=1, out=out[:, 1:])
+        return out
+    return np.cumsum(np.concatenate([head, steps], axis=1), axis=1)
 
-    Returns its weights, the terminal log wealth ratio over the market, the
-    log change of the concentration measure, and the quadrature of the
-    excess growth read off the realized log-weight moves.
+
+def _gross_log_values(heads, lx, weights):
+    """The terminal gross log values (``portfolios.gross_log_value``), (B, 1)
+    each, of the rules ``weights`` over a chunk of log prices ``lx``, going
+    on from ``heads``, their values at the chunk's first point (None on
+    grid step 0)."""
+    growth = np.exp(np.diff(lx, axis=1))
+    return [_running_sum(head, np.log(_sum_last(w[:, :-1] * growth)))[:, -1:].copy()
+            for head, w in zip(heads, weights)]
+
+
+def _master_terms(b: int, n_steps: int, p: float):
+    """Per-path terms of the master formula for the weight-p portfolio,
+    reduced one time chunk at a time.
+
+    Returns ``(consume, terms)``.  ``consume(lx, mu)`` takes the log prices
+    and market weights (B, k+1, n) of each chunk in turn, from grid step 0
+    to ``n_steps``, and returns the portfolio's weights on them.
+    ``terms()`` returns (B,) each: the terminal log wealth ratio over the
+    market, the log change of the concentration measure, and the quadrature
+    of the excess growth read off the realized log-weight moves.  The gross
+    log values carry their running sums and the quadrature is summed by
+    ``_RowSum``, so each term is the whole path's bit for bit.
     """
-    pi = _portfolios.diversity_weighted(mu, p)
-    lr = _portfolios.gross_log_value(pi, lx) - _portfolios.gross_log_value(mu, lx)
-    dterm = (1.0 / p) * (
-        np.log(_sum_last(mu[:, -1, :] ** p))
-        - np.log(_sum_last(mu[:, 0, :] ** p))
-    )
-    dlm = np.diff(np.log(mu), axis=1)
-    pim = pi[:, :-1, :]
-    m1 = _sum_last(pim * dlm)
-    realized = 0.5 * (_sum_last(pim * dlm * dlm) - m1 * m1)
-    return pi, lr[:, -1], dterm, np.sum(realized, axis=1)
+    log_value = [None, None]  # gross log values of pi and mu
+    measure = {}  # log sum of mu**p at grid step 0, and mu at the latest point
+    realized = _RowSum(b, n_steps)
+
+    def consume(lx, mu):
+        nonlocal log_value
+        pi = _portfolios.diversity_weighted(mu, p)
+        log_value = _gross_log_values(log_value, lx, (pi, mu))
+        measure.setdefault("first", np.log(_sum_last(mu[:, 0, :] ** p)))
+        measure["last"] = mu[:, -1, :].copy()
+        dlm = np.diff(np.log(mu), axis=1)
+        pim = pi[:, :-1, :]
+        m1 = _sum_last(pim * dlm)
+        realized.add(0.5 * (_sum_last(pim * dlm * dlm) - m1 * m1))
+        return pi
+
+    def terms():
+        lhs = log_value[0][:, 0] - log_value[1][:, 0]
+        dterm = (1.0 / p) * (np.log(_sum_last(measure["last"] ** p)) - measure["first"])
+        return lhs, dterm, realized.total()
+
+    return consume, terms
 
 
 def master_formula_check(model, factors: _paths.FactorPaths, p: float) -> dict:
@@ -118,9 +160,12 @@ def master_formula_check(model, factors: _paths.FactorPaths, p: float) -> dict:
     dt = factors.grid.step_sizes
     floor = -(1.0 - p) / p * np.log(n)
 
+    # the coarsened source of the order study draws whole paths only, so
+    # each batch is one chunk spanning the grid
     def per_batch(lo, hi, lx, aux):
-        mu = _portfolios.market_weights(lx)
-        pi, lhs, dterm, realized = _master_terms(lx, mu, p)
+        consume, terms = _master_terms(hi - lo, dt.size, p)
+        pi = consume(lx, _portfolios.market_weights(lx))
+        lhs, dterm, realized = terms()
         growth = np.sum(_portfolios.excess_growth(pi[:, :-1, :], a) * dt, axis=-1)
         return {
             "lhs": lhs,
@@ -201,11 +246,9 @@ def _outperformance_terms(model, factors: _paths.FactorPaths, p: float) -> dict:
     the walk at a time.
 
     Each chunk weighs its own log prices.  The two gross log values carry
-    their sums across chunks: the carry goes in front of the chunk's
-    per-step logs before the cumsum, so each terminal value is the same
-    sequence of additions as one cumsum over the whole path.  The top
-    weight times dt keeps one row per path, summed once at the end,
-    because numpy sums such a row pairwise.
+    their running sums across chunks (``_gross_log_values``), and the top
+    weight times dt is summed by ``_RowSum``, so every column is the
+    whole path's bit for bit.
     """
     n, eps = model.n, model.vol.eps
     dt = factors.grid.step_sizes
@@ -213,30 +256,27 @@ def _outperformance_terms(model, factors: _paths.FactorPaths, p: float) -> dict:
 
     def batch(lo, hi):
         b = hi - lo
-        top_dt = np.empty((b, dt.size))
+        top_dt = _RowSum(b, dt.size)
         top_max = np.full(b, -np.inf)
         order_viol = np.zeros(b, np.int64)
-        log_value = np.zeros((2, b, 1))   # gross log values of pi and mu
+        log_value = [None, None]  # gross log values of pi and mu
 
         def consume(rows, s, seg, aux):
+            nonlocal log_value
             mu = _portfolios.market_weights(seg)
             pi = _portfolios.diversity_weighted(mu, p)
             top = _max_last(mu)
             k = seg.shape[1] - 1
-            top_dt[:, s:s + k] = top[:, :-1] * dt[s:s + k]
+            top_dt.add(top[:, :-1] * dt[s:s + k])
             np.maximum(top_max, top.max(axis=1), out=top_max)
             ok = (_max_last(pi) <= top + 1e-12) & (_min_last(pi) >= _min_last(mu) - 1e-12)
             # a chunk's first point is the previous chunk's last
             order_viol[:] += np.sum(~ok[:, 1 if s else 0:], axis=1)
-            growth = np.exp(np.diff(seg, axis=1))
-            for j, w in enumerate((pi, mu)):
-                steps = np.log(_sum_last(w[:, :-1] * growth))
-                log_value[j] = np.cumsum(np.concatenate([log_value[j], steps], axis=1),
-                                         axis=1)[:, -1:]
+            log_value = _gross_log_values(log_value, seg, (pi, mu))
 
         def columns():
-            term = log_value[0, :, 0] - log_value[1, :, 0]
-            d = 1.0 - np.sum(top_dt, axis=1) / horizon
+            term = log_value[0][:, 0] - log_value[1][:, 0]
+            d = 1.0 - top_dt.total() / horizon
             bound = (1.0 - p) * (eps * d * horizon / 2.0 - np.log(n) / p)
             return {
                 "term": term,
@@ -314,6 +354,74 @@ def outperformance_study(model, factors: _paths.FactorPaths, p: float = 0.5):
 # mirror constructions
 # ---------------------------------------------------------------------------
 
+def _mirror_terms(model, factors: _paths.FactorPaths, p: float, beta: float) -> dict:
+    """Per-path terms of ``mirror_study`` for exponent ``p`` and initial top
+    weight ``beta``, reduced one time chunk of the walk at a time.
+
+    The log wealth ratio carries its running sum across chunks, and the two
+    sums over time (the relative variance and the master formula's
+    quadrature) go through ``_RowSum``, so every column is the whole
+    path's bit for bit; the ceiling gap and the wrap margins keep running
+    extremes.
+    """
+    times = factors.grid.times
+    dt = factors.grid.step_sizes
+    a = model.vol.a
+    e1 = np.zeros(model.n)
+    e1[0] = 1.0
+    cap82 = (p - 1.0) / beta**p
+
+    def batch(lo, hi):
+        b = hi - lo
+        tau_int = _RowSum(b, dt.size)
+        master, master_terms = _master_terms(b, dt.size, 0.5)
+        # lr at the chunk's first point; mu_1 at grid step 0 and at the latest point
+        lr_head = mu1_first = mu1_last = None
+        ceil_gap_max = np.full(b, -np.inf)
+        wrap82 = np.full(b, np.inf)
+        wrap83 = np.full(b, np.inf)
+
+        def consume(rows, s, seg, aux):
+            nonlocal lr_head, mu1_first, mu1_last
+            k = seg.shape[1] - 1
+            mu = _portfolios.market_weights(seg)
+            what = _portfolios.mirror_weights(e1, mu, p)
+            lr = _running_sum(lr_head, _portfolios._relative_log_increments(
+                what, seg, times[s:s + k + 1], a))
+            lr_head = lr[:, -1:]
+            mu1 = mu[..., 0]
+            if mu1_first is None:
+                mu1_first = mu1[:, :1].copy()
+            mu1_last = mu1[:, -1].copy()
+            lead = np.log(mu1) - np.log(mu1_first)
+            diff = e1 - mu[:, :-1, :]
+            tau = np.einsum("bki,ij,bkj->bk", diff, a, diff)
+            tau_int.add(tau * dt[s:s + k])
+            ratio = np.exp(lr)
+            np.maximum(ceil_gap_max, np.max(lr - p * lead, axis=1), out=ceil_gap_max)
+            # wrap weights stay nonnegative iff these margins do
+            np.minimum(wrap82, np.min(cap82 - (p - 1.0) * ratio, axis=1), out=wrap82)
+            np.minimum(wrap83, np.min((p / beta**p) * mu1 - (p - (p - 1.0) * mu1) * ratio,
+                                      axis=1), out=wrap83)
+            master(seg, mu)
+
+        def columns():
+            m_lhs, m_dterm, m_realized = master_terms()
+            return {
+                "term": lr_head[:, 0],
+                "ceil_gap_max": ceil_gap_max,
+                "tau_int": tau_int.total(),
+                "base_term_ratio": mu1_last / mu1_first[:, 0],
+                "wrap82_margin": wrap82,
+                "wrap83_margin": wrap83,
+                "master_residual": m_lhs - (m_dterm + 0.5 * m_realized),
+            }
+
+        return consume, columns
+
+    return _markets.walk(model, factors, batch, 128)
+
+
 def mirror_study(model, factors: _paths.FactorPaths, p: float | None = None,
                  margin: float = 1.1):
     """Short-the-market mirror of the first stock, plus its all-long wraps.
@@ -341,44 +449,14 @@ def mirror_study(model, factors: _paths.FactorPaths, p: float | None = None,
         raise InvalidArgumentError("mirror study expects a diversity-controlled model")
     delta = model.params["delta"]
     eps = model.vol.eps
-    times = factors.grid.times
-    dt = factors.grid.step_sizes
     horizon = factors.grid.horizon
     beta = float(_max_last(model.x0 / _sum_last(model.x0)))
     p_star = mirror_exponent(eps, delta, horizon, beta)
     p = mirror_p(model, horizon, p, margin)
-    a = model.vol.a
-    n = model.n
-    e1 = np.zeros(n)
-    e1[0] = 1.0
-    cap82 = (p - 1.0) / beta**p
-    z82 = 1.0 + cap82
+    z82 = 1.0 + (p - 1.0) / beta**p
     zeta83 = p / beta**p - 1.0
 
-    def per_batch(lo, hi, lx, aux):
-        mu = _portfolios.market_weights(lx)
-        what = _portfolios.mirror_weights(e1, mu, p)
-        lr = _portfolios.relative_log_value(what, lx, times, a)
-        mu1 = mu[..., 0]
-        lead = np.log(mu1) - np.log(mu1[:, :1])
-        diff = e1 - mu[:, :-1, :]
-        tau = np.einsum("bki,ij,bkj->bk", diff, a, diff)
-        ratio = np.exp(lr)
-        _, m_lhs, m_dterm, m_realized = _master_terms(lx, mu, 0.5)
-        return {
-            "term": lr[:, -1],
-            "ceil_gap_max": np.max(lr - p * lead, axis=1),
-            "tau_int": np.sum(tau * dt, axis=1),
-            "base_term_ratio": mu1[:, -1] / mu1[:, 0],
-            # wrap weights stay nonnegative iff these margins do
-            "wrap82_margin": np.min(cap82 - (p - 1.0) * ratio, axis=1),
-            "wrap83_margin": np.min(
-                (p / beta**p) * mu1 - (p - (p - 1.0) * mu1) * ratio, axis=1
-            ),
-            "master_residual": m_lhs - (m_dterm + 0.5 * m_realized),
-        }
-
-    cols = _markets.run_batches(model, factors, per_batch, 128)
+    cols = _mirror_terms(model, factors, p, beta)
     term, tau_int, ceil_gap_max = cols["term"], cols["tau_int"], cols["ceil_gap_max"]
 
     eta_needed = float(2.0 * np.log(1.0 / beta) / (p - 1.0))

@@ -182,12 +182,13 @@ class _Parse:
                     self.err(f"unknown key {sec}.{key}")
 
 
-def _read_args(p: _Parse, sec: str, fn, skip=()) -> dict:
+def _read_args(p: _Parse, sec: str, fn, skip=(), finite=False) -> dict:
     """The parameters of ``fn``, each read from the key of its name in
     section ``sec`` as its annotation says: an int, a float (``float`` or
     ``float | None``), or else a list of floats.  A key left out takes the
     parameter's default; one without a default is required.  Keyword-only
-    parameters are not keys, and those in ``skip`` are the caller's."""
+    parameters are not keys, and those in ``skip`` are the caller's.  With
+    ``finite``, a nan or an infinity in a float or a list is an error."""
     args = {}
     for key, param in inspect.signature(fn, eval_str=True).parameters.items():
         if key in skip or param.kind is param.KEYWORD_ONLY:
@@ -200,6 +201,9 @@ def _read_args(p: _Parse, sec: str, fn, skip=()) -> dict:
             args[key] = p.num(sec, key, default, required)
         else:
             args[key] = p.vector(sec, key, default, required)
+        if finite and args[key] is not None and not np.isfinite(args[key]).all():
+            p.err(f"{sec}.{key}: {args[key]} is not finite")
+            args[key] = default
     return args
 
 
@@ -331,7 +335,9 @@ def parse_config(path: str, paths=None, seed=None, steps=None, out=None) -> Expe
     per_path = p.flag("output", "per_path")
     series = p.flag("output", "series", default=False)
 
-    extras = (_read_args(p, "experiment", experiment(name), skip=("model", "factors"))
+    # a [model] constructor rejects its own non-finite numbers, naming them
+    extras = (_read_args(p, "experiment", experiment(name), skip=("model", "factors"),
+                         finite=True)
               if name is not None else {})
     if name == "call-decay":
         # one uniform grid out to the ladder's longest rung

@@ -118,7 +118,8 @@ def test_outperformance_beyond_threshold():
     paths.make_grid(1.0, markets._CHUNK_STEPS // 2),            # inside one chunk
     paths.make_grid(2.0, 2 * markets._CHUNK_STEPS),             # whole chunks
     paths.geometric_grid(3.0, 2 * markets._CHUNK_STEPS + 37, 1e-3),  # ragged tail
-], ids=["short", "whole", "ragged"])
+    paths.make_grid(2.0, 2 * markets._CHUNK_STEPS + 1),         # a one-step last chunk
+], ids=["short", "whole", "ragged", "one-step-tail"])
 def test_outperformance_chunks_match_the_whole_path(grid):
     """The reduction of the walk's time chunks equals, bit for bit, the same
     terms computed over whole paths, and so do the capped steps."""
@@ -150,8 +151,7 @@ def test_outperformance_chunks_match_the_whole_path(grid):
 
 def test_outperformance_study_holds_no_whole_path_buffer():
     """The study walks its batch in time chunks: its traced peak stays under
-    one batch's whole (B, K+1, n) log-price buffer, although it keeps one
-    (B, K) row of top weights per batch."""
+    one batch's whole (B, K+1, n) log-price buffer."""
     model = markets.diverse_market(np.eye(3), g=0.0, delta=0.3, x0=[1.0, 2.0, 3.0])
     factors = paths.generate_factors(paths.make_grid(4.0, 4000), 3, 64, master_seed=5)
     whole_bytes = 64 * 4001 * 3 * 8
@@ -198,6 +198,81 @@ def test_mirror_underperforms_with_enough_leverage():
     assert m["outperformer_fraction"] == 1.0
     assert 0.0 <= m["hypothesis_fraction"] <= 1.0
     assert m["tau_integral_min"] >= 0.0
+
+
+@pytest.mark.parametrize("grid", [
+    paths.make_grid(6.0, 2 * 37 + 1),                 # a one-step last chunk
+    paths.geometric_grid(6.0, 16 * 37 + 8, 1e-3),     # ragged, past one pairwise leaf
+], ids=["one-step-tail", "ragged"])
+def test_mirror_chunks_match_the_whole_path(monkeypatch, grid):
+    """The mirror study walks 37-step chunks in batches of 4 and never runs
+    whole batches; every per-path column equals, bit for bit, the same terms
+    computed over whole paths: the relative log value, the einsum relative
+    variance and the master formula at exponent 1/2."""
+    monkeypatch.setattr(markets, "_CHUNK_STEPS", 37)
+    force_batch_size(monkeypatch, 4)
+
+    def no_whole_batches(*args, **kwargs):
+        raise AssertionError("mirror_study ran whole batches")
+
+    monkeypatch.setattr(markets, "run_batches", no_whole_batches)
+    model = markets.diverse_market(np.eye(3), g=0.0, delta=0.3, x0=[1.0, 2.0, 3.0])
+    f = paths.generate_factors(grid, 3, 6, 29)
+    times, dt, a = grid.times, grid.step_sizes, model.vol.a
+    beta = 0.5  # the top weight of x0
+    p = arbitrage.mirror_p(model, grid.horizon, None, 1.1)
+    with markets.recording_walks() as walks:
+        got = arbitrage._mirror_terms(model, f, p, beta)
+    assert walks == [{"batch_size": 4, "chunk_steps": 37}]
+
+    lx, aux = markets.simulate_block(model, f, 0, 6)
+    e1 = np.array([1.0, 0.0, 0.0])
+    mu = portfolios.market_weights(lx)
+    lr = portfolios.relative_log_value(portfolios.mirror_weights(e1, mu, p), lx, times, a)
+    mu1 = mu[..., 0]
+    lead = np.log(mu1) - np.log(mu1[:, :1])
+    diff = e1 - mu[:, :-1, :]
+    tau = np.einsum("bki,ij,bkj->bk", diff, a, diff)
+    ratio = np.exp(lr)
+    # the master formula at exponent 1/2 on whole paths
+    pi = portfolios.diversity_weighted(mu, 0.5)
+    lhs = (portfolios.gross_log_value(pi, lx) - portfolios.gross_log_value(mu, lx))[:, -1]
+    dterm = 2.0 * (np.log(np.sum(mu[:, -1] ** 0.5, axis=1))
+                   - np.log(np.sum(mu[:, 0] ** 0.5, axis=1)))
+    dlm = np.diff(np.log(mu), axis=1)
+    m1 = np.sum(pi[:, :-1] * dlm, axis=2)
+    realized = np.sum(0.5 * (np.sum(pi[:, :-1] * dlm * dlm, axis=2) - m1 * m1), axis=1)
+    want = {
+        "term": lr[:, -1],
+        "ceil_gap_max": np.max(lr - p * lead, axis=1),
+        "tau_int": np.sum(tau * dt, axis=1),
+        "base_term_ratio": mu1[:, -1] / mu1[:, 0],
+        "wrap82_margin": np.min((p - 1.0) / beta**p - (p - 1.0) * ratio, axis=1),
+        "wrap83_margin": np.min((p / beta**p) * mu1 - (p - (p - 1.0) * mu1) * ratio, axis=1),
+        "master_residual": lhs - (dterm + 0.5 * realized),
+        "capped_steps": aux["capped_steps"],
+    }
+    assert set(got) == set(want)
+    for key in want:
+        np.testing.assert_array_equal(got[key], want[key], err_msg=key)
+
+
+def test_mirror_study_holds_no_whole_path_buffer():
+    """The mirror study walks its batches in time chunks: its traced peak
+    stays under one batch's whole (B, K+1, n) log-price buffer."""
+    model = markets.diverse_market(np.eye(3), g=0.0, delta=0.3, x0=[1.0, 2.0, 3.0])
+    factors = paths.generate_factors(paths.make_grid(4.0, 4000), 3, 64, master_seed=5)
+    whole_bytes = 64 * 4001 * 3 * 8
+    arbitrage.mirror_study(  # one-time imports and caches
+        model, paths.generate_factors(paths.make_grid(1.0, 300), 3, 2, master_seed=5))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        arbitrage.mirror_study(model, factors)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak < whole_bytes, peak / whole_bytes
 
 
 def test_mirror_wrap_starting_capitals():

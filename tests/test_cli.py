@@ -844,6 +844,26 @@ def test_non_finite_model_numbers_are_config_errors(tmp_path, capsys, preset, ol
     _assert_rejected(capsys, ["run", cfg], tmp_path / "o", message)
 
 
+@pytest.mark.parametrize("preset, old, new, message", [
+    ("hedge_price.ini", "strike = 1.0", "strike = inf", "experiment.strike: inf is not finite"),
+    ("hedge_price.ini", "strike = 1.0", "strike = nan", "experiment.strike: nan is not finite"),
+    ("call_decay.ini", "strike = 1.0", "strike = inf", "experiment.strike: inf is not finite"),
+    ("call_decay.ini", "horizons = 5, 10, 20, 40, 80", "horizons = 5, inf",
+     "experiment.horizons: [5.0, inf] is not finite"),
+], ids=["hedge-price-inf", "hedge-price-nan", "call-decay-inf", "call-decay-horizons-inf"])
+def test_non_finite_experiment_numbers_are_config_errors(tmp_path, capsys, preset, old, new,
+                                                         message):
+    """A nan or inf in an ``[experiment]`` float or list is rejected before
+    the run, naming its key: an infinite strike ended the closed-form price
+    in a traceback, a nan one wrote ``price = nan``, call-decay ran to the
+    end on an infinite strike, and an infinite rung ended its grid in an
+    ``OverflowError`` traceback."""
+    text = (_PRESETS / preset).read_text()
+    assert old in text
+    cfg = _write(tmp_path, text.replace(old, new), name=preset)
+    _assert_rejected(capsys, ["run", cfg, "--paths", "10"], tmp_path / "o", message)
+
+
 def test_full_sigma_matrix_parses_and_takes_no_offdiag(tmp_path):
     """``sigma`` spells the whole matrix, rows split by ``;``; a
     ``sigma_offdiag`` beside it would be read and dropped, so it is an

@@ -499,6 +499,43 @@ def test_last_axis_reductions_equal_numpy_bit_for_bit():
         np.testing.assert_array_equal(count, over.sum(axis=-1))
 
 
+def _feed(x, cuts):
+    """``_RowSum`` of ``x`` fed in the column pieces between ``cuts``."""
+    rows = _kernels._RowSum(x.shape[0], x.shape[1])
+    for lo, hi in zip(cuts[:-1], cuts[1:]):
+        rows.add(x[:, lo:hi])
+    return rows.total()
+
+
+def test_streamed_row_sum_equals_numpy_bit_for_bit():
+    """The streamed row sum equals ``np.sum(x, axis=1)`` for every row length
+    from 1 to 300 and at 15,000 and 15,001, fed in pieces of 1, 7 and 256
+    columns and in a ragged split.  Magnitudes span 1e-30 to 1e30, so any
+    change in the order of additions shows in the rounding; an all-(+0.0)
+    row and an all-(-0.0) row check which zero comes out.  If numpy ever
+    changes how it sums a row, this is the test that fails."""
+    rng = np.random.default_rng(23)
+    for n in [*range(1, 301), 15_000, 15_001]:
+        x = rng.standard_normal((4, n)) * 10.0 ** rng.uniform(-30, 30, (4, n))
+        x[1] = 0.0
+        x[2] = -0.0
+        want = np.sum(x, axis=1)
+        ragged = np.unique(np.r_[0, rng.integers(0, n, 5), n])
+        for cuts in (*(np.r_[np.arange(0, n, piece), n] for piece in (1, 7, 256)), ragged):
+            got = _feed(x, cuts)
+            assert np.array_equal(got, want), (n, cuts[:4])
+            assert np.array_equal(np.signbit(got), np.signbit(want)), n
+
+
+def test_streamed_row_sum_wants_exactly_its_columns():
+    with pytest.raises(ValueError, match="more columns"):
+        _kernels._RowSum(2, 10).add(np.ones((2, 11)))
+    rows = _kernels._RowSum(2, 10)
+    rows.add(np.ones((2, 9)))
+    with pytest.raises(ValueError, match="not complete"):
+        rows.total()
+
+
 def test_simulate_block_rejects_unknown_kind():
     model = markets.MarketModel(kind="bogus", vol=markets.Dispersion(np.eye(2)),
                                 x0=[1.0, 1.0])
