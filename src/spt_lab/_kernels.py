@@ -1,45 +1,37 @@
-"""Drift rules and the kernels that integrate them, one per market kind.
+"""The kernels that integrate a market kind's drift, and the reductions they share.
 
-Each kind has its drift written once, batch-vectorised, and its kernel
-is keyed by its kind name (``markets.KINDS``).  The ``constant`` kind's
-growth rates do not depend on the state, so its kernel adds them to every
-step at once and sums the increments.  The rules of the repelled-leader
-market (``diverse``, shared by its ``patched`` variant) and of the spread
-market (``ou-pair``) take log prices of any leading shape ``(..., n)``:
-the kernels evaluate them on a whole batch at one grid time, and
-``markets.growth_rates_along`` on a stored path at every grid time, so the
-integrator and the reconstruction cannot disagree about the rule.  The
-upstart market's drift (``dominance``) lives in its kernel, because its
-power phase adds an exact integral over each step rather than a rate
-times the step.
-One stepping loop applies the step cap, counts capped entries and adds the
-noise for every state-dependent kind.
+A market kind is one entry of ``markets.KINDS``: constructor, growth rule
+and kernel.  No kind is named here.  A growth rule ``rule(model)`` returns
+``growth(t, lx, records)``, the growth rates at time ``t`` of log prices
+``lx (..., n)`` given the kernel's per-path ``records``.  A kernel
+evaluates it on a batch at one grid time; ``markets.growth_rates_along``
+on stored paths at every grid time, with ``t`` a row and each record a
+column, so the integrator and the replay cannot disagree about the rule.
+``_state_free`` serves a rule that depends on neither time nor state: it
+adds it to every step at once and sums the increments.  ``_euler`` steps
+any rule, capped at ``params.get("step_cap")`` (no cap where None).  A
+kind whose drift needs more brings its own kernel on the stepping loop
+``_stepping``, which applies the cap, counts capped entries and adds the
+noise.
 
-Kernel contract: ``kernel(logx0, dv, dt, times, model, carry, start)``
-with ``logx0 (n,)``, ``dv (B, K, n)`` volatility increments already
-multiplied by the dispersion matrix, ``dt (K,)`` step sizes, ``times
-(K+1,)`` grid points and ``start`` the grid index of ``times[0]``.  A
-kernel runs the whole time loop, overwriting ``dv`` in place with the log
-prices at ``times[1:]`` (each step's increment is read once, then
-replaced by the new state), and returns a dict of per-path records of the
-paths from grid step 0 on.  It always holds ``capped_steps``, the (B,)
-int64 count of capped drift entries (zeros for a kind without a cap).  No
-cross-path reduction happens inside a kernel, so results never depend on
-how paths were split into batches.
+Kernel contract: ``kernel(rule, logx0, dv, dt, times, model, carry,
+start)``, the rule bound by ``active_kernels``, with ``logx0 (n,)``, ``dv
+(B, K, n)`` volatility increments already multiplied by the dispersion
+matrix, ``dt (K,)`` step sizes, ``times (K+1,)`` grid points and
+``start`` the grid index of ``times[0]``.  A kernel runs the whole time
+loop, overwriting ``dv`` in place with the log prices at ``times[1:]``,
+and returns a dict of per-path records of the paths from grid step 0 on,
+always with ``capped_steps``, the (B,) int64 count of capped drift
+entries.  No cross-path reduction happens inside a kernel, so results
+never depend on how paths were split into batches.
 
-Every kind carries its state through time chunks.  ``carry`` is None
+Every kernel carries its state through time chunks.  ``carry`` is None
 where the paths start at ``logx0`` on grid step 0; otherwise it holds,
 one row per path, ``log_prices`` (B, n) at ``times[0]`` and the records
-the kernel returned for the same paths' chunk before.  The kinds that
-step with ``_euler`` go on from those log prices, their capped-entry
-counts and their own records: the patched kind's trigger time and the
-dominance kind's exit index (a grid index, so ``start`` is added to the
-kernel's own step), whose sign is its confined flag.  ``_euler`` takes
-one step at a time, so a chunk repeats the whole path's arithmetic.  The
-constant kind's state is the running sum of each path's log increments,
-its record ``increment_sum`` (B, n), added in front of the chunk's
-``cumsum``, so every addition happens in the order it has on the whole
-path and the log prices, log x0 plus the sum, match it bit for bit.
+the kernel returned for the same paths' chunk before.  A ``_stepping``
+kernel goes on from them one step at a time, repeating the whole path's
+arithmetic.  ``_state_free`` carries the running sum of each path's log
+increments, ``increment_sum`` (B, n), in front of the chunk's cumsum.
 
 Sums, maxima and minima over the stock or factor axis go through
 ``_sum_last``, ``_max_last`` and ``_min_last`` here, because numpy reduces
@@ -47,7 +39,8 @@ a short contiguous last axis several times slower than it adds or compares
 its columns as whole arrays.  They match numpy bit for bit for up to seven
 stocks or factors; past that the sum may differ from numpy's by rounding.
 A sum over time that a study takes chunk by chunk goes through
-``_RowSum``, which repeats numpy's pairwise sum of the whole row.
+``_RowSum``, which repeats numpy's pairwise sum of the whole row, and a
+running sum through ``_carried_cumsum``.
 """
 
 from __future__ import annotations
@@ -170,86 +163,10 @@ def _leader(lx):
 
 
 # ---------------------------------------------------------------------------
-# drift rules
-# ---------------------------------------------------------------------------
-
-# Floor for the log-distance to the barrier inside the repelling drift.
-_Q_FLOOR = 1e-8
-
-
-def constant_growth(model):
-    """Growth rates ``b - diag(a)/2`` of the constant-coefficient market,
-    one per stock, the same in every state."""
-    return model.params["b"] - 0.5 * np.diag(model.vol.a)
-
-
-def leader_repulsion(model):
-    """Growth rule ``lx -> gamma`` of the repelled-leader market.
-
-    Non-leading stocks grow at ``g``; the leader (lowest index on ties)
-    grows at ``-(big_m/delta) / q`` with ``q = log((1-delta)/mu_max)``
-    floored at ``_Q_FLOOR``.
-    """
-    p = model.params
-    log_barrier = np.log(1.0 - p["delta"])
-    pull = -(p["big_m"] / p["delta"])
-    g = p["g"]
-
-    def growth(lx):
-        at_lead, s = _leader(lx)
-        q = np.maximum(log_barrier + np.log(s), _Q_FLOOR)
-        gam = np.empty(lx.shape)
-        gam[...] = g
-        gam[at_lead] = pull / q
-        return gam
-
-    return growth
-
-
-def patched_repulsion(model):
-    """Growth rule ``(t, lx, trigger_time) -> gamma`` of the patched market.
-
-    The repelled-leader rule holds from the trigger time on when the trigger
-    fired in the first half of the horizon; otherwise every stock has zero
-    rate of return.
-    """
-    repel = leader_repulsion(model)
-    half_t = 0.5 * model.params["horizon"]
-    quiet = -0.5 * np.diag(model.vol.a)
-
-    def growth(t, lx, trigger_time):
-        gam = repel(lx)
-        gam[~((trigger_time <= half_t) & (t >= trigger_time))] = quiet
-        return gam
-
-    return growth
-
-
-def spread_reversion(model):
-    """Growth rule ``(t, lx) -> gamma`` of the two-stock spread market.
-
-    Stock 2's rate of return is ``-alpha * (lx_2 - lx_1)`` from the switch
-    time on and zero before; stock 1's is zero throughout.
-    """
-    p = model.params
-    alpha, switch_time = p["alpha"], p["switch_time"]
-    a_half = 0.5 * float(model.vol.a[0, 0])
-
-    def growth(t, lx):
-        b2 = np.where(t >= switch_time, -alpha * (lx[..., 1] - lx[..., 0]), 0.0)
-        gam = np.empty(lx.shape)
-        gam[..., 0] = -a_half
-        gam[..., 1] = b2 - a_half
-        return gam
-
-    return growth
-
-
-# ---------------------------------------------------------------------------
 # the stepping loop and the kernels
 # ---------------------------------------------------------------------------
 
-def _euler(cur, dv, step, caps):
+def _stepping(cur, dv, step, caps):
     """log x_{k+1} = log x_k + capped displacement + dv_k, for a whole batch.
 
     ``cur (B, n)`` holds the log prices at the first grid point on entry
@@ -278,104 +195,46 @@ def _euler(cur, dv, step, caps):
 
 def _start(logx0, dv, carry):
     """Fresh copies of the log prices (B, n) at ``times[0]`` and the
-    capped-entry counts (B,) an ``_euler`` kind starts a chunk from."""
+    capped-entry counts (B,) a ``_stepping`` kernel starts a chunk from."""
     if carry is None:
-        cur = np.empty((dv.shape[0], dv.shape[2]))
-        cur[:] = logx0
-        return cur, np.zeros(dv.shape[0], np.int64)
+        return np.tile(logx0, (dv.shape[0], 1)), np.zeros(dv.shape[0], np.int64)
     return carry["log_prices"].copy(), carry["capped_steps"].copy()
 
 
-def _constant(logx0, dv, dt, times, model, carry, start):
-    dv += constant_growth(model)[None, :] * dt[:, None]
+def _carried_cumsum(steps, carry):
+    """Running sums of ``steps`` along axis 1, in place, from ``carry``,
+    the sum carried from the chunk before (None on grid step 0): every
+    entry is the same additions, in the same order, as one cumsum over the
+    whole path.  Returns ``steps``."""
     if carry is not None:
-        dv[:, 0] += carry["increment_sum"]
-    np.cumsum(dv, axis=1, out=dv)
+        steps[:, 0] += carry
+    return np.cumsum(steps, axis=1, out=steps)
+
+
+def _state_free(rule, logx0, dv, dt, times, model, carry, start):
+    dv += rule(model)(times[0], logx0, None)[None, :] * dt[:, None]
+    _carried_cumsum(dv, None if carry is None else carry["increment_sum"])
     total = dv[:, -1].copy()
     # a (K, n) operand: numpy adds it per path in one run, an (n,) row per step
     dv += np.tile(logx0, (dv.shape[1], 1))
     return {"capped_steps": np.zeros(dv.shape[0], np.int64), "increment_sum": total}
 
 
-def _diverse(logx0, dv, dt, times, model, carry, start):
-    growth = leader_repulsion(model)
-    step_cap = model.params["step_cap"]
+def _euler(rule, logx0, dv, dt, times, model, carry, start):
+    growth = rule(model)
+    cap = model.params.get("step_cap")
     cur, caps = _start(logx0, dv, carry)
-    _euler(cur, dv, lambda k, cur: (growth(cur) * dt[k], step_cap), caps)
-    return {"capped_steps": caps}
-
-
-def _ou_pair(logx0, dv, dt, times, model, carry, start):
-    growth = spread_reversion(model)
-    cur, caps = _start(logx0, dv, carry)
-    _euler(cur, dv, lambda k, cur: (growth(times[k], cur) * dt[k], None), caps)
-    return {"capped_steps": caps}
-
-
-def _patched(logx0, dv, dt, times, model, carry, start):
-    growth = patched_repulsion(model)
-    p = model.params
-    trigger = 1.0 / (1.0 - p["eta"])  # mu_max >= 1-eta  <=>  1/mu_max <= this
-    cur, caps = _start(logx0, dv, carry)
-    trigger_time = np.full(dv.shape[0], np.inf) if carry is None else carry["trigger_time"].copy()
-
-    def step(k, cur):
-        hit = (trigger_time == np.inf) & (_leader(cur)[1] <= trigger)
-        trigger_time[hit] = times[k]
-        return growth(times[k], cur, trigger_time) * dt[k], p["step_cap"]
-
-    _euler(cur, dv, step, caps)
-    return {"capped_steps": caps, "trigger_time": trigger_time}
-
-
-def _dominance(logx0, dv, dt, times, model, carry, start):
-    """Two-stock upstart market.
-
-    Stock 2 carries the power drift t**alpha, integrated exactly over each
-    step and never capped, until the log gap first leaves (-eta', eta');
-    from then on a capped two-pole drift confines the gap to (-eta, eta).
-    """
-    p = model.params
-    alpha, eta, eta_prime, cdrift = p["alpha"], p["eta"], p["eta_prime"], p["cdrift"]
-    margin = 1e-9 * eta
-    B = dv.shape[0]
-    cur, caps = _start(logx0, dv, carry)
-    exit_index = np.full(B, -1, np.int64) if carry is None else carry["exit_index"].copy()
-    confined = exit_index >= 0
-    # the power phase is never capped
-    row_cap = np.where(confined, p["step_cap"], np.inf)[:, None]
-
-    def step(k, cur):
-        y = cur[:, 1] - cur[:, 0]
-        newly = ~confined & (np.abs(y) >= eta_prime)
-        exit_index[newly] = start + k
-        confined[newly] = True
-        row_cap[newly] = p["step_cap"]
-        disp = np.zeros((B, 2))
-        disp[:, 1] = times[k + 1] ** alpha - times[k] ** alpha
-        if not confined.any():
-            return disp, None
-        yc = np.clip(y[confined], -eta + margin, eta - margin)
-        disp[confined, 1] = cdrift * (1.0 / (eta + yc) - 1.0 / (eta - yc)) * dt[k]
-        return disp, row_cap
-
-    _euler(cur, dv, step, caps)
-    return {"exit_index": exit_index, "capped_steps": caps}
-
-
-_KERNELS = {
-    "constant": _constant,
-    "diverse": _diverse,
-    "ou-pair": _ou_pair,
-    "patched": _patched,
-    "dominance": _dominance,
-}
+    records = {"capped_steps": caps}
+    _stepping(cur, dv, lambda k, cur: (growth(times[k], cur, records) * dt[k], cap), caps)
+    return records
 
 
 def active_kernels():
-    """The kernel of each market kind.
+    """The kernel of each market kind, its entry's growth rule bound.
 
     ``markets.simulate_block`` looks its kernel up here on every call, so
     replacing this function (to wrap the kernels, say) takes effect at once.
     """
-    return _KERNELS
+    from .markets import KINDS  # markets imports this module
+
+    return {kind: functools.partial(e.kernel, e.growth) for kind, e in KINDS.items()}

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ._kernels import _RowSum, _max_last, _min_last, _sum_last
+from ._kernels import _RowSum, _carried_cumsum, _max_last, _min_last, _sum_last
 from .checks import Check
 from .errors import InvalidArgumentError
 from . import markets as _markets
@@ -78,25 +78,13 @@ def mirror_p(model, horizon: float, p: float | None, margin: float) -> float:
 # master formula
 # ---------------------------------------------------------------------------
 
-def _running_sum(head, steps):
-    """A running sum over a chunk's (B, k) ``steps`` at its k+1 grid points:
-    from ``head`` (B, 1), the sum at the chunk's first point, or from 0 on
-    grid step 0 where ``head`` is None.  Each entry is the same sequence of
-    additions as one cumsum over the whole path."""
-    if head is None:
-        out = np.zeros((steps.shape[0], steps.shape[1] + 1))
-        np.cumsum(steps, axis=1, out=out[:, 1:])
-        return out
-    return np.cumsum(np.concatenate([head, steps], axis=1), axis=1)
-
-
 def _gross_log_values(heads, lx, weights):
-    """The terminal gross log values (``portfolios.gross_log_value``), (B, 1)
+    """The terminal gross log values (``portfolios.gross_log_value``), (B,)
     each, of the rules ``weights`` over a chunk of log prices ``lx``, going
     on from ``heads``, their values at the chunk's first point (None on
     grid step 0)."""
     growth = np.exp(np.diff(lx, axis=1))
-    return [_running_sum(head, np.log(_sum_last(w[:, :-1] * growth)))[:, -1:].copy()
+    return [_carried_cumsum(np.log(_sum_last(w[:, :-1] * growth)), head)[:, -1].copy()
             for head, w in zip(heads, weights)]
 
 
@@ -130,7 +118,7 @@ def _master_terms(b: int, n_steps: int, p: float):
         return pi
 
     def terms():
-        lhs = log_value[0][:, 0] - log_value[1][:, 0]
+        lhs = log_value[0] - log_value[1]
         dterm = (1.0 / p) * (np.log(_sum_last(measure["last"] ** p)) - measure["first"])
         return lhs, dterm, realized.total()
 
@@ -275,7 +263,7 @@ def _outperformance_terms(model, factors: _paths.FactorPaths, p: float) -> dict:
             log_value = _gross_log_values(log_value, seg, (pi, mu))
 
         def columns():
-            term = log_value[0][:, 0] - log_value[1][:, 0]
+            term = log_value[0] - log_value[1]
             d = 1.0 - top_dt.total() / horizon
             bound = (1.0 - p) * (eps * d * horizon / 2.0 - np.log(n) / p)
             return {
@@ -386,9 +374,11 @@ def _mirror_terms(model, factors: _paths.FactorPaths, p: float, beta: float) -> 
             k = seg.shape[1] - 1
             mu = _portfolios.market_weights(seg)
             what = _portfolios.mirror_weights(e1, mu, p)
-            lr = _running_sum(lr_head, _portfolios._relative_log_increments(
-                what, seg, times[s:s + k + 1], a))
-            lr_head = lr[:, -1:]
+            lr = np.empty(seg.shape[:2])  # at the chunk's k+1 points
+            lr[:, 0] = 0.0 if lr_head is None else lr_head
+            lr[:, 1:] = _carried_cumsum(_portfolios._relative_log_increments(
+                what, seg, times[s:s + k + 1], a), lr_head)
+            lr_head = lr[:, -1]
             mu1 = mu[..., 0]
             if mu1_first is None:
                 mu1_first = mu1[:, :1].copy()
@@ -408,7 +398,7 @@ def _mirror_terms(model, factors: _paths.FactorPaths, p: float, beta: float) -> 
         def columns():
             m_lhs, m_dterm, m_realized = master_terms()
             return {
-                "term": lr_head[:, 0],
+                "term": lr_head,
                 "ceil_gap_max": ceil_gap_max,
                 "tau_int": tau_int.total(),
                 "base_term_ratio": mu1_last / mu1_first[:, 0],

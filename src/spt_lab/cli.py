@@ -17,8 +17,8 @@ the parameter's default.  The function checks its own arguments before it
 draws a factor, and each claim it makes once, as a ``Check`` with its
 budget.  This module only parses, dispatches and writes.
 
-A market kind is one constructor in ``markets.KINDS``.  Its ``[model]``
-keys are the constructor's parameters that are not keyword-only, read the
+A market kind is one entry of ``markets.KINDS``.  Its ``[model]`` keys
+are its constructor's parameters that are not keyword-only, read the
 same way (``_build_model`` says which three are read otherwise).
 
 Every run writes ``summary.txt`` and ``summary.json`` (config echo,
@@ -239,7 +239,7 @@ def _build_model(p: _Parse, horizon, kind=None):
         kind = p.text("model", "kind", required=True, choices=tuple(_markets.KINDS))
         if kind is None:
             return None
-    make = _markets.KINDS[kind]
+    make = _markets.KINDS[kind].make
     params = inspect.signature(make, eval_str=True).parameters
     errors = len(p.errors)
     args = _read_args(p, "model", make, skip=("sigma", "horizon", "base"))

@@ -54,7 +54,7 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from ._kernels import _max_last, _sum_last, constant_growth
+from ._kernels import _carried_cumsum, _max_last, _sum_last
 from .checks import Check, check_stock, compensated_mean_se
 from .errors import InvalidArgumentError, NumericFailureError
 from . import arbitrage as _arbitrage
@@ -95,7 +95,7 @@ def _constant_log_deflator(model, horizon: float):
             f"the closed-form deflator needs a constant market, not {model.kind!r}")
     beta = model.params["b"] - model.r
     u = np.linalg.solve(model.vol.a, beta)
-    growth = constant_growth(model)
+    growth = _markets.constant_growth(model)
 
     def log_deflator(lx):
         logl = -(lx[:, -1] - lx[:, 0] - growth * horizon) @ u - 0.5 * (u @ beta) * horizon
@@ -230,10 +230,7 @@ def _foellmer_knock_out(model, factors: _paths.FactorPaths, rungs, increments=No
             ks = rungs[j] - a
             lx_at[rows[:, None], j] = lx[:, ks]
             if increments is not None:
-                inc = increments(lx, times[a:b + 1])
-                if a:
-                    inc[:, 0] += run[rows]
-                np.cumsum(inc, axis=1, out=inc)
+                inc = _carried_cumsum(increments(lx, times[a:b + 1]), run[rows] if a else None)
                 running[rows[:, None], j] = inc[:, ks - 1]
                 run[rows] = inc[:, -1]
             x = np.exp(lx)

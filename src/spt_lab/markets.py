@@ -8,13 +8,16 @@ with constant dispersion ``sigma``.  Growth rates are log-drifts; arithmetic
 rates of return are ``b_i = growth_i + a_ii / 2`` with ``a = sigma sigma^T``.
 State-dependent growth rules read the left-endpoint state only, so a path is
 a pure function of (model, factor increments).
+
+A market kind is one entry of ``KINDS``: its constructor, growth rule and
+kernel.
 """
 
 from __future__ import annotations
 
 import contextlib
 from dataclasses import dataclass, field
-from typing import Annotated
+from typing import Annotated, Callable, NamedTuple
 
 import numpy as np
 
@@ -30,6 +33,7 @@ __all__ = [
     "ou_two_stock",
     "patched_weakly_diverse",
     "instantaneous_dominance_market",
+    "Kind",
     "KINDS",
     "simulate_block",
     "run_batches",
@@ -293,15 +297,189 @@ def instantaneous_dominance_market(
     )
 
 
-# kind -> constructor.  A config's [model] keys are the constructor's
-# parameters that are not keyword-only (see ``cli``).
+# ---------------------------------------------------------------------------
+# growth rules, the kernels of their own, and their replay on stored paths
+# ---------------------------------------------------------------------------
+
+# Floor for the log-distance to the barrier inside the repelling drift.
+_Q_FLOOR = 1e-8
+
+
+def constant_growth(model):
+    """Growth rates ``b - diag(a)/2`` of the constant-coefficient market,
+    one per stock, the same in every state."""
+    return model.params["b"] - 0.5 * np.diag(model.vol.a)
+
+
+def _constant_rule(model):
+    gamma = constant_growth(model)
+    return lambda t, lx, records: np.broadcast_to(gamma, np.shape(lx)).copy()
+
+
+def leader_repulsion(model):
+    """Growth rule of the repelled-leader market.
+
+    Non-leading stocks grow at ``g``; the leader (lowest index on ties)
+    grows at ``-(big_m/delta) / q`` with ``q = log((1-delta)/mu_max)``
+    floored at ``_Q_FLOOR``.
+    """
+    p = model.params
+    log_barrier = np.log(1.0 - p["delta"])
+    pull = -(p["big_m"] / p["delta"])
+    g = p["g"]
+
+    def growth(t, lx, records):
+        at_lead, s = _kernels._leader(lx)
+        q = np.maximum(log_barrier + np.log(s), _Q_FLOOR)
+        gam = np.empty(lx.shape)
+        gam[...] = g
+        gam[at_lead] = pull / q
+        return gam
+
+    return growth
+
+
+def patched_repulsion(model):
+    """Growth rule of the patched market.
+
+    The repelled-leader rule holds from the record ``trigger_time`` on when
+    the trigger fired in the first half of the horizon; otherwise every
+    stock has zero rate of return.
+    """
+    repel = leader_repulsion(model)
+    half_t = 0.5 * model.params["horizon"]
+    quiet = -0.5 * np.diag(model.vol.a)
+
+    def growth(t, lx, records):
+        trigger_time = records["trigger_time"]
+        gam = repel(t, lx, records)
+        gam[~((trigger_time <= half_t) & (t >= trigger_time))] = quiet
+        return gam
+
+    return growth
+
+
+def _patched_kernel(rule, logx0, dv, dt, times, model, carry, start):
+    """Euler steps recording each path's ``trigger_time``, the first grid
+    time at which its top weight is at least 1 - eta."""
+    growth = rule(model)
+    p = model.params
+    trigger = 1.0 / (1.0 - p["eta"])  # mu_max >= 1-eta  <=>  1/mu_max <= this
+    cur, caps = _kernels._start(logx0, dv, carry)
+    trigger_time = np.full(dv.shape[0], np.inf) if carry is None else carry["trigger_time"].copy()
+    records = {"capped_steps": caps, "trigger_time": trigger_time}
+
+    def step(k, cur):
+        hit = (trigger_time == np.inf) & (_kernels._leader(cur)[1] <= trigger)
+        trigger_time[hit] = times[k]
+        return growth(times[k], cur, records) * dt[k], p["step_cap"]
+
+    _kernels._stepping(cur, dv, step, caps)
+    return records
+
+
+def spread_reversion(model):
+    """Growth rule of the two-stock spread market.
+
+    Stock 2's rate of return is ``-alpha * (lx_2 - lx_1)`` from the switch
+    time on and zero before; stock 1's is zero throughout.
+    """
+    p = model.params
+    alpha, switch_time = p["alpha"], p["switch_time"]
+    a_half = 0.5 * float(model.vol.a[0, 0])
+
+    def growth(t, lx, records):
+        b2 = np.where(t >= switch_time, -alpha * (lx[..., 1] - lx[..., 0]), 0.0)
+        gam = np.empty(lx.shape)
+        gam[..., 0] = -a_half
+        gam[..., 1] = b2 - a_half
+        return gam
+
+    return growth
+
+
+def _upstart_kernel(rule, logx0, dv, dt, times, model, carry, start):
+    """Two-stock upstart market, which has no growth rule.
+
+    Stock 2 carries the power drift t**alpha, integrated exactly over each
+    step and never capped, until the log gap first leaves (-eta', eta');
+    from then on a capped two-pole drift confines the gap to (-eta, eta).
+    The record ``exit_index`` is the exit's grid index, -1 before it.
+    """
+    p = model.params
+    alpha, eta, eta_prime, cdrift = p["alpha"], p["eta"], p["eta_prime"], p["cdrift"]
+    margin = 1e-9 * eta
+    B = dv.shape[0]
+    cur, caps = _kernels._start(logx0, dv, carry)
+    exit_index = np.full(B, -1, np.int64) if carry is None else carry["exit_index"].copy()
+    confined = exit_index >= 0
+    # the power phase is never capped
+    row_cap = np.where(confined, p["step_cap"], np.inf)[:, None]
+
+    def step(k, cur):
+        y = cur[:, 1] - cur[:, 0]
+        newly = ~confined & (np.abs(y) >= eta_prime)
+        exit_index[newly] = start + k
+        confined[newly] = True
+        row_cap[newly] = p["step_cap"]
+        disp = np.zeros((B, 2))
+        disp[:, 1] = times[k + 1] ** alpha - times[k] ** alpha
+        if not confined.any():
+            return disp, None
+        yc = np.clip(y[confined], -eta + margin, eta - margin)
+        disp[confined, 1] = cdrift * (1.0 / (eta + yc) - 1.0 / (eta - yc)) * dt[k]
+        return disp, row_cap
+
+    _kernels._stepping(cur, dv, step, caps)
+    return {"exit_index": exit_index, "capped_steps": caps}
+
+
+class Kind(NamedTuple):
+    """A market kind: its constructor, whose parameters that are not
+    keyword-only are a config's ``[model]`` keys (see ``cli``); its growth
+    rule, or None; and its kernel (the rule and kernel contracts are in
+    ``_kernels``)."""
+
+    make: Callable
+    growth: Callable | None
+    kernel: Callable
+
+
 KINDS = {
-    "constant": constant_market,
-    "diverse": diverse_market,
-    "ou-pair": ou_two_stock,
-    "patched": patched_weakly_diverse,
-    "dominance": instantaneous_dominance_market,
+    "constant": Kind(constant_market, _constant_rule, _kernels._state_free),
+    "diverse": Kind(diverse_market, leader_repulsion, _kernels._euler),
+    "ou-pair": Kind(ou_two_stock, spread_reversion, _kernels._euler),
+    "patched": Kind(patched_weakly_diverse, patched_repulsion, _patched_kernel),
+    "dominance": Kind(instantaneous_dominance_market, None, _upstart_kernel),
 }
+
+
+def _growth_rule(model: MarketModel):
+    """The growth rule of ``model``'s kind; raises where the kind has none."""
+    entry = KINDS.get(model.kind)
+    if entry is None or entry.growth is None:
+        raise InvalidArgumentError(
+            f"growth rates along a path are not defined for kind {model.kind!r}")
+    return entry.growth
+
+
+def growth_rates_along(model: MarketModel, log_prices: np.ndarray, times: np.ndarray,
+                       aux: dict | None = None) -> np.ndarray:
+    """Growth rates gamma_i(t_k) the integrator applied at each grid point.
+
+    Drift caps are not reflected here: this is the model's defining rule,
+    which checkers compare against theory.  ``log_prices`` is a batch
+    (B, len(times), n) and ``aux`` the kernel's records of its paths, which
+    some rules read; the returned array has its shape and is always freshly
+    allocated.
+    """
+    growth = _growth_rule(model)(model)
+    records = {key: np.atleast_1d(v)[:, None] for key, v in (aux or {}).items()}
+    try:
+        return growth(np.asarray(times, dtype=float)[None, :],
+                      np.asarray(log_prices, dtype=float), records)
+    except KeyError as exc:
+        raise InvalidArgumentError(f"{model.kind} growth rates need the record {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -325,11 +503,8 @@ def simulate_block(model: MarketModel, factors: FactorPaths, lo: int, hi: int, c
     """Integrate paths lo..hi-1 over ``factors.times``.  Returns (log_prices
     (B, K+1, n), aux dict).
 
-    ``aux`` holds the kernel's per-path records of the paths from grid step
-    0 on.  ``capped_steps`` (B,) int64 is among them for every kind: zeros
-    where the kind has no cap.  The patched kind adds ``trigger_time``, the
-    dominance kind ``exit_index`` (a grid index) and the constant kind
-    ``increment_sum``, the running sum of each path's log increments.
+    ``aux`` holds the kind's kernel's per-path records of the paths from
+    grid step 0 on, ``capped_steps`` (B,) int64 among them (``_kernels``).
 
     The paths start from log x0 on grid step 0, or go on from the state a
     ``carry`` holds for them, one row per path: ``log_prices`` (B, n) at
@@ -504,38 +679,3 @@ def run_batches(
         return consume, lambda: cols
 
     return walk(model, factors, batch, batch_size, whole=True)
-
-
-# ---------------------------------------------------------------------------
-# pointwise drift reconstruction along a stored path
-# ---------------------------------------------------------------------------
-
-def growth_rates_along(model: MarketModel, log_prices: np.ndarray, times: np.ndarray, aux: dict | None = None) -> np.ndarray:
-    """Growth rates gamma_i(t_k) the integrator applied at each grid point.
-
-    Drift caps are not reflected here: this is the model's defining rule,
-    which checkers compare against theory.  ``log_prices`` is a batch
-    (B, len(times), n); the returned array has its shape and is always
-    freshly allocated.
-    """
-    lx = np.asarray(log_prices, dtype=float)
-    t = np.asarray(times, dtype=float)[None, :]
-    if model.kind == "constant":
-        g = np.broadcast_to(_kernels.constant_growth(model), lx.shape).copy()
-    elif model.kind == "diverse":
-        g = _kernels.leader_repulsion(model)(lx)
-    elif model.kind == "ou-pair":
-        g = _kernels.spread_reversion(model)(t, lx)
-    elif model.kind == "patched":
-        if aux is None or "trigger_time" not in aux:
-            raise InvalidArgumentError(
-                "patched models need the integration aux records to rebuild drifts"
-            )
-        s_time = np.atleast_1d(np.asarray(aux["trigger_time"], dtype=float))
-        g = _kernels.patched_repulsion(model)(t, lx, s_time[:, None])
-    else:
-        raise InvalidArgumentError(
-            f"growth rates along a path are not defined for kind {model.kind!r}"
-        )
-    return g
-

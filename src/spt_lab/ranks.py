@@ -24,7 +24,7 @@ import math
 
 import numpy as np
 
-from ._kernels import _max_last, _sum_last, constant_growth
+from ._kernels import _carried_cumsum, _max_last, _sum_last
 from .checks import Check, check_stock, compensated_mean_se, numbered
 from .errors import InvalidArgumentError
 from . import markets as _markets
@@ -171,7 +171,9 @@ def ranked_decomposition(model, log_prices, dv, times, aux):
 def ranked_decomposition_study(model, factors):
     """``ranked_decomposition`` on every path: the relative residual sups
     and the terminal gap local times per path, and path 0's ranked weights
-    and gap local times along the grid."""
+    and gap local times along the grid.  A kind without a growth rule is
+    rejected before any factor is drawn."""
+    _markets._growth_rule(model)
     times = factors.grid.times
     first = []  # path 0's log prices, kept from the batch that simulates it
 
@@ -230,9 +232,7 @@ def local_time_study(model, factors, index: int = 0):
 
         def consume(rows, a, lx, aux):
             inc = _tanaka_increments(lx[:, :, index] - start)
-            if a:
-                inc[:, 0] += lam
-            lam[:] = np.cumsum(inc, axis=1)[:, -1]
+            lam[:] = _carried_cumsum(inc, lam if a else None)[:, -1]
 
         return consume, lambda: {"lam": lam}
 
@@ -242,7 +242,7 @@ def local_time_study(model, factors, index: int = 0):
     metrics = {"mean_terminal_local_time": mean, "se": se, "horizon": horizon}
     checks = []
     if model.kind == "constant":
-        if abs(constant_growth(model)[index]) < 1e-12:
+        if abs(_markets.constant_growth(model)[index]) < 1e-12:
             oracle = math.sqrt(model.vol.a[index, index]) * math.sqrt(2.0 * horizon / math.pi)
             tol = max(3.0 * se, 0.02 * oracle)
             metrics["oracle"] = oracle

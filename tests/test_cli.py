@@ -12,9 +12,9 @@ import numpy as np
 import pytest
 
 import spt_lab
-from spt_lab import arbitrage, cli, markets, paths
+from spt_lab import _kernels, arbitrage, cli, markets, paths
 from spt_lab.errors import ConfigError
-from helpers import force_batch_size
+from helpers import count_draws, force_batch_size
 
 
 _PRESETS = Path(__file__).resolve().parents[1] / "configs"
@@ -896,7 +896,7 @@ def _model_keys(kind):
     """The [model] keys of ``kind`` as its constructor's signature names
     them: ``sigma`` as its spellings, ``base`` as the diverse kind's keys,
     and no ``horizon``, which ``[grid]`` sets."""
-    params = inspect.signature(markets.KINDS[kind]).parameters.values()
+    params = inspect.signature(markets.KINDS[kind].make).parameters.values()
     keys = set()
     for param in params:
         if param.kind is not param.POSITIONAL_OR_KEYWORD or param.name == "horizon":
@@ -936,6 +936,63 @@ def test_each_kind_reads_exactly_its_constructor_keys(tmp_path, kind):
         with pytest.raises(ConfigError) as exc:
             cli.parse_config(_model_cfg(tmp_path, kind, {**plain, **spellings[0], key: "0.1"}))
         assert exc.value.messages == [f"unknown key model.{key}"], key
+
+
+def _toy_market(sigma, x0, pull: float = 1.0):
+    """Log prices pulled toward their mean at rate ``pull``."""
+    return markets.MarketModel(kind="toy", vol=markets.Dispersion(sigma), x0=x0,
+                               params={"pull": pull})
+
+
+def _toy_rule(model):
+    pull = model.params["pull"]
+    return lambda t, lx, records: -pull * (lx - lx.mean(axis=-1, keepdims=True))
+
+
+def test_a_new_kind_is_one_entry(tmp_path, monkeypatch):
+    """A kind added as one ``markets.KINDS`` entry, and nowhere else, parses
+    from a config, integrates through ``simulate_block`` with the shared
+    Euler kernel, and replays its growth rule through ``growth_rates_along``
+    as the displacement that kernel applied."""
+    monkeypatch.setitem(markets.KINDS, "toy", markets.Kind(_toy_market, _toy_rule,
+                                                           _kernels._euler))
+    cfg = cli.parse_config(_model_cfg(tmp_path, "toy", {"sigma_scale": "0.3",
+                                                        "x0": "1.0, 2.0, 0.5", "pull": "2.0"}))
+    model, factors = cfg.model, cli._factors(cfg)
+    assert (model.kind, model.params) == ("toy", {"pull": 2.0})
+    lx, aux = markets.simulate_block(model, factors, 0, factors.n_paths)
+    np.testing.assert_array_equal(aux["capped_steps"], 0)
+    gamma = markets.growth_rates_along(model, lx, factors.grid.times, aux)
+    dv = markets._vol_increments(model, factors.block(0, factors.n_paths))
+    np.testing.assert_allclose(lx[:, 1:] - lx[:, :-1] - dv,
+                               gamma[:, :-1] * factors.grid.step_sizes[None, :, None],
+                               rtol=0, atol=1e-12)
+    assert np.abs(gamma).max() > 0
+
+
+def test_ranked_decomposition_rejects_a_kind_without_growth_rule(tmp_path, capsys, monkeypatch):
+    """The dominance kind has no growth rule to replay, so ranked-decomposition
+    exits 2 before it draws a single factor."""
+    whole, chunked = count_draws(monkeypatch)
+    cfg = _write(tmp_path, """\
+        [experiment]
+        name = ranked-decomposition
+
+        [model]
+        kind = dominance
+        alpha = 0.25
+
+        [grid]
+        horizon = 1.0
+        n_steps = 200
+
+        [mc]
+        n_paths = 600
+        master_seed = 1
+        """)
+    _assert_rejected(capsys, ["run", cfg], tmp_path / "o",
+                     "growth rates along a path are not defined for kind 'dominance'")
+    assert not whole and not chunked
 
 
 _PRESET_MODELS = {

@@ -296,6 +296,10 @@ def test_patched_validation():
     plain = markets.constant_market(b=[0.0, 0.0], sigma=np.eye(2), x0=[1.0, 1.0])
     with pytest.raises(InvalidModelError):
         markets.patched_weakly_diverse(plain, eta=0.3, horizon=1.0)
+    # the replay reads the trigger time off the kernel's records
+    patched = markets.patched_weakly_diverse(base, eta=0.3, horizon=1.0)
+    with pytest.raises(InvalidArgumentError, match="need the record 'trigger_time'"):
+        markets.growth_rates_along(patched, np.zeros((1, 2, 2)), np.array([0.0, 1.0]))
 
 
 # ---------------------------------------------------------------------------
@@ -350,7 +354,7 @@ def _loop_kernel_table():
     def diverse(logx0, dv, dt, times, model, carry, start):
         p = model.params
         logx, caps = loop_kernels.repelled_leader_loops(
-            logx0, dv, dt, p["g"], p["delta"], p["big_m"], _kernels._Q_FLOOR, p["step_cap"])
+            logx0, dv, dt, p["g"], p["delta"], p["big_m"], markets._Q_FLOOR, p["step_cap"])
         dv[...] = logx[:, 1:]
         return {"capped_steps": caps}
 
@@ -364,7 +368,7 @@ def _loop_kernel_table():
     def patched(logx0, dv, dt, times, model, carry, start):
         p = model.params
         logx, caps, s_time = loop_kernels.patched_trigger_loops(
-            logx0, dv, dt, times, p["g"], p["delta"], p["big_m"], _kernels._Q_FLOOR,
+            logx0, dv, dt, times, p["g"], p["delta"], p["big_m"], markets._Q_FLOOR,
             p["step_cap"], np.diag(model.vol.a).copy(), p["eta"], 0.5 * p["horizon"])
         dv[...] = logx[:, 1:]
         return {"capped_steps": caps, "trigger_time": s_time}
@@ -451,27 +455,35 @@ def test_simulate_block_holds_one_batch_sized_array(monkeypatch):
     assert peak < 1.3 * logx_bytes, peak / logx_bytes
 
 
-@pytest.mark.parametrize("kind", ["diverse", "patched"])
+@pytest.mark.parametrize(
+    "kind", sorted(k for k, e in markets.KINDS.items() if e.growth is not None))
 def test_growth_replay_matches_applied_displacement(kind):
-    """Every step moves by the replayed growth rate times dt, capped.
+    """Every step moves by the replayed growth rate times dt, capped, for
+    every kind with a growth rule.
 
     ``growth_rates_along`` returns the uncapped rule; clipping it at the
-    step cap must give the displacement the integrator applied, and the
-    entries past the cap must number ``capped_steps`` on every path.
+    step cap (none where the model has no ``step_cap``) must give the
+    displacement the integrator applied, and the entries past the cap must
+    number ``capped_steps`` on every path.
     """
-    model, factors = kernel_cases()[kind]
+    cases = kernel_cases()
+    constant = markets.constant_market(b=[0.05, -0.02, 0.0], sigma=0.3 * np.eye(3),
+                                       x0=[1.0, 2.0, 0.5])
+    cases["constant"] = (constant, paths.generate_factors(paths.make_grid(1.0, 100), 3, 4,
+                                                          master_seed=9))
+    model, factors = cases[kind]
     n_paths = factors.n_paths
     logx, aux = markets.simulate_block(model, factors, 0, n_paths)
     dv = markets._vol_increments(model, factors.block(0, n_paths))
     gamma = markets.growth_rates_along(model, logx, factors.grid.times, aux)
-    step_cap = model.params["step_cap"]
+    step_cap = model.params.get("step_cap", np.inf)
     disp = gamma[:, :-1, :] * factors.grid.step_sizes[None, :, None]
     applied = logx[:, 1:, :] - logx[:, :-1, :] - dv
     np.testing.assert_allclose(applied, np.clip(disp, -step_cap, step_cap),
                                rtol=0, atol=1e-12)
     over = np.abs(disp) > step_cap
     np.testing.assert_array_equal(over.sum(axis=(1, 2)), aux["capped_steps"])
-    assert over.any()
+    assert over.any() == ("step_cap" in model.params)
 
 
 def test_last_axis_reductions_equal_numpy_bit_for_bit():
