@@ -10,15 +10,14 @@ Each study is one experiment: ``study(model, factors, **extras)`` returns
 ``(metrics, info, checks, tables)`` under the report's names.
 
 Per-path reductions happen inside fixed-size batches, whose columns
-``markets.walk`` joins in path order; cross-path reductions run
-once over the joined columns, so results do not depend on batch size.
-``outperformance_study`` and ``mirror_study`` walk each batch in time
-chunks (``markets.walk``) and reduce chunk by chunk into terminal values,
-running sums and running extremes; their sums over time stream through
-``_kernels._RowSum``.  So nothing they hold grows with the horizon, and
-every column is the whole path's bit for bit.  ``master_formula_check``
-and ``dominance_study`` take whole paths (``markets.run_batches``), because
-the coarsened sources of their refinement runs draw whole paths only.
+``markets.walk`` joins in path order; cross-path reductions run once over
+the joined columns, so results do not depend on batch size.  Every study
+walks each batch in time chunks and reduces chunk by chunk into terminal
+values, running sums and running extremes; its sums over time stream
+through ``_kernels._RowSum``.  So nothing it holds grows with the horizon,
+and every column is the whole path's bit for bit.  The refinement runs of
+``master_formula_order_study`` and ``dominance_study`` integrate the
+coarse grid in the same walk, from the fine grid's draws.
 """
 
 from __future__ import annotations
@@ -125,6 +124,50 @@ def _master_terms(b: int, n_steps: int, p: float):
     return consume, terms
 
 
+def _master_batch(model, grid, p: float):
+    """``batch(lo, hi)`` of a walk on ``grid``: each path's master formula
+    (``_master_terms``) and its model-covariance quadrature (``_RowSum``),
+    reduced chunk by chunk into ``master_formula_check``'s columns."""
+    if not 0 < p < 1:
+        raise InvalidArgumentError("p must lie in (0, 1)")
+    a, dt = model.vol.a, grid.step_sizes
+    floor = -(1.0 - p) / p * np.log(model.n)
+
+    def batch(lo, hi):
+        master, terms = _master_terms(hi - lo, dt.size, p)
+        growth = _RowSum(hi - lo, dt.size)
+
+        def consume(rows, start, lx, aux):
+            pi = master(lx, _portfolios.market_weights(lx))[:, :-1, :]
+            growth.add(_portfolios.excess_growth(pi, a) * dt[start:start + pi.shape[1]])
+
+        def columns():
+            lhs, dterm, realized = terms()
+            return {"lhs": lhs, "rhs": dterm + (1.0 - p) * realized,
+                    "rhs_model_cov": dterm + (1.0 - p) * growth.total(),
+                    "floor_margin": dterm - floor}
+
+        return consume, columns
+
+    return batch
+
+
+def _master_summary(cols) -> dict:
+    lhs, rhs = cols["lhs"], cols["rhs"]
+    res, res_model = lhs - rhs, lhs - cols["rhs_model_cov"]
+    return {
+        "lhs": lhs,
+        "rhs": rhs,
+        "residual": res,
+        "max_abs_residual": float(np.abs(res).max()),
+        "mean_abs_residual": float(np.abs(res).mean()),
+        "residual_model_cov": res_model,
+        "max_abs_residual_model_cov": float(np.abs(res_model).max()),
+        "floor_margin_min": float(cols["floor_margin"].min()),
+        "capped_steps": int(cols["capped_steps"].sum()),
+    }
+
+
 def master_formula_check(model, factors: _paths.FactorPaths, p: float) -> dict:
     """Decompose the reweighted portfolio's lead over the market.
 
@@ -139,61 +182,26 @@ def master_formula_check(model, factors: _paths.FactorPaths, p: float) -> dict:
     alongside.  The measure term can never fall below
     -(1-p)/p * log n; its margin over that floor is returned too, and so is
     the number of drift entries the integrator capped (0 for market kinds
-    without a cap).
+    without a cap).  Each batch is walked in time chunks.
     """
-    if not 0 < p < 1:
-        raise InvalidArgumentError("p must lie in (0, 1)")
-    n = model.n
-    a = model.vol.a
-    dt = factors.grid.step_sizes
-    floor = -(1.0 - p) / p * np.log(n)
-
-    # the coarsened source of the order study draws whole paths only, so
-    # each batch is one chunk spanning the grid
-    def per_batch(lo, hi, lx, aux):
-        consume, terms = _master_terms(hi - lo, dt.size, p)
-        pi = consume(lx, _portfolios.market_weights(lx))
-        lhs, dterm, realized = terms()
-        growth = np.sum(_portfolios.excess_growth(pi[:, :-1, :], a) * dt, axis=-1)
-        return {
-            "lhs": lhs,
-            "rhs": dterm + (1.0 - p) * realized,
-            "rhs_model_cov": dterm + (1.0 - p) * growth,
-            "floor_margin": dterm - floor,
-        }
-
-    cols = _markets.run_batches(model, factors, per_batch, 256)
-    lhs, rhs = cols["lhs"], cols["rhs"]
-    res = lhs - rhs
-    res_model = lhs - cols["rhs_model_cov"]
-    return {
-        "lhs": lhs,
-        "rhs": rhs,
-        "residual": res,
-        "max_abs_residual": float(np.abs(res).max()),
-        "mean_abs_residual": float(np.abs(res).mean()),
-        "residual_model_cov": res_model,
-        "max_abs_residual_model_cov": float(np.abs(res_model).max()),
-        "floor_margin_min": float(cols["floor_margin"].min()),
-        "capped_steps": int(cols["capped_steps"].sum()),
-    }
+    batch = _master_batch(model, factors.grid, p)
+    return _master_summary(_markets.walk(model, factors, batch, 256))
 
 
 def master_formula_order_study(model, factors: _paths.FactorPaths, p: float = 0.5,
                                refine: int = 2):
     """Self-convergence of the master-formula residual on shared noise.
 
-    The fine grid's factor increments are summed ``refine`` (at least 2) at
-    a time to drive the coarse run, so both step sizes see the same
-    underlying path and the residual ratio estimates the weak order
-    directly.  The per-path table is the fine run's ``master_formula_check``.
+    One walk integrates each path on its grid and on the grid coarsened by
+    ``refine`` (at least 2, dividing the step count), from the same draws,
+    so the residual ratio estimates the weak order directly.  The per-path
+    table is the fine grid's ``master_formula_check``.
     """
     if refine < 2:
         raise InvalidArgumentError(f"refine {refine!r} must be at least 2")
     dt = factors.grid.dt
-    coarse = factors.coarsened(refine)
-    rf = master_formula_check(model, factors, p)
-    rc = master_formula_check(model, coarse, p)
+    batches = [_master_batch(model, g, p) for g in (factors.grid, factors.grid.coarsened(refine))]
+    rf, rc = map(_master_summary, _markets.walk(model, factors, batches, 256, refine=refine))
     ratio = float(rc["mean_abs_residual"] / max(rf["mean_abs_residual"], 1e-300))
     order = float(np.log(ratio) / np.log(refine))
     metrics = {
@@ -516,8 +524,10 @@ def mirror_study(model, factors: _paths.FactorPaths, p: float | None = None,
 # instantaneous dominance
 # ---------------------------------------------------------------------------
 
-def _dominance_terms(model, factors: _paths.FactorPaths) -> dict:
-    """All-in on the runaway stock until it gives back half its head start.
+def _dominance_terms(model, factors: _paths.FactorPaths):
+    """All-in on the runaway stock until it gives back half its head start,
+    on ``factors``' grid and on the same paths coarsened by two, in one
+    walk: one dict per grid.
 
     On each path the strategy holds only the second stock throughout the
     early phase, handing back to the market at the first grid time the log
@@ -532,40 +542,46 @@ def _dominance_terms(model, factors: _paths.FactorPaths) -> dict:
     when the lead is positive at every grid time up to the handback;
     afterwards the wealth ratio is frozen.  Returns per path the lowest
     lead up to the handback, the handback and exit indices, and the
-    confinement breaches after the exit.
+    confinement breaches after the exit, reduced chunk by chunk: the kernel
+    records the exit once it steps from it, so after a chunk it is final
+    for every exit before the chunk's last point.
     """
     if model.kind != "dominance":
         raise InvalidArgumentError("dominance study needs the dominance model")
-    k_steps = factors.grid.n_steps
-    eta = model.params["eta"]
-    alpha = model.params["alpha"]
-    barrier = 0.5 * np.power(factors.grid.times[1:], alpha)
+    eta, alpha = model.params["eta"], model.params["alpha"]
 
-    def per_batch(lo, hi, lx, aux):
-        y = lx[..., 1] - lx[..., 0]
-        hit = y[:, 1:] <= barrier[None, :]
-        found = hit.any(axis=1)
-        t2 = np.where(found, np.argmax(hit, axis=1) + 1, k_steps)
-        t1 = aux["exit_index"]
-        exit_state = np.where(t1 >= 0, np.maximum(t1, 1), k_steps)
-        handback = np.minimum(t2, exit_state)
-        runmin = np.minimum.accumulate(y[:, 1:], axis=1)
-        after_exit = (
-            np.arange(1, k_steps + 1)[None, :] > np.where(t1 >= 0, t1, k_steps)[:, None]
-        )
-        return {
-            "min_lead": runmin[np.arange(y.shape[0]), handback - 1],
-            "switch_index": handback,
-            "exit_index": t1,
-            "breaches": np.sum(after_exit & (np.abs(y[:, 1:]) >= eta), axis=1),
-        }
+    def on(grid):
+        k_steps, barrier = grid.n_steps, 0.5 * np.power(grid.times[1:], alpha)
 
-    cols = _markets.run_batches(model, factors, per_batch, 512)
-    return {
-        **cols,
-        "fraction": float(np.mean(cols["min_lead"] > 0.0)),
-        "confinement_breaches": int(cols["breaches"].sum()),
-    }
+        def batch(lo, hi):
+            cols = {"min_lead": np.full(hi - lo, np.inf), "switch_index": np.zeros(hi - lo, int),
+                    "exit_index": None, "breaches": np.zeros(hi - lo, int)}
+
+            def consume(rows, start, lx, aux):
+                y = lx[..., 1] - lx[..., 0]  # the log lead at points start..start+k
+                k = y.shape[1] - 1
+                points = np.arange(start, start + k + 1)
+                t1 = cols["exit_index"] = aux["exit_index"]
+                # the handback: the first point at or past the exit (the end
+                # without one), or after the start with the lead on the barrier
+                ends = points >= np.where(t1 >= 0, np.maximum(t1, 1), k_steps)[:, None]
+                ends[:, 1:] |= y[:, 1:] <= barrier[start:start + k]
+                first = np.where(ends.any(axis=1), np.argmax(ends, axis=1), k + 1)
+                live = cols["switch_index"] == 0
+                lead = np.where(np.arange(1, k + 1) <= first[:, None], y[:, 1:], np.inf)
+                np.minimum(cols["min_lead"], lead.min(axis=1), out=cols["min_lead"], where=live)
+                cols["switch_index"][live & (first <= k)] = (start + first)[live & (first <= k)]
+                after = points[1:] > np.where(t1 >= 0, t1, k_steps)[:, None]
+                cols["breaches"] += np.sum(after & (np.abs(y[:, 1:]) >= eta), axis=1)
+
+            return consume, lambda: cols
+
+        return batch
+
+    grids = (factors.grid, factors.grid.coarsened(2))
+    pair = _markets.walk(model, factors, [on(g) for g in grids], 512, refine=2)
+    return [{**cols, "fraction": float(np.mean(cols["min_lead"] > 0.0)),
+             "confinement_breaches": int(cols["breaches"].sum())} for cols in pair]
 
 
 def dominance_study(model, factors: _paths.FactorPaths, min_fraction: float = 0.99):
@@ -575,7 +591,7 @@ def dominance_study(model, factors: _paths.FactorPaths, min_fraction: float = 0.
     fraction nor the confinement breaches may get worse under refinement."""
     if not 0 <= min_fraction <= 1:
         raise InvalidArgumentError(f"min_fraction {min_fraction!r} must lie in [0, 1]")
-    fine, coarse = (_dominance_terms(model, f) for f in (factors, factors.coarsened(2)))
+    fine, coarse = _dominance_terms(model, factors)
     k_steps = factors.grid.n_steps
     fraction, breaches = fine["fraction"], fine["confinement_breaches"]
     metrics = {

@@ -30,7 +30,8 @@ def diversity_measure(x: np.ndarray, p: float) -> np.ndarray:
     """(sum_i x_i**p) ** (1/p) for 0 < p < 1, vectorized over leading axes.
 
     Concave and symmetric; equals 1 on the vertices of the simplex and is
-    maximal at the equal-weight point.
+    maximal at the equal-weight point.  Library API: the log change of this
+    measure is the master formula's measure term (``arbitrage``).
     """
     if not 0 < p < 1:
         raise InvalidArgumentError("p must lie in (0, 1)")

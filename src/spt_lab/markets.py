@@ -23,7 +23,7 @@ import numpy as np
 
 from . import _kernels
 from .errors import IntegrationFailureError, InvalidArgumentError, InvalidModelError
-from .paths import FactorPaths
+from .paths import DrawnChunk, FactorPaths
 
 __all__ = [
     "Dispersion",
@@ -577,7 +577,7 @@ _walks = None
 def recording_walks():
     """Collect the shape of every walk run inside the ``with`` block: a list,
     in order, of ``{"batch_size": paths per batch, "chunk_steps": steps per
-    time chunk}``."""
+    time chunk, "refine": refinement factor, 1 for a single grid}``."""
     global _walks
     outer, _walks = _walks, []
     try:
@@ -587,87 +587,90 @@ def recording_walks():
 
 
 def walk(model: MarketModel, factors: FactorPaths, batch, batch_size: int,
-         stop: int | None = None, whole: bool = False) -> dict:
+         stop: int | None = None, refine: int = 1, chunk_steps: int | None = None):
     """Integrate all paths in batches, each in time chunks, and join what
     each batch returns.
 
     ``batch(lo, hi)`` starts paths lo..hi-1 and returns ``(consume,
     columns)``.  ``consume(rows, start, log_prices, aux)`` is handed each
-    time chunk of ``_CHUNK_STEPS`` steps up to grid step ``stop`` (the
-    grid's end by default), in order: the log prices (len(rows), k+1, n) at
-    grid points start..start+k and the kernel records so far of the
-    batch's paths ``rows`` (positions 0..hi-lo-1) still walked.  It returns
-    the positions in ``rows`` of the paths it still needs, or None for all:
-    a path left out is retired, and no later chunk draws or integrates it.
-    With ``whole``, one chunk spans the grid and the source draws it
-    itself, so a coarsened source walks too.  After the batch's last chunk
+    time chunk of ``chunk_steps`` steps (``_CHUNK_STEPS`` by default) up to
+    grid step ``stop`` (the grid's end by default), in order: the log
+    prices (len(rows), k+1, n) at grid points start..start+k and the
+    kernel records so far of the batch's paths ``rows`` (positions
+    0..hi-lo-1) still walked.  It returns the positions in ``rows`` of the
+    paths it still needs, or None for all: a path left out is retired, and
+    no later chunk draws or integrates it.  After the batch's last chunk
     ``columns()`` returns a dict of arrays whose leading axis runs over the
-    batch's paths, or has length 1 for a per-batch partial; the walk copies
-    and joins them as ``run_batches`` describes.
+    batch's paths, or has length 1 for a per-batch partial.  Each is copied
+    as soon as the batch ends, so no result pins a batch's buffers, and the
+    copies are joined along axis 0 in batch order: per-path values come
+    back as ``(n_paths, ...)``, per-batch partials as ``(n_batches, ...)``.
+    The walk adds the kernel's record as the per-path column
+    ``capped_steps`` (drift entries capped, 0 where the kind has no cap); a
+    batch that returns that key is rejected.
 
-    Each chunk goes on from the state the chunk before carried
-    (``simulate_block``), in one log-price buffer per batch that every
-    chunk reuses, so the log prices are the whole path's bit for bit.
+    With ``refine`` f above 1 (dividing ``stop``), ``batch`` is a pair, the
+    grid's and the grid coarsened by f's, and so is the result.  Each chunk,
+    cut to a multiple of f steps, is drawn once, and each grid integrated
+    from it (``paths.DrawnChunk``) from its own carry and handed to its own
+    ``consume``, which returns None: both see the same Brownian paths.
+
+    Every chunk is cut by ``FactorPaths.time_chunk`` and goes on from the
+    state the chunk before carried (``simulate_block``), in one log-price
+    buffer per batch and grid that every chunk reuses, so the log prices
+    are the whole path's bit for bit.
     """
     stop = factors.grid.n_steps if stop is None else stop
-    steps = stop if whole else min(_CHUNK_STEPS, stop)
+    steps = max(refine, min(chunk_steps or _CHUNK_STEPS, stop) // refine * refine)
+    grids = [(batch, 1)] if refine == 1 else list(zip(batch, (1, refine)))
     if _walks is not None:
-        _walks.append({"batch_size": batch_size, "chunk_steps": steps})
+        _walks.append({"batch_size": batch_size, "chunk_steps": steps, "refine": refine})
 
     def walked(lo, hi):
-        # a function scope, so one batch's buffer is freed before the next
+        # a function scope, so one batch's buffers are freed before the next
         # batch is walked
-        shape = (hi - lo, steps + 1, model.n)
-        if not whole:
-            np.empty((_HEAP_HINT_BUFFERS, *shape))  # freed at once
-        consume, columns = batch(lo, hi)
-        caps = np.zeros(hi - lo, np.int64)
-        buf = np.empty(shape)
-        rows, keep, chunk, carry = np.arange(hi - lo), np.arange(lo, hi), factors, None
+        if steps < stop:
+            np.empty((_HEAP_HINT_BUFFERS, hi - lo, steps + 1, model.n))  # freed at once
+        lanes = [(*make(lo, hi), f, np.empty((hi - lo, steps // f + 1, model.n)))
+                 for make, f in grids]
+        caps, carries = np.zeros((len(lanes), hi - lo), np.int64), [None] * len(lanes)
+        rows, keep, chunk = np.arange(hi - lo), np.arange(lo, hi), factors
         for start in range(0, stop, steps):
-            if whole:
-                lx, aux = simulate_block(model, factors, lo, hi, out=buf)
-            else:
-                # a plain source's chunk takes path indices, a chunk's the rows it keeps
-                chunk = chunk.time_chunk(keep, start, min(start + steps, stop))
-                lx, aux = simulate_block(model, chunk, 0, rows.size, carry, out=buf)
-            caps[rows] = aux["capped_steps"]
-            keep = consume(rows, start, lx, aux)
+            # a plain source's chunk takes path indices, a chunk's the rows it keeps
+            chunk = chunk.time_chunk(keep, start, min(start + steps, stop))
+            dw = None if refine == 1 else chunk.block(0, rows.size)
+            for i, (consume, _, f, buf) in enumerate(lanes):
+                source = chunk if dw is None else DrawnChunk(chunk, dw, f)
+                lx, aux = simulate_block(model, source, 0, rows.size, carries[i], out=buf)
+                caps[i, rows] = aux["capped_steps"]
+                carries[i] = {"log_prices": lx[:, -1], **aux}
+                keep = consume(rows, source.first_step, lx, aux)
             keep = np.arange(rows.size) if keep is None else np.asarray(keep)
             if keep.size == 0:
                 break
             rows = rows[keep]
-            carry = {key: v[keep] for key, v in {"log_prices": lx[:, -1], **aux}.items()}
-        cols = columns()
-        if "capped_steps" in cols:
+            carries = [{key: v[keep] for key, v in carry.items()} for carry in carries]
+        cols = [lane[1]() for lane in lanes]
+        if any("capped_steps" in c for c in cols):
             raise InvalidArgumentError(
                 "a batch returned 'capped_steps', which the walk joins itself")
-        cols = {**cols, "capped_steps": caps}
-        return {k: np.array(v) for k, v in cols.items()}
+        return [{k: np.array(v) for k, v in {**c, "capped_steps": n}.items()}
+                for c, n in zip(cols, caps)]
 
     n = factors.n_paths
     parts = [walked(lo, min(lo + batch_size, n)) for lo in range(0, n, batch_size)]
-    return {k: np.concatenate([part[k] for part in parts]) for k in parts[0]}
+    joined = [{k: np.concatenate([part[i][k] for part in parts]) for k in parts[0][i]}
+              for i in range(len(grids))]
+    return joined[0] if refine == 1 else tuple(joined)
 
 
-def run_batches(
-    model: MarketModel,
-    factors: FactorPaths,
-    per_batch,
-    batch_size: int,
-) -> dict:
+def run_batches(model: MarketModel, factors: FactorPaths, per_batch, batch_size: int) -> dict:
     """Integrate all paths in fixed batches of whole paths and join what each
-    batch returns: ``walk`` with one chunk spanning the grid.
+    batch returns: ``walk`` with one time chunk spanning the grid, cut and
+    drawn like every other walk's.
 
-    ``per_batch(lo, hi, log_prices, aux)`` returns a dict of arrays whose
-    leading axis runs over the batch's paths, or has length 1 for a
-    per-batch partial.  Each value is copied as soon as the batch ends, so
-    no result pins a batch's log prices, and the copies are joined along
-    axis 0 in batch order: per-path values come back as ``(n_paths, ...)``,
-    per-batch partials as ``(n_batches, ...)``.  The integrator's record
-    joins them as the per-path column ``capped_steps`` (drift entries
-    capped, 0 where the kind has no cap); a callback that returns that key
-    is rejected.
+    ``per_batch(lo, hi, log_prices, aux)`` gets each batch's whole log
+    prices and returns its columns, which the walk copies and joins.
     """
 
     def batch(lo, hi):
@@ -678,4 +681,4 @@ def run_batches(
 
         return consume, lambda: cols
 
-    return walk(model, factors, batch, batch_size, whole=True)
+    return walk(model, factors, batch, batch_size, chunk_steps=factors.grid.n_steps)

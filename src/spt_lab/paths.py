@@ -9,7 +9,8 @@ import numpy as np
 
 from .errors import InvalidArgumentError
 
-__all__ = ["PathGrid", "FactorPaths", "make_grid", "geometric_grid", "generate_factors"]
+__all__ = ["PathGrid", "FactorPaths", "DrawnChunk", "make_grid", "geometric_grid",
+           "generate_factors"]
 
 
 @dataclass(frozen=True)
@@ -183,7 +184,7 @@ class _Stream:
     """One path's generator and the grid step it stands at.  A time chunk
     seeds the generators of its paths that have not drawn yet together, at
     its first draw, and each stream keeps its generator from one chunk to
-    the next."""
+    the next, and lets it go once it has drawn the grid's last step."""
 
     __slots__ = ("path", "rng", "step")
 
@@ -221,15 +222,14 @@ class FactorPaths:
     hash as one 32-bit word, so a source has at most 2**32 paths.
 
     ``time_chunk`` cuts a source for a set of paths over a span of grid
-    steps; its ``block`` and ``times`` cover that span only.
+    steps; its ``block`` and ``times`` cover that span only.  Every walk
+    (``markets.walk``) draws through time chunks.
     """
 
     grid: PathGrid
     m: int
     n_paths: int
     master_seed: int
-    _parent: "FactorPaths | None" = field(default=None, repr=False)
-    _factor: int = field(default=1, repr=False)
     _chunk: "_Chunk | None" = field(default=None, repr=False)
 
     def __post_init__(self):
@@ -261,7 +261,21 @@ class FactorPaths:
         """Increments for paths lo..hi-1, shape (hi-lo, n_steps, m)."""
         if not 0 <= lo < hi <= self.n_paths:
             raise InvalidArgumentError(f"bad path range [{lo}, {hi})")
-        return self._draw(lo, hi)
+        chunk = self._chunk
+        if chunk is None:  # whole paths, each from a fresh stream
+            start, stop, streams = 0, self.grid.n_steps, [_Stream(i) for i in range(lo, hi)]
+        else:
+            start, stop, streams = chunk.start, chunk.stop, chunk.streams[lo:hi]
+        for stream in streams:
+            stream.advance(start, stop)
+        fresh = _generators(self.master_seed, [s.path for s in streams if s.rng is None])
+        out = np.empty((hi - lo, stop - start, self.m))
+        for row, stream in zip(out, streams):
+            rng = next(fresh) if stream.rng is None else stream.rng
+            rng.standard_normal(out=row)
+            stream.rng = rng if stop < self.grid.n_steps else None
+        out *= _scale(self.grid.step_sizes[start:stop], self.m)
+        return out
 
     def time_chunk(self, rows, start: int, stop: int) -> "FactorPaths":
         """Paths ``rows`` of this source over grid steps start..stop-1.
@@ -274,8 +288,6 @@ class FactorPaths:
         at step 0, a chunk's chunks go on where it stops, and drawing a
         path's steps out of order or twice raises ``InvalidArgumentError``.
         """
-        if self._parent is not None:
-            raise InvalidArgumentError("a coarsened source draws whole paths only")
         rows = np.asarray(rows, dtype=np.intp).reshape(-1)
         if rows.size == 0 or not np.all((0 <= rows) & (rows < self.n_paths)):
             raise InvalidArgumentError("a time chunk needs rows among the source's paths")
@@ -288,59 +300,23 @@ class FactorPaths:
             streams = [self._chunk.streams[i] for i in rows]
         return replace(self, n_paths=rows.size, _chunk=_Chunk(paths, start, stop, streams))
 
-    def _draw(self, lo: int, hi: int) -> np.ndarray:
-        if self._parent is not None:
-            # the parent's paths come through ``_paths``, not ``block``, so a
-            # wrapper that counts ``block`` calls sees each path once
-            out = np.empty((hi - lo, self.grid.n_steps, self.m))
-            for row, fine in zip(out, self._parent._paths(lo, hi)):
-                row[...] = fine.reshape(-1, self._factor, self.m).sum(axis=1)
-            return out
-        chunk = self._chunk
-        if chunk is None:
-            start, stop = 0, self.grid.n_steps
-            rngs = _generators(self.master_seed, range(lo, hi))
-        else:
-            start, stop = chunk.start, chunk.stop
-            streams = chunk.streams[lo:hi]
-            for stream in streams:
-                stream.advance(start, stop)
-            fresh = [s for s in streams if s.rng is None]
-            for stream, rng in zip(fresh, _generators(self.master_seed, [s.path for s in fresh])):
-                stream.rng = rng
-            rngs = (s.rng for s in streams)
-        out = np.empty((hi - lo, stop - start, self.m))
-        for row, rng in zip(out, rngs):
-            rng.standard_normal(out=row)
-        out *= _scale(self.grid.step_sizes[start:stop], self.m)
-        return out
 
-    def _paths(self, lo: int, hi: int):
-        """Paths lo..hi-1 one at a time, each (n_steps, m) as ``block`` draws
-        it; a plain source draws them all into one buffer."""
-        if self._parent is not None:
-            yield from self._draw(lo, hi)
-            return
-        scale = _scale(self.grid.step_sizes, self.m)
-        fine = np.empty((self.grid.n_steps, self.m))
-        for rng in _generators(self.master_seed, range(lo, hi)):
-            rng.standard_normal(out=fine)
-            fine *= scale
-            yield fine
+class DrawnChunk:
+    """A time chunk's increments ``dw`` (B, k, m), drawn once, read as a
+    source by ``markets.simulate_block``: on the chunk's grid points, or on
+    every ``factor``-th of them (k a multiple), each coarse step's increment
+    the sum of the drawn increments it spans."""
 
-    def coarsened(self, factor: int) -> "FactorPaths":
-        """Same Brownian paths on a grid coarsened by an integer factor;
-        consecutive fine increments are summed, preserving the path law."""
-        if self._chunk is not None:
-            raise InvalidArgumentError("a time chunk cannot be coarsened")
-        return FactorPaths(
-            grid=self.grid.coarsened(factor),
-            m=self.m,
-            n_paths=self.n_paths,
-            master_seed=self.master_seed,
-            _parent=self,
-            _factor=factor,
-        )
+    def __init__(self, chunk: FactorPaths, dw: np.ndarray, factor: int = 1):
+        if factor < 1 or dw.shape[1] % factor:
+            raise InvalidArgumentError(
+                f"cannot coarsen a {dw.shape[1]}-step chunk by {factor}")
+        self.m, self.path_index, self.times = chunk.m, chunk.path_index, chunk.times[::factor]
+        self.first_step, self._dw, self._factor = chunk.first_step // factor, dw, factor
+
+    def block(self, lo: int, hi: int) -> np.ndarray:
+        """Increments of rows lo..hi-1, (hi-lo, k / f, m)."""
+        return self._dw[lo:hi].reshape(hi - lo, -1, self._factor, self.m).sum(axis=2)
 
 
 def generate_factors(grid: PathGrid, m: int, n_paths: int, master_seed: int) -> FactorPaths:

@@ -86,14 +86,15 @@ def relative_covariance(a: np.ndarray, rho: np.ndarray) -> np.ndarray:
 
 
 def relative_variance(a: np.ndarray, rho: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Quadratic form w' tau^rho w = (w - rho)' a (w - rho)."""
+    """Quadratic form w' tau^rho w = (w - rho)' a (w - rho).  Library API; at
+    rho = mu, w = e_1 the whole-path form of ``mirror_study``'s tau."""
     d = np.asarray(w, dtype=float) - np.asarray(rho, dtype=float)
     return np.einsum("...i,ij,...j->...", d, a, d)
 
 
 def numeraire_invariance_residual(w: np.ndarray, rho: np.ndarray, a: np.ndarray) -> float:
     """How far the excess growth moves when recomputed relative to rho (zero
-    in exact arithmetic, for any baseline portfolio rho)."""
+    in exact arithmetic, for any rho).  Library API, criterion 01's check."""
     tau = relative_covariance(a, rho)
     via_rho = 0.5 * (w @ np.diag(tau) - np.einsum("...i,ij,...j->...", w, tau, w))
     return np.abs(excess_growth(w, a) - via_rho)
@@ -148,7 +149,8 @@ def relative_log_value(
     weights: np.ndarray, log_prices: np.ndarray, times: np.ndarray, a: np.ndarray
 ) -> np.ndarray:
     """Cumulative log(Z / Z_market) for an arbitrary (possibly short) rule:
-    the running sum of ``_relative_log_increments``, from 0."""
+    the running sum of ``_relative_log_increments``, from 0.  Library API:
+    the whole-path reference of ``mirror_study`` and parity-gap's witness."""
     inc = _relative_log_increments(weights, log_prices, times, a)
     return np.concatenate([np.zeros(inc.shape[:-1] + (1,)), np.cumsum(inc, axis=-1)],
                           axis=-1)

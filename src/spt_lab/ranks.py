@@ -56,7 +56,8 @@ def ranked_weight_path(w: np.ndarray):
 def estimate_local_time(path: np.ndarray) -> np.ndarray:
     """Cumulative local time at zero of a signed scalar path, shape (K+1,).
 
-    Works on batches; the path axis is the last one.
+    Works on batches; the path axis is the last one.  Library API: the
+    whole-path reference of ``local_time_study`` and criterion 07's oracle.
     """
     y = np.asarray(path, dtype=float)
     if y.shape[-1] < 2:

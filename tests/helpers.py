@@ -12,7 +12,8 @@ class ZeroFactors:
     """Factor source whose increments are identically zero.
 
     Lets the integrators run with the noise switched off so drift
-    bookkeeping can be checked in isolation.
+    bookkeeping can be checked in isolation.  A walk cuts it in time chunks
+    as it cuts a ``FactorPaths``.
     """
 
     def __init__(self, grid, m, n_paths=1):
@@ -27,13 +28,38 @@ class ZeroFactors:
         return row
 
     def block(self, lo, hi):
-        return np.zeros((hi - lo, self.grid.n_steps, self.m))
+        return np.zeros((hi - lo, self.times.size - 1, self.m))
+
+    def time_chunk(self, rows, start, stop):
+        chunk = ZeroFactors(self.grid, self.m, len(rows))
+        chunk.times, chunk.first_step = self.grid.times[start:stop + 1], start
+        return chunk
+
+
+class CoarsenedFactors:
+    """The paths of ``fine`` on its grid coarsened by ``factor``, drawn whole:
+    each coarse step's increment is the sum of the ``factor`` fine
+    increments it spans.  The whole-path reference of a pair walk's coarse
+    grid (``markets.walk`` with ``refine``), for ``simulate_block``."""
+
+    def __init__(self, fine, factor):
+        self.grid = fine.grid.coarsened(factor)
+        self.times, self.m, self.n_paths = self.grid.times, fine.m, fine.n_paths
+        self._fine, self._factor = fine, factor
+
+    first_step = 0
+
+    def path_index(self, row):
+        return row
+
+    def block(self, lo, hi):
+        return self._fine.block(lo, hi).reshape(hi - lo, -1, self._factor, self.m).sum(axis=2)
 
 
 def force_batch_size(monkeypatch, size):
     """Make every walk over paths (``markets.walk``, which ``run_batches``
-    runs too) take batches of ``size`` paths, whatever size its caller asks
-    for."""
+    runs too, and a pair walk alike) take batches of ``size`` paths,
+    whatever size its caller asks for."""
     walk = markets.walk
 
     def forced(model, factors, batch, batch_size, *args, **kwargs):
@@ -46,7 +72,8 @@ def count_draws(monkeypatch):
     """Wrap ``FactorPaths.block`` to record what each call draws.
 
     Returns two Counters of (path, step) pairs: those drawn by a plain source
-    (whole paths) and those drawn by a time chunk."""
+    (whole paths, which only a direct ``block`` call draws) and those drawn
+    by a time chunk (every walk's draws, ``run_batches``' included)."""
     whole, chunked = collections.Counter(), collections.Counter()
     block = paths.FactorPaths.block
 

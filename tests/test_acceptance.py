@@ -25,7 +25,7 @@ import numpy as np
 
 from spt_lab import cli, markets, paths, portfolios, ranks
 from spt_lab.checks import compensated_mean_se
-from helpers import (knock_out_ladder, random_covariance, random_simplex,
+from helpers import (CoarsenedFactors, knock_out_ladder, random_covariance, random_simplex,
                      whole_path_parity_witness)
 
 CRITERION_LINES = []
@@ -156,18 +156,29 @@ def test_criterion_03_diversity_holds():
     grid = paths.make_grid(5.0, 10_000)
     fine = paths.generate_factors(grid, 3, 500, master_seed=211)
 
-    def census(factors):
-        def per_batch(lo, hi, lx, aux):
-            top = np.max(portfolios.market_weights(lx), axis=-1)
-            return {"breaches": np.sum(top >= ceiling, axis=1),
-                    "diverse": np.max(top, axis=1) < ceiling}
+    def census(grid):
+        """Per path, the grid points whose top weight is at or past the
+        ceiling, and whether there is none, read chunk by chunk."""
+        def batch(lo, hi):
+            breaches, top_max = np.zeros(hi - lo, np.int64), np.full(hi - lo, -np.inf)
 
-        cols = markets.run_batches(model, factors, per_batch, batch_size=100)
-        states = factors.n_paths * (factors.grid.n_steps + 1)
-        return cols["breaches"].sum() / states, cols["diverse"].mean()
+            def consume(rows, start, lx, aux):
+                # a chunk's first point is the previous chunk's last
+                top = np.max(portfolios.market_weights(lx[:, 1 if start else 0:]), axis=-1)
+                breaches[:] += np.sum(top >= ceiling, axis=1)
+                np.maximum(top_max, np.max(top, axis=1), out=top_max)
 
-    breach_fine, _ = census(fine)
-    breach_coarse, frac = census(fine.coarsened(2))
+            return consume, lambda: {"breaches": breaches, "diverse": top_max < ceiling}
+
+        return batch
+
+    # one walk integrates the fine grid and the grid coarsened by two on the
+    # same Brownian paths
+    grids = (grid, grid.coarsened(2))
+    cols = markets.walk(model, fine, [census(g) for g in grids], 100, refine=2)
+    (breach_fine, _), (breach_coarse, frac) = (
+        (c["breaches"].sum() / (fine.n_paths * (g.n_steps + 1)), c["diverse"].mean())
+        for c, g in zip(cols, grids))
     shrinks = breach_fine < breach_coarse or breach_fine == breach_coarse == 0.0
     ok = frac >= 0.99 and shrinks
     assert _record(
@@ -256,7 +267,7 @@ def test_criterion_07_local_time_and_ranked_decomposition():
     grid = paths.make_grid(2.0, 20_000)
     fine = paths.generate_factors(grid, 2, 16, master_seed=702)
     rel = []
-    for factors in (fine, fine.coarsened(2)):
+    for factors in (fine, CoarsenedFactors(fine, 2)):
         lx, aux = markets.simulate_block(model, factors, 0, 16)
         dv = factors.block(0, 16) @ model.vol.sigma.T
         res = ranks.ranked_decomposition(model, lx, dv, factors.grid.times, aux)

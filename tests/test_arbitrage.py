@@ -7,11 +7,56 @@ import pytest
 
 from spt_lab import arbitrage, markets, paths, portfolios
 from spt_lab.errors import InvalidArgumentError
-from helpers import ZeroFactors, force_batch_size
+from helpers import CoarsenedFactors, ZeroFactors, count_draws, force_batch_size
 
 
 def _diverse_pair(delta=0.3, x0=(1.0, 1.0)):
     return markets.diverse_market(np.eye(2), g=0.0, delta=delta, x0=list(x0))
+
+
+def _pair_walk_in_chunks(monkeypatch, chunk_steps):
+    """Walk in chunks of ``chunk_steps`` and batches of 4, with
+    ``run_batches`` made to fail, and count every draw.  Returns the draw
+    counters (``count_draws``) and the list every walk's result is
+    appended to."""
+    monkeypatch.setattr(markets, "_CHUNK_STEPS", chunk_steps)
+    force_batch_size(monkeypatch, 4)
+
+    def no_whole_batches(*args, **kwargs):
+        raise AssertionError("ran whole batches")
+
+    monkeypatch.setattr(markets, "run_batches", no_whole_batches)
+    walked, walk = [], markets.walk
+
+    def recorded(*args, **kwargs):
+        walked.append(walk(*args, **kwargs))
+        return walked[-1]
+
+    monkeypatch.setattr(markets, "walk", recorded)
+    return (*count_draws(monkeypatch), walked)
+
+
+def _whole_master(model, source, p):
+    """The master formula's per-path columns on whole paths of ``source``:
+    one ``simulate_block`` and numpy's sums over whole rows."""
+    lx, aux = markets.simulate_block(model, source, 0, source.n_paths)
+    mu = portfolios.market_weights(lx)
+    pi = portfolios.diversity_weighted(mu, p)
+    lhs = (portfolios.gross_log_value(pi, lx) - portfolios.gross_log_value(mu, lx))[:, -1]
+    dterm = (1.0 / p) * (np.log(np.sum(mu[:, -1] ** p, axis=1))
+                         - np.log(np.sum(mu[:, 0] ** p, axis=1)))
+    dlm = np.diff(np.log(mu), axis=1)
+    m1 = np.sum(pi[:, :-1] * dlm, axis=2)
+    realized = np.sum(0.5 * (np.sum(pi[:, :-1] * dlm * dlm, axis=2) - m1 * m1), axis=1)
+    growth = np.sum(portfolios.excess_growth(pi[:, :-1], model.vol.a)
+                    * source.grid.step_sizes, axis=1)
+    return {
+        "lhs": lhs,
+        "rhs": dterm + (1.0 - p) * realized,
+        "rhs_model_cov": dterm + (1.0 - p) * growth,
+        "floor_margin": dterm + (1.0 - p) / p * np.log(model.n),
+        "capped_steps": aux["capped_steps"],
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -86,12 +131,49 @@ def test_master_decomposition_first_order_in_the_step():
     metrics, info, _, tables = arbitrage.master_formula_order_study(model, fine, 0.5, refine=2)
     residual_fine = metrics["mean_abs_residual_fine"]
     residual_coarse = metrics["mean_abs_residual_coarse"]
-    coarse = arbitrage.master_formula_check(model, fine.coarsened(2), 0.5)
-    assert coarse["mean_abs_residual"] == residual_coarse
+    coarse = _whole_master(model, CoarsenedFactors(fine, 2), 0.5)
+    assert np.abs(coarse["lhs"] - coarse["rhs"]).mean() == residual_coarse
     assert tables["per_path"]["lhs"].shape == coarse["lhs"].shape == (256,)
     assert residual_fine < residual_coarse
     assert metrics["ratio"] == residual_coarse / residual_fine
     assert metrics["order"] >= 0.7
+
+
+@pytest.mark.parametrize("refine,chunks", [(2, 37), (3, 37), (2, 1)],
+                         ids=["f2", "f3", "f2-one-coarse-step"])
+def test_master_order_pair_matches_the_whole_paths(monkeypatch, refine, chunks):
+    """The order study walks one pair in chunks of ``chunks`` coarse steps
+    (the last one a single coarse step) and batches of 4, drawing every
+    (path, step) once, in time chunks.  Every per-path column of both grids
+    equals, bit for bit, the master formula on whole paths: on the fine
+    grid's, and on the coarse grid of ``CoarsenedFactors``, which sums each
+    whole path's increments ``refine`` at a time."""
+    whole, chunked, walked = _pair_walk_in_chunks(monkeypatch, chunks * refine)
+    model = markets.diverse_market(np.eye(3), g=0.0, delta=0.3, x0=[1.0, 2.0, 3.0],
+                                   step_cap=0.01)
+    f = paths.generate_factors(paths.make_grid(2.0, refine * 149), 3, 6, 29)
+    with markets.recording_walks() as walks:
+        metrics, info, _, tables = arbitrage.master_formula_order_study(model, f, 0.5, refine)
+    assert walks == [{"batch_size": 4, "chunk_steps": chunks * refine, "refine": refine}]
+    assert not whole
+    assert chunked == {(i, k): 1 for i in range(6) for k in range(f.grid.n_steps)}
+
+    (got_fine, got_coarse), = walked
+    fine, coarse = (_whole_master(model, source, 0.5)
+                    for source in (f, CoarsenedFactors(f, refine)))
+    assert fine["capped_steps"].any() and coarse["capped_steps"].any()
+    for got, want in ((got_fine, fine), (got_coarse, coarse)):
+        assert got.keys() == want.keys()
+        for key in want:
+            np.testing.assert_array_equal(got[key], want[key], err_msg=key)
+    per_path = tables["per_path"]
+    np.testing.assert_array_equal(per_path["lhs"], fine["lhs"])
+    np.testing.assert_array_equal(per_path["residual"], fine["lhs"] - fine["rhs"])
+    np.testing.assert_array_equal(per_path["residual_model_cov"],
+                                  fine["lhs"] - fine["rhs_model_cov"])
+    assert metrics["mean_abs_residual_coarse"] == np.abs(coarse["lhs"] - coarse["rhs"]).mean()
+    assert info == {"capped_steps": fine["capped_steps"].sum(),
+                    "capped_steps_coarse": coarse["capped_steps"].sum()}
 
 
 # ---------------------------------------------------------------------------
@@ -223,7 +305,7 @@ def test_mirror_chunks_match_the_whole_path(monkeypatch, grid):
     p = arbitrage.mirror_p(model, grid.horizon, None, 1.1)
     with markets.recording_walks() as walks:
         got = arbitrage._mirror_terms(model, f, p, beta)
-    assert walks == [{"batch_size": 4, "chunk_steps": 37}]
+    assert walks == [{"batch_size": 4, "chunk_steps": 37, "refine": 1}]
 
     lx, aux = markets.simulate_block(model, f, 0, 6)
     e1 = np.array([1.0, 0.0, 0.0])
@@ -324,6 +406,63 @@ def test_dominance_survives_refinement():
     assert metrics["worst_lead"] > 0.0
     assert metrics["confinement_breaches"] >= 0
     assert by_label["confinement breaches do not grow under refinement"].passed
+
+
+def _whole_dominance(model, source):
+    """The early-lead strategy's per-path columns on whole paths of
+    ``source``: one ``simulate_block``, then the lead's running minimum and
+    the breach count over every grid point at once."""
+    lx, aux = markets.simulate_block(model, source, 0, source.n_paths)
+    k_steps, eta = source.grid.n_steps, model.params["eta"]
+    barrier = 0.5 * np.power(source.grid.times[1:], model.params["alpha"])
+    y = lx[..., 1] - lx[..., 0]
+    hit = y[:, 1:] <= barrier[None, :]
+    t2 = np.where(hit.any(axis=1), np.argmax(hit, axis=1) + 1, k_steps)
+    t1 = aux["exit_index"]
+    handback = np.minimum(t2, np.where(t1 >= 0, np.maximum(t1, 1), k_steps))
+    runmin = np.minimum.accumulate(y[:, 1:], axis=1)
+    after_exit = np.arange(1, k_steps + 1)[None, :] > np.where(t1 >= 0, t1, k_steps)[:, None]
+    return {
+        "min_lead": runmin[np.arange(y.shape[0]), handback - 1],
+        "switch_index": handback,
+        "exit_index": t1,
+        "breaches": np.sum(after_exit & (np.abs(y[:, 1:]) >= eta), axis=1),
+        "capped_steps": aux["capped_steps"],
+    }
+
+
+@pytest.mark.parametrize("chunks", [37, 1], ids=["chunks-of-37", "one-coarse-step"])
+def test_dominance_pair_matches_the_whole_paths(monkeypatch, chunks):
+    """The dominance study walks one pair (refinement 2) in chunks of
+    ``chunks`` coarse steps and batches of 4, drawing every (path, step)
+    once, in time chunks.  Every per-path column of both grids equals, bit
+    for bit, the strategy read off whole paths; with one coarse step per
+    chunk every exit lands on a chunk's first point."""
+    whole, chunked, walked = _pair_walk_in_chunks(monkeypatch, 2 * chunks)
+    model = markets.instantaneous_dominance_market(alpha=0.25, step_cap=0.05)
+    f = paths.generate_factors(paths.geometric_grid(1.0, 2 * 149, 1e-8), 2, 24, 67)
+    with markets.recording_walks() as walks:
+        metrics, _, checks, tables = arbitrage.dominance_study(model, f, 0.5)
+    assert walks == [{"batch_size": 4, "chunk_steps": 2 * chunks, "refine": 2}]
+    assert not whole
+    assert chunked == {(i, k): 1 for i in range(24) for k in range(f.grid.n_steps)}
+
+    (got_fine, got_coarse), = walked
+    fine, coarse = (_whole_dominance(model, source) for source in (f, CoarsenedFactors(f, 2)))
+    for want in (fine, coarse):
+        # the handback falls both on the barrier and at the exit
+        assert 0 < np.sum(want["switch_index"] == np.maximum(want["exit_index"], 1)) < 24
+        assert want["capped_steps"].any()
+    assert fine["breaches"].any() or coarse["breaches"].any()
+    for got, want in ((got_fine, fine), (got_coarse, coarse)):
+        assert got.keys() == want.keys()
+        for key in want:
+            np.testing.assert_array_equal(got[key], want[key], err_msg=key)
+    for key in ("min_lead", "switch_index", "exit_index"):
+        np.testing.assert_array_equal(tables["per_path"][key], fine[key], err_msg=key)
+    assert metrics["confinement_breaches"] == fine["breaches"].sum()
+    assert f"coarse={np.mean(coarse['min_lead'] > 0.0):g}" in checks[1].detail
+    assert f"coarse={coarse['breaches'].sum()}" in checks[2].detail
 
 
 def test_dominance_study_rejects_other_models():

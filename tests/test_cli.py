@@ -14,7 +14,7 @@ import pytest
 import spt_lab
 from spt_lab import _kernels, arbitrage, cli, markets, paths
 from spt_lab.errors import ConfigError
-from helpers import count_draws, force_batch_size
+from helpers import CoarsenedFactors, count_draws, force_batch_size
 
 
 _PRESETS = Path(__file__).resolve().parents[1] / "configs"
@@ -238,17 +238,25 @@ def _checks_with_budgets(out):
 
 def test_provenance_records_each_walk(tmp_path):
     """summary.json's provenance lists each walk over the paths in order,
-    with its batch size and chunk length: a whole-path study walks its grid
-    in one chunk, arbitrage-45 in 256-step chunks, and the call ladder's
-    Foellmer pass in 512-path batches of 256-step chunks up to its last
-    rung.  summary.txt carries the same list."""
+    with its batch size, chunk length and refinement factor: a whole-path
+    study walks its grid in one chunk, arbitrage-45 in 256-step chunks, the
+    call ladder's Foellmer pass in 512-path batches of 256-step chunks up
+    to its last rung, and master-formula's fine and coarse grids in one
+    pair walk of 256-step chunks (255 with refine = 3).  summary.txt
+    carries the same list."""
     runs = {
         "report": ([_constant_cfg(tmp_path, tmp_path / "report")],
-                   [{"batch_size": 256, "chunk_steps": 50}]),
+                   [{"batch_size": 256, "chunk_steps": 50, "refine": 1}]),
         "a45": ([str(_PRESETS / "arbitrage_45.ini"), "--paths", "4", "--steps", "600"],
-                [{"batch_size": 256, "chunk_steps": 256}]),
+                [{"batch_size": 256, "chunk_steps": 256, "refine": 1}]),
         "decay": ([str(_PRESETS / "call_decay.ini"), "--paths", "4", "--steps", "20"],
-                  [{"batch_size": 512, "chunk_steps": 256}]),
+                  [{"batch_size": 512, "chunk_steps": 256, "refine": 1}]),
+        "master": ([str(_PRESETS / "master_formula.ini"), "--paths", "4", "--steps", "600"],
+                   [{"batch_size": 256, "chunk_steps": 256, "refine": 2}]),
+        "master3": ([_write(tmp_path, (_PRESETS / "master_formula.ini").read_text().replace(
+                         "refine = 2", "refine = 3"), name="mf3.ini"),
+                     "--paths", "4", "--steps", "600"],
+                    [{"batch_size": 256, "chunk_steps": 255, "refine": 3}]),
     }
     for name, (args, walks) in runs.items():
         out = tmp_path / name
@@ -390,7 +398,7 @@ def test_exit_codes_for_bad_invocations(tmp_path, capsys):
     assert cli.main(["run", str(tmp_path / "ghost.ini")]) == 2
     bad = _write(tmp_path, "[experiment]\nname = diversity-report\n")
     assert cli.main(["run", bad]) == 2
-    # the dominance breach check reruns on the grid coarsened by two
+    # the dominance study walks its grid and the grid coarsened by two
     capsys.readouterr()
     assert cli.main(["run", str(_PRESETS / "instantaneous_dominance.ini"), "--paths", "4",
                      "--steps", "21", "--out", str(tmp_path / "odd")]) == 2
@@ -725,7 +733,7 @@ def test_master_formula_records_capped_steps(tmp_path):
     parsed = cli.parse_config(cfg)
     factors = cli._factors(parsed)
     caps = [int(markets.simulate_block(parsed.model, f, 0, 16)[1]["capped_steps"].sum())
-            for f in (factors, factors.coarsened(2))]
+            for f in (factors, CoarsenedFactors(factors, 2))]
     assert caps[0] > 0 and caps[1] > 0
     assert info == {"capped_steps": caps[0], "capped_steps_coarse": caps[1]}
     summary = (out / "summary.txt").read_text()
@@ -992,6 +1000,21 @@ def test_ranked_decomposition_rejects_a_kind_without_growth_rule(tmp_path, capsy
         """)
     _assert_rejected(capsys, ["run", cfg], tmp_path / "o",
                      "growth rates along a path are not defined for kind 'dominance'")
+    assert not whole and not chunked
+
+
+@pytest.mark.parametrize("refine, message", [
+    ("3", "cannot coarsen a 2000-step grid by 3"),
+    ("1", "refine 1 must be at least 2"),
+])
+def test_master_formula_rejects_a_bad_refinement_before_drawing(tmp_path, capsys, monkeypatch,
+                                                              refine, message):
+    """A refinement that does not divide the preset's 2,000 steps, or that
+    is below 2, exits 2 before a single factor is drawn."""
+    whole, chunked = count_draws(monkeypatch)
+    cfg = _write(tmp_path, (_PRESETS / "master_formula.ini").read_text().replace(
+        "refine = 2", f"refine = {refine}"), name="mf.ini")
+    _assert_rejected(capsys, ["run", cfg], tmp_path / "o", message)
     assert not whole and not chunked
 
 

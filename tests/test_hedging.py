@@ -1,5 +1,6 @@
 """Deflators, Monte Carlo claim pricing, and long-horizon decay bounds."""
 
+import collections
 import math
 
 import numpy as np
@@ -88,10 +89,22 @@ def test_deflator_read_off_the_path_matches_the_price_of_risk_with_more_factors(
 
 def test_deflated_prices_draw_each_path_once(monkeypatch):
     """Every deflated price draws each (path, step) of its factors at most
-    once per pass.  hedge-price and parity-gap's control draw every whole
-    path once; the Foellmer passes of the call ladder and of the parity
-    witness draw each path from its first step on, never a step twice."""
+    once per pass, and only in time chunks.  hedge-price and parity-gap's
+    control draw every path once, in the one chunk of ``run_batches``; the
+    Foellmer passes of the call ladder and of the parity witness draw each
+    path from its first step on, never a step twice."""
     whole, chunked = count_draws(monkeypatch)
+    one_chunk = collections.Counter()  # what run_batches draws
+    run_batches = markets.run_batches
+
+    def counted(*args, **kwargs):
+        before = chunked.copy()
+        try:
+            return run_batches(*args, **kwargs)
+        finally:
+            one_chunk.update(chunked - before)
+
+    monkeypatch.setattr(markets, "run_batches", counted)
     gbm = markets.constant_market(b=[0.1, 0.0], sigma=0.3 * np.eye(2),
                                   x0=[1.0, 0.8], r=0.02)
     diverse = markets.diverse_market(0.25 * np.eye(2), g=0.0, delta=0.3,
@@ -111,17 +124,20 @@ def test_deflated_prices_draw_each_path_once(monkeypatch):
                                    r=0.03),
             ladder, 1.0, (1.0, 2.0), p_bound=0.5, index=0), False, True),
     }
-    for name, (run, draws_whole, draws_chunks) in runs.items():
+    for name, (run, draws_one_chunk, draws_passes) in runs.items():
         whole.clear()
         chunked.clear()
+        one_chunk.clear()
         run()
-        if draws_whole:
-            assert set(whole) == every_step and set(whole.values()) == {1}, name
+        assert not whole, name
+        passes = chunked - one_chunk
+        if draws_one_chunk:
+            assert set(one_chunk) == every_step and set(one_chunk.values()) == {1}, name
         else:
-            assert not whole, name
-        assert bool(chunked) == draws_chunks, name
-        assert set(chunked.values()) <= {1}, name
-        assert {i for i, k in chunked if k == 0} == (set(range(12)) if draws_chunks else set())
+            assert not one_chunk, name
+        assert bool(passes) == draws_passes, name
+        assert set(passes.values()) <= {1}, name
+        assert {i for i, k in passes if k == 0} == (set(range(12)) if draws_passes else set())
 
 
 @pytest.mark.parametrize("chunk_steps", [256, 37])

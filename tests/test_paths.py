@@ -91,15 +91,20 @@ def test_step_variance_scales_with_dt():
 
 
 def test_coarsened_sums_consecutive_increments():
+    """A drawn chunk read on the grid coarsened by 4 sums each run of four
+    drawn increments and stands on every fourth grid point."""
     g = paths.make_grid(1.0, 16)
     f = paths.generate_factors(g, 2, 4, master_seed=9)
-    c = f.coarsened(4)
     fine = f.block(0, 4)
+    chunk = f.time_chunk(np.arange(4), 0, 16)
+    dw = chunk.block(0, 4)
+    c = paths.DrawnChunk(chunk, dw, 4)
     np.testing.assert_array_equal(c.block(0, 4), fine.reshape(4, 4, 4, 2).sum(axis=2))
-    np.testing.assert_allclose(c.grid.times, g.times[::4], rtol=0, atol=0)
-    assert c.n_paths == f.n_paths
-    with pytest.raises(InvalidArgumentError):
-        f.coarsened(5)
+    np.testing.assert_array_equal(paths.DrawnChunk(chunk, dw).block(1, 3), fine[1:3])
+    np.testing.assert_allclose(c.times, g.times[::4], rtol=0, atol=0)
+    assert c.first_step == 0
+    with pytest.raises(InvalidArgumentError, match="cannot coarsen a 16-step chunk by 5"):
+        paths.DrawnChunk(chunk, dw, 5)
 
 
 def test_factor_validation():
@@ -164,10 +169,17 @@ def test_time_chunks_draw_numpys_streams(seed):
 
 @pytest.mark.parametrize("seed", _SEEDS)
 def test_coarsened_blocks_draw_numpys_streams(seed):
+    """A chunk after the first, drawn once and read on the grid coarsened by
+    3: its steps are sums of numpy's streams, from the coarse grid's step 2."""
     g = paths.make_grid(1.0, 24)
     f = paths.generate_factors(g, 2, 7, master_seed=seed)
-    want = _numpy_paths(g, 2, seed, range(1, 6)).reshape(5, 8, 3, 2).sum(axis=2)
-    np.testing.assert_array_equal(f.coarsened(3).block(1, 6), want)
+    want = _numpy_paths(g, 2, seed, range(1, 6))[:, 6:].reshape(5, 6, 3, 2).sum(axis=2)
+    first = f.time_chunk(np.arange(7), 0, 6)
+    first.block(0, 7)
+    chunk = first.time_chunk(np.arange(7), 6, 24)
+    c = paths.DrawnChunk(chunk, chunk.block(0, 7), 3)
+    np.testing.assert_array_equal(c.block(1, 6), want)
+    assert c.first_step == 2 and c.path_index(3) == 3
 
 
 def test_seed_words_are_numpys():
@@ -244,10 +256,6 @@ def test_time_chunks_drawn_out_of_order_raise():
 def test_time_chunk_validation():
     g = paths.make_grid(1.0, 16)
     f = paths.generate_factors(g, 2, 4, master_seed=9)
-    with pytest.raises(InvalidArgumentError, match="coarsened source"):
-        f.coarsened(4).time_chunk(np.arange(4), 0, 2)
-    with pytest.raises(InvalidArgumentError, match="cannot be coarsened"):
-        f.time_chunk(np.arange(4), 0, 8).coarsened(2)
     for rows in (np.array([], int), np.array([4]), np.array([-1])):
         with pytest.raises(InvalidArgumentError, match="rows"):
             f.time_chunk(rows, 0, 8)

@@ -170,15 +170,16 @@ def test_ranked_decomposition_batch_equals_its_paths():
 
 def test_ranked_decomposition_study_draws_path_zero_twice(monkeypatch):
     """The series reads path 0 from the batch that simulates it: every path
-    is drawn twice, once to integrate and once for its vol increments, and
-    the series equals the one of path 0 simulated on its own."""
+    is drawn twice, once in the walk's one time chunk to integrate and once
+    whole for its vol increments, and the series equals the one of path 0
+    simulated on its own."""
     whole, chunked = count_draws(monkeypatch)
     force_batch_size(monkeypatch, 3)
     model = markets.ou_two_stock(alpha=0.5)
     f = paths.generate_factors(paths.make_grid(2.0, 200), 2, 8, master_seed=13)
     series = ranks.ranked_decomposition_study(model, f)[3]["series"]
-    assert whole == {(i, k): 2 for i in range(8) for k in range(200)}
-    assert not chunked
+    assert whole == {(i, k): 1 for i in range(8) for k in range(200)}
+    assert chunked == whole
     w = portfolios.market_weights(markets.simulate_block(model, f, 0, 1)[0])
     np.testing.assert_array_equal(series["ranked_w1"], ranks.ranked_weight_path(w)[0][0, :, 0])
     np.testing.assert_array_equal(series["gap_local_time1"],
