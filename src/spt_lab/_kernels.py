@@ -12,7 +12,11 @@ adds it to every step at once and sums the increments.  ``_euler`` steps
 any rule, capped at ``params.get("step_cap")`` (no cap where None).  A
 kind whose drift needs more brings its own kernel on the stepping loop
 ``_stepping``, which applies the cap, counts capped entries and adds the
-noise.
+noise.  The diverse kind brings ``markets._leader_kernel``: at a few
+hundred paths a step costs about its count of numpy calls, so it steps
+only the leader on rows of paths and equals ``_euler`` on its rule bit for
+bit; the leader's rate is ``markets._leader_rate``, which its growth rule
+calls too.
 
 Kernel contract: ``kernel(rule, logx0, dv, dt, times, model, carry,
 start)``, the rule bound by ``active_kernels``, with ``logx0 (n,)``, ``dv

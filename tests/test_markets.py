@@ -221,6 +221,43 @@ def test_diverse_paths_respect_barrier():
     assert top.max() < 0.70 + 0.02   # barrier plus one-step slack
 
 
+def _diverse_cases():
+    """kernel_cases' diverse model, one started on exact ties, one of four
+    stocks, and one whose non-leaders are capped on every step."""
+    eye3 = np.eye(3) * 0.5
+    grid = paths.make_grid(1.0, 100)
+    return {
+        "kernel_cases": kernel_cases()["diverse"][0],
+        "ties": markets.diverse_market(eye3, g=0.01, delta=0.3, x0=[1.0, 1.0, 1.0]),
+        "n4": markets.diverse_market(np.eye(4) * 0.5, g=[0.02, -0.01, 0.0, 0.03],
+                                     delta=0.2, x0=[1.0, 2.0, 1.5, 1.0], step_cap=0.02),
+        "capped": markets.diverse_market(eye3, g=[5.0, -5.0, 3.0], delta=0.3,
+                                         x0=[1.0, 2.0, 1.5], step_cap=0.02),
+    }, grid
+
+
+@pytest.mark.parametrize("name", ["kernel_cases", "ties", "n4", "capped"])
+def test_leader_kernel_equals_euler_on_the_growth_rule(name):
+    """The diverse kind's kernel gives ``_euler`` driven by
+    ``leader_repulsion`` bit for bit, in log prices and ``capped_steps``."""
+    cases, grid = _diverse_cases()
+    model = cases[name]
+    factors = paths.generate_factors(grid, model.m, 16, master_seed=4)
+    dv = markets._vol_increments(model, factors.block(0, 16))
+    out = {}
+    for kernel in (_kernels._euler, markets._leader_kernel):
+        lx = dv.copy()
+        aux = kernel(markets.leader_repulsion, np.log(model.x0), lx, grid.step_sizes,
+                     grid.times, model, None, 0)
+        out[kernel] = lx, aux["capped_steps"]
+    (lx_euler, caps_euler), (lx_lean, caps_lean) = out.values()
+    np.testing.assert_array_equal(lx_lean, lx_euler)
+    np.testing.assert_array_equal(caps_lean, caps_euler)
+    if name == "capped":
+        # both non-leaders are past the cap on each of the 100 steps
+        assert (caps_lean >= 200).all()
+
+
 # ---------------------------------------------------------------------------
 # mean-reverting pair
 # ---------------------------------------------------------------------------
