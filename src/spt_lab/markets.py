@@ -16,6 +16,7 @@ kernel.
 from __future__ import annotations
 
 import contextlib
+import time
 from dataclasses import dataclass, field
 from typing import Annotated, Callable, NamedTuple
 
@@ -636,9 +637,12 @@ _walks = None
 
 @contextlib.contextmanager
 def recording_walks():
-    """Collect the shape of every walk run inside the ``with`` block: a list,
-    in order, of ``{"batch_size": paths per batch, "chunk_steps": steps per
-    time chunk, "refine": refinement factor, 1 for a single grid}``."""
+    """Collect every walk run inside the ``with`` block: a list, in order, of
+    ``{"batch_size": paths per batch, "chunk_steps": steps per time chunk,
+    "refine": refinement factor, 1 for a single grid, "integrate_s":
+    seconds in ``simulate_block`` and the pair's draws, "reduce_s": seconds
+    in the study's ``consume`` and ``columns``}``, the times summed over the
+    walk's chunks as it runs."""
     global _walks
     outer, _walks = _walks, []
     try:
@@ -684,8 +688,18 @@ def walk(model: MarketModel, factors: FactorPaths, batch, batch_size: int,
     stop = factors.grid.n_steps if stop is None else stop
     steps = max(refine, min(chunk_steps or _CHUNK_STEPS, stop) // refine * refine)
     grids = [(batch, 1)] if refine == 1 else list(zip(batch, (1, refine)))
+    record = {"batch_size": batch_size, "chunk_steps": steps, "refine": refine,
+              "integrate_s": 0.0, "reduce_s": 0.0}
     if _walks is not None:
-        _walks.append({"batch_size": batch_size, "chunk_steps": steps, "refine": refine})
+        _walks.append(record)
+
+    @contextlib.contextmanager
+    def timed(key):
+        began = time.perf_counter()
+        try:
+            yield
+        finally:
+            record[key] += time.perf_counter() - began
 
     def walked(lo, hi):
         # a function scope, so one batch's buffers are freed before the next
@@ -698,20 +712,24 @@ def walk(model: MarketModel, factors: FactorPaths, batch, batch_size: int,
         rows, keep, chunk = np.arange(hi - lo), np.arange(lo, hi), factors
         for start in range(0, stop, steps):
             # a plain source's chunk takes path indices, a chunk's the rows it keeps
-            chunk = chunk.time_chunk(keep, start, min(start + steps, stop))
-            dw = None if refine == 1 else chunk.block(0, rows.size)
+            with timed("integrate_s"):
+                chunk = chunk.time_chunk(keep, start, min(start + steps, stop))
+                dw = None if refine == 1 else chunk.block(0, rows.size)
             for i, (consume, _, f, buf) in enumerate(lanes):
                 source = chunk if dw is None else DrawnChunk(chunk, dw, f)
-                lx, aux = simulate_block(model, source, 0, rows.size, carries[i], out=buf)
+                with timed("integrate_s"):
+                    lx, aux = simulate_block(model, source, 0, rows.size, carries[i], out=buf)
                 caps[i, rows] = aux["capped_steps"]
                 carries[i] = {"log_prices": lx[:, -1], **aux}
-                keep = consume(rows, source.first_step, lx, aux)
+                with timed("reduce_s"):
+                    keep = consume(rows, source.first_step, lx, aux)
             keep = np.arange(rows.size) if keep is None else np.asarray(keep)
             if keep.size == 0:
                 break
             rows = rows[keep]
             carries = [{key: v[keep] for key, v in carry.items()} for carry in carries]
-        cols = [lane[1]() for lane in lanes]
+        with timed("reduce_s"):
+            cols = [lane[1]() for lane in lanes]
         if any("capped_steps" in c for c in cols):
             raise InvalidArgumentError(
                 "a batch returned 'capped_steps', which the walk joins itself")

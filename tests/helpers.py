@@ -2,6 +2,7 @@
 
 import collections
 import itertools
+from unittest import mock
 
 import numpy as np
 
@@ -54,6 +55,13 @@ class CoarsenedFactors:
 
     def block(self, lo, hi):
         return self._fine.block(lo, hi).reshape(hi - lo, -1, self._factor, self.m).sum(axis=2)
+
+
+def walk_record(batch_size, chunk_steps, refine):
+    """A ``markets.recording_walks`` entry of this shape, whatever its
+    seconds integrating and reducing."""
+    return {"batch_size": batch_size, "chunk_steps": chunk_steps, "refine": refine,
+            "integrate_s": mock.ANY, "reduce_s": mock.ANY}
 
 
 def force_batch_size(monkeypatch, size):

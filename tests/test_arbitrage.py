@@ -7,7 +7,8 @@ import pytest
 
 from spt_lab import arbitrage, markets, paths, portfolios
 from spt_lab.errors import InvalidArgumentError
-from helpers import CoarsenedFactors, ZeroFactors, count_draws, force_batch_size
+from helpers import (CoarsenedFactors, ZeroFactors, count_draws, force_batch_size,
+                     walk_record)
 
 
 def _diverse_pair(delta=0.3, x0=(1.0, 1.0)):
@@ -154,7 +155,7 @@ def test_master_order_pair_matches_the_whole_paths(monkeypatch, refine, chunks):
     f = paths.generate_factors(paths.make_grid(2.0, refine * 149), 3, 6, 29)
     with markets.recording_walks() as walks:
         metrics, info, _, tables = arbitrage.master_formula_order_study(model, f, 0.5, refine)
-    assert walks == [{"batch_size": 4, "chunk_steps": chunks * refine, "refine": refine}]
+    assert walks == [walk_record(4, chunks * refine, refine)]
     assert not whole
     assert chunked == {(i, k): 1 for i in range(6) for k in range(f.grid.n_steps)}
 
@@ -305,7 +306,7 @@ def test_mirror_chunks_match_the_whole_path(monkeypatch, grid):
     p = arbitrage.mirror_p(model, grid.horizon, None, 1.1)
     with markets.recording_walks() as walks:
         got = arbitrage._mirror_terms(model, f, p, beta)
-    assert walks == [{"batch_size": 4, "chunk_steps": 37, "refine": 1}]
+    assert walks == [walk_record(4, 37, 1)]
 
     lx, aux = markets.simulate_block(model, f, 0, 6)
     e1 = np.array([1.0, 0.0, 0.0])
@@ -443,7 +444,7 @@ def test_dominance_pair_matches_the_whole_paths(monkeypatch, chunks):
     f = paths.generate_factors(paths.geometric_grid(1.0, 2 * 149, 1e-8), 2, 24, 67)
     with markets.recording_walks() as walks:
         metrics, _, checks, tables = arbitrage.dominance_study(model, f, 0.5)
-    assert walks == [{"batch_size": 4, "chunk_steps": 2 * chunks, "refine": 2}]
+    assert walks == [walk_record(4, 2 * chunks, 2)]
     assert not whole
     assert chunked == {(i, k): 1 for i in range(24) for k in range(f.grid.n_steps)}
 

@@ -1,7 +1,9 @@
 """Config parsing, experiment runs, output files, and exit codes."""
 
+import ast
 import inspect
 import json
+import math
 import os
 import subprocess
 import sys
@@ -14,7 +16,7 @@ import pytest
 import spt_lab
 from spt_lab import _kernels, arbitrage, cli, markets, paths
 from spt_lab.errors import ConfigError
-from helpers import CoarsenedFactors, count_draws, force_batch_size
+from helpers import CoarsenedFactors, count_draws, force_batch_size, walk_record
 
 
 _PRESETS = Path(__file__).resolve().parents[1] / "configs"
@@ -242,28 +244,36 @@ def test_provenance_records_each_walk(tmp_path):
     study walks its grid in one chunk, arbitrage-45 in 256-step chunks, the
     call ladder's Foellmer pass in 512-path batches of 256-step chunks up
     to its last rung, and master-formula's fine and coarse grids in one
-    pair walk of 256-step chunks (255 with refine = 3).  summary.txt
-    carries the same list."""
+    pair walk of 256-step chunks (255 with refine = 3).  Each walk's
+    seconds integrating and reducing, and the seconds the CSVs took, are
+    finite and non-negative.  summary.txt carries the same list."""
     runs = {
-        "report": ([_constant_cfg(tmp_path, tmp_path / "report")],
-                   [{"batch_size": 256, "chunk_steps": 50, "refine": 1}]),
+        "report": ([_constant_cfg(tmp_path, tmp_path / "report")], [(256, 50, 1)]),
         "a45": ([str(_PRESETS / "arbitrage_45.ini"), "--paths", "4", "--steps", "600"],
-                [{"batch_size": 256, "chunk_steps": 256, "refine": 1}]),
+                [(256, 256, 1)]),
         "decay": ([str(_PRESETS / "call_decay.ini"), "--paths", "4", "--steps", "20"],
-                  [{"batch_size": 512, "chunk_steps": 256, "refine": 1}]),
+                  [(512, 256, 1)]),
         "master": ([str(_PRESETS / "master_formula.ini"), "--paths", "4", "--steps", "600"],
-                   [{"batch_size": 256, "chunk_steps": 256, "refine": 2}]),
+                   [(256, 256, 2)]),
         "master3": ([_write(tmp_path, (_PRESETS / "master_formula.ini").read_text().replace(
                          "refine = 2", "refine = 3"), name="mf3.ini"),
                      "--paths", "4", "--steps", "600"],
-                    [{"batch_size": 256, "chunk_steps": 255, "refine": 3}]),
+                    [(256, 255, 3)]),
     }
-    for name, (args, walks) in runs.items():
+    for name, (args, shapes) in runs.items():
         out = tmp_path / name
         assert cli.main(["run", *args, "--out", str(out)]) in (0, 4), name
-        doc = json.loads((out / "summary.json").read_text())
-        assert doc["provenance"]["walks"] == walks, name
-        assert f"walks = {walks}" in (out / "summary.txt").read_text().splitlines(), name
+        provenance = json.loads((out / "summary.json").read_text())["provenance"]
+        walks = provenance["walks"]
+        assert walks == [walk_record(*shape) for shape in shapes], name
+        times = [w[key] for w in walks for key in ("integrate_s", "reduce_s")]
+        for t in [*times, provenance["csv_write_s"]]:
+            assert math.isfinite(t) and t >= 0.0, name
+        lines = (out / "summary.txt").read_text().splitlines()
+        listed = [ast.literal_eval(line[len("walks = "):]) for line in lines
+                  if line.startswith("walks = ")]
+        assert listed == [walks], name
+        assert f"csv_write_s = {provenance['csv_write_s']!r}" in lines, name
 
 
 def test_reruns_and_batch_sizes_are_byte_identical(tmp_path, monkeypatch):
