@@ -1,6 +1,7 @@
 """The verdict an experiment returns for each claim it checks, the numbered
 columns of its tables, the one estimator of a Monte Carlo mean and its
-standard error, and the stock-index check a study makes before it draws."""
+standard error, a compensated sum over paths fed batch by batch, and the
+stock-index check a study makes before it draws."""
 
 from __future__ import annotations
 
@@ -47,6 +48,27 @@ def compensated_mean_se(values: np.ndarray):
     _, e = math.frexp(float(np.max(np.abs(values))))
     var = math.fsum(np.ldexp(values - mean, -e) ** 2) / (n - 1)
     return mean, math.ldexp(math.sqrt(var / n), e)
+
+
+class PathSum:
+    """Sum over paths of arrays fed one batch (B, ...) at a time, in path
+    order.  Every addition's rounding error is carried beside the sum
+    (TwoSum; Ogita, Rump & Oishi 2005), so the total is as accurate as a sum
+    in twice the precision, and it does not depend on how the paths were
+    batched."""
+
+    def __init__(self):
+        self._sum = self._err = 0.0
+
+    def add(self, batch):
+        for x in batch:
+            total = self._sum + x
+            back = total - self._sum
+            self._err = self._err + ((self._sum - (total - back)) + (x - back))
+            self._sum = total
+
+    def total(self):
+        return self._sum + self._err
 
 
 def check_stock(model, index, name: str) -> None:

@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from ._kernels import _max_last, _min_last, _sum_last
-from .checks import Check, numbered
+from .checks import Check, PathSum, numbered
 from .errors import InvalidArgumentError
 from . import markets as _markets
 from . import portfolios as _portfolios
@@ -144,7 +144,8 @@ def diversity_study(model, factors, delta: float | None = None,
     Per path: the terminal log prices and weights, the columns of
     ``check_diversity`` at ``delta`` in (0, 1) (None takes the model's
     barrier) and ``tail_fraction`` in (0, 1], and the capped drift entries.
-    Per grid time: the mean weight of each stock and the mean top weight.
+    Per grid time: the mean weight of each stock and the mean top weight,
+    summed over paths by ``PathSum``, so no batch size moves them.
     In the barrier market, also checks ``check_barrier_drift_condition`` at
     its own delta on every path.  A patched model reports how many paths
     fired its trigger and when, if any did.
@@ -159,13 +160,14 @@ def diversity_study(model, factors, delta: float | None = None,
         raise InvalidArgumentError(f"tail_fraction {tail_fraction!r} must lie in (0, 1]")
     n_paths, times = factors.n_paths, factors.grid.times
     barrier = model.kind == "diverse"
+    mu_sum, top_sum = PathSum(), PathSum()
 
     def per_batch(lo, hi, lx, aux):
         mu = _portfolios.market_weights(lx)
         out = check_diversity(mu, times, delta, tail_fraction)
+        mu_sum.add(mu)
+        top_sum.add(_max_last(mu))
         out.update({
-            "wsum": mu.sum(axis=0)[None],
-            "topsum": _max_last(mu).sum(axis=0)[None],
             "term_lx": lx[:, -1],
             # a copy, so the batch's weights are freed before the drift check
             "term_mu": mu[:, -1].copy(),
@@ -212,8 +214,8 @@ def diversity_study(model, factors, delta: float | None = None,
         },
         "series": {
             "t": times,
-            **numbered("mean_mu", cols["wsum"].sum(axis=0) / n_paths),
-            "mean_top": cols["topsum"].sum(axis=0) / n_paths,
+            **numbered("mean_mu", mu_sum.total() / n_paths),
+            "mean_top": top_sum.total() / n_paths,
         },
     }
     return metrics, {"capped_steps": int(cols["capped_steps"].sum())}, checks, tables

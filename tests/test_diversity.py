@@ -6,7 +6,7 @@ from scipy import integrate, stats
 
 from spt_lab import diversity, markets, paths
 from spt_lab.errors import InvalidArgumentError
-from helpers import random_simplex
+from helpers import force_batch_size, random_simplex
 
 
 def test_measure_vertex_and_uniform():
@@ -131,6 +131,22 @@ def test_barrier_drift_skips_unconcentrated_states():
     past = np.tile(np.log([0.8, 0.1, 0.1]), (1, 2, 1))
     assert diversity.check_barrier_drift_condition(
         model, past, grid.times, delta=0.25)["checked"] == 0
+
+
+def test_series_does_not_depend_on_the_batch_size(monkeypatch):
+    """The report's mean weights per grid time are the same, bit for bit, in
+    one batch of 40 paths and in batches of 7; at t = 0, where every weight
+    is 1/3, they read 1/3 exactly."""
+    model = markets.diverse_market(np.eye(3), g=0.0, delta=0.3, x0=[1.0, 1.0, 1.0])
+    factors = paths.generate_factors(paths.make_grid(1.0, 200), 3, 40, master_seed=3)
+    one = diversity.diversity_study(model, factors)[3]["series"]
+    force_batch_size(monkeypatch, 7)
+    several = diversity.diversity_study(model, factors)[3]["series"]
+    assert one.keys() == several.keys()
+    for key, column in one.items():
+        np.testing.assert_array_equal(column, several[key], err_msg=key)
+        if key != "t":
+            assert column[0] == 1 / 3, key
 
 
 def test_stationary_top_weight_constant_matches_quadrature():
