@@ -340,7 +340,7 @@ def leader_repulsion(model):
 
     def growth(t, lx, records):
         at_lead, s = _kernels._leader(lx)
-        lead_rate = rate(s)  # before ``gam``: a replay's temporaries are large
+        lead_rate = rate(s)  # first, so a replay frees its large temporaries before ``gam``
         gam = np.empty(lx.shape)
         gam[...] = g
         gam[at_lead] = lead_rate
@@ -390,51 +390,51 @@ def _patched_kernel(rule, logx0, dv, dt, times, model, carry, start):
 
 def _leader_kernel(rule, logx0, dv, dt, times, model, carry, start):
     """Euler steps of the diverse kind: ``_kernels._euler`` on
-    ``leader_repulsion`` bit for bit, at about three quarters of its cost.
+    ``leader_repulsion`` bit for bit, in about two thirds of its time.
 
     At a few hundred paths a step costs about its count of numpy calls, and
     a call on (B, n) arrays costs several on (B,) ones, because numpy loops
     over the short stock axis once per path.  Only the leader's growth
     depends on the state.  So the state is held one row of B paths per
-    stock, and a step finds the leader, s = 1/mu_max, the leader's rate
-    (``_leader_rate``, the one the replay uses) and its capped, counted
-    displacement on rows.  Every other stock moves by g dt from a table that
-    is clipped at the step cap and counted once per chunk; it binds only
-    where |g| dt exceeds the cap.  The growth rule handed in is not called.
+    stock, and a step finds on rows the leader (a mask, the lowest index on
+    ties), s = 1/mu_max, the leader's rate (``_leader_rate``, the one the
+    replay uses) and its capped displacement.  Every other stock moves by
+    g dt from a table that is clipped at the step cap and counted once per
+    chunk; it binds only where |g| dt exceeds the cap.  The growth rule
+    handed in is not called.
     """
     p = model.params
     rate, cap = _leader_rate(model), p["step_cap"]
     cur, caps = _kernels._start(logx0, dv, carry)
-    B = cur.shape[0]
+    B, K = dv.shape[:2]
     state = np.ascontiguousarray(cur.T)  # (n, B): one row per stock
-    flat, rows = state.reshape(-1), np.arange(B)
+    noise = dv.transpose(1, 2, 0)  # (K, n, B)
     gdt = p["g"] * dt[:, None]
     over = np.abs(gdt) > cap
     n_over = over.sum(axis=1)
     np.maximum(gdt, -cap, out=gdt)
     np.minimum(gdt, cap, out=gdt)
-    for k in range(dv.shape[1]):
-        lead = state.argmax(axis=0)  # lowest index on ties
-        at = lead * B
-        at += rows
-        top = flat[at]
+    capped = np.empty((K, B), bool)
+    for k in range(K):
+        top = state.max(axis=0)
         gap = state - top
+        lead = gap == 0
+        if np.count_nonzero(lead) != B:  # a tie: the lowest index leads
+            lead &= np.cumsum(lead, axis=0) == 1
         np.exp(gap, out=gap)
         s = gap[0] + gap[1]  # in index order, as ``_kernels._leader`` adds
         for row in gap[2:]:
             s += row
         disp = rate(s)
         disp *= dt[k]
-        caps += disp < -cap  # the rate is negative: only the lower cap binds
+        np.less(disp, -cap, out=capped[k])  # the rate is negative: only -cap binds
         np.maximum(disp, -cap, out=disp)
         if n_over[k]:
-            caps += n_over[k] - over[k, lead]
-        state += gdt[k, :, None]
-        disp += top
-        flat[at] = disp
-        new = dv[:, k].T
-        state += new
-        new[...] = state
+            caps += n_over[k] - lead[over[k]].sum(axis=0)
+        state += np.where(lead, disp, gdt[k, :, None])  # top + disp at the leader
+        state += noise[k]
+        noise[k] = state
+    caps += capped.sum(axis=0)
     return {"capped_steps": caps}
 
 
