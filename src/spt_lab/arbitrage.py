@@ -9,8 +9,8 @@ multiples of the one-step-scheme residual measured on the same paths.
 Each study is one experiment: ``study(model, factors, **extras)`` returns
 ``(metrics, info, checks, tables)`` under the report's names.
 
-Per-path reductions happen inside fixed-size batches, whose columns
-``markets.walk`` joins in path order; cross-path reductions run once over
+Per-path reductions happen inside batches, sized by ``markets.walk``
+from a byte budget, whose columns it joins in path order; cross-path reductions run once over
 the joined columns, so results do not depend on batch size.  Every study
 walks each batch in time chunks and reduces chunk by chunk into terminal
 values, running sums and running extremes; its sums over time stream
@@ -185,7 +185,7 @@ def master_formula_check(model, factors: _paths.FactorPaths, p: float) -> dict:
     without a cap).  Each batch is walked in time chunks.
     """
     batch = _master_batch(model, factors.grid, p)
-    return _master_summary(_markets.walk(model, factors, batch, 256))
+    return _master_summary(_markets.walk(model, factors, batch))
 
 
 def master_formula_order_study(model, factors: _paths.FactorPaths, p: float = 0.5,
@@ -201,7 +201,7 @@ def master_formula_order_study(model, factors: _paths.FactorPaths, p: float = 0.
         raise InvalidArgumentError(f"refine {refine!r} must be at least 2")
     dt = factors.grid.dt
     batches = [_master_batch(model, g, p) for g in (factors.grid, factors.grid.coarsened(refine))]
-    rf, rc = map(_master_summary, _markets.walk(model, factors, batches, 256, refine=refine))
+    rf, rc = map(_master_summary, _markets.walk(model, factors, batches, refine=refine))
     ratio = float(rc["mean_abs_residual"] / max(rf["mean_abs_residual"], 1e-300))
     order = float(np.log(ratio) / np.log(refine))
     metrics = {
@@ -284,7 +284,7 @@ def _outperformance_terms(model, factors: _paths.FactorPaths, p: float) -> dict:
 
         return consume, columns
 
-    return _markets.walk(model, factors, batch, 256)
+    return _markets.walk(model, factors, batch)
 
 
 def outperformance_study(model, factors: _paths.FactorPaths, p: float = 0.5):
@@ -417,7 +417,7 @@ def _mirror_terms(model, factors: _paths.FactorPaths, p: float, beta: float) -> 
 
         return consume, columns
 
-    return _markets.walk(model, factors, batch, 128)
+    return _markets.walk(model, factors, batch)
 
 
 def mirror_study(model, factors: _paths.FactorPaths, p: float | None = None,
@@ -579,7 +579,7 @@ def _dominance_terms(model, factors: _paths.FactorPaths):
         return batch
 
     grids = (factors.grid, factors.grid.coarsened(2))
-    pair = _markets.walk(model, factors, [on(g) for g in grids], 512, refine=2)
+    pair = _markets.walk(model, factors, [on(g) for g in grids], refine=2)
     return [{**cols, "fraction": float(np.mean(cols["min_lead"] > 0.0)),
              "confinement_breaches": int(cols["breaches"].sum())} for cols in pair]
 

@@ -51,21 +51,25 @@ def compensated_mean_se(values: np.ndarray):
 
 
 class PathSum:
-    """Sum over paths of arrays fed one batch (B, ...) at a time, in path
-    order.  Every addition's rounding error is carried beside the sum
-    (TwoSum; Ogita, Rump & Oishi 2005), so the total is as accurate as a sum
-    in twice the precision, and it does not depend on how the paths were
-    batched."""
+    """Sum over paths of a series of ``shape`` (grid points first), fed one
+    batch of paths at a time.  ``add(batch, at)`` adds a batch's (B, k, ...)
+    values at grid points at..at+k-1, so a walk's time chunks can be fed as
+    they come; each grid point must get its paths in path order.  Every
+    addition's rounding error is carried beside the sum (TwoSum; Ogita, Rump
+    & Oishi 2005), so the total is as accurate as a sum in twice the
+    precision, and it does not depend on how the paths were batched."""
 
-    def __init__(self):
-        self._sum = self._err = 0.0
+    def __init__(self, shape):
+        self._sum, self._err = np.zeros(shape), np.zeros(shape)
 
-    def add(self, batch):
+    def add(self, batch, at=0):
+        k = batch.shape[1]
+        s, err = self._sum[at:at + k], self._err[at:at + k]
         for x in batch:
-            total = self._sum + x
-            back = total - self._sum
-            self._err = self._err + ((self._sum - (total - back)) + (x - back))
-            self._sum = total
+            total = s + x
+            back = total - s
+            err += (s - (total - back)) + (x - back)
+            s[...] = total
 
     def total(self):
         return self._sum + self._err

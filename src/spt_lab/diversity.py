@@ -62,9 +62,13 @@ def check_diversity(
     t = np.asarray(times, dtype=float)
     if w.ndim != 3 or w.shape[1] != t.shape[0]:
         raise InvalidArgumentError("expected weight paths (B, K+1, n) on the grid of times")
+    return _top_margins(_max_last(w), t, delta, tail_fraction)
+
+
+def _top_margins(top, t, delta, tail_fraction) -> dict:
+    """``check_diversity``'s columns from the top weight paths (B, K+1)."""
     if not 0 < delta < 1:
         raise InvalidArgumentError("delta must lie in (0, 1)")
-    top = _max_last(w)
     horizon = t[-1] - t[0]
     if horizon <= 0:
         raise InvalidArgumentError("need a positive horizon")
@@ -149,6 +153,13 @@ def diversity_study(model, factors, delta: float | None = None,
     In the barrier market, also checks ``check_barrier_drift_condition`` at
     its own delta on every path.  A patched model reports how many paths
     fired its trigger and when, if any did.
+
+    Each batch is walked in time chunks (``markets.walk``).  A chunk adds
+    its weights and top weights to the series, and runs the drift check,
+    on its grid points past the one the chunk before ended on; the batch
+    keeps its top weight paths (B, K+1), whose margins are taken in row
+    blocks of ``markets.batch_paths`` rows at the end.  Every column,
+    series and count is the whole paths' bit for bit.
     """
     if delta is None:
         delta = model.params.get("delta")
@@ -160,26 +171,44 @@ def diversity_study(model, factors, delta: float | None = None,
         raise InvalidArgumentError(f"tail_fraction {tail_fraction!r} must lie in (0, 1]")
     n_paths, times = factors.n_paths, factors.grid.times
     barrier = model.kind == "diverse"
-    mu_sum, top_sum = PathSum(), PathSum()
+    mu_sum, top_sum = PathSum((times.size, model.n)), PathSum(times.size)
 
-    def per_batch(lo, hi, lx, aux):
-        mu = _portfolios.market_weights(lx)
-        out = check_diversity(mu, times, delta, tail_fraction)
-        mu_sum.add(mu)
-        top_sum.add(_max_last(mu))
-        out.update({
-            "term_lx": lx[:, -1],
-            # a copy, so the batch's weights are freed before the drift check
-            "term_mu": mu[:, -1].copy(),
-            "trigger": aux.get("trigger_time", np.full(hi - lo, np.nan)),
-        })
-        del mu
-        if barrier:
-            drift = check_barrier_drift_condition(model, lx, times, model.params["delta"], aux)
-            out.update({key: [value] for key, value in drift.items()})
-        return out
+    def batch(lo, hi):
+        top = np.empty((hi - lo, times.size))
+        drift = {"checked": 0, "violations": 0, "worst_slack": np.inf}
+        last = {}
 
-    cols = _markets.run_batches(model, factors, per_batch, 256)
+        def consume(rows, start, lx, aux):
+            stop = start + lx.shape[1]
+            mu = _portfolios.market_weights(lx)
+            top[:, start:stop] = _max_last(mu)
+            a = 1 if start else 0  # skip the point the chunk before ended on
+            mu_sum.add(mu[:, a:], start + a)
+            top_sum.add(top[:, start + a:stop], start + a)
+            # a copy, so the chunk's weights are freed before the drift check
+            last.update(term_lx=lx[:, -1], term_mu=mu[:, -1].copy(),
+                        trigger=aux.get("trigger_time", np.full(hi - lo, np.nan)))
+            del mu
+            if barrier:
+                got = check_barrier_drift_condition(
+                    model, lx[:, a:], times[start + a:stop], model.params["delta"], aux)
+                drift["checked"] += got["checked"]
+                drift["violations"] += got["violations"]
+                drift["worst_slack"] = min(drift["worst_slack"], got["worst_slack"])
+
+        def columns():
+            step = _markets.batch_paths(hi - lo, top.itemsize * times.size)
+            blocks = [_top_margins(top[i:i + step], times, delta, tail_fraction)
+                      for i in range(0, hi - lo, step)]
+            out = {key: np.concatenate([b[key] for b in blocks]) for key in _DIVERSITY_COLUMNS}
+            out.update(last)
+            if barrier:
+                out.update({key: [value] for key, value in drift.items()})
+            return out
+
+        return consume, columns
+
+    cols = _markets.walk(model, factors, batch)
     metrics = {
         "delta": delta,
         "tail_fraction": tail_fraction,

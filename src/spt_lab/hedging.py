@@ -139,7 +139,7 @@ def _deflated_payoffs(model, factors: _paths.FactorPaths, payoff) -> np.ndarray:
     def per_batch(lo, hi, lx, aux):
         return {"vals": payoff(lx) * np.exp(log_deflator(lx)) / bank}
 
-    return _markets.run_batches(model, factors, per_batch, 1024)["vals"]
+    return _markets.run_batches(model, factors, per_batch)["vals"]
 
 
 def hedge_price(model, factors: _paths.FactorPaths, strike: float, index: int = 0):
@@ -177,12 +177,6 @@ def hedge_price(model, factors: _paths.FactorPaths, strike: float, index: int = 
 # deflated prices under the Foellmer measure
 # ---------------------------------------------------------------------------
 
-# Paths per batch of a Foellmer pass: with the walk's time chunks a batch
-# holds a few (512, 257, n) arrays however long the ladder.  Results do not
-# depend on it.
-_PASS_PATHS = 512
-
-
 def _check_foellmer(model) -> None:
     """Reject a market without the barrier the knock-out monitors."""
     if model.kind != "diverse":
@@ -196,8 +190,8 @@ def _foellmer_knock_out(model, factors: _paths.FactorPaths, rungs, increments=No
     ``factors``, observed at the grid indices ``rungs``.
 
     Under Q every stock is a GBM with rate of return r.  Each batch of
-    ``_PASS_PATHS`` paths is walked (``markets.walk``) in time chunks up to
-    the last rung, and the top weight is checked against 1 - delta at every
+    paths, as many as ``markets.batch_paths`` gives, is walked
+    (``markets.walk``) in time chunks up to the last rung, and the top weight is checked against 1 - delta at every
     grid point (the dt monitor) and at every even one (the 2dt monitor).  A
     path out under both monitors only adds zeros from then on, so it is
     retired: no later chunk draws or integrates it.
@@ -247,7 +241,7 @@ def _foellmer_knock_out(model, factors: _paths.FactorPaths, rungs, increments=No
 
         return consume, columns
 
-    cols = _markets.walk(q, factors, batch, _PASS_PATHS, stop=top)
+    cols = _markets.walk(q, factors, batch, stop=top)
     running = None if increments is None else cols["running"]
     return cols["lx"], running, cols["first"], cols["first_2dt"]
 

@@ -38,6 +38,7 @@ __all__ = [
     "KINDS",
     "simulate_block",
     "run_batches",
+    "batch_paths",
     "walk",
     "recording_walks",
     "growth_rates_along",
@@ -623,6 +624,20 @@ def simulate_block(model: MarketModel, factors: FactorPaths, lo: int, hi: int, c
 # arrays, however long the grid.  No result depends on it.
 _CHUNK_STEPS = 256
 
+# Bytes of log-price buffers in one walked batch: each grid's (B, k+1, n)
+# buffer for a time chunk of k steps (the whole grid in ``run_batches``).
+# 3 MiB holds about 510 paths of a 3-stock chunk of 256 steps, and
+# _HEAP_HINT_BUFFERS of it stay under glibc's 32 MB mmap ceiling.  No result
+# depends on it.
+_BATCH_BYTES = 3 << 20
+
+
+def batch_paths(n_paths: int, bytes_per_path: int) -> int:
+    """Paths per batch: as many of ``n_paths`` as hold at most
+    ``_BATCH_BYTES`` at ``bytes_per_path`` each, and one at least."""
+    return max(1, min(n_paths, _BATCH_BYTES // bytes_per_path))
+
+
 # glibc gives freed heap memory back to the system once more than twice its
 # mmap threshold is free, and raises that threshold to the size of any freed
 # mmapped block of up to 32 MB.  A chunk's temporaries take a few times its
@@ -638,11 +653,11 @@ _walks = None
 @contextlib.contextmanager
 def recording_walks():
     """Collect every walk run inside the ``with`` block: a list, in order, of
-    ``{"batch_size": paths per batch, "chunk_steps": steps per time chunk,
-    "refine": refinement factor, 1 for a single grid, "integrate_s":
-    seconds in ``simulate_block`` and the pair's draws, "reduce_s": seconds
-    in the study's ``consume`` and ``columns``}``, the times summed over the
-    walk's chunks as it runs."""
+    ``{"batch_size": paths per batch (the last may hold fewer),
+    "chunk_steps": steps per time chunk, "refine": refinement factor, 1 for
+    a single grid, "integrate_s": seconds in ``simulate_block`` and the
+    pair's draws, "reduce_s": seconds in the study's ``consume`` and
+    ``columns``}``, the times summed over the walk's chunks as it runs."""
     global _walks
     outer, _walks = _walks, []
     try:
@@ -651,10 +666,11 @@ def recording_walks():
         _walks = outer
 
 
-def walk(model: MarketModel, factors: FactorPaths, batch, batch_size: int,
-         stop: int | None = None, refine: int = 1, chunk_steps: int | None = None):
+def walk(model: MarketModel, factors: FactorPaths, batch, stop: int | None = None,
+         refine: int = 1, chunk_steps: int | None = None):
     """Integrate all paths in batches, each in time chunks, and join what
-    each batch returns.
+    each batch returns.  A batch holds as many paths as ``batch_paths``
+    gives for the log-price buffers of a chunk of every grid walked.
 
     ``batch(lo, hi)`` starts paths lo..hi-1 and returns ``(consume,
     columns)``.  ``consume(rows, start, log_prices, aux)`` is handed each
@@ -688,7 +704,9 @@ def walk(model: MarketModel, factors: FactorPaths, batch, batch_size: int,
     stop = factors.grid.n_steps if stop is None else stop
     steps = max(refine, min(chunk_steps or _CHUNK_STEPS, stop) // refine * refine)
     grids = [(batch, 1)] if refine == 1 else list(zip(batch, (1, refine)))
-    record = {"batch_size": batch_size, "chunk_steps": steps, "refine": refine,
+    n = factors.n_paths
+    size = batch_paths(n, sum(steps // f + 1 for _, f in grids) * model.n * 8)
+    record = {"batch_size": size, "chunk_steps": steps, "refine": refine,
               "integrate_s": 0.0, "reduce_s": 0.0}
     if _walks is not None:
         _walks.append(record)
@@ -736,17 +754,17 @@ def walk(model: MarketModel, factors: FactorPaths, batch, batch_size: int,
         return [{k: np.array(v) for k, v in {**c, "capped_steps": n}.items()}
                 for c, n in zip(cols, caps)]
 
-    n = factors.n_paths
-    parts = [walked(lo, min(lo + batch_size, n)) for lo in range(0, n, batch_size)]
+    parts = [walked(lo, min(lo + size, n)) for lo in range(0, n, size)]
     joined = [{k: np.concatenate([part[i][k] for part in parts]) for k in parts[0][i]}
               for i in range(len(grids))]
     return joined[0] if refine == 1 else tuple(joined)
 
 
-def run_batches(model: MarketModel, factors: FactorPaths, per_batch, batch_size: int) -> dict:
-    """Integrate all paths in fixed batches of whole paths and join what each
+def run_batches(model: MarketModel, factors: FactorPaths, per_batch) -> dict:
+    """Integrate all paths in batches of whole paths and join what each
     batch returns: ``walk`` with one time chunk spanning the grid, cut and
-    drawn like every other walk's.
+    drawn like every other walk's, so a batch holds as many whole paths as
+    the byte budget allows.
 
     ``per_batch(lo, hi, log_prices, aux)`` gets each batch's whole log
     prices and returns its columns, which the walk copies and joins.
@@ -760,4 +778,4 @@ def run_batches(model: MarketModel, factors: FactorPaths, per_batch, batch_size:
 
         return consume, lambda: cols
 
-    return walk(model, factors, batch, batch_size, chunk_steps=factors.grid.n_steps)
+    return walk(model, factors, batch, chunk_steps=factors.grid.n_steps)

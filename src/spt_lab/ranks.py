@@ -189,7 +189,7 @@ def ranked_decomposition_study(model, factors):
             "lam_term": res["local_times"][:, -1],
         }
 
-    cols = _markets.run_batches(model, factors, per_batch, 256)
+    cols = _markets.run_batches(model, factors, per_batch)
     rel_named, rel_model, lam_term = (
         cols[key] for key in ("relative_named", "relative_model", "lam_term"))
     metrics = {
@@ -237,7 +237,7 @@ def local_time_study(model, factors, index: int = 0):
 
         return consume, lambda: {"lam": lam}
 
-    cols = _markets.walk(model, factors, batch, 1024)
+    cols = _markets.walk(model, factors, batch)
     lam = cols["lam"]
     mean, se = compensated_mean_se(lam)
     metrics = {"mean_terminal_local_time": mean, "se": se, "horizon": horizon}

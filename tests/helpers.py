@@ -66,14 +66,10 @@ def walk_record(batch_size, chunk_steps, refine):
 
 def force_batch_size(monkeypatch, size):
     """Make every walk over paths (``markets.walk``, which ``run_batches``
-    runs too, and a pair walk alike) take batches of ``size`` paths,
-    whatever size its caller asks for."""
-    walk = markets.walk
-
-    def forced(model, factors, batch, batch_size, *args, **kwargs):
-        return walk(model, factors, batch, size, *args, **kwargs)
-
-    monkeypatch.setattr(markets, "walk", forced)
+    runs too, and a pair walk alike) take batches of ``size`` paths (all of
+    them where there are fewer), in place of the byte budget of
+    ``markets.batch_paths``; so does every other user of that rule."""
+    monkeypatch.setattr(markets, "batch_paths", lambda n_paths, _: min(n_paths, size))
 
 
 def count_draws(monkeypatch):

@@ -25,8 +25,8 @@ import numpy as np
 
 from spt_lab import cli, markets, paths, portfolios, ranks
 from spt_lab.checks import compensated_mean_se
-from helpers import (CoarsenedFactors, knock_out_ladder, random_covariance, random_simplex,
-                     whole_path_parity_witness)
+from helpers import (CoarsenedFactors, force_batch_size, knock_out_ladder, random_covariance,
+                     random_simplex, whole_path_parity_witness)
 
 CRITERION_LINES = []
 
@@ -175,7 +175,7 @@ def test_criterion_03_diversity_holds():
     # one walk integrates the fine grid and the grid coarsened by two on the
     # same Brownian paths
     grids = (grid, grid.coarsened(2))
-    cols = markets.walk(model, fine, [census(g) for g in grids], 100, refine=2)
+    cols = markets.walk(model, fine, [census(g) for g in grids], refine=2)
     (breach_fine, _), (breach_coarse, frac) = (
         (c["breaches"].sum() / (fine.n_paths * (g.n_steps + 1)), c["diverse"].mean())
         for c, g in zip(cols, grids))
@@ -224,7 +224,7 @@ def test_criterion_05_mirror_and_wraps():
 # 6: mean-reverting two-stock market against its Gaussian oracles
 # ---------------------------------------------------------------------------
 
-def test_criterion_06_stationary_top_weight():
+def test_criterion_06_stationary_top_weight(monkeypatch):
     model = markets.ou_two_stock(alpha=0.5)
     grid = paths.make_grid(2_000.0, 200_000)
     f = paths.generate_factors(grid, 2, 1, master_seed=606)
@@ -239,7 +239,8 @@ def test_criterion_06_stationary_top_weight():
         w = portfolios.market_weights(lx[:, -1, :])
         return {"hit": np.max(w, axis=-1) >= 0.8}
 
-    frac = float(markets.run_batches(model, tf, per_batch, batch_size=2_000)["hit"].mean())
+    force_batch_size(monkeypatch, 2_000)
+    frac = float(markets.run_batches(model, tf, per_batch)["hit"].mean())
     se = math.sqrt(frac * (1.0 - frac) / tf.n_paths)
     ok = abs(avg - TOP_WEIGHT_MEAN) <= 0.02 and abs(frac - TOP_WEIGHT_TAIL) <= 3.0 * se
     assert _record(

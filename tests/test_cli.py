@@ -240,25 +240,26 @@ def _checks_with_budgets(out):
 
 def test_provenance_records_each_walk(tmp_path):
     """summary.json's provenance lists each walk over the paths in order,
-    with its batch size, chunk length and refinement factor: a whole-path
-    study walks its grid in one chunk, arbitrage-45 in 256-step chunks, the
-    call ladder's Foellmer pass in 512-path batches of 256-step chunks up
-    to its last rung, and master-formula's fine and coarse grids in one
-    pair walk of 256-step chunks (255 with refine = 3).  Each walk's
-    seconds integrating and reducing, and the seconds the CSVs took, are
-    finite and non-negative.  summary.txt carries the same list."""
+    with the paths in its batches, chunk length and refinement factor: a
+    diversity report of 20 paths walks its 50 steps in one chunk,
+    arbitrage-45 in 256-step chunks, the call ladder's Foellmer pass in
+    256-step chunks up to its last rung, and master-formula's fine and
+    coarse grids in one pair walk of 256-step chunks (255 with refine = 3),
+    each of 4 paths in one batch.  Each walk's seconds integrating and
+    reducing, and the seconds the CSVs took, are finite and non-negative.
+    summary.txt carries the same list."""
     runs = {
-        "report": ([_constant_cfg(tmp_path, tmp_path / "report")], [(256, 50, 1)]),
+        "report": ([_constant_cfg(tmp_path, tmp_path / "report")], [(20, 50, 1)]),
         "a45": ([str(_PRESETS / "arbitrage_45.ini"), "--paths", "4", "--steps", "600"],
-                [(256, 256, 1)]),
+                [(4, 256, 1)]),
         "decay": ([str(_PRESETS / "call_decay.ini"), "--paths", "4", "--steps", "20"],
-                  [(512, 256, 1)]),
+                  [(4, 256, 1)]),
         "master": ([str(_PRESETS / "master_formula.ini"), "--paths", "4", "--steps", "600"],
-                   [(256, 256, 2)]),
+                   [(4, 256, 2)]),
         "master3": ([_write(tmp_path, (_PRESETS / "master_formula.ini").read_text().replace(
                          "refine = 2", "refine = 3"), name="mf3.ini"),
                      "--paths", "4", "--steps", "600"],
-                    [(256, 255, 3)]),
+                    [(4, 255, 3)]),
     }
     for name, (args, shapes) in runs.items():
         out = tmp_path / name
@@ -285,9 +286,9 @@ def test_reruns_and_batch_sizes_are_byte_identical(tmp_path, monkeypatch):
     for fname in ("metrics.csv", "per_path.csv"):
         assert (outs[0] / fname).read_bytes() == (outs[1] / fname).read_bytes(), fname
 
-    # a study gives the same columns in one batch of 20 paths (its default
-    # batch holds 256) and in three batches of at most 7; each run reduces
-    # its 1,500 steps in several time chunks
+    # a study gives the same columns in one batch of 20 paths (its byte
+    # budget holds about 510) and in three batches of at most 7; each run
+    # reduces its 1,500 steps in several time chunks
     model = markets.diverse_market(np.eye(3), g=0.0, delta=0.3, x0=[1.0, 1.0, 1.0])
     factors = paths.generate_factors(paths.make_grid(15.0, 1500), 3, 20, master_seed=5)
     one = arbitrage.outperformance_study(model, factors, 0.5)
@@ -402,6 +403,24 @@ def test_preset_runs_at_small_size(tmp_path, preset):
     headers = {p.stem: p.read_text().splitlines()[0].split(",")
                for p in out.glob("*.csv") if p.stem != "metrics"}
     assert headers == {stem: cols.split() for stem, cols in tables.items()}
+
+
+@pytest.mark.parametrize("preset", sorted(p.name for p in _PRESETS.glob("*.ini")))
+def test_preset_csvs_do_not_depend_on_the_batch_size(tmp_path, monkeypatch, preset):
+    """Every shipped preset writes the same CSVs, byte for byte, in batches
+    of 3 paths as in the batches of ``markets.batch_paths`` (one of all 7
+    paths at this size), each walked in time chunks of 8 steps."""
+    monkeypatch.setattr(markets, "_CHUNK_STEPS", 8)
+
+    def csvs(name):
+        out = tmp_path / name
+        assert cli.main(["run", str(_PRESETS / preset), "--paths", "7", "--steps", "20",
+                         "--out", str(out)]) in (0, 4)
+        return {p.name: p.read_bytes() for p in out.glob("*.csv")}
+
+    by_rule = csvs("rule")
+    force_batch_size(monkeypatch, 3)
+    assert csvs("three") == by_rule
 
 
 def test_exit_codes_for_bad_invocations(tmp_path, capsys):

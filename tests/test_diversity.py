@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 from scipy import integrate, stats
 
-from spt_lab import diversity, markets, paths
+from spt_lab import diversity, markets, paths, portfolios
+from spt_lab.checks import PathSum
 from spt_lab.errors import InvalidArgumentError
-from helpers import force_batch_size, random_simplex
+from helpers import force_batch_size, kernel_cases, random_simplex
 
 
 def test_measure_vertex_and_uniform():
@@ -147,6 +148,76 @@ def test_series_does_not_depend_on_the_batch_size(monkeypatch):
         np.testing.assert_array_equal(column, several[key], err_msg=key)
         if key != "t":
             assert column[0] == 1 / 3, key
+
+
+@pytest.mark.parametrize("case", [
+    paths.make_grid(1.0, markets._CHUNK_STEPS // 2),            # inside one chunk
+    paths.make_grid(2.0, 2 * markets._CHUNK_STEPS),             # whole chunks
+    paths.geometric_grid(3.0, 2 * markets._CHUNK_STEPS + 37, 1e-3),  # ragged tail
+    paths.make_grid(2.0, 2 * markets._CHUNK_STEPS + 1),         # a one-step last chunk
+    "patched",                                                  # a trigger fires
+], ids=["short", "whole", "ragged", "one-step-tail", "patched"])
+def test_diversity_chunks_match_the_whole_path(monkeypatch, case):
+    """The report walked in time chunks, in batches of 4 of its 6 paths and
+    with its margins taken in row blocks of 3, gives the columns of
+    ``check_diversity``, the series summed over whole paths and the drift
+    counts of ``check_barrier_drift_condition`` on whole paths, bit for bit.
+    The patched model is walked in chunks of 33 steps, and its trigger
+    fires on some paths and not on others."""
+    if case == "patched":
+        model, f = kernel_cases()["patched"]
+        monkeypatch.setattr(markets, "_CHUNK_STEPS", 33)
+    else:
+        model = markets.diverse_market(np.eye(3), g=0.0, delta=0.3, x0=[1.0, 2.0, 3.0])
+        f = paths.generate_factors(case, 3, 6, 17)
+    n, times, delta = f.n_paths, f.grid.times, model.params["delta"]
+    # a walk over all 6 paths takes batches of 4; a batch's row blocks hold 3
+    monkeypatch.setattr(markets, "batch_paths",
+                        lambda n_paths, _: 4 if n_paths == n else min(n_paths, 3))
+    chunk_drifts, check_drift = [], diversity.check_barrier_drift_condition
+
+    def recorded(*args):
+        chunk_drifts.append(check_drift(*args))
+        return chunk_drifts[-1]
+
+    monkeypatch.setattr(diversity, "check_barrier_drift_condition", recorded)
+    metrics, info, checks, tables = diversity.diversity_study(model, f)
+    lx, aux = markets.simulate_block(model, f, 0, n)
+    mu = portfolios.market_weights(lx)
+
+    want = diversity.check_diversity(mu, times, delta, 0.25)
+    per_path = tables["per_path"]
+    for key, column in want.items():
+        np.testing.assert_array_equal(per_path[key], column, err_msg=key)
+    for i in range(model.n):
+        np.testing.assert_array_equal(per_path[f"log_x{i + 1}"], lx[:, -1, i])
+        np.testing.assert_array_equal(per_path[f"mu{i + 1}"], mu[:, -1, i])
+    np.testing.assert_array_equal(per_path["capped_steps"], aux["capped_steps"])
+    assert info == {"capped_steps": int(aux["capped_steps"].sum())}
+
+    mu_sum, top_sum = PathSum(mu.shape[1:]), PathSum(times.size)
+    mu_sum.add(mu)
+    top_sum.add(mu.max(axis=2))
+    series = tables["series"]
+    np.testing.assert_array_equal(series["mean_top"], top_sum.total() / n)
+    for i in range(model.n):
+        np.testing.assert_array_equal(series[f"mean_mu{i + 1}"], mu_sum.total()[:, i] / n)
+
+    if case == "patched":
+        fired = aux["trigger_time"][np.isfinite(aux["trigger_time"])]
+        assert 0 < fired.size < n
+        assert metrics["trigger_fraction"] == fired.size / n
+        assert metrics["trigger_time_mean"] == fired.mean()
+        assert not checks
+    else:
+        drift = check_drift(model, lx, times, delta, aux)
+        assert drift["checked"] > 0
+        assert sum(d["checked"] for d in chunk_drifts) == drift["checked"]
+        assert sum(d["violations"] for d in chunk_drifts) == drift["violations"]
+        assert min(d["worst_slack"] for d in chunk_drifts) == drift["worst_slack"]
+        [check] = checks
+        assert check.detail == (f"checked={drift['checked']} violations={drift['violations']} "
+                                f"worst_slack={drift['worst_slack']:.6g}")
 
 
 def test_stationary_top_weight_constant_matches_quadrature():

@@ -113,7 +113,6 @@ def test_deflated_prices_draw_each_path_once(monkeypatch):
     ladder = paths.generate_factors(paths.make_grid(2.0, 600), 2, 12, master_seed=3)
 
     force_batch_size(monkeypatch, 5)
-    monkeypatch.setattr(hedging, "_PASS_PATHS", 5)
     every_step = {(i, k) for i in range(12) for k in range(10)}
     runs = {
         "hedge_price": (lambda: hedging.hedge_price(gbm, factors, 1.0, 0), True, False),
@@ -151,7 +150,7 @@ def test_retired_paths_match_the_whole_path_pass(monkeypatch, chunk_steps):
     most once, and a path out under both monitors by the end of a chunk is
     drawn for no later step."""
     _, chunked = count_draws(monkeypatch)
-    monkeypatch.setattr(hedging, "_PASS_PATHS", 16)
+    force_batch_size(monkeypatch, 16)
     monkeypatch.setattr(markets, "_CHUNK_STEPS", chunk_steps)
     model = markets.diverse_market(0.3 * np.eye(3), g=0.0, delta=0.35,
                                    x0=[1.0, 1.2, 0.9], r=0.03)

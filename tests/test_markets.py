@@ -8,7 +8,7 @@ import pytest
 import loop_kernels
 from spt_lab import _kernels, markets, paths, portfolios
 from spt_lab.errors import IntegrationFailureError, InvalidArgumentError, InvalidModelError
-from helpers import ZeroFactors, kernel_cases
+from helpers import ZeroFactors, force_batch_size, kernel_cases
 
 
 def _one_path(model, grid, seed=0):
@@ -92,7 +92,7 @@ def test_single_stock_log_path_is_affine_in_brownian():
     np.testing.assert_allclose(lx[:, 0], expect, rtol=0, atol=1e-12)
 
 
-def test_terminal_mean_matches_rate_of_return():
+def test_terminal_mean_matches_rate_of_return(monkeypatch):
     # E[X(1)] = X(0) exp(b) for geometric Brownian motion
     model = markets.constant_market(b=[0.07], sigma=[[0.2]], x0=[1.0])
     grid = paths.make_grid(1.0, 4)
@@ -101,7 +101,8 @@ def test_terminal_mean_matches_rate_of_return():
     def per_batch(lo, hi, lx, aux):
         return {"xt": np.exp(lx[:, -1, 0])}
 
-    xt = markets.run_batches(model, f, per_batch, batch_size=20_000)["xt"]
+    force_batch_size(monkeypatch, 20_000)
+    xt = markets.run_batches(model, f, per_batch)["xt"]
     se = xt.std(ddof=1) / np.sqrt(xt.size)
     assert abs(xt.mean() - np.exp(0.07)) < 3.0 * se
 
@@ -110,12 +111,13 @@ def _keep_batch(lo, hi, lx, aux):
     return {"path": np.arange(lo, hi), "log_prices": lx, "terminal": lx[:, -1]}
 
 
-def test_run_batches_matches_per_path_integration():
+def test_run_batches_matches_per_path_integration(monkeypatch):
     model = markets.constant_market(b=[0.02, 0.05], sigma=np.eye(2) * 0.3,
                                     x0=[1.0, 2.0])
     grid = paths.make_grid(1.0, 8)
     f = paths.generate_factors(grid, 2, 7, master_seed=11)
-    got = markets.run_batches(model, f, _keep_batch, batch_size=3)
+    force_batch_size(monkeypatch, 3)
+    got = markets.run_batches(model, f, _keep_batch)
     np.testing.assert_array_equal(got["path"], np.arange(7))
     single = np.stack([markets.simulate_block(model, f, i, i + 1)[0][0]
                        for i in range(7)])
@@ -123,7 +125,7 @@ def test_run_batches_matches_per_path_integration():
     np.testing.assert_array_equal(got["terminal"], single[:, -1])
 
 
-def test_run_batches_stacks_per_batch_partials():
+def test_run_batches_stacks_per_batch_partials(monkeypatch):
     model = markets.constant_market(b=[0.02, 0.05], sigma=np.eye(2) * 0.3,
                                     x0=[1.0, 2.0])
     f = paths.generate_factors(paths.make_grid(1.0, 8), 2, 7, master_seed=11)
@@ -131,7 +133,8 @@ def test_run_batches_stacks_per_batch_partials():
     def per_batch(lo, hi, lx, aux):
         return {"sum": lx.sum(axis=0)[None], "count": [hi - lo]}
 
-    got = markets.run_batches(model, f, per_batch, batch_size=3)
+    force_batch_size(monkeypatch, 3)
+    got = markets.run_batches(model, f, per_batch)
     np.testing.assert_array_equal(got["count"], [3, 3, 1])
     assert got["sum"].shape == (3, 9, 2)
     lx, _ = markets.simulate_block(model, f, 0, 7)
@@ -139,24 +142,25 @@ def test_run_batches_stacks_per_batch_partials():
                                rtol=1e-12, atol=1e-12)
 
 
-def test_run_batches_joins_capped_steps_in_path_order():
+def test_run_batches_joins_capped_steps_in_path_order(monkeypatch):
     """Every result carries the integrator's capped-entry counts as a
     per-path column, in path order across batches; a callback that returns
     that key is rejected rather than overwritten."""
     model, f = kernel_cases()["diverse"]
     want = markets.simulate_block(model, f, 0, f.n_paths)[1]["capped_steps"]
     assert len(set(want)) > 1  # the order shows
-    got = markets.run_batches(model, f, _keep_batch, batch_size=3)
+    force_batch_size(monkeypatch, 3)
+    got = markets.run_batches(model, f, _keep_batch)
     np.testing.assert_array_equal(got["capped_steps"], want)
 
     def colliding(lo, hi, lx, aux):
         return {"capped_steps": np.zeros(hi - lo, np.int64)}
 
     with pytest.raises(InvalidArgumentError, match="capped_steps"):
-        markets.run_batches(model, f, colliding, batch_size=3)
+        markets.run_batches(model, f, colliding)
 
 
-def test_run_batches_copies_every_returned_view():
+def test_run_batches_copies_every_returned_view(monkeypatch):
     """A returned view must not keep its batch's log prices alive."""
     model = markets.diverse_market(np.eye(3) * 0.5, g=0.0, delta=0.3,
                                    x0=[1.0, 1.0, 1.0])
@@ -167,7 +171,8 @@ def test_run_batches_copies_every_returned_view():
         seen.append(lx)
         return _keep_batch(lo, hi, lx, aux)
 
-    got = markets.run_batches(model, f, per_batch, batch_size=4)
+    force_batch_size(monkeypatch, 4)
+    got = markets.run_batches(model, f, per_batch)
     assert len(seen) == 3
     for key, col in got.items():
         for lx in seen:
@@ -206,7 +211,7 @@ def test_leader_drift_diverges_near_barrier():
     assert steep < 100 * mild < 0
 
 
-def test_diverse_paths_respect_barrier():
+def test_diverse_paths_respect_barrier(monkeypatch):
     model = markets.diverse_market(np.eye(3), g=0.0, delta=0.3,
                                    x0=[1.0, 1.0, 1.0])
     grid = paths.make_grid(1.0, 1_000)
@@ -217,7 +222,8 @@ def test_diverse_paths_respect_barrier():
         e = np.exp(lx - mx)
         return {"top": (e.max(axis=2) / e.sum(axis=2)).max(axis=1)}
 
-    top = markets.run_batches(model, f, per_batch, batch_size=8)["top"]
+    force_batch_size(monkeypatch, 8)
+    top = markets.run_batches(model, f, per_batch)["top"]
     assert top.max() < 0.70 + 0.02   # barrier plus one-step slack
 
 
@@ -274,7 +280,7 @@ def test_spread_is_brownian_before_switch():
     assert model.vol.a[0, 0] + model.vol.a[1, 1] == pytest.approx(1.0)
 
 
-def test_spread_stationary_moments_after_switch():
+def test_spread_stationary_moments_after_switch(monkeypatch):
     model = markets.ou_two_stock(alpha=0.5, switch_time=1.0)
     grid = paths.make_grid(3.0, 192)
     f = paths.generate_factors(grid, 2, 4_000, master_seed=15)
@@ -283,7 +289,8 @@ def test_spread_stationary_moments_after_switch():
         z = lx[..., 1] - lx[..., 0]
         return {"z2": z[:, 128], "z3": z[:, 192]}
 
-    cols = markets.run_batches(model, f, per_batch, batch_size=1_000)
+    force_batch_size(monkeypatch, 1_000)
+    cols = markets.run_batches(model, f, per_batch)
     z2, z3 = cols["z2"], cols["z3"]
     assert abs(z3.mean()) < 0.06
     assert abs(z3.var() - 1.0) < 0.10
@@ -613,6 +620,7 @@ def test_time_chunks_integrate_to_the_whole_path(monkeypatch):
     end, and the joined ``capped_steps`` column holds each path's record at
     its last chunk."""
     monkeypatch.setattr(markets, "_CHUNK_STEPS", 33)
+    force_batch_size(monkeypatch, 4)
     for kind, (model, f) in _walk_cases().items():
         whole, _ = markets.simulate_block(model, f, 0, 6)
         last_caps = np.full(6, -1)
@@ -635,7 +643,7 @@ def test_time_chunks_integrate_to_the_whole_path(monkeypatch):
 
             return consume, dict
 
-        cols = markets.walk(model, f, batch, 4)
+        cols = markets.walk(model, f, batch)
         assert (last_caps >= 0).all(), kind
         np.testing.assert_array_equal(cols["capped_steps"], last_caps, err_msg=kind)
         # the capped kinds carry counts that are not all zero
